@@ -16,7 +16,6 @@ from .linalg import (
     orth_complement,
     gen_sym_eig,
     spd_functions,
-    finite_diff_directional,
 )
 from .objectives import (
     Objective,
@@ -36,6 +35,8 @@ from .embedded import (
     tangent_basis,
 )
 from .quotient import (
+    EMBEDDED,
+    REGISTRY,
     QuotientPoint,
     HorizontalVector,
     metric_family,
@@ -78,14 +79,5 @@ from .flows import (
 
 __version__ = "0.1.0"
 
-GEOMETRIES = (
-    "psd_embedded",
-    "gen_embedded",
-    "psd_q1",
-    "psd_q2",
-    "gen_q1",
-    "gen_q2",
-    "gen_q3",
-)
-
-QUOTIENT_GEOMETRIES = GEOMETRIES[2:]
+QUOTIENT_GEOMETRIES = tuple(REGISTRY)
+GEOMETRIES = tuple(EMBEDDED.values()) + QUOTIENT_GEOMETRIES

@@ -47,14 +47,16 @@ from .objectives import (
     make_matrix_sensing,
 )
 from .quotient import (
+    EMBEDDED,
+    geometries,
     horizontal_basis,
     lift_point,
     metric_choices,
     metric_family,
     metric_inner,
     quotient_dim,
-    quotient_point,
     random_horizontal,
+    random_point,
     riem_grad_quotient,
     total_curve,
 )
@@ -68,9 +70,6 @@ COMMANDS = (
     "classify",
     "flow-compare",
 )
-
-PSD_GEOMETRIES = ("psd_embedded", "psd_q1", "psd_q2")
-GEN_GEOMETRIES = ("gen_embedded", "gen_q1", "gen_q2", "gen_q3")
 
 DEFAULT_TOLERANCES = {
     "grad_fd_rtol": 1e-6,
@@ -88,8 +87,18 @@ class ConfigError(Exception):
     pass
 
 
+COUNTS = ("trials", "directions", "max_fosp_points")
+
+
+def _is_number(value, types=(int, float)):
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def _problem_cfg(config):
-    prob = dict(config.get("problem", {}))
+    problem = config.get("problem", {})
+    if not isinstance(problem, dict):
+        raise ConfigError("'problem' must be an object")
+    prob = dict(problem)
     prob.setdefault("kind", "approx")
     prob.setdefault("case", "psd")
     prob.setdefault("p1", 5)
@@ -102,13 +111,34 @@ def _problem_cfg(config):
         raise ConfigError(f"unknown problem kind {prob['kind']!r}")
     if prob["case"] not in ("psd", "general"):
         raise ConfigError(f"unknown problem case {prob['case']!r}")
-    if prob["r"] > min(prob["p1"], prob["p2"]):
-        raise ConfigError("rank r exceeds min(p1, p2)")
+    for key in ("p1", "p2", "r"):
+        if not _is_number(prob[key], int):
+            raise ConfigError(f"problem {key} must be an integer, got {prob[key]!r}")
+    if not 1 <= prob["r"] <= min(prob["p1"], prob["p2"]):
+        raise ConfigError("rank r must satisfy 1 <= r <= min(p1, p2)")
+    if not (_is_number(prob["mask_density"]) and 0 <= prob["mask_density"] <= 1):
+        raise ConfigError(f"mask_density must be a number in [0, 1], got "
+                          f"{prob['mask_density']!r}")
     return prob
 
 
+def _validate(config, prob):
+    """Reject malformed counts, lists and metric names before anything runs."""
+    for key in COUNTS:
+        if key in config and not (_is_number(config[key], int) and config[key] >= 1):
+            raise ConfigError(f"{key} must be an integer >= 1, got {config[key]!r}")
+    if not isinstance(config.get("geometries", []), list):
+        raise ConfigError("'geometries' must be a list of names")
+    metrics = config.get("metrics", {})
+    if not (isinstance(metrics, dict)
+            and all(isinstance(v, list) and v for v in metrics.values())):
+        raise ConfigError("'metrics' must map geometries to non-empty lists of names")
+    for geometry in _geometries(config, prob):
+        _metric_names(config, geometry)
+
+
 def _geometries(config, prob):
-    default = PSD_GEOMETRIES if prob["case"] == "psd" else GEN_GEOMETRIES
+    default = geometries(prob["case"])
     geos = config.get("geometries", list(default))
     for g in geos:
         if g not in default:
@@ -123,7 +153,7 @@ def _metric_names(config, geometry):
     if geometry.endswith("embedded"):
         return [None]
     chosen = config.get("metrics", {})
-    if isinstance(chosen, dict) and geometry in chosen:
+    if geometry in chosen:
         names = chosen[geometry]
         for n in names:
             if n not in metric_choices(geometry):
@@ -133,8 +163,14 @@ def _metric_names(config, geometry):
 
 
 def _tolerances(config):
+    given = config.get("tolerances", {})
+    if not isinstance(given, dict):
+        raise ConfigError("'tolerances' must be an object")
     tols = dict(DEFAULT_TOLERANCES)
-    tols.update(config.get("tolerances", {}))
+    tols.update(given)
+    for key, value in tols.items():
+        if not (_is_number(value) and value > 0):
+            raise ConfigError(f"tolerance {key} must be a number > 0, got {value!r}")
     return tols
 
 
@@ -175,64 +211,32 @@ def _build_objective(prob, rng):
     return make_matrix_sensing(ops, obs, symmetric=symmetric)
 
 
-def _random_embedded(prob, rng):
-    p1, p2, r = prob["p1"], prob["p2"], prob["r"]
-    if prob["case"] == "psd":
-        a = rng.standard_normal((p1, r))
-        return project_rank_r(a @ a.T, r, "psd")
-    return project_rank_r(
-        rng.standard_normal((p1, r)) @ rng.standard_normal((r, p2)), r, "general"
-    )
-
-
-def _qf(a):
-    q, rr = np.linalg.qr(a)
-    s = np.sign(np.diag(rr))
-    s[s == 0] = 1.0
-    return q * s
-
-
-def _random_quotient(geometry, prob, rng):
-    p1, p2, r = prob["p1"], prob["p2"], prob["r"]
-    if geometry == "psd_q1":
-        return quotient_point(geometry, rng.standard_normal((p1, r)))
-    if geometry == "psd_q2":
-        c = rng.standard_normal((r, r))
-        return quotient_point(
-            geometry, _qf(rng.standard_normal((p1, r))), c @ c.T + 0.5 * np.eye(r)
-        )
-    if geometry == "gen_q1":
-        return quotient_point(
-            geometry, rng.standard_normal((p1, r)), rng.standard_normal((p2, r))
-        )
-    if geometry == "gen_q2":
-        c = rng.standard_normal((r, r))
-        return quotient_point(
-            geometry,
-            _qf(rng.standard_normal((p1, r))),
-            c @ c.T + 0.5 * np.eye(r),
-            _qf(rng.standard_normal((p2, r))),
-        )
-    return quotient_point(
-        geometry, _qf(rng.standard_normal((p1, r))), rng.standard_normal((p2, r))
-    )
+def _random_point(geometry, prob, rng):
+    return random_point(geometry, prob["p1"], prob["p2"], prob["r"], rng)
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
+def _quotient_metrics(config, prob):
+    """(geometry, metric name, metric family) over the configured quotients."""
+    for geometry in _geometries(config, prob):
+        if not geometry.endswith("embedded"):
+            for mname in _metric_names(config, geometry):
+                yield geometry, mname, metric_family(geometry, mname)
+
+
 def cmd_dims(config, prob, obj, rng, tols):
     checks = []
     for geometry in _geometries(config, prob):
         expected = quotient_dim(geometry, prob["p1"], prob["p2"], prob["r"])
+        point = _random_point(geometry, prob, rng)
         if geometry.endswith("embedded"):
-            count = len(tangent_basis(_random_embedded(prob, rng)))
-            metrics = [None]
+            count = len(tangent_basis(point))
         else:
-            metrics = _metric_names(config, geometry)
-            z = _random_quotient(geometry, prob, rng)
-            count = len(horizontal_basis(z, metric_family(geometry, metrics[0]))[0])
+            metric = metric_family(geometry, _metric_names(config, geometry)[0])
+            count = len(horizontal_basis(point, metric)[0])
         checks.append(
             {
                 "name": f"dims/{geometry}",
@@ -279,10 +283,7 @@ def cmd_check_gradients(config, prob, obj, rng, tols):
             metric = None if mname is None else metric_family(geometry, mname)
             worst = 0.0
             for _ in range(trials):
-                if geometry.endswith("embedded"):
-                    point = _random_embedded(prob, rng)
-                else:
-                    point = _random_quotient(geometry, prob, rng)
+                point = _random_point(geometry, prob, rng)
                 worst = max(worst, _grad_fd_maxrel(point, obj, geometry, metric))
             checks.append(
                 {
@@ -301,44 +302,40 @@ def cmd_bijection(config, prob, obj, rng, tols):
     trials = int(config.get("trials", 3))
     n_vec = int(config.get("directions", 200))
     checks = []
-    for geometry in _geometries(config, prob):
-        if geometry.endswith("embedded"):
-            continue
-        for mname in _metric_names(config, geometry):
-            metric = metric_family(geometry, mname)
-            worst_rt, worst_slack = 0.0, 0.0
-            for _ in range(trials):
-                z = _random_quotient(geometry, prob, rng)
-                coeffs = spectrum_bounds(z, metric)
-                for _ in range(n_vec):
-                    theta = random_horizontal(z, metric, rng)
-                    xi = forward_map(z, theta, metric)
-                    back = inverse_map(z, xi, metric)
-                    num = np.sqrt(
-                        sum(np.sum((a - b) ** 2)
-                            for a, b in zip(theta.parts, back.parts))
-                    )
-                    worst_rt = max(worst_rt, num / max(theta.raw_norm(), 1e-300))
-                    q = metric_inner(z, theta, theta, metric)
-                    nrm2 = xi.norm() ** 2
-                    ref = max(1.0, coeffs.beta * q)
-                    worst_slack = max(
-                        worst_slack,
-                        (coeffs.alpha * q - nrm2) / ref,
-                        (nrm2 - coeffs.beta * q) / ref,
-                    )
-            checks.append(
-                {
-                    "name": f"bijection/{geometry}/{mname}",
-                    "passed": (worst_rt <= tols["roundtrip_rtol"]
-                               and worst_slack <= tols["bound_slack"]),
-                    "details": {
-                        "max_roundtrip_rel_err": worst_rt,
-                        "max_bound_violation": worst_slack,
-                        "vectors": n_vec * trials,
-                    },
-                }
-            )
+    for geometry, mname, metric in _quotient_metrics(config, prob):
+        worst_rt, worst_slack = 0.0, 0.0
+        for _ in range(trials):
+            z = _random_point(geometry, prob, rng)
+            coeffs = spectrum_bounds(z, metric)
+            for _ in range(n_vec):
+                theta = random_horizontal(z, metric, rng)
+                xi = forward_map(z, theta, metric)
+                back = inverse_map(z, xi, metric)
+                num = np.sqrt(
+                    sum(np.sum((a - b) ** 2)
+                        for a, b in zip(theta.parts, back.parts))
+                )
+                worst_rt = max(worst_rt, num / max(theta.raw_norm(), 1e-300))
+                q = metric_inner(z, theta, theta, metric)
+                nrm2 = xi.norm() ** 2
+                ref = max(1.0, coeffs.beta * q)
+                worst_slack = max(
+                    worst_slack,
+                    (coeffs.alpha * q - nrm2) / ref,
+                    (nrm2 - coeffs.beta * q) / ref,
+                )
+        checks.append(
+            {
+                "name": f"bijection/{geometry}/{mname}",
+                "passed": (worst_rt <= tols["roundtrip_rtol"]
+                           and worst_slack <= tols["bound_slack"]),
+                "details": {
+                    "max_roundtrip_rel_err": worst_rt,
+                    "max_bound_violation": worst_slack,
+                    "vectors": n_vec * trials,
+                },
+            }
+        )
     return checks
 
 
@@ -347,10 +344,10 @@ def _fosp_points(config, prob, obj, rng):
     if prob["kind"] == "approx":
         pts = analytic_fosps(obj, prob["r"])
         return pts[:max_points]
-    kind_tag = "psd_embedded" if prob["case"] == "psd" else "gen_embedded"
+    kind_tag = EMBEDDED[prob["case"]]
     pts = []
     for _ in range(max_points):
-        res = find_fosp(obj, kind_tag, _random_embedded(prob, rng),
+        res = find_fosp(obj, kind_tag, _random_point(kind_tag, prob, rng),
                         max_iter=20000, tol=1e-10)
         if res.converged:
             pts.append(res.point)
@@ -363,26 +360,21 @@ def cmd_verify_sandwich(config, prob, obj, rng, tols):
     checks = []
     fosps = _fosp_points(config, prob, obj, rng)
     n_dir = int(config.get("directions", 100))
-    for geometry in _geometries(config, prob):
-        if geometry.endswith("embedded"):
-            continue
-        for mname in _metric_names(config, geometry):
-            metric = metric_family(geometry, mname)
-            for i, pt in enumerate(fosps):
-                z = lift_point(pt, geometry)
-                report = verify_sandwich(
-                    z, obj, metric, rng, n_directions=n_dir,
-                    margin_tol=tols["sandwich_margin"],
-                    identity_rtol=tols["identity_rtol"],
-                    fosp_tol=tols["fosp_tol"],
-                )
-                checks.append(
-                    {
-                        "name": f"sandwich/{geometry}/{mname}/fosp{i}",
-                        "passed": report["passed"],
-                        "details": report,
-                    }
-                )
+    for geometry, mname, metric in _quotient_metrics(config, prob):
+        for i, pt in enumerate(fosps):
+            report = verify_sandwich(
+                lift_point(pt, geometry), obj, metric, rng, n_directions=n_dir,
+                margin_tol=tols["sandwich_margin"],
+                identity_rtol=tols["identity_rtol"],
+                fosp_tol=tols["fosp_tol"],
+            )
+            checks.append(
+                {
+                    "name": f"sandwich/{geometry}/{mname}/fosp{i}",
+                    "passed": report["passed"],
+                    "details": report,
+                }
+            )
     return checks
 
 
@@ -391,16 +383,11 @@ def cmd_classify(config, prob, obj, rng, tols):
     fosps = _fosp_points(config, prob, obj, rng)
     for i, pt in enumerate(fosps):
         labels = {}
-        tag = "psd_embedded" if prob["case"] == "psd" else "gen_embedded"
+        tag = EMBEDDED[prob["case"]]
         labels[tag] = classify_point(pt, obj, tag).to_dict()
-        for geometry in _geometries(config, prob):
-            if geometry.endswith("embedded"):
-                continue
-            for mname in _metric_names(config, geometry):
-                z = lift_point(pt, geometry)
-                cls = classify_point(z, obj, geometry,
-                                     metric_family(geometry, mname))
-                labels[f"{geometry}/{mname}"] = cls.to_dict()
+        for geometry, mname, metric in _quotient_metrics(config, prob):
+            cls = classify_point(lift_point(pt, geometry), obj, geometry, metric)
+            labels[f"{geometry}/{mname}"] = cls.to_dict()
         names = {v["label"] for v in labels.values()}
         checks.append(
             {
@@ -416,7 +403,7 @@ def cmd_flow_compare(config, prob, obj, rng, tols):
     flow_cfg = dict(config.get("flow", {}))
     t_final = float(flow_cfg.get("T", 1.0))
     dt = float(flow_cfg.get("dt", 1e-2))
-    x0 = _random_embedded(prob, rng)
+    x0 = _random_point(EMBEDDED[prob["case"]], prob, rng)
     if prob["case"] == "psd":
         identical = (("psd_embedded", None), ("psd_q2", "matched"))
         q1 = ("psd_q1", "double-gram")
@@ -483,6 +470,7 @@ def run(command, config, seed=None, out_path=None, no_timestamp=False):
         )
     prob = _problem_cfg(config)
     tols = _tolerances(config)
+    _validate(config, prob)
     if seed is None:
         seed = int(config.get("seed", 0))
     rng = np.random.default_rng(seed)
@@ -491,6 +479,9 @@ def run(command, config, seed=None, out_path=None, no_timestamp=False):
     started = time.perf_counter()
     checks = DISPATCH[command](config, prob, obj, rng, tols)
     elapsed = time.perf_counter() - started
+    if not checks:
+        # a report that passes on zero checks would verify nothing
+        raise ConfigError(f"{command} has no checks to run for the configured geometries")
 
     report = {
         "schema": "georank-report/1",

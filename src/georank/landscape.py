@@ -29,13 +29,13 @@ from .linalg import (
     RankError,
     gen_sym_eig,
     polarize,
-    solve_sylvester,
-    spd_functions,
     sym,
 )
 from .objectives import Objective
 from .quotient import (
+    EMBEDDED,
     GEOMETRY_KIND,
+    REGISTRY,
     HorizontalVector,
     MetricFamily,
     QuotientPoint,
@@ -50,11 +50,11 @@ from .quotient import (
 )
 from .transport import forward_map, spectrum_bounds
 
-EMBEDDED_GEOMETRIES = ("psd_embedded", "gen_embedded")
+EMBEDDED_GEOMETRIES = tuple(EMBEDDED.values())
 
 
 def embedded_tag(kind: str) -> str:
-    return "psd_embedded" if kind == "psd" else "gen_embedded"
+    return EMBEDDED[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -72,42 +72,8 @@ def grad_embedded_from_quotient(
     """
     if grad_h.base is not z:
         raise ValueError("horizontal vector is not based at the given point")
-    geo = z.geometry
-    if geo == "psd_q1":
-        yfac = z.factor("Y")
-        (g,) = grad_h.parts
-        a = g @ metric.w(z) @ np.linalg.pinv(yfac)
-        proj_out = np.eye(yfac.shape[0]) - yfac @ np.linalg.pinv(yfac)
-        amb = (a + a.T @ proj_out) / 2.0
-    elif geo == "psd_q2":
-        u, b = z.factors
-        gu, gb = grad_h.parts
-        binv = spd_functions(b).inv
-        wb, vb = metric.w(z), metric.v(z)
-        a = gu @ vb @ binv @ u.T / 2.0
-        amb = a + a.T + u @ wb @ gb @ wb @ u.T
-    elif geo == "gen_q1":
-        lfac, rfac = z.factors
-        gl, gr = grad_h.parts
-        rp = np.linalg.pinv(rfac)
-        lp = np.linalg.pinv(lfac)
-        amb = gl @ metric.w(z) @ rp + (gr @ metric.v(z) @ lp).T @ (
-            np.eye(rfac.shape[0]) - rfac @ rp
-        )
-    elif geo == "gen_q2":
-        u, b, v = z.factors
-        gu, gb, gv = grad_h.parts
-        binv = spd_functions(b).inv
-        # skew part of Delta solves B K + K B = 2 gu^T U with K = skew(Delta)^T
-        k = solve_sylvester(b, b, 2.0 * gu.T @ u)
-        delta = binv @ gb @ binv + k.T
-        pgu = gu - u @ (u.T @ gu)
-        pgv = gv - v @ (v.T @ gv)
-        amb = pgu @ binv @ v.T + u @ delta @ v.T + (pgv @ binv @ u.T).T
-    else:
-        u, yfac = z.factors
-        gu, gy = grad_h.parts
-        amb = gu @ metric.v(z) @ np.linalg.pinv(yfac) + (gy @ metric.w(z) @ u.T).T
+    geo = REGISTRY[z.geometry]
+    amb = geo.grad_embedded(z, z.weights(metric), grad_h.parts)
     return tangent_project(z.point, amb)
 
 

@@ -5,7 +5,7 @@ small (desk scale, dimensions well below a few hundred), so dense
 factorizations are used throughout.
 """
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -147,29 +147,3 @@ def polarize(quad, a, b) -> float:
     tangents, horizontal vectors).
     """
     return (quad(a + b) - quad(a - b)) / 4.0
-
-
-def finite_diff_directional(
-    fn: Callable[[np.ndarray], float], x, v, order: int, h: float
-) -> float:
-    """Central finite difference of a scalar matrix function along V.
-
-    order 1: (f(X+hV) - f(X-hV)) / (2h)
-    order 2: (f(X+hV) - 2 f(X) + f(X-hV)) / h^2
-    """
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    fp = float(fn(x + h * v))
-    fm = float(fn(x - h * v))
-    if order == 1:
-        out = (fp - fm) / (2.0 * h)
-    elif order == 2:
-        f0 = float(fn(x))
-        out = (fp - 2.0 * f0 + fm) / h**2
-    else:
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    if not np.isfinite(out):
-        raise ValueError("function evaluated to a non-finite value")
-    return out

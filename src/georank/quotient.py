@@ -9,11 +9,15 @@ factorization's invariance group:
     gen_q2   X = U B V^T          U, V Stiefel, B SPD,   gauge O(r)
     gen_q3   X = U Y^T            U Stiefel, Y full rank, gauge O(r)
 
-Each geometry carries a closed enumeration of metric weight families with
-analytic directional derivatives (required by the Hessian formulas). A
-quotient point caches the embedded-geometry frame built from its own factors,
-so transports between the horizontal space and the embedded tangent space are
-free of rotation ambiguity.
+Each geometry is one ``QuotientGeometry`` subclass in ``REGISTRY``, holding
+its factors (each Stiefel, SPD or free), its metric families as plain weight
+specs (``Weight``), and every formula of its quotient structure; operations
+that depend only on a factor's kind are written once in the base class. The
+public functions below check their arguments and make one registry call.
+
+A quotient point caches the embedded-geometry frame built from its own
+factors, so transports to the embedded tangent space are free of rotation
+ambiguity, and, evaluated once, each metric's weights and inverses and B^-1.
 
 Horizontal vectors are stored in ambient total-space coordinates. Membership
 in the horizontal space is checked to 1e-8 relative to the vector norm;
@@ -21,11 +25,18 @@ near-misses up to 1e-6 are re-projected, anything worse is rejected.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .embedded import EmbeddedPoint, _point_from_factors, embed_point
+from .embedded import (
+    EmbeddedPoint,
+    EmbeddedTangent,
+    _point_from_factors,
+    embed_point,
+    project_rank_r,
+)
 from .linalg import skew, solve_sylvester, spd_functions, sym
 from .objectives import Objective
 
@@ -34,21 +45,8 @@ REPROJECT_TOL = 1e-6
 FULL_RANK_TOL = 1e-10
 STIEFEL_TOL = 1e-12
 
-GEOMETRY_KIND = {
-    "psd_q1": "psd",
-    "psd_q2": "psd",
-    "gen_q1": "general",
-    "gen_q2": "general",
-    "gen_q3": "general",
-}
-
-FACTOR_NAMES = {
-    "psd_q1": ("Y",),
-    "psd_q2": ("U", "B"),
-    "gen_q1": ("L", "R"),
-    "gen_q2": ("U", "B", "V"),
-    "gen_q3": ("U", "Y"),
-}
+# embedded geometry of each matrix kind
+EMBEDDED = {"psd": "psd_embedded", "general": "gen_embedded"}
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +60,7 @@ class QuotientPoint:
     geometry: str
     factors: tuple
     point: EmbeddedPoint  # embedded view of the represented X, frame-matched
+    _weights: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def X(self) -> np.ndarray:
@@ -74,18 +73,37 @@ class QuotientPoint:
     def factor(self, name: str) -> np.ndarray:
         return self.factors[FACTOR_NAMES[self.geometry].index(name)]
 
-    @property
+    @cached_property
     def P(self) -> np.ndarray:
         """U_frame^T Y for psd_q1 (invertible r x r)."""
-        return self.point.U.T @ self.factor("Y")
+        return _read_only(self.point.U.T @ self.factor("Y"))
 
-    @property
+    @cached_property
     def P1(self) -> np.ndarray:
-        return self.point.U.T @ self.factor("L")
+        return _read_only(self.point.U.T @ self.factor("L"))
 
-    @property
+    @cached_property
     def P2(self) -> np.ndarray:
-        return self.point.V.T @ self.factor("R")
+        return _read_only(self.point.V.T @ self.factor("R"))
+
+    @cached_property
+    def binv(self) -> np.ndarray:
+        """B^-1 for the geometries with an SPD core factor."""
+        return _read_only(spd_functions(self.factor("B")).inv)
+
+    def weights(self, metric: "MetricFamily") -> "Weights":
+        """The metric's weights at this point, evaluated on first use."""
+        _check_metric(self, metric)
+        if metric.name not in self._weights:
+            self._weights[metric.name] = Weights.at(self, metric)
+        return self._weights[metric.name]
+
+
+def _read_only(a):
+    """Read-only view of a cached value, which every caller of a point shares."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def _qf(a):
@@ -116,49 +134,23 @@ def _check_spd(b, name):
         raise ValueError(f"factor {name} is not positive definite")
 
 
+_CHECKS = {"stiefel": _check_stiefel, "spd": _check_spd, "free": _check_full_rank}
+
+
+def _geometry(geometry: str) -> "QuotientGeometry":
+    if geometry not in REGISTRY:
+        raise ValueError(f"unknown quotient geometry {geometry!r}")
+    return REGISTRY[geometry]
+
+
 def quotient_point(geometry: str, *factors) -> QuotientPoint:
     """Build a quotient point from raw factors, caching a matched frame."""
-    if geometry not in GEOMETRY_KIND:
-        raise ValueError(f"unknown quotient geometry {geometry!r}")
+    geo = _geometry(geometry)
     factors = tuple(np.asarray(f, dtype=float) for f in factors)
-    names = FACTOR_NAMES[geometry]
-    if len(factors) != len(names):
-        raise ValueError(f"{geometry} expects factors {names}")
-
-    if geometry == "psd_q1":
-        (y,) = factors
-        _check_full_rank(y, "Y")
-        u = _qf(y)
-        pt = _point_from_factors("psd", u, u.T @ (y @ y.T) @ u, None)
-    elif geometry == "psd_q2":
-        u, b = factors
-        _check_stiefel(u, "U")
-        _check_spd(b, "B")
-        b = sym(b)
-        factors = (u, b)
-        pt = _point_from_factors("psd", u, b, None)
-    elif geometry == "gen_q1":
-        l, r_ = factors
-        _check_full_rank(l, "L")
-        _check_full_rank(r_, "R")
-        u, v = _qf(l), _qf(r_)
-        pt = _point_from_factors("general", u, (u.T @ l) @ (v.T @ r_).T, v)
-    elif geometry == "gen_q2":
-        u, b, v = factors
-        _check_stiefel(u, "U")
-        _check_stiefel(v, "V")
-        _check_spd(b, "B")
-        b = sym(b)
-        factors = (u, b, v)
-        pt = _point_from_factors("general", u, b, v)
-    else:  # gen_q3
-        u, y = factors
-        _check_stiefel(u, "U")
-        _check_full_rank(y, "Y")
-        v = _qf(y)
-        pt = _point_from_factors("general", u, y.T @ v, v)
-        # Sigma = U^T X V = Y^T V for X = U Y^T
-    return QuotientPoint(geometry, factors, pt)
+    if len(factors) != len(geo.factors):
+        raise ValueError(f"{geometry} expects factors {FACTOR_NAMES[geometry]}")
+    factors = geo.checked(factors)
+    return QuotientPoint(geometry, factors, geo.frame(*factors))
 
 
 def lift_point(x_pt: EmbeddedPoint, geometry: str) -> QuotientPoint:
@@ -167,9 +159,8 @@ def lift_point(x_pt: EmbeddedPoint, geometry: str) -> QuotientPoint:
     Lifts reuse the embedded point's own frame, so the lifted point and
     ``x_pt`` form a matched pair for the tangent-space transports.
     """
-    if geometry not in GEOMETRY_KIND:
-        raise ValueError(f"unknown quotient geometry {geometry!r}")
-    if GEOMETRY_KIND[geometry] != x_pt.kind:
+    geo = _geometry(geometry)
+    if geo.kind != x_pt.kind:
         raise ValueError(f"{geometry} cannot represent a {x_pt.kind} point")
 
     sig = x_pt.Sigma
@@ -178,18 +169,36 @@ def lift_point(x_pt: EmbeddedPoint, geometry: str) -> QuotientPoint:
         x_pt = embed_point(x_pt.X, x_pt.r, x_pt.kind)
         sig = x_pt.Sigma
     root = np.diag(np.sqrt(np.diag(sig)))
+    return QuotientPoint(geometry, geo.lift(x_pt, sig, root), x_pt)
 
-    if geometry == "psd_q1":
-        z = QuotientPoint(geometry, (x_pt.U @ root,), x_pt)
-    elif geometry == "psd_q2":
-        z = QuotientPoint(geometry, (x_pt.U, sig), x_pt)
-    elif geometry == "gen_q1":
-        z = QuotientPoint(geometry, (x_pt.U @ root, x_pt.V @ root), x_pt)
-    elif geometry == "gen_q2":
-        z = QuotientPoint(geometry, (x_pt.U, sig, x_pt.V), x_pt)
-    else:
-        z = QuotientPoint(geometry, (x_pt.U, x_pt.V @ sig), x_pt)
-    return z
+
+def random_point(geometry: str, p1: int, p2: int, r: int,
+                 rng: np.random.Generator):
+    """Random point of any geometry, embedded or quotient.
+
+    Embedded points truncate a Gaussian product of rank r (A A^T for PSD).
+    Quotient points draw each SPD core first, as C C^T + I/2 with C Gaussian,
+    then the other factors in order, Gaussian with p1 and then p2 rows
+    (orthonormalized for Stiefel factors).
+    """
+    if geometry == EMBEDDED["psd"]:
+        a = rng.standard_normal((p1, r))
+        return project_rank_r(a @ a.T, r, "psd")
+    if geometry == EMBEDDED["general"]:
+        return project_rank_r(
+            rng.standard_normal((p1, r)) @ rng.standard_normal((r, p2)), r,
+            "general",
+        )
+    geo = _geometry(geometry)
+    drawn, rows = {}, iter((p1, p2))
+    for f in sorted(geo.factors, key=lambda f: f.kind != "spd"):
+        if f.kind == "spd":
+            c = rng.standard_normal((r, r))
+            drawn[f.name] = c @ c.T + 0.5 * np.eye(r)
+        else:
+            a = rng.standard_normal((next(rows), r))
+            drawn[f.name] = _qf(a) if f.kind == "stiefel" else a
+    return quotient_point(geometry, *(drawn[f.name] for f in geo.factors))
 
 
 def same_fiber(z1: QuotientPoint, z2: QuotientPoint, rtol: float = 1e-8) -> bool:
@@ -209,279 +218,108 @@ def same_fiber(z1: QuotientPoint, z2: QuotientPoint, rtol: float = 1e-8) -> bool
 def act_on_point(z: QuotientPoint, g) -> QuotientPoint:
     """Move z along its fiber by a gauge element (O(r), or GL(r) for gen_q1)."""
     g = np.asarray(g, dtype=float)
-    geo = z.geometry
-    if geo == "psd_q1":
-        return quotient_point(geo, z.factor("Y") @ g)
-    if geo == "psd_q2":
-        return quotient_point(geo, z.factor("U") @ g, g.T @ z.factor("B") @ g)
-    if geo == "gen_q1":
-        ginv_t = np.linalg.inv(g).T
-        return quotient_point(geo, z.factor("L") @ g, z.factor("R") @ ginv_t)
-    if geo == "gen_q2":
-        return quotient_point(
-            geo, z.factor("U") @ g, g.T @ z.factor("B") @ g, z.factor("V") @ g
-        )
-    return quotient_point(geo, z.factor("U") @ g, z.factor("Y") @ g)
+    return quotient_point(z.geometry, *REGISTRY[z.geometry].act(z.factors, g))
 
 
 def act_on_horizontal(hv: "HorizontalVector", z_new: QuotientPoint, g):
     """Transport a horizontal lift to the gauge-moved representative."""
     g = np.asarray(g, dtype=float)
-    geo = hv.base.geometry
-    parts = hv.parts
-    if geo == "psd_q1":
-        moved = (parts[0] @ g,)
-    elif geo == "psd_q2":
-        moved = (parts[0] @ g, g.T @ parts[1] @ g)
-    elif geo == "gen_q1":
-        moved = (parts[0] @ g, parts[1] @ np.linalg.inv(g).T)
-    elif geo == "gen_q2":
-        moved = (parts[0] @ g, g.T @ parts[1] @ g, parts[2] @ g)
-    else:
-        moved = (parts[0] @ g, parts[1] @ g)
-    return HorizontalVector(z_new, moved)
+    return HorizontalVector(z_new, REGISTRY[hv.base.geometry].act(hv.parts, g))
 
 
 # ---------------------------------------------------------------------------
 # metric families
 
 
+@dataclass(frozen=True)
+class Weight:
+    """Spec of one SPD weight matrix of a total-space metric.
+
+    ``form`` is "I" (identity), "FtF" (c F^T F), "B" (the SPD factor itself)
+    or "B2" (c B^2), where F or B is the factor named ``factor``; with
+    ``inverse`` the weight is the inverse of that matrix. Each form has an
+    analytic directional derivative, which the Hessian formulas need.
+    """
+
+    form: str
+    factor: str = ""
+    c: float = 1.0
+    inverse: bool = False
+
+    def value(self, z: QuotientPoint) -> np.ndarray:
+        w = self._form(z, None)
+        return spd_functions(w).inv if self.inverse else w
+
+    def deriv(self, z: QuotientPoint, w: np.ndarray, parts) -> np.ndarray:
+        """Derivative along tangent components ``parts``; ``w`` is the value."""
+        d = self._form(z, parts)
+        return -w @ d @ w if self.inverse else d
+
+    def _form(self, z, parts):
+        """The matrix before inversion, or its derivative along ``parts``."""
+        if self.form == "I":
+            return np.eye(z.r) if parts is None else np.zeros((z.r, z.r))
+        f = z.factor(self.factor)
+        df = None
+        if parts is not None:
+            df = parts[FACTOR_NAMES[z.geometry].index(self.factor)]
+        if self.form == "B":
+            return f if df is None else df
+        if self.form == "FtF":
+            return self.c * f.T @ f if df is None else self.c * (df.T @ f + f.T @ df)
+        return self.c * f @ f if df is None else self.c * (df @ f + f @ df)
+
+
+IDENTITY = Weight("I")
+
+
 @dataclass(frozen=True, eq=False)
 class MetricFamily:
-    """One choice of SPD weight matrices defining the total-space metric.
-
-    The weight callables take the quotient point; the derivative callables
-    take the point and a tuple of tangent components and return the Frechet
-    derivative of the weight along that direction. Only the enumerated
-    families below are supported: the Hessian formulas need analytic weight
-    derivatives, which are unavailable for arbitrary user-supplied weights.
-    """
+    """One enumerated choice of weights ("w", and "v" where the geometry has
+    a second weight) defining the total-space metric of a geometry."""
 
     geometry: str
     name: str
     description: str
-    fns: dict = field(repr=False)
-
-    def __getattr__(self, key):
-        try:
-            return self.fns[key]
-        except KeyError as exc:  # pragma: no cover
-            raise AttributeError(key) from exc
+    weights: dict = field(repr=False)
 
 
-def _const(mat_fn):
-    return {
-        "value": mat_fn,
-        "deriv": lambda z, parts: np.zeros_like(mat_fn(z)),
-    }
+@dataclass(frozen=True, eq=False)
+class Weights:
+    """A metric family's weights and their inverses at one point, with the
+    directional derivatives of both (d W^-1 = -W^-1 dW W^-1)."""
 
+    z: QuotientPoint
+    metric: MetricFamily
+    w: np.ndarray
+    w_inv: np.ndarray
+    v: Optional[np.ndarray] = None
+    v_inv: Optional[np.ndarray] = None
 
-def _inv_pack(pack):
-    """Inverse weight and its derivative from a weight pack."""
+    @classmethod
+    def at(cls, z: QuotientPoint, metric: MetricFamily) -> "Weights":
+        values = {}
+        for key, spec in metric.weights.items():
+            values[key] = w = _read_only(spec.value(z))
+            values[f"{key}_inv"] = _read_only(spd_functions(w).inv)
+        return cls(z, metric, **values)
 
-    def value(z):
-        return spd_functions(pack["value"](z)).inv
+    def dw(self, parts):
+        return self.metric.weights["w"].deriv(self.z, self.w, parts)
 
-    def deriv(z, parts):
-        winv = value(z)
-        return -winv @ pack["deriv"](z, parts) @ winv
+    def dv(self, parts):
+        return self.metric.weights["v"].deriv(self.z, self.v, parts)
 
-    return {"value": value, "deriv": deriv}
+    def dw_inv(self, parts):
+        return -self.w_inv @ self.dw(parts) @ self.w_inv
 
-
-def _gram(get, dget):
-    """Weight F(z)^T F(z) with F linear in the factors."""
-    return {
-        "value": lambda z: get(z).T @ get(z),
-        "deriv": lambda z, parts: dget(parts).T @ get(z) + get(z).T @ dget(parts),
-    }
-
-
-def _wrap(kind_to_pack):
-    """Flatten {'w': pack, ...} into the MetricFamily fns dict."""
-    fns = {}
-    for key, pack in kind_to_pack.items():
-        inv = _inv_pack(pack)
-        fns[key] = pack["value"]
-        fns[f"{key}_inv"] = inv["value"]
-        fns[f"d{key}"] = pack["deriv"]
-        fns[f"d{key}_inv"] = inv["deriv"]
-    return fns
-
-
-def _identity_pack(r_of):
-    return {
-        "value": lambda z: np.eye(r_of(z)),
-        "deriv": lambda z, parts: np.zeros((r_of(z), r_of(z))),
-    }
-
-
-def _build_metrics():
-    metrics = {}
-
-    def rk(z):
-        return z.r
-
-    # psd_q1: weight W_Y on the single factor Y
-    y = lambda z: z.factor("Y")
-    dy = lambda parts: parts[0]
-    metrics["psd_q1"] = {
-        "flat": MetricFamily(
-            "psd_q1", "flat", "W_Y = I", _wrap({"w": _identity_pack(rk)})
-        ),
-        "double-gram": MetricFamily(
-            "psd_q1",
-            "double-gram",
-            "W_Y = 2 Y^T Y",
-            _wrap(
-                {
-                    "w": {
-                        "value": lambda z: 2.0 * y(z).T @ y(z),
-                        "deriv": lambda z, parts: 2.0
-                        * (dy(parts).T @ y(z) + y(z).T @ dy(parts)),
-                    }
-                }
-            ),
-        ),
-        "inverse-gram": MetricFamily(
-            "psd_q1",
-            "inverse-gram",
-            "W_Y = (Y^T Y)^-1",
-            _wrap({"w": _inv_pack(_gram(y, dy))}),
-        ),
-    }
-
-    # psd_q2: weights (V_B, W_B) on (U, B); derivatives along theta_B
-    b = lambda z: z.factor("B")
-    dbp = lambda parts: parts[1]
-    metrics["psd_q2"] = {
-        "polar": MetricFamily(
-            "psd_q2",
-            "polar",
-            "V_B = I, W_B = B^-1",
-            _wrap(
-                {
-                    "v": _identity_pack(rk),
-                    "w": _inv_pack(
-                        {"value": b, "deriv": lambda z, parts: dbp(parts)}
-                    ),
-                }
-            ),
-        ),
-        "matched": MetricFamily(
-            "psd_q2",
-            "matched",
-            "V_B = 2 B^2, W_B = I",
-            _wrap(
-                {
-                    "v": {
-                        "value": lambda z: 2.0 * b(z) @ b(z),
-                        "deriv": lambda z, parts: 2.0
-                        * (dbp(parts) @ b(z) + b(z) @ dbp(parts)),
-                    },
-                    "w": _identity_pack(rk),
-                }
-            ),
-        ),
-    }
-
-    # gen_q1: weights (W_{L,R}, V_{L,R}); derivatives take the (L, R) pair
-    l = lambda z: z.factor("L")
-    r_ = lambda z: z.factor("R")
-    dl = lambda parts: parts[0]
-    dr = lambda parts: parts[1]
-    metrics["gen_q1"] = {
-        "inverse-gram": MetricFamily(
-            "gen_q1",
-            "inverse-gram",
-            "W = (L^T L)^-1, V = (R^T R)^-1",
-            _wrap(
-                {
-                    "w": _inv_pack(_gram(l, dl)),
-                    "v": _inv_pack(_gram(r_, dr)),
-                }
-            ),
-        ),
-        "crossed-gram": MetricFamily(
-            "gen_q1",
-            "crossed-gram",
-            "W = R^T R, V = L^T L",
-            _wrap({"w": _gram(r_, dr), "v": _gram(l, dl)}),
-        ),
-    }
-
-    # gen_q2: the single standard choice
-    metrics["gen_q2"] = {
-        "polar": MetricFamily(
-            "gen_q2",
-            "polar",
-            "V_B = I, W_B = B^-1",
-            _wrap(
-                {
-                    "v": _identity_pack(rk),
-                    "w": _inv_pack(
-                        {"value": b, "deriv": lambda z, parts: parts[1]}
-                    ),
-                }
-            ),
-        )
-    }
-
-    # gen_q3: weights (V_Y, W_Y) on (U, Y); derivatives along theta_Y
-    yq3 = lambda z: z.factor("Y")
-    dyq3 = lambda parts: parts[1]
-    metrics["gen_q3"] = {
-        "flat": MetricFamily(
-            "gen_q3",
-            "flat",
-            "V_Y = I, W_Y = I",
-            _wrap({"v": _identity_pack(rk), "w": _identity_pack(rk)}),
-        ),
-        "inverse-gram": MetricFamily(
-            "gen_q3",
-            "inverse-gram",
-            "V_Y = I, W_Y = (Y^T Y)^-1",
-            _wrap(
-                {
-                    "v": _identity_pack(rk),
-                    "w": _inv_pack(_gram(yq3, dyq3)),
-                }
-            ),
-        ),
-        "matched": MetricFamily(
-            "gen_q3",
-            "matched",
-            "V_Y = Y^T Y, W_Y = I",
-            _wrap({"v": _gram(yq3, dyq3), "w": _identity_pack(rk)}),
-        ),
-    }
-    return metrics
-
-
-_METRICS = _build_metrics()
-
-
-def metric_derivative_fd(
-    metric: "MetricFamily", key: str, z: "QuotientPoint", parts, h: float = 1e-6
-) -> np.ndarray:
-    """Central-difference fallback for a weight derivative, e.g. key "dw".
-
-    Exists solely to cross-validate the analytic derivatives the Hessian
-    formulas consume; moves the factors along the standard total-space curve
-    with velocity ``parts``.
-    """
-    if not key.startswith("d") or key[1:] not in metric.fns:
-        raise ValueError(f"{key!r} is not a weight-derivative name")
-    weight = metric.fns[key[1:]]
-    curve = total_curve(z, HorizontalVector(z, tuple(np.asarray(p) for p in parts)))
-    return (weight(curve(h)) - weight(curve(-h))) / (2.0 * h)
+    def dv_inv(self, parts):
+        return -self.v_inv @ self.dv(parts) @ self.v_inv
 
 
 def metric_choices(geometry: str):
     """Names of the enumerated metric families for a quotient geometry."""
-    if geometry not in _METRICS:
-        raise ValueError(f"unknown quotient geometry {geometry!r}")
-    return list(_METRICS[geometry])
+    return list(_geometry(geometry).families)
 
 
 def metric_family(geometry: str, name: str) -> MetricFamily:
@@ -490,7 +328,7 @@ def metric_family(geometry: str, name: str) -> MetricFamily:
         raise ValueError(
             f"metric {name!r} not in the enumerated families for {geometry}: {choices}"
         )
-    return _METRICS[geometry][name]
+    return REGISTRY[geometry].families[name]
 
 
 def _check_metric(z: QuotientPoint, metric: MetricFamily):
@@ -545,21 +383,7 @@ def project_total_tangent(z: QuotientPoint, parts) -> tuple:
     symmetrized, and full-rank factor components are unconstrained.
     """
     parts = tuple(np.asarray(a, dtype=float) for a in parts)
-    geo = z.geometry
-    if geo in ("psd_q1", "gen_q1"):
-        return parts
-
-    def st_proj(u, eta):
-        return eta - u @ sym(u.T @ eta)
-
-    if geo == "psd_q2":
-        u = z.factor("U")
-        return (st_proj(u, parts[0]), sym(parts[1]))
-    if geo == "gen_q2":
-        u, v = z.factor("U"), z.factor("V")
-        return (st_proj(u, parts[0]), sym(parts[1]), st_proj(v, parts[2]))
-    u = z.factor("U")
-    return (st_proj(u, parts[0]), parts[1])
+    return REGISTRY[z.geometry].project_tangent(z, parts)
 
 
 def _tangency_defect(z: QuotientPoint, parts) -> float:
@@ -583,43 +407,12 @@ def vertical_project(z: QuotientPoint, parts, metric: Optional[MetricFamily] = N
     if _tangency_defect(z, parts) > HORIZ_TOL * scale:
         raise ValueError("input is not tangent to the total space")
     parts = project_total_tangent(z, parts)
-    geo = z.geometry
-
-    if geo == "psd_q1":
-        if metric is None:
-            raise ValueError("psd_q1 projections require a metric family")
-        _check_metric(z, metric)
-        u, p = z.point.U, z.P
-        pinv = np.linalg.inv(p)
-        m = pinv.T @ metric.w(z) @ pinv
-        a = u.T @ parts[0] @ p.T
-        omega = solve_sylvester(m, m, 2.0 * skew(a @ m))
-        return (u @ omega @ pinv.T,)
-    if geo == "psd_q2":
-        u, b = z.factor("U"), z.factor("B")
-        omega = u.T @ parts[0]
-        return (u @ omega, b @ omega - omega @ b)
-    if geo == "gen_q1":
-        if metric is None:
-            raise ValueError("gen_q1 projections require a metric family")
-        _check_metric(z, metric)
-        u, v = z.point.U, z.point.V
-        p1, p2 = z.P1, z.P2
-        p1inv, p2inv = np.linalg.inv(p1), np.linalg.inv(p2)
-        m1 = p1 @ metric.v_inv(z) @ p1.T
-        m2 = p2 @ metric.w_inv(z) @ p2.T
-        a1 = u.T @ parts[0] @ p2.T
-        a2 = v.T @ parts[1] @ p1.T
-        sv_t = solve_sylvester(m2, m1, a1.T @ m1 - m2 @ a2)
-        sv = sv_t.T
-        return (u @ sv @ p2inv.T, -v @ sv.T @ p1inv.T)
-    if geo == "gen_q2":
-        u, b, v = z.factors
-        omega = (u.T @ parts[0] + v.T @ parts[2]) / 2.0
-        return (u @ omega, b @ omega - omega @ b, v @ omega)
-    u, y = z.factors
-    omega = u.T @ parts[0]
-    return (u @ omega, y @ omega)
+    geo = REGISTRY[z.geometry]
+    if not geo.metric_horizontal:
+        return geo.vertical(z, parts, None)
+    if metric is None:
+        raise ValueError(f"{z.geometry} projections require a metric family")
+    return geo.vertical(z, parts, z.weights(metric))
 
 
 def horizontal_project(
@@ -687,7 +480,7 @@ def random_horizontal(
 
 
 # ---------------------------------------------------------------------------
-# metric inner product
+# metric, gradient, Hessian and basis: checks plus one registry call
 
 
 def metric_inner(
@@ -697,34 +490,18 @@ def metric_inner(
     """Total-space Riemannian metric evaluated on two tangent vectors at z."""
     if t1.base is not z or t2.base is not z:
         raise ValueError("vectors are not based at the given point")
-    _check_metric(z, metric)
-    geo = z.geometry
-    if geo == "psd_q1":
-        return float(np.trace(metric.w(z) @ t1.parts[0].T @ t2.parts[0]))
-    if geo in ("psd_q2", "gen_q2"):
-        vb, wb = metric.v(z), metric.w(z)
-        out = np.trace(vb @ t1.parts[0].T @ t2.parts[0])
-        out += np.trace(wb @ t1.parts[1] @ wb @ t2.parts[1])
-        if geo == "gen_q2":
-            out += np.trace(vb @ t1.parts[2].T @ t2.parts[2])
-        return float(out)
-    if geo == "gen_q1":
-        return float(
-            np.trace(metric.w(z) @ t1.parts[0].T @ t2.parts[0])
-            + np.trace(metric.v(z) @ t1.parts[1].T @ t2.parts[1])
-        )
-    return float(
-        np.trace(metric.v(z) @ t1.parts[0].T @ t2.parts[0])
-        + np.trace(metric.w(z) @ t1.parts[1].T @ t2.parts[1])
-    )
+    return REGISTRY[z.geometry].inner(z.weights(metric), t1.parts, t2.parts)
 
 
 def metric_norm(z, t, metric) -> float:
     return float(np.sqrt(max(metric_inner(z, t, t, metric), 0.0)))
 
 
-# ---------------------------------------------------------------------------
-# Riemannian gradient (horizontal lift)
+def _ambient_gradient(z: QuotientPoint, nabla) -> np.ndarray:
+    nabla = np.asarray(nabla, dtype=float)
+    # the PSD problem only sees the symmetrized objective, whose gradient at
+    # a symmetric point is the symmetric part
+    return sym(nabla) if GEOMETRY_KIND[z.geometry] == "psd" else nabla
 
 
 def gradient_lift_from_ambient(
@@ -736,39 +513,8 @@ def gradient_lift_from_ambient(
     of h; applied to the ambient form of the embedded Riemannian gradient it
     realizes the quotient side of the gradient-conversion identities.
     """
-    _check_metric(z, metric)
-    nabla = np.asarray(nabla, dtype=float)
-    geo = z.geometry
-    if GEOMETRY_KIND[geo] == "psd":
-        # the PSD problem only sees the symmetrized objective, whose
-        # gradient at a symmetric point is the symmetric part
-        nabla = sym(nabla)
-    if geo == "psd_q1":
-        yfac = z.factor("Y")
-        parts = (2.0 * nabla @ yfac @ metric.w_inv(z),)
-    elif geo == "psd_q2":
-        u, b = z.factors
-        winv, vinv = metric.w_inv(z), metric.v_inv(z)
-        nu = nabla @ u
-        parts = (2.0 * (nu - u @ (u.T @ nu)) @ b @ vinv, winv @ u.T @ nu @ winv)
-    elif geo == "gen_q1":
-        lfac, rfac = z.factors
-        parts = (nabla @ rfac @ metric.w_inv(z), nabla.T @ lfac @ metric.v_inv(z))
-    elif geo == "gen_q2":
-        u, b, v = z.factors
-        delta = u.T @ nabla @ v
-        mix = (skew(delta) @ b + b @ skew(delta)) / 2.0
-        nv = nabla @ v
-        ntu = nabla.T @ u
-        parts = (
-            (nv - u @ (u.T @ nv)) @ b + u @ mix,
-            b @ sym(delta) @ b,
-            (ntu - v @ (v.T @ ntu)) @ b - v @ mix,
-        )
-    else:
-        u, yfac = z.factors
-        ny = nabla @ yfac
-        parts = ((ny - u @ (u.T @ ny)) @ metric.v_inv(z), nabla.T @ u @ metric.w_inv(z))
+    wt = z.weights(metric)
+    parts = REGISTRY[z.geometry].grad_lift(z, wt, _ambient_gradient(z, nabla))
     return HorizontalVector(z, parts)
 
 
@@ -784,10 +530,6 @@ def riem_grad_quotient(
     return gradient_lift_from_ambient(z, metric, obj.egrad(z.X))
 
 
-# ---------------------------------------------------------------------------
-# Riemannian Hessian quadratic form
-
-
 def riem_hess_quad_quotient(
     z: QuotientPoint, obj: Objective, metric: MetricFamily, theta: HorizontalVector
 ) -> float:
@@ -798,100 +540,13 @@ def riem_hess_quad_quotient(
     and correction terms carrying the Frechet derivatives of the metric
     weights. Bilinear values follow by polarization.
     """
-    _check_metric(z, metric)
+    wt = z.weights(metric)
     if theta.base is not z:
         raise ValueError("direction is not based at the given point")
     theta = ensure_horizontal(theta, metric)
     x = z.X
-    nabla = obj.egrad(x)
-    geo = z.geometry
-    if GEOMETRY_KIND[geo] == "psd":
-        nabla = sym(nabla)
-
-    def dot(a, b):
-        return float(np.sum(a * b))
-
-    if geo == "psd_q1":
-        yfac = z.factor("Y")
-        (ty,) = theta.parts
-        amb = yfac @ ty.T + ty @ yfac.T
-        out = obj.ehess_quad(x, amb)
-        out += 2.0 * dot(nabla, ty @ ty.T)
-        out += 2.0 * dot(nabla @ yfac @ metric.dw_inv(z, theta.parts), ty @ metric.w(z))
-        grad = riem_grad_quotient(z, obj, metric)
-        out += dot(metric.dw(z, grad.parts), ty.T @ ty) / 2.0
-        return out
-
-    if geo == "psd_q2":
-        u, b = z.factors
-        tu, tb = theta.parts
-        amb = u @ b @ tu.T + u @ tb @ u.T + tu @ b @ u.T
-        out = obj.ehess_quad(x, amb)
-        out += 2.0 * dot(nabla, tu @ b @ tu.T)
-        wb, vb = metric.w(z), metric.v(z)
-        inner = (
-            2.0 * tu @ tb
-            + u @ metric.dw_inv(z, theta.parts) @ wb @ tb
-            + tu @ vb @ metric.dv_inv(z, theta.parts) @ b
-            - tu @ (u.T @ tu) @ b
-            - u @ tu.T @ tu @ b
-        )
-        out += 2.0 * dot(nabla @ u, inner)
-        grad_b = riem_grad_quotient(z, obj, metric).parts[1]
-        gdir = (np.zeros_like(u), grad_b)
-        out += np.trace(metric.dv(z, gdir) @ tu.T @ tu) / 2.0
-        out += np.trace(sym(wb @ tb @ metric.dw(z, gdir)) @ tb)
-        return float(out)
-
-    if geo == "gen_q1":
-        lfac, rfac = z.factors
-        tl, tr = theta.parts
-        amb = lfac @ tr.T + tl @ rfac.T
-        out = obj.ehess_quad(x, amb)
-        out += 2.0 * dot(nabla, tl @ tr.T)
-        out += dot(nabla @ rfac @ metric.dw_inv(z, theta.parts), tl @ metric.w(z))
-        out += dot(nabla.T @ lfac @ metric.dv_inv(z, theta.parts), tr @ metric.v(z))
-        grad = riem_grad_quotient(z, obj, metric)
-        out += dot(metric.dw(z, grad.parts), tl.T @ tl) / 2.0
-        out += dot(metric.dv(z, grad.parts), tr.T @ tr) / 2.0
-        return float(out)
-
-    if geo == "gen_q2":
-        u, b, v = z.factors
-        tu, tb, tv = theta.parts
-        amb = tu @ b @ v.T + u @ tb @ v.T + u @ b @ tv.T
-        out = obj.ehess_quad(x, amb)
-        out += 2.0 * dot(nabla, tu @ b @ tv.T)
-        delta = u.T @ nabla @ v
-        dprime = tu.T @ nabla @ v
-        dsecond = u.T @ nabla @ tv
-        utu = u.T @ tu
-        vtv = v.T @ tv
-        binv = spd_functions(b).inv
-        out += dot(delta, sym(utu @ utu) @ b + b @ sym(vtv @ utu) - 2.0 * tu.T @ tu @ b) / 2.0
-        out += dot(delta, b @ sym(vtv @ vtv) + sym(utu @ vtv) @ b
-                   - 2.0 * b @ tv.T @ tv + 2.0 * tb @ binv @ tb) / 2.0
-        out += dot(dprime, 2.0 * tb - utu @ b - tu.T @ u @ b / 2.0 - vtv @ b / 2.0)
-        out += dot(dsecond, 2.0 * tb - b @ tv.T @ v - b @ vtv / 2.0 - b @ tu.T @ u / 2.0)
-        return float(out)
-
-    u, yfac = z.factors
-    tu, ty = theta.parts
-    amb = u @ ty.T + tu @ yfac.T
-    out = obj.ehess_quad(x, amb)
-    out += 2.0 * dot(nabla, tu @ ty.T)
-    out -= dot(u.T @ nabla @ yfac, tu.T @ tu)
-    out += dot(nabla.T @ u @ metric.dw_inv(z, theta.parts), ty @ metric.w(z))
-    out += dot(nabla @ yfac @ metric.dv_inv(z, theta.parts), tu @ metric.v(z))
-    grad_y = riem_grad_quotient(z, obj, metric).parts[1]
-    gdir = (np.zeros_like(u), grad_y)
-    out += dot(metric.dw(z, gdir), ty.T @ ty) / 2.0
-    out += dot(metric.dv(z, gdir), tu.T @ tu) / 2.0
-    return float(out)
-
-
-# ---------------------------------------------------------------------------
-# horizontal bases
+    nabla = _ambient_gradient(z, obj.egrad(x))
+    return float(REGISTRY[z.geometry].hess_quad(z, obj, wt, theta.parts, x, nabla))
 
 
 def _sym_basis(r):
@@ -934,71 +589,9 @@ def horizontal_basis(z: QuotientPoint, metric: MetricFamily):
     The count equals the quotient-manifold dimension: p*r - r(r-1)/2 for the
     PSD geometries, (p1 + p2 - r)*r for the general ones.
     """
-    _check_metric(z, metric)
-    geo = z.geometry
-    r = z.r
-    vecs = []
-    if geo == "psd_q1":
-        u, uperp = z.point.U, z.point.Uperp
-        p = z.P
-        pinv = np.linalg.inv(p)
-        m = pinv.T @ metric.w(z) @ pinv
-        minv = spd_functions(m).inv
-        for a in _sym_basis(r):
-            vecs.append(HorizontalVector(z, (u @ (a @ minv) @ pinv.T,)))
-        for e in _unit_basis(uperp.shape[1], r):
-            vecs.append(HorizontalVector(z, (uperp @ e @ pinv.T,)))
-    elif geo == "psd_q2":
-        u = z.factor("U")
-        uperp = z.point.Uperp
-        zero_b = np.zeros((r, r))
-        zero_u = np.zeros_like(u)
-        for e in _unit_basis(uperp.shape[1], r):
-            vecs.append(HorizontalVector(z, (uperp @ e, zero_b)))
-        for a in _sym_basis(r):
-            vecs.append(HorizontalVector(z, (zero_u, a)))
-    elif geo == "gen_q1":
-        u, v = z.point.U, z.point.V
-        uperp, vperp = z.point.Uperp, z.point.Vperp
-        p1, p2 = z.P1, z.P2
-        p1inv, p2inv = np.linalg.inv(p1), np.linalg.inv(p2)
-        m1 = p1 @ metric.v_inv(z) @ p1.T
-        m2 = p2 @ metric.w_inv(z) @ p2.T
-        zl = np.zeros_like(z.factor("L"))
-        zr = np.zeros_like(z.factor("R"))
-        for e in _unit_basis(r, r):
-            vecs.append(
-                HorizontalVector(
-                    z, (u @ e @ m2 @ p2inv.T, v @ e.T @ m1 @ p1inv.T)
-                )
-            )
-        for e in _unit_basis(uperp.shape[1], r):
-            vecs.append(HorizontalVector(z, (uperp @ e @ p2inv.T, zr)))
-        for e in _unit_basis(vperp.shape[1], r):
-            vecs.append(HorizontalVector(z, (zl, vperp @ e @ p1inv.T)))
-    elif geo == "gen_q2":
-        u, b, v = z.factors
-        uperp, vperp = z.point.Uperp, z.point.Vperp
-        zero_b = np.zeros((r, r))
-        zero_u = np.zeros_like(u)
-        zero_v = np.zeros_like(v)
-        for e in _unit_basis(uperp.shape[1], r):
-            vecs.append(HorizontalVector(z, (uperp @ e, zero_b, zero_v)))
-        for e in _unit_basis(vperp.shape[1], r):
-            vecs.append(HorizontalVector(z, (zero_u, zero_b, vperp @ e)))
-        for a in _sym_basis(r):
-            vecs.append(HorizontalVector(z, (zero_u, a, zero_v)))
-        for w in _skew_basis(r):
-            vecs.append(HorizontalVector(z, (u @ w, zero_b, -v @ w)))
-    else:
-        u, yfac = z.factors
-        uperp = z.point.Uperp
-        zero_y = np.zeros_like(yfac)
-        zero_u = np.zeros_like(u)
-        for e in _unit_basis(uperp.shape[1], r):
-            vecs.append(HorizontalVector(z, (uperp @ e, zero_y)))
-        for e in _unit_basis(yfac.shape[0], r):
-            vecs.append(HorizontalVector(z, (zero_u, e)))
+    wt = z.weights(metric)
+    vecs = [HorizontalVector(z, parts)
+            for parts in REGISTRY[z.geometry].basis(z, wt)]
     gram = np.zeros((len(vecs), len(vecs)))
     for i, vi in enumerate(vecs):
         for j in range(i, len(vecs)):
@@ -1006,11 +599,18 @@ def horizontal_basis(z: QuotientPoint, metric: MetricFamily):
     return vecs, gram
 
 
+def geometries(kind: str) -> tuple:
+    """Every geometry of a matrix kind: the embedded one, then the quotients."""
+    return (EMBEDDED[kind],) + tuple(
+        name for name, geo in REGISTRY.items() if geo.kind == kind
+    )
+
+
 def quotient_dim(geometry: str, p1: int, p2: int, r: int) -> int:
     """Dimension of the quotient manifold (= its horizontal spaces)."""
-    if geometry in ("psd_q1", "psd_q2", "psd_embedded"):
+    if geometry in geometries("psd"):
         return p1 * r - (r * r - r) // 2
-    if geometry in ("gen_q1", "gen_q2", "gen_q3", "gen_embedded"):
+    if geometry in geometries("general"):
         return (p1 + p2 - r) * r
     raise ValueError(f"unknown geometry {geometry!r}")
 
@@ -1022,26 +622,536 @@ def total_curve(z: QuotientPoint, theta: HorizontalVector):
     factors. Used by the finite-difference oracles for gradients (any t) and
     for Hessians at stationary points (curve-independence holds there).
     """
-    geo = z.geometry
+    geo = REGISTRY[z.geometry]
 
     def curve(t):
-        if geo == "psd_q1":
-            return quotient_point(geo, z.factor("Y") + t * theta.parts[0])
-        if geo == "psd_q2":
-            u, b = z.factors
-            return quotient_point(geo, _qf(u + t * theta.parts[0]),
-                                  sym(b + t * theta.parts[1]))
-        if geo == "gen_q1":
-            lfac, rfac = z.factors
-            return quotient_point(geo, lfac + t * theta.parts[0],
-                                  rfac + t * theta.parts[1])
-        if geo == "gen_q2":
-            u, b, v = z.factors
-            return quotient_point(geo, _qf(u + t * theta.parts[0]),
-                                  sym(b + t * theta.parts[1]),
-                                  _qf(v + t * theta.parts[2]))
-        u, yfac = z.factors
-        return quotient_point(geo, _qf(u + t * theta.parts[0]),
-                              yfac + t * theta.parts[1])
+        return quotient_point(z.geometry, *geo.curve(z, theta.parts, t))
 
     return curve
+
+
+# ---------------------------------------------------------------------------
+# the geometries
+
+
+def _dot(a, b):
+    return float(np.sum(a * b))
+
+
+def _extremes(m):
+    s = np.linalg.svd(m, compute_uv=False)
+    return float(s[-1]), float(s[0])
+
+
+class Factor(NamedTuple):
+    name: str
+    kind: str  # "stiefel" | "spd" | "free"
+    weight: str  # metric weight acting on this factor's components
+
+
+class QuotientGeometry:
+    """One quotient geometry: the total space of its factors, the gauge
+    group, the metric families, the horizontal space, and the lifts.
+
+    A subclass sets ``name``, ``kind`` ("psd" or "general"), ``factors`` and
+    ``metrics`` (family name -> (description, {weight key: Weight})), and
+    ``metric_horizontal`` when its horizontal space depends on the metric. It
+    implements, on raw component tuples and the point's ``Weights`` ``wt``:
+
+    - ``frame(*factors)``: the matched ``EmbeddedPoint``;
+    - ``lift(x_pt, sig, root)``: canonical factors of a spectral frame;
+    - ``vertical(z, parts, wt)``: vertical part of a tangent vector (the
+      base class covers O(r) acting on a total space with a Stiefel factor);
+    - ``grad_lift(z, wt, nabla)``: horizontal lift of an ambient gradient;
+    - ``hess_quad(z, obj, wt, theta, x, nabla)``: the Hessian form;
+    - ``basis(z, wt)``: a structured basis of the horizontal space;
+    - ``forward(z, theta)`` and ``inverse(z, xi, wt)``: the map L to the
+      embedded tangent space and its inverse;
+    - ``bounds(z, wt)``: (alpha, beta) with alpha g <= ||L||^2 <= beta g;
+    - ``grad_embedded(z, wt, grad)``: ambient embedded gradient from a lift.
+    """
+
+    metric_horizontal = False
+
+    def __init__(self):
+        self.families = {
+            name: MetricFamily(self.name, name, description, weights)
+            for name, (description, weights) in self.metrics.items()
+        }
+
+    def checked(self, factors):
+        """Validate factors by kind; SPD factors are symmetrized."""
+        for f, a in zip(self.factors, factors):
+            _CHECKS[f.kind](a, f.name)
+        return tuple(sym(a) if f.kind == "spd" else a
+                     for f, a in zip(self.factors, factors))
+
+    def project_tangent(self, z, parts):
+        out = []
+        for f, base, a in zip(self.factors, z.factors, parts):
+            if f.kind == "stiefel":
+                a = a - base @ sym(base.T @ a)
+            elif f.kind == "spd":
+                a = sym(a)
+            out.append(a)
+        return tuple(out)
+
+    def curve(self, z, parts, t):
+        out = []
+        for f, base, a in zip(self.factors, z.factors, parts):
+            moved = base + t * a
+            if f.kind == "stiefel":
+                moved = _qf(moved)
+            elif f.kind == "spd":
+                moved = sym(moved)
+            out.append(moved)
+        return tuple(out)
+
+    def act(self, parts, g):
+        """Gauge action on factors or on tangent components alike."""
+        return tuple(g.T @ a @ g if f.kind == "spd" else a @ g
+                     for f, a in zip(self.factors, parts))
+
+    def vertical(self, z, parts, wt):
+        """Vertical part under O(r) with a Stiefel factor: F Omega on the
+        Stiefel and free factors, B Omega - Omega B on the SPD core, with
+        Omega the mean of U^T theta_U over the Stiefel factors."""
+        omega = np.mean([f.T @ a for k, f, a in zip(self.factors, z.factors, parts)
+                         if k.kind == "stiefel"], axis=0)
+        return tuple(f @ omega - omega @ f if k.kind == "spd" else f @ omega
+                     for k, f in zip(self.factors, z.factors))
+
+    def inner(self, wt, t1, t2):
+        out = None
+        for f, a, b in zip(self.factors, t1, t2):
+            w = getattr(wt, f.weight)
+            if f.kind == "spd":
+                term = np.trace(w @ a @ w @ b)
+            else:
+                term = np.trace(w @ a.T @ b)
+            out = term if out is None else out + term
+        return float(out)
+
+
+class PsdQ1(QuotientGeometry):
+    name, kind = "psd_q1", "psd"
+    factors = (Factor("Y", "free", "w"),)
+    metrics = {
+        "flat": ("W_Y = I", {"w": IDENTITY}),
+        "double-gram": ("W_Y = 2 Y^T Y", {"w": Weight("FtF", "Y", 2.0)}),
+        "inverse-gram": ("W_Y = (Y^T Y)^-1",
+                         {"w": Weight("FtF", "Y", inverse=True)}),
+    }
+    metric_horizontal = True
+
+    def frame(self, y):
+        u = _qf(y)
+        return _point_from_factors("psd", u, u.T @ (y @ y.T) @ u, None)
+
+    def lift(self, x_pt, sig, root):
+        return (x_pt.U @ root,)
+
+    def _m(self, z, wt):
+        """P^-1 and M = P^-T W P^-1."""
+        pinv = np.linalg.inv(z.P)
+        return pinv, pinv.T @ wt.w @ pinv
+
+    def vertical(self, z, parts, wt):
+        u, p = z.point.U, z.P
+        pinv, m = self._m(z, wt)
+        a = u.T @ parts[0] @ p.T
+        omega = solve_sylvester(m, m, 2.0 * skew(a @ m))
+        return (u @ omega @ pinv.T,)
+
+    def grad_lift(self, z, wt, nabla):
+        return (2.0 * nabla @ z.factor("Y") @ wt.w_inv,)
+
+    def hess_quad(self, z, obj, wt, theta, x, nabla):
+        yfac = z.factor("Y")
+        (ty,) = theta
+        amb = yfac @ ty.T + ty @ yfac.T
+        out = obj.ehess_quad(x, amb)
+        out += 2.0 * _dot(nabla, ty @ ty.T)
+        out += 2.0 * _dot(nabla @ yfac @ wt.dw_inv(theta), ty @ wt.w)
+        grad = self.grad_lift(z, wt, nabla)
+        out += _dot(wt.dw(grad), ty.T @ ty) / 2.0
+        return out
+
+    def basis(self, z, wt):
+        u, uperp = z.point.U, z.point.Uperp
+        pinv, m = self._m(z, wt)
+        minv = spd_functions(m).inv
+        vecs = [(u @ (a @ minv) @ pinv.T,) for a in _sym_basis(z.r)]
+        vecs += [(uperp @ e @ pinv.T,) for e in _unit_basis(uperp.shape[1], z.r)]
+        return vecs
+
+    def forward(self, z, theta):
+        pt = z.point
+        (ty,) = theta
+        p = z.P
+        k = pt.U.T @ ty @ p.T
+        s = k + k.T
+        d = pt.Uperp.T @ ty @ p.T
+        return EmbeddedTangent(pt, s, d, None)
+
+    def inverse(self, z, xi, wt):
+        pt = z.point
+        pinv, m = self._m(z, wt)
+        s_prime = solve_sylvester(m, m, m @ xi.S)
+        return ((pt.U @ s_prime + pt.Uperp @ xi.D1) @ pinv.T,)
+
+    def bounds(self, z, wt):
+        p = z.P
+        lo, hi = _extremes(p @ wt.w_inv @ p.T)
+        return 2.0 * lo, 4.0 * hi
+
+    def grad_embedded(self, z, wt, grad):
+        yfac = z.factor("Y")
+        (g,) = grad
+        a = g @ wt.w @ np.linalg.pinv(yfac)
+        proj_out = np.eye(yfac.shape[0]) - yfac @ np.linalg.pinv(yfac)
+        return (a + a.T @ proj_out) / 2.0
+
+
+class PsdQ2(QuotientGeometry):
+    name, kind = "psd_q2", "psd"
+    factors = (Factor("U", "stiefel", "v"), Factor("B", "spd", "w"))
+    metrics = {
+        "polar": ("V_B = I, W_B = B^-1",
+                  {"v": IDENTITY, "w": Weight("B", "B", inverse=True)}),
+        "matched": ("V_B = 2 B^2, W_B = I",
+                    {"v": Weight("B2", "B", 2.0), "w": IDENTITY}),
+    }
+
+    def frame(self, u, b):
+        return _point_from_factors("psd", u, b, None)
+
+    def lift(self, x_pt, sig, root):
+        return (x_pt.U, sig)
+
+    def grad_lift(self, z, wt, nabla):
+        u, b = z.factors
+        nu = nabla @ u
+        return (2.0 * (nu - u @ (u.T @ nu)) @ b @ wt.v_inv,
+                wt.w_inv @ u.T @ nu @ wt.w_inv)
+
+    def hess_quad(self, z, obj, wt, theta, x, nabla):
+        u, b = z.factors
+        tu, tb = theta
+        amb = u @ b @ tu.T + u @ tb @ u.T + tu @ b @ u.T
+        out = obj.ehess_quad(x, amb)
+        out += 2.0 * _dot(nabla, tu @ b @ tu.T)
+        wb, vb = wt.w, wt.v
+        inner = (
+            2.0 * tu @ tb
+            + u @ wt.dw_inv(theta) @ wb @ tb
+            + tu @ vb @ wt.dv_inv(theta) @ b
+            - tu @ (u.T @ tu) @ b
+            - u @ tu.T @ tu @ b
+        )
+        out += 2.0 * _dot(nabla @ u, inner)
+        grad_b = self.grad_lift(z, wt, nabla)[1]
+        gdir = (np.zeros_like(u), grad_b)
+        out += np.trace(wt.dv(gdir) @ tu.T @ tu) / 2.0
+        out += np.trace(sym(wb @ tb @ wt.dw(gdir)) @ tb)
+        return out
+
+    def basis(self, z, wt):
+        u = z.factor("U")
+        uperp = z.point.Uperp
+        zero_b, zero_u = np.zeros((z.r, z.r)), np.zeros_like(u)
+        vecs = [(uperp @ e, zero_b) for e in _unit_basis(uperp.shape[1], z.r)]
+        vecs += [(zero_u, a) for a in _sym_basis(z.r)]
+        return vecs
+
+    def forward(self, z, theta):
+        pt = z.point
+        u, b = z.factors
+        tu, tb = theta
+        return EmbeddedTangent(pt, tb, pt.Uperp.T @ tu @ b, None)
+
+    def inverse(self, z, xi, wt):
+        return (z.point.Uperp @ xi.D1 @ z.binv, sym(xi.S))
+
+    def bounds(self, z, wt):
+        b = z.factor("B")
+        lo_w, hi_w = _extremes(wt.w_inv)
+        lo_vb, hi_vb = _extremes(spd_functions(wt.v).inv_sqrt @ b)
+        return min(lo_w**2, 2.0 * lo_vb**2), max(hi_w**2, 2.0 * hi_vb**2)
+
+    def grad_embedded(self, z, wt, grad):
+        u, b = z.factors
+        gu, gb = grad
+        a = gu @ wt.v @ z.binv @ u.T / 2.0
+        return a + a.T + u @ wt.w @ gb @ wt.w @ u.T
+
+
+class GenQ1(QuotientGeometry):
+    name, kind = "gen_q1", "general"
+    factors = (Factor("L", "free", "w"), Factor("R", "free", "v"))
+    metrics = {
+        "inverse-gram": ("W = (L^T L)^-1, V = (R^T R)^-1",
+                         {"w": Weight("FtF", "L", inverse=True),
+                          "v": Weight("FtF", "R", inverse=True)}),
+        "crossed-gram": ("W = R^T R, V = L^T L",
+                         {"w": Weight("FtF", "R"), "v": Weight("FtF", "L")}),
+    }
+    metric_horizontal = True
+
+    def frame(self, l, r_):
+        u, v = _qf(l), _qf(r_)
+        return _point_from_factors("general", u, (u.T @ l) @ (v.T @ r_).T, v)
+
+    def lift(self, x_pt, sig, root):
+        return (x_pt.U @ root, x_pt.V @ root)
+
+    def act(self, parts, g):
+        """GL(r) acts on L by g and on R by g^-T."""
+        return (parts[0] @ g, parts[1] @ np.linalg.inv(g).T)
+
+    def _m(self, z, wt):
+        """P1^-1, P2^-1, M1 = P1 V^-1 P1^T and M2 = P2 W^-1 P2^T."""
+        p1, p2 = z.P1, z.P2
+        return (np.linalg.inv(p1), np.linalg.inv(p2),
+                p1 @ wt.v_inv @ p1.T, p2 @ wt.w_inv @ p2.T)
+
+    def vertical(self, z, parts, wt):
+        u, v = z.point.U, z.point.V
+        p1inv, p2inv, m1, m2 = self._m(z, wt)
+        a1 = u.T @ parts[0] @ z.P2.T
+        a2 = v.T @ parts[1] @ z.P1.T
+        sv = solve_sylvester(m2, m1, a1.T @ m1 - m2 @ a2).T
+        return (u @ sv @ p2inv.T, -v @ sv.T @ p1inv.T)
+
+    def grad_lift(self, z, wt, nabla):
+        lfac, rfac = z.factors
+        return (nabla @ rfac @ wt.w_inv, nabla.T @ lfac @ wt.v_inv)
+
+    def hess_quad(self, z, obj, wt, theta, x, nabla):
+        lfac, rfac = z.factors
+        tl, tr = theta
+        amb = lfac @ tr.T + tl @ rfac.T
+        out = obj.ehess_quad(x, amb)
+        out += 2.0 * _dot(nabla, tl @ tr.T)
+        out += _dot(nabla @ rfac @ wt.dw_inv(theta), tl @ wt.w)
+        out += _dot(nabla.T @ lfac @ wt.dv_inv(theta), tr @ wt.v)
+        grad = self.grad_lift(z, wt, nabla)
+        out += _dot(wt.dw(grad), tl.T @ tl) / 2.0
+        out += _dot(wt.dv(grad), tr.T @ tr) / 2.0
+        return out
+
+    def basis(self, z, wt):
+        u, v = z.point.U, z.point.V
+        uperp, vperp = z.point.Uperp, z.point.Vperp
+        p1inv, p2inv, m1, m2 = self._m(z, wt)
+        zl, zr = np.zeros_like(z.factor("L")), np.zeros_like(z.factor("R"))
+        vecs = [(u @ e @ m2 @ p2inv.T, v @ e.T @ m1 @ p1inv.T)
+                for e in _unit_basis(z.r, z.r)]
+        vecs += [(uperp @ e @ p2inv.T, zr) for e in _unit_basis(uperp.shape[1], z.r)]
+        vecs += [(zl, vperp @ e @ p1inv.T) for e in _unit_basis(vperp.shape[1], z.r)]
+        return vecs
+
+    def forward(self, z, theta):
+        pt = z.point
+        tl, tr = theta
+        p1, p2 = z.P1, z.P2
+        s = p1 @ tr.T @ pt.V + pt.U.T @ tl @ p2.T
+        d1 = pt.Uperp.T @ tl @ p2.T
+        d2 = pt.Vperp.T @ tr @ p1.T
+        return EmbeddedTangent(pt, s, d1, d2)
+
+    def inverse(self, z, xi, wt):
+        pt = z.point
+        p1inv, p2inv, m1, m2 = self._m(z, wt)
+        s_prime = solve_sylvester(m1, m2, xi.S)
+        tl = (pt.U @ s_prime @ m2 + pt.Uperp @ xi.D1) @ p2inv.T
+        tr = (pt.V @ s_prime.T @ m1 + pt.Vperp @ xi.D2) @ p1inv.T
+        return (tl, tr)
+
+    def bounds(self, z, wt):
+        _, _, m1, m2 = self._m(z, wt)
+        lo2, hi2 = _extremes(m2)
+        lo1, hi1 = _extremes(m1)
+        return min(lo2, lo1), 2.0 * max(hi2, hi1)
+
+    def grad_embedded(self, z, wt, grad):
+        lfac, rfac = z.factors
+        gl, gr = grad
+        rp = np.linalg.pinv(rfac)
+        lp = np.linalg.pinv(lfac)
+        return gl @ wt.w @ rp + (gr @ wt.v @ lp).T @ (
+            np.eye(rfac.shape[0]) - rfac @ rp
+        )
+
+
+class GenQ2(QuotientGeometry):
+    name, kind = "gen_q2", "general"
+    factors = (Factor("U", "stiefel", "v"), Factor("B", "spd", "w"),
+               Factor("V", "stiefel", "v"))
+    metrics = {
+        "polar": ("V_B = I, W_B = B^-1",
+                  {"v": IDENTITY, "w": Weight("B", "B", inverse=True)}),
+    }
+
+    def frame(self, u, b, v):
+        return _point_from_factors("general", u, b, v)
+
+    def lift(self, x_pt, sig, root):
+        return (x_pt.U, sig, x_pt.V)
+
+    def grad_lift(self, z, wt, nabla):
+        u, b, v = z.factors
+        delta = u.T @ nabla @ v
+        mix = (skew(delta) @ b + b @ skew(delta)) / 2.0
+        nv = nabla @ v
+        ntu = nabla.T @ u
+        return (
+            (nv - u @ (u.T @ nv)) @ b + u @ mix,
+            b @ sym(delta) @ b,
+            (ntu - v @ (v.T @ ntu)) @ b - v @ mix,
+        )
+
+    def hess_quad(self, z, obj, wt, theta, x, nabla):
+        u, b, v = z.factors
+        tu, tb, tv = theta
+        amb = tu @ b @ v.T + u @ tb @ v.T + u @ b @ tv.T
+        out = obj.ehess_quad(x, amb)
+        out += 2.0 * _dot(nabla, tu @ b @ tv.T)
+        delta = u.T @ nabla @ v
+        dprime = tu.T @ nabla @ v
+        dsecond = u.T @ nabla @ tv
+        utu = u.T @ tu
+        vtv = v.T @ tv
+        binv = z.binv
+        out += _dot(delta, sym(utu @ utu) @ b + b @ sym(vtv @ utu) - 2.0 * tu.T @ tu @ b) / 2.0
+        out += _dot(delta, b @ sym(vtv @ vtv) + sym(utu @ vtv) @ b
+                    - 2.0 * b @ tv.T @ tv + 2.0 * tb @ binv @ tb) / 2.0
+        out += _dot(dprime, 2.0 * tb - utu @ b - tu.T @ u @ b / 2.0 - vtv @ b / 2.0)
+        out += _dot(dsecond, 2.0 * tb - b @ tv.T @ v - b @ vtv / 2.0 - b @ tu.T @ u / 2.0)
+        return out
+
+    def basis(self, z, wt):
+        u, b, v = z.factors
+        uperp, vperp = z.point.Uperp, z.point.Vperp
+        zero_b = np.zeros((z.r, z.r))
+        zero_u, zero_v = np.zeros_like(u), np.zeros_like(v)
+        vecs = [(uperp @ e, zero_b, zero_v) for e in _unit_basis(uperp.shape[1], z.r)]
+        vecs += [(zero_u, zero_b, vperp @ e) for e in _unit_basis(vperp.shape[1], z.r)]
+        vecs += [(zero_u, a, zero_v) for a in _sym_basis(z.r)]
+        vecs += [(u @ w, zero_b, -v @ w) for w in _skew_basis(z.r)]
+        return vecs
+
+    def forward(self, z, theta):
+        pt = z.point
+        u, b, v = z.factors
+        tu, tb, tv = theta
+        s = u.T @ tu @ b + tb + b @ tv.T @ v
+        d1 = pt.Uperp.T @ tu @ b
+        d2 = pt.Vperp.T @ tv @ b
+        return EmbeddedTangent(pt, s, d1, d2)
+
+    def inverse(self, z, xi, wt):
+        pt = z.point
+        u, b, v = z.factors
+        binv = z.binv
+        omega = solve_sylvester(b, b, skew(xi.S))
+        tu = pt.Uperp @ xi.D1 @ binv + u @ omega
+        tv = pt.Vperp @ xi.D2 @ binv - v @ omega
+        return (tu, sym(xi.S), tv)
+
+    def bounds(self, z, wt):
+        s = np.linalg.svd(z.X, compute_uv=False)
+        lo, hi = float(s[z.r - 1]), float(s[0])  # r-th/top singular value of X
+        return lo**2, 2.0 * hi**2
+
+    def grad_embedded(self, z, wt, grad):
+        u, b, v = z.factors
+        gu, gb, gv = grad
+        binv = z.binv
+        # skew part of Delta solves B K + K B = 2 gu^T U with K = skew(Delta)^T
+        k = solve_sylvester(b, b, 2.0 * gu.T @ u)
+        delta = binv @ gb @ binv + k.T
+        pgu = gu - u @ (u.T @ gu)
+        pgv = gv - v @ (v.T @ gv)
+        return pgu @ binv @ v.T + u @ delta @ v.T + (pgv @ binv @ u.T).T
+
+
+class GenQ3(QuotientGeometry):
+    name, kind = "gen_q3", "general"
+    factors = (Factor("U", "stiefel", "v"), Factor("Y", "free", "w"))
+    metrics = {
+        "flat": ("V_Y = I, W_Y = I", {"v": IDENTITY, "w": IDENTITY}),
+        "inverse-gram": ("V_Y = I, W_Y = (Y^T Y)^-1",
+                         {"v": IDENTITY, "w": Weight("FtF", "Y", inverse=True)}),
+        "matched": ("V_Y = Y^T Y, W_Y = I",
+                    {"v": Weight("FtF", "Y"), "w": IDENTITY}),
+    }
+
+    def frame(self, u, y):
+        v = _qf(y)
+        # Sigma = U^T X V = Y^T V for X = U Y^T
+        return _point_from_factors("general", u, y.T @ v, v)
+
+    def lift(self, x_pt, sig, root):
+        return (x_pt.U, x_pt.V @ sig)
+
+    def grad_lift(self, z, wt, nabla):
+        u, yfac = z.factors
+        ny = nabla @ yfac
+        return ((ny - u @ (u.T @ ny)) @ wt.v_inv, nabla.T @ u @ wt.w_inv)
+
+    def hess_quad(self, z, obj, wt, theta, x, nabla):
+        u, yfac = z.factors
+        tu, ty = theta
+        amb = u @ ty.T + tu @ yfac.T
+        out = obj.ehess_quad(x, amb)
+        out += 2.0 * _dot(nabla, tu @ ty.T)
+        out -= _dot(u.T @ nabla @ yfac, tu.T @ tu)
+        out += _dot(nabla.T @ u @ wt.dw_inv(theta), ty @ wt.w)
+        out += _dot(nabla @ yfac @ wt.dv_inv(theta), tu @ wt.v)
+        grad_y = self.grad_lift(z, wt, nabla)[1]
+        gdir = (np.zeros_like(u), grad_y)
+        out += _dot(wt.dw(gdir), ty.T @ ty) / 2.0
+        out += _dot(wt.dv(gdir), tu.T @ tu) / 2.0
+        return out
+
+    def basis(self, z, wt):
+        u, yfac = z.factors
+        uperp = z.point.Uperp
+        zero_y, zero_u = np.zeros_like(yfac), np.zeros_like(u)
+        vecs = [(uperp @ e, zero_y) for e in _unit_basis(uperp.shape[1], z.r)]
+        vecs += [(zero_u, e) for e in _unit_basis(yfac.shape[0], z.r)]
+        return vecs
+
+    def forward(self, z, theta):
+        pt = z.point
+        u, yfac = z.factors
+        tu, ty = theta
+        s = ty.T @ pt.V
+        d1 = pt.Uperp.T @ tu @ (yfac.T @ pt.V)
+        d2 = pt.Vperp.T @ ty
+        return EmbeddedTangent(pt, s, d1, d2)
+
+    def inverse(self, z, xi, wt):
+        pt = z.point
+        u, yfac = z.factors
+        core = yfac.T @ pt.V  # invertible r x r
+        tu = pt.Uperp @ np.linalg.solve(core.T, xi.D1.T).T
+        ty = pt.V @ xi.S.T + pt.Vperp @ xi.D2
+        return (tu, ty)
+
+    def bounds(self, z, wt):
+        lo_w, hi_w = _extremes(wt.w_inv)
+        lo_y, hi_y = _extremes(z.factor("Y") @ spd_functions(wt.v).inv_sqrt)
+        return min(lo_w, lo_y**2), max(hi_w, hi_y**2)
+
+    def grad_embedded(self, z, wt, grad):
+        u, yfac = z.factors
+        gu, gy = grad
+        return gu @ wt.v @ np.linalg.pinv(yfac) + (gy @ wt.w @ u.T).T
+
+
+REGISTRY = {geo.name: geo for geo in (PsdQ1(), PsdQ2(), GenQ1(), GenQ2(), GenQ3())}
+GEOMETRY_KIND = {name: geo.kind for name, geo in REGISTRY.items()}
+FACTOR_NAMES = {name: tuple(f.name for f in geo.factors)
+                for name, geo in REGISTRY.items()}

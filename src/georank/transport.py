@@ -18,15 +18,17 @@ sandwich inequalities.
 
 L is defined only between Z and the embedded point cached inside Z (the
 matched-pair convention), which removes any eigenbasis rotation ambiguity.
+
+The formulas for L, its inverse and (alpha, beta) are methods of each
+geometry's class in ``quotient.REGISTRY``; this module holds the checked
+public entry points and ``SandwichCoefficients``.
 """
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .embedded import EmbeddedTangent
-from .linalg import skew, solve_sylvester, spd_functions, sym
 from .quotient import (
+    REGISTRY,
     HorizontalVector,
     MetricFamily,
     QuotientPoint,
@@ -67,117 +69,20 @@ def forward_map(
     if theta.base is not z:
         raise ValueError("horizontal vector is not based at the given point")
     theta = ensure_horizontal(theta, metric)
-    pt = z.point
-    geo = z.geometry
-    if geo == "psd_q1":
-        (ty,) = theta.parts
-        p = z.P
-        k = pt.U.T @ ty @ p.T
-        s = k + k.T
-        d = pt.Uperp.T @ ty @ p.T
-        return EmbeddedTangent(pt, s, d, None)
-    if geo == "psd_q2":
-        u, b = z.factors
-        tu, tb = theta.parts
-        return EmbeddedTangent(pt, tb, pt.Uperp.T @ tu @ b, None)
-    if geo == "gen_q1":
-        tl, tr = theta.parts
-        p1, p2 = z.P1, z.P2
-        s = p1 @ tr.T @ pt.V + pt.U.T @ tl @ p2.T
-        d1 = pt.Uperp.T @ tl @ p2.T
-        d2 = pt.Vperp.T @ tr @ p1.T
-        return EmbeddedTangent(pt, s, d1, d2)
-    if geo == "gen_q2":
-        u, b, v = z.factors
-        tu, tb, tv = theta.parts
-        s = u.T @ tu @ b + tb + b @ tv.T @ v
-        d1 = pt.Uperp.T @ tu @ b
-        d2 = pt.Vperp.T @ tv @ b
-        return EmbeddedTangent(pt, s, d1, d2)
-    u, yfac = z.factors
-    tu, ty = theta.parts
-    s = ty.T @ pt.V
-    d1 = pt.Uperp.T @ tu @ (yfac.T @ pt.V)
-    d2 = pt.Vperp.T @ ty
-    return EmbeddedTangent(pt, s, d1, d2)
+    return REGISTRY[z.geometry].forward(z, theta.parts)
 
 
 def inverse_map(
     z: QuotientPoint, xi: EmbeddedTangent, metric: MetricFamily
 ) -> HorizontalVector:
     """L^-1(xi): the unique horizontal preimage of an embedded tangent."""
-    _check_metric(z, metric)
+    wt = z.weights(metric)
     _match(z, xi)
-    pt = z.point
-    geo = z.geometry
-    if geo == "psd_q1":
-        p = z.P
-        pinv = np.linalg.inv(p)
-        m = pinv.T @ metric.w(z) @ pinv
-        s_prime = solve_sylvester(m, m, m @ xi.S)
-        return HorizontalVector(z, ((pt.U @ s_prime + pt.Uperp @ xi.D1) @ pinv.T,))
-    if geo == "psd_q2":
-        u, b = z.factors
-        binv = spd_functions(b).inv
-        return HorizontalVector(z, (pt.Uperp @ xi.D1 @ binv, sym(xi.S)))
-    if geo == "gen_q1":
-        p1, p2 = z.P1, z.P2
-        p1inv, p2inv = np.linalg.inv(p1), np.linalg.inv(p2)
-        m1 = p1 @ metric.v_inv(z) @ p1.T
-        m2 = p2 @ metric.w_inv(z) @ p2.T
-        s_prime = solve_sylvester(m1, m2, xi.S)
-        tl = (pt.U @ s_prime @ m2 + pt.Uperp @ xi.D1) @ p2inv.T
-        tr = (pt.V @ s_prime.T @ m1 + pt.Vperp @ xi.D2) @ p1inv.T
-        return HorizontalVector(z, (tl, tr))
-    if geo == "gen_q2":
-        u, b, v = z.factors
-        binv = spd_functions(b).inv
-        omega = solve_sylvester(b, b, skew(xi.S))
-        s_prime = sym(xi.S)
-        tu = pt.Uperp @ xi.D1 @ binv + u @ omega
-        tv = pt.Vperp @ xi.D2 @ binv - v @ omega
-        return HorizontalVector(z, (tu, s_prime, tv))
-    u, yfac = z.factors
-    core = yfac.T @ pt.V  # invertible r x r
-    tu = pt.Uperp @ np.linalg.solve(core.T, xi.D1.T).T
-    ty = pt.V @ xi.S.T + pt.Vperp @ xi.D2
-    return HorizontalVector(z, (tu, ty))
+    return HorizontalVector(z, REGISTRY[z.geometry].inverse(z, xi, wt))
 
 
 def spectrum_bounds(z: QuotientPoint, metric: MetricFamily) -> SandwichCoefficients:
     """Closed-form (alpha, beta) with
     alpha * g(theta, theta) <= ||L(theta)||_F^2 <= beta * g(theta, theta)."""
-    _check_metric(z, metric)
-    geo = z.geometry
-
-    def extremes(m):
-        s = np.linalg.svd(m, compute_uv=False)
-        return float(s[-1]), float(s[0])
-
-    if geo == "psd_q1":
-        p = z.P
-        lo, hi = extremes(p @ metric.w_inv(z) @ p.T)
-        alpha, beta = 2.0 * lo, 4.0 * hi
-    elif geo == "psd_q2":
-        b = z.factor("B")
-        lo_w, hi_w = extremes(metric.w_inv(z))
-        lo_vb, hi_vb = extremes(spd_functions(metric.v(z)).inv_sqrt @ b)
-        alpha = min(lo_w**2, 2.0 * lo_vb**2)
-        beta = max(hi_w**2, 2.0 * hi_vb**2)
-    elif geo == "gen_q1":
-        p1, p2 = z.P1, z.P2
-        lo2, hi2 = extremes(p2 @ metric.w_inv(z) @ p2.T)
-        lo1, hi1 = extremes(p1 @ metric.v_inv(z) @ p1.T)
-        alpha = min(lo2, lo1)
-        beta = 2.0 * max(hi2, hi1)
-    elif geo == "gen_q2":
-        s = np.linalg.svd(z.X, compute_uv=False)
-        lo, hi = float(s[z.r - 1]), float(s[0])  # r-th/top singular value of X
-        alpha, beta = lo**2, 2.0 * hi**2
-    else:
-        yfac = z.factor("Y")
-        lo_w, hi_w = extremes(metric.w_inv(z))
-        lo_y, hi_y = extremes(yfac @ spd_functions(metric.v(z)).inv_sqrt)
-        alpha = min(lo_w, lo_y**2)
-        beta = max(hi_w, hi_y**2)
-    return SandwichCoefficients(alpha, beta, geo, metric.name)
+    alpha, beta = REGISTRY[z.geometry].bounds(z, z.weights(metric))
+    return SandwichCoefficients(alpha, beta, z.geometry, metric.name)

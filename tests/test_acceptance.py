@@ -39,6 +39,7 @@ from georank.quotient import (
 from georank.transport import forward_map, inverse_map, spectrum_bounds
 
 from util import (
+    embedded_tag,
     ALL_QUOTIENTS,
     GEN_QUOTIENTS,
     PSD_QUOTIENTS,
@@ -46,8 +47,7 @@ from util import (
     hv_gap,
     kind_of,
     random_approx_objective,
-    random_embedded,
-    random_quotient,
+    random_point,
     run_cli,
 )
 
@@ -85,11 +85,11 @@ def test_criterion_01_dimension_counts():
     for kind, p1, p2, r in cases:
         expected = (p1 * r - r * (r - 1) // 2 if kind == "psd"
                     else (p1 + p2 - r) * r)
-        pt = random_embedded(kind, p1, p2, r, rng)
+        pt = random_point(embedded_tag(kind), p1, p2, r, rng)
         ok &= len(tangent_basis(pt)) == expected
         geos = PSD_QUOTIENTS if kind == "psd" else GEN_QUOTIENTS
         for geo, met in geometry_metric_combos(geos):
-            z = random_quotient(geo, p1, p2, r, rng)
+            z = random_point(geo, p1, p2, r, rng)
             basis, _ = horizontal_basis(z, met)
             ok &= len(basis) == expected
             ok &= quotient_dim(geo, p1, p2, r) == expected
@@ -111,7 +111,7 @@ def test_criterion_02_gradient_oracles():
         p1, p2 = sizes[kind]
         obj = random_approx_objective(kind, p1, p2, rng)
         for _ in range(n_points):
-            pt = random_embedded(kind, p1, p2, r, rng)
+            pt = random_point(embedded_tag(kind), p1, p2, r, rng)
             grad = riem_grad_embedded(pt, obj)
             lhs, rhs = [], []
             for b in tangent_basis(pt):
@@ -126,7 +126,7 @@ def test_criterion_02_gradient_oracles():
         p1, p2 = sizes[kind_of(geo)]
         obj = random_approx_objective(kind_of(geo), p1, p2, rng)
         for _ in range(n_points):
-            z = random_quotient(geo, p1, p2, r, rng)
+            z = random_point(geo, p1, p2, r, rng)
             grad = riem_grad_quotient(z, obj, met)
             basis, _ = horizontal_basis(z, met)
             lhs, rhs = [], []
@@ -152,7 +152,7 @@ def test_criterion_03_gradient_conversions():
         p1, p2 = sizes[kind_of(geo)]
         obj = random_approx_objective(kind_of(geo), p1, p2, rng)
         for _ in range(50):
-            z = random_quotient(geo, p1, p2, 2, rng)
+            z = random_point(geo, p1, p2, 2, rng)
             ge = riem_grad_embedded(z.point, obj)
             assert ge.norm() > 1e-6  # non-stationary sample
             gq = riem_grad_quotient(z, obj, met)
@@ -223,7 +223,7 @@ def test_criterion_06_bijection_suite():
     worst_rt, worst_slack = 0.0, 0.0
     for geo, met in geometry_metric_combos(ALL_QUOTIENTS):
         p1, p2 = sizes[kind_of(geo)]
-        z = random_quotient(geo, p1, p2, 2, rng)
+        z = random_point(geo, p1, p2, 2, rng)
         coeffs = spectrum_bounds(z, met)
         for _ in range(200):
             theta = random_horizontal(z, met, rng)

@@ -136,6 +136,78 @@ class TestErrorPaths:
         assert not report["passed"]
 
 
+    # each is read before any command runs: wrong types, out-of-range
+    # counts and tolerances, strings where lists belong; the message names
+    # the field
+    @pytest.mark.parametrize("command,cfg,field", [
+        pytest.param("bijection-roundtrip", {"problem": {"p1": "5"}}, "p1",
+                     id="p1-string"),
+        pytest.param("bijection-roundtrip", {"problem": {"r": 2.5}}, "problem r",
+                     id="r-float"),
+        pytest.param("bijection-roundtrip", {"problem": {"r": 0}}, "rank r",
+                     id="r-zero"),
+        pytest.param("dims", {"problem": {"kind": "completion", "mask_density": "x"}},
+                     "mask_density", id="mask-density-string"),
+        pytest.param("check-gradients", {"tolerances": {"grad_fd_rtol": "x"}},
+                     "grad_fd_rtol", id="tolerance-string"),
+        pytest.param("bijection-roundtrip", {"tolerances": {"grad_fd_rtol": "x"}},
+                     "grad_fd_rtol", id="unread-tolerance-string"),
+        pytest.param("check-gradients", {"tolerances": {"grad_fd_rtol": 0}},
+                     "grad_fd_rtol", id="tolerance-zero"),
+        pytest.param("dims", {"metrics": {"psd_q1": "flat"}}, "'metrics'",
+                     id="metrics-string"),
+        pytest.param("dims", {"metrics": {"psd_q1": []}}, "'metrics'",
+                     id="metrics-empty"),
+        pytest.param("dims", {"geometries": "psd_q1"}, "'geometries'",
+                     id="geometries-string"),
+        pytest.param("check-gradients", {"trials": -1}, "trials",
+                     id="trials-negative"),
+        pytest.param("bijection-roundtrip", {"directions": 0}, "directions",
+                     id="directions-zero"),
+        pytest.param("verify-sandwich", {"max_fosp_points": 1.5}, "max_fosp_points",
+                     id="max-fosp-points-float"),
+    ])
+    def test_invalid_config_exits_2_no_report(self, tmp_path, command, cfg, field):
+        path = write_config(tmp_path, "c.json", cfg)
+        out = tmp_path / "report.json"
+        proc = run_cli([command, "--config", str(path), "--out", str(out)],
+                       tmp_path)
+        assert_input_error(proc)
+        assert field in proc.stderr, proc.stderr
+        assert not out.exists()
+
+    # a report that passes on zero checks would verify nothing
+    @pytest.mark.parametrize("command,cfg", [
+        pytest.param("dims", {"geometries": []}, id="dims-no-geometries"),
+        pytest.param("bijection-roundtrip", {"geometries": ["psd_embedded"]},
+                     id="bijection-embedded-only"),
+        pytest.param("verify-sandwich",
+                     {"geometries": ["psd_embedded"], "max_fosp_points": 1},
+                     id="sandwich-embedded-only"),
+    ])
+    def test_zero_checks_exits_2_no_report(self, tmp_path, command, cfg):
+        path = write_config(tmp_path, "c.json", cfg)
+        out = tmp_path / "report.json"
+        proc = run_cli([command, "--config", str(path), "--out", str(out)],
+                       tmp_path)
+        assert_input_error(proc)
+        assert "no checks" in proc.stderr, proc.stderr
+        assert not out.exists()
+
+    def test_embedded_only_classify_still_runs(self, tmp_path):
+        # classify always labels the embedded geometry, so one check per FOSP
+        cfg = write_config(
+            tmp_path, "c.json",
+            {"problem": {"case": "general", "p1": 4, "p2": 3, "r": 2},
+             "geometries": ["gen_embedded"], "max_fosp_points": 1},
+        )
+        out = tmp_path / "report.json"
+        proc = run_cli(["classify", "--config", str(cfg), "--out", str(out),
+                        "--no-timestamp"], tmp_path)
+        report = read_report(proc, out)
+        assert len(report["checks"]) == 1 and report["passed"]
+
+
 class TestOtherCommands:
     def test_check_gradients_passes(self, tmp_path):
         cfg = write_config(

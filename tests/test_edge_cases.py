@@ -21,27 +21,27 @@ from georank.quotient import (
 from georank.transport import forward_map, inverse_map, spectrum_bounds
 
 from util import (
+    embedded_tag,
     GEN_QUOTIENTS,
     PSD_QUOTIENTS,
     geometry_metric_combos,
     hv_gap,
     kind_of,
     random_approx_objective,
-    random_embedded,
-    random_quotient,
+    random_point,
 )
 
 
 def _exercise(kind, p1, p2, r, rng):
     """Full pipeline at one shape: bases, gradients, Hessians, transports."""
     obj = random_approx_objective(kind, p1, p2, rng)
-    pt = random_embedded(kind, p1, p2, r, rng)
+    pt = random_point(embedded_tag(kind), p1, p2, r, rng)
     tag = "psd_embedded" if kind == "psd" else "gen_embedded"
     rep = hessian_spectrum(pt, obj, tag)
     assert rep.dim == quotient_dim(tag, p1, p2, r)
     geos = PSD_QUOTIENTS if kind == "psd" else GEN_QUOTIENTS
     for geo, met in geometry_metric_combos(geos):
-        z = random_quotient(geo, p1, p2, r, rng)
+        z = random_point(geo, p1, p2, r, rng)
         basis, _ = horizontal_basis(z, met)
         assert len(basis) == quotient_dim(geo, p1, p2, r)
         theta = random_horizontal(z, met, rng)
@@ -89,7 +89,7 @@ class TestNonIdentityHessianObjectives:
         mask = np.clip(np.triu(mask) + np.triu(mask).T, 0, 1).astype(float)
         obj = make_masked_completion(truth, mask, symmetric=True)
         res = find_fosp(obj, "psd_embedded",
-                        random_embedded("psd", 5, 5, 2, rng),
+                        random_point("psd_embedded", 5, 5, 2, rng),
                         max_iter=30000, tol=1e-12)
         assert res.converged
         for geo, met in geometry_metric_combos(PSD_QUOTIENTS):
@@ -106,7 +106,7 @@ class TestNonIdentityHessianObjectives:
         obs = np.tensordot(ops, truth, axes=([1, 2], [0, 1]))
         obj = make_matrix_sensing(ops, obs)
         res = find_fosp(obj, "gen_embedded",
-                        random_embedded("general", p1, p2, r, rng),
+                        random_point("gen_embedded", p1, p2, r, rng),
                         max_iter=30000, tol=1e-12)
         assert res.converged
         for geo, met in geometry_metric_combos(GEN_QUOTIENTS):
@@ -123,7 +123,7 @@ class TestNonIdentityHessianObjectives:
         from georank.quotient import total_curve
 
         for geo, met in geometry_metric_combos(GEN_QUOTIENTS):
-            z = random_quotient(geo, 5, 4, 2, rng)
+            z = random_point(geo, 5, 4, 2, rng)
             grad = riem_grad_quotient(z, obj, met)
             basis, _ = horizontal_basis(z, met)
             lhs, rhs = [], []
@@ -150,7 +150,7 @@ class TestPsdSymmetrizationConvention:
         raw = approx(m)                      # asymmetric target, no flag
         symmetrized = approx(sym(m), symmetric=True)
         for geo, met in geometry_metric_combos(PSD_QUOTIENTS):
-            z = random_quotient(geo, 5, 5, 2, rng)
+            z = random_point(geo, 5, 5, 2, rng)
             g1 = riem_grad_quotient(z, raw, met)
             g2 = riem_grad_quotient(z, symmetrized, met)
             assert hv_gap(g1, g2) <= 1e-13
@@ -158,7 +158,7 @@ class TestPsdSymmetrizationConvention:
             q1 = riem_hess_quad_quotient(z, raw, met, theta)
             q2 = riem_hess_quad_quotient(z, symmetrized, met, theta)
             assert abs(q1 - q2) <= 1e-12 * max(1.0, abs(q2))
-        pt = random_embedded("psd", 5, 5, 2, rng)
+        pt = random_point("psd_embedded", 5, 5, 2, rng)
         d = flow_field(pt, raw, ("psd_q1", "double-gram")) - flow_field(
             pt, symmetrized, ("psd_q1", "double-gram")
         )

@@ -17,7 +17,7 @@ from georank.embedded import (
 from georank.linalg import RankError, sym
 from georank.objectives import make_matrix_approx
 
-from util import random_embedded
+from util import embedded_tag, random_point
 
 
 class TestEmbedPoint:
@@ -44,7 +44,7 @@ class TestEmbedPoint:
 
     def test_reconstruction_and_frames(self):
         rng = np.random.default_rng(1)
-        pt = random_embedded("psd", 6, 6, 2, rng)
+        pt = random_point("psd_embedded", 6, 6, 2, rng)
         np.testing.assert_allclose(pt.U @ pt.Sigma @ pt.U.T, pt.X, atol=1e-12)
         full = np.hstack([pt.U, pt.Uperp])
         np.testing.assert_allclose(full.T @ full, np.eye(6), atol=1e-12)
@@ -79,7 +79,7 @@ class TestTangentProject:
     def test_idempotent(self):
         rng = np.random.default_rng(3)
         for kind, p1, p2 in [("psd", 5, 5), ("general", 5, 4)]:
-            pt = random_embedded(kind, p1, p2, 2, rng)
+            pt = random_point(embedded_tag(kind), p1, p2, 2, rng)
             z = rng.standard_normal((p1, p2))
             once = tangent_project(pt, z)
             twice = tangent_project(pt, once.ambient())
@@ -87,7 +87,7 @@ class TestTangentProject:
 
     def test_normal_block_annihilated(self):
         rng = np.random.default_rng(4)
-        pt = random_embedded("general", 5, 4, 2, rng)
+        pt = random_point("gen_embedded", 5, 4, 2, rng)
         z = pt.Uperp @ rng.standard_normal((3, 2)) @ pt.Vperp.T
         xi = tangent_project(pt, z)
         assert xi.ambient() == pytest.approx(np.zeros((5, 4)), abs=1e-13)
@@ -95,7 +95,7 @@ class TestTangentProject:
     def test_self_adjoint(self):
         rng = np.random.default_rng(5)
         for kind, p1, p2 in [("psd", 6, 6), ("general", 5, 4)]:
-            pt = random_embedded(kind, p1, p2, 2, rng)
+            pt = random_point(embedded_tag(kind), p1, p2, 2, rng)
             z = rng.standard_normal((p1, p2))
             w = rng.standard_normal((p1, p2))
             if kind == "psd":
@@ -108,7 +108,7 @@ class TestTangentProject:
 
     def test_psd_tangent_symmetric(self):
         rng = np.random.default_rng(6)
-        pt = random_embedded("psd", 5, 5, 2, rng)
+        pt = random_point("psd_embedded", 5, 5, 2, rng)
         xi = tangent_project(pt, rng.standard_normal((5, 5)))
         amb = xi.ambient()
         np.testing.assert_allclose(amb, amb.T, atol=1e-13)
@@ -137,7 +137,7 @@ class TestRiemGrad:
             m = rng.standard_normal((p1, p2))
             obj = make_matrix_approx(sym(m) if kind == "psd" else m,
                                      symmetric=kind == "psd")
-            pt = random_embedded(kind, p1, p2, 2, rng)
+            pt = random_point(embedded_tag(kind), p1, p2, 2, rng)
             g = riem_grad_embedded(pt, obj)
             lhs, rhs = [], []
             for b in tangent_basis(pt):
@@ -152,7 +152,7 @@ class TestRiemGrad:
 class TestRiemHess:
     def test_zero_direction(self):
         rng = np.random.default_rng(9)
-        pt = random_embedded("psd", 4, 4, 2, rng)
+        pt = random_point("psd_embedded", 4, 4, 2, rng)
         obj = make_matrix_approx(sym(rng.standard_normal((4, 4))), symmetric=True)
         xi = EmbeddedTangent(pt, np.zeros((2, 2)), np.zeros((2, 2)), None)
         assert riem_hess_quad_embedded(pt, obj, xi) == 0.0
@@ -195,14 +195,14 @@ class TestRiemHess:
 class TestRetract:
     def test_zero_step(self):
         rng = np.random.default_rng(12)
-        pt = random_embedded("general", 5, 4, 2, rng)
+        pt = random_point("gen_embedded", 5, 4, 2, rng)
         xi = tangent_project(pt, rng.standard_normal((5, 4)))
         np.testing.assert_allclose(retract(pt, xi, 0.0).X, pt.X, atol=1e-12)
 
     def test_core_block_step_exact(self):
         # X + t U S U^T is already rank r, so the projection returns it
         rng = np.random.default_rng(13)
-        pt = random_embedded("psd", 5, 5, 2, rng)
+        pt = random_point("psd_embedded", 5, 5, 2, rng)
         s = sym(rng.standard_normal((2, 2)))
         xi = EmbeddedTangent(pt, s, np.zeros((3, 2)), None)
         t = 1e-3
@@ -211,7 +211,7 @@ class TestRetract:
 
     def test_first_order_agreement(self):
         rng = np.random.default_rng(14)
-        pt = random_embedded("general", 5, 4, 2, rng)
+        pt = random_point("gen_embedded", 5, 4, 2, rng)
         xi = tangent_project(pt, rng.standard_normal((5, 4)))
         errs = []
         for t in [1e-2, 5e-3, 2.5e-3, 1.25e-3]:
@@ -223,18 +223,18 @@ class TestRetract:
 class TestTangentBasis:
     def test_psd_count(self):
         rng = np.random.default_rng(15)
-        pt = random_embedded("psd", 5, 5, 2, rng)
+        pt = random_point("psd_embedded", 5, 5, 2, rng)
         assert len(tangent_basis(pt)) == 9  # pr - r(r-1)/2
 
     def test_general_count(self):
         rng = np.random.default_rng(16)
-        pt = random_embedded("general", 4, 3, 2, rng)
+        pt = random_point("gen_embedded", 4, 3, 2, rng)
         assert len(tangent_basis(pt)) == 10  # (p1 + p2 - r) r
 
     def test_orthonormal(self):
         rng = np.random.default_rng(17)
         for kind, p1, p2 in [("psd", 5, 5), ("general", 4, 3)]:
-            basis = tangent_basis(random_embedded(kind, p1, p2, 2, rng))
+            basis = tangent_basis(random_point(embedded_tag(kind), p1, p2, 2, rng))
             ambs = [b.ambient() for b in basis]
             gram = np.array([[np.sum(a * b) for b in ambs] for a in ambs])
             np.testing.assert_allclose(gram, np.eye(len(basis)), atol=1e-12)

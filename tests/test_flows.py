@@ -12,7 +12,7 @@ from georank.flows import (
 )
 from georank.objectives import make_masked_completion, make_matrix_approx
 
-from util import random_embedded
+from util import random_point
 
 PSD_M = np.diag([3.0, 2.0, 1.0, 0.5])
 GEN_M = np.vstack([np.diag([3.0, 2.0, 1.0]), np.zeros((1, 3))])
@@ -90,7 +90,7 @@ class TestFlowField:
 class TestIntegrateFlow:
     def test_zero_field_constant_trace(self):
         rng = np.random.default_rng(5)
-        pt = random_embedded("psd", 4, 4, 2, rng)
+        pt = random_point("psd_embedded", 4, 4, 2, rng)
         zero_obj = make_masked_completion(np.zeros((4, 4)), np.zeros((4, 4)),
                                           symmetric=True)
         trace = integrate_flow(pt, zero_obj, ("psd_embedded", None), 0.2, 0.01)

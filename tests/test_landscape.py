@@ -29,8 +29,7 @@ from util import (
     hv_gap,
     kind_of,
     random_approx_objective,
-    random_embedded,
-    random_quotient,
+    random_point,
 )
 
 SIZES = {"psd": (6, 6), "general": (5, 4)}
@@ -44,7 +43,7 @@ class TestGradConversions:
     def test_zero_maps_to_zero(self):
         rng = np.random.default_rng(0)
         met = metric_family("psd_q1", "flat")
-        z = random_quotient("psd_q1", 6, 6, R, rng)
+        z = random_point("psd_q1", 6, 6, R, rng)
         zero = HorizontalVector(z, (np.zeros((6, R)),))
         out = grad_embedded_from_quotient(z, zero, met)
         assert out.norm() == 0.0
@@ -68,7 +67,7 @@ class TestGradConversions:
             p1, p2 = SIZES[kind_of(geo)]
             obj = random_approx_objective(kind_of(geo), p1, p2, rng)
             for _ in range(50):
-                z = random_quotient(geo, p1, p2, R, rng)
+                z = random_point(geo, p1, p2, R, rng)
                 ge = riem_grad_embedded(z.point, obj)
                 assert ge.norm() > 1e-6  # genuinely non-stationary
                 gq = riem_grad_quotient(z, obj, met)
@@ -83,7 +82,7 @@ class TestGradConversions:
         for geo, met in geometry_metric_combos(ALL_QUOTIENTS):
             p1, p2 = SIZES[kind_of(geo)]
             obj = random_approx_objective(kind_of(geo), p1, p2, rng)
-            z = random_quotient(geo, p1, p2, R, rng)
+            z = random_point(geo, p1, p2, R, rng)
             gq = riem_grad_quotient(z, obj, met)
             there = grad_embedded_from_quotient(z, gq, met)
             roundtrip = grad_embedded_from_quotient(
@@ -106,7 +105,7 @@ class TestHessianSpectrum:
         rng = np.random.default_rng(3)
         obj = make_matrix_approx(np.zeros((5, 4)))
         zero_obj = make_masked_completion(np.zeros((5, 4)), np.zeros((5, 4)))
-        pt = random_embedded("general", 5, 4, R, rng)
+        pt = random_point("gen_embedded", 5, 4, R, rng)
         rep = hessian_spectrum(pt, zero_obj, "gen_embedded")
         np.testing.assert_allclose(rep.eigenvalues, 0, atol=1e-14)
 
@@ -115,7 +114,7 @@ class TestHessianSpectrum:
         for geo, met in geometry_metric_combos(("psd_q1", "gen_q2")):
             p1, p2 = SIZES[kind_of(geo)]
             obj = random_approx_objective(kind_of(geo), p1, p2, rng)
-            z = random_quotient(geo, p1, p2, R, rng)
+            z = random_point(geo, p1, p2, R, rng)
             a = hessian_spectrum(z, obj, geo, met)
             b = hessian_spectrum(z, obj, geo, met,
                                  mix_rng=np.random.default_rng(99))
@@ -125,7 +124,7 @@ class TestHessianSpectrum:
     def test_dimensions(self):
         rng = np.random.default_rng(5)
         obj = random_approx_objective("psd", 6, 6, rng)
-        z = random_quotient("psd_q1", 6, 6, R, rng)
+        z = random_point("psd_q1", 6, 6, R, rng)
         rep = hessian_spectrum(z, obj, "psd_q1", metric_family("psd_q1", "flat"))
         assert rep.dim == 6 * R - (R * R - R) // 2
 
@@ -182,7 +181,7 @@ class TestVerifySandwich:
     def test_non_fosp_rejected(self):
         rng = np.random.default_rng(9)
         obj = random_approx_objective("psd", 6, 6, rng)
-        z = random_quotient("psd_q1", 6, 6, R, rng)
+        z = random_point("psd_q1", 6, 6, R, rng)
         with pytest.raises(ValueError):
             verify_sandwich(z, obj, metric_family("psd_q1", "flat"), rng, 5)
 
@@ -218,7 +217,7 @@ class TestClassify:
     def test_nonstationary_label(self):
         rng = np.random.default_rng(10)
         obj = random_approx_objective("psd", 6, 6, rng)
-        pt = random_embedded("psd", 6, 6, R, rng)
+        pt = random_point("psd_embedded", 6, 6, R, rng)
         cls = classify_point(pt, obj, "psd_embedded")
         assert cls.label() == "non-stationary"
         assert not (cls.is_sosp or cls.is_strict_saddle)
@@ -254,7 +253,7 @@ class TestFindFosp:
     def test_monotone_decrease(self):
         rng = np.random.default_rng(13)
         obj = random_approx_objective("general", 5, 4, rng)
-        res = find_fosp(obj, "gen_embedded", random_embedded("general", 5, 4, 2, rng))
+        res = find_fosp(obj, "gen_embedded", random_point("gen_embedded", 5, 4, 2, rng))
         values = [t[1] for t in res.trace]
         assert all(b <= a + 1e-14 for a, b in zip(values, values[1:]))
 
@@ -264,7 +263,7 @@ class TestFindFosp:
         mask = (rng.random((5, 4)) < 0.8).astype(float)
         obj = make_masked_completion(truth, mask)
         res = find_fosp(obj, "gen_embedded",
-                        random_embedded("general", 5, 4, 2, rng), max_iter=5000)
+                        random_point("gen_embedded", 5, 4, 2, rng), max_iter=5000)
         assert res.converged and res.grad_norm <= 1e-8
 
     def test_quotient_geometry_returns_lift(self):

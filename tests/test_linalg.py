@@ -10,7 +10,6 @@ import scipy.linalg
 
 from georank.linalg import (
     ConditioningError,
-    finite_diff_directional,
     gen_sym_eig,
     orth_complement,
     polarize,
@@ -19,6 +18,8 @@ from georank.linalg import (
     spd_functions,
     sym,
 )
+
+from util import finite_diff_directional
 
 
 class TestSymSkew:

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from georank.linalg import finite_diff_directional, sym
+from georank.linalg import sym
 from georank.objectives import (
     load_matrix_csv,
     make_masked_completion,
     make_matrix_approx,
     make_matrix_sensing,
 )
+
+from util import finite_diff_directional
 
 
 def _check_egrad_fd(obj, x, rng, n_dirs=20, rtol=1e-6):

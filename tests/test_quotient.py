@@ -34,9 +34,10 @@ from util import (
     geometry_metric_combos,
     hv_gap,
     kind_of,
+    metric_derivative_fd,
     qf,
     random_approx_objective,
-    random_quotient,
+    random_point,
 )
 
 SIZES = {"psd": (6, 6), "general": (5, 4)}
@@ -45,7 +46,7 @@ R = 2
 
 def _instance(geometry, rng, r=R):
     p1, p2 = SIZES[kind_of(geometry)]
-    return random_quotient(geometry, p1, p2, r, rng)
+    return random_point(geometry, p1, p2, r, rng)
 
 
 def _objective(geometry, rng):
@@ -456,7 +457,7 @@ class TestConnectionOracle:
         obj = random_approx_objective(kind, p1, p2, rng)
         worst = 0.0
         for _ in range(10):
-            z = random_quotient(geo, p1, p2, R, rng)
+            z = random_point(geo, p1, p2, R, rng)
             theta = random_horizontal(z, met, rng)
             quad = riem_hess_quad_quotient(z, obj, met, theta)
             cov = self._covariant_grad_derivative(z, obj, met, theta)
@@ -468,40 +469,28 @@ class TestConnectionOracle:
 
 class TestMetricDerivatives:
     def test_analytic_matches_finite_difference(self):
-        from georank.quotient import metric_derivative_fd
-
         rng = np.random.default_rng(23)
         for geo, met in geometry_metric_combos(ALL_QUOTIENTS):
             z = _instance(geo, rng)
             theta = random_horizontal(z, met, rng)
-            for key, fn in met.fns.items():
-                if not key.startswith("d"):
-                    continue
-                analytic = fn(z, theta.parts)
-                fd = metric_derivative_fd(met, key, z, theta.parts)
-                err = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1.0)
-                assert err <= 1e-7, f"{geo}/{met.name}/{key}: {err:.2e}"
-
-    def test_fd_fallback_rejects_non_derivative_keys(self):
-        from georank.quotient import metric_derivative_fd
-
-        rng = np.random.default_rng(24)
-        met = metric_family("psd_q1", "double-gram")
-        z = _instance("psd_q1", rng)
-        theta = random_horizontal(z, met, rng)
-        with pytest.raises(ValueError):
-            metric_derivative_fd(met, "w", z, theta.parts)
+            wt = z.weights(met)
+            for key in met.weights:
+                for name in (key, f"{key}_inv"):
+                    analytic = getattr(wt, f"d{name}")(theta.parts)
+                    fd = metric_derivative_fd(met, name, z, theta.parts)
+                    err = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1.0)
+                    assert err <= 1e-7, f"{geo}/{met.name}/d{name}: {err:.2e}"
 
 
 class TestHorizontalBasis:
     def test_counts(self):
         rng = np.random.default_rng(24)
         met = metric_family("psd_q1", "flat")
-        z = random_quotient("psd_q1", 5, 5, 2, rng)
+        z = random_point("psd_q1", 5, 5, 2, rng)
         assert len(horizontal_basis(z, met)[0]) == 9
         assert quotient_dim("psd_q1", 5, 5, 2) == 9
         met = metric_family("gen_q2", "polar")
-        z = random_quotient("gen_q2", 4, 3, 2, rng)
+        z = random_point("gen_q2", 4, 3, 2, rng)
         assert len(horizontal_basis(z, met)[0]) == 10
         assert quotient_dim("gen_q2", 4, 3, 2) == 10
 

@@ -20,8 +20,7 @@ from util import (
     geometry_metric_combos,
     hv_gap,
     kind_of,
-    random_embedded,
-    random_quotient,
+    random_point,
 )
 
 SIZES = {"psd": (6, 6), "general": (5, 4)}
@@ -30,7 +29,7 @@ R = 2
 
 def _instance(geometry, rng):
     p1, p2 = SIZES[kind_of(geometry)]
-    return random_quotient(geometry, p1, p2, R, rng)
+    return random_point(geometry, p1, p2, R, rng)
 
 
 def _random_tangent(pt, rng):
@@ -158,7 +157,7 @@ class TestInverseMap:
             pinv = np.linalg.inv(p)
             s_prime = z.point.U.T @ theta.parts[0] @ p.T
             np.testing.assert_allclose(s_prime + s_prime.T, xi.S, atol=1e-10)
-            m = pinv.T @ met.w(z) @ pinv
+            m = pinv.T @ z.weights(met).w @ pinv
             np.testing.assert_allclose(skew(s_prime @ m), 0, atol=1e-10)
         # gen_q2: Omega' skew and S' symmetric
         met = metric_family("gen_q2", "polar")
@@ -173,7 +172,7 @@ class TestInverseMap:
         rng = np.random.default_rng(9)
         met = metric_family("psd_q1", "flat")
         z = _instance("psd_q1", rng)
-        other = random_embedded("psd", 6, 6, R, rng)
+        other = random_point("psd_embedded", 6, 6, R, rng)
         xi = _random_tangent(other, rng)
         with pytest.raises(ValueError):
             inverse_map(z, xi, met)

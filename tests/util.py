@@ -1,4 +1,5 @@
-"""Shared builders for randomized test instances, and the CLI runner."""
+"""Shared builders for randomized test instances, finite-difference oracles,
+and the CLI runner."""
 
 import os
 import subprocess
@@ -9,48 +10,20 @@ import numpy as np
 
 import georank
 from georank import make_matrix_approx
-from georank.embedded import project_rank_r
+from georank.landscape import embedded_tag
 from georank.linalg import sym
-from georank.quotient import metric_choices, metric_family, quotient_point
+from georank.quotient import (
+    HorizontalVector,
+    _qf as qf,
+    metric_choices,
+    metric_family,
+    random_point,
+    total_curve,
+)
 
 PSD_QUOTIENTS = ("psd_q1", "psd_q2")
 GEN_QUOTIENTS = ("gen_q1", "gen_q2", "gen_q3")
 ALL_QUOTIENTS = PSD_QUOTIENTS + GEN_QUOTIENTS
-
-
-def qf(a):
-    q, r = np.linalg.qr(a)
-    s = np.sign(np.diag(r))
-    s[s == 0] = 1.0
-    return q * s
-
-
-def random_embedded(kind, p1, p2, r, rng):
-    if kind == "psd":
-        a = rng.standard_normal((p1, r))
-        return project_rank_r(a @ a.T, r, "psd")
-    return project_rank_r(
-        rng.standard_normal((p1, r)) @ rng.standard_normal((r, p2)), r, "general"
-    )
-
-
-def random_quotient(geometry, p1, p2, r, rng):
-    if geometry == "psd_q1":
-        return quotient_point(geometry, rng.standard_normal((p1, r)))
-    if geometry == "psd_q2":
-        c = rng.standard_normal((r, r))
-        return quotient_point(geometry, qf(rng.standard_normal((p1, r))),
-                              c @ c.T + 0.5 * np.eye(r))
-    if geometry == "gen_q1":
-        return quotient_point(geometry, rng.standard_normal((p1, r)),
-                              rng.standard_normal((p2, r)))
-    if geometry == "gen_q2":
-        c = rng.standard_normal((r, r))
-        return quotient_point(geometry, qf(rng.standard_normal((p1, r))),
-                              c @ c.T + 0.5 * np.eye(r),
-                              qf(rng.standard_normal((p2, r))))
-    return quotient_point(geometry, qf(rng.standard_normal((p1, r))),
-                          rng.standard_normal((p2, r)))
 
 
 def random_approx_objective(kind, p1, p2, rng):
@@ -65,6 +38,40 @@ def geometry_metric_combos(geometries):
     for geo in geometries:
         for name in metric_choices(geo):
             yield geo, metric_family(geo, name)
+
+
+def finite_diff_directional(fn, x, v, order, h):
+    """Central finite difference of a scalar matrix function along V.
+
+    order 1: (f(X+hV) - f(X-hV)) / (2h)
+    order 2: (f(X+hV) - 2 f(X) + f(X-hV)) / h^2
+    """
+    if h <= 0:
+        raise ValueError("step h must be positive")
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    fp = float(fn(x + h * v))
+    fm = float(fn(x - h * v))
+    if order == 1:
+        out = (fp - fm) / (2.0 * h)
+    elif order == 2:
+        f0 = float(fn(x))
+        out = (fp - 2.0 * f0 + fm) / h**2
+    else:
+        raise ValueError(f"order must be 1 or 2, got {order}")
+    if not np.isfinite(out):
+        raise ValueError("function evaluated to a non-finite value")
+    return out
+
+
+def metric_derivative_fd(metric, key, z, parts, h=1e-6):
+    """Central difference of one weight at z, key "w", "v", "w_inv" or
+    "v_inv", moving the factors along the total-space curve with velocity
+    ``parts``."""
+    curve = total_curve(z, HorizontalVector(z, tuple(np.asarray(p) for p in parts)))
+    plus = getattr(curve(h).weights(metric), key)
+    minus = getattr(curve(-h).weights(metric), key)
+    return (plus - minus) / (2.0 * h)
 
 
 def kind_of(geometry):
