@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import RankError, orth_complement, sym
+from .linalg import RankError, orth_complement, sym, sym_basis, unit_basis
 from .objectives import Objective
 
 RANK_GAP_TOL = 1e-10
@@ -228,40 +228,16 @@ def retract(pt: EmbeddedPoint, xi: EmbeddedTangent, t: float) -> EmbeddedPoint:
 def tangent_basis(pt: EmbeddedPoint):
     """Frobenius-orthonormal basis of the tangent space, S-blocks first."""
     r = pt.r
-    basis = []
-    if pt.kind == "psd":
-        p = pt.X.shape[0]
-        for i in range(r):
-            for j in range(i, r):
-                s = np.zeros((r, r))
-                if i == j:
-                    s[i, i] = 1.0
-                else:
-                    s[i, j] = s[j, i] = 1.0 / np.sqrt(2.0)
-                basis.append(EmbeddedTangent(pt, s, np.zeros((p - r, r)), None))
-        for k in range(p - r):
-            for l in range(r):
-                d = np.zeros((p - r, r))
-                d[k, l] = 1.0 / np.sqrt(2.0)
-                basis.append(EmbeddedTangent(pt, np.zeros((r, r)), d, None))
-        return basis
     p1, p2 = pt.X.shape
-    for i in range(r):
-        for j in range(r):
-            s = np.zeros((r, r))
-            s[i, j] = 1.0
-            basis.append(EmbeddedTangent(pt, s, np.zeros((p1 - r, r)),
-                                         np.zeros((p2 - r, r))))
-    for k in range(p1 - r):
-        for l in range(r):
-            d1 = np.zeros((p1 - r, r))
-            d1[k, l] = 1.0
-            basis.append(EmbeddedTangent(pt, np.zeros((r, r)), d1,
-                                         np.zeros((p2 - r, r))))
-    for k in range(p2 - r):
-        for l in range(r):
-            d2 = np.zeros((p2 - r, r))
-            d2[k, l] = 1.0
-            basis.append(EmbeddedTangent(pt, np.zeros((r, r)),
-                                         np.zeros((p1 - r, r)), d2))
+    zero_s, zero_d1 = np.zeros((r, r)), np.zeros((p1 - r, r))
+    if pt.kind == "psd":
+        # an off-diagonal block D enters the ambient matrix twice
+        basis = [EmbeddedTangent(pt, s, zero_d1, None) for s in sym_basis(r)]
+        basis += [EmbeddedTangent(pt, zero_s, e / np.sqrt(2.0), None)
+                  for e in unit_basis(p1 - r, r)]
+        return basis
+    zero_d2 = np.zeros((p2 - r, r))
+    basis = [EmbeddedTangent(pt, s, zero_d1, zero_d2) for s in unit_basis(r, r)]
+    basis += [EmbeddedTangent(pt, zero_s, d1, zero_d2) for d1 in unit_basis(p1 - r, r)]
+    basis += [EmbeddedTangent(pt, zero_s, zero_d1, d2) for d2 in unit_basis(p2 - r, r)]
     return basis

@@ -23,14 +23,16 @@ from .linalg import RankError, sym
 from .objectives import Objective
 
 # (geometry, metric-name) pairs whose induced X-space fields are implemented
-FLOW_SOURCES = (
-    ("psd_embedded", None),
-    ("psd_q1", "double-gram"),
-    ("psd_q2", "matched"),
-    ("gen_embedded", None),
-    ("gen_q1", "crossed-gram"),
-    ("gen_q3", "matched"),
-)
+# -> (matrix kind, whether the field subtracts the doubly projected term, or
+# None for the embedded field itself)
+FLOW_SOURCES = {
+    ("psd_embedded", None): ("psd", None),
+    ("psd_q1", "double-gram"): ("psd", False),
+    ("psd_q2", "matched"): ("psd", True),
+    ("gen_embedded", None): ("general", None),
+    ("gen_q1", "crossed-gram"): ("general", False),
+    ("gen_q3", "matched"): ("general", True),
+}
 
 
 def _normalize_source(source):
@@ -46,24 +48,21 @@ def _normalize_source(source):
 
 def flow_field(pt: EmbeddedPoint, obj: Objective, source) -> np.ndarray:
     """Ambient dX/dt at a manifold point for one of the enumerated sources."""
-    geometry, _ = _normalize_source(source)
-    want_kind = "psd" if geometry.startswith("psd") else "general"
-    if pt.kind != want_kind:
-        raise ValueError(f"{geometry} flow needs a {want_kind} point, got {pt.kind}")
-    if geometry in ("psd_embedded", "gen_embedded"):
+    source = _normalize_source(source)
+    kind, doubly_projected = FLOW_SOURCES[source]
+    if pt.kind != kind:
+        raise ValueError(f"{source[0]} flow needs a {kind} point, got {pt.kind}")
+    if doubly_projected is None:
         return -riem_grad_embedded(pt, obj).ambient()
     nabla = obj.egrad(pt.X)
-    if pt.kind == "psd":
+    if kind == "psd":
         nabla = sym(nabla)  # PSD flows see the symmetrized objective
     pu = pt.U @ pt.U.T
-    if geometry == "psd_q1":
-        return -(pu @ nabla + nabla @ pu)
-    if geometry == "psd_q2":
-        return -(pu @ nabla + nabla @ pu - pu @ nabla @ pu)
-    pv = pt.V @ pt.V.T
-    if geometry == "gen_q1":
-        return -(pu @ nabla + nabla @ pv)
-    return -(pu @ nabla + nabla @ pv - pu @ nabla @ pv)
+    pv = pu if kind == "psd" else pt.V @ pt.V.T
+    rate = pu @ nabla + nabla @ pv
+    if doubly_projected:
+        rate = rate - pu @ nabla @ pv
+    return -rate
 
 
 @dataclass(frozen=True, eq=False)

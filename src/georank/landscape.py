@@ -50,11 +50,10 @@ from .quotient import (
 )
 from .transport import forward_map, spectrum_bounds
 
-EMBEDDED_GEOMETRIES = tuple(EMBEDDED.values())
-
-
-def embedded_tag(kind: str) -> str:
-    return EMBEDDED[kind]
+GRAM_COND_LIMIT = 1e10  # largest basis Gram condition a spectrum accepts
+FOSP_BACKTRACKS = 60  # step halvings per line search in find_fosp
+FOSP_ARMIJO = 1e-4  # sufficient-decrease constant of that line search
+SPECTRUM_GAP_TOL = 1e-8  # relative gap that keeps analytic FOSPs isolated
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +148,6 @@ def hessian_spectrum(
     geometry: str,
     metric: Optional[MetricFamily] = None,
     mix_rng: Optional[np.random.Generator] = None,
-    cond_limit: float = 1e10,
 ) -> SpectrumReport:
     """Full Riemannian Hessian spectrum at a point under one geometry.
 
@@ -159,7 +157,7 @@ def hessian_spectrum(
     replaces the structured basis by a random invertible recombination
     (the spectrum is invariant; used for self-checks).
     """
-    if geometry in EMBEDDED_GEOMETRIES:
+    if geometry in EMBEDDED.values():
         if not isinstance(point, EmbeddedPoint):
             point = point.point
         basis = tangent_basis(point)
@@ -191,8 +189,9 @@ def hessian_spectrum(
         for j in range(i + 1, d):
             h[i, j] = h[j, i] = polarize(quad, basis[i], basis[j])
     cond = float(np.linalg.cond(gram))
-    if cond > cond_limit:
-        raise ConditioningError(f"basis Gram condition {cond:.3e} exceeds {cond_limit:.1e}")
+    if cond > GRAM_COND_LIMIT:
+        raise ConditioningError(f"basis Gram condition {cond:.3e} exceeds "
+                                f"{GRAM_COND_LIMIT:.1e}")
     eig, _ = gen_sym_eig(h, gram)
     return SpectrumReport(geometry, mname, eig, cond, float(gnorm))
 
@@ -229,7 +228,7 @@ def verify_sandwich(
             f"point is not a FOSP: |grad| = {gnorm:.3e} > {threshold:.3e}"
         )
 
-    emb = hessian_spectrum(z.point, obj, embedded_tag(z.point.kind))
+    emb = hessian_spectrum(z.point, obj, EMBEDDED[z.point.kind])
     quo = hessian_spectrum(z, obj, z.geometry, metric)
     coeffs = spectrum_bounds(z, metric)
     lam_f, lam_h = emb.eigenvalues, quo.eigenvalues
@@ -389,9 +388,6 @@ def find_fosp(
     init,
     max_iter: int = 5000,
     tol: float = 1e-8,
-    metric: Optional[MetricFamily] = None,
-    backtracks: int = 60,
-    armijo: float = 1e-4,
 ) -> FospResult:
     """Riemannian gradient descent with Armijo backtracking and the
     projection retraction, run under the embedded geometry.
@@ -400,14 +396,10 @@ def find_fosp(
     manifold (stationary points correspond one-to-one across geometries) and
     the result additionally carries the lifted representative.
     """
-    if geometry in EMBEDDED_GEOMETRIES:
-        kind = "psd" if geometry == "psd_embedded" else "general"
-        quotient_geo = None
-    elif geometry in GEOMETRY_KIND:
-        kind = GEOMETRY_KIND[geometry]
-        quotient_geo = geometry
-    else:
+    if geometry not in GEOMETRY_KIND:
         raise ValueError(f"unknown geometry {geometry!r}")
+    kind = GEOMETRY_KIND[geometry]
+    quotient_geo = geometry if geometry in REGISTRY else None
 
     pt = init.point if isinstance(init, QuotientPoint) else init
     if pt.kind != kind:
@@ -427,14 +419,14 @@ def find_fosp(
         it += 1
         step = t0
         accepted = False
-        for _ in range(backtracks):
+        for _ in range(FOSP_BACKTRACKS):
             try:
                 cand = retract(pt, grad, -step)
             except RankError:
                 step *= 0.5
                 continue
             fnew = obj.value(cand.X)
-            if fnew <= fval - armijo * step * gnorm**2:
+            if fnew <= fval - FOSP_ARMIJO * step * gnorm**2:
                 accepted = True
                 break
             step *= 0.5
@@ -460,7 +452,7 @@ def find_fosp(
 # analytic stationary points of the matrix-approximation objective
 
 
-def analytic_fosps(obj: Objective, r: int, gap_tol: float = 1e-8):
+def analytic_fosps(obj: Objective, r: int):
     """All rank-r stationary points of f(X) = 0.5 ||X - M||^2.
 
     These are the truncations of M onto r-element subsets of its nonzero
@@ -487,7 +479,7 @@ def analytic_fosps(obj: Objective, r: int, gap_tol: float = 1e-8):
     if len(vals) < r:
         raise RankError(f"target has numerical rank {len(vals)} < r = {r}")
     gaps = np.abs(vals[:, None] - vals[None, :]) + np.eye(len(vals)) * scale
-    if np.min(gaps) <= gap_tol * scale:
+    if np.min(gaps) <= SPECTRUM_GAP_TOL * scale:
         raise ValueError(
             "spectrum values are repeated within tolerance; subset stationary "
             "points are not isolated"

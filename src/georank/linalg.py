@@ -9,6 +9,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+SYLVESTER_SEP_TOL = 1e-12  # relative spectral separation of A and -B
+ORTHONORMAL_TOL = 1e-12  # ||U^T U - I|| per sqrt(r) accepted as orthonormal
+SPD_TOL = 1e-12  # relative asymmetry and eigenvalue floor of an SPD matrix
+GRAM_PD_TOL = 1e-12  # relative eigenvalue floor of a Gram matrix
+
 
 class RankError(ValueError):
     """A matrix does not have the numerical rank an operation requires."""
@@ -41,14 +46,15 @@ def skew(x) -> np.ndarray:
     return (x - x.T) / 2.0
 
 
-def solve_sylvester(a, b, c, sep_tol: float = 1e-12) -> np.ndarray:
+def solve_sylvester(a, b, c) -> np.ndarray:
     """Solve A X + X B = C by a Kronecker-vectorized dense solve.
 
     The coefficient matrices here never exceed ~20x20 (they come from r x r
     factor blocks), so the O((mn)^3) dense solve is preferable to
     Bartels-Stewart. Raises ``ConditioningError`` when the spectra of A and
-    -B come within ``sep_tol`` of each other relative to the problem scale,
-    which is exactly when the equation loses its unique solution.
+    -B come within ``SYLVESTER_SEP_TOL`` of each other relative to the
+    problem scale, which is exactly when the equation loses its unique
+    solution.
     """
     a = _as_matrix(a)
     b = _as_matrix(b)
@@ -62,7 +68,7 @@ def solve_sylvester(a, b, c, sep_tol: float = 1e-12) -> np.ndarray:
     alpha = np.linalg.eigvals(a)
     beta = np.linalg.eigvals(b)
     gap = np.min(np.abs(alpha[:, None] + beta[None, :]))
-    if gap <= sep_tol * max(scale, 1e-300):
+    if gap <= SYLVESTER_SEP_TOL * max(scale, 1e-300):
         raise ConditioningError(
             f"spectra of A and -B overlap (separation {gap:.3e}); "
             "Sylvester equation has no unique solution"
@@ -72,7 +78,7 @@ def solve_sylvester(a, b, c, sep_tol: float = 1e-12) -> np.ndarray:
     return x.reshape((m, n), order="F")
 
 
-def orth_complement(u, tol: float = 1e-12) -> np.ndarray:
+def orth_complement(u) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of span(U).
 
     U must be p x r with orthonormal columns; the result is p x (p-r) with
@@ -83,7 +89,8 @@ def orth_complement(u, tol: float = 1e-12) -> np.ndarray:
     p, r = u.shape
     if r > p:
         raise ValueError(f"complement needs r <= p, got shape {u.shape}")
-    if r > 0 and np.linalg.norm(u.T @ u - np.eye(r)) > tol * max(1.0, np.sqrt(r)):
+    defect = np.linalg.norm(u.T @ u - np.eye(r)) if r > 0 else 0.0
+    if defect > ORTHONORMAL_TOL * max(1.0, np.sqrt(r)):
         raise ValueError("input columns are not orthonormal")
     if r == p:
         return np.zeros((p, 0))
@@ -98,15 +105,15 @@ class SpdFunctions(NamedTuple):
     inv_sqrt: np.ndarray
 
 
-def spd_functions(b, tol: float = 1e-12) -> SpdFunctions:
+def spd_functions(b) -> SpdFunctions:
     """Matrix square root, inverse, and inverse square root of an SPD matrix."""
     b = _as_matrix(b)
     if b.shape[0] != b.shape[1]:
         raise ValueError(f"SPD functions require a square matrix, got {b.shape}")
-    if np.linalg.norm(b - b.T) > tol * max(1.0, np.linalg.norm(b)):
+    if np.linalg.norm(b - b.T) > SPD_TOL * max(1.0, np.linalg.norm(b)):
         raise ValueError("matrix is not symmetric")
     w, v = np.linalg.eigh(sym(b))
-    if w[0] <= tol * max(w[-1], 0.0):
+    if w[0] <= SPD_TOL * max(w[-1], 0.0):
         raise ValueError("matrix is not positive definite")
     sq = (v * np.sqrt(w)) @ v.T
     inv = (v / w) @ v.T
@@ -114,7 +121,7 @@ def spd_functions(b, tol: float = 1e-12) -> SpdFunctions:
     return SpdFunctions(sym(sq), sym(inv), sym(inv_sq))
 
 
-def gen_sym_eig(h, g, cond_tol: float = 1e-12):
+def gen_sym_eig(h, g):
     """Eigenvalues/eigenvectors of the pencil H v = lambda G v, G SPD.
 
     Solved by Cholesky whitening: with G = L L^T the pencil reduces to the
@@ -126,7 +133,7 @@ def gen_sym_eig(h, g, cond_tol: float = 1e-12):
     if h.shape != g.shape or h.shape[0] != h.shape[1]:
         raise ValueError(f"H {h.shape} and G {g.shape} must be square and equal")
     wg = np.linalg.eigvalsh(sym(g))
-    if wg[0] <= cond_tol * max(wg[-1], 0.0):
+    if wg[0] <= GRAM_PD_TOL * max(wg[-1], 0.0):
         raise ConditioningError(
             f"Gram matrix is not safely positive definite (eigs {wg[0]:.3e}..{wg[-1]:.3e})"
         )
@@ -147,3 +154,40 @@ def polarize(quad, a, b) -> float:
     tangents, horizontal vectors).
     """
     return (quad(a + b) - quad(a - b)) / 4.0
+
+
+def sym_basis(r):
+    """Frobenius-orthonormal basis of the symmetric r x r matrices."""
+    out = []
+    for i in range(r):
+        for j in range(i, r):
+            a = np.zeros((r, r))
+            if i == j:
+                a[i, i] = 1.0
+            else:
+                a[i, j] = a[j, i] = 1.0 / np.sqrt(2.0)
+            out.append(a)
+    return out
+
+
+def skew_basis(r):
+    """Frobenius-orthonormal basis of the skew-symmetric r x r matrices."""
+    out = []
+    for i in range(r):
+        for j in range(i + 1, r):
+            a = np.zeros((r, r))
+            a[i, j] = 1.0 / np.sqrt(2.0)
+            a[j, i] = -1.0 / np.sqrt(2.0)
+            out.append(a)
+    return out
+
+
+def unit_basis(m, n):
+    """The m x n matrix units E_ij, row-major."""
+    out = []
+    for i in range(m):
+        for j in range(n):
+            a = np.zeros((m, n))
+            a[i, j] = 1.0
+            out.append(a)
+    return out

@@ -19,9 +19,12 @@ A quotient point caches the embedded-geometry frame built from its own
 factors, so transports to the embedded tangent space are free of rotation
 ambiguity, and, evaluated once, each metric's weights and inverses and B^-1.
 
-Horizontal vectors are stored in ambient total-space coordinates. Membership
-in the horizontal space is checked to 1e-8 relative to the vector norm;
-near-misses up to 1e-6 are re-projected, anything worse is rejected.
+Horizontal vectors are stored in ambient total-space coordinates. Those the
+library makes (projections, bases, gradient lifts, ``transport.inverse_map``)
+are horizontal by construction and record their horizontal space. A vector
+built by the caller has no record and is checked once, by
+``horizontal_vector``, where a function needs it horizontal: a relative
+defect above 1e-8 is an error. Nothing is silently re-projected.
 """
 
 from dataclasses import dataclass, field
@@ -37,11 +40,11 @@ from .embedded import (
     embed_point,
     project_rank_r,
 )
-from .linalg import skew, solve_sylvester, spd_functions, sym
+from .linalg import (skew, skew_basis, solve_sylvester, spd_functions, sym,
+                     sym_basis, unit_basis)
 from .objectives import Objective
 
 HORIZ_TOL = 1e-8
-REPROJECT_TOL = 1e-6
 FULL_RANK_TOL = 1e-10
 STIEFEL_TOL = 1e-12
 
@@ -344,17 +347,27 @@ def _check_metric(z: QuotientPoint, metric: MetricFamily):
 
 @dataclass(frozen=True, eq=False)
 class HorizontalVector:
-    """Ambient-coordinate tangent components belonging to the horizontal
-    space at the base point."""
+    """Ambient-coordinate tangent components in the horizontal space at the
+    base point.
+
+    ``space`` records the horizontal space that holds the components by
+    construction: the metric family for the geometries whose horizontal
+    space depends on the metric, else the geometry. The library functions
+    that make horizontal vectors set it, and ``+``, ``-`` and ``*`` keep it
+    when both operands share it. A vector built by the caller has none; the
+    functions that need a horizontal input check such a vector once.
+    """
 
     base: QuotientPoint
     parts: tuple
+    space: object = field(default=None, repr=False)
 
     def _combine(self, other, sa, sb):
         if other.base is not self.base:
             raise ValueError("vector arithmetic requires a common base point")
         return HorizontalVector(
-            self.base, tuple(sa * a + sb * b for a, b in zip(self.parts, other.parts))
+            self.base, tuple(sa * a + sb * b for a, b in zip(self.parts, other.parts)),
+            self.space if other.space is self.space else None,
         )
 
     def __add__(self, other):
@@ -364,7 +377,7 @@ class HorizontalVector:
         return self._combine(other, 1.0, -1.0)
 
     def __mul__(self, c):
-        return HorizontalVector(self.base, tuple(c * a for a in self.parts))
+        return HorizontalVector(self.base, tuple(c * a for a in self.parts), self.space)
 
     __rmul__ = __mul__
 
@@ -373,7 +386,17 @@ class HorizontalVector:
 
     def raw_norm(self) -> float:
         """Frobenius norm of the stacked components (metric-independent)."""
-        return float(np.sqrt(sum(np.sum(a**2) for a in self.parts)))
+        return _norm(self.parts)
+
+
+def _norm(parts) -> float:
+    return float(np.sqrt(sum(np.sum(a**2) for a in parts)))
+
+
+def _space(z: QuotientPoint, metric: Optional[MetricFamily]):
+    """The record of the horizontal space at z under ``metric``."""
+    geo = REGISTRY[z.geometry]
+    return metric if geo.metric_horizontal else geo
 
 
 def project_total_tangent(z: QuotientPoint, parts) -> tuple:
@@ -386,11 +409,13 @@ def project_total_tangent(z: QuotientPoint, parts) -> tuple:
     return REGISTRY[z.geometry].project_tangent(z, parts)
 
 
-def _tangency_defect(z: QuotientPoint, parts) -> float:
-    proj = project_total_tangent(z, parts)
-    return float(
-        np.sqrt(sum(np.sum((a - b) ** 2) for a, b in zip(parts, proj)))
-    )
+def _vertical(z: QuotientPoint, tangent, metric: Optional[MetricFamily]):
+    geo = REGISTRY[z.geometry]
+    if not geo.metric_horizontal:
+        return geo.vertical(z, tangent, None)
+    if metric is None:
+        raise ValueError(f"{z.geometry} projections require a metric family")
+    return geo.vertical(z, tangent, z.weights(metric))
 
 
 def vertical_project(z: QuotientPoint, parts, metric: Optional[MetricFamily] = None):
@@ -403,16 +428,11 @@ def vertical_project(z: QuotientPoint, parts, metric: Optional[MetricFamily] = N
     components are also orthogonal under the total-space metric.
     """
     parts = tuple(np.asarray(a, dtype=float) for a in parts)
-    scale = max(np.sqrt(sum(np.sum(a**2) for a in parts)), 1e-300)
-    if _tangency_defect(z, parts) > HORIZ_TOL * scale:
+    tangent = project_total_tangent(z, parts)
+    off = _norm(tuple(a - b for a, b in zip(parts, tangent)))
+    if off > HORIZ_TOL * max(_norm(parts), 1e-300):
         raise ValueError("input is not tangent to the total space")
-    parts = project_total_tangent(z, parts)
-    geo = REGISTRY[z.geometry]
-    if not geo.metric_horizontal:
-        return geo.vertical(z, parts, None)
-    if metric is None:
-        raise ValueError(f"{z.geometry} projections require a metric family")
-    return geo.vertical(z, parts, z.weights(metric))
+    return _vertical(z, tangent, metric)
 
 
 def horizontal_project(
@@ -421,54 +441,51 @@ def horizontal_project(
     """Horizontal component of a total-space tangent vector (see
     ``vertical_project`` for the decomposition convention)."""
     parts = project_total_tangent(z, parts)
-    vert = vertical_project(z, parts, metric)
-    return HorizontalVector(z, tuple(a - b for a, b in zip(parts, vert)))
+    hor = tuple(a - b for a, b in zip(parts, vertical_project(z, parts, metric)))
+    return HorizontalVector(z, hor, _space(z, metric))
 
 
-def _membership_defect(z, parts, metric) -> float:
-    hor = horizontal_project(z, parts, metric)
-    return float(
-        np.sqrt(sum(np.sum((a - b) ** 2) for a, b in zip(parts, hor.parts)))
-    )
+def _horizontal_defect(z: QuotientPoint, parts, metric) -> float:
+    """Distance of ``parts`` from the horizontal space at z, relative to
+    their norm: one tangent projection and one vertical projection."""
+    tangent = project_total_tangent(z, parts)
+    off = tuple(a - b for a, b in zip(parts, tangent))
+    return _norm(off + _vertical(z, tangent, metric)) / max(_norm(parts), 1e-300)
 
 
 def is_horizontal(
-    z: QuotientPoint, parts, metric: Optional[MetricFamily] = None,
-    tol: float = HORIZ_TOL,
+    z: QuotientPoint, parts, metric: Optional[MetricFamily] = None
 ) -> bool:
     parts = tuple(np.asarray(a, dtype=float) for a in parts)
-    scale = max(np.sqrt(sum(np.sum(a**2) for a in parts)), 1e-300)
-    if _tangency_defect(z, parts) > tol * scale:
-        return False
-    return _membership_defect(z, project_total_tangent(z, parts), metric) <= tol * scale
+    return _horizontal_defect(z, parts, metric) <= HORIZ_TOL
 
 
 def horizontal_vector(
     z: QuotientPoint, *parts, metric: Optional[MetricFamily] = None
 ) -> HorizontalVector:
-    """Wrap components as a horizontal vector, re-projecting near-misses.
+    """The horizontality gate: wrap components as a horizontal vector.
 
-    Components whose horizontal-membership defect is below 1e-8 (relative)
-    are accepted as given; defects up to 1e-6 are silently cleaned by
-    projection; anything larger is an error.
+    Components within 1e-8 (relative) of the horizontal space are accepted
+    as given and the result records that space; anything further off is an
+    error. Nothing is re-projected.
     """
     parts = tuple(np.asarray(a, dtype=float) for a in parts)
-    scale = max(np.sqrt(sum(np.sum(a**2) for a in parts)), 1e-300)
-    tangent = project_total_tangent(z, parts)
-    defect = np.sqrt(
-        _tangency_defect(z, parts) ** 2 + _membership_defect(z, tangent, metric) ** 2
-    )
-    if defect <= HORIZ_TOL * scale:
-        return HorizontalVector(z, parts)
-    if defect <= REPROJECT_TOL * scale:
-        return horizontal_project(z, tangent, metric)
-    raise ValueError(
-        f"components are not horizontal (relative defect {defect / scale:.3e})"
-    )
+    defect = _horizontal_defect(z, parts, metric)
+    if defect > HORIZ_TOL:
+        raise ValueError(
+            f"components are not horizontal (relative defect {defect:.3e})"
+        )
+    return HorizontalVector(z, parts, _space(z, metric))
 
 
-def ensure_horizontal(hv: HorizontalVector, metric: Optional[MetricFamily] = None):
-    return horizontal_vector(hv.base, *hv.parts, metric=metric)
+def _as_horizontal(z: QuotientPoint, theta: HorizontalVector, metric):
+    """theta itself if a library function made it in the horizontal space of
+    ``metric`` at z, else the gate's verdict on its components."""
+    if theta.base is not z:
+        raise ValueError("horizontal vector is not based at the given point")
+    if theta.space is _space(z, metric):
+        return theta
+    return horizontal_vector(z, *theta.parts, metric=metric)
 
 
 def random_horizontal(
@@ -515,7 +532,7 @@ def gradient_lift_from_ambient(
     """
     wt = z.weights(metric)
     parts = REGISTRY[z.geometry].grad_lift(z, wt, _ambient_gradient(z, nabla))
-    return HorizontalVector(z, parts)
+    return HorizontalVector(z, parts, _space(z, metric))
 
 
 def riem_grad_quotient(
@@ -541,46 +558,10 @@ def riem_hess_quad_quotient(
     weights. Bilinear values follow by polarization.
     """
     wt = z.weights(metric)
-    if theta.base is not z:
-        raise ValueError("direction is not based at the given point")
-    theta = ensure_horizontal(theta, metric)
+    theta = _as_horizontal(z, theta, metric)
     x = z.X
     nabla = _ambient_gradient(z, obj.egrad(x))
     return float(REGISTRY[z.geometry].hess_quad(z, obj, wt, theta.parts, x, nabla))
-
-
-def _sym_basis(r):
-    out = []
-    for i in range(r):
-        for j in range(i, r):
-            a = np.zeros((r, r))
-            if i == j:
-                a[i, i] = 1.0
-            else:
-                a[i, j] = a[j, i] = 1.0 / np.sqrt(2.0)
-            out.append(a)
-    return out
-
-
-def _skew_basis(r):
-    out = []
-    for i in range(r):
-        for j in range(i + 1, r):
-            a = np.zeros((r, r))
-            a[i, j] = 1.0 / np.sqrt(2.0)
-            a[j, i] = -1.0 / np.sqrt(2.0)
-            out.append(a)
-    return out
-
-
-def _unit_basis(m, n):
-    out = []
-    for i in range(m):
-        for j in range(n):
-            a = np.zeros((m, n))
-            a[i, j] = 1.0
-            out.append(a)
-    return out
 
 
 def horizontal_basis(z: QuotientPoint, metric: MetricFamily):
@@ -590,7 +571,7 @@ def horizontal_basis(z: QuotientPoint, metric: MetricFamily):
     PSD geometries, (p1 + p2 - r)*r for the general ones.
     """
     wt = z.weights(metric)
-    vecs = [HorizontalVector(z, parts)
+    vecs = [HorizontalVector(z, parts, _space(z, metric))
             for parts in REGISTRY[z.geometry].basis(z, wt)]
     gram = np.zeros((len(vecs), len(vecs)))
     for i, vi in enumerate(vecs):
@@ -781,8 +762,8 @@ class PsdQ1(QuotientGeometry):
         u, uperp = z.point.U, z.point.Uperp
         pinv, m = self._m(z, wt)
         minv = spd_functions(m).inv
-        vecs = [(u @ (a @ minv) @ pinv.T,) for a in _sym_basis(z.r)]
-        vecs += [(uperp @ e @ pinv.T,) for e in _unit_basis(uperp.shape[1], z.r)]
+        vecs = [(u @ (a @ minv) @ pinv.T,) for a in sym_basis(z.r)]
+        vecs += [(uperp @ e @ pinv.T,) for e in unit_basis(uperp.shape[1], z.r)]
         return vecs
 
     def forward(self, z, theta):
@@ -860,8 +841,8 @@ class PsdQ2(QuotientGeometry):
         u = z.factor("U")
         uperp = z.point.Uperp
         zero_b, zero_u = np.zeros((z.r, z.r)), np.zeros_like(u)
-        vecs = [(uperp @ e, zero_b) for e in _unit_basis(uperp.shape[1], z.r)]
-        vecs += [(zero_u, a) for a in _sym_basis(z.r)]
+        vecs = [(uperp @ e, zero_b) for e in unit_basis(uperp.shape[1], z.r)]
+        vecs += [(zero_u, a) for a in sym_basis(z.r)]
         return vecs
 
     def forward(self, z, theta):
@@ -946,9 +927,9 @@ class GenQ1(QuotientGeometry):
         p1inv, p2inv, m1, m2 = self._m(z, wt)
         zl, zr = np.zeros_like(z.factor("L")), np.zeros_like(z.factor("R"))
         vecs = [(u @ e @ m2 @ p2inv.T, v @ e.T @ m1 @ p1inv.T)
-                for e in _unit_basis(z.r, z.r)]
-        vecs += [(uperp @ e @ p2inv.T, zr) for e in _unit_basis(uperp.shape[1], z.r)]
-        vecs += [(zl, vperp @ e @ p1inv.T) for e in _unit_basis(vperp.shape[1], z.r)]
+                for e in unit_basis(z.r, z.r)]
+        vecs += [(uperp @ e @ p2inv.T, zr) for e in unit_basis(uperp.shape[1], z.r)]
+        vecs += [(zl, vperp @ e @ p1inv.T) for e in unit_basis(vperp.shape[1], z.r)]
         return vecs
 
     def forward(self, z, theta):
@@ -1035,10 +1016,10 @@ class GenQ2(QuotientGeometry):
         uperp, vperp = z.point.Uperp, z.point.Vperp
         zero_b = np.zeros((z.r, z.r))
         zero_u, zero_v = np.zeros_like(u), np.zeros_like(v)
-        vecs = [(uperp @ e, zero_b, zero_v) for e in _unit_basis(uperp.shape[1], z.r)]
-        vecs += [(zero_u, zero_b, vperp @ e) for e in _unit_basis(vperp.shape[1], z.r)]
-        vecs += [(zero_u, a, zero_v) for a in _sym_basis(z.r)]
-        vecs += [(u @ w, zero_b, -v @ w) for w in _skew_basis(z.r)]
+        vecs = [(uperp @ e, zero_b, zero_v) for e in unit_basis(uperp.shape[1], z.r)]
+        vecs += [(zero_u, zero_b, vperp @ e) for e in unit_basis(vperp.shape[1], z.r)]
+        vecs += [(zero_u, a, zero_v) for a in sym_basis(z.r)]
+        vecs += [(u @ w, zero_b, -v @ w) for w in skew_basis(z.r)]
         return vecs
 
     def forward(self, z, theta):
@@ -1119,8 +1100,8 @@ class GenQ3(QuotientGeometry):
         u, yfac = z.factors
         uperp = z.point.Uperp
         zero_y, zero_u = np.zeros_like(yfac), np.zeros_like(u)
-        vecs = [(uperp @ e, zero_y) for e in _unit_basis(uperp.shape[1], z.r)]
-        vecs += [(zero_u, e) for e in _unit_basis(yfac.shape[0], z.r)]
+        vecs = [(uperp @ e, zero_y) for e in unit_basis(uperp.shape[1], z.r)]
+        vecs += [(zero_u, e) for e in unit_basis(yfac.shape[0], z.r)]
         return vecs
 
     def forward(self, z, theta):
@@ -1152,6 +1133,8 @@ class GenQ3(QuotientGeometry):
 
 
 REGISTRY = {geo.name: geo for geo in (PsdQ1(), PsdQ2(), GenQ1(), GenQ2(), GenQ3())}
-GEOMETRY_KIND = {name: geo.kind for name, geo in REGISTRY.items()}
+# matrix kind of every geometry, embedded and quotient
+GEOMETRY_KIND = {name: kind for kind, name in EMBEDDED.items()}
+GEOMETRY_KIND.update((name, geo.kind) for name, geo in REGISTRY.items())
 FACTOR_NAMES = {name: tuple(f.name for f in geo.factors)
                 for name, geo in REGISTRY.items()}

@@ -32,8 +32,9 @@ from .quotient import (
     HorizontalVector,
     MetricFamily,
     QuotientPoint,
+    _as_horizontal,
     _check_metric,
-    ensure_horizontal,
+    _space,
 )
 
 
@@ -66,9 +67,7 @@ def forward_map(
 ) -> EmbeddedTangent:
     """L(theta): the embedded tangent induced by a horizontal vector."""
     _check_metric(z, metric)
-    if theta.base is not z:
-        raise ValueError("horizontal vector is not based at the given point")
-    theta = ensure_horizontal(theta, metric)
+    theta = _as_horizontal(z, theta, metric)
     return REGISTRY[z.geometry].forward(z, theta.parts)
 
 
@@ -78,7 +77,8 @@ def inverse_map(
     """L^-1(xi): the unique horizontal preimage of an embedded tangent."""
     wt = z.weights(metric)
     _match(z, xi)
-    return HorizontalVector(z, REGISTRY[z.geometry].inverse(z, xi, wt))
+    parts = REGISTRY[z.geometry].inverse(z, xi, wt)
+    return HorizontalVector(z, parts, _space(z, metric))
 
 
 def spectrum_bounds(z: QuotientPoint, metric: MetricFamily) -> SandwichCoefficients:

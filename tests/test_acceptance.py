@@ -27,6 +27,7 @@ from georank.landscape import (
 )
 from georank.objectives import make_matrix_approx
 from georank.quotient import (
+    EMBEDDED,
     horizontal_basis,
     lift_point,
     metric_inner,
@@ -39,7 +40,6 @@ from georank.quotient import (
 from georank.transport import forward_map, inverse_map, spectrum_bounds
 
 from util import (
-    embedded_tag,
     ALL_QUOTIENTS,
     GEN_QUOTIENTS,
     PSD_QUOTIENTS,
@@ -85,7 +85,7 @@ def test_criterion_01_dimension_counts():
     for kind, p1, p2, r in cases:
         expected = (p1 * r - r * (r - 1) // 2 if kind == "psd"
                     else (p1 + p2 - r) * r)
-        pt = random_point(embedded_tag(kind), p1, p2, r, rng)
+        pt = random_point(EMBEDDED[kind], p1, p2, r, rng)
         ok &= len(tangent_basis(pt)) == expected
         geos = PSD_QUOTIENTS if kind == "psd" else GEN_QUOTIENTS
         for geo, met in geometry_metric_combos(geos):
@@ -111,7 +111,7 @@ def test_criterion_02_gradient_oracles():
         p1, p2 = sizes[kind]
         obj = random_approx_objective(kind, p1, p2, rng)
         for _ in range(n_points):
-            pt = random_point(embedded_tag(kind), p1, p2, r, rng)
+            pt = random_point(EMBEDDED[kind], p1, p2, r, rng)
             grad = riem_grad_embedded(pt, obj)
             lhs, rhs = [], []
             for b in tangent_basis(pt):

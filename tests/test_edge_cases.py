@@ -10,6 +10,7 @@ from georank.objectives import (
     make_matrix_sensing,
 )
 from georank.quotient import (
+    EMBEDDED,
     horizontal_basis,
     lift_point,
     metric_inner,
@@ -21,7 +22,6 @@ from georank.quotient import (
 from georank.transport import forward_map, inverse_map, spectrum_bounds
 
 from util import (
-    embedded_tag,
     GEN_QUOTIENTS,
     PSD_QUOTIENTS,
     geometry_metric_combos,
@@ -35,8 +35,8 @@ from util import (
 def _exercise(kind, p1, p2, r, rng):
     """Full pipeline at one shape: bases, gradients, Hessians, transports."""
     obj = random_approx_objective(kind, p1, p2, rng)
-    pt = random_point(embedded_tag(kind), p1, p2, r, rng)
-    tag = "psd_embedded" if kind == "psd" else "gen_embedded"
+    tag = EMBEDDED[kind]
+    pt = random_point(tag, p1, p2, r, rng)
     rep = hessian_spectrum(pt, obj, tag)
     assert rep.dim == quotient_dim(tag, p1, p2, r)
     geos = PSD_QUOTIENTS if kind == "psd" else GEN_QUOTIENTS

@@ -16,8 +16,9 @@ from georank.embedded import (
 )
 from georank.linalg import RankError, sym
 from georank.objectives import make_matrix_approx
+from georank.quotient import EMBEDDED
 
-from util import embedded_tag, random_point
+from util import random_point
 
 
 class TestEmbedPoint:
@@ -79,7 +80,7 @@ class TestTangentProject:
     def test_idempotent(self):
         rng = np.random.default_rng(3)
         for kind, p1, p2 in [("psd", 5, 5), ("general", 5, 4)]:
-            pt = random_point(embedded_tag(kind), p1, p2, 2, rng)
+            pt = random_point(EMBEDDED[kind], p1, p2, 2, rng)
             z = rng.standard_normal((p1, p2))
             once = tangent_project(pt, z)
             twice = tangent_project(pt, once.ambient())
@@ -95,7 +96,7 @@ class TestTangentProject:
     def test_self_adjoint(self):
         rng = np.random.default_rng(5)
         for kind, p1, p2 in [("psd", 6, 6), ("general", 5, 4)]:
-            pt = random_point(embedded_tag(kind), p1, p2, 2, rng)
+            pt = random_point(EMBEDDED[kind], p1, p2, 2, rng)
             z = rng.standard_normal((p1, p2))
             w = rng.standard_normal((p1, p2))
             if kind == "psd":
@@ -137,7 +138,7 @@ class TestRiemGrad:
             m = rng.standard_normal((p1, p2))
             obj = make_matrix_approx(sym(m) if kind == "psd" else m,
                                      symmetric=kind == "psd")
-            pt = random_point(embedded_tag(kind), p1, p2, 2, rng)
+            pt = random_point(EMBEDDED[kind], p1, p2, 2, rng)
             g = riem_grad_embedded(pt, obj)
             lhs, rhs = [], []
             for b in tangent_basis(pt):
@@ -234,7 +235,7 @@ class TestTangentBasis:
     def test_orthonormal(self):
         rng = np.random.default_rng(17)
         for kind, p1, p2 in [("psd", 5, 5), ("general", 4, 3)]:
-            basis = tangent_basis(random_point(embedded_tag(kind), p1, p2, 2, rng))
+            basis = tangent_basis(random_point(EMBEDDED[kind], p1, p2, 2, rng))
             ambs = [b.ambient() for b in basis]
             gram = np.array([[np.sum(a * b) for b in ambs] for a in ambs])
             np.testing.assert_allclose(gram, np.eye(len(basis)), atol=1e-12)

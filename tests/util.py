@@ -10,9 +10,9 @@ import numpy as np
 
 import georank
 from georank import make_matrix_approx
-from georank.landscape import embedded_tag
 from georank.linalg import sym
 from georank.quotient import (
+    GEOMETRY_KIND,
     HorizontalVector,
     _qf as qf,
     metric_choices,
@@ -75,7 +75,7 @@ def metric_derivative_fd(metric, key, z, parts, h=1e-6):
 
 
 def kind_of(geometry):
-    return "psd" if geometry.startswith("psd") else "general"
+    return GEOMETRY_KIND[geometry]
 
 
 def hv_gap(a, b):
