@@ -507,7 +507,7 @@ def metric_inner(
     """Total-space Riemannian metric evaluated on two tangent vectors at z."""
     if t1.base is not z or t2.base is not z:
         raise ValueError("vectors are not based at the given point")
-    return REGISTRY[z.geometry].inner(z.weights(metric), t1.parts, t2.parts)
+    return float(REGISTRY[z.geometry].inner(z.weights(metric), t1.parts, t2.parts))
 
 
 def metric_norm(z, t, metric) -> float:
@@ -571,13 +571,13 @@ def horizontal_basis(z: QuotientPoint, metric: MetricFamily):
     PSD geometries, (p1 + p2 - r)*r for the general ones.
     """
     wt = z.weights(metric)
-    vecs = [HorizontalVector(z, parts, _space(z, metric))
-            for parts in REGISTRY[z.geometry].basis(z, wt)]
-    gram = np.zeros((len(vecs), len(vecs)))
-    for i, vi in enumerate(vecs):
-        for j in range(i, len(vecs)):
-            gram[i, j] = gram[j, i] = metric_inner(z, vi, vecs[j], metric)
-    return vecs, gram
+    geo = REGISTRY[z.geometry]
+    basis = geo.basis(z, wt)
+    stacks = [np.stack(c) for c in zip(*basis)]
+    gram = np.zeros((len(basis), len(basis)))
+    for i, parts in enumerate(basis):
+        gram[i, i:] = gram[i:, i] = geo.inner(wt, parts, [s[i:] for s in stacks])
+    return [HorizontalVector(z, parts, _space(z, metric)) for parts in basis], gram
 
 
 def geometries(kind: str) -> tuple:
@@ -703,15 +703,17 @@ class QuotientGeometry:
                      for k, f in zip(self.factors, z.factors))
 
     def inner(self, wt, t1, t2):
+        """The metric on two tangent vectors. Each component of ``t2`` may
+        carry a leading stack axis, giving one value per stacked vector."""
         out = None
         for f, a, b in zip(self.factors, t1, t2):
             w = getattr(wt, f.weight)
             if f.kind == "spd":
-                term = np.trace(w @ a @ w @ b)
+                term = np.trace(w @ a @ w @ b, axis1=-2, axis2=-1)
             else:
-                term = np.trace(w @ a.T @ b)
+                term = np.trace(w @ a.T @ b, axis1=-2, axis2=-1)
             out = term if out is None else out + term
-        return float(out)
+        return out
 
 
 class PsdQ1(QuotientGeometry):

@@ -510,6 +510,10 @@ class TestHorizontalBasis:
             eigs = np.linalg.eigvalsh(gram)
             assert eigs[0] > 0
             np.testing.assert_allclose(gram, gram.T, atol=1e-12)
+            # the rows are the pairwise metric, bit for bit
+            pairwise = [[metric_inner(z, basis[min(i, j)], basis[max(i, j)], met)
+                         for j in range(len(basis))] for i in range(len(basis))]
+            np.testing.assert_array_equal(gram, pairwise)
 
 
 class TestFiberInvariance:
