@@ -44,6 +44,7 @@ from .quotient import (
     lift_point,
     metric_inner,
     metric_norm,
+    quotient_dim,
     random_horizontal,
     riem_grad_quotient,
     riem_hess_quad_quotient,
@@ -204,6 +205,7 @@ def verify_sandwich(
     z: QuotientPoint,
     obj: Objective,
     metric: MetricFamily,
+    embedded: SpectrumReport,
     rng: Optional[np.random.Generator] = None,
     n_directions: int = 100,
     margin_tol: float = 1e-8,
@@ -213,10 +215,21 @@ def verify_sandwich(
     """Check the spectrum sandwich and the pointwise Hessian identity at a
     Riemannian FOSP of the quotient problem.
 
+    ``embedded`` is the embedded Hessian spectrum at the represented point,
+    ``hessian_spectrum(z.point, obj, EMBEDDED[kind])``, which every quotient
+    geometry and metric at that point shares.
+
     Both statements are exact only at exact stationary points; the identity
     tolerance is therefore widened proportionally to the residual gradient
     norm, and the report records the coupling.
     """
+    geometry = EMBEDDED[z.point.kind]
+    dim = quotient_dim(geometry, *z.X.shape, z.r)
+    if embedded.geometry != geometry or embedded.dim != dim:
+        raise ValueError(
+            f"embedded spectrum is a {embedded.geometry} spectrum of dimension "
+            f"{embedded.dim}, expected {geometry} of dimension {dim}"
+        )
     if rng is None:
         rng = np.random.default_rng(0)
     grad_h = riem_grad_quotient(z, obj, metric)
@@ -228,10 +241,9 @@ def verify_sandwich(
             f"point is not a FOSP: |grad| = {gnorm:.3e} > {threshold:.3e}"
         )
 
-    emb = hessian_spectrum(z.point, obj, EMBEDDED[z.point.kind])
     quo = hessian_spectrum(z, obj, z.geometry, metric)
     coeffs = spectrum_bounds(z, metric)
-    lam_f, lam_h = emb.eigenvalues, quo.eigenvalues
+    lam_f, lam_h = embedded.eigenvalues, quo.eigenvalues
     scale = max(1.0, np.max(np.abs(lam_f)), np.max(np.abs(lam_h)))
 
     per_index = []

@@ -43,6 +43,7 @@ from util import (
     ALL_QUOTIENTS,
     GEN_QUOTIENTS,
     PSD_QUOTIENTS,
+    embedded_spectrum,
     geometry_metric_combos,
     hv_gap,
     kind_of,
@@ -205,7 +206,8 @@ def test_criterion_05_sandwich_spectra():
         fosps = analytic_fosps(obj, r)
         for geo, met in geometry_metric_combos(geos):
             for pt in fosps:
-                rep = verify_sandwich(lift_point(pt, geo), obj, met, rng,
+                rep = verify_sandwich(lift_point(pt, geo), obj, met,
+                                      embedded_spectrum(pt, obj), rng,
                                       n_directions=20, margin_tol=1e-8)
                 ok &= all(e["ok"] for e in rep["per_index"])
                 if rep["matched_coefficients"]:

@@ -24,6 +24,7 @@ from georank.transport import forward_map, inverse_map, spectrum_bounds
 from util import (
     GEN_QUOTIENTS,
     PSD_QUOTIENTS,
+    embedded_spectrum,
     geometry_metric_combos,
     hv_gap,
     kind_of,
@@ -92,8 +93,9 @@ class TestNonIdentityHessianObjectives:
                         random_point("psd_embedded", 5, 5, 2, rng),
                         max_iter=30000, tol=1e-12)
         assert res.converged
+        emb = embedded_spectrum(res.point, obj)
         for geo, met in geometry_metric_combos(PSD_QUOTIENTS):
-            rep = verify_sandwich(lift_point(res.point, geo), obj, met, rng,
+            rep = verify_sandwich(lift_point(res.point, geo), obj, met, emb, rng,
                                   n_directions=40)
             assert rep["passed"], f"{geo}/{met.name}"
             assert rep["identity_max_rel_err"] <= 1e-10
@@ -109,8 +111,9 @@ class TestNonIdentityHessianObjectives:
                         random_point("gen_embedded", p1, p2, r, rng),
                         max_iter=30000, tol=1e-12)
         assert res.converged
+        emb = embedded_spectrum(res.point, obj)
         for geo, met in geometry_metric_combos(GEN_QUOTIENTS):
-            rep = verify_sandwich(lift_point(res.point, geo), obj, met, rng,
+            rep = verify_sandwich(lift_point(res.point, geo), obj, met, emb, rng,
                                   n_directions=40)
             assert rep["passed"], f"{geo}/{met.name}"
             assert rep["identity_max_rel_err"] <= 1e-10

@@ -28,6 +28,7 @@ from georank.transport import forward_map, inverse_map
 
 from util import (
     ALL_QUOTIENTS,
+    embedded_spectrum,
     geometry_metric_combos,
     kind_of,
     random_approx_objective,
@@ -164,6 +165,7 @@ def test_spectrum_and_sandwich_never_call_the_gate(monkeypatch):
         calls.clear()
 
         hessian_spectrum(z, obj, geo, met)
-        report = verify_sandwich(z, obj, met, rng, n_directions=5)
+        report = verify_sandwich(z, obj, met, embedded_spectrum(pt, obj), rng,
+                                 n_directions=5)
         assert report["passed"]
         assert calls == []

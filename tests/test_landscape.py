@@ -25,6 +25,7 @@ from georank.quotient import (
 
 from util import (
     ALL_QUOTIENTS,
+    embedded_spectrum,
     geometry_metric_combos,
     hv_gap,
     kind_of,
@@ -146,9 +147,10 @@ class TestVerifySandwich:
         obj = make_matrix_approx(np.diag([3.0, 2.0, 1.0, 0.5, 0.25]), symmetric=True)
         fosps = analytic_fosps(obj, 2)
         assert len(fosps) == 10
+        spectra = [embedded_spectrum(pt, obj) for pt in fosps[:4]]
         for geo, met in geometry_metric_combos(("psd_q1", "psd_q2")):
-            for pt in fosps[:4]:
-                rep = verify_sandwich(lift_point(pt, geo), obj, met, rng,
+            for pt, emb in zip(fosps[:4], spectra):
+                rep = verify_sandwich(lift_point(pt, geo), obj, met, emb, rng,
                                       n_directions=25)
                 assert rep["passed"], f"{geo}/{met.name}"
 
@@ -157,9 +159,10 @@ class TestVerifySandwich:
         obj = make_matrix_approx(GEN_M43)
         fosps = analytic_fosps(obj, 2)
         assert len(fosps) == 3
+        spectra = [embedded_spectrum(pt, obj) for pt in fosps]
         for geo, met in geometry_metric_combos(("gen_q1", "gen_q2", "gen_q3")):
-            for pt in fosps:
-                rep = verify_sandwich(lift_point(pt, geo), obj, met, rng,
+            for pt, emb in zip(fosps, spectra):
+                rep = verify_sandwich(lift_point(pt, geo), obj, met, emb, rng,
                                       n_directions=25)
                 assert rep["passed"], f"{geo}/{met.name}"
 
@@ -168,22 +171,37 @@ class TestVerifySandwich:
         obj = make_matrix_approx(np.diag([3.0, 2.0, 1.0, 0.5, 0.25]), symmetric=True)
         pt = analytic_fosps(obj, 2)[2]
         rep = verify_sandwich(lift_point(pt, "psd_q2"), obj,
-                              metric_family("psd_q2", "matched"), rng, 10)
+                              metric_family("psd_q2", "matched"),
+                              embedded_spectrum(pt, obj), rng, 10)
         assert rep["matched_coefficients"]
         assert rep["matched_spectra_rel_gap"] <= 1e-8
         objg = make_matrix_approx(GEN_M43)
         ptg = analytic_fosps(objg, 2)[1]
         repg = verify_sandwich(lift_point(ptg, "gen_q3"), objg,
-                               metric_family("gen_q3", "matched"), rng, 10)
+                               metric_family("gen_q3", "matched"),
+                               embedded_spectrum(ptg, objg), rng, 10)
         assert repg["matched_coefficients"]
         assert repg["matched_spectra_rel_gap"] <= 1e-8
+
+    def test_embedded_spectrum_of_another_space_rejected(self):
+        rng = np.random.default_rng(10)
+        obj = make_matrix_approx(np.diag([3.0, 2.0, 1.0, 0.5, 0.25]), symmetric=True)
+        z = lift_point(analytic_fosps(obj, 2)[0], "psd_q1")
+        met = metric_family("psd_q1", "flat")
+        other_geometry = hessian_spectrum(z, obj, "psd_q1", met)
+        other_dim = embedded_spectrum(analytic_fosps(obj, 1)[0], obj)
+        assert other_geometry.dim == embedded_spectrum(z.point, obj).dim
+        for spectrum in (other_geometry, other_dim):
+            with pytest.raises(ValueError, match="embedded spectrum"):
+                verify_sandwich(z, obj, met, spectrum, rng, 5)
 
     def test_non_fosp_rejected(self):
         rng = np.random.default_rng(9)
         obj = random_approx_objective("psd", 6, 6, rng)
         z = random_point("psd_q1", 6, 6, R, rng)
         with pytest.raises(ValueError):
-            verify_sandwich(z, obj, metric_family("psd_q1", "flat"), rng, 5)
+            verify_sandwich(z, obj, metric_family("psd_q1", "flat"),
+                            embedded_spectrum(z.point, obj), rng, 5)
 
 
 class TestClassify:

@@ -10,8 +10,10 @@ import numpy as np
 
 import georank
 from georank import make_matrix_approx
+from georank.landscape import hessian_spectrum
 from georank.linalg import sym
 from georank.quotient import (
+    EMBEDDED,
     GEOMETRY_KIND,
     HorizontalVector,
     _qf as qf,
@@ -72,6 +74,12 @@ def metric_derivative_fd(metric, key, z, parts, h=1e-6):
     plus = getattr(curve(h).weights(metric), key)
     minus = getattr(curve(-h).weights(metric), key)
     return (plus - minus) / (2.0 * h)
+
+
+def embedded_spectrum(pt, obj):
+    """The embedded Hessian spectrum at an embedded point, which
+    ``verify_sandwich`` takes for every quotient row at that point."""
+    return hessian_spectrum(pt, obj, EMBEDDED[pt.kind])
 
 
 def kind_of(geometry):
