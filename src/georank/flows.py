@@ -12,7 +12,6 @@ Integration is classical RK4 on the ambient field with a rank-r
 re-factorization after every step to control drift off the manifold.
 """
 
-import csv
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -136,11 +135,3 @@ def compare_flows(
         "trace_a": tr_a,
         "trace_b": tr_b,
     }
-
-
-def trace_to_csv(trace: FlowTrace, path) -> None:
-    """Write rows (t, vec(X) row-major) for external plotting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for t, x in zip(trace.times, trace.states):
-            writer.writerow([repr(float(t))] + [repr(float(v)) for v in x.ravel()])

@@ -55,6 +55,11 @@ GRAM_COND_LIMIT = 1e10  # largest basis Gram condition a spectrum accepts
 FOSP_BACKTRACKS = 60  # step halvings per line search in find_fosp
 FOSP_ARMIJO = 1e-4  # sufficient-decrease constant of that line search
 SPECTRUM_GAP_TOL = 1e-8  # relative gap that keeps analytic FOSPs isolated
+# classify_point: gradient norm relative to 1 + ||egrad||_2, and the smallest
+# eigenvalue relative to the spectrum scale
+CLASSIFY_TOL_GRAD = 1e-8
+CLASSIFY_TOL_HESS = 1e-6  # lam_min >= -tol * scale is second-order stationary
+CLASSIFY_TOL_SADDLE = 1e-6  # lam_min <= -tol * scale is a strict saddle
 
 
 # ---------------------------------------------------------------------------
@@ -131,32 +136,17 @@ def _as_quotient(point, geometry) -> QuotientPoint:
     return lift_point(point, geometry)
 
 
-def _mix_basis(basis, gram, rng):
-    d = len(basis)
-    c = rng.standard_normal((d, d)) / np.sqrt(d) + np.eye(d)
-    mixed = []
-    for j in range(d):
-        v = basis[0] * c[0, j]
-        for i in range(1, d):
-            v = v + basis[i] * c[i, j]
-        mixed.append(v)
-    return mixed, c.T @ gram @ c
-
-
 def hessian_spectrum(
     point,
     obj: Objective,
     geometry: str,
     metric: Optional[MetricFamily] = None,
-    mix_rng: Optional[np.random.Generator] = None,
 ) -> SpectrumReport:
     """Full Riemannian Hessian spectrum at a point under one geometry.
 
     The Hessian matrix is assembled entry by entry from the quadratic form
     via polarization over an explicit tangent/horizontal basis, and the
-    eigenvalues are those of the pencil (H, Gram). ``mix_rng`` optionally
-    replaces the structured basis by a random invertible recombination
-    (the spectrum is invariant; used for self-checks).
+    eigenvalues are those of the pencil (H, Gram).
     """
     if geometry in EMBEDDED.values():
         if not isinstance(point, EmbeddedPoint):
@@ -181,8 +171,6 @@ def hessian_spectrum(
         gnorm = metric_norm(z, riem_grad_quotient(z, obj, metric), metric)
         mname = metric.name
 
-    if mix_rng is not None:
-        basis, gram = _mix_basis(basis, gram, mix_rng)
     d = len(basis)
     h = np.zeros((d, d))
     for i in range(d):
@@ -336,21 +324,19 @@ def classify_point(
     obj: Objective,
     geometry: str,
     metric: Optional[MetricFamily] = None,
-    tol_grad: float = 1e-8,
-    tol_hess: float = 1e-6,
-    tol_saddle: float = 1e-6,
 ) -> StationaryClassification:
     """FOSP / SOSP / strict-saddle classification under one geometry."""
     report = hessian_spectrum(point, obj, geometry, metric)
     egrad_scale = float(np.linalg.norm(obj.egrad(point.X), 2))
     sscale = max(1.0, float(np.max(np.abs(report.eigenvalues))))
     lam_min = report.min_eigenvalue
-    is_fosp = report.grad_norm <= tol_grad * (1.0 + egrad_scale)
-    is_sosp = bool(is_fosp and lam_min >= -tol_hess * sscale)
-    is_saddle = bool(is_fosp and lam_min <= -tol_saddle * sscale)
+    is_fosp = report.grad_norm <= CLASSIFY_TOL_GRAD * (1.0 + egrad_scale)
+    is_sosp = bool(is_fosp and lam_min >= -CLASSIFY_TOL_HESS * sscale)
+    is_saddle = bool(is_fosp and lam_min <= -CLASSIFY_TOL_SADDLE * sscale)
     return StationaryClassification(
         bool(is_fosp), is_sosp, is_saddle, float(lam_min), float(report.grad_norm),
-        {"tol_grad": tol_grad, "tol_hess": tol_hess, "tol_saddle": tol_saddle},
+        {"tol_grad": CLASSIFY_TOL_GRAD, "tol_hess": CLASSIFY_TOL_HESS,
+         "tol_saddle": CLASSIFY_TOL_SADDLE},
     )
 
 

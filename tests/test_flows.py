@@ -8,7 +8,6 @@ from georank.flows import (
     compare_flows,
     flow_field,
     integrate_flow,
-    trace_to_csv,
 )
 from georank.objectives import make_masked_completion, make_matrix_approx
 
@@ -166,15 +165,3 @@ class TestCompareFlows:
             pu = p.U @ p.U.T
             resid = np.linalg.norm(d - pu @ obj.egrad(p.X) @ pu)
             assert resid <= 1e-10 * max(1.0, np.linalg.norm(d))
-
-
-def test_trace_csv_export(tmp_path):
-    rng = np.random.default_rng(12)
-    obj, pt = _psd_setup(rng)
-    trace = integrate_flow(pt, obj, ("psd_embedded", None), 0.05, 0.01)
-    path = tmp_path / "trace.csv"
-    trace_to_csv(trace, path)
-    rows = np.loadtxt(path, delimiter=",")
-    assert rows.shape == (len(trace.states), 1 + 16)
-    np.testing.assert_allclose(rows[0, 1:], pt.X.ravel(), atol=1e-15)
-    np.testing.assert_allclose(rows[:, 0], trace.times, atol=1e-15)

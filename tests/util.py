@@ -11,15 +11,17 @@ import numpy as np
 import georank
 from georank import make_matrix_approx
 from georank.landscape import hessian_spectrum
-from georank.linalg import sym
+from georank.linalg import gen_sym_eig, polarize, sym
 from georank.quotient import (
     EMBEDDED,
     GEOMETRY_KIND,
     HorizontalVector,
     _qf as qf,
+    horizontal_basis,
     metric_choices,
     metric_family,
     random_point,
+    riem_hess_quad_quotient,
     total_curve,
 )
 
@@ -80,6 +82,31 @@ def embedded_spectrum(pt, obj):
     """The embedded Hessian spectrum at an embedded point, which
     ``verify_sandwich`` takes for every quotient row at that point."""
     return hessian_spectrum(pt, obj, EMBEDDED[pt.kind])
+
+
+def mixed_basis_spectrum(z, obj, metric, rng):
+    """Quotient Hessian spectrum assembled by polarization over a random
+    invertible recombination of the structured horizontal basis. The spectrum
+    does not depend on the basis, so it must match ``hessian_spectrum``."""
+    basis, gram = horizontal_basis(z, metric)
+    d = len(basis)
+    c = rng.standard_normal((d, d)) / np.sqrt(d) + np.eye(d)
+    mixed = []
+    for j in range(d):
+        v = basis[0] * c[0, j]
+        for i in range(1, d):
+            v = v + basis[i] * c[i, j]
+        mixed.append(v)
+
+    def quad(v):
+        return riem_hess_quad_quotient(z, obj, metric, v)
+
+    h = np.zeros((d, d))
+    for i in range(d):
+        h[i, i] = quad(mixed[i])
+        for j in range(i + 1, d):
+            h[i, j] = h[j, i] = polarize(quad, mixed[i], mixed[j])
+    return gen_sym_eig(h, c.T @ gram @ c)[0]
 
 
 def kind_of(geometry):
