@@ -2,16 +2,21 @@
 
 Points are stored with cached factors: a rank-r PSD matrix as X = U S U^T
 with U orthonormal, a rank-r general matrix as X = U S V^T. Tangent vectors
-live in the (S, D)-block coordinates relative to the point's cached frame
+are stored in factored form (Vandereycken, SIAM J. Optim. 2013), as an r x r
+core S and p x r factors orthogonal to the frame:
 
-    psd:      [U U_perp] [[S, D^T], [D, 0]] [U U_perp]^T,   S symmetric
-    general:  [U U_perp] [[S, D2^T], [D1, 0]] [V V_perp]^T, S arbitrary
+    psd:      U S U^T + Up U^T + U Up^T,   S symmetric,  U^T Up = 0
+    general:  U S V^T + Up V^T + U Vp^T,   U^T Up = 0,   V^T Vp = 0
 
 so the manifold dimension is p*r - r(r-1)/2 in the PSD case and
 (p1 + p2 - r)*r in the general case. The ambient metric is Frobenius.
+Projection, norms, the Hessian form and the retraction need only U and V;
+the orthogonal complements U_perp and V_perp are built on first use, by the
+orthonormal tangent basis.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -31,8 +36,6 @@ class EmbeddedPoint:
     U: np.ndarray
     Sigma: np.ndarray  # U^T X U (psd) or U^T X V (general); invertible r x r
     V: Optional[np.ndarray]
-    Uperp: np.ndarray
-    Vperp: Optional[np.ndarray]
 
     @property
     def r(self) -> int:
@@ -42,49 +45,51 @@ class EmbeddedPoint:
     def shape(self) -> tuple:
         return self.X.shape
 
-    def frame_right(self) -> np.ndarray:
-        return self.U if self.kind == "psd" else self.V
+    @cached_property
+    def Uperp(self) -> np.ndarray:
+        """Orthonormal basis of the complement of span(U), p1 x (p1 - r)."""
+        return orth_complement(self.U)
 
-    def frame_right_perp(self) -> np.ndarray:
-        return self.Uperp if self.kind == "psd" else self.Vperp
+    @cached_property
+    def Vperp(self) -> Optional[np.ndarray]:
+        """Orthonormal basis of the complement of span(V); None for psd."""
+        return None if self.V is None else orth_complement(self.V)
 
 
 @dataclass(frozen=True, eq=False)
 class EmbeddedTangent:
-    """Tangent vector in (S, D)-block coordinates at a fixed point."""
+    """Tangent vector in factored form at a fixed point: the core
+    S = U^T xi V, Up = (I - U U^T) xi V and Vp = (I - V V^T) xi^T U, with V
+    read as U and Vp as None for the PSD kind."""
 
     base: EmbeddedPoint
     S: np.ndarray
-    D1: np.ndarray
-    D2: Optional[np.ndarray]  # None for the PSD kind
+    Up: np.ndarray
+    Vp: Optional[np.ndarray]  # None for the PSD kind
 
     def ambient(self) -> np.ndarray:
         pt = self.base
         if pt.kind == "psd":
             core = pt.U @ self.S @ pt.U.T
-            off = pt.Uperp @ self.D1 @ pt.U.T
+            off = self.Up @ pt.U.T
             return core + off + off.T
-        return (
-            pt.U @ self.S @ pt.V.T
-            + pt.Uperp @ self.D1 @ pt.V.T
-            + pt.U @ self.D2.T @ pt.Vperp.T
-        )
+        return pt.U @ self.S @ pt.V.T + self.Up @ pt.V.T + pt.U @ self.Vp.T
 
     def norm(self) -> float:
         if self.base.kind == "psd":
             return float(
-                np.sqrt(np.sum(self.S**2) + 2.0 * np.sum(self.D1**2))
+                np.sqrt(np.sum(self.S**2) + 2.0 * np.sum(self.Up**2))
             )
         return float(
-            np.sqrt(np.sum(self.S**2) + np.sum(self.D1**2) + np.sum(self.D2**2))
+            np.sqrt(np.sum(self.S**2) + np.sum(self.Up**2) + np.sum(self.Vp**2))
         )
 
     def _combine(self, other, sa, sb):
         if other.base is not self.base:
             raise ValueError("tangent arithmetic requires a common base point")
-        d2 = None if self.D2 is None else sa * self.D2 + sb * other.D2
+        vp = None if self.Vp is None else sa * self.Vp + sb * other.Vp
         return EmbeddedTangent(self.base, sa * self.S + sb * other.S,
-                               sa * self.D1 + sb * other.D1, d2)
+                               sa * self.Up + sb * other.Up, vp)
 
     def __add__(self, other):
         return self._combine(other, 1.0, 1.0)
@@ -93,8 +98,8 @@ class EmbeddedTangent:
         return self._combine(other, 1.0, -1.0)
 
     def __mul__(self, c):
-        d2 = None if self.D2 is None else c * self.D2
-        return EmbeddedTangent(self.base, c * self.S, c * self.D1, d2)
+        vp = None if self.Vp is None else c * self.Vp
+        return EmbeddedTangent(self.base, c * self.S, c * self.Up, vp)
 
     __rmul__ = __mul__
 
@@ -148,11 +153,8 @@ def _top_factors(x, r, kind, rank_tol=RANK_GAP_TOL):
 
 def _point_from_factors(kind, u, sigma, v):
     if kind == "psd":
-        x = u @ sigma @ u.T
-        return EmbeddedPoint("psd", sym(x), u, sigma, None, orth_complement(u), None)
-    x = u @ sigma @ v.T
-    return EmbeddedPoint("general", x, u, sigma, v,
-                         orth_complement(u), orth_complement(v))
+        return EmbeddedPoint("psd", sym(u @ sigma @ u.T), u, sigma, None)
+    return EmbeddedPoint("general", u @ sigma @ v.T, u, sigma, v)
 
 
 def embed_point(x, r, kind) -> EmbeddedPoint:
@@ -180,15 +182,14 @@ def tangent_project(pt: EmbeddedPoint, z) -> EmbeddedTangent:
     z = np.asarray(z, dtype=float)
     if z.shape != pt.X.shape:
         raise ValueError(f"expected shape {pt.X.shape}, got {z.shape}")
+    u = pt.U
     if pt.kind == "psd":
-        z = sym(z)
-        return EmbeddedTangent(pt, sym(pt.U.T @ z @ pt.U), pt.Uperp.T @ z @ pt.U, None)
-    return EmbeddedTangent(
-        pt,
-        pt.U.T @ z @ pt.V,
-        pt.Uperp.T @ z @ pt.V,
-        pt.Vperp.T @ z.T @ pt.U,
-    )
+        zu = sym(z) @ u
+        k = u.T @ zu
+        return EmbeddedTangent(pt, sym(k), zu - u @ k, None)
+    zv, ztu = z @ pt.V, z.T @ u
+    s = u.T @ zv
+    return EmbeddedTangent(pt, s, zv - u @ s, ztu - pt.V @ s.T)
 
 
 def riem_grad_embedded(pt: EmbeddedPoint, obj: Objective) -> EmbeddedTangent:
@@ -201,7 +202,7 @@ def riem_hess_quad_embedded(pt: EmbeddedPoint, obj: Objective,
     """Quadratic form of the Riemannian Hessian at pt along xi.
 
     Equals the Euclidean Hessian form plus the curvature correction coupling
-    the Euclidean gradient with the off-space blocks of xi through Sigma^-1.
+    the Euclidean gradient with the off-frame factors of xi through Sigma^-1.
     """
     if xi.base is not pt:
         raise ValueError("tangent vector is not based at the given point")
@@ -211,10 +212,8 @@ def riem_hess_quad_embedded(pt: EmbeddedPoint, obj: Objective,
     amb = xi.ambient()
     quad = obj.ehess_quad(pt.X, amb)
     egrad = obj.egrad(pt.X)
-    if pt.kind == "psd":
-        corr = pt.Uperp @ (xi.D1 @ np.linalg.solve(sig, xi.D1.T)) @ pt.Uperp.T
-    else:
-        corr = pt.Uperp @ (xi.D1 @ np.linalg.solve(sig, xi.D2.T)) @ pt.Vperp.T
+    vp = xi.Up if pt.kind == "psd" else xi.Vp
+    corr = xi.Up @ np.linalg.solve(sig, vp.T)
     return quad + 2.0 * float(np.sum(egrad * corr))
 
 
@@ -226,18 +225,23 @@ def retract(pt: EmbeddedPoint, xi: EmbeddedTangent, t: float) -> EmbeddedPoint:
 
 
 def tangent_basis(pt: EmbeddedPoint):
-    """Frobenius-orthonormal basis of the tangent space, S-blocks first."""
+    """Frobenius-orthonormal basis of the tangent space, core blocks first,
+    then U_perp E (and V_perp E) for the matrix units E."""
     r = pt.r
     p1, p2 = pt.X.shape
-    zero_s, zero_d1 = np.zeros((r, r)), np.zeros((p1 - r, r))
+    uperp = pt.Uperp
+    zero_s, zero_up = np.zeros((r, r)), np.zeros((p1, r))
     if pt.kind == "psd":
-        # an off-diagonal block D enters the ambient matrix twice
-        basis = [EmbeddedTangent(pt, s, zero_d1, None) for s in sym_basis(r)]
-        basis += [EmbeddedTangent(pt, zero_s, e / np.sqrt(2.0), None)
+        # an off-frame factor Up enters the ambient matrix twice
+        basis = [EmbeddedTangent(pt, s, zero_up, None) for s in sym_basis(r)]
+        basis += [EmbeddedTangent(pt, zero_s, uperp @ (e / np.sqrt(2.0)), None)
                   for e in unit_basis(p1 - r, r)]
         return basis
-    zero_d2 = np.zeros((p2 - r, r))
-    basis = [EmbeddedTangent(pt, s, zero_d1, zero_d2) for s in unit_basis(r, r)]
-    basis += [EmbeddedTangent(pt, zero_s, d1, zero_d2) for d1 in unit_basis(p1 - r, r)]
-    basis += [EmbeddedTangent(pt, zero_s, zero_d1, d2) for d2 in unit_basis(p2 - r, r)]
+    vperp = pt.Vperp
+    zero_vp = np.zeros((p2, r))
+    basis = [EmbeddedTangent(pt, s, zero_up, zero_vp) for s in unit_basis(r, r)]
+    basis += [EmbeddedTangent(pt, zero_s, uperp @ e, zero_vp)
+              for e in unit_basis(p1 - r, r)]
+    basis += [EmbeddedTangent(pt, zero_s, zero_up, vperp @ e)
+              for e in unit_basis(p2 - r, r)]
     return basis

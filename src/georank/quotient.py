@@ -35,10 +35,10 @@ import numpy as np
 
 from .embedded import (
     EmbeddedPoint,
-    EmbeddedTangent,
     _point_from_factors,
     embed_point,
     project_rank_r,
+    tangent_project,
 )
 from .linalg import (skew, skew_basis, solve_sylvester, spd_functions, sym,
                      sym_basis, unit_basis)
@@ -646,8 +646,9 @@ class QuotientGeometry:
     - ``grad_lift(z, wt, nabla)``: horizontal lift of an ambient gradient;
     - ``hess_quad(z, obj, wt, theta, x, nabla)``: the Hessian form;
     - ``basis(z, wt)``: a structured basis of the horizontal space;
-    - ``forward(z, theta)`` and ``inverse(z, xi, wt)``: the map L to the
-      embedded tangent space and its inverse;
+    - ``differential(z, theta)``: the ambient differential of the factor map
+      along theta, which the base class's ``forward`` turns into L(theta);
+    - ``inverse(z, xi, wt)``: the inverse of L on the embedded tangent space;
     - ``bounds(z, wt)``: (alpha, beta) with alpha g <= ||L||^2 <= beta g;
     - ``grad_embedded(z, wt, grad)``: ambient embedded gradient from a lift.
     """
@@ -702,6 +703,11 @@ class QuotientGeometry:
         return tuple(f @ omega - omega @ f if k.kind == "spd" else f @ omega
                      for k, f in zip(self.factors, z.factors))
 
+    def forward(self, z, theta):
+        """L(theta): the factor map's differential, which lies in the
+        embedded tangent space at X, in that space's factored form."""
+        return tangent_project(z.point, self.differential(z, theta))
+
     def inner(self, wt, t1, t2):
         """The metric on two tangent vectors. Each component of ``t2`` may
         carry a leading stack axis, giving one value per stacked vector."""
@@ -749,11 +755,15 @@ class PsdQ1(QuotientGeometry):
     def grad_lift(self, z, wt, nabla):
         return (2.0 * nabla @ z.factor("Y") @ wt.w_inv,)
 
+    def differential(self, z, theta):
+        yfac = z.factor("Y")
+        (ty,) = theta
+        return yfac @ ty.T + ty @ yfac.T
+
     def hess_quad(self, z, obj, wt, theta, x, nabla):
         yfac = z.factor("Y")
         (ty,) = theta
-        amb = yfac @ ty.T + ty @ yfac.T
-        out = obj.ehess_quad(x, amb)
+        out = obj.ehess_quad(x, self.differential(z, theta))
         out += 2.0 * _dot(nabla, ty @ ty.T)
         out += 2.0 * _dot(nabla @ yfac @ wt.dw_inv(theta), ty @ wt.w)
         grad = self.grad_lift(z, wt, nabla)
@@ -768,20 +778,10 @@ class PsdQ1(QuotientGeometry):
         vecs += [(uperp @ e @ pinv.T,) for e in unit_basis(uperp.shape[1], z.r)]
         return vecs
 
-    def forward(self, z, theta):
-        pt = z.point
-        (ty,) = theta
-        p = z.P
-        k = pt.U.T @ ty @ p.T
-        s = k + k.T
-        d = pt.Uperp.T @ ty @ p.T
-        return EmbeddedTangent(pt, s, d, None)
-
     def inverse(self, z, xi, wt):
-        pt = z.point
         pinv, m = self._m(z, wt)
         s_prime = solve_sylvester(m, m, m @ xi.S)
-        return ((pt.U @ s_prime + pt.Uperp @ xi.D1) @ pinv.T,)
+        return ((z.point.U @ s_prime + xi.Up) @ pinv.T,)
 
     def bounds(self, z, wt):
         p = z.P
@@ -818,11 +818,15 @@ class PsdQ2(QuotientGeometry):
         return (2.0 * (nu - u @ (u.T @ nu)) @ b @ wt.v_inv,
                 wt.w_inv @ u.T @ nu @ wt.w_inv)
 
+    def differential(self, z, theta):
+        u, b = z.factors
+        tu, tb = theta
+        return u @ b @ tu.T + u @ tb @ u.T + tu @ b @ u.T
+
     def hess_quad(self, z, obj, wt, theta, x, nabla):
         u, b = z.factors
         tu, tb = theta
-        amb = u @ b @ tu.T + u @ tb @ u.T + tu @ b @ u.T
-        out = obj.ehess_quad(x, amb)
+        out = obj.ehess_quad(x, self.differential(z, theta))
         out += 2.0 * _dot(nabla, tu @ b @ tu.T)
         wb, vb = wt.w, wt.v
         inner = (
@@ -847,14 +851,8 @@ class PsdQ2(QuotientGeometry):
         vecs += [(zero_u, a) for a in sym_basis(z.r)]
         return vecs
 
-    def forward(self, z, theta):
-        pt = z.point
-        u, b = z.factors
-        tu, tb = theta
-        return EmbeddedTangent(pt, tb, pt.Uperp.T @ tu @ b, None)
-
     def inverse(self, z, xi, wt):
-        return (z.point.Uperp @ xi.D1 @ z.binv, sym(xi.S))
+        return (xi.Up @ z.binv, sym(xi.S))
 
     def bounds(self, z, wt):
         b = z.factor("B")
@@ -910,11 +908,15 @@ class GenQ1(QuotientGeometry):
         lfac, rfac = z.factors
         return (nabla @ rfac @ wt.w_inv, nabla.T @ lfac @ wt.v_inv)
 
+    def differential(self, z, theta):
+        lfac, rfac = z.factors
+        tl, tr = theta
+        return lfac @ tr.T + tl @ rfac.T
+
     def hess_quad(self, z, obj, wt, theta, x, nabla):
         lfac, rfac = z.factors
         tl, tr = theta
-        amb = lfac @ tr.T + tl @ rfac.T
-        out = obj.ehess_quad(x, amb)
+        out = obj.ehess_quad(x, self.differential(z, theta))
         out += 2.0 * _dot(nabla, tl @ tr.T)
         out += _dot(nabla @ rfac @ wt.dw_inv(theta), tl @ wt.w)
         out += _dot(nabla.T @ lfac @ wt.dv_inv(theta), tr @ wt.v)
@@ -934,21 +936,12 @@ class GenQ1(QuotientGeometry):
         vecs += [(zl, vperp @ e @ p1inv.T) for e in unit_basis(vperp.shape[1], z.r)]
         return vecs
 
-    def forward(self, z, theta):
-        pt = z.point
-        tl, tr = theta
-        p1, p2 = z.P1, z.P2
-        s = p1 @ tr.T @ pt.V + pt.U.T @ tl @ p2.T
-        d1 = pt.Uperp.T @ tl @ p2.T
-        d2 = pt.Vperp.T @ tr @ p1.T
-        return EmbeddedTangent(pt, s, d1, d2)
-
     def inverse(self, z, xi, wt):
         pt = z.point
         p1inv, p2inv, m1, m2 = self._m(z, wt)
         s_prime = solve_sylvester(m1, m2, xi.S)
-        tl = (pt.U @ s_prime @ m2 + pt.Uperp @ xi.D1) @ p2inv.T
-        tr = (pt.V @ s_prime.T @ m1 + pt.Vperp @ xi.D2) @ p1inv.T
+        tl = (pt.U @ s_prime @ m2 + xi.Up) @ p2inv.T
+        tr = (pt.V @ s_prime.T @ m1 + xi.Vp) @ p1inv.T
         return (tl, tr)
 
     def bounds(self, z, wt):
@@ -994,11 +987,15 @@ class GenQ2(QuotientGeometry):
             (ntu - v @ (v.T @ ntu)) @ b - v @ mix,
         )
 
+    def differential(self, z, theta):
+        u, b, v = z.factors
+        tu, tb, tv = theta
+        return tu @ b @ v.T + u @ tb @ v.T + u @ b @ tv.T
+
     def hess_quad(self, z, obj, wt, theta, x, nabla):
         u, b, v = z.factors
         tu, tb, tv = theta
-        amb = tu @ b @ v.T + u @ tb @ v.T + u @ b @ tv.T
-        out = obj.ehess_quad(x, amb)
+        out = obj.ehess_quad(x, self.differential(z, theta))
         out += 2.0 * _dot(nabla, tu @ b @ tv.T)
         delta = u.T @ nabla @ v
         dprime = tu.T @ nabla @ v
@@ -1024,22 +1021,12 @@ class GenQ2(QuotientGeometry):
         vecs += [(u @ w, zero_b, -v @ w) for w in skew_basis(z.r)]
         return vecs
 
-    def forward(self, z, theta):
-        pt = z.point
-        u, b, v = z.factors
-        tu, tb, tv = theta
-        s = u.T @ tu @ b + tb + b @ tv.T @ v
-        d1 = pt.Uperp.T @ tu @ b
-        d2 = pt.Vperp.T @ tv @ b
-        return EmbeddedTangent(pt, s, d1, d2)
-
     def inverse(self, z, xi, wt):
-        pt = z.point
         u, b, v = z.factors
         binv = z.binv
         omega = solve_sylvester(b, b, skew(xi.S))
-        tu = pt.Uperp @ xi.D1 @ binv + u @ omega
-        tv = pt.Vperp @ xi.D2 @ binv - v @ omega
+        tu = xi.Up @ binv + u @ omega
+        tv = xi.Vp @ binv - v @ omega
         return (tu, sym(xi.S), tv)
 
     def bounds(self, z, wt):
@@ -1083,11 +1070,15 @@ class GenQ3(QuotientGeometry):
         ny = nabla @ yfac
         return ((ny - u @ (u.T @ ny)) @ wt.v_inv, nabla.T @ u @ wt.w_inv)
 
+    def differential(self, z, theta):
+        u, yfac = z.factors
+        tu, ty = theta
+        return u @ ty.T + tu @ yfac.T
+
     def hess_quad(self, z, obj, wt, theta, x, nabla):
         u, yfac = z.factors
         tu, ty = theta
-        amb = u @ ty.T + tu @ yfac.T
-        out = obj.ehess_quad(x, amb)
+        out = obj.ehess_quad(x, self.differential(z, theta))
         out += 2.0 * _dot(nabla, tu @ ty.T)
         out -= _dot(u.T @ nabla @ yfac, tu.T @ tu)
         out += _dot(nabla.T @ u @ wt.dw_inv(theta), ty @ wt.w)
@@ -1106,21 +1097,11 @@ class GenQ3(QuotientGeometry):
         vecs += [(zero_u, e) for e in unit_basis(yfac.shape[0], z.r)]
         return vecs
 
-    def forward(self, z, theta):
-        pt = z.point
-        u, yfac = z.factors
-        tu, ty = theta
-        s = ty.T @ pt.V
-        d1 = pt.Uperp.T @ tu @ (yfac.T @ pt.V)
-        d2 = pt.Vperp.T @ ty
-        return EmbeddedTangent(pt, s, d1, d2)
-
     def inverse(self, z, xi, wt):
         pt = z.point
-        u, yfac = z.factors
-        core = yfac.T @ pt.V  # invertible r x r
-        tu = pt.Uperp @ np.linalg.solve(core.T, xi.D1.T).T
-        ty = pt.V @ xi.S.T + pt.Vperp @ xi.D2
+        core = z.factor("Y").T @ pt.V  # invertible r x r
+        tu = np.linalg.solve(core.T, xi.Up.T).T
+        ty = pt.V @ xi.S.T + xi.Vp
         return (tu, ty)
 
     def bounds(self, z, wt):

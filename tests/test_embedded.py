@@ -129,7 +129,7 @@ class TestRiemGrad:
         pt = embed_point(np.diag([1.0, 0.0]), 1, "psd")
         g = riem_grad_embedded(pt, obj)
         np.testing.assert_allclose(g.S, [[-2.0]], atol=1e-14)
-        np.testing.assert_allclose(g.D1, [[0.0]], atol=1e-14)
+        np.testing.assert_allclose(g.Up, [[0.0], [0.0]], atol=1e-14)
 
     def test_fd_along_retraction(self):
         rng = np.random.default_rng(8)
@@ -155,15 +155,15 @@ class TestRiemHess:
         rng = np.random.default_rng(9)
         pt = random_point("psd_embedded", 4, 4, 2, rng)
         obj = make_matrix_approx(sym(rng.standard_normal((4, 4))), symmetric=True)
-        xi = EmbeddedTangent(pt, np.zeros((2, 2)), np.zeros((2, 2)), None)
+        xi = EmbeddedTangent(pt, np.zeros((2, 2)), np.zeros((4, 2)), None)
         assert riem_hess_quad_embedded(pt, obj, xi) == 0.0
 
     def test_worked_correction_value(self):
-        # S = 0, D = 1 at the rank-1 stationary point of M = diag(3, 1):
-        # quad = ||xi||^2 + 2 <grad, Uperp D Sigma^-1 D^T Uperp^T> = 2 - 2/3
+        # S = 0, Up = U_perp at the rank-1 stationary point of M = diag(3, 1):
+        # quad = ||xi||^2 + 2 <grad, Up Sigma^-1 Up^T> = 2 - 2/3
         obj = make_matrix_approx(np.diag([3.0, 1.0]), symmetric=True)
         pt = embed_point(np.diag([3.0, 0.0]), 1, "psd")
-        xi = EmbeddedTangent(pt, np.array([[0.0]]), np.array([[1.0]]), None)
+        xi = EmbeddedTangent(pt, np.array([[0.0]]), pt.Uperp, None)
         assert riem_hess_quad_embedded(pt, obj, xi) == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_equals_euclidean_when_gradient_vanishes(self):
@@ -205,7 +205,7 @@ class TestRetract:
         rng = np.random.default_rng(13)
         pt = random_point("psd_embedded", 5, 5, 2, rng)
         s = sym(rng.standard_normal((2, 2)))
-        xi = EmbeddedTangent(pt, s, np.zeros((3, 2)), None)
+        xi = EmbeddedTangent(pt, s, np.zeros((5, 2)), None)
         t = 1e-3
         out = retract(pt, xi, t)
         np.testing.assert_allclose(out.X, pt.X + t * xi.ambient(), atol=1e-12)
