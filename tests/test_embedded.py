@@ -1,9 +1,12 @@
 """Embedded fixed-rank geometry: factors, projections, gradients, Hessians,
 retraction, bases."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from georank import linalg
 from georank.embedded import (
     EmbeddedTangent,
     embed_point,
@@ -14,11 +17,14 @@ from georank.embedded import (
     tangent_basis,
     tangent_project,
 )
+from georank.flows import FLOW_SOURCES, integrate_flow
+from georank.landscape import find_fosp
 from georank.linalg import RankError, sym
 from georank.objectives import make_matrix_approx
-from georank.quotient import EMBEDDED
+from georank.quotient import EMBEDDED, random_horizontal
+from georank.transport import forward_map, inverse_map
 
-from util import random_point
+from util import ALL_QUOTIENTS, geometry_metric_combos, kind_of, random_point
 
 
 class TestEmbedPoint:
@@ -76,15 +82,35 @@ class TestEmbedPoint:
         assert all(p1.U[cols[j], j] > 0 for j in range(2))
 
 
+# (kind, p1, p2, r): a generic rank, r = p (empty complements), and r = p2 < p1
+SHAPES = [("psd", 5, 5, 2), ("general", 5, 4, 2), ("psd", 4, 4, 4),
+          ("general", 4, 4, 4), ("general", 5, 4, 4)]
+
+
 class TestTangentProject:
     def test_idempotent(self):
         rng = np.random.default_rng(3)
-        for kind, p1, p2 in [("psd", 5, 5), ("general", 5, 4)]:
-            pt = random_point(EMBEDDED[kind], p1, p2, 2, rng)
+        for kind, p1, p2, r in SHAPES:
+            pt = random_point(EMBEDDED[kind], p1, p2, r, rng)
             z = rng.standard_normal((p1, p2))
             once = tangent_project(pt, z)
             twice = tangent_project(pt, once.ambient())
             np.testing.assert_allclose(once.ambient(), twice.ambient(), atol=1e-12)
+            np.testing.assert_allclose(once.S, twice.S, atol=1e-12)
+            np.testing.assert_allclose(once.Up, twice.Up, atol=1e-12)
+            if kind == "general":
+                np.testing.assert_allclose(once.Vp, twice.Vp, atol=1e-12)
+
+    def test_norm_is_ambient_frobenius_norm(self):
+        rng = np.random.default_rng(18)
+        for kind, p1, p2, r in SHAPES:
+            pt = random_point(EMBEDDED[kind], p1, p2, r, rng)
+            xi = tangent_project(pt, rng.standard_normal((p1, p2)))
+            assert xi.norm() == pytest.approx(np.linalg.norm(xi.ambient()), rel=1e-12)
+            # the off-frame factors are orthogonal to the frame
+            np.testing.assert_allclose(pt.U.T @ xi.Up, 0, atol=1e-12)
+            if kind == "general":
+                np.testing.assert_allclose(pt.V.T @ xi.Vp, 0, atol=1e-12)
 
     def test_normal_block_annihilated(self):
         rng = np.random.default_rng(4)
@@ -239,3 +265,44 @@ class TestTangentBasis:
             ambs = [b.ambient() for b in basis]
             gram = np.array([[np.sum(a * b) for b in ambs] for a in ambs])
             np.testing.assert_allclose(gram, np.eye(len(basis)), atol=1e-12)
+
+
+def test_orthogonal_complements_only_for_bases(monkeypatch):
+    """Flows, the FOSP search, projection, the Hessian form and the maps L
+    and L^-1 work on the factors U and V alone; only a basis builds U_perp."""
+    calls = []
+    original = linalg.orth_complement
+
+    def counted(u):
+        calls.append(u.shape)
+        return original(u)
+
+    for name, module in list(sys.modules.items()):
+        if name == "georank" or name.startswith("georank."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+
+    rng = np.random.default_rng(19)
+    objs = {kind: make_matrix_approx(sym(rng.standard_normal((6, 6)))
+                                     if kind == "psd" else rng.standard_normal((6, 5)),
+                                     symmetric=kind == "psd")
+            for kind in ("psd", "general")}
+    for geometry, metric in FLOW_SOURCES:
+        kind = kind_of(geometry)
+        x0 = random_point(EMBEDDED[kind], 6, 5, 2, rng)
+        integrate_flow(x0, objs[kind], (geometry, metric), 0.04, 0.01)
+    for kind, obj in objs.items():
+        find_fosp(obj, EMBEDDED[kind], random_point(EMBEDDED[kind], 6, 5, 2, rng),
+                  max_iter=20)
+    for geometry, metric in geometry_metric_combos(ALL_QUOTIENTS):
+        obj = objs[kind_of(geometry)]
+        z = random_point(geometry, 6, 5, 2, rng)
+        xi = forward_map(z, random_horizontal(z, metric, rng), metric)
+        inverse_map(z, xi, metric)
+        riem_hess_quad_embedded(z.point, obj, xi)
+        tangent_project(z.point, rng.standard_normal(z.X.shape))
+    assert calls == []
+
+    tangent_basis(random_point("gen_embedded", 6, 5, 2, rng))
+    assert calls == [(6, 2), (5, 2)]
