@@ -229,19 +229,17 @@ def tangent_basis(pt: EmbeddedPoint):
     then U_perp E (and V_perp E) for the matrix units E."""
     r = pt.r
     p1, p2 = pt.X.shape
-    uperp = pt.Uperp
     zero_s, zero_up = np.zeros((r, r)), np.zeros((p1, r))
     if pt.kind == "psd":
         # an off-frame factor Up enters the ambient matrix twice
         basis = [EmbeddedTangent(pt, s, zero_up, None) for s in sym_basis(r)]
-        basis += [EmbeddedTangent(pt, zero_s, uperp @ (e / np.sqrt(2.0)), None)
+        basis += [EmbeddedTangent(pt, zero_s, pt.Uperp @ (e / np.sqrt(2.0)), None)
                   for e in unit_basis(p1 - r, r)]
         return basis
-    vperp = pt.Vperp
     zero_vp = np.zeros((p2, r))
     basis = [EmbeddedTangent(pt, s, zero_up, zero_vp) for s in unit_basis(r, r)]
-    basis += [EmbeddedTangent(pt, zero_s, uperp @ e, zero_vp)
+    basis += [EmbeddedTangent(pt, zero_s, pt.Uperp @ e, zero_vp)
               for e in unit_basis(p1 - r, r)]
-    basis += [EmbeddedTangent(pt, zero_s, zero_up, vperp @ e)
+    basis += [EmbeddedTangent(pt, zero_s, zero_up, pt.Vperp @ e)
               for e in unit_basis(p2 - r, r)]
     return basis

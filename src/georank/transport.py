@@ -1,8 +1,8 @@
 """Linear bijections between horizontal spaces and embedded tangent spaces.
 
-For a quotient point Z representing X, the map L sends a horizontal vector
-to the differential of the factorization product, which lands exactly in the
-embedded tangent space at X:
+For a quotient point Z representing X, the map L is the differential of the
+factor map along a horizontal vector, which lands exactly in the embedded
+tangent space at X (Absil, Mahony & Sepulchre 2008, ch. 3):
 
     psd_q1   L(theta)     = Y theta^T + theta Y^T
     psd_q2   L(theta)     = U B theta_U^T + U theta_B U^T + theta_U B U^T
@@ -10,16 +10,17 @@ embedded tangent space at X:
     gen_q2   L(theta)     = theta_U B V^T + U theta_B V^T + U B theta_V^T
     gen_q3   L(theta)     = U theta_Y^T + theta_U Y^T
 
-The inverses recover block coordinates directly, except for an r x r
-Sylvester sub-solve in psd_q1, gen_q1, and gen_q2. The squared Frobenius
-norm of L is bounded above and below by metric-dependent coefficients
-(alpha, beta), which are the gap coefficients of the Hessian-spectrum
-sandwich inequalities.
+L(theta) is returned in the embedded tangent's factored form (S, Up, Vp), the
+tangent projection of the differential. The inverses read the factors
+directly, except for an r x r Sylvester sub-solve in psd_q1, gen_q1, and
+gen_q2. The squared Frobenius norm of L is bounded above and below by
+metric-dependent coefficients (alpha, beta), which are the gap coefficients
+of the Hessian-spectrum sandwich inequalities.
 
 L is defined only between Z and the embedded point cached inside Z (the
 matched-pair convention), which removes any eigenbasis rotation ambiguity.
 
-The formulas for L, its inverse and (alpha, beta) are methods of each
+The differential, the inverse and (alpha, beta) are methods of each
 geometry's class in ``quotient.REGISTRY``; this module holds the checked
 public entry points and ``SandwichCoefficients``.
 """
