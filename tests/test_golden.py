@@ -104,11 +104,11 @@ def compare(tmp_dir):
             else:
                 print(f"  {key}: {a!r} -> {b!r}")
         print(f"  {moved} values moved, largest relative change {worst:.2e}")
-        for (label, obs0, tol0), (_, obs1, tol1) in zip(gate.margin_pairs(old),
-                                                          gate.margin_pairs(new)):
+        pairs = list(zip(gate.margin_pairs(old), gate.margin_pairs(new)))
+        for (label, obs0, tol0), (_, obs1, tol1) in pairs:
             m0, m1 = gate.margin_dec(obs0, tol0), gate.margin_dec(obs1, tol1)
             print(f"  margin {label}: {m0:.2f} -> {m1:.2f} dec ({m1 - m0:+.2f})")
-        if gate.margin_pairs(old):
+        if pairs:
             lo0, lo1 = gate.check_margin_dec([old]), gate.check_margin_dec([new])
             print(f"  smallest margin: {lo0:.2f} -> {lo1:.2f} dec")
 
