@@ -10,7 +10,11 @@ files unchanged. To see what a change moves, regenerate the reports into a
 temporary directory and compare them with the golden files: every value that
 differs, with its relative change, and each check's margin to its tolerance
 in decades, golden and regenerated (``margin_pairs`` of
-``perfbench/gate.py``):
+``perfbench/gate.py``). A summary block ends the output: per case, the
+largest change of a spectral value (``eig_*``, ``lam_*``, ``lo``, ``hi``,
+``min_eigenvalue``) relative to the value and to its spectrum's max |lambda|;
+how many check margins moved inward and outward, and the lowest moved one;
+and each report's smallest margin, golden -> regenerated:
 
     PYTHONPATH=src python tests/test_golden.py --compare
 
@@ -21,11 +25,14 @@ To regenerate the golden files on purpose (and say so in CHANGES.md):
 
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from georank import landscape
 from georank.cli import COMMANDS, run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -80,17 +87,59 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def compare(tmp_dir):
-    """Print, per case, every value that differs from the golden report and
-    each check's margin in decades, golden -> regenerated."""
+SPECTRAL = re.compile(r"^/checks\[(\d+)\]/.*/(eig_embedded\[\d+\]|eig_quotient\[\d+\]"
+                      r"|lam_f|lam_h|lo|hi|min_eigenvalue)$")
+
+
+def _load_gate():
     spec = importlib.util.spec_from_file_location("_perfbench_gate", GATE)
     gate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gate)
+    return gate
+
+
+def _spectrum_scale(report, check, label, seen):
+    """Largest |eigenvalue| of the spectrum behind a spectral value: a
+    sandwich row's two spectra, or, for a classify label, the largest that
+    ``hessian_spectrum`` returned for its geometry and metric in this case."""
+    det = report["checks"][check]["details"]
+    if "eig_embedded" in det:
+        return max(abs(v) for v in det["eig_embedded"] + det["eig_quotient"])
+    return seen.get(label, float("nan"))
+
+
+def _regenerate(name, tmp_dir):
+    """The regenerated report of a case, with the largest |eigenvalue| of each
+    spectrum it assembled, keyed as the classify labels are."""
+    seen = {}
+    original = landscape.hessian_spectrum
+
+    def recording(*args, **kwargs):
+        rep = original(*args, **kwargs)
+        key = rep.geometry if rep.metric == "euclidean" else f"{rep.geometry}/{rep.metric}"
+        seen[key] = max(seen.get(key, 0.0), float(np.max(np.abs(rep.eigenvalues))))
+        return rep
+
+    landscape.hessian_spectrum = recording
+    try:
+        return json.loads(report_text(name, tmp_dir)), seen
+    finally:
+        landscape.hessian_spectrum = original
+
+
+def compare(tmp_dir):
+    """Print, per case, every value that differs from the golden report and
+    each check's margin in decades, golden -> regenerated; then a summary:
+    the largest spectral change per case, the count of margins that moved
+    each way, and each report's smallest margin."""
+    gate = _load_gate()
+    spectral, margins, smallest = {}, [], {}
     for case in sorted(CASES):
         old = json.loads((GOLDEN / f"{case}.json").read_text())
-        new = json.loads(report_text(case, tmp_dir))
+        new, seen = _regenerate(case, tmp_dir)
         before, after = dict(_leaves(old)), dict(_leaves(new))
         moved, worst = 0, 0.0
+        worst_value, worst_scale = 0.0, 0.0
         print(f"== {case}")
         for key in list(before) + [k for k in after if k not in before]:
             a, b = before.get(key, "<absent>"), after.get(key, "<absent>")
@@ -101,16 +150,39 @@ def compare(tmp_dir):
                 rel = abs(b - a) / max(abs(a), abs(b))
                 worst = max(worst, rel)
                 print(f"  {key}: {a!r} -> {b!r}  rel {rel:.2e}")
+                match = SPECTRAL.match(key)
+                if match:
+                    label = key.split("/labels/")[-1].rsplit("/", 1)[0]
+                    scale = _spectrum_scale(new, int(match.group(1)), label, seen)
+                    worst_value = max(worst_value, rel)
+                    worst_scale = max(worst_scale, abs(b - a) / scale)
             else:
                 print(f"  {key}: {a!r} -> {b!r}")
         print(f"  {moved} values moved, largest relative change {worst:.2e}")
+        if any(SPECTRAL.match(key) for key in after):
+            spectral[case] = (worst_value, worst_scale)
         pairs = list(zip(gate.margin_pairs(old), gate.margin_pairs(new)))
         for (label, obs0, tol0), (_, obs1, tol1) in pairs:
             m0, m1 = gate.margin_dec(obs0, tol0), gate.margin_dec(obs1, tol1)
+            margins.append((m0, m1))
             print(f"  margin {label}: {m0:.2f} -> {m1:.2f} dec ({m1 - m0:+.2f})")
         if pairs:
-            lo0, lo1 = gate.check_margin_dec([old]), gate.check_margin_dec([new])
-            print(f"  smallest margin: {lo0:.2f} -> {lo1:.2f} dec")
+            smallest[case] = (gate.check_margin_dec([old]), gate.check_margin_dec([new]))
+            print(f"  smallest margin: {smallest[case][0]:.2f} -> "
+                  f"{smallest[case][1]:.2f} dec")
+
+    print("== summary")
+    print("  largest spectral change (eig_*, lam_*, lo, hi, min_eigenvalue):")
+    for case, (by_value, by_scale) in spectral.items():
+        print(f"    {case}: {by_value:.2e} of the value, {by_scale:.2e} of max |lambda|")
+    inward = [m1 for m0, m1 in margins if m1 < m0]
+    outward = [m1 for m0, m1 in margins if m1 > m0]
+    lowest = f"{min(inward + outward):.2f} dec" if inward or outward else "none"
+    print(f"  margins moved: {len(inward)} inward, {len(outward)} outward; "
+          f"lowest moved margin {lowest}")
+    print("  smallest margin per report:")
+    for case, (m0, m1) in smallest.items():
+        print(f"    {case}: {m0:.2f} -> {m1:.2f} dec")
 
 
 if __name__ == "__main__":
