@@ -441,7 +441,7 @@ def horizontal_project(
     """Horizontal component of a total-space tangent vector (see
     ``vertical_project`` for the decomposition convention)."""
     parts = project_total_tangent(z, parts)
-    hor = tuple(a - b for a, b in zip(parts, vertical_project(z, parts, metric)))
+    hor = tuple(a - b for a, b in zip(parts, _vertical(z, parts, metric)))
     return HorizontalVector(z, hor, _space(z, metric))
 
 
@@ -493,7 +493,7 @@ def random_horizontal(
 ) -> HorizontalVector:
     """Gaussian tangent draw projected onto the horizontal space."""
     raw = tuple(rng.standard_normal(f.shape) for f in z.factors)
-    return horizontal_project(z, project_total_tangent(z, raw), metric)
+    return horizontal_project(z, raw, metric)
 
 
 # ---------------------------------------------------------------------------
