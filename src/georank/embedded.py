@@ -197,24 +197,30 @@ def riem_grad_embedded(pt: EmbeddedPoint, obj: Objective) -> EmbeddedTangent:
     return tangent_project(pt, obj.egrad(pt.X))
 
 
-def riem_hess_quad_embedded(pt: EmbeddedPoint, obj: Objective,
-                            xi: EmbeddedTangent) -> float:
-    """Quadratic form of the Riemannian Hessian at pt along xi.
-
-    Equals the Euclidean Hessian form plus the curvature correction coupling
-    the Euclidean gradient with the off-frame factors of xi through Sigma^-1.
-    """
-    if xi.base is not pt:
-        raise ValueError("tangent vector is not based at the given point")
+def riem_hess_form_embedded(pt: EmbeddedPoint, obj: Objective):
+    """xi -> Hess f[xi, xi], the quadratic form of the Riemannian Hessian at
+    pt: the Euclidean Hessian form plus the curvature correction coupling
+    the Euclidean gradient with the off-frame factors of xi through
+    Sigma^-1. The gradient and the core's rank check are evaluated once."""
     sig = pt.Sigma
     if np.linalg.svd(sig, compute_uv=False)[-1] <= RANK_GAP_TOL * np.linalg.norm(sig, 2):
         raise RankError("core factor is numerically singular")
-    amb = xi.ambient()
-    quad = obj.ehess_quad(pt.X, amb)
     egrad = obj.egrad(pt.X)
-    vp = xi.Up if pt.kind == "psd" else xi.Vp
-    corr = xi.Up @ np.linalg.solve(sig, vp.T)
-    return quad + 2.0 * float(np.sum(egrad * corr))
+
+    def quad(xi: EmbeddedTangent) -> float:
+        if xi.base is not pt:
+            raise ValueError("tangent vector is not based at the given point")
+        vp = xi.Up if pt.kind == "psd" else xi.Vp
+        corr = xi.Up @ np.linalg.solve(sig, vp.T)
+        return obj.ehess_quad(pt.X, xi.ambient()) + 2.0 * float(np.sum(egrad * corr))
+
+    return quad
+
+
+def riem_hess_quad_embedded(pt: EmbeddedPoint, obj: Objective,
+                            xi: EmbeddedTangent) -> float:
+    """Quadratic form of the Riemannian Hessian at pt along xi."""
+    return riem_hess_form_embedded(pt, obj)(xi)
 
 
 def retract(pt: EmbeddedPoint, xi: EmbeddedTangent, t: float) -> EmbeddedPoint:

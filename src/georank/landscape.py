@@ -20,6 +20,7 @@ from .embedded import (
     embed_point,
     retract,
     riem_grad_embedded,
+    riem_hess_form_embedded,
     riem_hess_quad_embedded,
     tangent_basis,
     tangent_project,
@@ -47,6 +48,7 @@ from .quotient import (
     quotient_dim,
     random_horizontal,
     riem_grad_quotient,
+    riem_hess_form_quotient,
     riem_hess_quad_quotient,
 )
 from .transport import forward_map, spectrum_bounds
@@ -144,19 +146,17 @@ def hessian_spectrum(
 ) -> SpectrumReport:
     """Full Riemannian Hessian spectrum at a point under one geometry.
 
-    The Hessian matrix is assembled entry by entry from the quadratic form
-    via polarization over an explicit tangent/horizontal basis, and the
-    eigenvalues are those of the pencil (H, Gram).
+    The Hessian quadratic form is built once for the point, the Hessian
+    matrix is assembled entry by entry from it via polarization over an
+    explicit tangent/horizontal basis, and the eigenvalues are those of the
+    pencil (H, Gram).
     """
     if geometry in EMBEDDED.values():
         if not isinstance(point, EmbeddedPoint):
             point = point.point
         basis = tangent_basis(point)
         gram = np.eye(len(basis))
-
-        def quad(v):
-            return riem_hess_quad_embedded(point, obj, v)
-
+        quad = riem_hess_form_embedded(point, obj)
         gnorm = riem_grad_embedded(point, obj).norm()
         mname = "euclidean"
     else:
@@ -164,10 +164,7 @@ def hessian_spectrum(
             raise ValueError("quotient geometries need a metric family")
         z = _as_quotient(point, geometry)
         basis, gram = horizontal_basis(z, metric)
-
-        def quad(v):
-            return riem_hess_quad_quotient(z, obj, metric, v)
-
+        quad = riem_hess_form_quotient(z, obj, metric)
         gnorm = metric_norm(z, riem_grad_quotient(z, obj, metric), metric)
         mname = metric.name
 

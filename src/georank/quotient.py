@@ -28,6 +28,7 @@ defect above 1e-8 is an error. Nothing is silently re-projected.
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -289,8 +290,7 @@ class MetricFamily:
 
 @dataclass(frozen=True, eq=False)
 class Weights:
-    """A metric family's weights and their inverses at one point, with the
-    directional derivatives of both (d W^-1 = -W^-1 dW W^-1)."""
+    """A metric family's weights and their inverses at one point."""
 
     z: QuotientPoint
     metric: MetricFamily
@@ -306,18 +306,6 @@ class Weights:
             values[key] = w = _read_only(spec.value(z))
             values[f"{key}_inv"] = _read_only(spd_functions(w).inv)
         return cls(z, metric, **values)
-
-    def dw(self, parts):
-        return self.metric.weights["w"].deriv(self.z, self.w, parts)
-
-    def dv(self, parts):
-        return self.metric.weights["v"].deriv(self.z, self.v, parts)
-
-    def dw_inv(self, parts):
-        return -self.w_inv @ self.dw(parts) @ self.w_inv
-
-    def dv_inv(self, parts):
-        return -self.v_inv @ self.dv(parts) @ self.v_inv
 
 
 def metric_choices(geometry: str):
@@ -541,27 +529,30 @@ def riem_grad_quotient(
     """Horizontal lift of the Riemannian gradient of the induced quotient
     objective h([Z]) = f(X(Z)).
 
-    Closed forms per geometry; the defining property g(grad, theta) =
-    D h(Z)[theta] holds for every horizontal theta.
+    Derived from the factor map's chain; the defining property
+    g(grad, theta) = D h(Z)[theta] holds for every horizontal theta.
     """
     return gradient_lift_from_ambient(z, metric, obj.egrad(z.X))
+
+
+def riem_hess_form_quotient(z: QuotientPoint, obj: Objective, metric: MetricFamily):
+    """theta -> Hess h[theta, theta], the quadratic form of the lifted
+    Riemannian Hessian of h at z, with the point's constants (the Euclidean
+    gradient, the gradient lift, the metric's derivative along it) computed
+    once. Bilinear values follow by polarization."""
+    form = REGISTRY[z.geometry].hess_form(z, obj, z.weights(metric))
+
+    def quad(theta: HorizontalVector) -> float:
+        return float(form(_as_horizontal(z, theta, metric).parts))
+
+    return quad
 
 
 def riem_hess_quad_quotient(
     z: QuotientPoint, obj: Objective, metric: MetricFamily, theta: HorizontalVector
 ) -> float:
-    """Quadratic form of the lifted Riemannian Hessian of h along theta.
-
-    The expressions combine the Euclidean Hessian along the factorization
-    differential, gradient-coupling terms from the factorization curvature,
-    and correction terms carrying the Frechet derivatives of the metric
-    weights. Bilinear values follow by polarization.
-    """
-    wt = z.weights(metric)
-    theta = _as_horizontal(z, theta, metric)
-    x = z.X
-    nabla = _ambient_gradient(z, obj.egrad(x))
-    return float(REGISTRY[z.geometry].hess_quad(z, obj, wt, theta.parts, x, nabla))
+    """Quadratic form of the lifted Riemannian Hessian of h along theta."""
+    return riem_hess_form_quotient(z, obj, metric)(theta)
 
 
 def horizontal_basis(z: QuotientPoint, metric: MetricFamily):
@@ -634,20 +625,23 @@ class QuotientGeometry:
     """One quotient geometry: the total space of its factors, the gauge
     group, the metric families, the horizontal space, and the lifts.
 
-    A subclass sets ``name``, ``kind`` ("psd" or "general"), ``factors`` and
-    ``metrics`` (family name -> (description, {weight key: Weight})), and
-    ``metric_horizontal`` when its horizontal space depends on the metric. It
-    implements, on raw component tuples and the point's ``Weights`` ``wt``:
+    A subclass sets ``name``, ``kind`` ("psd" or "general"), ``factors``,
+    ``chain`` (the factor map as a product of factor names, "F^T" for a
+    transposed link, e.g. ("U", "B", "U^T") for X = U B U^T) and ``metrics``
+    (family name -> (description, {weight key: Weight})), and
+    ``metric_horizontal`` when its horizontal space depends on the metric.
+
+    From the chain, the factor kinds and the weights, the base class derives
+    the differential and second differential of the factor map, each
+    factor's partial derivative, the gradient lift, the Hessian form and
+    L(theta). A subclass implements, on raw component tuples and the point's
+    ``Weights`` ``wt``:
 
     - ``frame(*factors)``: the matched ``EmbeddedPoint``;
     - ``lift(x_pt, sig, root)``: canonical factors of a spectral frame;
     - ``vertical(z, parts, wt)``: vertical part of a tangent vector (the
       base class covers O(r) acting on a total space with a Stiefel factor);
-    - ``grad_lift(z, wt, nabla)``: horizontal lift of an ambient gradient;
-    - ``hess_quad(z, obj, wt, theta, x, nabla)``: the Hessian form;
     - ``basis(z, wt)``: a structured basis of the horizontal space;
-    - ``differential(z, theta)``: the ambient differential of the factor map
-      along theta, which the base class's ``forward`` turns into L(theta);
     - ``inverse(z, xi, wt)``: the inverse of L on the embedded tangent space;
     - ``bounds(z, wt)``: (alpha, beta) with alpha g <= ||L||^2 <= beta g;
     - ``grad_embedded(z, wt, grad)``: ambient embedded gradient from a lift.
@@ -660,6 +654,118 @@ class QuotientGeometry:
             name: MetricFamily(self.name, name, description, weights)
             for name, (description, weights) in self.metrics.items()
         }
+        # each link as (factor position, transposed), resolved once
+        names = [f.name for f in self.factors]
+        self.links = tuple((names.index(link.removesuffix("^T")), link.endswith("^T"))
+                           for link in self.chain)
+
+    def _product(self, base, theta=None, taken=(), lo=0, hi=None):
+        """Product of the links lo..hi-1 of the chain, those at positions
+        ``taken`` read from the tangent ``theta`` and the rest from the
+        factors ``base``."""
+        out = None
+        for k, (i, transposed) in enumerate(self.links[lo:hi], lo):
+            a = (theta if k in taken else base)[i]
+            a = a.T if transposed else a
+            out = a if out is None else out @ a
+        return out
+
+    def differential(self, z, theta):
+        """D pi[theta]: the sum over links of the product with that link
+        read from theta."""
+        terms = [self._product(z.factors, theta, (k,)) for k in range(len(self.links))]
+        return sum(terms[1:], terms[0])
+
+    def second(self, z, theta):
+        """D^2 pi[theta, theta]: twice the sum over link pairs i < j of the
+        product with links i and j read from theta."""
+        terms = [self._product(z.factors, theta, pair)
+                 for pair in combinations(range(len(self.links)), 2)]
+        return 2.0 * sum(terms[1:], terms[0])
+
+    def partial(self, z, nabla, index):
+        """Partial derivative of <nabla, pi> in the factor at ``index``: over
+        that factor's links, (left product)^T nabla (right product)^T,
+        transposed where the link is."""
+        out = 0.0
+        for k, (i, transposed) in enumerate(self.links):
+            if i != index:
+                continue
+            g = nabla
+            if k > 0:
+                g = self._product(z.factors, hi=k).T @ g
+            if k < len(self.links) - 1:
+                g = g @ self._product(z.factors, lo=k + 1).T
+            out = out + (g.T if transposed else g)
+        return out
+
+    def grad_lift(self, z, wt, nabla):
+        """Lift of an ambient gradient: d_F W_F^-1 on a free factor,
+        (I - F F^T) d_F W_F^-1 on a Stiefel factor and W^-1 sym(d_B) W^-1 on
+        the SPD core, with d_F the partial derivative and W_F its weight."""
+        out = []
+        for i, (f, base) in enumerate(zip(self.factors, z.factors)):
+            d = self.partial(z, nabla, i)
+            w_inv = getattr(wt, f.weight + "_inv")
+            if f.kind == "spd":
+                out.append(w_inv @ sym(d) @ w_inv)
+                continue
+            if f.kind == "stiefel":
+                d = d - base @ (base.T @ d)
+            out.append(d @ w_inv)
+        return tuple(out)
+
+    def _dw(self, wt, zeta):
+        """Derivative of each weight along ``zeta``; identity weights have
+        none."""
+        return {key: spec.deriv(wt.z, getattr(wt, key), zeta)
+                for key, spec in wt.metric.weights.items() if spec.form != "I"}
+
+    def _dg(self, wt, dws, a, b):
+        """Dg[zeta](a, b) from the weight derivatives ``dws`` = _dw(wt, zeta):
+        tr(DW_F a_F^T b_F) on Stiefel and free factors, tr(DW a W b) +
+        tr(W a DW b) on the SPD core (every DW is symmetric)."""
+        out = 0.0
+        for f, fa, fb in zip(self.factors, a, b):
+            dw = dws.get(f.weight)
+            if dw is None:
+                continue
+            if f.kind == "spd":
+                w = getattr(wt, f.weight)
+                out += _dot(dw, fa @ w @ fb) + _dot(w, fa @ dw @ fb)
+            else:
+                out += _dot(dw, fa.T @ fb)
+        return out
+
+    def hess_form(self, z, obj, wt):
+        """theta -> Hess h[theta, theta], with nabla f, the gradient lift G,
+        the Stiefel partials and DW[G] bound once:
+
+            Hess f[D pi theta, D pi theta] + <nabla f, D^2 pi[theta, theta]>
+            - sum over Stiefel F of <d_F, F theta_F^T theta_F>
+            - Dg[theta](theta, G) + Dg[G](theta, theta) / 2
+
+        the Euclidean Hessian along the differential, the gradient against
+        the second differential, the Stiefel normal term and the metric's
+        Koszul terms."""
+        x = z.X
+        nabla = _ambient_gradient(z, obj.egrad(x))
+        grad = self.grad_lift(z, wt, nabla)
+        stiefel = [(i, base, self.partial(z, nabla, i))
+                   for i, (f, base) in enumerate(zip(self.factors, z.factors))
+                   if f.kind == "stiefel"]
+        dw_grad = self._dw(wt, grad)
+
+        def form(theta):
+            out = obj.ehess_quad(x, self.differential(z, theta))
+            out += _dot(nabla, self.second(z, theta))
+            for i, base, d in stiefel:
+                out -= _dot(d, base @ (theta[i].T @ theta[i]))
+            out -= self._dg(wt, self._dw(wt, theta), theta, grad)
+            out += self._dg(wt, dw_grad, theta, theta) / 2.0
+            return out
+
+        return form
 
     def checked(self, factors):
         """Validate factors by kind; SPD factors are symmetrized."""
@@ -725,6 +831,7 @@ class QuotientGeometry:
 class PsdQ1(QuotientGeometry):
     name, kind = "psd_q1", "psd"
     factors = (Factor("Y", "free", "w"),)
+    chain = ("Y", "Y^T")
     metrics = {
         "flat": ("W_Y = I", {"w": IDENTITY}),
         "double-gram": ("W_Y = 2 Y^T Y", {"w": Weight("FtF", "Y", 2.0)}),
@@ -751,24 +858,6 @@ class PsdQ1(QuotientGeometry):
         a = u.T @ parts[0] @ p.T
         omega = solve_sylvester(m, m, 2.0 * skew(a @ m))
         return (u @ omega @ pinv.T,)
-
-    def grad_lift(self, z, wt, nabla):
-        return (2.0 * nabla @ z.factor("Y") @ wt.w_inv,)
-
-    def differential(self, z, theta):
-        yfac = z.factor("Y")
-        (ty,) = theta
-        return yfac @ ty.T + ty @ yfac.T
-
-    def hess_quad(self, z, obj, wt, theta, x, nabla):
-        yfac = z.factor("Y")
-        (ty,) = theta
-        out = obj.ehess_quad(x, self.differential(z, theta))
-        out += 2.0 * _dot(nabla, ty @ ty.T)
-        out += 2.0 * _dot(nabla @ yfac @ wt.dw_inv(theta), ty @ wt.w)
-        grad = self.grad_lift(z, wt, nabla)
-        out += _dot(wt.dw(grad), ty.T @ ty) / 2.0
-        return out
 
     def basis(self, z, wt):
         u, uperp = z.point.U, z.point.Uperp
@@ -799,6 +888,7 @@ class PsdQ1(QuotientGeometry):
 class PsdQ2(QuotientGeometry):
     name, kind = "psd_q2", "psd"
     factors = (Factor("U", "stiefel", "v"), Factor("B", "spd", "w"))
+    chain = ("U", "B", "U^T")
     metrics = {
         "polar": ("V_B = I, W_B = B^-1",
                   {"v": IDENTITY, "w": Weight("B", "B", inverse=True)}),
@@ -811,37 +901,6 @@ class PsdQ2(QuotientGeometry):
 
     def lift(self, x_pt, sig, root):
         return (x_pt.U, sig)
-
-    def grad_lift(self, z, wt, nabla):
-        u, b = z.factors
-        nu = nabla @ u
-        return (2.0 * (nu - u @ (u.T @ nu)) @ b @ wt.v_inv,
-                wt.w_inv @ u.T @ nu @ wt.w_inv)
-
-    def differential(self, z, theta):
-        u, b = z.factors
-        tu, tb = theta
-        return u @ b @ tu.T + u @ tb @ u.T + tu @ b @ u.T
-
-    def hess_quad(self, z, obj, wt, theta, x, nabla):
-        u, b = z.factors
-        tu, tb = theta
-        out = obj.ehess_quad(x, self.differential(z, theta))
-        out += 2.0 * _dot(nabla, tu @ b @ tu.T)
-        wb, vb = wt.w, wt.v
-        inner = (
-            2.0 * tu @ tb
-            + u @ wt.dw_inv(theta) @ wb @ tb
-            + tu @ vb @ wt.dv_inv(theta) @ b
-            - tu @ (u.T @ tu) @ b
-            - u @ tu.T @ tu @ b
-        )
-        out += 2.0 * _dot(nabla @ u, inner)
-        grad_b = self.grad_lift(z, wt, nabla)[1]
-        gdir = (np.zeros_like(u), grad_b)
-        out += np.trace(wt.dv(gdir) @ tu.T @ tu) / 2.0
-        out += np.trace(sym(wb @ tb @ wt.dw(gdir)) @ tb)
-        return out
 
     def basis(self, z, wt):
         u = z.factor("U")
@@ -870,6 +929,7 @@ class PsdQ2(QuotientGeometry):
 class GenQ1(QuotientGeometry):
     name, kind = "gen_q1", "general"
     factors = (Factor("L", "free", "w"), Factor("R", "free", "v"))
+    chain = ("L", "R^T")
     metrics = {
         "inverse-gram": ("W = (L^T L)^-1, V = (R^T R)^-1",
                          {"w": Weight("FtF", "L", inverse=True),
@@ -903,27 +963,6 @@ class GenQ1(QuotientGeometry):
         a2 = v.T @ parts[1] @ z.P1.T
         sv = solve_sylvester(m2, m1, a1.T @ m1 - m2 @ a2).T
         return (u @ sv @ p2inv.T, -v @ sv.T @ p1inv.T)
-
-    def grad_lift(self, z, wt, nabla):
-        lfac, rfac = z.factors
-        return (nabla @ rfac @ wt.w_inv, nabla.T @ lfac @ wt.v_inv)
-
-    def differential(self, z, theta):
-        lfac, rfac = z.factors
-        tl, tr = theta
-        return lfac @ tr.T + tl @ rfac.T
-
-    def hess_quad(self, z, obj, wt, theta, x, nabla):
-        lfac, rfac = z.factors
-        tl, tr = theta
-        out = obj.ehess_quad(x, self.differential(z, theta))
-        out += 2.0 * _dot(nabla, tl @ tr.T)
-        out += _dot(nabla @ rfac @ wt.dw_inv(theta), tl @ wt.w)
-        out += _dot(nabla.T @ lfac @ wt.dv_inv(theta), tr @ wt.v)
-        grad = self.grad_lift(z, wt, nabla)
-        out += _dot(wt.dw(grad), tl.T @ tl) / 2.0
-        out += _dot(wt.dv(grad), tr.T @ tr) / 2.0
-        return out
 
     def basis(self, z, wt):
         u, v = z.point.U, z.point.V
@@ -964,6 +1003,7 @@ class GenQ2(QuotientGeometry):
     name, kind = "gen_q2", "general"
     factors = (Factor("U", "stiefel", "v"), Factor("B", "spd", "w"),
                Factor("V", "stiefel", "v"))
+    chain = ("U", "B", "V^T")
     metrics = {
         "polar": ("V_B = I, W_B = B^-1",
                   {"v": IDENTITY, "w": Weight("B", "B", inverse=True)}),
@@ -976,39 +1016,13 @@ class GenQ2(QuotientGeometry):
         return (x_pt.U, sig, x_pt.V)
 
     def grad_lift(self, z, wt, nabla):
+        """The base lift plus (U mix, 0, -V mix), mix = (K B + B K)/2 with
+        K = skew(U^T nabla V), which makes it horizontal."""
         u, b, v = z.factors
-        delta = u.T @ nabla @ v
-        mix = (skew(delta) @ b + b @ skew(delta)) / 2.0
-        nv = nabla @ v
-        ntu = nabla.T @ u
-        return (
-            (nv - u @ (u.T @ nv)) @ b + u @ mix,
-            b @ sym(delta) @ b,
-            (ntu - v @ (v.T @ ntu)) @ b - v @ mix,
-        )
-
-    def differential(self, z, theta):
-        u, b, v = z.factors
-        tu, tb, tv = theta
-        return tu @ b @ v.T + u @ tb @ v.T + u @ b @ tv.T
-
-    def hess_quad(self, z, obj, wt, theta, x, nabla):
-        u, b, v = z.factors
-        tu, tb, tv = theta
-        out = obj.ehess_quad(x, self.differential(z, theta))
-        out += 2.0 * _dot(nabla, tu @ b @ tv.T)
-        delta = u.T @ nabla @ v
-        dprime = tu.T @ nabla @ v
-        dsecond = u.T @ nabla @ tv
-        utu = u.T @ tu
-        vtv = v.T @ tv
-        binv = z.binv
-        out += _dot(delta, sym(utu @ utu) @ b + b @ sym(vtv @ utu) - 2.0 * tu.T @ tu @ b) / 2.0
-        out += _dot(delta, b @ sym(vtv @ vtv) + sym(utu @ vtv) @ b
-                    - 2.0 * b @ tv.T @ tv + 2.0 * tb @ binv @ tb) / 2.0
-        out += _dot(dprime, 2.0 * tb - utu @ b - tu.T @ u @ b / 2.0 - vtv @ b / 2.0)
-        out += _dot(dsecond, 2.0 * tb - b @ tv.T @ v - b @ vtv / 2.0 - b @ tu.T @ u / 2.0)
-        return out
+        k = skew(u.T @ nabla @ v)
+        mix = (k @ b + b @ k) / 2.0
+        gu, gb, gv = super().grad_lift(z, wt, nabla)
+        return (gu + u @ mix, gb, gv - v @ mix)
 
     def basis(self, z, wt):
         u, b, v = z.factors
@@ -1049,6 +1063,7 @@ class GenQ2(QuotientGeometry):
 class GenQ3(QuotientGeometry):
     name, kind = "gen_q3", "general"
     factors = (Factor("U", "stiefel", "v"), Factor("Y", "free", "w"))
+    chain = ("U", "Y^T")
     metrics = {
         "flat": ("V_Y = I, W_Y = I", {"v": IDENTITY, "w": IDENTITY}),
         "inverse-gram": ("V_Y = I, W_Y = (Y^T Y)^-1",
@@ -1064,30 +1079,6 @@ class GenQ3(QuotientGeometry):
 
     def lift(self, x_pt, sig, root):
         return (x_pt.U, x_pt.V @ sig)
-
-    def grad_lift(self, z, wt, nabla):
-        u, yfac = z.factors
-        ny = nabla @ yfac
-        return ((ny - u @ (u.T @ ny)) @ wt.v_inv, nabla.T @ u @ wt.w_inv)
-
-    def differential(self, z, theta):
-        u, yfac = z.factors
-        tu, ty = theta
-        return u @ ty.T + tu @ yfac.T
-
-    def hess_quad(self, z, obj, wt, theta, x, nabla):
-        u, yfac = z.factors
-        tu, ty = theta
-        out = obj.ehess_quad(x, self.differential(z, theta))
-        out += 2.0 * _dot(nabla, tu @ ty.T)
-        out -= _dot(u.T @ nabla @ yfac, tu.T @ tu)
-        out += _dot(nabla.T @ u @ wt.dw_inv(theta), ty @ wt.w)
-        out += _dot(nabla @ yfac @ wt.dv_inv(theta), tu @ wt.v)
-        grad_y = self.grad_lift(z, wt, nabla)[1]
-        gdir = (np.zeros_like(u), grad_y)
-        out += _dot(wt.dw(gdir), ty.T @ ty) / 2.0
-        out += _dot(wt.dv(gdir), tu.T @ tu) / 2.0
-        return out
 
     def basis(self, z, wt):
         u, yfac = z.factors

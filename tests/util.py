@@ -4,6 +4,7 @@ and the CLI runner."""
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,17 +12,25 @@ import numpy as np
 import georank
 from georank import make_matrix_approx
 from georank.landscape import hessian_spectrum
-from georank.linalg import gen_sym_eig, polarize, sym
+from georank.linalg import gen_sym_eig, polarize, skew, sym
 from georank.quotient import (
     EMBEDDED,
     GEOMETRY_KIND,
+    GenQ1,
+    GenQ2,
+    GenQ3,
     HorizontalVector,
+    PsdQ1,
+    PsdQ2,
+    Weights,
+    _ambient_gradient,
+    _dot,
     _qf as qf,
     horizontal_basis,
     metric_choices,
     metric_family,
     random_point,
-    riem_hess_quad_quotient,
+    riem_hess_form_quotient,
     total_curve,
 )
 
@@ -98,15 +107,172 @@ def mixed_basis_spectrum(z, obj, metric, rng):
             v = v + basis[i] * c[i, j]
         mixed.append(v)
 
-    def quad(v):
-        return riem_hess_quad_quotient(z, obj, metric, v)
-
+    quad = riem_hess_form_quotient(z, obj, metric)
     h = np.zeros((d, d))
     for i in range(d):
         h[i, i] = quad(mixed[i])
         for j in range(i + 1, d):
             h[i, j] = h[j, i] = polarize(quad, mixed[i], mixed[j])
     return gen_sym_eig(h, c.T @ gram @ c)[0]
+
+
+# Hand-derived gradient lifts and Hessian forms, one per geometry, kept as
+# oracles for the forms the library derives from each factor map's chain.
+# Their differential is the library's.
+
+
+class OracleWeights(Weights):
+    """A point's weights with the directional derivatives of each weight and
+    of its inverse (d W^-1 = -W^-1 dW W^-1), which the hand forms read."""
+
+    def dw(self, parts):
+        return self.metric.weights["w"].deriv(self.z, self.w, parts)
+
+    def dv(self, parts):
+        return self.metric.weights["v"].deriv(self.z, self.v, parts)
+
+    def dw_inv(self, parts):
+        return -self.w_inv @ self.dw(parts) @ self.w_inv
+
+    def dv_inv(self, parts):
+        return -self.v_inv @ self.dv(parts) @ self.v_inv
+
+
+def oracle_weights(z, metric):
+    wt = z.weights(metric)
+    return OracleWeights(**{f.name: getattr(wt, f.name) for f in fields(wt)})
+
+
+class HandPsdQ1(PsdQ1):
+    def grad_lift(self, z, wt, nabla):
+        return (2.0 * nabla @ z.factor("Y") @ wt.w_inv,)
+
+    def hess_quad(self, z, obj, wt, theta, x, nabla):
+        yfac = z.factor("Y")
+        (ty,) = theta
+        out = obj.ehess_quad(x, self.differential(z, theta))
+        out += 2.0 * _dot(nabla, ty @ ty.T)
+        out += 2.0 * _dot(nabla @ yfac @ wt.dw_inv(theta), ty @ wt.w)
+        grad = self.grad_lift(z, wt, nabla)
+        out += _dot(wt.dw(grad), ty.T @ ty) / 2.0
+        return out
+
+
+class HandPsdQ2(PsdQ2):
+    def grad_lift(self, z, wt, nabla):
+        u, b = z.factors
+        nu = nabla @ u
+        return (2.0 * (nu - u @ (u.T @ nu)) @ b @ wt.v_inv,
+                wt.w_inv @ u.T @ nu @ wt.w_inv)
+
+    def hess_quad(self, z, obj, wt, theta, x, nabla):
+        u, b = z.factors
+        tu, tb = theta
+        out = obj.ehess_quad(x, self.differential(z, theta))
+        out += 2.0 * _dot(nabla, tu @ b @ tu.T)
+        wb, vb = wt.w, wt.v
+        inner = (
+            2.0 * tu @ tb
+            + u @ wt.dw_inv(theta) @ wb @ tb
+            + tu @ vb @ wt.dv_inv(theta) @ b
+            - tu @ (u.T @ tu) @ b
+            - u @ tu.T @ tu @ b
+        )
+        out += 2.0 * _dot(nabla @ u, inner)
+        grad_b = self.grad_lift(z, wt, nabla)[1]
+        gdir = (np.zeros_like(u), grad_b)
+        out += np.trace(wt.dv(gdir) @ tu.T @ tu) / 2.0
+        out += np.trace(sym(wb @ tb @ wt.dw(gdir)) @ tb)
+        return out
+
+
+class HandGenQ1(GenQ1):
+    def grad_lift(self, z, wt, nabla):
+        lfac, rfac = z.factors
+        return (nabla @ rfac @ wt.w_inv, nabla.T @ lfac @ wt.v_inv)
+
+    def hess_quad(self, z, obj, wt, theta, x, nabla):
+        lfac, rfac = z.factors
+        tl, tr = theta
+        out = obj.ehess_quad(x, self.differential(z, theta))
+        out += 2.0 * _dot(nabla, tl @ tr.T)
+        out += _dot(nabla @ rfac @ wt.dw_inv(theta), tl @ wt.w)
+        out += _dot(nabla.T @ lfac @ wt.dv_inv(theta), tr @ wt.v)
+        grad = self.grad_lift(z, wt, nabla)
+        out += _dot(wt.dw(grad), tl.T @ tl) / 2.0
+        out += _dot(wt.dv(grad), tr.T @ tr) / 2.0
+        return out
+
+
+class HandGenQ2(GenQ2):
+    def grad_lift(self, z, wt, nabla):
+        u, b, v = z.factors
+        delta = u.T @ nabla @ v
+        mix = (skew(delta) @ b + b @ skew(delta)) / 2.0
+        nv = nabla @ v
+        ntu = nabla.T @ u
+        return (
+            (nv - u @ (u.T @ nv)) @ b + u @ mix,
+            b @ sym(delta) @ b,
+            (ntu - v @ (v.T @ ntu)) @ b - v @ mix,
+        )
+
+    def hess_quad(self, z, obj, wt, theta, x, nabla):
+        u, b, v = z.factors
+        tu, tb, tv = theta
+        out = obj.ehess_quad(x, self.differential(z, theta))
+        out += 2.0 * _dot(nabla, tu @ b @ tv.T)
+        delta = u.T @ nabla @ v
+        dprime = tu.T @ nabla @ v
+        dsecond = u.T @ nabla @ tv
+        utu = u.T @ tu
+        vtv = v.T @ tv
+        binv = z.binv
+        out += _dot(delta, sym(utu @ utu) @ b + b @ sym(vtv @ utu) - 2.0 * tu.T @ tu @ b) / 2.0
+        out += _dot(delta, b @ sym(vtv @ vtv) + sym(utu @ vtv) @ b
+                    - 2.0 * b @ tv.T @ tv + 2.0 * tb @ binv @ tb) / 2.0
+        out += _dot(dprime, 2.0 * tb - utu @ b - tu.T @ u @ b / 2.0 - vtv @ b / 2.0)
+        out += _dot(dsecond, 2.0 * tb - b @ tv.T @ v - b @ vtv / 2.0 - b @ tu.T @ u / 2.0)
+        return out
+
+
+class HandGenQ3(GenQ3):
+    def grad_lift(self, z, wt, nabla):
+        u, yfac = z.factors
+        ny = nabla @ yfac
+        return ((ny - u @ (u.T @ ny)) @ wt.v_inv, nabla.T @ u @ wt.w_inv)
+
+    def hess_quad(self, z, obj, wt, theta, x, nabla):
+        u, yfac = z.factors
+        tu, ty = theta
+        out = obj.ehess_quad(x, self.differential(z, theta))
+        out += 2.0 * _dot(nabla, tu @ ty.T)
+        out -= _dot(u.T @ nabla @ yfac, tu.T @ tu)
+        out += _dot(nabla.T @ u @ wt.dw_inv(theta), ty @ wt.w)
+        out += _dot(nabla @ yfac @ wt.dv_inv(theta), tu @ wt.v)
+        grad_y = self.grad_lift(z, wt, nabla)[1]
+        gdir = (np.zeros_like(u), grad_y)
+        out += _dot(wt.dw(gdir), ty.T @ ty) / 2.0
+        out += _dot(wt.dv(gdir), tu.T @ tu) / 2.0
+        return out
+
+
+HAND = {cls.name: cls() for cls in (HandPsdQ1, HandPsdQ2, HandGenQ1, HandGenQ2,
+                                    HandGenQ3)}
+
+
+def hand_grad_lift(z, metric, nabla):
+    """The hand-derived lift of an ambient gradient at z."""
+    return HAND[z.geometry].grad_lift(z, oracle_weights(z, metric),
+                                      _ambient_gradient(z, nabla))
+
+
+def hand_hess_quad(z, obj, metric, theta):
+    """The hand-derived Hessian form at z along a horizontal theta."""
+    x = z.X
+    nabla = _ambient_gradient(z, obj.egrad(x))
+    return float(HAND[z.geometry].hess_quad(z, obj, oracle_weights(z, metric),
+                                            theta.parts, x, nabla))
 
 
 def kind_of(geometry):
