@@ -13,8 +13,9 @@ in decades, golden and regenerated (``margin_pairs`` of
 ``perfbench/gate.py``). A summary block ends the output: per case, the
 largest change of a spectral value (``eig_*``, ``lam_*``, ``lo``, ``hi``,
 ``min_eigenvalue``) relative to the value and to its spectrum's max |lambda|;
-how many check margins moved inward and outward, and the lowest moved one;
-and each report's smallest margin, golden -> regenerated:
+how many check margins moved inward and outward (by at least 0.005
+decades, so the move shows at the printed precision), and the lowest moved
+one; and each report's smallest margin, golden -> regenerated:
 
     PYTHONPATH=src python tests/test_golden.py --compare
 
@@ -87,6 +88,7 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+MOVED_DEC = 0.005  # margin change, in decades, that the summary counts as a move
 SPECTRAL = re.compile(r"^/checks\[(\d+)\]/.*/(eig_embedded\[\d+\]|eig_quotient\[\d+\]"
                       r"|lam_f|lam_h|lo|hi|min_eigenvalue)$")
 
@@ -175,8 +177,9 @@ def compare(tmp_dir):
     print("  largest spectral change (eig_*, lam_*, lo, hi, min_eigenvalue):")
     for case, (by_value, by_scale) in spectral.items():
         print(f"    {case}: {by_value:.2e} of the value, {by_scale:.2e} of max |lambda|")
-    inward = [m1 for m0, m1 in margins if m1 < m0]
-    outward = [m1 for m0, m1 in margins if m1 > m0]
+    # a margin moved when the change shows at the printed precision
+    inward = [m1 for m0, m1 in margins if m1 <= m0 - MOVED_DEC]
+    outward = [m1 for m0, m1 in margins if m1 >= m0 + MOVED_DEC]
     lowest = f"{min(inward + outward):.2f} dec" if inward or outward else "none"
     print(f"  margins moved: {len(inward)} inward, {len(outward)} outward; "
           f"lowest moved margin {lowest}")
