@@ -30,6 +30,7 @@ from .embedded import (
     embed_point,
     tangent_project,
     riem_grad_embedded,
+    riem_hess_form_embedded,
     riem_hess_quad_embedded,
     retract,
     tangent_basis,
@@ -48,6 +49,7 @@ from .quotient import (
     is_horizontal,
     metric_inner,
     riem_grad_quotient,
+    riem_hess_form_quotient,
     riem_hess_quad_quotient,
     horizontal_basis,
     random_horizontal,

@@ -10,10 +10,15 @@ factorization's invariance group:
     gen_q3   X = U Y^T            U Stiefel, Y full rank, gauge O(r)
 
 Each geometry is one ``QuotientGeometry`` subclass in ``REGISTRY``, holding
-its factors (each Stiefel, SPD or free), its metric families as plain weight
-specs (``Weight``), and every formula of its quotient structure; operations
-that depend only on a factor's kind are written once in the base class. The
-public functions below check their arguments and make one registry call.
+its factors (each Stiefel, SPD or free), its factor map as a product chain
+(e.g. ("U", "B", "U^T")), its metric families as plain weight specs
+(``Weight``), and the formulas particular to it. The base class derives from
+the chain, once for all five, the factor map's first and second
+differentials, each factor's partial derivative, the gradient lift and the
+Hessian form; operations that depend only on a factor's kind are also
+written once there. The public functions below check their arguments and
+make one registry call; ``riem_hess_form_quotient`` builds a point's Hessian
+form once, with the gradient and its lift bound.
 
 A quotient point caches the embedded-geometry frame built from its own
 factors, so transports to the embedded tangent space are free of rotation
@@ -673,15 +678,13 @@ class QuotientGeometry:
     def differential(self, z, theta):
         """D pi[theta]: the sum over links of the product with that link
         read from theta."""
-        terms = [self._product(z.factors, theta, (k,)) for k in range(len(self.links))]
-        return sum(terms[1:], terms[0])
+        return sum(self._product(z.factors, theta, (k,)) for k in range(len(self.links)))
 
     def second(self, z, theta):
         """D^2 pi[theta, theta]: twice the sum over link pairs i < j of the
         product with links i and j read from theta."""
-        terms = [self._product(z.factors, theta, pair)
-                 for pair in combinations(range(len(self.links)), 2)]
-        return 2.0 * sum(terms[1:], terms[0])
+        return 2.0 * sum(self._product(z.factors, theta, pair)
+                         for pair in combinations(range(len(self.links)), 2))
 
     def partial(self, z, nabla, index):
         """Partial derivative of <nabla, pi> in the factor at ``index``: over
@@ -716,8 +719,7 @@ class QuotientGeometry:
         return tuple(out)
 
     def _dw(self, wt, zeta):
-        """Derivative of each weight along ``zeta``; identity weights have
-        none."""
+        """Derivative of each non-identity weight along ``zeta``."""
         return {key: spec.deriv(wt.z, getattr(wt, key), zeta)
                 for key, spec in wt.metric.weights.items() if spec.form != "I"}
 
@@ -739,15 +741,13 @@ class QuotientGeometry:
 
     def hess_form(self, z, obj, wt):
         """theta -> Hess h[theta, theta], with nabla f, the gradient lift G,
-        the Stiefel partials and DW[G] bound once:
+        the Stiefel partials and DW[G] bound once: the Euclidean Hessian
+        along the differential, the gradient against the second
+        differential, the Stiefel normal term and the metric's Koszul terms,
 
             Hess f[D pi theta, D pi theta] + <nabla f, D^2 pi[theta, theta]>
             - sum over Stiefel F of <d_F, F theta_F^T theta_F>
-            - Dg[theta](theta, G) + Dg[G](theta, theta) / 2
-
-        the Euclidean Hessian along the differential, the gradient against
-        the second differential, the Stiefel normal term and the metric's
-        Koszul terms."""
+            - Dg[theta](theta, G) + Dg[G](theta, theta) / 2."""
         x = z.X
         nabla = _ambient_gradient(z, obj.egrad(x))
         grad = self.grad_lift(z, wt, nabla)

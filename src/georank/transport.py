@@ -20,9 +20,11 @@ of the Hessian-spectrum sandwich inequalities.
 L is defined only between Z and the embedded point cached inside Z (the
 matched-pair convention), which removes any eigenbasis rotation ambiguity.
 
-The differential, the inverse and (alpha, beta) are methods of each
-geometry's class in ``quotient.REGISTRY``; this module holds the checked
-public entry points and ``SandwichCoefficients``.
+The five formulas above are documentation: the differential is derived, in
+``quotient.QuotientGeometry``, from each geometry's factor map written as a
+product chain. The inverse and (alpha, beta) are methods of each geometry's
+class in ``quotient.REGISTRY``; this module holds the checked public entry
+points and ``SandwichCoefficients``.
 """
 
 from dataclasses import dataclass
