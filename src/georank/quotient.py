@@ -33,8 +33,8 @@ defect above 1e-8 is an error. Nothing is silently re-projected.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from functools import cached_property
+from itertools import combinations
 from typing import NamedTuple, Optional
 
 import numpy as np
