@@ -1,6 +1,6 @@
 """Embedded and quotient Riemannian geometries on fixed-rank matrix manifolds.
 
-The package computes Riemannian gradients and Hessian quadratic forms for the
+The package computes Riemannian gradients and Hessian bilinear forms for the
 rank-r PSD and general matrix manifolds under the embedded geometry and five
 factorization-based quotient geometries, maps horizontal vectors to embedded
 tangents and back, and verifies the landscape connections between the two

@@ -20,6 +20,7 @@ config + seed therefore reproduces identical reports byte for byte (with
 
 import argparse
 import datetime
+import itertools
 import json
 import sys
 import time
@@ -120,14 +121,28 @@ def _problem_cfg(config):
     if not (_is_number(prob["mask_density"]) and 0 <= prob["mask_density"] <= 1):
         raise ConfigError(f"mask_density must be a number in [0, 1], got "
                           f"{prob['mask_density']!r}")
+    n_meas = prob.get("num_measurements", 1)
+    if not (_is_number(n_meas, int) and n_meas >= 1):
+        raise ConfigError(f"num_measurements must be an integer >= 1, got {n_meas!r}")
     return prob
 
 
 def _validate(config, prob):
-    """Reject malformed counts, lists and metric names before anything runs."""
+    """Reject malformed counts, seeds, flow settings, lists and metric names
+    before anything runs."""
     for key in COUNTS:
         if key in config and not (_is_number(config[key], int) and config[key] >= 1):
             raise ConfigError(f"{key} must be an integer >= 1, got {config[key]!r}")
+    seed = config.get("seed", 0)
+    if not (_is_number(seed, int) and seed >= 0):
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    flow = config.get("flow", {})
+    if not isinstance(flow, dict):
+        raise ConfigError(f"'flow' must be an object, got {flow!r}")
+    for key in ("T", "dt"):
+        if key in flow and not (_is_number(flow[key]) and 0 < flow[key] < np.inf):
+            raise ConfigError(f"flow.{key} must be a finite number > 0, "
+                              f"got {flow[key]!r}")
     if not isinstance(config.get("geometries", []), list):
         raise ConfigError("'geometries' must be a list of names")
     metrics = config.get("metrics", {})
@@ -204,7 +219,7 @@ def _build_objective(prob, rng):
                 mask = np.triu(mask)
                 mask = np.clip(mask + mask.T, 0, 1)
         return make_masked_completion(truth, mask, symmetric=symmetric)
-    n_meas = int(prob.get("num_measurements", 3 * (p1 + p2) * r))
+    n_meas = prob.get("num_measurements", 3 * (p1 + p2) * r)
     ops = rng.standard_normal((n_meas, p1, p2))
     if symmetric:
         ops = np.array([sym(a) for a in ops])
@@ -343,12 +358,11 @@ def cmd_bijection(config, prob, obj, rng, tols):
 def _fosp_points(config, prob, obj, rng):
     max_points = int(config.get("max_fosp_points", 4))
     if prob["kind"] == "approx":
-        pts = analytic_fosps(obj, prob["r"])
-        return pts[:max_points]
+        return list(itertools.islice(analytic_fosps(obj, prob["r"]), max_points))
     kind_tag = EMBEDDED[prob["case"]]
     pts = []
     for _ in range(max_points):
-        res = find_fosp(obj, kind_tag, _random_point(kind_tag, prob, rng),
+        res = find_fosp(obj, _random_point(kind_tag, prob, rng),
                         max_iter=20000, tol=1e-10)
         if res.converged:
             pts.append(res.point)
@@ -404,7 +418,7 @@ def cmd_classify(config, prob, obj, rng, tols):
 
 
 def cmd_flow_compare(config, prob, obj, rng, tols):
-    flow_cfg = dict(config.get("flow", {}))
+    flow_cfg = config.get("flow", {})
     t_final = float(flow_cfg.get("T", 1.0))
     dt = float(flow_cfg.get("dt", 1e-2))
     x0 = _random_point(EMBEDDED[prob["case"]], prob, rng)
@@ -476,7 +490,7 @@ def run(command, config, seed=None, out_path=None, no_timestamp=False):
     tols = _tolerances(config)
     _validate(config, prob)
     if seed is None:
-        seed = int(config.get("seed", 0))
+        seed = config.get("seed", 0)
     rng = np.random.default_rng(seed)
     obj = _build_objective(prob, rng)
 

@@ -198,23 +198,32 @@ def riem_grad_embedded(pt: EmbeddedPoint, obj: Objective) -> EmbeddedTangent:
 
 
 def riem_hess_form_embedded(pt: EmbeddedPoint, obj: Objective):
-    """xi -> Hess f[xi, xi], the quadratic form of the Riemannian Hessian at
-    pt: the Euclidean Hessian form plus the curvature correction coupling
-    the Euclidean gradient with the off-frame factors of xi through
-    Sigma^-1. The gradient and the core's rank check are evaluated once."""
+    """(xi, eta=None) -> Hess f[xi, eta], the symmetric bilinear form of the
+    Riemannian Hessian at pt, with eta = xi when omitted: the Euclidean
+    Hessian form plus the curvature correction coupling the Euclidean
+    gradient with the off-frame factors through Sigma^-1,
+
+        Hess f[xi, eta] + <nabla f, Up_xi Sigma^-1 Vp_eta^T + Up_eta Sigma^-1 Vp_xi^T>,
+
+    with Vp read as Up for the PSD kind. The gradient and the core's rank
+    check are evaluated once."""
     sig = pt.Sigma
     if np.linalg.svd(sig, compute_uv=False)[-1] <= RANK_GAP_TOL * np.linalg.norm(sig, 2):
         raise RankError("core factor is numerically singular")
     egrad = obj.egrad(pt.X)
 
-    def quad(xi: EmbeddedTangent) -> float:
-        if xi.base is not pt:
-            raise ValueError("tangent vector is not based at the given point")
-        vp = xi.Up if pt.kind == "psd" else xi.Vp
-        corr = xi.Up @ np.linalg.solve(sig, vp.T)
-        return obj.ehess_quad(pt.X, xi.ambient()) + 2.0 * float(np.sum(egrad * corr))
+    def coupled(a, b):
+        return a.Up @ np.linalg.solve(sig, (b.Up if pt.kind == "psd" else b.Vp).T)
 
-    return quad
+    def bilinear(xi: EmbeddedTangent, eta: Optional[EmbeddedTangent] = None) -> float:
+        eta = xi if eta is None else eta
+        if xi.base is not pt or eta.base is not pt:
+            raise ValueError("tangent vector is not based at the given point")
+        amb = xi.ambient()
+        euclid = obj.ehess_quad(pt.X, amb, amb if eta is xi else eta.ambient())
+        return euclid + float(np.sum(egrad * (coupled(xi, eta) + coupled(eta, xi))))
+
+    return bilinear
 
 
 def riem_hess_quad_embedded(pt: EmbeddedPoint, obj: Objective,

@@ -21,7 +21,6 @@ from .embedded import (
     retract,
     riem_grad_embedded,
     riem_hess_form_embedded,
-    riem_hess_quad_embedded,
     tangent_basis,
     tangent_project,
 )
@@ -29,13 +28,11 @@ from .linalg import (
     ConditioningError,
     RankError,
     gen_sym_eig,
-    polarize,
     sym,
 )
 from .objectives import Objective
 from .quotient import (
     EMBEDDED,
-    GEOMETRY_KIND,
     REGISTRY,
     HorizontalVector,
     MetricFamily,
@@ -49,7 +46,6 @@ from .quotient import (
     random_horizontal,
     riem_grad_quotient,
     riem_hess_form_quotient,
-    riem_hess_quad_quotient,
 )
 from .transport import forward_map, spectrum_bounds
 
@@ -120,15 +116,6 @@ class SpectrumReport:
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues[-1])
 
-    def to_dict(self) -> dict:
-        return {
-            "geometry": self.geometry,
-            "metric": self.metric,
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "gram_cond": float(self.gram_cond),
-            "grad_norm": float(self.grad_norm),
-        }
-
 
 def _as_quotient(point, geometry) -> QuotientPoint:
     if isinstance(point, QuotientPoint):
@@ -146,9 +133,9 @@ def hessian_spectrum(
 ) -> SpectrumReport:
     """Full Riemannian Hessian spectrum at a point under one geometry.
 
-    The Hessian quadratic form is built once for the point, the Hessian
-    matrix is assembled entry by entry from it via polarization over an
-    explicit tangent/horizontal basis, and the eigenvalues are those of the
+    The Hessian's bilinear form is built once for the point, the Hessian
+    matrix on an explicit tangent/horizontal basis takes each upper-triangle
+    entry from one evaluation of it, and the eigenvalues are those of the
     pencil (H, Gram).
     """
     if geometry in EMBEDDED.values():
@@ -156,7 +143,7 @@ def hessian_spectrum(
             point = point.point
         basis = tangent_basis(point)
         gram = np.eye(len(basis))
-        quad = riem_hess_form_embedded(point, obj)
+        form = riem_hess_form_embedded(point, obj)
         gnorm = riem_grad_embedded(point, obj).norm()
         mname = "euclidean"
     else:
@@ -164,16 +151,15 @@ def hessian_spectrum(
             raise ValueError("quotient geometries need a metric family")
         z = _as_quotient(point, geometry)
         basis, gram = horizontal_basis(z, metric)
-        quad = riem_hess_form_quotient(z, obj, metric)
+        form = riem_hess_form_quotient(z, obj, metric)
         gnorm = metric_norm(z, riem_grad_quotient(z, obj, metric), metric)
         mname = metric.name
 
     d = len(basis)
     h = np.zeros((d, d))
     for i in range(d):
-        h[i, i] = quad(basis[i])
-        for j in range(i + 1, d):
-            h[i, j] = h[j, i] = polarize(quad, basis[i], basis[j])
+        for j in range(i, d):
+            h[i, j] = h[j, i] = form(basis[i], basis[j])
     cond = float(np.linalg.cond(gram))
     if cond > GRAM_COND_LIMIT:
         raise ConditioningError(f"basis Gram condition {cond:.3e} exceeds "
@@ -248,11 +234,12 @@ def verify_sandwich(
     # pointwise identity Hess h[theta, theta] = Hess f[L theta, L theta]
     identity_tol = identity_rtol + gnorm / scale
     max_rel = 0.0
+    hess_h = riem_hess_form_quotient(z, obj, metric)
+    hess_f = riem_hess_form_embedded(z.point, obj)
     for _ in range(n_directions):
         theta = random_horizontal(z, metric, rng)
-        qh = riem_hess_quad_quotient(z, obj, metric, theta)
-        xi = forward_map(z, theta, metric)
-        qf = riem_hess_quad_embedded(z.point, obj, xi)
+        qh = hess_h(theta)
+        qf = hess_f(forward_map(z, theta, metric))
         denom = max(abs(qh), abs(qf),
                     scale * metric_inner(z, theta, theta, metric), 1e-300)
         max_rel = max(max_rel, abs(qh - qf) / denom)
@@ -344,23 +331,11 @@ def classify_point(
 @dataclass(frozen=True, eq=False)
 class FospResult:
     point: EmbeddedPoint
-    quotient_point: Optional[QuotientPoint]
-    geometry: str
     converged: bool
     iterations: int
     grad_norm: float
     trace: list  # (iteration, f, |grad|)
     message: str
-
-    def to_dict(self) -> dict:
-        return {
-            "geometry": self.geometry,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "grad_norm": self.grad_norm,
-            "message": self.message,
-            "trace_tail": [list(map(float, t)) for t in self.trace[-5:]],
-        }
 
 
 def _lipschitz_estimate(obj: Objective, x, iters: int = 20, seed: int = 0) -> float:
@@ -379,27 +354,18 @@ def _lipschitz_estimate(obj: Objective, x, iters: int = 20, seed: int = 0) -> fl
 
 def find_fosp(
     obj: Objective,
-    geometry: str,
-    init,
+    init: EmbeddedPoint,
     max_iter: int = 5000,
     tol: float = 1e-8,
 ) -> FospResult:
     """Riemannian gradient descent with Armijo backtracking and the
-    projection retraction, run under the embedded geometry.
+    projection retraction, on the embedded manifold of ``init``'s kind.
 
-    For a quotient geometry the search runs on the corresponding embedded
-    manifold (stationary points correspond one-to-one across geometries) and
-    the result additionally carries the lifted representative.
+    Stationary points correspond one-to-one across geometries, so a
+    quotient representative of the result is ``lift_point(result.point,
+    geometry)``.
     """
-    if geometry not in GEOMETRY_KIND:
-        raise ValueError(f"unknown geometry {geometry!r}")
-    kind = GEOMETRY_KIND[geometry]
-    quotient_geo = geometry if geometry in REGISTRY else None
-
-    pt = init.point if isinstance(init, QuotientPoint) else init
-    if pt.kind != kind:
-        raise ValueError(f"initial point is {pt.kind}, geometry wants {kind}")
-
+    pt = init
     lip = _lipschitz_estimate(obj, pt.X)
     t0 = 1.0 / lip if lip > 1e-12 else 1.0
     fval = obj.value(pt.X)
@@ -438,9 +404,7 @@ def find_fosp(
 
     if not converged and not message:
         message = f"max_iter={max_iter} reached with |grad| = {gnorm:.3e}"
-    zq = lift_point(pt, quotient_geo) if quotient_geo else None
-    return FospResult(pt, zq, geometry, bool(converged), it, float(gnorm),
-                      trace, message)
+    return FospResult(pt, bool(converged), it, float(gnorm), trace, message)
 
 
 # ---------------------------------------------------------------------------
@@ -448,12 +412,16 @@ def find_fosp(
 
 
 def analytic_fosps(obj: Objective, r: int):
-    """All rank-r stationary points of f(X) = 0.5 ||X - M||^2.
+    """All rank-r stationary points of f(X) = 0.5 ||X - M||^2, as a lazy
+    iterator.
 
     These are the truncations of M onto r-element subsets of its nonzero
     spectrum (positive eigenvalues in the symmetric case, nonzero singular
-    values otherwise). Requires the relevant spectrum values to be pairwise
-    distinct, otherwise the subset stationary points are not isolated.
+    values otherwise), in ``itertools.combinations`` order. Requires the
+    relevant spectrum values to be pairwise distinct, otherwise the subset
+    stationary points are not isolated. The objective, the rank and the gaps
+    are checked at the call; each point is built and certified as it is
+    drawn, since their number grows as C(p, r).
     """
     if obj.kind != "approx":
         raise ValueError("analytic stationary points require the matrix-approx objective")
@@ -480,8 +448,7 @@ def analytic_fosps(obj: Objective, r: int):
             "points are not isolated"
         )
 
-    points = []
-    for subset in itertools.combinations(range(len(vals)), r):
+    def certified(subset):
         idx = keep[list(subset)]
         if kind == "psd":
             x = (q[:, idx] * w[idx]) @ q[:, idx].T
@@ -493,5 +460,6 @@ def analytic_fosps(obj: Objective, r: int):
             raise AssertionError(
                 f"analytic stationary point failed certification: |grad| = {gnorm:.3e}"
             )
-        points.append(pt)
-    return points
+        return pt
+
+    return map(certified, itertools.combinations(range(len(vals)), r))

@@ -147,15 +147,6 @@ def gen_sym_eig(h, g):
     return w, vecs
 
 
-def polarize(quad, a, b) -> float:
-    """Bilinear form from a quadratic form: (Q(a+b) - Q(a-b)) / 4.
-
-    Works for any vector type supporting + and - (ambient matrices, embedded
-    tangents, horizontal vectors).
-    """
-    return (quad(a + b) - quad(a - b)) / 4.0
-
-
 def sym_basis(r):
     """Frobenius-orthonormal basis of the symmetric r x r matrices."""
     out = []

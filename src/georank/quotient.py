@@ -15,10 +15,10 @@ its factors (each Stiefel, SPD or free), its factor map as a product chain
 (``Weight``), and the formulas particular to it. The base class derives from
 the chain, once for all five, the factor map's first and second
 differentials, each factor's partial derivative, the gradient lift and the
-Hessian form; operations that depend only on a factor's kind are also
-written once there. The public functions below check their arguments and
+Hessian's bilinear form; operations that depend only on a factor's kind are
+also written once there. The public functions below check their arguments and
 make one registry call; ``riem_hess_form_quotient`` builds a point's Hessian
-form once, with the gradient and its lift bound.
+as one symmetric bilinear form, with the gradient and its lift bound.
 
 A quotient point caches the embedded-geometry frame built from its own
 factors, so transports to the embedded tangent space are free of rotation
@@ -541,16 +541,19 @@ def riem_grad_quotient(
 
 
 def riem_hess_form_quotient(z: QuotientPoint, obj: Objective, metric: MetricFamily):
-    """theta -> Hess h[theta, theta], the quadratic form of the lifted
-    Riemannian Hessian of h at z, with the point's constants (the Euclidean
-    gradient, the gradient lift, the metric's derivative along it) computed
-    once. Bilinear values follow by polarization."""
+    """(theta, eta=None) -> Hess h[theta, eta], the symmetric bilinear form of
+    the lifted Riemannian Hessian of h at z, with eta = theta when omitted.
+    The point's constants (the Euclidean gradient, the gradient lift, the
+    metric's derivative along it) are computed once, and each value is one
+    evaluation of the Euclidean Hessian."""
     form = REGISTRY[z.geometry].hess_form(z, obj, z.weights(metric))
 
-    def quad(theta: HorizontalVector) -> float:
-        return float(form(_as_horizontal(z, theta, metric).parts))
+    def bilinear(theta: HorizontalVector,
+                 eta: Optional[HorizontalVector] = None) -> float:
+        a = _as_horizontal(z, theta, metric).parts
+        return float(form(a, a if eta is None else _as_horizontal(z, eta, metric).parts))
 
-    return quad
+    return bilinear
 
 
 def riem_hess_quad_quotient(
@@ -638,9 +641,9 @@ class QuotientGeometry:
 
     From the chain, the factor kinds and the weights, the base class derives
     the differential and second differential of the factor map, each
-    factor's partial derivative, the gradient lift, the Hessian form and
-    L(theta). A subclass implements, on raw component tuples and the point's
-    ``Weights`` ``wt``:
+    factor's partial derivative, the gradient lift, the Hessian's bilinear
+    form and L(theta). A subclass implements, on raw component tuples and the
+    point's ``Weights`` ``wt``:
 
     - ``frame(*factors)``: the matched ``EmbeddedPoint``;
     - ``lift(x_pt, sig, root)``: canonical factors of a spectral frame;
@@ -664,13 +667,14 @@ class QuotientGeometry:
         self.links = tuple((names.index(link.removesuffix("^T")), link.endswith("^T"))
                            for link in self.chain)
 
-    def _product(self, base, theta=None, taken=(), lo=0, hi=None):
-        """Product of the links lo..hi-1 of the chain, those at positions
-        ``taken`` read from the tangent ``theta`` and the rest from the
-        factors ``base``."""
+    def _product(self, base, read=None, lo=0, hi=None):
+        """Product of the links lo..hi-1 of the chain, the link at position k
+        read from the tangent ``read[k]`` where ``read`` maps k, and from the
+        factors ``base`` elsewhere."""
+        read = read or {}
         out = None
         for k, (i, transposed) in enumerate(self.links[lo:hi], lo):
-            a = (theta if k in taken else base)[i]
+            a = read.get(k, base)[i]
             a = a.T if transposed else a
             out = a if out is None else out @ a
         return out
@@ -678,13 +682,16 @@ class QuotientGeometry:
     def differential(self, z, theta):
         """D pi[theta]: the sum over links of the product with that link
         read from theta."""
-        return sum(self._product(z.factors, theta, (k,)) for k in range(len(self.links)))
+        return sum(self._product(z.factors, {k: theta}) for k in range(len(self.links)))
 
-    def second(self, z, theta):
-        """D^2 pi[theta, theta]: twice the sum over link pairs i < j of the
-        product with links i and j read from theta."""
-        return 2.0 * sum(self._product(z.factors, theta, pair)
-                         for pair in combinations(range(len(self.links)), 2))
+    def second(self, z, a, b=None):
+        """D^2 pi[a, b], with b = a when omitted: over link pairs i < j, the
+        product with link i read from a and link j from b, plus the product
+        with the two swapped."""
+        b = a if b is None else b
+        return sum(self._product(z.factors, {i: a, j: b})
+                   + self._product(z.factors, {i: b, j: a})
+                   for i, j in combinations(range(len(self.links)), 2))
 
     def partial(self, z, nabla, index):
         """Partial derivative of <nabla, pi> in the factor at ``index``: over
@@ -740,14 +747,17 @@ class QuotientGeometry:
         return out
 
     def hess_form(self, z, obj, wt):
-        """theta -> Hess h[theta, theta], with nabla f, the gradient lift G,
-        the Stiefel partials and DW[G] bound once: the Euclidean Hessian
-        along the differential, the gradient against the second
-        differential, the Stiefel normal term and the metric's Koszul terms,
+        """(a, b) -> Hess h[a, b], the symmetric bilinear form, with nabla f,
+        the gradient lift G, the Stiefel partials and DW[G] bound once: the
+        Euclidean Hessian along the differential, the gradient against the
+        second differential, the Stiefel normal term and the metric's Koszul
+        terms,
 
-            Hess f[D pi theta, D pi theta] + <nabla f, D^2 pi[theta, theta]>
-            - sum over Stiefel F of <d_F, F theta_F^T theta_F>
-            - Dg[theta](theta, G) + Dg[G](theta, theta) / 2."""
+            Hess f[D pi a, D pi b] + <nabla f, D^2 pi[a, b]>
+            - sum over Stiefel F of <d_F, F sym(a_F^T b_F)>
+            - (Dg[a](b, G) + Dg[b](a, G)) / 2 + Dg[G](a, b) / 2.
+
+        At b = a each term equals the quadratic form's, bit for bit."""
         x = z.X
         nabla = _ambient_gradient(z, obj.egrad(x))
         grad = self.grad_lift(z, wt, nabla)
@@ -756,13 +766,15 @@ class QuotientGeometry:
                    if f.kind == "stiefel"]
         dw_grad = self._dw(wt, grad)
 
-        def form(theta):
-            out = obj.ehess_quad(x, self.differential(z, theta))
-            out += _dot(nabla, self.second(z, theta))
+        def form(a, b):
+            da = self.differential(z, a)
+            out = obj.ehess_quad(x, da, da if b is a else self.differential(z, b))
+            out += _dot(nabla, self.second(z, a, b))
             for i, base, d in stiefel:
-                out -= _dot(d, base @ (theta[i].T @ theta[i]))
-            out -= self._dg(wt, self._dw(wt, theta), theta, grad)
-            out += self._dg(wt, dw_grad, theta, theta) / 2.0
+                out -= _dot(d, base @ sym(a[i].T @ b[i]))
+            out -= (self._dg(wt, self._dw(wt, a), b, grad)
+                    + self._dg(wt, self._dw(wt, b), a, grad)) / 2.0
+            out += self._dg(wt, dw_grad, a, b) / 2.0
             return out
 
         return form

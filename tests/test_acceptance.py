@@ -178,7 +178,7 @@ def test_criterion_04_hessian_equality_at_fosps():
     rng = np.random.default_rng(3)
     worst = 0.0
     for obj, r, geos in _fosp_instances():
-        fosps = analytic_fosps(obj, r)
+        fosps = list(analytic_fosps(obj, r))
         for geo, met in geometry_metric_combos(geos):
             for pt in fosps:
                 z = lift_point(pt, geo)
@@ -203,7 +203,7 @@ def test_criterion_05_sandwich_spectra():
         (make_matrix_approx(PSD_INSTANCES[0][0], symmetric=True), 2, PSD_QUOTIENTS),
         (make_matrix_approx(GEN_INSTANCES[0][0]), 2, GEN_QUOTIENTS),
     ]:
-        fosps = analytic_fosps(obj, r)
+        fosps = list(analytic_fosps(obj, r))
         for geo, met in geometry_metric_combos(geos):
             for pt in fosps:
                 rep = verify_sandwich(lift_point(pt, geo), obj, met,
@@ -315,19 +315,18 @@ def test_criterion_09_solver_sanity():
         np.vstack([np.diag([3.0, 2.0, 1.0]), np.zeros((1, 3))])
     )
     ok = True
-    psd_fosps = analytic_fosps(psd_obj, 1)
-    gen_fosps = analytic_fosps(gen_obj, 1)
+    psd_fosps = list(analytic_fosps(psd_obj, 1))
+    gen_fosps = list(analytic_fosps(gen_obj, 1))
     for _ in range(10):
         a = rng.standard_normal((3, 1))
-        res = find_fosp(psd_obj, "psd_embedded",
-                        project_rank_r(a @ a.T, 1, "psd"))
+        res = find_fosp(psd_obj, project_rank_r(a @ a.T, 1, "psd"))
         ok &= res.converged and res.grad_norm <= 1e-8
         ok &= min(np.linalg.norm(res.point.X - f.X) for f in psd_fosps) <= 1e-6
     for _ in range(10):
         x0 = project_rank_r(
             rng.standard_normal((4, 1)) @ rng.standard_normal((1, 3)), 1,
             "general")
-        res = find_fosp(gen_obj, "gen_embedded", x0)
+        res = find_fosp(gen_obj, x0)
         ok &= res.converged and res.grad_norm <= 1e-8
         ok &= min(np.linalg.norm(res.point.X - f.X) for f in gen_fosps) <= 1e-6
     report(9, "solver reaches analytic stationary points", ok)

@@ -166,6 +166,25 @@ class TestErrorPaths:
                      id="directions-zero"),
         pytest.param("verify-sandwich", {"max_fosp_points": 1.5}, "max_fosp_points",
                      id="max-fosp-points-float"),
+        pytest.param("check-gradients",
+                     {"problem": {"kind": "sensing", "num_measurements": 2.7}},
+                     "num_measurements", id="num-measurements-float"),
+        pytest.param("check-gradients",
+                     {"problem": {"kind": "sensing", "num_measurements": True}},
+                     "num_measurements", id="num-measurements-bool"),
+        pytest.param("classify",
+                     {"problem": {"kind": "sensing", "num_measurements": 0}},
+                     "num_measurements", id="num-measurements-zero"),
+        pytest.param("check-gradients",
+                     {"problem": {"kind": "sensing", "num_measurements": "abc"}},
+                     "num_measurements", id="num-measurements-string"),
+        pytest.param("dims", {"seed": 2.5}, "seed", id="seed-float"),
+        pytest.param("dims", {"seed": -1}, "seed", id="seed-negative"),
+        pytest.param("flow-compare", {"flow": "x"}, "'flow'", id="flow-string"),
+        pytest.param("flow-compare", {"flow": {"T": True}}, "flow.T", id="flow-T-bool"),
+        pytest.param("flow-compare", {"flow": {"dt": 0}}, "flow.dt", id="flow-dt-zero"),
+        pytest.param("flow-compare", {"flow": {"T": float("inf")}}, "flow.T",
+                     id="flow-T-infinite"),
     ])
     def test_invalid_config_exits_2_no_report(self, tmp_path, command, cfg, field):
         path = write_config(tmp_path, "c.json", cfg)

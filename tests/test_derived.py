@@ -1,14 +1,15 @@
 """The quotient forms derived from each geometry's factor-map chain: the
 chain's differentials and partials against exact identities, the gradient
-lift and the Hessian form against the hand-derived oracles in ``util``, and
-one gradient evaluation per Hessian spectrum."""
+lift and the Hessian form against the hand-derived oracles in ``util``, the
+bilinear form against polarization, and the gradient and Hessian evaluations
+per Hessian spectrum."""
 
 import numpy as np
 import pytest
 
 from georank.landscape import hessian_spectrum
 from georank.linalg import sym
-from georank.objectives import Objective, make_masked_completion
+from georank.objectives import make_masked_completion
 from georank.quotient import (
     EMBEDDED,
     REGISTRY,
@@ -16,15 +17,18 @@ from georank.quotient import (
     gradient_lift_from_ambient,
     project_total_tangent,
     random_horizontal,
+    riem_hess_form_quotient,
     riem_hess_quad_quotient,
 )
 
 from util import (
     ALL_QUOTIENTS,
+    counting,
     geometry_metric_combos,
     hand_grad_lift,
     hand_hess_quad,
     kind_of,
+    polarize,
     random_approx_objective,
     random_point,
 )
@@ -136,31 +140,37 @@ def test_partials_are_adjoint_to_the_differential(geo):
             assert abs(lhs - rhs) <= 1e-13 * scale, (p1, p2, r, i, lhs, rhs)
 
 
-def _counting(obj):
-    """The objective with a counter on its Euclidean gradient."""
-    calls = []
-
-    def egrad(x):
-        calls.append(1)
-        return obj._egrad(x)
-
-    return Objective(obj.shape, obj.symmetric, obj.kind, obj._value, egrad,
-                     obj._ehess), calls
-
-
 @pytest.mark.parametrize("geo,mname", [("psd_q2", "polar"), ("gen_q1", "crossed-gram"),
                                        (EMBEDDED["psd"], None), (EMBEDDED["general"], None)])
 def test_spectrum_evaluates_the_gradient_a_fixed_number_of_times(geo, mname):
     """The Hessian form is built once per spectrum, so the gradient count
     does not grow with the basis dimension (it grew as d^2 with one gradient
-    per form evaluation)."""
+    per form evaluation), and each of the d(d+1)/2 upper-triangle entries is
+    one bilinear evaluation, one Euclidean Hessian product (polarization took
+    two per off-diagonal entry, d^2 in all)."""
     met = None if mname is None else REGISTRY[geo].families[mname]
     kind, rng = kind_of(geo), np.random.default_rng(14)
     counts = []
     for p in (4, 7):
         p2 = p if kind == "psd" else p - 1
         z = random_point(geo, p, p2, 2, rng)
-        obj, calls = _counting(random_approx_objective(kind, p, p2, rng))
-        hessian_spectrum(z, obj, geo, met)
-        counts.append(len(calls))
+        obj, calls = counting(random_approx_objective(kind, p, p2, rng))
+        d = hessian_spectrum(z, obj, geo, met).dim
+        assert calls["ehess_vec"] == d * (d + 1) // 2, (p, d, calls)
+        counts.append(calls["egrad"])
     assert counts[0] == counts[1] <= 2, counts
+
+
+@pytest.mark.parametrize("geo,mname", PAIRS)
+def test_bilinear_form_is_the_polarized_quadratic_form(geo, mname):
+    """form(a, b) = form(b, a) = (Q(a+b) - Q(a-b))/4 with Q(v) = form(v),
+    to rounding of the four quadratic values."""
+    met = REGISTRY[geo].families[mname]
+    rng = np.random.default_rng(15)
+    for z, obj in _cases(geo, rng):
+        form = riem_hess_form_quotient(z, obj, met)
+        a, b = random_horizontal(z, met, rng), random_horizontal(z, met, rng)
+        scale = sum(abs(form(v)) for v in (a, b, a + b, a - b))
+        value = form(a, b)
+        assert abs(value - form(b, a)) <= 1e-12 * scale, (z.X.shape, z.r)
+        assert abs(value - polarize(form, a, b)) <= 1e-12 * scale, (z.X.shape, z.r)

@@ -89,8 +89,7 @@ class TestNonIdentityHessianObjectives:
         mask = (rng.random((5, 5)) < 0.85)
         mask = np.clip(np.triu(mask) + np.triu(mask).T, 0, 1).astype(float)
         obj = make_masked_completion(truth, mask, symmetric=True)
-        res = find_fosp(obj, "psd_embedded",
-                        random_point("psd_embedded", 5, 5, 2, rng),
+        res = find_fosp(obj, random_point("psd_embedded", 5, 5, 2, rng),
                         max_iter=30000, tol=1e-12)
         assert res.converged
         emb = embedded_spectrum(res.point, obj)
@@ -107,8 +106,7 @@ class TestNonIdentityHessianObjectives:
         ops = rng.standard_normal((3 * (p1 + p2) * r, p1, p2))
         obs = np.tensordot(ops, truth, axes=([1, 2], [0, 1]))
         obj = make_matrix_sensing(ops, obs)
-        res = find_fosp(obj, "gen_embedded",
-                        random_point("gen_embedded", p1, p2, r, rng),
+        res = find_fosp(obj, random_point("gen_embedded", p1, p2, r, rng),
                         max_iter=30000, tol=1e-12)
         assert res.converged
         emb = embedded_spectrum(res.point, obj)

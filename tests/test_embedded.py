@@ -13,6 +13,7 @@ from georank.embedded import (
     project_rank_r,
     retract,
     riem_grad_embedded,
+    riem_hess_form_embedded,
     riem_hess_quad_embedded,
     tangent_basis,
     tangent_project,
@@ -24,7 +25,14 @@ from georank.objectives import make_matrix_approx
 from georank.quotient import EMBEDDED, random_horizontal
 from georank.transport import forward_map, inverse_map
 
-from util import ALL_QUOTIENTS, geometry_metric_combos, kind_of, random_point
+from util import (
+    ALL_QUOTIENTS,
+    geometry_metric_combos,
+    kind_of,
+    polarize,
+    random_approx_objective,
+    random_point,
+)
 
 
 class TestEmbedPoint:
@@ -219,6 +227,24 @@ class TestRiemHess:
             assert abs(quad - fd) <= 1e-6 * max(abs(quad), abs(fd), 1.0)
 
 
+    @pytest.mark.parametrize("kind", ["psd", "general"])
+    def test_bilinear_form_is_the_polarized_quadratic_form(self, kind):
+        # form(a, b) = form(b, a) = (Q(a+b) - Q(a-b))/4 with Q(v) = form(v),
+        # at non-stationary points, where the curvature term is live
+        rng = np.random.default_rng(12)
+        for p1, p2, r in [(6, 5, 2), (5, 4, 1), (7, 3, 3)]:
+            p2 = p1 if kind == "psd" else p2
+            pt = random_point(EMBEDDED[kind], p1, p2, r, rng)
+            form = riem_hess_form_embedded(pt, random_approx_objective(kind, p1, p2, rng))
+            for _ in range(3):
+                a, b = (tangent_project(pt, rng.standard_normal((p1, p2)))
+                        for _ in range(2))
+                scale = sum(abs(form(v)) for v in (a, b, a + b, a - b))
+                value = form(a, b)
+                assert abs(value - form(b, a)) <= 1e-12 * scale
+                assert abs(value - polarize(form, a, b)) <= 1e-12 * scale
+
+
 class TestRetract:
     def test_zero_step(self):
         rng = np.random.default_rng(12)
@@ -293,7 +319,7 @@ def test_orthogonal_complements_only_for_bases(monkeypatch):
         x0 = random_point(EMBEDDED[kind], 6, 5, 2, rng)
         integrate_flow(x0, objs[kind], (geometry, metric), 0.04, 0.01)
     for kind, obj in objs.items():
-        find_fosp(obj, EMBEDDED[kind], random_point(EMBEDDED[kind], 6, 5, 2, rng),
+        find_fosp(obj, random_point(EMBEDDED[kind], 6, 5, 2, rng),
                   max_iter=20)
     for geometry, metric in geometry_metric_combos(ALL_QUOTIENTS):
         obj = objs[kind_of(geometry)]

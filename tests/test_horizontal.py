@@ -155,7 +155,7 @@ def test_spectrum_and_sandwich_never_call_the_gate(monkeypatch):
         kind = kind_of(geo)
         if kind not in fosps:
             obj = _objective(geo, rng)
-            fosps[kind] = obj, analytic_fosps(obj, R)[0]
+            fosps[kind] = obj, list(analytic_fosps(obj, R))[0]
         obj, pt = fosps[kind]
         z = lift_point(pt, geo)
         # the counter sees a caller-built vector

@@ -4,6 +4,7 @@ sandwich verification, classification, solver, analytic stationary points."""
 import numpy as np
 import pytest
 
+from georank import landscape
 from georank.embedded import embed_point, project_rank_r, riem_grad_embedded
 from georank.landscape import (
     analytic_fosps,
@@ -19,12 +20,14 @@ from georank.quotient import (
     HorizontalVector,
     lift_point,
     metric_family,
+    metric_norm,
     quotient_point,
     riem_grad_quotient,
 )
 
 from util import (
     ALL_QUOTIENTS,
+    counting,
     embedded_spectrum,
     geometry_metric_combos,
     hv_gap,
@@ -145,7 +148,7 @@ class TestVerifySandwich:
     def test_all_metric_rows_at_all_fosps_psd(self):
         rng = np.random.default_rng(6)
         obj = make_matrix_approx(np.diag([3.0, 2.0, 1.0, 0.5, 0.25]), symmetric=True)
-        fosps = analytic_fosps(obj, 2)
+        fosps = list(analytic_fosps(obj, 2))
         assert len(fosps) == 10
         spectra = [embedded_spectrum(pt, obj) for pt in fosps[:4]]
         for geo, met in geometry_metric_combos(("psd_q1", "psd_q2")):
@@ -157,7 +160,7 @@ class TestVerifySandwich:
     def test_all_metric_rows_at_all_fosps_general(self):
         rng = np.random.default_rng(7)
         obj = make_matrix_approx(GEN_M43)
-        fosps = analytic_fosps(obj, 2)
+        fosps = list(analytic_fosps(obj, 2))
         assert len(fosps) == 3
         spectra = [embedded_spectrum(pt, obj) for pt in fosps]
         for geo, met in geometry_metric_combos(("gen_q1", "gen_q2", "gen_q3")):
@@ -169,14 +172,14 @@ class TestVerifySandwich:
     def test_matched_metrics_have_equal_spectra(self):
         rng = np.random.default_rng(8)
         obj = make_matrix_approx(np.diag([3.0, 2.0, 1.0, 0.5, 0.25]), symmetric=True)
-        pt = analytic_fosps(obj, 2)[2]
+        pt = list(analytic_fosps(obj, 2))[2]
         rep = verify_sandwich(lift_point(pt, "psd_q2"), obj,
                               metric_family("psd_q2", "matched"),
                               embedded_spectrum(pt, obj), rng, 10)
         assert rep["matched_coefficients"]
         assert rep["matched_spectra_rel_gap"] <= 1e-8
         objg = make_matrix_approx(GEN_M43)
-        ptg = analytic_fosps(objg, 2)[1]
+        ptg = list(analytic_fosps(objg, 2))[1]
         repg = verify_sandwich(lift_point(ptg, "gen_q3"), objg,
                                metric_family("gen_q3", "matched"),
                                embedded_spectrum(ptg, objg), rng, 10)
@@ -186,14 +189,29 @@ class TestVerifySandwich:
     def test_embedded_spectrum_of_another_space_rejected(self):
         rng = np.random.default_rng(10)
         obj = make_matrix_approx(np.diag([3.0, 2.0, 1.0, 0.5, 0.25]), symmetric=True)
-        z = lift_point(analytic_fosps(obj, 2)[0], "psd_q1")
+        z = lift_point(list(analytic_fosps(obj, 2))[0], "psd_q1")
         met = metric_family("psd_q1", "flat")
         other_geometry = hessian_spectrum(z, obj, "psd_q1", met)
-        other_dim = embedded_spectrum(analytic_fosps(obj, 1)[0], obj)
+        other_dim = embedded_spectrum(list(analytic_fosps(obj, 1))[0], obj)
         assert other_geometry.dim == embedded_spectrum(z.point, obj).dim
         for spectrum in (other_geometry, other_dim):
             with pytest.raises(ValueError, match="embedded spectrum"):
                 verify_sandwich(z, obj, met, spectrum, rng, 5)
+
+    def test_gradient_count_does_not_grow_with_directions(self):
+        # one quotient form and one embedded form serve every identity
+        # direction (each direction rebuilt both, two gradients apiece)
+        obj, calls = counting(make_matrix_approx(GEN_M43))
+        pt = list(analytic_fosps(obj, 2))[1]
+        emb = embedded_spectrum(pt, obj)
+        met = metric_family("gen_q3", "inverse-gram")
+        counts = []
+        for n in (1, 4, 16):
+            calls["egrad"] = 0
+            verify_sandwich(lift_point(pt, "gen_q3"), obj, met, emb,
+                            np.random.default_rng(0), n_directions=n)
+            counts.append(calls["egrad"])
+        assert counts[0] == counts[1] == counts[2], counts
 
     def test_non_fosp_rejected(self):
         rng = np.random.default_rng(9)
@@ -246,7 +264,7 @@ class TestFindFosp:
         rng = np.random.default_rng(11)
         obj = make_matrix_approx(PSD_M3, symmetric=True)
         a = rng.standard_normal((3, 1))
-        res = find_fosp(obj, "psd_embedded", project_rank_r(a @ a.T, 1, "psd"))
+        res = find_fosp(obj, project_rank_r(a @ a.T, 1, "psd"))
         assert res.converged
         # generic initialization reaches the best rank-1 approximation,
         # leaving residual (2^2 + 1^2)/2
@@ -254,24 +272,24 @@ class TestFindFosp:
 
     def test_initial_fosp_returns_immediately(self):
         obj = make_matrix_approx(PSD_M3, symmetric=True)
-        pt = analytic_fosps(obj, 1)[0]
-        res = find_fosp(obj, "psd_embedded", pt)
+        pt = list(analytic_fosps(obj, 1))[0]
+        res = find_fosp(obj, pt)
         assert res.converged and res.iterations == 0
 
     def test_limits_match_analytic_fosps(self):
         rng = np.random.default_rng(12)
         obj = make_matrix_approx(PSD_M3, symmetric=True)
-        fosps = analytic_fosps(obj, 1)
+        fosps = list(analytic_fosps(obj, 1))
         for _ in range(5):
             a = rng.standard_normal((3, 1))
-            res = find_fosp(obj, "psd_embedded", project_rank_r(a @ a.T, 1, "psd"))
+            res = find_fosp(obj, project_rank_r(a @ a.T, 1, "psd"))
             assert res.converged and res.grad_norm <= 1e-8
             assert min(np.linalg.norm(res.point.X - f.X) for f in fosps) <= 1e-6
 
     def test_monotone_decrease(self):
         rng = np.random.default_rng(13)
         obj = random_approx_objective("general", 5, 4, rng)
-        res = find_fosp(obj, "gen_embedded", random_point("gen_embedded", 5, 4, 2, rng))
+        res = find_fosp(obj, random_point("gen_embedded", 5, 4, 2, rng))
         values = [t[1] for t in res.trace]
         assert all(b <= a + 1e-14 for a, b in zip(values, values[1:]))
 
@@ -280,24 +298,27 @@ class TestFindFosp:
         truth = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 4))
         mask = (rng.random((5, 4)) < 0.8).astype(float)
         obj = make_masked_completion(truth, mask)
-        res = find_fosp(obj, "gen_embedded",
-                        random_point("gen_embedded", 5, 4, 2, rng), max_iter=5000)
+        res = find_fosp(obj, random_point("gen_embedded", 5, 4, 2, rng), max_iter=5000)
         assert res.converged and res.grad_norm <= 1e-8
 
     def test_quotient_geometry_returns_lift(self):
+        # the search runs on the embedded manifold; its result lifts to a
+        # stationary representative of any quotient geometry
         rng = np.random.default_rng(15)
         obj = make_matrix_approx(PSD_M3, symmetric=True)
         a = rng.standard_normal((3, 1))
-        res = find_fosp(obj, "psd_q2", project_rank_r(a @ a.T, 1, "psd"))
+        res = find_fosp(obj, project_rank_r(a @ a.T, 1, "psd"))
         assert res.converged
-        assert res.quotient_point is not None
-        assert res.quotient_point.geometry == "psd_q2"
+        z = lift_point(res.point, "psd_q2")
+        assert z.geometry == "psd_q2" and z.point is res.point
+        met = metric_family("psd_q2", "polar")
+        assert metric_norm(z, riem_grad_quotient(z, obj, met), met) <= 1e-7
 
     def test_exhausted_budget_is_a_result_not_an_error(self):
         rng = np.random.default_rng(16)
         obj = make_matrix_approx(PSD_M3, symmetric=True)
         a = rng.standard_normal((3, 1))
-        res = find_fosp(obj, "psd_embedded", project_rank_r(a @ a.T, 1, "psd"),
+        res = find_fosp(obj, project_rank_r(a @ a.T, 1, "psd"),
                         max_iter=2, tol=1e-14)
         assert not res.converged
         assert res.iterations == 2
@@ -315,7 +336,7 @@ class TestAnalyticFosps:
 
     def test_full_rank_single_point(self):
         obj = make_matrix_approx(PSD_M3, symmetric=True)
-        pts = analytic_fosps(obj, 3)
+        pts = list(analytic_fosps(obj, 3))
         assert len(pts) == 1
         np.testing.assert_allclose(pts[0].X, PSD_M3, atol=1e-12)
 
@@ -323,6 +344,22 @@ class TestAnalyticFosps:
         obj = make_matrix_approx(np.diag([3.0, 2.0, 1.0, 0.5]), symmetric=True)
         for pt in analytic_fosps(obj, 2):
             assert classify_point(pt, obj, "psd_embedded").is_fosp
+
+    def test_points_are_certified_as_drawn(self, monkeypatch):
+        # C(14, 3) = 364 stationary points; drawing the first certifies one
+        obj = make_matrix_approx(np.diag(np.arange(14.0, -16.0, -1.0)), symmetric=True)
+        certified = []
+
+        def counted(pt, objective):
+            certified.append(pt)
+            return riem_grad_embedded(pt, objective)
+
+        monkeypatch.setattr(landscape, "riem_grad_embedded", counted)
+        points = analytic_fosps(obj, 3)
+        assert certified == []
+        first = next(points)
+        assert len(certified) == 1 and certified[0] is first
+        assert sum(1 for _ in points) == 363 and len(certified) == 364
 
     def test_repeated_spectrum_rejected(self):
         obj = make_matrix_approx(np.diag([2.0, 2.0, 1.0]), symmetric=True)

@@ -12,14 +12,13 @@ from georank.linalg import (
     ConditioningError,
     gen_sym_eig,
     orth_complement,
-    polarize,
     skew,
     solve_sylvester,
     spd_functions,
     sym,
 )
 
-from util import finite_diff_directional
+from util import finite_diff_directional, polarize
 
 
 class TestSymSkew:

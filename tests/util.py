@@ -11,8 +11,9 @@ import numpy as np
 
 import georank
 from georank import make_matrix_approx
+from georank.objectives import Objective
 from georank.landscape import hessian_spectrum
-from georank.linalg import gen_sym_eig, polarize, skew, sym
+from georank.linalg import gen_sym_eig, skew, sym
 from georank.quotient import (
     EMBEDDED,
     GEOMETRY_KIND,
@@ -44,6 +45,23 @@ def random_approx_objective(kind, p1, p2, rng):
     if kind == "psd":
         return make_matrix_approx(sym(a), symmetric=True)
     return make_matrix_approx(a)
+
+
+def counting(obj):
+    """The objective with counters on its Euclidean gradient and Hessian:
+    returns it and a dict of call counts, "egrad" and "ehess_vec"."""
+    calls = {"egrad": 0, "ehess_vec": 0}
+
+    def egrad(x):
+        calls["egrad"] += 1
+        return obj._egrad(x)
+
+    def ehess(x, z):
+        calls["ehess_vec"] += 1
+        return obj._ehess(x, z)
+
+    return Objective(obj.shape, obj.symmetric, obj.kind, obj._value, egrad,
+                     ehess), calls
 
 
 def geometry_metric_combos(geometries):
@@ -93,10 +111,21 @@ def embedded_spectrum(pt, obj):
     return hessian_spectrum(pt, obj, EMBEDDED[pt.kind])
 
 
+def polarize(quad, a, b) -> float:
+    """Bilinear form from a quadratic form: (Q(a+b) - Q(a-b)) / 4.
+
+    Works for any vector type supporting + and - (ambient matrices, embedded
+    tangents, horizontal vectors). The library evaluates its Hessian forms
+    bilinearly; this is the independent path the tests compare them with.
+    """
+    return (quad(a + b) - quad(a - b)) / 4.0
+
+
 def mixed_basis_spectrum(z, obj, metric, rng):
-    """Quotient Hessian spectrum assembled by polarization over a random
-    invertible recombination of the structured horizontal basis. The spectrum
-    does not depend on the basis, so it must match ``hessian_spectrum``."""
+    """Quotient Hessian spectrum assembled by polarization of the quadratic
+    form over a random invertible recombination of the structured horizontal
+    basis. The spectrum does not depend on the basis, so it must match
+    ``hessian_spectrum``, which evaluates the bilinear form directly."""
     basis, gram = horizontal_basis(z, metric)
     d = len(basis)
     c = rng.standard_normal((d, d)) / np.sqrt(d) + np.eye(d)
