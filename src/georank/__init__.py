@@ -73,7 +73,6 @@ from .landscape import (
 )
 from .flows import (
     FlowTrace,
-    FLOW_SOURCES,
     flow_field,
     integrate_flow,
     compare_flows,

@@ -185,8 +185,9 @@ def _tolerances(config):
     tols = dict(DEFAULT_TOLERANCES)
     tols.update(given)
     for key, value in tols.items():
-        if not (_is_number(value) and value > 0):
-            raise ConfigError(f"tolerance {key} must be a number > 0, got {value!r}")
+        if not (_is_number(value) and 0 < value < np.inf):
+            raise ConfigError(f"tolerance {key} must be a finite number > 0, "
+                              f"got {value!r}")
     return tols
 
 

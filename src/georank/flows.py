@@ -1,67 +1,59 @@
-"""Gradient flows dX/dt = -grad f(X) in ambient coordinates.
+"""Gradient flows of f on the rank-r matrices, in ambient coordinates.
 
-The embedded geometries flow along the negative Riemannian gradient. Each
-supported quotient source induces a flow on X through the factorization link,
-and for the enumerated metric choices the induced field has a closed ambient
-form. Two of the pairs produce fields identical to the embedded ones (the
-metrics whose sandwich gap coefficients are (1, 1)); the full-rank
-factorization pairs differ from the embedded field exactly by the doubly
+A flow source is a pair (geometry, metric family). Under an embedded
+geometry, whose family is None, the field is the negative Riemannian
+gradient, dX/dt = -grad f(X). Under a quotient geometry it is the flow of
+h([Z]) = f(X(Z)) seen on X: the factor map's differential of the negative
+gradient lift, dX/dt = -L(grad h) (Absil, Mahony & Sepulchre 2008, ch. 3),
+with Z the canonical lift of X and L ``transport.forward_map``. So every
+geometry and metric family has a flow, derived from the geometry's chain,
+lift and metric, and the paper's flow identities are checks of that
+derivation: under the metrics whose sandwich gap coefficients are (1, 1)
+(psd_q2/matched, gen_q3/matched) the field equals the embedded one, and under
+psd_q1/double-gram and gen_q1/crossed-gram it differs from it by the doubly
 projected term P_U grad f P_U (PSD) or P_U grad f P_V (general).
 
 Integration is classical RK4 on the ambient field with a rank-r
 re-factorization after every step to control drift off the manifold.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .embedded import EmbeddedPoint, project_rank_r, riem_grad_embedded
-from .linalg import RankError, sym
+from .linalg import RankError
 from .objectives import Objective
-
-# (geometry, metric-name) pairs whose induced X-space fields are implemented
-# -> (matrix kind, whether the field subtracts the doubly projected term, or
-# None for the embedded field itself)
-FLOW_SOURCES = {
-    ("psd_embedded", None): ("psd", None),
-    ("psd_q1", "double-gram"): ("psd", False),
-    ("psd_q2", "matched"): ("psd", True),
-    ("gen_embedded", None): ("general", None),
-    ("gen_q1", "crossed-gram"): ("general", False),
-    ("gen_q3", "matched"): ("general", True),
-}
+from .quotient import (EMBEDDED, GEOMETRY_KIND, lift_point, metric_family,
+                       riem_grad_quotient)
+from .transport import forward_map
 
 
-def _normalize_source(source):
-    if isinstance(source, str):
-        source = (source, None)
-    source = (source[0], source[1])
-    if source not in FLOW_SOURCES:
-        raise ValueError(
-            f"unsupported flow source {source}; supported: {list(FLOW_SOURCES)}"
-        )
-    return source
+def _metric(source):
+    """The metric family of a (geometry, family) source: None for an
+    embedded geometry, which takes no family."""
+    geometry, family = source
+    if geometry in EMBEDDED.values():
+        if family is not None:
+            raise ValueError(f"{geometry} takes no metric family, got {family!r}")
+        return None
+    return metric_family(geometry, family)
 
 
 def flow_field(pt: EmbeddedPoint, obj: Objective, source) -> np.ndarray:
-    """Ambient dX/dt at a manifold point for one of the enumerated sources."""
-    source = _normalize_source(source)
-    kind, doubly_projected = FLOW_SOURCES[source]
-    if pt.kind != kind:
-        raise ValueError(f"{source[0]} flow needs a {kind} point, got {pt.kind}")
-    if doubly_projected is None:
-        return -riem_grad_embedded(pt, obj).ambient()
-    nabla = obj.egrad(pt.X)
-    if kind == "psd":
-        nabla = sym(nabla)  # PSD flows see the symmetrized objective
-    pu = pt.U @ pt.U.T
-    pv = pu if kind == "psd" else pt.V @ pt.V.T
-    rate = pu @ nabla + nabla @ pv
-    if doubly_projected:
-        rate = rate - pu @ nabla @ pv
-    return -rate
+    """Ambient dX/dt at a manifold point under a (geometry, family) source:
+    -grad f(X) for an embedded geometry, -L(grad h) at the canonical lift of
+    the point for a quotient geometry."""
+    geometry = source[0]
+    metric = _metric(source)
+    if metric is not None:
+        z = lift_point(pt, geometry)
+        return -forward_map(z, riem_grad_quotient(z, obj, metric), metric).ambient()
+    if pt.kind != GEOMETRY_KIND[geometry]:
+        raise ValueError(f"{geometry} flow needs a {GEOMETRY_KIND[geometry]} "
+                         f"point, got {pt.kind}")
+    return -riem_grad_embedded(pt, obj).ambient()
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +78,8 @@ def integrate_flow(
     If the state loses rank along the way the trace is returned as far as it
     got, flagged degenerate, instead of raising.
     """
-    geometry, metric = _normalize_source(source)
+    geometry, metric = source
+    _metric(source)  # a bad source fails here, not at the first step
     if t_final <= 0 or dt <= 0:
         raise ValueError("horizon and step must be positive")
     r, kind = x0.r, x0.kind

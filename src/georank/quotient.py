@@ -295,9 +295,10 @@ class MetricFamily:
 
 @dataclass(frozen=True, eq=False)
 class Weights:
-    """A metric family's weights and their inverses at one point."""
+    """A metric family's weights and their inverses at one point. It holds no
+    reference to the point, which caches it, so a point is freed as soon as
+    it is dropped."""
 
-    z: QuotientPoint
     metric: MetricFamily
     w: np.ndarray
     w_inv: np.ndarray
@@ -310,7 +311,7 @@ class Weights:
         for key, spec in metric.weights.items():
             values[key] = w = _read_only(spec.value(z))
             values[f"{key}_inv"] = _read_only(spd_functions(w).inv)
-        return cls(z, metric, **values)
+        return cls(metric, **values)
 
 
 def metric_choices(geometry: str):
@@ -725,13 +726,13 @@ class QuotientGeometry:
             out.append(d @ w_inv)
         return tuple(out)
 
-    def _dw(self, wt, zeta):
-        """Derivative of each non-identity weight along ``zeta``."""
-        return {key: spec.deriv(wt.z, getattr(wt, key), zeta)
+    def _dw(self, z, wt, zeta):
+        """Derivative of each non-identity weight at z along ``zeta``."""
+        return {key: spec.deriv(z, getattr(wt, key), zeta)
                 for key, spec in wt.metric.weights.items() if spec.form != "I"}
 
     def _dg(self, wt, dws, a, b):
-        """Dg[zeta](a, b) from the weight derivatives ``dws`` = _dw(wt, zeta):
+        """Dg[zeta](a, b) from the weight derivatives ``dws`` = _dw(z, wt, zeta):
         tr(DW_F a_F^T b_F) on Stiefel and free factors, tr(DW a W b) +
         tr(W a DW b) on the SPD core (every DW is symmetric)."""
         out = 0.0
@@ -764,7 +765,7 @@ class QuotientGeometry:
         stiefel = [(i, base, self.partial(z, nabla, i))
                    for i, (f, base) in enumerate(zip(self.factors, z.factors))
                    if f.kind == "stiefel"]
-        dw_grad = self._dw(wt, grad)
+        dw_grad = self._dw(z, wt, grad)
 
         def form(a, b):
             da = self.differential(z, a)
@@ -772,8 +773,8 @@ class QuotientGeometry:
             out += _dot(nabla, self.second(z, a, b))
             for i, base, d in stiefel:
                 out -= _dot(d, base @ sym(a[i].T @ b[i]))
-            out -= (self._dg(wt, self._dw(wt, a), b, grad)
-                    + self._dg(wt, self._dw(wt, b), a, grad)) / 2.0
+            out -= (self._dg(wt, self._dw(z, wt, a), b, grad)
+                    + self._dg(wt, self._dw(z, wt, b), a, grad)) / 2.0
             out += self._dg(wt, dw_grad, a, b) / 2.0
             return out
 

@@ -154,6 +154,12 @@ class TestErrorPaths:
                      "grad_fd_rtol", id="unread-tolerance-string"),
         pytest.param("check-gradients", {"tolerances": {"grad_fd_rtol": 0}},
                      "grad_fd_rtol", id="tolerance-zero"),
+        pytest.param("check-gradients",
+                     {"tolerances": {"grad_fd_rtol": float("inf")}},
+                     "grad_fd_rtol", id="tolerance-infinite"),
+        pytest.param("bijection-roundtrip",
+                     {"tolerances": {"grad_fd_rtol": float("inf")}},
+                     "grad_fd_rtol", id="unread-tolerance-infinite"),
         pytest.param("dims", {"metrics": {"psd_q1": "flat"}}, "'metrics'",
                      id="metrics-string"),
         pytest.param("dims", {"metrics": {"psd_q1": []}}, "'metrics'",

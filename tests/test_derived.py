@@ -8,8 +8,6 @@ import numpy as np
 import pytest
 
 from georank.landscape import hessian_spectrum
-from georank.linalg import sym
-from georank.objectives import make_masked_completion
 from georank.quotient import (
     EMBEDDED,
     REGISTRY,
@@ -30,6 +28,7 @@ from util import (
     kind_of,
     polarize,
     random_approx_objective,
+    random_objective,
     random_point,
 )
 
@@ -45,23 +44,13 @@ SHAPES = {
 PAIRS = [(geo, met.name) for geo, met in geometry_metric_combos(ALL_QUOTIENTS)]
 
 
-def _objective(kind, p1, p2, name, rng):
-    if name == "approx":
-        return random_approx_objective(kind, p1, p2, rng)
-    target = rng.standard_normal((p1, p2))
-    mask = (rng.random((p1, p2)) < 0.6).astype(float)
-    if kind == "psd":
-        target, mask = sym(target), np.maximum(mask, mask.T)
-    return make_masked_completion(target, mask, symmetric=kind == "psd")
-
-
 def _cases(geo, rng):
     """(point, objective) at random non-stationary points of every shape."""
     kind = kind_of(geo)
     for p1, p2, r in SHAPES[kind]:
         for name in ("approx", "completion"):
             for _ in range(2):
-                yield random_point(geo, p1, p2, r, rng), _objective(kind, p1, p2, name, rng)
+                yield random_point(geo, p1, p2, r, rng), random_objective(kind, p1, p2, name, rng)
 
 
 def _norm(parts):
@@ -77,8 +66,8 @@ def _term_scale(z, obj, met, theta):
     grad = geo.grad_lift(z, wt, nabla)
     return (abs(obj.ehess_quad(z.X, geo.differential(z, t)))
             + np.linalg.norm(nabla) * np.linalg.norm(geo.second(z, t))
-            + abs(geo._dg(wt, geo._dw(wt, t), t, grad))
-            + abs(geo._dg(wt, geo._dw(wt, grad), t, t)))
+            + abs(geo._dg(wt, geo._dw(z, wt, t), t, grad))
+            + abs(geo._dg(wt, geo._dw(z, wt, grad), t, t)))
 
 
 @pytest.mark.parametrize("geo,mname", PAIRS)

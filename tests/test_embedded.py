@@ -18,7 +18,7 @@ from georank.embedded import (
     tangent_basis,
     tangent_project,
 )
-from georank.flows import FLOW_SOURCES, integrate_flow
+from georank.flows import integrate_flow
 from georank.landscape import find_fosp
 from georank.linalg import RankError, sym
 from georank.objectives import make_matrix_approx
@@ -314,7 +314,10 @@ def test_orthogonal_complements_only_for_bases(monkeypatch):
                                      if kind == "psd" else rng.standard_normal((6, 5)),
                                      symmetric=kind == "psd")
             for kind in ("psd", "general")}
-    for geometry, metric in FLOW_SOURCES:
+    # the two embedded sources and the four quotient pairs the CLI compares
+    for geometry, metric in (("psd_embedded", None), ("psd_q1", "double-gram"),
+                             ("psd_q2", "matched"), ("gen_embedded", None),
+                             ("gen_q1", "crossed-gram"), ("gen_q3", "matched")):
         kind = kind_of(geometry)
         x0 = random_point(EMBEDDED[kind], 6, 5, 2, rng)
         integrate_flow(x0, objs[kind], (geometry, metric), 0.04, 0.01)

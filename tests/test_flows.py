@@ -9,9 +9,12 @@ from georank.flows import (
     flow_field,
     integrate_flow,
 )
+from georank.linalg import sym
 from georank.objectives import make_masked_completion, make_matrix_approx
+from georank.quotient import EMBEDDED, lift_point, metric_inner, riem_grad_quotient
 
-from util import random_point
+from util import (GEN_QUOTIENTS, PSD_QUOTIENTS, geometry_metric_combos,
+                  random_objective, random_point)
 
 PSD_M = np.diag([3.0, 2.0, 1.0, 0.5])
 GEN_M = np.vstack([np.diag([3.0, 2.0, 1.0]), np.zeros((1, 3))])
@@ -70,13 +73,35 @@ class TestFlowField:
             atol=1e-13,
         )
 
-    def test_unsupported_pair_rejected(self):
+    def test_unknown_source_rejected(self):
         rng = np.random.default_rng(3)
         obj, pt = _psd_setup(rng)
-        with pytest.raises(ValueError):
-            flow_field(pt, obj, ("psd_q1", "flat"))
-        with pytest.raises(ValueError):
-            flow_field(pt, obj, ("gen_q2", "polar"))
+        for source in (("psd_q1", "nope"), ("psd_q1", None), ("nope", None)):
+            with pytest.raises(ValueError):
+                flow_field(pt, obj, source)
+
+    def test_every_family_flow_descends_at_the_quotient_rate(self):
+        # d/dt f(X) = <nabla f, -L(grad h)> = -g(grad h, grad h): the field is
+        # the image under L of the negative gradient lift
+        rng = np.random.default_rng(12)
+        cases = {"psd": (6, 6, PSD_QUOTIENTS), "general": (6, 5, GEN_QUOTIENTS)}
+        worst = 0.0
+        for kind, (p1, p2, quotients) in cases.items():
+            for r in (1, 2, 3):
+                for name in ("approx", "completion"):
+                    obj = random_objective(kind, p1, p2, name, rng)
+                    pt = random_point(EMBEDDED[kind], p1, p2, r, rng)
+                    nabla = obj.egrad(pt.X)
+                    if kind == "psd":
+                        nabla = sym(nabla)
+                    for geo, met in geometry_metric_combos(quotients):
+                        z = lift_point(pt, geo)
+                        grad = riem_grad_quotient(z, obj, met)
+                        rate = -metric_inner(z, grad, grad, met)
+                        field = flow_field(pt, obj, (geo, met.name))
+                        err = abs(np.sum(nabla * field) - rate) / abs(rate)
+                        worst = max(worst, err)
+        assert worst <= 1e-12
 
     def test_kind_mismatch_rejected(self):
         rng = np.random.default_rng(4)
@@ -99,10 +124,11 @@ class TestIntegrateFlow:
     def test_energy_decreases(self):
         rng = np.random.default_rng(6)
         obj, pt = _psd_setup(rng)
-        trace = integrate_flow(pt, obj, ("psd_embedded", None), 1.0, 1e-2)
-        energies = trace.energies(obj)
-        assert np.all(np.diff(energies) <= 1e-12)
-        assert energies[-1] < energies[0]
+        for source in (("psd_embedded", None), ("psd_q2", "polar")):
+            trace = integrate_flow(pt, obj, source, 1.0, 1e-2)
+            energies = trace.energies(obj)
+            assert np.all(np.diff(energies) <= 1e-12), source
+            assert energies[-1] < energies[0], source
 
     def test_states_stay_rank_r(self):
         rng = np.random.default_rng(7)

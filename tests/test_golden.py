@@ -15,7 +15,9 @@ largest change of a spectral value (``eig_*``, ``lam_*``, ``lo``, ``hi``,
 ``min_eigenvalue``) relative to the value and to its spectrum's max |lambda|;
 how many check margins moved inward and outward (by at least 0.005
 decades, so the move shows at the printed precision), and the lowest moved
-one; and each report's smallest margin, golden -> regenerated:
+one; every check that falls below the 5-decade noise floor from at or above
+it, with its margin golden -> regenerated; and each report's smallest
+margin, golden -> regenerated:
 
     PYTHONPATH=src python tests/test_golden.py --compare
 
@@ -89,6 +91,9 @@ def _is_number(value):
 
 
 MOVED_DEC = 0.005  # margin change, in decades, that the summary counts as a move
+# a noise check stays this many decades inside its tolerance unless it was
+# closer before; the summary names each check that falls below it
+NOISE_FLOOR_DEC = 5.0
 SPECTRAL = re.compile(r"^/checks\[(\d+)\]/.*/(eig_embedded\[\d+\]|eig_quotient\[\d+\]"
                       r"|lam_f|lam_h|lo|hi|min_eigenvalue)$")
 
@@ -133,7 +138,8 @@ def compare(tmp_dir):
     """Print, per case, every value that differs from the golden report and
     each check's margin in decades, golden -> regenerated; then a summary:
     the largest spectral change per case, the count of margins that moved
-    each way, and each report's smallest margin."""
+    each way, the checks that fell below the noise floor, and each report's
+    smallest margin."""
     gate = _load_gate()
     spectral, margins, smallest = {}, [], {}
     for case in sorted(CASES):
@@ -166,7 +172,7 @@ def compare(tmp_dir):
         pairs = list(zip(gate.margin_pairs(old), gate.margin_pairs(new)))
         for (label, obs0, tol0), (_, obs1, tol1) in pairs:
             m0, m1 = gate.margin_dec(obs0, tol0), gate.margin_dec(obs1, tol1)
-            margins.append((m0, m1))
+            margins.append((f"{case} {label}", m0, m1))
             print(f"  margin {label}: {m0:.2f} -> {m1:.2f} dec ({m1 - m0:+.2f})")
         if pairs:
             smallest[case] = (gate.check_margin_dec([old]), gate.check_margin_dec([new]))
@@ -178,11 +184,17 @@ def compare(tmp_dir):
     for case, (by_value, by_scale) in spectral.items():
         print(f"    {case}: {by_value:.2e} of the value, {by_scale:.2e} of max |lambda|")
     # a margin moved when the change shows at the printed precision
-    inward = [m1 for m0, m1 in margins if m1 <= m0 - MOVED_DEC]
-    outward = [m1 for m0, m1 in margins if m1 >= m0 + MOVED_DEC]
+    inward = [m1 for _, m0, m1 in margins if m1 <= m0 - MOVED_DEC]
+    outward = [m1 for _, m0, m1 in margins if m1 >= m0 + MOVED_DEC]
     lowest = f"{min(inward + outward):.2f} dec" if inward or outward else "none"
     print(f"  margins moved: {len(inward)} inward, {len(outward)} outward; "
           f"lowest moved margin {lowest}")
+    below = [(label, m0, m1) for label, m0, m1 in margins
+             if m0 >= NOISE_FLOOR_DEC > m1]
+    print(f"  below the {NOISE_FLOOR_DEC:g}-decade noise floor, at or above it "
+          f"before: {len(below)}")
+    for label, m0, m1 in below:
+        print(f"    {label}: {m0:.2f} -> {m1:.2f} dec")
     print("  smallest margin per report:")
     for case, (m0, m1) in smallest.items():
         print(f"    {case}: {m0:.2f} -> {m1:.2f} dec")

@@ -200,7 +200,10 @@ class TestVerifySandwich:
 
     def test_gradient_count_does_not_grow_with_directions(self):
         # one quotient form and one embedded form serve every identity
-        # direction (each direction rebuilt both, two gradients apiece)
+        # direction (each direction rebuilt both, two gradients apiece), and
+        # the FOSP test reads the quotient spectrum's gradient norm: five
+        # gradients per call (the spectrum's form and lift, the gradient
+        # scale, the identity's quotient and embedded forms)
         obj, calls = counting(make_matrix_approx(GEN_M43))
         pt = list(analytic_fosps(obj, 2))[1]
         emb = embedded_spectrum(pt, obj)
@@ -211,7 +214,7 @@ class TestVerifySandwich:
             verify_sandwich(lift_point(pt, "gen_q3"), obj, met, emb,
                             np.random.default_rng(0), n_directions=n)
             counts.append(calls["egrad"])
-        assert counts[0] == counts[1] == counts[2], counts
+        assert counts == [5, 5, 5], counts
 
     def test_non_fosp_rejected(self):
         rng = np.random.default_rng(9)

@@ -1,6 +1,9 @@
 """Quotient geometries: lifts, fibers, projections, metrics, gradients,
 Hessian quadratic forms, horizontal bases, gauge equivariance."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -537,3 +540,17 @@ class TestFiberInvariance:
             assert metric_norm(z, theta, met) == pytest.approx(
                 metric_norm(z2, theta2, met), rel=1e-10
             )
+
+
+def test_point_is_freed_without_the_cyclic_collector():
+    # the cached weights hold no reference back to their point, so dropping
+    # the last reference frees the point (and its embedded frame) at once
+    z = random_point("psd_q1", 5, 5, 2, np.random.default_rng(30))
+    z.weights(metric_family("psd_q1", "double-gram"))
+    ref = weakref.ref(z)
+    gc.disable()
+    try:
+        del z
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -4,13 +4,13 @@ and the CLI runner."""
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 import georank
-from georank import make_matrix_approx
+from georank import make_masked_completion, make_matrix_approx
 from georank.objectives import Objective
 from georank.landscape import hessian_spectrum
 from georank.linalg import gen_sym_eig, skew, sym
@@ -23,6 +23,7 @@ from georank.quotient import (
     HorizontalVector,
     PsdQ1,
     PsdQ2,
+    QuotientPoint,
     Weights,
     _ambient_gradient,
     _dot,
@@ -45,6 +46,18 @@ def random_approx_objective(kind, p1, p2, rng):
     if kind == "psd":
         return make_matrix_approx(sym(a), symmetric=True)
     return make_matrix_approx(a)
+
+
+def random_objective(kind, p1, p2, name, rng):
+    """A random "approx" objective, or a "completion" one observing about
+    60% of the entries (a symmetric mask for PSD)."""
+    if name == "approx":
+        return random_approx_objective(kind, p1, p2, rng)
+    target = rng.standard_normal((p1, p2))
+    mask = (rng.random((p1, p2)) < 0.6).astype(float)
+    if kind == "psd":
+        target, mask = sym(target), np.maximum(mask, mask.T)
+    return make_masked_completion(target, mask, symmetric=kind == "psd")
 
 
 def counting(obj):
@@ -150,9 +163,12 @@ def mixed_basis_spectrum(z, obj, metric, rng):
 # Their differential is the library's.
 
 
+@dataclass(frozen=True, eq=False)
 class OracleWeights(Weights):
     """A point's weights with the directional derivatives of each weight and
     of its inverse (d W^-1 = -W^-1 dW W^-1), which the hand forms read."""
+
+    z: QuotientPoint = field(kw_only=True)
 
     def dw(self, parts):
         return self.metric.weights["w"].deriv(self.z, self.w, parts)
@@ -169,7 +185,7 @@ class OracleWeights(Weights):
 
 def oracle_weights(z, metric):
     wt = z.weights(metric)
-    return OracleWeights(**{f.name: getattr(wt, f.name) for f in fields(wt)})
+    return OracleWeights(**{f.name: getattr(wt, f.name) for f in fields(wt)}, z=z)
 
 
 class HandPsdQ1(PsdQ1):
