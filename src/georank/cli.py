@@ -357,9 +357,11 @@ def cmd_bijection(config, prob, obj, rng, tols):
 
 
 def _fosp_points(config, prob, obj, rng):
+    """The FOSPs to check, and the checks that start the report: none, or a
+    failed ``fosp-search`` when no ``find_fosp`` start converges."""
     max_points = int(config.get("max_fosp_points", 4))
     if prob["kind"] == "approx":
-        return list(itertools.islice(analytic_fosps(obj, prob["r"]), max_points))
+        return list(itertools.islice(analytic_fosps(obj, prob["r"]), max_points)), []
     kind_tag = EMBEDDED[prob["case"]]
     pts = []
     for _ in range(max_points):
@@ -367,14 +369,14 @@ def _fosp_points(config, prob, obj, rng):
                         max_iter=20000, tol=1e-10)
         if res.converged:
             pts.append(res.point)
-    if not pts:
-        raise ConfigError("no stationary points found for the configured problem")
-    return pts
+    if pts:
+        return pts, []
+    return [], [{"name": "fosp-search", "passed": False,
+                  "details": {"starts": max_points, "converged": 0}}]
 
 
 def cmd_verify_sandwich(config, prob, obj, rng, tols):
-    checks = []
-    fosps = _fosp_points(config, prob, obj, rng)
+    fosps, checks = _fosp_points(config, prob, obj, rng)
     n_dir = int(config.get("directions", 100))
     # every (geometry, metric) row at a FOSP shares its embedded spectrum
     spectra = [hessian_spectrum(pt, obj, EMBEDDED[prob["case"]]) for pt in fosps]
@@ -398,8 +400,7 @@ def cmd_verify_sandwich(config, prob, obj, rng, tols):
 
 
 def cmd_classify(config, prob, obj, rng, tols):
-    checks = []
-    fosps = _fosp_points(config, prob, obj, rng)
+    fosps, checks = _fosp_points(config, prob, obj, rng)
     for i, pt in enumerate(fosps):
         labels = {}
         tag = EMBEDDED[prob["case"]]

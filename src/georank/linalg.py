@@ -3,6 +3,13 @@
 Everything here is pure and operates on plain ``numpy`` arrays. Matrices are
 small (desk scale, dimensions well below a few hundred), so dense
 factorizations are used throughout.
+
+The geometries' Sylvester operators are symmetric, and their coefficients
+depend only on the point and the metric: ``SymmetricSylvester`` factors one
+with an eigendecomposition of each coefficient, once per (point, metric),
+and each solve is then a few r x r products. ``solve_sylvester`` is the
+general Kronecker-vectorized solver, which no geometry calls; the tests
+hold the factored solver to it.
 """
 
 from typing import NamedTuple
@@ -49,12 +56,12 @@ def skew(x) -> np.ndarray:
 def solve_sylvester(a, b, c) -> np.ndarray:
     """Solve A X + X B = C by a Kronecker-vectorized dense solve.
 
-    The coefficient matrices here never exceed ~20x20 (they come from r x r
-    factor blocks), so the O((mn)^3) dense solve is preferable to
-    Bartels-Stewart. Raises ``ConditioningError`` when the spectra of A and
-    -B come within ``SYLVESTER_SEP_TOL`` of each other relative to the
-    problem scale, which is exactly when the equation loses its unique
-    solution.
+    The general solver, for small coefficients that need not be symmetric,
+    by an O((mn)^3) dense solve per call; the geometries' symmetric
+    operators use ``SymmetricSylvester``, which factors each once. Raises
+    ``ConditioningError`` when the spectra of A and -B come within
+    ``SYLVESTER_SEP_TOL`` of each other relative to the problem scale, which
+    is exactly when the equation loses its unique solution.
     """
     a = _as_matrix(a)
     b = _as_matrix(b)
@@ -76,6 +83,60 @@ def solve_sylvester(a, b, c) -> np.ndarray:
     k = np.kron(np.eye(n), a) + np.kron(b.T, np.eye(m))
     x = np.linalg.solve(k, c.reshape(-1, order="F"))
     return x.reshape((m, n), order="F")
+
+
+def _frozen(a) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class SymmetricSylvester:
+    """A X + X B = C for symmetric A (m x m) and B (n x n), factored once.
+
+    The constructor takes one ``eigh`` of A and of B (one in all when B is
+    A) and checks the separation once, with the rule of ``solve_sylvester``:
+    ``ConditioningError`` when min |la_i + lb_j| <= SYLVESTER_SEP_TOL
+    (||A||_2 + ||B||_2), the norms read from the eigenvalues. Each ``solve``
+    is then Qa ((Qa^T C Qb) / (la_i + lb_j)) Qb^T. The stored arrays are
+    read-only, since every caller of a cached factor shares them.
+    """
+
+    def __init__(self, a, b):
+        same = b is a
+        self.a = _frozen(_symmetric(a, "A"))
+        self.b = self.a if same else _frozen(_symmetric(b, "B"))
+        self.la, self.qa = map(_frozen, np.linalg.eigh(self.a))
+        self.lb, self.qb = ((self.la, self.qa) if same
+                            else map(_frozen, np.linalg.eigh(self.b)))
+        denom = self.la[:, None] + self.lb[None, :]
+        scale = np.max(np.abs(self.la)) + np.max(np.abs(self.lb))
+        gap = np.min(np.abs(denom))
+        if gap <= SYLVESTER_SEP_TOL * max(scale, 1e-300):
+            raise ConditioningError(
+                f"spectra of A and -B overlap (separation {gap:.3e}); "
+                "Sylvester equation has no unique solution"
+            )
+        self.denom = _frozen(denom)
+
+    def solve(self, c) -> np.ndarray:
+        """X with A X + X B = C."""
+        c = _as_matrix(c)
+        if c.shape != self.denom.shape:
+            raise ValueError(
+                f"incompatible Sylvester shapes: A {self.a.shape}, B {self.b.shape}, "
+                f"C {c.shape}"
+            )
+        return self.qa @ ((self.qa.T @ c @ self.qb) / self.denom) @ self.qb.T
+
+
+def _symmetric(x, name) -> np.ndarray:
+    """The symmetric part of a square matrix that is symmetric within SPD_TOL."""
+    x = _as_matrix(x)
+    if x.shape[0] != x.shape[1] or x.shape[0] == 0:
+        raise ValueError(f"{name} must be a non-empty square matrix, got {x.shape}")
+    if np.linalg.norm(x - x.T) > SPD_TOL * max(1.0, np.linalg.norm(x)):
+        raise ValueError(f"{name} is not symmetric")
+    return sym(x)
 
 
 def orth_complement(u) -> np.ndarray:

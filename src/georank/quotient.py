@@ -22,7 +22,9 @@ as one symmetric bilinear form, with the gradient and its lift bound.
 
 A quotient point caches the embedded-geometry frame built from its own
 factors, so transports to the embedded tangent space are free of rotation
-ambiguity, and, evaluated once, each metric's weights and inverses and B^-1.
+ambiguity, and, evaluated once, each metric's weights and inverses, B^-1,
+and the symmetric Sylvester operators of L^-1 and of the q1 vertical
+projections, each factored by one eigendecomposition per (point, metric).
 
 Horizontal vectors are stored in ambient total-space coordinates. Those the
 library makes (projections, bases, gradient lifts, ``transport.inverse_map``)
@@ -32,7 +34,7 @@ built by the caller has no record and is checked once, by
 defect above 1e-8 is an error. Nothing is silently re-projected.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple, Optional
@@ -46,7 +48,7 @@ from .embedded import (
     project_rank_r,
     tangent_project,
 )
-from .linalg import (skew, skew_basis, solve_sylvester, spd_functions, sym,
+from .linalg import (SymmetricSylvester, skew, skew_basis, spd_functions, sym,
                      sym_basis, unit_basis)
 from .objectives import Objective
 
@@ -99,6 +101,12 @@ class QuotientPoint:
     def binv(self) -> np.ndarray:
         """B^-1 for the geometries with an SPD core factor."""
         return _read_only(spd_functions(self.factor("B")).inv)
+
+    @cached_property
+    def b_sylvester(self) -> SymmetricSylvester:
+        """B X + X B factored, for gen_q2's inverse and gradient conversion."""
+        b = self.factor("B")
+        return SymmetricSylvester(b, b)
 
     def weights(self, metric: "MetricFamily") -> "Weights":
         """The metric's weights at this point, evaluated on first use."""
@@ -295,15 +303,19 @@ class MetricFamily:
 
 @dataclass(frozen=True, eq=False)
 class Weights:
-    """A metric family's weights and their inverses at one point. It holds no
-    reference to the point, which caches it, so a point is freed as soon as
-    it is dropped."""
+    """A metric family's weights and their inverses at one point, and for
+    the q1 geometries the inverses of the frame coefficients (P, or P1 and
+    P2) with the factored Sylvester operator of L^-1 and of the vertical
+    projection. It holds no reference to the point, which caches it, so a
+    point is freed as soon as it is dropped."""
 
     metric: MetricFamily
     w: np.ndarray
     w_inv: np.ndarray
     v: Optional[np.ndarray] = None
     v_inv: Optional[np.ndarray] = None
+    pinv: tuple = ()
+    sylvester: Optional[SymmetricSylvester] = None
 
     @classmethod
     def at(cls, z: QuotientPoint, metric: MetricFamily) -> "Weights":
@@ -311,7 +323,8 @@ class Weights:
         for key, spec in metric.weights.items():
             values[key] = w = _read_only(spec.value(z))
             values[f"{key}_inv"] = _read_only(spd_functions(w).inv)
-        return cls(metric, **values)
+        wt = cls(metric, **values)
+        return replace(wt, **REGISTRY[z.geometry].operator(z, wt))
 
 
 def metric_choices(geometry: str):
@@ -650,6 +663,8 @@ class QuotientGeometry:
     - ``lift(x_pt, sig, root)``: canonical factors of a spectral frame;
     - ``vertical(z, parts, wt)``: vertical part of a tangent vector (the
       base class covers O(r) acting on a total space with a Stiefel factor);
+    - ``operator(z, wt)``: the ``Weights`` fields that a metric-dependent
+      horizontal space adds at a point (none by default);
     - ``basis(z, wt)``: a structured basis of the horizontal space;
     - ``inverse(z, xi, wt)``: the inverse of L on the embedded tangent space;
     - ``bounds(z, wt)``: (alpha, beta) with alpha g <= ||L||^2 <= beta g;
@@ -813,6 +828,9 @@ class QuotientGeometry:
         return tuple(g.T @ a @ g if f.kind == "spd" else a @ g
                      for f, a in zip(self.factors, parts))
 
+    def operator(self, z, wt):
+        return {}
+
     def vertical(self, z, parts, wt):
         """Vertical part under O(r) with a Stiefel factor: F Omega on the
         Stiefel and free factors, B Omega - Omega B on the SPD core, with
@@ -860,35 +878,36 @@ class PsdQ1(QuotientGeometry):
     def lift(self, x_pt, sig, root):
         return (x_pt.U @ root,)
 
-    def _m(self, z, wt):
-        """P^-1 and M = P^-T W P^-1."""
-        pinv = np.linalg.inv(z.P)
-        return pinv, pinv.T @ wt.w @ pinv
+    def operator(self, z, wt):
+        """P^-1 and M X + X M factored, M = P^-T W P^-1."""
+        pinv = _read_only(np.linalg.inv(z.P))
+        m = sym(pinv.T @ wt.w @ pinv)
+        return {"pinv": (pinv,), "sylvester": SymmetricSylvester(m, m)}
 
     def vertical(self, z, parts, wt):
         u, p = z.point.U, z.P
-        pinv, m = self._m(z, wt)
+        (pinv,), op = wt.pinv, wt.sylvester
         a = u.T @ parts[0] @ p.T
-        omega = solve_sylvester(m, m, 2.0 * skew(a @ m))
+        omega = op.solve(2.0 * skew(a @ op.a))
         return (u @ omega @ pinv.T,)
 
     def basis(self, z, wt):
         u, uperp = z.point.U, z.point.Uperp
-        pinv, m = self._m(z, wt)
-        minv = spd_functions(m).inv
+        (pinv,), op = wt.pinv, wt.sylvester
+        minv = sym((op.qa / op.la) @ op.qa.T)
         vecs = [(u @ (a @ minv) @ pinv.T,) for a in sym_basis(z.r)]
         vecs += [(uperp @ e @ pinv.T,) for e in unit_basis(uperp.shape[1], z.r)]
         return vecs
 
     def inverse(self, z, xi, wt):
-        pinv, m = self._m(z, wt)
-        s_prime = solve_sylvester(m, m, m @ xi.S)
+        (pinv,), op = wt.pinv, wt.sylvester
+        s_prime = op.solve(op.a @ xi.S)
         return ((z.point.U @ s_prime + xi.Up) @ pinv.T,)
 
     def bounds(self, z, wt):
-        p = z.P
-        lo, hi = _extremes(p @ wt.w_inv @ p.T)
-        return 2.0 * lo, 4.0 * hi
+        # the extreme eigenvalues of M^-1 = P W^-1 P^T
+        la = wt.sylvester.la
+        return 2.0 / float(la[-1]), 4.0 / float(la[0])
 
     def grad_embedded(self, z, wt, grad):
         yfac = z.factor("Y")
@@ -963,24 +982,27 @@ class GenQ1(QuotientGeometry):
         """GL(r) acts on L by g and on R by g^-T."""
         return (parts[0] @ g, parts[1] @ np.linalg.inv(g).T)
 
-    def _m(self, z, wt):
-        """P1^-1, P2^-1, M1 = P1 V^-1 P1^T and M2 = P2 W^-1 P2^T."""
+    def operator(self, z, wt):
+        """P1^-1, P2^-1 and M2 X + X M1 factored, M1 = P1 V^-1 P1^T and
+        M2 = P2 W^-1 P2^T; L^-1 solves its transpose."""
         p1, p2 = z.P1, z.P2
-        return (np.linalg.inv(p1), np.linalg.inv(p2),
-                p1 @ wt.v_inv @ p1.T, p2 @ wt.w_inv @ p2.T)
+        m1, m2 = sym(p1 @ wt.v_inv @ p1.T), sym(p2 @ wt.w_inv @ p2.T)
+        return {"pinv": (_read_only(np.linalg.inv(p1)), _read_only(np.linalg.inv(p2))),
+                "sylvester": SymmetricSylvester(m2, m1)}
 
     def vertical(self, z, parts, wt):
         u, v = z.point.U, z.point.V
-        p1inv, p2inv, m1, m2 = self._m(z, wt)
+        (p1inv, p2inv), op = wt.pinv, wt.sylvester
         a1 = u.T @ parts[0] @ z.P2.T
         a2 = v.T @ parts[1] @ z.P1.T
-        sv = solve_sylvester(m2, m1, a1.T @ m1 - m2 @ a2).T
+        sv = op.solve(a1.T @ op.b - op.a @ a2).T
         return (u @ sv @ p2inv.T, -v @ sv.T @ p1inv.T)
 
     def basis(self, z, wt):
         u, v = z.point.U, z.point.V
         uperp, vperp = z.point.Uperp, z.point.Vperp
-        p1inv, p2inv, m1, m2 = self._m(z, wt)
+        (p1inv, p2inv), op = wt.pinv, wt.sylvester
+        m1, m2 = op.b, op.a
         zl, zr = np.zeros_like(z.factor("L")), np.zeros_like(z.factor("R"))
         vecs = [(u @ e @ m2 @ p2inv.T, v @ e.T @ m1 @ p1inv.T)
                 for e in unit_basis(z.r, z.r)]
@@ -990,17 +1012,17 @@ class GenQ1(QuotientGeometry):
 
     def inverse(self, z, xi, wt):
         pt = z.point
-        p1inv, p2inv, m1, m2 = self._m(z, wt)
-        s_prime = solve_sylvester(m1, m2, xi.S)
-        tl = (pt.U @ s_prime @ m2 + xi.Up) @ p2inv.T
-        tr = (pt.V @ s_prime.T @ m1 + xi.Vp) @ p1inv.T
+        (p1inv, p2inv), op = wt.pinv, wt.sylvester
+        # M1 S' + S' M2 = S, solved as its transpose
+        s_prime = op.solve(xi.S.T).T
+        tl = (pt.U @ s_prime @ op.a + xi.Up) @ p2inv.T
+        tr = (pt.V @ s_prime.T @ op.b + xi.Vp) @ p1inv.T
         return (tl, tr)
 
     def bounds(self, z, wt):
-        _, _, m1, m2 = self._m(z, wt)
-        lo2, hi2 = _extremes(m2)
-        lo1, hi1 = _extremes(m1)
-        return min(lo2, lo1), 2.0 * max(hi2, hi1)
+        op = wt.sylvester
+        return (float(min(op.la[0], op.lb[0])),
+                2.0 * float(max(op.la[-1], op.lb[-1])))
 
     def grad_embedded(self, z, wt, grad):
         lfac, rfac = z.factors
@@ -1049,9 +1071,9 @@ class GenQ2(QuotientGeometry):
         return vecs
 
     def inverse(self, z, xi, wt):
-        u, b, v = z.factors
+        u, _, v = z.factors
         binv = z.binv
-        omega = solve_sylvester(b, b, skew(xi.S))
+        omega = z.b_sylvester.solve(skew(xi.S))
         tu = xi.Up @ binv + u @ omega
         tv = xi.Vp @ binv - v @ omega
         return (tu, sym(xi.S), tv)
@@ -1062,11 +1084,11 @@ class GenQ2(QuotientGeometry):
         return lo**2, 2.0 * hi**2
 
     def grad_embedded(self, z, wt, grad):
-        u, b, v = z.factors
+        u, _, v = z.factors
         gu, gb, gv = grad
         binv = z.binv
         # skew part of Delta solves B K + K B = 2 gu^T U with K = skew(Delta)^T
-        k = solve_sylvester(b, b, 2.0 * gu.T @ u)
+        k = z.b_sylvester.solve(2.0 * gu.T @ u)
         delta = binv @ gb @ binv + k.T
         pgu = gu - u @ (u.T @ gu)
         pgv = gv - v @ (v.T @ gv)

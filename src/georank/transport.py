@@ -13,7 +13,10 @@ tangent space at X (Absil, Mahony & Sepulchre 2008, ch. 3):
 L(theta) is returned in the embedded tangent's factored form (S, Up, Vp), the
 tangent projection of the differential. The inverses read the factors
 directly, except for an r x r Sylvester sub-solve in psd_q1, gen_q1, and
-gen_q2. The squared Frobenius norm of L is bounded above and below by
+gen_q2, whose operator depends only on the point and the metric: it is
+factored by one eigendecomposition per (point, metric), cached with the
+point's weights (B's, for gen_q2, with the point), and each solve is a few
+r x r products. The squared Frobenius norm of L is bounded above and below by
 metric-dependent coefficients (alpha, beta), which are the gap coefficients
 of the Hessian-spectrum sandwich inequalities.
 

@@ -1,9 +1,12 @@
 """Experiment-runner CLI: exit codes, report schema, determinism."""
 
 import json
+import types
 
 import numpy as np
 import pytest
+
+from georank import cli
 
 from util import run_cli
 
@@ -118,6 +121,31 @@ class TestErrorPaths:
         cfg = write_config(tmp_path, "c.json", {"command": "classify"})
         proc = run_cli(["dims", "--config", str(cfg)], tmp_path)
         assert_input_error(proc)
+
+    @pytest.mark.parametrize("command", ["verify-sandwich", "classify"])
+    def test_no_converged_start_fails_a_check(self, tmp_path, monkeypatch, command):
+        # a solver that never converges is a failed search, not an input error
+        starts = []
+
+        def no_fosp(obj, init, max_iter, tol):
+            starts.append(init)
+            return types.SimpleNamespace(converged=False, point=init, iterations=max_iter)
+
+        monkeypatch.setattr(cli, "find_fosp", no_fosp)
+        cfg = write_config(tmp_path, "c.json", {
+            "problem": {"case": "general", "kind": "completion", "p1": 5, "p2": 4,
+                        "r": 2},
+            "max_fosp_points": 3,
+        })
+        out = tmp_path / "report.json"
+        status = cli.main([command, "--config", str(cfg), "--out", str(out),
+                           "--no-timestamp"])
+        assert status == 1
+        report = json.loads(out.read_text())
+        assert not report["passed"]
+        assert report["checks"] == [{"name": "fosp-search", "passed": False,
+                                     "details": {"starts": 3, "converged": 0}}]
+        assert len(starts) == 3
 
     def test_failed_check_exits_1_with_report(self, tmp_path):
         # an impossible tolerance forces a failing check

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from georank import landscape
+from georank import landscape, linalg
 from georank.cli import COMMANDS, run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -72,6 +72,30 @@ def report_text(name, tmp_dir):
 def test_report_matches_golden(name, tmp_path):
     expected = (GOLDEN / f"{name}.json").read_text()
     assert report_text(name, tmp_path) == expected
+
+
+# Sylvester operators factored by a bijection-roundtrip golden report: one
+# per (point, metric) for psd_q1 (3 families) and gen_q1 (2), one per point
+# for gen_q2's B, with a new point for each of the 2 trials of every row
+FACTORIZATIONS = {"psd": 3 * 2, "general": (2 + 1) * 2}
+
+
+@pytest.mark.parametrize("case", sorted(FACTORIZATIONS))
+@pytest.mark.parametrize("directions", [1, COMMON["directions"]])
+def test_bijection_factors_each_operator_once(case, directions, tmp_path, monkeypatch):
+    calls = []
+    original = linalg.SymmetricSylvester.__init__
+
+    def counting(self, a, b):
+        calls.append(1)
+        original(self, a, b)
+
+    monkeypatch.setattr(linalg.SymmetricSylvester, "__init__", counting)
+    command, config = CASES[f"bijection-roundtrip.{case}"]
+    _, status = run(command, {**config, "directions": directions}, seed=SEED,
+                    out_path=tmp_path / "report.json", no_timestamp=True)
+    assert status == 0
+    assert len(calls) == FACTORIZATIONS[case]
 
 
 def _leaves(value, path=""):

@@ -1,7 +1,8 @@
 """Dense linear-algebra utilities.
 
 Independent oracles: scipy.linalg.solve_sylvester (Bartels-Stewart) for the
-Kronecker solver, scipy.linalg.eigh(H, G) for the whitened pencil solver.
+Kronecker and the factored symmetric solvers, scipy.linalg.eigh(H, G) for
+the whitened pencil solver.
 """
 
 import numpy as np
@@ -10,6 +11,7 @@ import scipy.linalg
 
 from georank.linalg import (
     ConditioningError,
+    SymmetricSylvester,
     gen_sym_eig,
     orth_complement,
     skew,
@@ -109,6 +111,65 @@ class TestSylvester:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             solve_sylvester(np.eye(2), np.eye(3), np.ones((3, 2)))
+
+
+def _symmetric_with_spectrum(eigs, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((len(eigs), len(eigs))))
+    return sym((q * eigs) @ q.T)
+
+
+class TestSymmetricSylvester:
+    # eigenvalue intervals of A and of B; in the indefinite case A's in
+    # [-3, -1] u [6, 8] and B's in [4, 5] u [-4.5, -4] keep every
+    # la_i + lb_j at least 1 away from 0
+    SPECTRA = {
+        "spd": ([(1.0, 4.0)], [(1.0, 4.0)]),
+        "indefinite": ([(-3.0, -1.0), (6.0, 8.0)], [(4.0, 5.0), (-4.5, -4.0)]),
+    }
+
+    @staticmethod
+    def _draw(intervals, n, rng):
+        lo, hi = np.array(intervals)[rng.integers(0, len(intervals), n)].T
+        return _symmetric_with_spectrum(rng.uniform(lo, hi), rng)
+
+    @pytest.mark.parametrize("case", ["spd", "indefinite"])
+    def test_agrees_with_bartels_stewart_and_kronecker(self, case):
+        rng = np.random.default_rng(7)
+        spec_a, spec_b = self.SPECTRA[case]
+        sizes = [(1, 1), (1, 5), (20, 20), (20, 3)]
+        sizes += [tuple(int(k) for k in rng.integers(1, 21, 2)) for _ in range(40)]
+        for m, n in sizes:
+            a, b = self._draw(spec_a, m, rng), self._draw(spec_b, n, rng)
+            c = rng.standard_normal((m, n))
+            x = SymmetricSylvester(a, b).solve(c)
+            for ref in (scipy.linalg.solve_sylvester(a, b, c), solve_sylvester(a, b, c)):
+                np.testing.assert_allclose(x, ref, rtol=0,
+                                           atol=1e-10 * max(1.0, np.max(np.abs(ref))))
+
+    def test_one_factor_serves_every_right_hand_side(self):
+        rng = np.random.default_rng(8)
+        a = self._draw([(1.0, 4.0)], 4, rng)
+        op = SymmetricSylvester(a, a)
+        for _ in range(5):
+            c = rng.standard_normal((4, 4))
+            x = op.solve(c)
+            assert np.linalg.norm(a @ x + x @ a - c) <= 1e-12 * np.linalg.norm(c)
+
+    def test_overlapping_spectra_rejected(self):
+        a = np.diag([1.0, 2.0])
+        with pytest.raises(ConditioningError):
+            SymmetricSylvester(a, -a)
+
+    def test_shape_mismatch(self):
+        op = SymmetricSylvester(np.eye(2), np.eye(3))
+        with pytest.raises(ValueError):
+            op.solve(np.ones((3, 2)))
+        with pytest.raises(ValueError):
+            SymmetricSylvester(np.ones((2, 3)), np.eye(3))
+
+    def test_unsymmetric_coefficient_rejected(self):
+        with pytest.raises(ValueError):
+            SymmetricSylvester(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2))
 
 
 class TestOrthComplement:

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from georank.embedded import embed_point
-from georank.linalg import sym
+from georank.linalg import ConditioningError, SymmetricSylvester, sym
 from georank.objectives import make_matrix_approx
 from georank.quotient import (
+    REGISTRY,
     HorizontalVector,
     act_on_horizontal,
     act_on_point,
@@ -173,6 +174,17 @@ class TestProjections:
                     metric_norm(z, vert, met) * metric_norm(z, hor, met), 1e-300
                 )
                 assert abs(cross) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("spread,family", [(1e-7, "flat"), (1e-4, "inverse-gram")])
+    def test_psd_q1_nearly_parallel_columns_rejected(self, spread, family):
+        # nearly parallel factor columns make P, and so M = P^-T W P^-1,
+        # ill-conditioned: cond(M) is cond(P)^2 for the flat metric and
+        # cond(P)^4 for the inverse Gram one, past the separation tolerance
+        rng = np.random.default_rng(55)
+        z = quotient_point("psd_q1", np.ones((6, 2)) + spread * rng.standard_normal((6, 2)))
+        with pytest.raises(ConditioningError):
+            vertical_project(z, (rng.standard_normal((6, 2)),),
+                             metric_family("psd_q1", family))
 
     def test_non_tangent_rejected(self):
         rng = np.random.default_rng(10)
@@ -554,3 +566,77 @@ def test_point_is_freed_without_the_cyclic_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def _operators(z):
+    """Every factored Sylvester operator a point has built, with its P^-1s."""
+    out = [(wt.sylvester, wt.pinv) for wt in z._weights.values()
+           if wt.sylvester is not None]
+    if "b_sylvester" in vars(z):
+        out.append((z.b_sylvester, ()))
+    return out
+
+
+class TestOperatorCache:
+    """The Sylvester operators of L^-1 and of the q1 vertical projections are
+    factored once per (point, metric), B's once per point, and kept where
+    the weights are."""
+
+    def test_each_metric_family_has_its_own_factor(self):
+        rng = np.random.default_rng(31)
+        for geo in ("psd_q1", "gen_q1"):
+            z = _instance(geo, rng)
+            names = list(REGISTRY[geo].families)
+            ops = [z.weights(metric_family(geo, name)).sylvester for name in names]
+            assert all(isinstance(op, SymmetricSylvester) for op in ops)
+            assert len({id(op) for op in ops}) == len(names)
+            assert not np.allclose(ops[0].a, ops[1].a)
+            for name, op in zip(names, ops):
+                assert z.weights(metric_family(geo, name)).sylvester is op
+
+    def test_metric_free_geometries_keep_none_in_the_weights(self):
+        rng = np.random.default_rng(32)
+        for geo in ("psd_q2", "gen_q2", "gen_q3"):
+            z = _instance(geo, rng)
+            for name in REGISTRY[geo].families:
+                wt = z.weights(metric_family(geo, name))
+                assert wt.sylvester is None and wt.pinv == ()
+
+    @pytest.mark.parametrize("geo", ["psd_q1", "gen_q1", "gen_q2"])
+    def test_cached_arrays_are_read_only(self, geo):
+        rng = np.random.default_rng(33)
+        z = _instance(geo, rng)
+        for _, met in geometry_metric_combos([geo]):
+            _roundtrip(z, met, rng)
+        ops = _operators(z)
+        assert ops
+        for op, pinv in ops:
+            arrays = list(pinv) + [op.a, op.b, op.la, op.qa, op.lb, op.qb, op.denom]
+            for a in arrays:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[...] = 0.0
+
+    @pytest.mark.parametrize("geo", ["psd_q1", "gen_q1", "gen_q2"])
+    def test_point_with_factored_operators_is_freed(self, geo):
+        rng = np.random.default_rng(34)
+        z = _instance(geo, rng)
+        for _, met in geometry_metric_combos([geo]):
+            _roundtrip(z, met, rng)
+        assert _operators(z)
+        ref = weakref.ref(z)
+        gc.disable()
+        try:
+            del z
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+def _roundtrip(z, met, rng):
+    """A vertical projection and an L^-1 at z, which build its operators."""
+    from georank.transport import forward_map, inverse_map
+
+    raw = project_total_tangent(z, tuple(rng.standard_normal(f.shape) for f in z.factors))
+    vertical_project(z, raw, met)
+    inverse_map(z, forward_map(z, random_horizontal(z, met, rng), met), met)
