@@ -34,7 +34,7 @@ built by the caller has no record and is checked once, by
 defect above 1e-8 is an error. Nothing is silently re-projected.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple, Optional
@@ -304,18 +304,16 @@ class MetricFamily:
 @dataclass(frozen=True, eq=False)
 class Weights:
     """A metric family's weights and their inverses at one point, and for
-    the q1 geometries the inverses of the frame coefficients (P, or P1 and
-    P2) with the factored Sylvester operator of L^-1 and of the vertical
-    projection. It holds no reference to the point, which caches it, so a
-    point is freed as soon as it is dropped."""
+    the q1 geometries, once asked for, the point's ``Operator`` under the
+    metric. It holds no reference to the point, which caches it, so a point
+    is freed as soon as it is dropped."""
 
     metric: MetricFamily
     w: np.ndarray
     w_inv: np.ndarray
     v: Optional[np.ndarray] = None
     v_inv: Optional[np.ndarray] = None
-    pinv: tuple = ()
-    sylvester: Optional[SymmetricSylvester] = None
+    _operator: Optional["Operator"] = field(default=None, init=False, repr=False)
 
     @classmethod
     def at(cls, z: QuotientPoint, metric: MetricFamily) -> "Weights":
@@ -323,8 +321,25 @@ class Weights:
         for key, spec in metric.weights.items():
             values[key] = w = _read_only(spec.value(z))
             values[f"{key}_inv"] = _read_only(spd_functions(w).inv)
-        wt = cls(metric, **values)
-        return replace(wt, **REGISTRY[z.geometry].operator(z, wt))
+        return cls(metric, **values)
+
+    def operator(self, z: QuotientPoint) -> "Operator":
+        """The q1 geometry's ``Operator`` at z, the point these weights
+        belong to, built on first use: the gradient lift and L need only the
+        weights, and an ill-separated operator must not fail them."""
+        if self._operator is None:
+            # the one field set after construction
+            object.__setattr__(self, "_operator", REGISTRY[z.geometry].operator(z, self))
+        return self._operator
+
+
+class Operator(NamedTuple):
+    """A q1 geometry's constants at one (point, metric): the inverses of the
+    frame coefficients (P, or P1 and P2, read-only) and the factored
+    Sylvester operator of L^-1 and of the vertical projection."""
+
+    pinv: tuple
+    sylvester: SymmetricSylvester
 
 
 def metric_choices(geometry: str):
@@ -663,8 +678,9 @@ class QuotientGeometry:
     - ``lift(x_pt, sig, root)``: canonical factors of a spectral frame;
     - ``vertical(z, parts, wt)``: vertical part of a tangent vector (the
       base class covers O(r) acting on a total space with a Stiefel factor);
-    - ``operator(z, wt)``: the ``Weights`` fields that a metric-dependent
-      horizontal space adds at a point (none by default);
+    - ``operator(z, wt)``: for a metric-dependent horizontal space (the q1
+      geometries), the point's ``Operator`` under the metric, which
+      ``Weights.operator`` caches;
     - ``basis(z, wt)``: a structured basis of the horizontal space;
     - ``inverse(z, xi, wt)``: the inverse of L on the embedded tangent space;
     - ``bounds(z, wt)``: (alpha, beta) with alpha g <= ||L||^2 <= beta g;
@@ -828,9 +844,6 @@ class QuotientGeometry:
         return tuple(g.T @ a @ g if f.kind == "spd" else a @ g
                      for f, a in zip(self.factors, parts))
 
-    def operator(self, z, wt):
-        return {}
-
     def vertical(self, z, parts, wt):
         """Vertical part under O(r) with a Stiefel factor: F Omega on the
         Stiefel and free factors, B Omega - Omega B on the SPD core, with
@@ -882,31 +895,31 @@ class PsdQ1(QuotientGeometry):
         """P^-1 and M X + X M factored, M = P^-T W P^-1."""
         pinv = _read_only(np.linalg.inv(z.P))
         m = sym(pinv.T @ wt.w @ pinv)
-        return {"pinv": (pinv,), "sylvester": SymmetricSylvester(m, m)}
+        return Operator((pinv,), SymmetricSylvester(m, m))
 
     def vertical(self, z, parts, wt):
         u, p = z.point.U, z.P
-        (pinv,), op = wt.pinv, wt.sylvester
+        (pinv,), op = wt.operator(z)
         a = u.T @ parts[0] @ p.T
         omega = op.solve(2.0 * skew(a @ op.a))
         return (u @ omega @ pinv.T,)
 
     def basis(self, z, wt):
         u, uperp = z.point.U, z.point.Uperp
-        (pinv,), op = wt.pinv, wt.sylvester
+        (pinv,), op = wt.operator(z)
         minv = sym((op.qa / op.la) @ op.qa.T)
         vecs = [(u @ (a @ minv) @ pinv.T,) for a in sym_basis(z.r)]
         vecs += [(uperp @ e @ pinv.T,) for e in unit_basis(uperp.shape[1], z.r)]
         return vecs
 
     def inverse(self, z, xi, wt):
-        (pinv,), op = wt.pinv, wt.sylvester
+        (pinv,), op = wt.operator(z)
         s_prime = op.solve(op.a @ xi.S)
         return ((z.point.U @ s_prime + xi.Up) @ pinv.T,)
 
     def bounds(self, z, wt):
         # the extreme eigenvalues of M^-1 = P W^-1 P^T
-        la = wt.sylvester.la
+        la = wt.operator(z).sylvester.la
         return 2.0 / float(la[-1]), 4.0 / float(la[0])
 
     def grad_embedded(self, z, wt, grad):
@@ -987,12 +1000,12 @@ class GenQ1(QuotientGeometry):
         M2 = P2 W^-1 P2^T; L^-1 solves its transpose."""
         p1, p2 = z.P1, z.P2
         m1, m2 = sym(p1 @ wt.v_inv @ p1.T), sym(p2 @ wt.w_inv @ p2.T)
-        return {"pinv": (_read_only(np.linalg.inv(p1)), _read_only(np.linalg.inv(p2))),
-                "sylvester": SymmetricSylvester(m2, m1)}
+        return Operator((_read_only(np.linalg.inv(p1)), _read_only(np.linalg.inv(p2))),
+                        SymmetricSylvester(m2, m1))
 
     def vertical(self, z, parts, wt):
         u, v = z.point.U, z.point.V
-        (p1inv, p2inv), op = wt.pinv, wt.sylvester
+        (p1inv, p2inv), op = wt.operator(z)
         a1 = u.T @ parts[0] @ z.P2.T
         a2 = v.T @ parts[1] @ z.P1.T
         sv = op.solve(a1.T @ op.b - op.a @ a2).T
@@ -1001,7 +1014,7 @@ class GenQ1(QuotientGeometry):
     def basis(self, z, wt):
         u, v = z.point.U, z.point.V
         uperp, vperp = z.point.Uperp, z.point.Vperp
-        (p1inv, p2inv), op = wt.pinv, wt.sylvester
+        (p1inv, p2inv), op = wt.operator(z)
         m1, m2 = op.b, op.a
         zl, zr = np.zeros_like(z.factor("L")), np.zeros_like(z.factor("R"))
         vecs = [(u @ e @ m2 @ p2inv.T, v @ e.T @ m1 @ p1inv.T)
@@ -1012,7 +1025,7 @@ class GenQ1(QuotientGeometry):
 
     def inverse(self, z, xi, wt):
         pt = z.point
-        (p1inv, p2inv), op = wt.pinv, wt.sylvester
+        (p1inv, p2inv), op = wt.operator(z)
         # M1 S' + S' M2 = S, solved as its transpose
         s_prime = op.solve(xi.S.T).T
         tl = (pt.U @ s_prime @ op.a + xi.Up) @ p2inv.T
@@ -1020,7 +1033,7 @@ class GenQ1(QuotientGeometry):
         return (tl, tr)
 
     def bounds(self, z, wt):
-        op = wt.sylvester
+        op = wt.operator(z).sylvester
         return (float(min(op.la[0], op.lb[0])),
                 2.0 * float(max(op.la[-1], op.lb[-1])))
 

@@ -32,6 +32,7 @@ from georank.quotient import (
     total_curve,
     vertical_project,
 )
+from georank.transport import forward_map, inverse_map
 
 from util import (
     ALL_QUOTIENTS,
@@ -570,11 +571,18 @@ def test_point_is_freed_without_the_cyclic_collector():
 
 def _operators(z):
     """Every factored Sylvester operator a point has built, with its P^-1s."""
-    out = [(wt.sylvester, wt.pinv) for wt in z._weights.values()
-           if wt.sylvester is not None]
+    out = [(wt._operator.sylvester, wt._operator.pinv) for wt in z._weights.values()
+           if wt._operator is not None]
     if "b_sylvester" in vars(z):
         out.append((z.b_sylvester, ()))
     return out
+
+
+def _roundtrip(z, met, rng):
+    """A vertical projection and an L^-1 at z, which build its operators."""
+    raw = project_total_tangent(z, tuple(rng.standard_normal(f.shape) for f in z.factors))
+    vertical_project(z, raw, met)
+    inverse_map(z, forward_map(z, random_horizontal(z, met, rng), met), met)
 
 
 class TestOperatorCache:
@@ -587,20 +595,26 @@ class TestOperatorCache:
         for geo in ("psd_q1", "gen_q1"):
             z = _instance(geo, rng)
             names = list(REGISTRY[geo].families)
-            ops = [z.weights(metric_family(geo, name)).sylvester for name in names]
+            for name in names:
+                _roundtrip(z, metric_family(geo, name), rng)
+            ops = [z.weights(metric_family(geo, name)).operator(z).sylvester
+                   for name in names]
             assert all(isinstance(op, SymmetricSylvester) for op in ops)
-            assert len({id(op) for op in ops}) == len(names)
+            assert len({id(op) for op in ops}) == len(names) == len(_operators(z))
             assert not np.allclose(ops[0].a, ops[1].a)
-            for name, op in zip(names, ops):
-                assert z.weights(metric_family(geo, name)).sylvester is op
 
-    def test_metric_free_geometries_keep_none_in_the_weights(self):
-        rng = np.random.default_rng(32)
-        for geo in ("psd_q2", "gen_q2", "gen_q3"):
-            z = _instance(geo, rng)
-            for name in REGISTRY[geo].families:
-                wt = z.weights(metric_family(geo, name))
-                assert wt.sylvester is None and wt.pinv == ()
+    def test_gradient_and_forward_map_build_no_operator(self):
+        # nearly parallel columns put the inverse Gram operator past the
+        # separation tolerance; the lift and L do not need it, and still work
+        rng = np.random.default_rng(55)
+        z = quotient_point("psd_q1", np.ones((6, 2)) + 1e-4 * rng.standard_normal((6, 2)))
+        met = metric_family("psd_q1", "inverse-gram")
+        obj = make_matrix_approx(sym(rng.standard_normal((6, 6))), symmetric=True)
+        grad = riem_grad_quotient(z, obj, met)
+        forward_map(z, grad, met)
+        assert not _operators(z)
+        with pytest.raises(ConditioningError):
+            inverse_map(z, forward_map(z, grad, met), met)
 
     @pytest.mark.parametrize("geo", ["psd_q1", "gen_q1", "gen_q2"])
     def test_cached_arrays_are_read_only(self, geo):
@@ -611,8 +625,7 @@ class TestOperatorCache:
         ops = _operators(z)
         assert ops
         for op, pinv in ops:
-            arrays = list(pinv) + [op.a, op.b, op.la, op.qa, op.lb, op.qb, op.denom]
-            for a in arrays:
+            for a in list(pinv) + [op.a, op.b, op.la, op.qa, op.lb, op.qb, op.denom]:
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a[...] = 0.0
@@ -631,12 +644,3 @@ class TestOperatorCache:
             assert ref() is None
         finally:
             gc.enable()
-
-
-def _roundtrip(z, met, rng):
-    """A vertical projection and an L^-1 at z, which build its operators."""
-    from georank.transport import forward_map, inverse_map
-
-    raw = project_total_tangent(z, tuple(rng.standard_normal(f.shape) for f in z.factors))
-    vertical_project(z, raw, met)
-    inverse_map(z, forward_map(z, random_horizontal(z, met, rng), met), met)

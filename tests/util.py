@@ -185,7 +185,8 @@ class OracleWeights(Weights):
 
 def oracle_weights(z, metric):
     wt = z.weights(metric)
-    return OracleWeights(**{f.name: getattr(wt, f.name) for f in fields(wt)}, z=z)
+    return OracleWeights(**{f.name: getattr(wt, f.name) for f in fields(wt) if f.init},
+                         z=z)
 
 
 class HandPsdQ1(PsdQ1):
