@@ -518,7 +518,7 @@ def run(command, config, seed=None, out_path=None, no_timestamp=False):
         ).isoformat()
         report["elapsed_seconds"] = elapsed
 
-    text = json.dumps(_jsonify(report), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -527,18 +527,14 @@ def run(command, config, seed=None, out_path=None, no_timestamp=False):
     return report, 0 if report["passed"] else 1
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+def _json_default(obj):
+    """numpy values that ``json`` does not take: arrays as lists, scalars and
+    bools as the Python values they hold."""
     if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
         return obj.item()
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def main(argv=None) -> int:
