@@ -43,10 +43,8 @@ from .quotient import (
     metric_family,
     metric_choices,
     lift_point,
-    same_fiber,
     vertical_project,
     horizontal_project,
-    is_horizontal,
     metric_inner,
     riem_grad_quotient,
     riem_hess_form_quotient,

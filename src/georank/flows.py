@@ -66,9 +66,6 @@ class FlowTrace:
     degenerate: bool = False
     message: str = ""
 
-    def energies(self, obj: Objective) -> np.ndarray:
-        return np.array([obj.value(x) for x in self.states])
-
 
 def integrate_flow(
     x0: EmbeddedPoint, obj: Objective, source, t_final: float, dt: float

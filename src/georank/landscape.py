@@ -96,6 +96,12 @@ def grad_quotient_from_embedded(
     return gradient_lift_from_ambient(z, metric, grad_f.ambient())
 
 
+def fosp_threshold(obj: Objective, x, tol: float) -> float:
+    """The FOSP bound on a Riemannian gradient norm at X, tol * (1 +
+    ||nabla f(X)||_2), relative to the Euclidean gradient's scale."""
+    return tol * (1.0 + float(np.linalg.norm(obj.egrad(x), 2)))
+
+
 # ---------------------------------------------------------------------------
 # spectra
 
@@ -205,8 +211,7 @@ def verify_sandwich(
         rng = np.random.default_rng(0)
     quo = hessian_spectrum(z, obj, z.geometry, metric)
     gnorm = quo.grad_norm
-    egrad_scale = float(np.linalg.norm(obj.egrad(z.X), 2))
-    threshold = fosp_tol * (1.0 + egrad_scale)
+    threshold = fosp_threshold(obj, z.X, fosp_tol)
     if gnorm > threshold:
         raise ValueError(
             f"point is not a FOSP: |grad| = {gnorm:.3e} > {threshold:.3e}"
@@ -310,10 +315,9 @@ def classify_point(
 ) -> StationaryClassification:
     """FOSP / SOSP / strict-saddle classification under one geometry."""
     report = hessian_spectrum(point, obj, geometry, metric)
-    egrad_scale = float(np.linalg.norm(obj.egrad(point.X), 2))
     sscale = max(1.0, float(np.max(np.abs(report.eigenvalues))))
     lam_min = report.min_eigenvalue
-    is_fosp = report.grad_norm <= CLASSIFY_TOL_GRAD * (1.0 + egrad_scale)
+    is_fosp = report.grad_norm <= fosp_threshold(obj, point.X, CLASSIFY_TOL_GRAD)
     is_sosp = bool(is_fosp and lam_min >= -CLASSIFY_TOL_HESS * sscale)
     is_saddle = bool(is_fosp and lam_min <= -CLASSIFY_TOL_SADDLE * sscale)
     return StationaryClassification(

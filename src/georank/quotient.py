@@ -218,16 +218,6 @@ def random_point(geometry: str, p1: int, p2: int, r: int,
     return quotient_point(geometry, *(drawn[f.name] for f in geo.factors))
 
 
-def same_fiber(z1: QuotientPoint, z2: QuotientPoint, rtol: float = 1e-8) -> bool:
-    """Whether two representatives encode the same matrix (same fiber)."""
-    if z1.geometry != z2.geometry:
-        raise ValueError(f"variant mismatch: {z1.geometry} vs {z2.geometry}")
-    if any(a.shape != b.shape for a, b in zip(z1.factors, z2.factors)):
-        raise ValueError("factor shapes differ")
-    scale = max(np.linalg.norm(z1.X), np.linalg.norm(z2.X), 1e-300)
-    return bool(np.linalg.norm(z1.X - z2.X) <= rtol * scale)
-
-
 # ---------------------------------------------------------------------------
 # gauge action (fiber moves and the induced transport of horizontal lifts)
 
@@ -467,21 +457,6 @@ def horizontal_project(
     return HorizontalVector(z, hor, _space(z, metric))
 
 
-def _horizontal_defect(z: QuotientPoint, parts, metric) -> float:
-    """Distance of ``parts`` from the horizontal space at z, relative to
-    their norm: one tangent projection and one vertical projection."""
-    tangent = project_total_tangent(z, parts)
-    off = tuple(a - b for a, b in zip(parts, tangent))
-    return _norm(off + _vertical(z, tangent, metric)) / max(_norm(parts), 1e-300)
-
-
-def is_horizontal(
-    z: QuotientPoint, parts, metric: Optional[MetricFamily] = None
-) -> bool:
-    parts = tuple(np.asarray(a, dtype=float) for a in parts)
-    return _horizontal_defect(z, parts, metric) <= HORIZ_TOL
-
-
 def horizontal_vector(
     z: QuotientPoint, *parts, metric: Optional[MetricFamily] = None
 ) -> HorizontalVector:
@@ -492,7 +467,11 @@ def horizontal_vector(
     error. Nothing is re-projected.
     """
     parts = tuple(np.asarray(a, dtype=float) for a in parts)
-    defect = _horizontal_defect(z, parts, metric)
+    # distance from the horizontal space, relative to the norm: one tangent
+    # projection and one vertical projection
+    tangent = project_total_tangent(z, parts)
+    off = tuple(a - b for a, b in zip(parts, tangent))
+    defect = _norm(off + _vertical(z, tangent, metric)) / max(_norm(parts), 1e-300)
     if defect > HORIZ_TOL:
         raise ValueError(
             f"components are not horizontal (relative defect {defect:.3e})"

@@ -126,7 +126,7 @@ class TestIntegrateFlow:
         obj, pt = _psd_setup(rng)
         for source in (("psd_embedded", None), ("psd_q2", "polar")):
             trace = integrate_flow(pt, obj, source, 1.0, 1e-2)
-            energies = trace.energies(obj)
+            energies = np.array([obj.value(x) for x in trace.states])
             assert np.all(np.diff(energies) <= 1e-12), source
             assert energies[-1] < energies[0], source
 

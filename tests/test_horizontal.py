@@ -15,7 +15,7 @@ from georank.embedded import tangent_project
 from georank.landscape import analytic_fosps, hessian_spectrum, verify_sandwich
 from georank.quotient import (
     HorizontalVector,
-    is_horizontal,
+    horizontal_vector,
     lift_point,
     metric_choices,
     metric_family,
@@ -77,7 +77,8 @@ class TestCallerBuiltVectors:
             eps = 1e-7 * theta.raw_norm()
             parts = tuple(a + eps * v
                           for a, v in zip(theta.parts, _unit_vertical(z, met, rng)))
-            assert not is_horizontal(z, parts, met)
+            with pytest.raises(ValueError, match="not horizontal"):
+                horizontal_vector(z, *parts, metric=met)
             _rejected_by_both(z, obj, met, HorizontalVector(z, parts))
 
     def test_exact_copy_is_accepted_with_the_same_value(self):
@@ -119,7 +120,8 @@ class TestRecordedSpace:
                     if used_with == made_for:
                         continue
                     met = metric_family(geo, used_with)
-                    assert not is_horizontal(z, theta.parts, met)
+                    with pytest.raises(ValueError, match="not horizontal"):
+                        horizontal_vector(z, *theta.parts, metric=met)
                     _rejected_by_both(z, obj, met, theta)
 
     def test_inverse_map_output_is_horizontal(self):
@@ -129,7 +131,7 @@ class TestRecordedSpace:
             xi = tangent_project(z.point, rng.standard_normal(z.X.shape))
             theta = inverse_map(z, xi, met)
             assert theta.space is not None
-            assert is_horizontal(z, theta.parts, met)
+            horizontal_vector(z, *theta.parts, metric=met)
 
 
 def _counted_gate(monkeypatch):
