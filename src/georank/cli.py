@@ -377,14 +377,12 @@ def _fosp_points(config, prob, obj, rng):
 
 def cmd_verify_sandwich(config, prob, obj, rng, tols):
     fosps, checks = _fosp_points(config, prob, obj, rng)
-    n_dir = int(config.get("directions", 100))
     # every (geometry, metric) row at a FOSP shares its embedded spectrum
     spectra = [hessian_spectrum(pt, obj, EMBEDDED[prob["case"]]) for pt in fosps]
     for geometry, mname, metric in _quotient_metrics(config, prob):
         for i, (pt, spectrum) in enumerate(zip(fosps, spectra)):
             report = verify_sandwich(
-                lift_point(pt, geometry), obj, metric, spectrum, rng,
-                n_directions=n_dir,
+                lift_point(pt, geometry), obj, metric, spectrum,
                 margin_tol=tols["sandwich_margin"],
                 identity_rtol=tols["identity_rtol"],
                 fosp_tol=tols["fosp_tol"],

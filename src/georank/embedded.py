@@ -75,6 +75,14 @@ class EmbeddedTangent:
             return core + off + off.T
         return pt.U @ self.S @ pt.V.T + self.Up @ pt.V.T + pt.U @ self.Vp.T
 
+    def flat(self) -> np.ndarray:
+        """Coordinates whose dot product is the Frobenius inner product of
+        the ambient matrices: (S, sqrt(2) Up) for psd, (S, Up, Vp) for
+        general."""
+        if self.Vp is None:
+            return np.concatenate([self.S.ravel(), np.sqrt(2.0) * self.Up.ravel()])
+        return np.concatenate([self.S.ravel(), self.Up.ravel(), self.Vp.ravel()])
+
     def norm(self) -> float:
         if self.base.kind == "psd":
             return float(

@@ -94,8 +94,7 @@ class TestNonIdentityHessianObjectives:
         assert res.converged
         emb = embedded_spectrum(res.point, obj)
         for geo, met in geometry_metric_combos(PSD_QUOTIENTS):
-            rep = verify_sandwich(lift_point(res.point, geo), obj, met, emb, rng,
-                                  n_directions=40)
+            rep = verify_sandwich(lift_point(res.point, geo), obj, met, emb)
             assert rep["passed"], f"{geo}/{met.name}"
             assert rep["identity_max_rel_err"] <= 1e-10
 
@@ -111,8 +110,7 @@ class TestNonIdentityHessianObjectives:
         assert res.converged
         emb = embedded_spectrum(res.point, obj)
         for geo, met in geometry_metric_combos(GEN_QUOTIENTS):
-            rep = verify_sandwich(lift_point(res.point, geo), obj, met, emb, rng,
-                                  n_directions=40)
+            rep = verify_sandwich(lift_point(res.point, geo), obj, met, emb)
             assert rep["passed"], f"{geo}/{met.name}"
             assert rep["identity_max_rel_err"] <= 1e-10
 

@@ -98,6 +98,24 @@ def test_bijection_factors_each_operator_once(case, directions, tmp_path, monkey
     assert len(calls) == FACTORIZATIONS[case]
 
 
+# the check families whose margins the benchmark's correctness gate reads
+GATED = ("gradient-fd/", "bijection/", "sandwich/", "flow-identical/",
+         "flow-difference/")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_benchmark_gate_reads_every_golden_report(name):
+    """``margin_pairs`` of ``perfbench/gate.py`` reads named detail fields, so
+    a renamed report field fails here and not in the benchmark's gate."""
+    gate = _load_gate()
+    report = json.loads((GOLDEN / f"{name}.json").read_text())
+    pairs = gate.margin_pairs(report)
+    assert ({label.split(":")[0] for label, _, _ in pairs}
+            == {c["name"] for c in report["checks"] if c["name"].startswith(GATED)})
+    for label, observed, tolerance in pairs:
+        assert np.isfinite(gate.margin_dec(observed, tolerance)), label
+
+
 def _leaves(value, path=""):
     """(JSON path, value) of every scalar in a parsed report, in order."""
     if isinstance(value, dict):

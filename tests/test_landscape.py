@@ -6,6 +6,7 @@ import pytest
 
 from georank import landscape
 from georank.embedded import embed_point, project_rank_r, riem_grad_embedded
+from georank.linalg import skew
 from georank.landscape import (
     analytic_fosps,
     classify_point,
@@ -17,6 +18,7 @@ from georank.landscape import (
 )
 from georank.objectives import make_masked_completion, make_matrix_approx
 from georank.quotient import (
+    REGISTRY,
     HorizontalVector,
     lift_point,
     metric_family,
@@ -146,48 +148,42 @@ class TestHessianSpectrum:
 
 class TestVerifySandwich:
     def test_all_metric_rows_at_all_fosps_psd(self):
-        rng = np.random.default_rng(6)
         obj = make_matrix_approx(np.diag([3.0, 2.0, 1.0, 0.5, 0.25]), symmetric=True)
         fosps = list(analytic_fosps(obj, 2))
         assert len(fosps) == 10
         spectra = [embedded_spectrum(pt, obj) for pt in fosps[:4]]
         for geo, met in geometry_metric_combos(("psd_q1", "psd_q2")):
             for pt, emb in zip(fosps[:4], spectra):
-                rep = verify_sandwich(lift_point(pt, geo), obj, met, emb, rng,
-                                      n_directions=25)
+                rep = verify_sandwich(lift_point(pt, geo), obj, met, emb)
                 assert rep["passed"], f"{geo}/{met.name}"
 
     def test_all_metric_rows_at_all_fosps_general(self):
-        rng = np.random.default_rng(7)
         obj = make_matrix_approx(GEN_M43)
         fosps = list(analytic_fosps(obj, 2))
         assert len(fosps) == 3
         spectra = [embedded_spectrum(pt, obj) for pt in fosps]
         for geo, met in geometry_metric_combos(("gen_q1", "gen_q2", "gen_q3")):
             for pt, emb in zip(fosps, spectra):
-                rep = verify_sandwich(lift_point(pt, geo), obj, met, emb, rng,
-                                      n_directions=25)
+                rep = verify_sandwich(lift_point(pt, geo), obj, met, emb)
                 assert rep["passed"], f"{geo}/{met.name}"
 
     def test_matched_metrics_have_equal_spectra(self):
-        rng = np.random.default_rng(8)
         obj = make_matrix_approx(np.diag([3.0, 2.0, 1.0, 0.5, 0.25]), symmetric=True)
         pt = list(analytic_fosps(obj, 2))[2]
         rep = verify_sandwich(lift_point(pt, "psd_q2"), obj,
                               metric_family("psd_q2", "matched"),
-                              embedded_spectrum(pt, obj), rng, 10)
+                              embedded_spectrum(pt, obj))
         assert rep["matched_coefficients"]
         assert rep["matched_spectra_rel_gap"] <= 1e-8
         objg = make_matrix_approx(GEN_M43)
         ptg = list(analytic_fosps(objg, 2))[1]
         repg = verify_sandwich(lift_point(ptg, "gen_q3"), objg,
                                metric_family("gen_q3", "matched"),
-                               embedded_spectrum(ptg, objg), rng, 10)
+                               embedded_spectrum(ptg, objg))
         assert repg["matched_coefficients"]
         assert repg["matched_spectra_rel_gap"] <= 1e-8
 
     def test_embedded_spectrum_of_another_space_rejected(self):
-        rng = np.random.default_rng(10)
         obj = make_matrix_approx(np.diag([3.0, 2.0, 1.0, 0.5, 0.25]), symmetric=True)
         z = lift_point(list(analytic_fosps(obj, 2))[0], "psd_q1")
         met = metric_family("psd_q1", "flat")
@@ -196,25 +192,56 @@ class TestVerifySandwich:
         assert other_geometry.dim == embedded_spectrum(z.point, obj).dim
         for spectrum in (other_geometry, other_dim):
             with pytest.raises(ValueError, match="embedded spectrum"):
-                verify_sandwich(z, obj, met, spectrum, rng, 5)
+                verify_sandwich(z, obj, met, spectrum)
+
+    def test_embedded_spectrum_of_another_point_with_the_same_matrix_rejected(self):
+        # the congruence reads the embedded report's basis, which only the
+        # very point the quotient representative is matched to can supply
+        obj = make_matrix_approx(np.diag([3.0, 2.0, 1.0, 0.5, 0.25]), symmetric=True)
+        pt = list(analytic_fosps(obj, 2))[0]
+        twin = embed_point(pt.X, 2, "psd")
+        np.testing.assert_array_equal(twin.X, pt.X)
+        with pytest.raises(ValueError, match="embedded spectrum"):
+            verify_sandwich(lift_point(pt, "psd_q2"), obj,
+                            metric_family("psd_q2", "polar"),
+                            embedded_spectrum(twin, obj))
 
     def test_gradient_count_does_not_grow_with_directions(self):
-        # one quotient form and one embedded form serve every identity
-        # direction (each direction rebuilt both, two gradients apiece), and
-        # the FOSP test reads the quotient spectrum's gradient norm: five
-        # gradients per call (the spectrum's form and lift, the gradient
-        # scale, the identity's quotient and embedded forms)
+        # no directions are drawn: the congruence reads the two spectra's
+        # matrices, so a call takes three gradients, the quotient spectrum's
+        # form and lift and the FOSP threshold's scale
         obj, calls = counting(make_matrix_approx(GEN_M43))
         pt = list(analytic_fosps(obj, 2))[1]
         emb = embedded_spectrum(pt, obj)
         met = metric_family("gen_q3", "inverse-gram")
         counts = []
-        for n in (1, 4, 16):
+        for _ in range(3):
             calls["egrad"] = 0
-            verify_sandwich(lift_point(pt, "gen_q3"), obj, met, emb,
-                            np.random.default_rng(0), n_directions=n)
+            verify_sandwich(lift_point(pt, "gen_q3"), obj, met, emb)
             counts.append(calls["egrad"])
-        assert counts == [5, 5, 5], counts
+        assert counts == [3, 3, 3], counts
+
+    def test_skew_block_fault_in_gen_q2_form_fails(self, monkeypatch):
+        # a fault confined to gen_q2's skew block of the horizontal basis, at
+        # 1e-6 of the form, fails the identity on every FOSP
+        geo = REGISTRY["gen_q2"]
+        original = type(geo).hess_form
+
+        def perturbed(self, z, obj, wt):
+            form = original(self, z, obj, wt)
+            u = z.factors[0]
+            return lambda a, b: form(a, b) + 1e-6 * float(
+                np.sum(skew(u.T @ a[0]) * skew(u.T @ b[0])))
+
+        monkeypatch.setattr(type(geo), "hess_form", perturbed)
+        met = metric_family("gen_q2", "polar")
+        for shape in ((6, 5), (10, 8)):
+            obj = make_matrix_approx(np.random.default_rng(31).standard_normal(shape))
+            for pt in analytic_fosps(obj, 2):
+                rep = verify_sandwich(lift_point(pt, "gen_q2"), obj, met,
+                                      embedded_spectrum(pt, obj))
+                assert rep["identity_max_rel_err"] > rep["identity_tol"], shape
+                assert not rep["passed"], shape
 
     def test_non_fosp_rejected(self):
         rng = np.random.default_rng(9)
@@ -222,7 +249,7 @@ class TestVerifySandwich:
         z = random_point("psd_q1", 6, 6, R, rng)
         with pytest.raises(ValueError):
             verify_sandwich(z, obj, metric_family("psd_q1", "flat"),
-                            embedded_spectrum(z.point, obj), rng, 5)
+                            embedded_spectrum(z.point, obj))
 
 
 class TestClassify:
