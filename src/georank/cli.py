@@ -28,7 +28,6 @@ import time
 import numpy as np
 
 from .embedded import (
-    project_rank_r,
     retract,
     riem_grad_embedded,
     tangent_basis,
@@ -90,6 +89,7 @@ class ConfigError(Exception):
 
 
 COUNTS = ("trials", "directions", "max_fosp_points")
+FLOW_DEFAULTS = {"T": 1.0, "dt": 1e-2}
 
 
 def _is_number(value, types=(int, float)):
@@ -143,6 +143,10 @@ def _validate(config, prob):
         if key in flow and not (_is_number(flow[key]) and 0 < flow[key] < np.inf):
             raise ConfigError(f"flow.{key} must be a finite number > 0, "
                               f"got {flow[key]!r}")
+    flow = {**FLOW_DEFAULTS, **flow}
+    if not flow["T"] / flow["dt"] > 0.5:  # round(T / dt) RK4 steps, at least 1
+        raise ConfigError(f"flow.T / flow.dt must give at least one RK4 step, "
+                          f"got T = {flow['T']!r} and dt = {flow['dt']!r}")
     if not isinstance(config.get("geometries", []), list):
         raise ConfigError("'geometries' must be a list of names")
     metrics = config.get("metrics", {})
@@ -418,9 +422,8 @@ def cmd_classify(config, prob, obj, rng, tols):
 
 
 def cmd_flow_compare(config, prob, obj, rng, tols):
-    flow_cfg = config.get("flow", {})
-    t_final = float(flow_cfg.get("T", 1.0))
-    dt = float(flow_cfg.get("dt", 1e-2))
+    flow_cfg = {**FLOW_DEFAULTS, **config.get("flow", {})}
+    t_final, dt = float(flow_cfg["T"]), float(flow_cfg["dt"])
     x0 = _random_point(EMBEDDED[prob["case"]], prob, rng)
     if prob["case"] == "psd":
         identical = (("psd_embedded", None), ("psd_q2", "matched"))
@@ -446,11 +449,10 @@ def cmd_flow_compare(config, prob, obj, rng, tols):
     # the q1 field differs from the embedded one by the doubly projected term
     trace = out["trace_a"]
     worst = 0.0
-    stride = max(1, len(trace.states) // 16)
-    for x in trace.states[::stride]:
-        pt = project_rank_r(x, x0.r, x0.kind)
-        f_emb = flow_field(pt, obj, emb)
-        f_q1 = flow_field(pt, obj, q1)
+    stride = max(1, len(trace.points) // 16)
+    for pt in trace.points[::stride]:
+        f_emb = flow_field(pt, obj, emb).ambient()
+        f_q1 = flow_field(pt, obj, q1).ambient()
         pu = pt.U @ pt.U.T
         nabla = obj.egrad(pt.X)
         pr = pu @ nabla @ pu if prob["case"] == "psd" else pu @ nabla @ (pt.V @ pt.V.T)

@@ -13,6 +13,12 @@ so the manifold dimension is p*r - r(r-1)/2 in the PSD case and
 Projection, norms, the Hessian form and the retraction need only U and V;
 the orthogonal complements U_perp and V_perp are built on first use, by the
 orthonormal tangent basis.
+
+``project_rank_r`` (and with it ``embed_point`` and ``retract``) truncates
+an ambient matrix by a dense p x p eigendecomposition or SVD.
+``truncate_sum`` truncates X plus a combination of tangents, each at its
+own base point, from their stacked factors, decomposing only a core of
+size at most r(1 + 2m) for m tangents; the gradient flows use it.
 """
 
 from dataclasses import dataclass
@@ -129,8 +135,15 @@ def _fix_column_signs(u, v=None):
     return u, v * flips
 
 
-def _top_factors(x, r, kind, rank_tol=RANK_GAP_TOL):
-    """Top-r factorization of an ambient matrix, with sign-fixed frames."""
+def _top_factors(x, r, kind, left=None, right=None):
+    """Top-r factorization of an ambient matrix, with sign-fixed frames.
+
+    Given orthonormal ``left`` (and ``right``, general kind only), x is the
+    core of the matrix left @ x @ right^T, read as left @ x @ left^T for the
+    PSD kind: the core's frames are lifted through them before their signs
+    are fixed, and the rank test reads the core's spectrum, which is the
+    matrix's own up to zeros.
+    """
     x = np.asarray(x, dtype=float)
     if kind == "psd":
         if x.shape[0] != x.shape[1]:
@@ -141,21 +154,25 @@ def _top_factors(x, r, kind, rank_tol=RANK_GAP_TOL):
         order = np.argsort(w)[::-1]
         w, q = w[order], q[:, order]
         scale = max(np.max(np.abs(w)), 1e-300)
-        if w[r - 1] <= rank_tol * scale:
+        if w[r - 1] <= RANK_GAP_TOL * scale:
             raise RankError(
                 f"matrix is not numerically rank {r} with positive spectrum "
                 f"(eigenvalue {r} is {w[r - 1]:.3e})"
             )
-        u, _ = _fix_column_signs(q[:, :r])
+        q = q[:, :r] if left is None else left @ q[:, :r]
+        u, _ = _fix_column_signs(q)
         return u, np.diag(w[:r]), None
     if kind != "general":
         raise ValueError(f"unknown manifold kind {kind!r}")
     u, s, vt = np.linalg.svd(x, full_matrices=False)
-    if s[r - 1] <= rank_tol * max(s[0], 1e-300):
+    if s[r - 1] <= RANK_GAP_TOL * max(s[0], 1e-300):
         raise RankError(
             f"matrix is not numerically rank {r} (singular value {r} is {s[r-1]:.3e})"
         )
-    u, v = _fix_column_signs(u[:, :r], vt[:r].T)
+    u, v = u[:, :r], vt[:r].T
+    if left is not None:
+        u, v = left @ u, right @ v
+    u, v = _fix_column_signs(u, v)
     return u, np.diag(s[:r]), v
 
 
@@ -183,6 +200,47 @@ def project_rank_r(x, r, kind) -> EmbeddedPoint:
     (truncated eigendecomposition / SVD), without a residual check."""
     u, sigma, v = _top_factors(x, r, kind)
     return _point_from_factors(kind, u, sigma, v)
+
+
+def truncate_sum(pt: EmbeddedPoint, terms) -> EmbeddedPoint:
+    """Rank-r truncation of X + sum_i c_i xi_i, given (c_i, xi_i) pairs whose
+    tangents may each sit at its own base point, without forming the sum.
+
+    The sum is L C R^T: X contributes (U, Sigma, V), and a tangent at a
+    point with frame (U_b, V_b) contributes [U_b, Up] [[S, I], [I, 0]]
+    [V_b, Vp]^T, with V read as U for the PSD kind. Reduced QRs of the
+    stacked factors, L = Q_L R_L and R = Q_R R_R, leave the k x k core
+    R_L C R_R^T, k <= r (1 + 2m) for m tangents, whose top-r factors lifted
+    through Q_L and Q_R are those of the sum (Absil & Oseledets, "Low-rank
+    retractions: a survey and new results", Comput. Optim. Appl. 2015).
+    Householder QR returns an orthonormal Q for a rank-deficient or wide
+    stack, so k >= p needs no other path. The rank test and the sign
+    convention are ``project_rank_r``'s.
+    """
+    r, psd = pt.r, pt.kind == "psd"
+    eye, zero = np.eye(r), np.zeros((r, r))
+    lefts, rights, blocks = [pt.U], [pt.U if psd else pt.V], [pt.Sigma]
+    for c, xi in terms:
+        base = xi.base
+        if base.kind != pt.kind or base.shape != pt.shape or base.r != r:
+            raise ValueError("tangent is not at a point of the same manifold")
+        lefts += [base.U, xi.Up]
+        rights += [base.U, xi.Up] if psd else [base.V, xi.Vp]
+        blocks.append(c * np.block([[xi.S, eye], [eye, zero]]))
+    core = np.zeros((len(blocks) * 2 * r - r,) * 2)
+    i = 0
+    for block in blocks:
+        j = i + block.shape[0]
+        core[i:j, i:j] = block
+        i = j
+    q_left, r_left = np.linalg.qr(np.hstack(lefts))
+    if psd:
+        u, sigma, v = _top_factors(r_left @ core @ r_left.T, r, "psd", left=q_left)
+    else:
+        q_right, r_right = np.linalg.qr(np.hstack(rights))
+        u, sigma, v = _top_factors(r_left @ core @ r_right.T, r, "general",
+                                   left=q_left, right=q_right)
+    return _point_from_factors(pt.kind, u, sigma, v)
 
 
 def tangent_project(pt: EmbeddedPoint, z) -> EmbeddedTangent:

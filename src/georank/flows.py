@@ -1,4 +1,4 @@
-"""Gradient flows of f on the rank-r matrices, in ambient coordinates.
+"""Gradient flows of f on the rank-r matrices, carried in factored form.
 
 A flow source is a pair (geometry, metric family). Under an embedded
 geometry, whose family is None, the field is the negative Riemannian
@@ -13,8 +13,11 @@ derivation: under the metrics whose sandwich gap coefficients are (1, 1)
 psd_q1/double-gram and gen_q1/crossed-gram it differs from it by the doubly
 projected term P_U grad f P_U (PSD) or P_U grad f P_V (general).
 
-Integration is classical RK4 on the ambient field with a rank-r
-re-factorization after every step to control drift off the manifold.
+Integration is classical RK4 on the manifold points themselves: each stage
+point and each step's end point is the rank-r truncation of X plus a
+combination of the stages' fields, each a tangent at its own stage point.
+``embedded.truncate_sum`` takes that truncation from the stacked factors, so
+no p x p matrix is decomposed.
 """
 
 from dataclasses import dataclass
@@ -22,7 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .embedded import EmbeddedPoint, project_rank_r, riem_grad_embedded
+from .embedded import (EmbeddedPoint, EmbeddedTangent, riem_grad_embedded,
+                       truncate_sum)
 from .linalg import RankError
 from .objectives import Objective
 from .quotient import (EMBEDDED, GEOMETRY_KIND, lift_point, metric_family,
@@ -41,36 +45,42 @@ def _metric(source):
     return metric_family(geometry, family)
 
 
-def flow_field(pt: EmbeddedPoint, obj: Objective, source) -> np.ndarray:
-    """Ambient dX/dt at a manifold point under a (geometry, family) source:
-    -grad f(X) for an embedded geometry, -L(grad h) at the canonical lift of
-    the point for a quotient geometry."""
+def flow_field(pt: EmbeddedPoint, obj: Objective, source) -> EmbeddedTangent:
+    """dX/dt at a manifold point under a (geometry, family) source, as a
+    tangent at the point: -grad f(X) for an embedded geometry, -L(grad h) at
+    the canonical lift of the point for a quotient geometry."""
     geometry = source[0]
     metric = _metric(source)
     if metric is not None:
         z = lift_point(pt, geometry)
-        return -forward_map(z, riem_grad_quotient(z, obj, metric), metric).ambient()
+        return -forward_map(z, riem_grad_quotient(z, obj, metric), metric)
     if pt.kind != GEOMETRY_KIND[geometry]:
         raise ValueError(f"{geometry} flow needs a {GEOMETRY_KIND[geometry]} "
                          f"point, got {pt.kind}")
-    return -riem_grad_embedded(pt, obj).ambient()
+    return -riem_grad_embedded(pt, obj)
 
 
 @dataclass(frozen=True, eq=False)
 class FlowTrace:
     times: np.ndarray
-    states: list  # ambient matrices X(t), rank r
+    points: list  # EmbeddedPoint of each state X(t)
     geometry: str
     metric: Optional[str]
     rank: int
     degenerate: bool = False
     message: str = ""
 
+    @property
+    def states(self) -> list:
+        """The ambient matrices X(t), rank r."""
+        return [pt.X for pt in self.points]
+
 
 def integrate_flow(
     x0: EmbeddedPoint, obj: Objective, source, t_final: float, dt: float
 ) -> FlowTrace:
-    """Classical RK4 on the ambient field with per-step re-factorization.
+    """Classical RK4 on the manifold, each stage truncated to rank r from
+    factors (``truncate_sum``).
 
     If the state loses rank along the way the trace is returned as far as it
     got, flagged degenerate, instead of raising.
@@ -79,30 +89,28 @@ def integrate_flow(
     _metric(source)  # a bad source fails here, not at the first step
     if t_final <= 0 or dt <= 0:
         raise ValueError("horizon and step must be positive")
-    r, kind = x0.r, x0.kind
+    r = x0.r
     n_steps = int(round(t_final / dt))
+    if n_steps < 1:
+        raise ValueError(f"horizon {t_final!r} with step {dt!r} gives no RK4 step")
     times = np.linspace(0.0, n_steps * dt, n_steps + 1)
 
-    def field(x_ambient):
-        return flow_field(project_rank_r(x_ambient, r, kind), obj, source)
-
-    states = [x0.X]
-    x = x0.X
+    points = [x0]
+    pt = x0
     for k in range(n_steps):
         try:
-            k1 = field(x)
-            k2 = field(x + 0.5 * dt * k1)
-            k3 = field(x + 0.5 * dt * k2)
-            k4 = field(x + dt * k3)
-            x = project_rank_r(
-                x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), r, kind
-            ).X
+            k1 = flow_field(pt, obj, source)
+            k2 = flow_field(truncate_sum(pt, [(0.5 * dt, k1)]), obj, source)
+            k3 = flow_field(truncate_sum(pt, [(0.5 * dt, k2)]), obj, source)
+            k4 = flow_field(truncate_sum(pt, [(dt, k3)]), obj, source)
+            pt = truncate_sum(pt, [(dt / 6.0, k1), (dt / 3.0, k2),
+                                   (dt / 3.0, k3), (dt / 6.0, k4)])
         except RankError as exc:
-            return FlowTrace(times[: k + 1], states, geometry, metric, r,
+            return FlowTrace(times[: k + 1], points, geometry, metric, r,
                              degenerate=True,
                              message=f"rank collapse at t = {times[k]:.6g}: {exc}")
-        states.append(x)
-    return FlowTrace(times, states, geometry, metric, r)
+        points.append(pt)
+    return FlowTrace(times, points, geometry, metric, r)
 
 
 def compare_flows(
@@ -113,10 +121,9 @@ def compare_flows(
     max_t ||X_a(t) - X_b(t)||_F over the shared grid."""
     tr_a = integrate_flow(x0, obj, source_a, t_final, dt)
     tr_b = integrate_flow(x0, obj, source_b, t_final, dt)
-    n = min(len(tr_a.states), len(tr_b.states))
-    devs = np.array(
-        [np.linalg.norm(tr_a.states[k] - tr_b.states[k]) for k in range(n)]
-    )
+    devs = np.array([np.linalg.norm(a.X - b.X)
+                     for a, b in zip(tr_a.points, tr_b.points)])
+    n = len(devs)
     return {
         "times": tr_a.times[:n],
         "deviations": devs,

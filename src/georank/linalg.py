@@ -1,8 +1,10 @@
 """Dense linear-algebra utilities shared by the geometry modules.
 
-Everything here is pure and operates on plain ``numpy`` arrays. Matrices are
-small (desk scale, dimensions well below a few hundred), so dense
-factorizations are used throughout.
+Everything here is pure and operates on plain ``numpy`` arrays, with dense
+factorizations. The geometries call them on r x r cores, on p x r frames
+and, for the bases and the projections onto the manifold, on p x p
+matrices; the gradient flows avoid the last by truncating from factors
+(``embedded.truncate_sum``).
 
 The geometries' Sylvester operators are symmetric, and their coefficients
 depend only on the point and the metric: ``SymmetricSylvester`` factors one

@@ -294,7 +294,8 @@ def test_criterion_08_flow_identities():
         kind = "psd" if q1[0].startswith("psd") else "general"
         for x in trace.states[:: max(1, len(trace.states) // 32)]:
             pt = project_rank_r(x, 2, kind)
-            diff = flow_field(pt, obj, emb_tag) - flow_field(pt, obj, q1)
+            diff = (flow_field(pt, obj, emb_tag).ambient()
+                    - flow_field(pt, obj, q1).ambient())
             pu = pt.U @ pt.U.T
             pright = pu if pt.kind == "psd" else pt.V @ pt.V.T
             resid = np.linalg.norm(diff - pu @ obj.egrad(pt.X) @ pright)

@@ -219,6 +219,9 @@ class TestErrorPaths:
         pytest.param("flow-compare", {"flow": {"dt": 0}}, "flow.dt", id="flow-dt-zero"),
         pytest.param("flow-compare", {"flow": {"T": float("inf")}}, "flow.T",
                      id="flow-T-infinite"),
+        # round(T / dt) = 0 RK4 steps: a flow check over one state compares nothing
+        pytest.param("flow-compare", {"flow": {"T": 0.004, "dt": 0.01}}, "flow.T",
+                     id="flow-no-steps"),
     ])
     def test_invalid_config_exits_2_no_report(self, tmp_path, command, cfg, field):
         path = write_config(tmp_path, "c.json", cfg)

@@ -158,9 +158,9 @@ class TestPsdSymmetrizationConvention:
             q2 = riem_hess_quad_quotient(z, symmetrized, met, theta)
             assert abs(q1 - q2) <= 1e-12 * max(1.0, abs(q2))
         pt = random_point("psd_embedded", 5, 5, 2, rng)
-        d = flow_field(pt, raw, ("psd_q1", "double-gram")) - flow_field(
+        d = flow_field(pt, raw, ("psd_q1", "double-gram")).ambient() - flow_field(
             pt, symmetrized, ("psd_q1", "double-gram")
-        )
+        ).ambient()
         assert np.linalg.norm(d) <= 1e-13
 
 

@@ -1,8 +1,6 @@
 """Embedded fixed-rank geometry: factors, projections, gradients, Hessians,
 retraction, bases."""
 
-import sys
-
 import numpy as np
 import pytest
 
@@ -17,6 +15,7 @@ from georank.embedded import (
     riem_hess_quad_embedded,
     tangent_basis,
     tangent_project,
+    truncate_sum,
 )
 from georank.flows import integrate_flow
 from georank.landscape import find_fosp
@@ -27,6 +26,7 @@ from georank.transport import forward_map, inverse_map
 
 from util import (
     ALL_QUOTIENTS,
+    count_calls,
     geometry_metric_combos,
     kind_of,
     polarize,
@@ -273,6 +273,73 @@ class TestRetract:
         assert min(slopes) >= 1.9  # O(t^2) behaviour
 
 
+class TestTruncateSum:
+    """The factored truncation of X + sum c_i xi_i against ``project_rank_r``
+    of the formed sum."""
+
+    @staticmethod
+    def _terms(pt, n, rng):
+        """(c, xi) pairs, each xi the projection of a Gaussian matrix onto
+        the tangent space at a fresh random point, scaled so that the sum
+        moves X by at most 0.4 sigma_r(X) and stays rank r (PSD: positive)."""
+        p1, p2 = pt.shape
+        sigma_r = np.min(np.abs(np.diag(pt.Sigma)))
+        terms = []
+        for _ in range(n):
+            base = random_point(EMBEDDED[pt.kind], p1, p2, pt.r, rng)
+            xi = tangent_project(base, rng.standard_normal((p1, p2)))
+            terms.append((rng.uniform(0.02, 0.1) * sigma_r / xi.norm(), xi))
+        return terms
+
+    @staticmethod
+    def _dense(pt, terms):
+        total = pt.X + sum(c * xi.ambient() for c, xi in terms)
+        return project_rank_r(total, pt.r, pt.kind)
+
+    @pytest.mark.parametrize("kind,p1,p2,r", [
+        ("psd", 8, 8, 2),
+        ("general", 8, 6, 2),
+        ("psd", 6, 6, 2),       # 4 tangents stack 18 columns, wider than p
+        ("psd", 3, 3, 3),       # r = p
+        ("general", 4, 3, 3),   # r = p2
+        ("general", 12, 3, 2),  # small p2
+    ])
+    @pytest.mark.parametrize("n_terms", [1, 4])
+    def test_matches_dense_truncation(self, kind, p1, p2, r, n_terms):
+        rng = np.random.default_rng(100 * p1 + 10 * p2 + r + n_terms)
+        pt = random_point(EMBEDDED[kind], p1, p2, r, rng)
+        terms = self._terms(pt, n_terms, rng)
+        got, want = truncate_sum(pt, terms), self._dense(pt, terms)
+        assert np.linalg.norm(got.X - want.X) <= 1e-12 * np.linalg.norm(want.X)
+        assert (np.linalg.norm(got.Sigma - want.Sigma)
+                <= 1e-12 * np.linalg.norm(want.Sigma))
+        # the same sign convention, so the frames agree column by column
+        np.testing.assert_allclose(got.U, want.U, atol=1e-9)
+        if kind == "general":
+            np.testing.assert_allclose(got.V, want.V, atol=1e-9)
+
+    @pytest.mark.parametrize("kind,p1,p2", [("psd", 5, 5), ("general", 5, 4)])
+    def test_rank_deficient_sum_raises_in_both_paths(self, kind, p1, p2):
+        # the core step -diag(0, sigma_2) removes the second direction of X
+        rng = np.random.default_rng(32)
+        pt = random_point(EMBEDDED[kind], p1, p2, 2, rng)
+        s = -np.diag([0.0, pt.Sigma[1, 1]])
+        vp = None if kind == "psd" else np.zeros((p2, 2))
+        terms = [(1.0, EmbeddedTangent(pt, s, np.zeros((p1, 2)), vp))]
+        with pytest.raises(RankError):
+            self._dense(pt, terms)
+        with pytest.raises(RankError):
+            truncate_sum(pt, terms)
+
+    def test_tangent_of_another_manifold_rejected(self):
+        rng = np.random.default_rng(33)
+        pt = random_point("gen_embedded", 5, 4, 2, rng)
+        other = random_point("gen_embedded", 5, 3, 2, rng)
+        xi = tangent_project(other, rng.standard_normal((5, 3)))
+        with pytest.raises(ValueError):
+            truncate_sum(pt, [(1.0, xi)])
+
+
 class TestTangentBasis:
     def test_psd_count(self):
         rng = np.random.default_rng(15)
@@ -296,18 +363,7 @@ class TestTangentBasis:
 def test_orthogonal_complements_only_for_bases(monkeypatch):
     """Flows, the FOSP search, projection, the Hessian form and the maps L
     and L^-1 work on the factors U and V alone; only a basis builds U_perp."""
-    calls = []
-    original = linalg.orth_complement
-
-    def counted(u):
-        calls.append(u.shape)
-        return original(u)
-
-    for name, module in list(sys.modules.items()):
-        if name == "georank" or name.startswith("georank."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+    calls = count_calls(monkeypatch, linalg.orth_complement)
 
     rng = np.random.default_rng(19)
     objs = {kind: make_matrix_approx(sym(rng.standard_normal((6, 6)))
@@ -334,4 +390,4 @@ def test_orthogonal_complements_only_for_bases(monkeypatch):
     assert calls == []
 
     tangent_basis(random_point("gen_embedded", 6, 5, 2, rng))
-    assert calls == [(6, 2), (5, 2)]
+    assert [u.shape for u, in calls] == [(6, 2), (5, 2)]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from georank import embedded
 from georank.embedded import project_rank_r
 from georank.flows import (
     compare_flows,
@@ -13,8 +14,8 @@ from georank.linalg import sym
 from georank.objectives import make_masked_completion, make_matrix_approx
 from georank.quotient import EMBEDDED, lift_point, metric_inner, riem_grad_quotient
 
-from util import (GEN_QUOTIENTS, PSD_QUOTIENTS, geometry_metric_combos,
-                  random_objective, random_point)
+from util import (GEN_QUOTIENTS, PSD_QUOTIENTS, count_calls, dense_flow_states,
+                  geometry_metric_combos, random_objective, random_point)
 
 PSD_M = np.diag([3.0, 2.0, 1.0, 0.5])
 GEN_M = np.vstack([np.diag([3.0, 2.0, 1.0]), np.zeros((1, 3))])
@@ -38,26 +39,26 @@ class TestFlowField:
     def test_identical_pairs_pointwise(self):
         rng = np.random.default_rng(0)
         obj, pt = _psd_setup(rng)
-        a = flow_field(pt, obj, ("psd_embedded", None))
-        b = flow_field(pt, obj, ("psd_q2", "matched"))
+        a = flow_field(pt, obj, ("psd_embedded", None)).ambient()
+        b = flow_field(pt, obj, ("psd_q2", "matched")).ambient()
         np.testing.assert_allclose(a, b, atol=1e-12)
         objg, ptg = _gen_setup(rng)
-        a = flow_field(ptg, objg, ("gen_embedded", None))
-        b = flow_field(ptg, objg, ("gen_q3", "matched"))
+        a = flow_field(ptg, objg, ("gen_embedded", None)).ambient()
+        b = flow_field(ptg, objg, ("gen_q3", "matched")).ambient()
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_q1_difference_is_double_projection(self):
         rng = np.random.default_rng(1)
         obj, pt = _psd_setup(rng)
-        diff = flow_field(pt, obj, ("psd_embedded", None)) - flow_field(
+        diff = flow_field(pt, obj, ("psd_embedded", None)).ambient() - flow_field(
             pt, obj, ("psd_q1", "double-gram")
-        )
+        ).ambient()
         pu = pt.U @ pt.U.T
         np.testing.assert_allclose(diff, pu @ obj.egrad(pt.X) @ pu, atol=1e-12)
         objg, ptg = _gen_setup(rng)
-        diffg = flow_field(ptg, objg, ("gen_embedded", None)) - flow_field(
+        diffg = flow_field(ptg, objg, ("gen_embedded", None)).ambient() - flow_field(
             ptg, objg, ("gen_q1", "crossed-gram")
-        )
+        ).ambient()
         pu = ptg.U @ ptg.U.T
         pv = ptg.V @ ptg.V.T
         np.testing.assert_allclose(diffg, pu @ objg.egrad(ptg.X) @ pv, atol=1e-12)
@@ -68,7 +69,7 @@ class TestFlowField:
         from georank.embedded import riem_grad_embedded
 
         np.testing.assert_allclose(
-            flow_field(pt, obj, ("psd_embedded", None)),
+            flow_field(pt, obj, ("psd_embedded", None)).ambient(),
             -riem_grad_embedded(pt, obj).ambient(),
             atol=1e-13,
         )
@@ -98,7 +99,7 @@ class TestFlowField:
                         z = lift_point(pt, geo)
                         grad = riem_grad_quotient(z, obj, met)
                         rate = -metric_inner(z, grad, grad, met)
-                        field = flow_field(pt, obj, (geo, met.name))
+                        field = flow_field(pt, obj, (geo, met.name)).ambient()
                         err = abs(np.sum(nabla * field) - rate) / abs(rate)
                         worst = max(worst, err)
         assert worst <= 1e-12
@@ -162,6 +163,70 @@ class TestIntegrateFlow:
         assert "rank" in trace.message
 
 
+    def test_no_step_rejected(self):
+        # round(T / dt) = 0 steps would return a one-state trace that
+        # compares nothing
+        rng = np.random.default_rng(13)
+        obj, pt = _psd_setup(rng)
+        with pytest.raises(ValueError, match="no RK4 step"):
+            integrate_flow(pt, obj, ("psd_embedded", None), 0.004, 0.01)
+
+    def test_trace_keeps_the_points_of_its_states(self):
+        rng = np.random.default_rng(14)
+        obj, pt = _gen_setup(rng)
+        trace = integrate_flow(pt, obj, ("gen_q1", "crossed-gram"), 0.05, 0.01)
+        assert trace.points[0] is pt
+        assert len(trace.points) == len(trace.times) == 6
+        for point, x in zip(trace.points, trace.states):
+            assert point.X is x
+
+
+def _sources(kind):
+    quotients = PSD_QUOTIENTS if kind == "psd" else GEN_QUOTIENTS
+    return [(EMBEDDED[kind], None)] + [
+        (geo, met.name) for geo, met in geometry_metric_combos(quotients)]
+
+
+@pytest.mark.parametrize("kind,p1,p2", [("psd", 6, 6), ("general", 6, 5)])
+def test_factored_rk4_matches_the_dense_oracle(kind, p1, p2):
+    """Every state of every source (2 embedded, 11 quotient families) agrees
+    with RK4 on the ambient field re-factorized by dense projections."""
+    rng = np.random.default_rng(15)
+    obj = random_objective(kind, p1, p2, "completion", rng)
+    x0 = random_point(EMBEDDED[kind], p1, p2, 2, rng)
+    for source in _sources(kind):
+        states = integrate_flow(x0, obj, source, 0.2, 0.02).states
+        oracle = dense_flow_states(x0, obj, source, 0.2, 0.02)
+        assert len(states) == len(oracle) == 11
+        for x, want in zip(states, oracle):
+            assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want), source
+
+
+@pytest.mark.parametrize("kind,p1,p2,r", [("psd", 40, 40, 3), ("general", 30, 20, 2)])
+def test_flows_decompose_no_ambient_matrix(monkeypatch, kind, p1, p2, r):
+    """A flow step truncates from factors: no dense ``project_rank_r``, and
+    no eigh or SVD of a matrix with min(p1, p2) rows and columns."""
+    rng = np.random.default_rng(16)
+    obj = random_objective(kind, p1, p2, "completion", rng)
+    x0 = random_point(EMBEDDED[kind], p1, p2, r, rng)
+    calls = count_calls(monkeypatch, embedded.project_rank_r)
+    sizes = []
+    for name in ("eigh", "svd"):
+        original = getattr(np.linalg, name)
+
+        def sized(a, *args, _original=original, **kwargs):
+            sizes.append(min(np.shape(a)[-2:]))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, sized)
+    for source in _sources(kind):
+        # steps small enough for the stiffest (gram-weighted) families
+        trace = integrate_flow(x0, obj, source, 5e-4, 1e-4)
+        assert len(trace.states) == 6 and not trace.degenerate, source
+    assert len(calls) == 0
+    assert sizes and max(sizes) < min(p1, p2)
+
+
 class TestCompareFlows:
     def test_identical_pair_deviation(self):
         rng = np.random.default_rng(9)
@@ -185,9 +250,9 @@ class TestCompareFlows:
         assert out["max_deviation"] > 1e-4  # genuinely different trajectories
         for x in out["trace_a"].states[::20]:
             p = project_rank_r(x, 2, "psd")
-            d = flow_field(p, obj, ("psd_embedded", None)) - flow_field(
+            d = flow_field(p, obj, ("psd_embedded", None)).ambient() - flow_field(
                 p, obj, ("psd_q1", "double-gram")
-            )
+            ).ambient()
             pu = p.U @ p.U.T
             resid = np.linalg.norm(d - pu @ obj.egrad(p.X) @ pu)
             assert resid <= 1e-10 * max(1.0, np.linalg.norm(d))

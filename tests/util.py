@@ -11,6 +11,8 @@ import numpy as np
 
 import georank
 from georank import make_masked_completion, make_matrix_approx
+from georank.embedded import project_rank_r
+from georank.flows import flow_field
 from georank.objectives import Objective
 from georank.landscape import hessian_spectrum
 from georank.linalg import gen_sym_eig, skew, sym
@@ -319,6 +321,46 @@ def hand_hess_quad(z, obj, metric, theta):
     nabla = _ambient_gradient(z, obj.egrad(x))
     return float(HAND[z.geometry].hess_quad(z, obj, oracle_weights(z, metric),
                                             theta.parts, x, nabla))
+
+
+def dense_flow_states(x0, obj, source, t_final, dt):
+    """Oracle for ``flows.integrate_flow``: RK4 on the ambient field, each
+    stage point and step end re-factorized by a dense ``project_rank_r`` of
+    the formed sum. Returns the ambient states."""
+    r, kind = x0.r, x0.kind
+
+    def field(x_ambient):
+        return flow_field(project_rank_r(x_ambient, r, kind), obj, source).ambient()
+
+    x = x0.X
+    states = [x]
+    for _ in range(int(round(t_final / dt))):
+        k1 = field(x)
+        k2 = field(x + 0.5 * dt * k1)
+        k3 = field(x + 0.5 * dt * k2)
+        k4 = field(x + dt * k3)
+        x = project_rank_r(
+            x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), r, kind
+        ).X
+        states.append(x)
+    return states
+
+
+def count_calls(monkeypatch, original):
+    """Replace every georank module binding of ``original`` with a wrapper
+    that records its positional arguments; returns the list of records."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "georank" or name.startswith("georank."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 def kind_of(geometry):
