@@ -209,13 +209,13 @@ def truncate_sum(pt: EmbeddedPoint, terms) -> EmbeddedPoint:
     The sum is L C R^T: X contributes (U, Sigma, V), and a tangent at a
     point with frame (U_b, V_b) contributes [U_b, Up] [[S, I], [I, 0]]
     [V_b, Vp]^T, with V read as U for the PSD kind. Reduced QRs of the
-    stacked factors, L = Q_L R_L and R = Q_R R_R, leave the k x k core
-    R_L C R_R^T, k <= r (1 + 2m) for m tangents, whose top-r factors lifted
-    through Q_L and Q_R are those of the sum (Absil & Oseledets, "Low-rank
-    retractions: a survey and new results", Comput. Optim. Appl. 2015).
-    Householder QR returns an orthonormal Q for a rank-deficient or wide
-    stack, so k >= p needs no other path. The rank test and the sign
-    convention are ``project_rank_r``'s.
+    stacked factors, L = Q_L R_L and R = Q_R R_R, leave the core
+    R_L C R_R^T, at most k = r (1 + 2m) square for m tangents, whose top-r
+    factors lifted through Q_L and Q_R are those of the sum (Absil &
+    Oseledets, "Low-rank retractions: a survey and new results", Comput.
+    Optim. Appl. 2015). Householder QR returns an orthonormal Q for a
+    rank-deficient or wide stack, so k >= p needs no other path. The rank
+    test and the sign convention are ``project_rank_r``'s.
     """
     r, psd = pt.r, pt.kind == "psd"
     eye, zero = np.eye(r), np.zeros((r, r))
@@ -227,12 +227,11 @@ def truncate_sum(pt: EmbeddedPoint, terms) -> EmbeddedPoint:
         lefts += [base.U, xi.Up]
         rights += [base.U, xi.Up] if psd else [base.V, xi.Vp]
         blocks.append(c * np.block([[xi.S, eye], [eye, zero]]))
-    core = np.zeros((len(blocks) * 2 * r - r,) * 2)
+    core = np.zeros((sum(len(block) for block in blocks),) * 2)
     i = 0
     for block in blocks:
-        j = i + block.shape[0]
-        core[i:j, i:j] = block
-        i = j
+        core[i:i + len(block), i:i + len(block)] = block
+        i += len(block)
     q_left, r_left = np.linalg.qr(np.hstack(lefts))
     if psd:
         u, sigma, v = _top_factors(r_left @ core @ r_left.T, r, "psd", left=q_left)

@@ -162,7 +162,6 @@ class TestIntegrateFlow:
         assert len(trace.states) >= 1
         assert "rank" in trace.message
 
-
     def test_no_step_rejected(self):
         # round(T / dt) = 0 steps would return a one-state trace that
         # compares nothing
