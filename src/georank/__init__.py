@@ -12,7 +12,6 @@ equivalence, and gradient-flow identities).
 from .linalg import (
     sym,
     skew,
-    solve_sylvester,
     orth_complement,
     gen_sym_eig,
     spd_functions,
@@ -31,7 +30,6 @@ from .embedded import (
     tangent_project,
     riem_grad_embedded,
     riem_hess_form_embedded,
-    riem_hess_quad_embedded,
     retract,
     tangent_basis,
 )
@@ -43,12 +41,10 @@ from .quotient import (
     metric_family,
     metric_choices,
     lift_point,
-    vertical_project,
     horizontal_project,
     metric_inner,
     riem_grad_quotient,
     riem_hess_form_quotient,
-    riem_hess_quad_quotient,
     horizontal_basis,
     random_horizontal,
 )
@@ -61,8 +57,6 @@ from .transport import (
 from .landscape import (
     SpectrumReport,
     StationaryClassification,
-    grad_embedded_from_quotient,
-    grad_quotient_from_embedded,
     hessian_spectrum,
     verify_sandwich,
     classify_point,
@@ -77,6 +71,3 @@ from .flows import (
 )
 
 __version__ = "0.1.0"
-
-QUOTIENT_GEOMETRIES = tuple(REGISTRY)
-GEOMETRIES = tuple(EMBEDDED.values()) + QUOTIENT_GEOMETRIES

@@ -28,6 +28,7 @@ import time
 import numpy as np
 
 from .embedded import (
+    EmbeddedPoint,
     retract,
     riem_grad_embedded,
     tangent_basis,
@@ -90,6 +91,15 @@ class ConfigError(Exception):
 
 COUNTS = ("trials", "directions", "max_fosp_points")
 FLOW_DEFAULTS = {"T": 1.0, "dt": 1e-2}
+# the keys a config may hold: at the top level ("") and in each of its objects
+CONFIG_KEYS = {
+    "": {"command", "problem", "geometries", "metrics", "seed", "tolerances",
+         "flow", "output", *COUNTS},
+    "problem": {"case", "kind", "p1", "p2", "r", "target_csv", "mask_csv",
+                "mask_density", "num_measurements"},
+    "flow": set(FLOW_DEFAULTS),
+    "tolerances": set(DEFAULT_TOLERANCES),
+}
 
 
 def _is_number(value, types=(int, float)):
@@ -128,8 +138,15 @@ def _problem_cfg(config):
 
 
 def _validate(config, prob):
-    """Reject malformed counts, seeds, flow settings, lists and metric names
-    before anything runs."""
+    """Reject unknown keys, and malformed counts, seeds, flow settings, lists
+    and metric names, before anything runs."""
+    for section, known in CONFIG_KEYS.items():
+        given = config.get(section) if section else config
+        unknown = sorted(set(given) - known) if isinstance(given, dict) else []
+        if unknown:
+            where = f"in '{section}'" if section else "at the top level"
+            raise ConfigError(f"unknown config key(s) {unknown} {where}; "
+                              f"expected one of {sorted(known)}")
     for key in COUNTS:
         if key in config and not (_is_number(config[key], int) and config[key] >= 1):
             raise ConfigError(f"{key} must be an integer >= 1, got {config[key]!r}")
@@ -170,7 +187,7 @@ def _geometries(config, prob):
 
 
 def _metric_names(config, geometry):
-    if geometry.endswith("embedded"):
+    if geometry in EMBEDDED.values():
         return [None]
     chosen = config.get("metrics", {})
     if geometry in chosen:
@@ -243,7 +260,7 @@ def _random_point(geometry, prob, rng):
 def _quotient_metrics(config, prob):
     """(geometry, metric name, metric family) over the configured quotients."""
     for geometry in _geometries(config, prob):
-        if not geometry.endswith("embedded"):
+        if geometry not in EMBEDDED.values():
             for mname in _metric_names(config, geometry):
                 yield geometry, mname, metric_family(geometry, mname)
 
@@ -253,7 +270,7 @@ def cmd_dims(config, prob, obj, rng, tols):
     for geometry in _geometries(config, prob):
         expected = quotient_dim(geometry, prob["p1"], prob["p2"], prob["r"])
         point = _random_point(geometry, prob, rng)
-        if geometry.endswith("embedded"):
+        if geometry in EMBEDDED.values():
             count = len(tangent_basis(point))
         else:
             metric = metric_family(geometry, _metric_names(config, geometry)[0])
@@ -268,26 +285,24 @@ def cmd_dims(config, prob, obj, rng, tols):
     return checks
 
 
-def _grad_fd_maxrel(point_or_z, obj, geometry, metric, h=1e-5):
+def _grad_fd_maxrel(point, obj, metric, h=1e-5):
     """Max relative gap between g(grad, b) and a central difference of the
-    objective along the basis curves, normalized by the largest directional
-    derivative."""
+    objective along the basis curves of the point's geometry, normalized by
+    the largest directional derivative."""
     lhs, rhs = [], []
-    if geometry.endswith("embedded"):
-        pt = point_or_z
-        grad = riem_grad_embedded(pt, obj)
-        for b in tangent_basis(pt):
+    if isinstance(point, EmbeddedPoint):
+        grad = riem_grad_embedded(point, obj)
+        for b in tangent_basis(point):
             lhs.append(float(np.sum(grad.ambient() * b.ambient())))
-            fp = obj.value(retract(pt, b, h).X)
-            fm = obj.value(retract(pt, b, -h).X)
+            fp = obj.value(retract(point, b, h).X)
+            fm = obj.value(retract(point, b, -h).X)
             rhs.append((fp - fm) / (2.0 * h))
     else:
-        z = point_or_z
-        grad = riem_grad_quotient(z, obj, metric)
-        basis, _ = horizontal_basis(z, metric)
+        grad = riem_grad_quotient(point, obj, metric)
+        basis, _ = horizontal_basis(point, metric)
         for b in basis:
-            lhs.append(metric_inner(z, grad, b, metric))
-            curve = total_curve(z, b)
+            lhs.append(metric_inner(point, grad, b, metric))
+            curve = total_curve(point, b)
             fp = obj.value(curve(h).X)
             fm = obj.value(curve(-h).X)
             rhs.append((fp - fm) / (2.0 * h))
@@ -305,7 +320,7 @@ def cmd_check_gradients(config, prob, obj, rng, tols):
             worst = 0.0
             for _ in range(trials):
                 point = _random_point(geometry, prob, rng)
-                worst = max(worst, _grad_fd_maxrel(point, obj, geometry, metric))
+                worst = max(worst, _grad_fd_maxrel(point, obj, metric))
             checks.append(
                 {
                     "name": f"gradient-fd/{geometry}"
@@ -382,7 +397,7 @@ def _fosp_points(config, prob, obj, rng):
 def cmd_verify_sandwich(config, prob, obj, rng, tols):
     fosps, checks = _fosp_points(config, prob, obj, rng)
     # every (geometry, metric) row at a FOSP shares its embedded spectrum
-    spectra = [hessian_spectrum(pt, obj, EMBEDDED[prob["case"]]) for pt in fosps]
+    spectra = [hessian_spectrum(pt, obj) for pt in fosps]
     for geometry, mname, metric in _quotient_metrics(config, prob):
         for i, (pt, spectrum) in enumerate(zip(fosps, spectra)):
             report = verify_sandwich(
@@ -404,11 +419,9 @@ def cmd_verify_sandwich(config, prob, obj, rng, tols):
 def cmd_classify(config, prob, obj, rng, tols):
     fosps, checks = _fosp_points(config, prob, obj, rng)
     for i, pt in enumerate(fosps):
-        labels = {}
-        tag = EMBEDDED[prob["case"]]
-        labels[tag] = classify_point(pt, obj, tag).to_dict()
+        labels = {EMBEDDED[prob["case"]]: classify_point(pt, obj).to_dict()}
         for geometry, mname, metric in _quotient_metrics(config, prob):
-            cls = classify_point(lift_point(pt, geometry), obj, geometry, metric)
+            cls = classify_point(lift_point(pt, geometry), obj, metric)
             labels[f"{geometry}/{mname}"] = cls.to_dict()
         names = {v["label"] for v in labels.values()}
         checks.append(

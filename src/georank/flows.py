@@ -82,8 +82,9 @@ def integrate_flow(
     """Classical RK4 on the manifold, each stage truncated to rank r from
     factors (``truncate_sum``).
 
-    If the state loses rank along the way the trace is returned as far as it
-    got, flagged degenerate, instead of raising.
+    If the state loses rank along the way, or diverges so far that a
+    decomposition fails, the trace is returned as far as it got, flagged
+    degenerate, instead of raising.
     """
     geometry, metric = source
     _metric(source)  # a bad source fails here, not at the first step
@@ -105,10 +106,11 @@ def integrate_flow(
             k4 = flow_field(truncate_sum(pt, [(dt, k3)]), obj, source)
             pt = truncate_sum(pt, [(dt / 6.0, k1), (dt / 3.0, k2),
                                    (dt / 3.0, k3), (dt / 6.0, k4)])
-        except RankError as exc:
+        except (RankError, np.linalg.LinAlgError) as exc:
+            cause = "rank collapse" if isinstance(exc, RankError) else "divergence"
             return FlowTrace(times[: k + 1], points, geometry, metric, r,
                              degenerate=True,
-                             message=f"rank collapse at t = {times[k]:.6g}: {exc}")
+                             message=f"{cause} at t = {times[k]:.6g}: {exc}")
         points.append(pt)
     return FlowTrace(times, points, geometry, metric, r)
 

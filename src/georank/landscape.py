@@ -40,7 +40,6 @@ from .quotient import (
     QuotientPoint,
     gradient_lift_from_ambient,
     horizontal_basis,
-    lift_point,
     metric_norm,
     riem_grad_quotient,
     riem_hess_form_quotient,
@@ -123,31 +122,25 @@ class SpectrumReport:
         return float(self.eigenvalues[-1])
 
 
-def _as_quotient(point, geometry) -> QuotientPoint:
-    if isinstance(point, QuotientPoint):
-        if point.geometry != geometry:
-            raise ValueError(f"point is a {point.geometry} point, not {geometry}")
-        return point
-    return lift_point(point, geometry)
-
-
 def hessian_spectrum(
     point,
     obj: Objective,
-    geometry: str,
     metric: Optional[MetricFamily] = None,
 ) -> SpectrumReport:
-    """Full Riemannian Hessian spectrum at a point under one geometry.
+    """Full Riemannian Hessian spectrum at a point under its own geometry.
 
+    An ``EmbeddedPoint`` takes the embedded geometry of its kind and no
+    metric; a ``QuotientPoint`` takes its geometry and needs a metric family.
     The Hessian's bilinear form is built once for the point, the Hessian
     matrix on an explicit tangent/horizontal basis takes each upper-triangle
     entry from one evaluation of it, and the eigenvalues are those of the
     pencil (H, Gram). The report keeps the basis, its Gram matrix and H, on
     which ``verify_sandwich`` checks the Hessian congruence.
     """
-    if geometry in EMBEDDED.values():
-        if not isinstance(point, EmbeddedPoint):
-            point = point.point
+    if isinstance(point, EmbeddedPoint):
+        if metric is not None:
+            raise ValueError("an embedded point takes no metric family")
+        geometry = EMBEDDED[point.kind]
         basis = tangent_basis(point)
         gram = np.eye(len(basis))
         form = riem_hess_form_embedded(point, obj)
@@ -156,10 +149,10 @@ def hessian_spectrum(
     else:
         if metric is None:
             raise ValueError("quotient geometries need a metric family")
-        z = _as_quotient(point, geometry)
-        basis, gram = horizontal_basis(z, metric)
-        form = riem_hess_form_quotient(z, obj, metric)
-        gnorm = metric_norm(z, riem_grad_quotient(z, obj, metric), metric)
+        geometry = point.geometry
+        basis, gram = horizontal_basis(point, metric)
+        form = riem_hess_form_quotient(point, obj, metric)
+        gnorm = metric_norm(point, riem_grad_quotient(point, obj, metric), metric)
         mname = metric.name
 
     d = len(basis)
@@ -192,9 +185,8 @@ def verify_sandwich(
     Riemannian FOSP of the quotient problem.
 
     ``embedded`` is the embedded Hessian spectrum at the represented point,
-    ``hessian_spectrum(z.point, obj, EMBEDDED[kind])``, which every quotient
-    geometry and metric at that point shares; it must be based at
-    ``z.point`` itself.
+    ``hessian_spectrum(z.point, obj)``, which every quotient geometry and
+    metric at that point shares; it must be based at ``z.point`` itself.
 
     The congruence is checked on the matrices the two spectra are assembled
     from: with E the embedded report's orthonormal basis, b_i the horizontal
@@ -208,7 +200,7 @@ def verify_sandwich(
     if embedded.basis[0].base is not z.point:
         raise ValueError("embedded spectrum is not based at the point matched "
                          "to this quotient representative")
-    quo = hessian_spectrum(z, obj, z.geometry, metric)
+    quo = hessian_spectrum(z, obj, metric)
     gnorm = quo.grad_norm
     threshold = fosp_threshold(obj, z.X, fosp_tol)
     if gnorm > threshold:
@@ -304,11 +296,11 @@ class StationaryClassification:
 def classify_point(
     point,
     obj: Objective,
-    geometry: str,
     metric: Optional[MetricFamily] = None,
 ) -> StationaryClassification:
-    """FOSP / SOSP / strict-saddle classification under one geometry."""
-    report = hessian_spectrum(point, obj, geometry, metric)
+    """FOSP / SOSP / strict-saddle classification under the point's geometry,
+    with the metric rules of ``hessian_spectrum``."""
+    report = hessian_spectrum(point, obj, metric)
     sscale = max(1.0, float(np.max(np.abs(report.eigenvalues))))
     lam_min = report.min_eigenvalue
     is_fosp = report.grad_norm <= fosp_threshold(obj, point.X, CLASSIFY_TOL_GRAD)

@@ -219,22 +219,6 @@ def random_point(geometry: str, p1: int, p2: int, r: int,
 
 
 # ---------------------------------------------------------------------------
-# gauge action (fiber moves and the induced transport of horizontal lifts)
-
-
-def act_on_point(z: QuotientPoint, g) -> QuotientPoint:
-    """Move z along its fiber by a gauge element (O(r), or GL(r) for gen_q1)."""
-    g = np.asarray(g, dtype=float)
-    return quotient_point(z.geometry, *REGISTRY[z.geometry].act(z.factors, g))
-
-
-def act_on_horizontal(hv: "HorizontalVector", z_new: QuotientPoint, g):
-    """Transport a horizontal lift to the gauge-moved representative."""
-    g = np.asarray(g, dtype=float)
-    return HorizontalVector(z_new, REGISTRY[hv.base.geometry].act(hv.parts, g))
-
-
-# ---------------------------------------------------------------------------
 # metric families
 
 
@@ -818,11 +802,6 @@ class QuotientGeometry:
             out.append(moved)
         return tuple(out)
 
-    def act(self, parts, g):
-        """Gauge action on factors or on tangent components alike."""
-        return tuple(g.T @ a @ g if f.kind == "spd" else a @ g
-                     for f, a in zip(self.factors, parts))
-
     def vertical(self, z, parts, wt):
         """Vertical part under O(r) with a Stiefel factor: F Omega on the
         Stiefel and free factors, B Omega - Omega B on the SPD core, with
@@ -969,10 +948,6 @@ class GenQ1(QuotientGeometry):
 
     def lift(self, x_pt, sig, root):
         return (x_pt.U @ root, x_pt.V @ root)
-
-    def act(self, parts, g):
-        """GL(r) acts on L by g and on R by g^-T."""
-        return (parts[0] @ g, parts[1] @ np.linalg.inv(g).T)
 
     def operator(self, z, wt):
         """P1^-1, P2^-1 and M2 X + X M1 factored, M1 = P1 V^-1 P1^T and

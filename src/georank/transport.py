@@ -50,8 +50,6 @@ class SandwichCoefficients:
 
     alpha: float
     beta: float
-    geometry: str
-    metric: str
 
     def interval(self, lam: float):
         """Sandwich interval for an embedded Hessian eigenvalue lam
@@ -91,4 +89,4 @@ def spectrum_bounds(z: QuotientPoint, metric: MetricFamily) -> SandwichCoefficie
     """Closed-form (alpha, beta) with
     alpha * g(theta, theta) <= ||L(theta)||_F^2 <= beta * g(theta, theta)."""
     alpha, beta = REGISTRY[z.geometry].bounds(z, z.weights(metric))
-    return SandwichCoefficients(alpha, beta, z.geometry, metric.name)
+    return SandwichCoefficients(alpha, beta)

@@ -246,17 +246,14 @@ def test_criterion_07_stationary_equivalence():
         np.vstack([np.diag([3.0, 2.0, 1.0]), np.zeros((1, 3))])
     )
     ok = True
-    for obj, geos, tag in [
-        (psd_obj, PSD_QUOTIENTS, "psd_embedded"),
-        (gen_obj, GEN_QUOTIENTS, "gen_embedded"),
-    ]:
+    for obj, geos in [(psd_obj, PSD_QUOTIENTS), (gen_obj, GEN_QUOTIENTS)]:
         fosps = analytic_fosps(obj, 1)
         labels = []
         for pt in fosps:
-            per_point = {classify_point(pt, obj, tag).label()}
+            per_point = {classify_point(pt, obj).label()}
             for geo, met in geometry_metric_combos(geos):
                 per_point.add(
-                    classify_point(lift_point(pt, geo), obj, geo, met).label()
+                    classify_point(lift_point(pt, geo), obj, met).label()
                 )
             ok &= len(per_point) == 1
             labels.append(per_point.pop())

@@ -222,6 +222,13 @@ class TestErrorPaths:
         # round(T / dt) = 0 RK4 steps: a flow check over one state compares nothing
         pytest.param("flow-compare", {"flow": {"T": 0.004, "dt": 0.01}}, "flow.T",
                      id="flow-no-steps"),
+        # a key the runner does not read is an error, not a silent default
+        pytest.param("check-gradients", {"tolerances": {"grad_fd_tol": 1e-30}},
+                     "'grad_fd_tol'", id="tolerance-key-misspelled"),
+        pytest.param("check-gradients", {"trails": 1}, "'trails'",
+                     id="top-level-key-misspelled"),
+        pytest.param("dims", {"problem": {"rank": 3}}, "'rank'",
+                     id="problem-key-unknown"),
     ])
     def test_invalid_config_exits_2_no_report(self, tmp_path, command, cfg, field):
         path = write_config(tmp_path, "c.json", cfg)
@@ -310,6 +317,23 @@ class TestOtherCommands:
         proc = run_cli(["flow-compare", "--config", str(cfg),
                         "--no-timestamp"], tmp_path)
         assert proc.returncode == 0, proc.stderr
+
+    def test_diverging_flow_fails_a_check(self, tmp_path):
+        # RK4 at dt = 20 overflows; the trace ends, degenerate, where a
+        # decomposition of the state fails, and the report is still written
+        cfg = write_config(
+            tmp_path, "c.json",
+            {"problem": {"case": "general", "p1": 6, "p2": 5, "r": 2},
+             "flow": {"T": 1000, "dt": 20}, "seed": 3},
+        )
+        out = tmp_path / "report.json"
+        proc = run_cli(["flow-compare", "--config", str(cfg), "--out", str(out),
+                        "--no-timestamp"], tmp_path)
+        report = read_report(proc, out, status=1)
+        identical = report["checks"][0]
+        assert identical["name"] == "flow-identical/gen_q3"
+        assert not identical["passed"]
+        assert identical["details"]["steps"] < 50
 
     def test_mask_csv_loaded(self, tmp_path):
         rng = np.random.default_rng(1)

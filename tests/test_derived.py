@@ -144,7 +144,7 @@ def test_spectrum_evaluates_the_gradient_a_fixed_number_of_times(geo, mname):
         p2 = p if kind == "psd" else p - 1
         z = random_point(geo, p, p2, 2, rng)
         obj, calls = counting(random_approx_objective(kind, p, p2, rng))
-        d = hessian_spectrum(z, obj, geo, met).dim
+        d = hessian_spectrum(z, obj, met).dim
         assert calls["ehess_vec"] == d * (d + 1) // 2, (p, d, calls)
         counts.append(calls["egrad"])
     assert counts[0] == counts[1] <= 2, counts

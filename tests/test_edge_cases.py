@@ -38,7 +38,7 @@ def _exercise(kind, p1, p2, r, rng):
     obj = random_approx_objective(kind, p1, p2, rng)
     tag = EMBEDDED[kind]
     pt = random_point(tag, p1, p2, r, rng)
-    rep = hessian_spectrum(pt, obj, tag)
+    rep = hessian_spectrum(pt, obj)
     assert rep.dim == quotient_dim(tag, p1, p2, r)
     geos = PSD_QUOTIENTS if kind == "psd" else GEN_QUOTIENTS
     for geo, met in geometry_metric_combos(geos):
@@ -173,7 +173,7 @@ def test_approx_spectrum_structure_psd():
     from georank.embedded import embed_point
 
     pt = embed_point(np.diag([0.0, 2.0, 0.0]), 1, "psd")
-    rep = hessian_spectrum(pt, obj, "psd_embedded")
+    rep = hessian_spectrum(pt, obj)
     expected = sorted([1.0, 1.0 - 4.0 / 2.0, 1.0 - 1.0 / 2.0], reverse=True)
     np.testing.assert_allclose(rep.eigenvalues, expected, atol=1e-12)
 
@@ -189,7 +189,7 @@ def test_approx_spectrum_structure_general():
     x = np.zeros((4, 3))
     x[0, 0] = 3.0  # truncation onto the top singular triplet
     pt = embed_point(x, 1, "general")
-    rep = hessian_spectrum(pt, obj, "gen_embedded")
+    rep = hessian_spectrum(pt, obj)
     expected = sorted(
         [1.0, 1.0 + 2.0 / 3.0, 1.0 - 2.0 / 3.0, 1.0 + 1.0 / 3.0,
          1.0 - 1.0 / 3.0, 1.0],

@@ -166,7 +166,7 @@ def test_spectrum_and_sandwich_never_call_the_gate(monkeypatch):
         assert calls == [geo]
         calls.clear()
 
-        hessian_spectrum(z, obj, geo, met)
+        hessian_spectrum(z, obj, met)
         report = verify_sandwich(z, obj, met, embedded_spectrum(pt, obj))
         assert report["passed"]
         assert calls == []

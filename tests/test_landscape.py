@@ -105,7 +105,7 @@ class TestHessianSpectrum:
         # gives the Rayleigh quotient (4/3)/2 = 2/3
         obj = make_matrix_approx(np.diag([3.0, 1.0]), symmetric=True)
         pt = embed_point(np.diag([3.0, 0.0]), 1, "psd")
-        rep = hessian_spectrum(pt, obj, "psd_embedded")
+        rep = hessian_spectrum(pt, obj)
         np.testing.assert_allclose(rep.eigenvalues, [1.0, 2.0 / 3.0], atol=1e-12)
 
     def test_zero_objective(self):
@@ -113,7 +113,7 @@ class TestHessianSpectrum:
         obj = make_matrix_approx(np.zeros((5, 4)))
         zero_obj = make_masked_completion(np.zeros((5, 4)), np.zeros((5, 4)))
         pt = random_point("gen_embedded", 5, 4, R, rng)
-        rep = hessian_spectrum(pt, zero_obj, "gen_embedded")
+        rep = hessian_spectrum(pt, zero_obj)
         np.testing.assert_allclose(rep.eigenvalues, 0, atol=1e-14)
 
     def test_basis_mix_invariance(self):
@@ -122,7 +122,7 @@ class TestHessianSpectrum:
             p1, p2 = SIZES[kind_of(geo)]
             obj = random_approx_objective(kind_of(geo), p1, p2, rng)
             z = random_point(geo, p1, p2, R, rng)
-            a = hessian_spectrum(z, obj, geo, met).eigenvalues
+            a = hessian_spectrum(z, obj, met).eigenvalues
             b = mixed_basis_spectrum(z, obj, met, np.random.default_rng(99))
             scale = max(1.0, np.max(np.abs(a)))
             assert np.max(np.abs(a - b)) <= 1e-8 * scale
@@ -131,7 +131,7 @@ class TestHessianSpectrum:
         rng = np.random.default_rng(5)
         obj = random_approx_objective("psd", 6, 6, rng)
         z = random_point("psd_q1", 6, 6, R, rng)
-        rep = hessian_spectrum(z, obj, "psd_q1", metric_family("psd_q1", "flat"))
+        rep = hessian_spectrum(z, obj, metric_family("psd_q1", "flat"))
         assert rep.dim == 6 * R - (R * R - R) // 2
 
     def test_ill_conditioned_gram_rejected(self):
@@ -143,7 +143,19 @@ class TestHessianSpectrum:
         y = np.ones((6, 2)) + 1e-4 * rng.standard_normal((6, 2))
         z = quotient_point("psd_q1", y)
         with pytest.raises(ConditioningError):
-            hessian_spectrum(z, obj, "psd_q1", metric_family("psd_q1", "flat"))
+            hessian_spectrum(z, obj, metric_family("psd_q1", "flat"))
+
+    def test_metric_must_match_the_point(self):
+        # the point names its geometry: an embedded one takes no metric, a
+        # quotient one needs its family
+        obj = make_matrix_approx(PSD_M3, symmetric=True)
+        pt = next(analytic_fosps(obj, 1))
+        met = metric_family("psd_q1", "flat")
+        for fn in (hessian_spectrum, classify_point):
+            with pytest.raises(ValueError, match="no metric family"):
+                fn(pt, obj, met)
+            with pytest.raises(ValueError, match="need a metric family"):
+                fn(lift_point(pt, "psd_q1"), obj)
 
 
 class TestVerifySandwich:
@@ -187,7 +199,7 @@ class TestVerifySandwich:
         obj = make_matrix_approx(np.diag([3.0, 2.0, 1.0, 0.5, 0.25]), symmetric=True)
         z = lift_point(list(analytic_fosps(obj, 2))[0], "psd_q1")
         met = metric_family("psd_q1", "flat")
-        other_geometry = hessian_spectrum(z, obj, "psd_q1", met)
+        other_geometry = hessian_spectrum(z, obj, met)
         other_dim = embedded_spectrum(list(analytic_fosps(obj, 1))[0], obj)
         assert other_geometry.dim == embedded_spectrum(z.point, obj).dim
         for spectrum in (other_geometry, other_dim):
@@ -256,27 +268,27 @@ class TestClassify:
     def test_rank1_truncations_of_diag321(self):
         obj = make_matrix_approx(PSD_M3, symmetric=True)
         fosps = analytic_fosps(obj, 1)
-        labels = [classify_point(pt, obj, "psd_embedded").label() for pt in fosps]
+        labels = [classify_point(pt, obj).label() for pt in fosps]
         assert labels == ["sosp", "strict-saddle", "strict-saddle"]
 
     def test_agreement_across_geometries(self):
         obj = make_matrix_approx(PSD_M3, symmetric=True)
         for pt in analytic_fosps(obj, 1):
-            ref = classify_point(pt, obj, "psd_embedded").label()
+            ref = classify_point(pt, obj).label()
             for geo, met in geometry_metric_combos(("psd_q1", "psd_q2")):
-                got = classify_point(lift_point(pt, geo), obj, geo, met).label()
+                got = classify_point(lift_point(pt, geo), obj, met).label()
                 assert got == ref, f"{geo}/{met.name}"
 
     def test_general_case_agreement(self):
         obj = make_matrix_approx(GEN_M43)
         labels = []
         for pt in analytic_fosps(obj, 1):
-            ref = classify_point(pt, obj, "gen_embedded").label()
+            ref = classify_point(pt, obj).label()
             labels.append(ref)
             for geo, met in geometry_metric_combos(
                 ("gen_q1", "gen_q2", "gen_q3")
             ):
-                got = classify_point(lift_point(pt, geo), obj, geo, met).label()
+                got = classify_point(lift_point(pt, geo), obj, met).label()
                 assert got == ref, f"{geo}/{met.name}"
         assert labels == ["sosp", "strict-saddle", "strict-saddle"]
 
@@ -284,7 +296,7 @@ class TestClassify:
         rng = np.random.default_rng(10)
         obj = random_approx_objective("psd", 6, 6, rng)
         pt = random_point("psd_embedded", 6, 6, R, rng)
-        cls = classify_point(pt, obj, "psd_embedded")
+        cls = classify_point(pt, obj)
         assert cls.label() == "non-stationary"
         assert not (cls.is_sosp or cls.is_strict_saddle)
 
@@ -373,7 +385,7 @@ class TestAnalyticFosps:
     def test_each_point_classifies_as_fosp(self):
         obj = make_matrix_approx(np.diag([3.0, 2.0, 1.0, 0.5]), symmetric=True)
         for pt in analytic_fosps(obj, 2):
-            assert classify_point(pt, obj, "psd_embedded").is_fosp
+            assert classify_point(pt, obj).is_fosp
 
     def test_points_are_certified_as_drawn(self, monkeypatch):
         # C(14, 3) = 364 stationary points; drawing the first certifies one

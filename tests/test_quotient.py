@@ -13,8 +13,6 @@ from georank.objectives import make_matrix_approx
 from georank.quotient import (
     REGISTRY,
     HorizontalVector,
-    act_on_horizontal,
-    act_on_point,
     horizontal_basis,
     horizontal_project,
     horizontal_vector,
@@ -35,6 +33,8 @@ from georank.transport import forward_map, inverse_map
 
 from util import (
     ALL_QUOTIENTS,
+    act_on_horizontal,
+    act_on_point,
     geometry_metric_combos,
     hv_gap,
     kind_of,

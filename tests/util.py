@@ -17,7 +17,6 @@ from georank.objectives import Objective
 from georank.landscape import hessian_spectrum
 from georank.linalg import gen_sym_eig, skew, sym
 from georank.quotient import (
-    EMBEDDED,
     GEOMETRY_KIND,
     GenQ1,
     GenQ2,
@@ -25,6 +24,7 @@ from georank.quotient import (
     HorizontalVector,
     PsdQ1,
     PsdQ2,
+    REGISTRY,
     QuotientPoint,
     Weights,
     _ambient_gradient,
@@ -33,6 +33,7 @@ from georank.quotient import (
     horizontal_basis,
     metric_choices,
     metric_family,
+    quotient_point,
     random_point,
     riem_hess_form_quotient,
     total_curve,
@@ -120,10 +121,32 @@ def metric_derivative_fd(metric, key, z, parts, h=1e-6):
     return (plus - minus) / (2.0 * h)
 
 
+def gauge_act(geometry, parts, g):
+    """The gauge action on factors or on tangent components alike: O(r) acts
+    by g^T B g on an SPD core and by F g on the other factors; GL(r) acts on
+    gen_q1's L by g and on its R by g^-T."""
+    if geometry == "gen_q1":
+        return (parts[0] @ g, parts[1] @ np.linalg.inv(g).T)
+    return tuple(g.T @ a @ g if f.kind == "spd" else a @ g
+                 for f, a in zip(REGISTRY[geometry].factors, parts))
+
+
+def act_on_point(z, g):
+    """Move z along its fiber by a gauge element (O(r), or GL(r) for gen_q1)."""
+    g = np.asarray(g, dtype=float)
+    return quotient_point(z.geometry, *gauge_act(z.geometry, z.factors, g))
+
+
+def act_on_horizontal(hv, z_new, g):
+    """Transport a horizontal lift to the gauge-moved representative."""
+    g = np.asarray(g, dtype=float)
+    return HorizontalVector(z_new, gauge_act(hv.base.geometry, hv.parts, g))
+
+
 def embedded_spectrum(pt, obj):
     """The embedded Hessian spectrum at an embedded point, which
     ``verify_sandwich`` takes for every quotient row at that point."""
-    return hessian_spectrum(pt, obj, EMBEDDED[pt.kind])
+    return hessian_spectrum(pt, obj)
 
 
 def polarize(quad, a, b) -> float:
