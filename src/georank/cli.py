@@ -20,10 +20,12 @@ config + seed therefore reproduces identical reports byte for byte (with
 
 import argparse
 import datetime
+import functools
 import itertools
 import json
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,15 +66,6 @@ from .quotient import (
 )
 from .transport import forward_map, inverse_map, spectrum_bounds
 
-COMMANDS = (
-    "dims",
-    "check-gradients",
-    "bijection-roundtrip",
-    "verify-sandwich",
-    "classify",
-    "flow-compare",
-)
-
 DEFAULT_TOLERANCES = {
     "grad_fd_rtol": 1e-6,
     "roundtrip_rtol": 1e-9,
@@ -102,23 +95,52 @@ CONFIG_KEYS = {
 }
 
 
+@dataclass(frozen=True)
+class Plan:
+    """A config checked and resolved: all that a command reads of it."""
+
+    problem: dict  # with its defaults, echoed in the report
+    tolerances: dict
+    counts: dict  # the counts the config gives
+    flow: tuple  # (T, dt)
+    # (geometry, family name, MetricFamily), or (geometry, None, None) if embedded
+    rows: tuple
+
+    @property
+    def quotient_rows(self):
+        return [row for row in self.rows if row[2] is not None]
+
+    def point(self, geometry, rng):
+        """A random point of the problem's sizes under a geometry."""
+        p = self.problem
+        return random_point(geometry, p["p1"], p["p2"], p["r"], rng)
+
+
 def _is_number(value, types=(int, float)):
     return isinstance(value, types) and not isinstance(value, bool)
 
 
-def _problem_cfg(config):
-    problem = config.get("problem", {})
-    if not isinstance(problem, dict):
-        raise ConfigError("'problem' must be an object")
-    prob = dict(problem)
-    prob.setdefault("kind", "approx")
-    prob.setdefault("case", "psd")
-    prob.setdefault("p1", 5)
-    prob.setdefault("p2", prob["p1"] if prob["case"] == "psd" else 4)
-    prob.setdefault("r", 2)
-    prob.setdefault("mask_density", 0.7)
+def _section(name, given):
+    """An object of the config, after checking its type and keys."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"'{name or 'config'}' must be an object, got {given!r}")
+    unknown = sorted(set(given) - CONFIG_KEYS[name])
+    if unknown:
+        where = f"in '{name}'" if name else "at the top level"
+        raise ConfigError(f"unknown config key(s) {unknown} {where}; "
+                          f"expected one of {sorted(CONFIG_KEYS[name])}")
+    return given
+
+
+def _plan(config):
+    """Check the whole config before anything runs, and resolve it into the
+    one ``Plan`` every command reads."""
+    _section("", config)
+    prob = {"kind": "approx", "case": "psd", "p1": 5, "r": 2, "mask_density": 0.7,
+            **_section("problem", config.get("problem", {}))}
     if prob["case"] == "psd":
         prob["p2"] = prob["p1"]
+    prob.setdefault("p2", 4)
     if prob["kind"] not in ("approx", "completion", "sensing"):
         raise ConfigError(f"unknown problem kind {prob['kind']!r}")
     if prob["case"] not in ("psd", "general"):
@@ -131,85 +153,58 @@ def _problem_cfg(config):
     if not (_is_number(prob["mask_density"]) and 0 <= prob["mask_density"] <= 1):
         raise ConfigError(f"mask_density must be a number in [0, 1], got "
                           f"{prob['mask_density']!r}")
+    for key, path in (("output", config.get("output", "")),
+                      ("problem.target_csv", prob.get("target_csv", "")),
+                      ("problem.mask_csv", prob.get("mask_csv", ""))):
+        if not isinstance(path, str):
+            raise ConfigError(f"{key} must be a path string, got {path!r}")
+
+    counts = {key: config[key] for key in COUNTS if key in config}
     n_meas = prob.get("num_measurements", 1)
-    if not (_is_number(n_meas, int) and n_meas >= 1):
-        raise ConfigError(f"num_measurements must be an integer >= 1, got {n_meas!r}")
-    return prob
-
-
-def _validate(config, prob):
-    """Reject unknown keys, and malformed counts, seeds, flow settings, lists
-    and metric names, before anything runs."""
-    for section, known in CONFIG_KEYS.items():
-        given = config.get(section) if section else config
-        unknown = sorted(set(given) - known) if isinstance(given, dict) else []
-        if unknown:
-            where = f"in '{section}'" if section else "at the top level"
-            raise ConfigError(f"unknown config key(s) {unknown} {where}; "
-                              f"expected one of {sorted(known)}")
-    for key in COUNTS:
-        if key in config and not (_is_number(config[key], int) and config[key] >= 1):
-            raise ConfigError(f"{key} must be an integer >= 1, got {config[key]!r}")
+    for key, value in [*counts.items(), ("num_measurements", n_meas)]:
+        if not (_is_number(value, int) and value >= 1):
+            raise ConfigError(f"{key} must be an integer >= 1, got {value!r}")
     seed = config.get("seed", 0)
     if not (_is_number(seed, int) and seed >= 0):
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
-    flow = config.get("flow", {})
-    if not isinstance(flow, dict):
-        raise ConfigError(f"'flow' must be an object, got {flow!r}")
-    for key in ("T", "dt"):
-        if key in flow and not (_is_number(flow[key]) and 0 < flow[key] < np.inf):
-            raise ConfigError(f"flow.{key} must be a finite number > 0, "
-                              f"got {flow[key]!r}")
-    flow = {**FLOW_DEFAULTS, **flow}
+    flow = {**FLOW_DEFAULTS, **_section("flow", config.get("flow", {}))}
+    tols = {**DEFAULT_TOLERANCES,
+            **_section("tolerances", config.get("tolerances", {}))}
+    for key, value in [*(("flow." + k, v) for k, v in flow.items()),
+                       *(("tolerance " + k, v) for k, v in tols.items())]:
+        if not (_is_number(value) and 0 < value < np.inf):
+            raise ConfigError(f"{key} must be a finite number > 0, got {value!r}")
     if not flow["T"] / flow["dt"] > 0.5:  # round(T / dt) RK4 steps, at least 1
         raise ConfigError(f"flow.T / flow.dt must give at least one RK4 step, "
                           f"got T = {flow['T']!r} and dt = {flow['dt']!r}")
-    if not isinstance(config.get("geometries", []), list):
+
+    case = prob["case"]
+    choices = geometries(case)
+    geos = config.get("geometries", list(choices))
+    if not isinstance(geos, list):
         raise ConfigError("'geometries' must be a list of names")
+    for i, g in enumerate(geos):
+        if g not in choices or g in geos[:i]:
+            raise ConfigError(f"'geometries' must name geometries of {list(choices)}, "
+                              f"each once, got {g!r} in {geos}")
     metrics = config.get("metrics", {})
-    if not (isinstance(metrics, dict)
-            and all(isinstance(v, list) and v for v in metrics.values())):
-        raise ConfigError("'metrics' must map geometries to non-empty lists of names")
-    for geometry in _geometries(config, prob):
-        _metric_names(config, geometry)
-
-
-def _geometries(config, prob):
-    default = geometries(prob["case"])
-    geos = config.get("geometries", list(default))
+    if not isinstance(metrics, dict):
+        raise ConfigError(f"'metrics' must be an object, got {metrics!r}")
+    for g, names in metrics.items():
+        # choices[0] is the embedded geometry, which takes no family
+        if not (g in choices[1:] and isinstance(names, list) and names
+                and all(name in metric_choices(g) for name in names)):
+            raise ConfigError(f"'metrics' must map geometries of {list(choices[1:])} to "
+                              f"non-empty lists of their families, got {g!r}: {names!r}")
+    rows = []
     for g in geos:
-        if g not in default:
-            raise ConfigError(
-                f"geometry {g!r} invalid for the {prob['case']} case; "
-                f"choose from {list(default)}"
-            )
-    return geos
-
-
-def _metric_names(config, geometry):
-    if geometry in EMBEDDED.values():
-        return [None]
-    chosen = config.get("metrics", {})
-    if geometry in chosen:
-        names = chosen[geometry]
-        for n in names:
-            if n not in metric_choices(geometry):
-                raise ConfigError(f"metric {n!r} unknown for {geometry}")
-        return names
-    return metric_choices(geometry)
-
-
-def _tolerances(config):
-    given = config.get("tolerances", {})
-    if not isinstance(given, dict):
-        raise ConfigError("'tolerances' must be an object")
-    tols = dict(DEFAULT_TOLERANCES)
-    tols.update(given)
-    for key, value in tols.items():
-        if not (_is_number(value) and 0 < value < np.inf):
-            raise ConfigError(f"tolerance {key} must be a finite number > 0, "
-                              f"got {value!r}")
-    return tols
+        if g == choices[0]:
+            rows.append((g, None, None))
+        else:
+            rows += [(g, name, metric_family(g, name))
+                     for name in metrics.get(g, metric_choices(g))]
+    return Plan(prob, tols, counts, (float(flow["T"]), float(flow["dt"])),
+                tuple(rows))
 
 
 def _build_objective(prob, rng):
@@ -249,39 +244,31 @@ def _build_objective(prob, rng):
     return make_matrix_sensing(ops, obs, symmetric=symmetric)
 
 
-def _random_point(geometry, prob, rng):
-    return random_point(geometry, prob["p1"], prob["p2"], prob["r"], rng)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _quotient_metrics(config, prob):
-    """(geometry, metric name, metric family) over the configured quotients."""
-    for geometry in _geometries(config, prob):
-        if geometry not in EMBEDDED.values():
-            for mname in _metric_names(config, geometry):
-                yield geometry, mname, metric_family(geometry, mname)
+def _check(name, passed, /, **details):  # details may hold a "passed" key
+    return {"name": name, "passed": passed, "details": details}
 
 
-def cmd_dims(config, prob, obj, rng, tols):
+def _worst(samples):
+    """The largest of a check's samples and 0, or NaN if any sample is NaN, so
+    a check fails on a sample it could not measure (``max`` drops a NaN)."""
+    return float(np.max(samples, initial=0.0))
+
+
+def cmd_dims(plan, obj, rng):
+    prob = plan.problem
     checks = []
-    for geometry in _geometries(config, prob):
+    for geometry, rows in itertools.groupby(plan.rows, key=lambda row: row[0]):
         expected = quotient_dim(geometry, prob["p1"], prob["p2"], prob["r"])
-        point = _random_point(geometry, prob, rng)
-        if geometry in EMBEDDED.values():
-            count = len(tangent_basis(point))
-        else:
-            metric = metric_family(geometry, _metric_names(config, geometry)[0])
-            count = len(horizontal_basis(point, metric)[0])
-        checks.append(
-            {
-                "name": f"dims/{geometry}",
-                "passed": count == expected,
-                "details": {"count": count, "expected": expected},
-            }
-        )
+        point = plan.point(geometry, rng)
+        metric = next(rows)[2]
+        count = len(tangent_basis(point) if metric is None
+                    else horizontal_basis(point, metric)[0])
+        checks.append(_check(f"dims/{geometry}", count == expected,
+                             count=count, expected=expected))
     return checks
 
 
@@ -289,196 +276,149 @@ def _grad_fd_maxrel(point, obj, metric, h=1e-5):
     """Max relative gap between g(grad, b) and a central difference of the
     objective along the basis curves of the point's geometry, normalized by
     the largest directional derivative."""
-    lhs, rhs = [], []
     if isinstance(point, EmbeddedPoint):
-        grad = riem_grad_embedded(point, obj)
-        for b in tangent_basis(point):
-            lhs.append(float(np.sum(grad.ambient() * b.ambient())))
-            fp = obj.value(retract(point, b, h).X)
-            fm = obj.value(retract(point, b, -h).X)
-            rhs.append((fp - fm) / (2.0 * h))
+        grad = riem_grad_embedded(point, obj).ambient()
+        pairs = [(float(np.sum(grad * b.ambient())), functools.partial(retract, point, b))
+                 for b in tangent_basis(point)]
     else:
         grad = riem_grad_quotient(point, obj, metric)
-        basis, _ = horizontal_basis(point, metric)
-        for b in basis:
-            lhs.append(metric_inner(point, grad, b, metric))
-            curve = total_curve(point, b)
-            fp = obj.value(curve(h).X)
-            fm = obj.value(curve(-h).X)
-            rhs.append((fp - fm) / (2.0 * h))
-    lhs, rhs = np.array(lhs), np.array(rhs)
+        pairs = [(metric_inner(point, grad, b, metric), total_curve(point, b))
+                 for b in horizontal_basis(point, metric)[0]]
+    lhs = np.array([inner for inner, _ in pairs])
+    rhs = np.array([(obj.value(curve(h).X) - obj.value(curve(-h).X)) / (2.0 * h)
+                    for _, curve in pairs])
     denom = max(np.max(np.abs(rhs)), 1e-300)
     return float(np.max(np.abs(lhs - rhs)) / denom)
 
 
-def cmd_check_gradients(config, prob, obj, rng, tols):
-    trials = int(config.get("trials", 5))
+def cmd_check_gradients(plan, obj, rng):
+    trials = plan.counts.get("trials", 5)
+    tol = plan.tolerances["grad_fd_rtol"]
     checks = []
-    for geometry in _geometries(config, prob):
-        for mname in _metric_names(config, geometry):
-            metric = None if mname is None else metric_family(geometry, mname)
-            worst = 0.0
-            for _ in range(trials):
-                point = _random_point(geometry, prob, rng)
-                worst = max(worst, _grad_fd_maxrel(point, obj, metric))
-            checks.append(
-                {
-                    "name": f"gradient-fd/{geometry}"
-                    + (f"/{mname}" if mname else ""),
-                    "passed": worst <= tols["grad_fd_rtol"],
-                    "details": {"max_rel_err": worst,
-                                "tolerance": tols["grad_fd_rtol"],
-                                "trials": trials},
-                }
-            )
+    for geometry, mname, metric in plan.rows:
+        worst = _worst([_grad_fd_maxrel(plan.point(geometry, rng), obj, metric)
+                        for _ in range(trials)])
+        checks.append(_check(f"gradient-fd/{geometry}" + (f"/{mname}" if mname else ""),
+                             worst <= tol, max_rel_err=worst, tolerance=tol,
+                             trials=trials))
     return checks
 
 
-def cmd_bijection(config, prob, obj, rng, tols):
-    trials = int(config.get("trials", 3))
-    n_vec = int(config.get("directions", 200))
+def cmd_bijection(plan, obj, rng):
+    trials = plan.counts.get("trials", 3)
+    n_vec = plan.counts.get("directions", 200)
+    tols = plan.tolerances
     checks = []
-    for geometry, mname, metric in _quotient_metrics(config, prob):
-        worst_rt, worst_slack = 0.0, 0.0
+    for geometry, mname, metric in plan.quotient_rows:
+        roundtrip, slack = [], []
         for _ in range(trials):
-            z = _random_point(geometry, prob, rng)
+            z = plan.point(geometry, rng)
             coeffs = spectrum_bounds(z, metric)
             for _ in range(n_vec):
                 theta = random_horizontal(z, metric, rng)
                 xi = forward_map(z, theta, metric)
                 back = inverse_map(z, xi, metric)
-                num = np.sqrt(
-                    sum(np.sum((a - b) ** 2)
-                        for a, b in zip(theta.parts, back.parts))
-                )
-                worst_rt = max(worst_rt, num / max(theta.raw_norm(), 1e-300))
+                num = np.sqrt(sum(np.sum((a - b) ** 2)
+                                  for a, b in zip(theta.parts, back.parts)))
+                roundtrip.append(num / max(theta.raw_norm(), 1e-300))
                 q = metric_inner(z, theta, theta, metric)
                 nrm2 = xi.norm() ** 2
                 ref = max(1.0, coeffs.beta * q)
-                worst_slack = max(
-                    worst_slack,
-                    (coeffs.alpha * q - nrm2) / ref,
-                    (nrm2 - coeffs.beta * q) / ref,
-                )
-        checks.append(
-            {
-                "name": f"bijection/{geometry}/{mname}",
-                "passed": (worst_rt <= tols["roundtrip_rtol"]
-                           and worst_slack <= tols["bound_slack"]),
-                "details": {
-                    "max_roundtrip_rel_err": worst_rt,
-                    "max_bound_violation": worst_slack,
-                    "vectors": n_vec * trials,
-                },
-            }
-        )
+                slack += [(coeffs.alpha * q - nrm2) / ref, (nrm2 - coeffs.beta * q) / ref]
+        worst_rt, worst_slack = _worst(roundtrip), _worst(slack)
+        checks.append(_check(f"bijection/{geometry}/{mname}",
+                             (worst_rt <= tols["roundtrip_rtol"]
+                              and worst_slack <= tols["bound_slack"]),
+                             max_roundtrip_rel_err=worst_rt,
+                             max_bound_violation=worst_slack,
+                             vectors=n_vec * trials))
     return checks
 
 
-def _fosp_points(config, prob, obj, rng):
+def _fosp_points(plan, obj, rng):
     """The FOSPs to check, and the checks that start the report: none, or a
     failed ``fosp-search`` when no ``find_fosp`` start converges."""
-    max_points = int(config.get("max_fosp_points", 4))
+    prob = plan.problem
+    max_points = plan.counts.get("max_fosp_points", 4)
     if prob["kind"] == "approx":
         return list(itertools.islice(analytic_fosps(obj, prob["r"]), max_points)), []
     kind_tag = EMBEDDED[prob["case"]]
     pts = []
     for _ in range(max_points):
-        res = find_fosp(obj, _random_point(kind_tag, prob, rng),
-                        max_iter=20000, tol=1e-10)
+        res = find_fosp(obj, plan.point(kind_tag, rng), max_iter=20000, tol=1e-10)
         if res.converged:
             pts.append(res.point)
     if pts:
         return pts, []
-    return [], [{"name": "fosp-search", "passed": False,
-                  "details": {"starts": max_points, "converged": 0}}]
+    return [], [_check("fosp-search", False, starts=max_points, converged=0)]
 
 
-def cmd_verify_sandwich(config, prob, obj, rng, tols):
-    fosps, checks = _fosp_points(config, prob, obj, rng)
+def cmd_verify_sandwich(plan, obj, rng):
+    tols = plan.tolerances
+    fosps, checks = _fosp_points(plan, obj, rng)
     # every (geometry, metric) row at a FOSP shares its embedded spectrum
     spectra = [hessian_spectrum(pt, obj) for pt in fosps]
-    for geometry, mname, metric in _quotient_metrics(config, prob):
+    for geometry, mname, metric in plan.quotient_rows:
         for i, (pt, spectrum) in enumerate(zip(fosps, spectra)):
             report = verify_sandwich(
                 lift_point(pt, geometry), obj, metric, spectrum,
-                margin_tol=tols["sandwich_margin"],
-                identity_rtol=tols["identity_rtol"],
-                fosp_tol=tols["fosp_tol"],
-            )
-            checks.append(
-                {
-                    "name": f"sandwich/{geometry}/{mname}/fosp{i}",
-                    "passed": report["passed"],
-                    "details": report,
-                }
-            )
+                margin_tol=tols["sandwich_margin"], identity_rtol=tols["identity_rtol"],
+                fosp_tol=tols["fosp_tol"])
+            checks.append(_check(f"sandwich/{geometry}/{mname}/fosp{i}",
+                                 report["passed"], **report))
     return checks
 
 
-def cmd_classify(config, prob, obj, rng, tols):
-    fosps, checks = _fosp_points(config, prob, obj, rng)
+def cmd_classify(plan, obj, rng):
+    fosps, checks = _fosp_points(plan, obj, rng)
     for i, pt in enumerate(fosps):
-        labels = {EMBEDDED[prob["case"]]: classify_point(pt, obj).to_dict()}
-        for geometry, mname, metric in _quotient_metrics(config, prob):
+        labels = {EMBEDDED[plan.problem["case"]]: classify_point(pt, obj).to_dict()}
+        for geometry, mname, metric in plan.quotient_rows:
             cls = classify_point(lift_point(pt, geometry), obj, metric)
             labels[f"{geometry}/{mname}"] = cls.to_dict()
-        names = {v["label"] for v in labels.values()}
-        checks.append(
-            {
-                "name": f"classify/fosp{i}",
-                "passed": len(names) == 1,
-                "details": {"labels": labels, "agreement": len(names) == 1},
-            }
-        )
+        agreement = len({v["label"] for v in labels.values()}) == 1
+        checks.append(_check(f"classify/fosp{i}", agreement,
+                             labels=labels, agreement=agreement))
     return checks
 
 
-def cmd_flow_compare(config, prob, obj, rng, tols):
-    flow_cfg = {**FLOW_DEFAULTS, **config.get("flow", {})}
-    t_final, dt = float(flow_cfg["T"]), float(flow_cfg["dt"])
-    x0 = _random_point(EMBEDDED[prob["case"]], prob, rng)
-    if prob["case"] == "psd":
-        identical = (("psd_embedded", None), ("psd_q2", "matched"))
-        q1 = ("psd_q1", "double-gram")
-        emb = ("psd_embedded", None)
-    else:
-        identical = (("gen_embedded", None), ("gen_q3", "matched"))
-        q1 = ("gen_q1", "crossed-gram")
-        emb = ("gen_embedded", None)
+# flow-compare's sources per case: the embedded flow, the matched quotient flow
+# that equals it, and the q1 flow that differs from it by a projected term
+FLOW_PAIRS = {
+    "psd": (("psd_embedded", None), ("psd_q2", "matched"), ("psd_q1", "double-gram")),
+    "general": (("gen_embedded", None), ("gen_q3", "matched"),
+                ("gen_q1", "crossed-gram")),
+}
 
-    out = compare_flows(x0, obj, identical[0], identical[1], t_final, dt)
-    checks = [
-        {
-            "name": f"flow-identical/{identical[1][0]}",
-            "passed": (not out["degenerate"]
-                       and out["max_deviation"] <= tols["flow_identical_tol"]),
-            "details": {"max_deviation": out["max_deviation"],
-                        "tolerance": tols["flow_identical_tol"],
-                        "steps": len(out["times"]) - 1},
-        }
-    ]
+
+def cmd_flow_compare(plan, obj, rng):
+    tols = plan.tolerances
+    case = plan.problem["case"]
+    emb, matched, q1 = FLOW_PAIRS[case]
+    x0 = plan.point(emb[0], rng)
+    out = compare_flows(x0, obj, emb, matched, *plan.flow)
+    tol = tols["flow_identical_tol"]
+    checks = [_check(f"flow-identical/{matched[0]}",
+                     not out["degenerate"] and out["max_deviation"] <= tol,
+                     max_deviation=out["max_deviation"], tolerance=tol,
+                     steps=len(out["times"]) - 1)]
 
     # the q1 field differs from the embedded one by the doubly projected term
     trace = out["trace_a"]
-    worst = 0.0
+    resids = []
     stride = max(1, len(trace.points) // 16)
     for pt in trace.points[::stride]:
         f_emb = flow_field(pt, obj, emb).ambient()
         f_q1 = flow_field(pt, obj, q1).ambient()
         pu = pt.U @ pt.U.T
         nabla = obj.egrad(pt.X)
-        pr = pu @ nabla @ pu if prob["case"] == "psd" else pu @ nabla @ (pt.V @ pt.V.T)
-        resid = np.linalg.norm((f_emb - f_q1) - pr)
-        worst = max(worst, resid / max(1.0, np.linalg.norm(pr)))
-    checks.append(
-        {
-            "name": f"flow-difference/{q1[0]}",
-            "passed": worst <= tols["flow_difference_tol"],
-            "details": {"max_rel_residual": worst,
-                        "tolerance": tols["flow_difference_tol"]},
-        }
-    )
+        pr = pu @ nabla @ pu if case == "psd" else pu @ nabla @ (pt.V @ pt.V.T)
+        resids.append(np.linalg.norm((f_emb - f_q1) - pr) / max(1.0, np.linalg.norm(pr)))
+    worst = _worst(resids)
+    checks.append(_check(f"flow-difference/{q1[0]}",
+                         worst <= tols["flow_difference_tol"],
+                         max_rel_residual=worst,
+                         tolerance=tols["flow_difference_tol"]))
     return checks
 
 
@@ -490,6 +430,7 @@ DISPATCH = {
     "classify": cmd_classify,
     "flow-compare": cmd_flow_compare,
 }
+COMMANDS = tuple(DISPATCH)
 
 
 def run(command, config, seed=None, out_path=None, no_timestamp=False):
@@ -501,16 +442,13 @@ def run(command, config, seed=None, out_path=None, no_timestamp=False):
         raise ConfigError(
             f"config requests command {cfg_command!r} but {command!r} was invoked"
         )
-    prob = _problem_cfg(config)
-    tols = _tolerances(config)
-    _validate(config, prob)
-    if seed is None:
-        seed = config.get("seed", 0)
+    plan = _plan(config)
+    seed = config.get("seed", 0) if seed is None else seed
     rng = np.random.default_rng(seed)
-    obj = _build_objective(prob, rng)
+    obj = _build_objective(plan.problem, rng)
 
     started = time.perf_counter()
-    checks = DISPATCH[command](config, prob, obj, rng, tols)
+    checks = DISPATCH[command](plan, obj, rng)
     elapsed = time.perf_counter() - started
     if not checks:
         # a report that passes on zero checks would verify nothing
@@ -520,8 +458,8 @@ def run(command, config, seed=None, out_path=None, no_timestamp=False):
         "schema": "georank-report/1",
         "command": command,
         "seed": seed,
-        "problem": prob,
-        "tolerances": tols,
+        "problem": plan.problem,
+        "tolerances": plan.tolerances,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }

@@ -21,8 +21,6 @@ no p x p matrix is decomposed.
 """
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .embedded import (EmbeddedPoint, EmbeddedTangent, riem_grad_embedded,
@@ -64,9 +62,6 @@ def flow_field(pt: EmbeddedPoint, obj: Objective, source) -> EmbeddedTangent:
 class FlowTrace:
     times: np.ndarray
     points: list  # EmbeddedPoint of each state X(t)
-    geometry: str
-    metric: Optional[str]
-    rank: int
     degenerate: bool = False
     message: str = ""
 
@@ -86,11 +81,9 @@ def integrate_flow(
     decomposition fails, the trace is returned as far as it got, flagged
     degenerate, instead of raising.
     """
-    geometry, metric = source
     _metric(source)  # a bad source fails here, not at the first step
     if t_final <= 0 or dt <= 0:
         raise ValueError("horizon and step must be positive")
-    r = x0.r
     n_steps = int(round(t_final / dt))
     if n_steps < 1:
         raise ValueError(f"horizon {t_final!r} with step {dt!r} gives no RK4 step")
@@ -108,11 +101,10 @@ def integrate_flow(
                                    (dt / 3.0, k3), (dt / 6.0, k4)])
         except (RankError, np.linalg.LinAlgError) as exc:
             cause = "rank collapse" if isinstance(exc, RankError) else "divergence"
-            return FlowTrace(times[: k + 1], points, geometry, metric, r,
-                             degenerate=True,
+            return FlowTrace(times[: k + 1], points, degenerate=True,
                              message=f"{cause} at t = {times[k]:.6g}: {exc}")
         points.append(pt)
-    return FlowTrace(times, points, geometry, metric, r)
+    return FlowTrace(times, points)
 
 
 def compare_flows(
@@ -128,9 +120,7 @@ def compare_flows(
     n = len(devs)
     return {
         "times": tr_a.times[:n],
-        "deviations": devs,
         "max_deviation": float(np.max(devs)) if n else float("nan"),
         "degenerate": tr_a.degenerate or tr_b.degenerate,
         "trace_a": tr_a,
-        "trace_b": tr_b,
     }

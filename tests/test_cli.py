@@ -194,6 +194,16 @@ class TestErrorPaths:
                      id="metrics-empty"),
         pytest.param("dims", {"geometries": "psd_q1"}, "'geometries'",
                      id="geometries-string"),
+        pytest.param("dims", {"geometries": ["psd_q1", "psd_q1"]}, "'geometries'",
+                     id="geometries-repeated"),
+        # a metrics key names a quotient geometry of the case; an embedded
+        # geometry takes no family
+        pytest.param("dims", {"metrics": {"psd_qq": ["flat"]}}, "'psd_qq'",
+                     id="metrics-key-unknown"),
+        pytest.param("dims", {"metrics": {"gen_q1": ["flat"]}}, "'gen_q1'",
+                     id="metrics-key-other-case"),
+        pytest.param("dims", {"metrics": {"psd_embedded": ["flat"]}}, "'psd_embedded'",
+                     id="metrics-key-embedded"),
         pytest.param("check-gradients", {"trials": -1}, "trials",
                      id="trials-negative"),
         pytest.param("bijection-roundtrip", {"directions": 0}, "directions",
@@ -238,6 +248,24 @@ class TestErrorPaths:
         assert_input_error(proc)
         assert field in proc.stderr, proc.stderr
         assert not out.exists()
+
+    # a path is a string: open() takes an integer for a file descriptor, and
+    # np.loadtxt takes a list of strings for the lines of an inline CSV
+    @pytest.mark.parametrize("cfg,field", [
+        pytest.param({"output": 1}, "output", id="output-int"),
+        pytest.param({"output": ["a"]}, "output", id="output-list"),
+        pytest.param({"problem": {"kind": "completion", "mask_csv": ["1,1,1,1,1"] * 5}},
+                     "mask_csv", id="mask-csv-lines"),
+        pytest.param({"problem": {"target_csv": ["1,1,1,1,1"] * 5}}, "target_csv",
+                     id="target-csv-lines"),
+    ])
+    def test_path_not_a_string_exits_2_no_report(self, tmp_path, cfg, field):
+        path = write_config(tmp_path, "c.json", cfg)
+        proc = run_cli(["dims", "--config", str(path)], tmp_path)
+        assert_input_error(proc)
+        assert field in proc.stderr, proc.stderr
+        assert proc.stdout == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
     # a report that passes on zero checks would verify nothing
     @pytest.mark.parametrize("command,cfg", [
@@ -334,6 +362,27 @@ class TestOtherCommands:
         assert identical["name"] == "flow-identical/gen_q3"
         assert not identical["passed"]
         assert identical["details"]["steps"] < 50
+        # the overflowed states give a NaN residual: a failed sample, not one
+        # to skip
+        difference = report["checks"][1]
+        assert difference["name"] == "flow-difference/gen_q1"
+        assert not difference["passed"]
+        assert np.isnan(difference["details"]["max_rel_residual"])
+
+    def test_nan_gradient_sample_fails_its_check(self, tmp_path, monkeypatch):
+        # a NaN after a measured trial: the builtin max would keep the 0.0
+        samples = iter([0.0, float("nan"), 0.0])
+        monkeypatch.setattr(cli, "_grad_fd_maxrel",
+                            lambda point, obj, metric: next(samples))
+        config = {"problem": {"case": "psd", "p1": 4, "r": 2},
+                  "geometries": ["psd_embedded"], "trials": 3}
+        report, status = cli.run("check-gradients", config,
+                                 out_path=tmp_path / "report.json", no_timestamp=True)
+        assert status == 1
+        (check,) = report["checks"]
+        assert check["name"] == "gradient-fd/psd_embedded"
+        assert not check["passed"]
+        assert np.isnan(check["details"]["max_rel_err"])
 
     def test_mask_csv_loaded(self, tmp_path):
         rng = np.random.default_rng(1)
