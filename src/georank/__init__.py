@@ -1,6 +1,6 @@
 """Embedded and quotient Riemannian geometries on fixed-rank matrix manifolds.
 
-The package computes Riemannian gradients and Hessian bilinear forms for the
+The package computes Riemannian gradients and Hessian matrices for the
 rank-r PSD and general matrix manifolds under the embedded geometry and five
 factorization-based quotient geometries, maps horizontal vectors to embedded
 tangents and back, and verifies the landscape connections between the two
@@ -29,7 +29,7 @@ from .embedded import (
     embed_point,
     tangent_project,
     riem_grad_embedded,
-    riem_hess_form_embedded,
+    riem_hess_matrix_embedded,
     retract,
     tangent_basis,
 )
@@ -44,7 +44,7 @@ from .quotient import (
     horizontal_project,
     metric_inner,
     riem_grad_quotient,
-    riem_hess_form_quotient,
+    riem_hess_matrix_quotient,
     horizontal_basis,
     random_horizontal,
 )

@@ -10,7 +10,7 @@ core S and p x r factors orthogonal to the frame:
 
 so the manifold dimension is p*r - r(r-1)/2 in the PSD case and
 (p1 + p2 - r)*r in the general case. The ambient metric is Frobenius.
-Projection, norms, the Hessian form and the retraction need only U and V;
+Projection, norms, the Hessian matrix and the retraction need only U and V;
 the orthogonal complements U_perp and V_perp are built on first use, by the
 orthonormal tangent basis.
 
@@ -262,39 +262,42 @@ def riem_grad_embedded(pt: EmbeddedPoint, obj: Objective) -> EmbeddedTangent:
     return tangent_project(pt, obj.egrad(pt.X))
 
 
-def riem_hess_form_embedded(pt: EmbeddedPoint, obj: Objective):
-    """(xi, eta=None) -> Hess f[xi, eta], the symmetric bilinear form of the
-    Riemannian Hessian at pt, with eta = xi when omitted: the Euclidean
-    Hessian form plus the curvature correction coupling the Euclidean
-    gradient with the off-frame factors through Sigma^-1,
+def riem_hess_matrix_embedded(pt: EmbeddedPoint, obj: Objective,
+                              tangents) -> np.ndarray:
+    """[Hess f[xi_i, xi_j]], the Riemannian Hessian at pt on the tangents:
+    the Euclidean Hessian form plus the curvature correction coupling the
+    Euclidean gradient with the off-frame factors through Sigma^-1,
 
         Hess f[xi, eta] + <nabla f, Up_xi Sigma^-1 Vp_eta^T + Up_eta Sigma^-1 Vp_xi^T>,
 
     with Vp read as Up for the PSD kind. The gradient and the core's rank
-    check are evaluated once."""
+    check are evaluated once, each tangent's base, ambient matrix and
+    Sigma^-1 Vp^T once, and each row's Euclidean Hessian image at the start
+    of the row: the extra memory is the d kept ambient matrices (d p1 p2
+    doubles)."""
+    if any(xi.base is not pt for xi in tangents):
+        raise ValueError("tangent vector is not based at the given point")
     sig = pt.Sigma
     if np.linalg.svd(sig, compute_uv=False)[-1] <= RANK_GAP_TOL * np.linalg.norm(sig, 2):
         raise RankError("core factor is numerically singular")
     egrad = obj.egrad(pt.X)
-
-    def coupled(a, b):
-        return a.Up @ np.linalg.solve(sig, (b.Up if pt.kind == "psd" else b.Vp).T)
-
-    def bilinear(xi: EmbeddedTangent, eta: Optional[EmbeddedTangent] = None) -> float:
-        eta = xi if eta is None else eta
-        if xi.base is not pt or eta.base is not pt:
-            raise ValueError("tangent vector is not based at the given point")
-        amb = xi.ambient()
-        euclid = obj.ehess_quad(pt.X, amb, amb if eta is xi else eta.ambient())
-        return euclid + float(np.sum(egrad * (coupled(xi, eta) + coupled(eta, xi))))
-
-    return bilinear
+    ambs = [xi.ambient() for xi in tangents]
+    right = [np.linalg.solve(sig, (xi.Up if pt.kind == "psd" else xi.Vp).T)
+             for xi in tangents]
+    h = np.zeros((len(tangents),) * 2)
+    for i, xi in enumerate(tangents):
+        image = obj.ehess_vec(pt.X, ambs[i])
+        for j in range(i, len(tangents)):
+            coupled = xi.Up @ right[j] + tangents[j].Up @ right[i]
+            h[i, j] = h[j, i] = (float(np.sum(image * ambs[j]))
+                                 + float(np.sum(egrad * coupled)))
+    return h
 
 
 def riem_hess_quad_embedded(pt: EmbeddedPoint, obj: Objective,
                             xi: EmbeddedTangent) -> float:
     """Quadratic form of the Riemannian Hessian at pt along xi."""
-    return riem_hess_form_embedded(pt, obj)(xi)
+    return float(riem_hess_matrix_embedded(pt, obj, [xi])[0, 0])
 
 
 def retract(pt: EmbeddedPoint, xi: EmbeddedTangent, t: float) -> EmbeddedPoint:

@@ -21,7 +21,7 @@ from .embedded import (
     embed_point,
     retract,
     riem_grad_embedded,
-    riem_hess_form_embedded,
+    riem_hess_matrix_embedded,
     tangent_basis,
     tangent_project,
 )
@@ -42,7 +42,7 @@ from .quotient import (
     horizontal_basis,
     metric_norm,
     riem_grad_quotient,
-    riem_hess_form_quotient,
+    riem_hess_matrix_quotient,
 )
 from .transport import forward_map, spectrum_bounds
 
@@ -131,39 +131,36 @@ def hessian_spectrum(
 
     An ``EmbeddedPoint`` takes the embedded geometry of its kind and no
     metric; a ``QuotientPoint`` takes its geometry and needs a metric family.
-    The Hessian's bilinear form is built once for the point, the Hessian
-    matrix on an explicit tangent/horizontal basis takes each upper-triangle
-    entry from one evaluation of it, and the eigenvalues are those of the
-    pencil (H, Gram). The report keeps the basis, its Gram matrix and H, on
-    which ``verify_sandwich`` checks the Hessian congruence.
+    The basis Gram matrix's condition is checked before the objective is
+    evaluated. The Hessian matrix on an explicit tangent/horizontal basis
+    comes from one matrix builder call, which takes each basis vector's
+    differential once and each row's Euclidean Hessian image once, and the
+    eigenvalues are those of the pencil (H, Gram). The report keeps the
+    basis, its Gram matrix and H, on which ``verify_sandwich`` checks the
+    Hessian congruence.
     """
-    if isinstance(point, EmbeddedPoint):
+    embedded = isinstance(point, EmbeddedPoint)
+    if embedded:
         if metric is not None:
             raise ValueError("an embedded point takes no metric family")
-        geometry = EMBEDDED[point.kind]
+        geometry, mname = EMBEDDED[point.kind], "euclidean"
         basis = tangent_basis(point)
         gram = np.eye(len(basis))
-        form = riem_hess_form_embedded(point, obj)
-        gnorm = riem_grad_embedded(point, obj).norm()
-        mname = "euclidean"
     else:
         if metric is None:
             raise ValueError("quotient geometries need a metric family")
-        geometry = point.geometry
+        geometry, mname = point.geometry, metric.name
         basis, gram = horizontal_basis(point, metric)
-        form = riem_hess_form_quotient(point, obj, metric)
-        gnorm = metric_norm(point, riem_grad_quotient(point, obj, metric), metric)
-        mname = metric.name
-
-    d = len(basis)
-    h = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            h[i, j] = h[j, i] = form(basis[i], basis[j])
     cond = float(np.linalg.cond(gram))
     if cond > GRAM_COND_LIMIT:
         raise ConditioningError(f"basis Gram condition {cond:.3e} exceeds "
                                 f"{GRAM_COND_LIMIT:.1e}")
+    if embedded:
+        h = riem_hess_matrix_embedded(point, obj, basis)
+        gnorm = riem_grad_embedded(point, obj).norm()
+    else:
+        h = riem_hess_matrix_quotient(point, obj, metric, basis)
+        gnorm = metric_norm(point, riem_grad_quotient(point, obj, metric), metric)
     eig, _ = gen_sym_eig(h, gram)
     return SpectrumReport(geometry, mname, eig, basis, gram, h, float(gnorm))
 

@@ -16,7 +16,8 @@ class Objective:
     """Smooth objective on the ambient matrix space.
 
     ``ehess_vec(X, Z)`` applies the Euclidean Hessian at X to the direction Z;
-    it is linear in Z and self-adjoint in the Frobenius inner product. When
+    it is linear in Z and self-adjoint in the Frobenius inner product, so the
+    Hessian matrix builders take one image per basis vector. When
     ``symmetric`` is set the objective satisfies f(X) = f(X^T), which the PSD
     geometries rely on.
     """
@@ -42,12 +43,6 @@ class Objective:
 
     def ehess_vec(self, x, z) -> np.ndarray:
         return self._ehess(self._check(x), self._check(z))
-
-    def ehess_quad(self, x, z1, z2=None) -> float:
-        """Bilinear Euclidean Hessian form <ehess_vec(X, Z1), Z2>."""
-        if z2 is None:
-            z2 = z1
-        return float(np.sum(self.ehess_vec(x, z1) * np.asarray(z2, dtype=float)))
 
 
 def _symmetrized(obj: Objective) -> Objective:

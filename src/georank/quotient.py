@@ -15,10 +15,11 @@ its factors (each Stiefel, SPD or free), its factor map as a product chain
 (``Weight``), and the formulas particular to it. The base class derives from
 the chain, once for all five, the factor map's first and second
 differentials, each factor's partial derivative, the gradient lift and the
-Hessian's bilinear form; operations that depend only on a factor's kind are
-also written once there. The public functions below check their arguments and
-make one registry call; ``riem_hess_form_quotient`` builds a point's Hessian
-as one symmetric bilinear form, with the gradient and its lift bound.
+Hessian's matrix on a list of vectors; operations that depend only on a
+factor's kind are also written once there. The public functions below check
+their arguments and make one registry call; ``riem_hess_matrix_quotient``
+builds a point's Hessian matrix on a basis, with the gradient and its lift
+computed once and each vector's differential and weight derivatives once.
 
 A quotient point caches the embedded-geometry frame built from its own
 factors, so transports to the embedded tangent space are free of rotation
@@ -532,27 +533,20 @@ def riem_grad_quotient(
     return gradient_lift_from_ambient(z, metric, obj.egrad(z.X))
 
 
-def riem_hess_form_quotient(z: QuotientPoint, obj: Objective, metric: MetricFamily):
-    """(theta, eta=None) -> Hess h[theta, eta], the symmetric bilinear form of
-    the lifted Riemannian Hessian of h at z, with eta = theta when omitted.
-    The point's constants (the Euclidean gradient, the gradient lift, the
-    metric's derivative along it) are computed once, and each value is one
-    evaluation of the Euclidean Hessian."""
-    form = REGISTRY[z.geometry].hess_form(z, obj, z.weights(metric))
-
-    def bilinear(theta: HorizontalVector,
-                 eta: Optional[HorizontalVector] = None) -> float:
-        a = _as_horizontal(z, theta, metric).parts
-        return float(form(a, a if eta is None else _as_horizontal(z, eta, metric).parts))
-
-    return bilinear
+def riem_hess_matrix_quotient(z: QuotientPoint, obj: Objective, metric: MetricFamily,
+                              vectors) -> np.ndarray:
+    """The matrix [Hess h[theta_i, theta_j]] of the lifted Riemannian Hessian
+    of h at z on the horizontal vectors theta_i, each checked once (see
+    ``QuotientGeometry.hess_matrix``)."""
+    parts = [_as_horizontal(z, theta, metric).parts for theta in vectors]
+    return REGISTRY[z.geometry].hess_matrix(z, obj, z.weights(metric), parts)
 
 
 def riem_hess_quad_quotient(
     z: QuotientPoint, obj: Objective, metric: MetricFamily, theta: HorizontalVector
 ) -> float:
     """Quadratic form of the lifted Riemannian Hessian of h along theta."""
-    return riem_hess_form_quotient(z, obj, metric)(theta)
+    return float(riem_hess_matrix_quotient(z, obj, metric, [theta])[0, 0])
 
 
 def horizontal_basis(z: QuotientPoint, metric: MetricFamily):
@@ -633,9 +627,9 @@ class QuotientGeometry:
 
     From the chain, the factor kinds and the weights, the base class derives
     the differential and second differential of the factor map, each
-    factor's partial derivative, the gradient lift, the Hessian's bilinear
-    form and L(theta). A subclass implements, on raw component tuples and the
-    point's ``Weights`` ``wt``:
+    factor's partial derivative, the gradient lift, the Hessian's matrix on
+    a list of vectors and L(theta). A subclass implements, on raw component
+    tuples and the point's ``Weights`` ``wt``:
 
     - ``frame(*factors)``: the matched ``EmbeddedPoint``;
     - ``lift(x_pt, sig, root)``: canonical factors of a spectral frame;
@@ -741,18 +735,21 @@ class QuotientGeometry:
                 out += _dot(dw, fa.T @ fb)
         return out
 
-    def hess_form(self, z, obj, wt):
-        """(a, b) -> Hess h[a, b], the symmetric bilinear form, with nabla f,
-        the gradient lift G, the Stiefel partials and DW[G] bound once: the
-        Euclidean Hessian along the differential, the gradient against the
-        second differential, the Stiefel normal term and the metric's Koszul
-        terms,
+    def hess_matrix(self, z, obj, wt, parts):
+        """[Hess h[a_i, a_j]] on the component tuples ``parts``, each entry
+        the symmetric bilinear form
 
             Hess f[D pi a, D pi b] + <nabla f, D^2 pi[a, b]>
             - sum over Stiefel F of <d_F, F sym(a_F^T b_F)>
-            - (Dg[a](b, G) + Dg[b](a, G)) / 2 + Dg[G](a, b) / 2.
+            - (Dg[a](b, G) + Dg[b](a, G)) / 2 + Dg[G](a, b) / 2:
 
-        At b = a each term equals the quadratic form's, bit for bit."""
+        the Euclidean Hessian along the differential, the gradient against
+        the second differential, the Stiefel normal term and the metric's
+        Koszul terms, with G the gradient lift. nabla f, G, the Stiefel
+        partials and DW[G] are computed once, each vector's differential and
+        DW once, and each row's Euclidean Hessian image at the start of the
+        row, so the pair loop only contracts: the extra memory is the d kept
+        differentials (d p1 p2 doubles)."""
         x = z.X
         nabla = _ambient_gradient(z, obj.egrad(x))
         grad = self.grad_lift(z, wt, nabla)
@@ -760,19 +757,21 @@ class QuotientGeometry:
                    for i, (f, base) in enumerate(zip(self.factors, z.factors))
                    if f.kind == "stiefel"]
         dw_grad = self._dw(z, wt, grad)
-
-        def form(a, b):
-            da = self.differential(z, a)
-            out = obj.ehess_quad(x, da, da if b is a else self.differential(z, b))
-            out += _dot(nabla, self.second(z, a, b))
-            for i, base, d in stiefel:
-                out -= _dot(d, base @ sym(a[i].T @ b[i]))
-            out -= (self._dg(wt, self._dw(z, wt, a), b, grad)
-                    + self._dg(wt, self._dw(z, wt, b), a, grad)) / 2.0
-            out += self._dg(wt, dw_grad, a, b) / 2.0
-            return out
-
-        return form
+        diffs = [self.differential(z, a) for a in parts]
+        dws = [self._dw(z, wt, a) for a in parts]
+        h = np.zeros((len(parts),) * 2)
+        for i, a in enumerate(parts):
+            image = obj.ehess_vec(x, diffs[i])
+            for j in range(i, len(parts)):
+                b = parts[j]
+                out = _dot(image, diffs[j])
+                out += _dot(nabla, self.second(z, a, b))
+                for k, base, dk in stiefel:
+                    out -= _dot(dk, base @ sym(a[k].T @ b[k]))
+                out -= (self._dg(wt, dws[i], b, grad) + self._dg(wt, dws[j], a, grad)) / 2.0
+                out += self._dg(wt, dw_grad, a, b) / 2.0
+                h[i, j] = h[j, i] = out
+        return h
 
     def checked(self, factors):
         """Validate factors by kind; SPD factors are symmetrized."""

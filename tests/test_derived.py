@@ -1,8 +1,8 @@
 """The quotient forms derived from each geometry's factor-map chain: the
 chain's differentials and partials against exact identities, the gradient
 lift and the Hessian form against the hand-derived oracles in ``util``, the
-bilinear form against polarization, and the gradient and Hessian evaluations
-per Hessian spectrum."""
+Hessian matrix's entries against polarization, and the work done per
+Hessian spectrum."""
 
 import numpy as np
 import pytest
@@ -14,14 +14,16 @@ from georank.quotient import (
     _ambient_gradient,
     gradient_lift_from_ambient,
     project_total_tangent,
+    QuotientGeometry,
     random_horizontal,
-    riem_hess_form_quotient,
+    riem_hess_matrix_quotient,
     riem_hess_quad_quotient,
 )
 
 from util import (
     ALL_QUOTIENTS,
     counting,
+    ehess_quad,
     geometry_metric_combos,
     hand_grad_lift,
     hand_hess_quad,
@@ -64,7 +66,7 @@ def _term_scale(z, obj, met, theta):
     geo, wt, t = REGISTRY[z.geometry], z.weights(met), theta.parts
     nabla = _ambient_gradient(z, obj.egrad(z.X))
     grad = geo.grad_lift(z, wt, nabla)
-    return (abs(obj.ehess_quad(z.X, geo.differential(z, t)))
+    return (abs(ehess_quad(obj, z.X, geo.differential(z, t)))
             + np.linalg.norm(nabla) * np.linalg.norm(geo.second(z, t))
             + abs(geo._dg(wt, geo._dw(z, wt, t), t, grad))
             + abs(geo._dg(wt, geo._dw(z, wt, grad), t, t)))
@@ -132,11 +134,11 @@ def test_partials_are_adjoint_to_the_differential(geo):
 @pytest.mark.parametrize("geo,mname", [("psd_q2", "polar"), ("gen_q1", "crossed-gram"),
                                        (EMBEDDED["psd"], None), (EMBEDDED["general"], None)])
 def test_spectrum_evaluates_the_gradient_a_fixed_number_of_times(geo, mname):
-    """The Hessian form is built once per spectrum, so the gradient count
+    """The Hessian matrix is built once per spectrum, so the gradient count
     does not grow with the basis dimension (it grew as d^2 with one gradient
-    per form evaluation), and each of the d(d+1)/2 upper-triangle entries is
-    one bilinear evaluation, one Euclidean Hessian product (polarization took
-    two per off-diagonal entry, d^2 in all)."""
+    per form evaluation), and each row of the matrix takes one Euclidean
+    Hessian product, d in all (one per upper-triangle entry took
+    d(d+1)/2)."""
     met = None if mname is None else REGISTRY[geo].families[mname]
     kind, rng = kind_of(geo), np.random.default_rng(14)
     counts = []
@@ -145,21 +147,61 @@ def test_spectrum_evaluates_the_gradient_a_fixed_number_of_times(geo, mname):
         z = random_point(geo, p, p2, 2, rng)
         obj, calls = counting(random_approx_objective(kind, p, p2, rng))
         d = hessian_spectrum(z, obj, met).dim
-        assert calls["ehess_vec"] == d * (d + 1) // 2, (p, d, calls)
+        assert calls["ehess_vec"] == d, (p, d, calls)
         counts.append(calls["egrad"])
     assert counts[0] == counts[1] <= 2, counts
 
 
+def _counted_method(monkeypatch, name):
+    """Count the calls of a ``QuotientGeometry`` method, which no geometry
+    overrides."""
+    calls = []
+    original = getattr(QuotientGeometry, name)
+
+    def counted(self, *args):
+        calls.append(self.name)
+        return original(self, *args)
+
+    monkeypatch.setattr(QuotientGeometry, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("geo,mname", PAIRS + [(EMBEDDED["psd"], None),
+                                               (EMBEDDED["general"], None)])
+def test_spectrum_does_per_vector_work_once_per_vector(geo, mname, monkeypatch):
+    """Per spectrum of dimension d: one Euclidean Hessian image per row, one
+    differential and one set of weight derivatives per basis vector (plus
+    the set along the gradient lift), and at most two gradients."""
+    met = None if mname is None else REGISTRY[geo].families[mname]
+    diffs = _counted_method(monkeypatch, "differential")
+    dws = _counted_method(monkeypatch, "_dw")
+    kind, rng = kind_of(geo), np.random.default_rng(16)
+    p1, p2 = (6, 6) if kind == "psd" else (6, 5)
+    z = random_point(geo, p1, p2, 2, rng)
+    obj, calls = counting(random_objective(kind, p1, p2, "completion", rng))
+    d = hessian_spectrum(z, obj, met).dim
+    assert calls["ehess_vec"] == d, (d, calls)
+    assert calls["egrad"] <= 2, calls
+    quotient = met is not None
+    assert len(diffs) == (d if quotient else 0), (d, len(diffs))
+    assert len(dws) == (d + 1 if quotient else 0), (d, len(dws))
+
+
 @pytest.mark.parametrize("geo,mname", PAIRS)
 def test_bilinear_form_is_the_polarized_quadratic_form(geo, mname):
-    """form(a, b) = form(b, a) = (Q(a+b) - Q(a-b))/4 with Q(v) = form(v),
-    to rounding of the four quadratic values."""
+    """form(a, b) = form(b, a) = (Q(a+b) - Q(a-b))/4 with Q the quadratic
+    form, to rounding of the four quadratic values. form(a, b) and form(b, a)
+    come from two matrix builds, on [a, b] and on [b, a], so each is one
+    evaluation with its own row vector."""
     met = REGISTRY[geo].families[mname]
     rng = np.random.default_rng(15)
     for z, obj in _cases(geo, rng):
-        form = riem_hess_form_quotient(z, obj, met)
+        def quad(v):
+            return riem_hess_quad_quotient(z, obj, met, v)
+
         a, b = random_horizontal(z, met, rng), random_horizontal(z, met, rng)
-        scale = sum(abs(form(v)) for v in (a, b, a + b, a - b))
-        value = form(a, b)
-        assert abs(value - form(b, a)) <= 1e-12 * scale, (z.X.shape, z.r)
-        assert abs(value - polarize(form, a, b)) <= 1e-12 * scale, (z.X.shape, z.r)
+        scale = sum(abs(quad(v)) for v in (a, b, a + b, a - b))
+        value = riem_hess_matrix_quotient(z, obj, met, [a, b])[0, 1]
+        swapped = riem_hess_matrix_quotient(z, obj, met, [b, a])[0, 1]
+        assert abs(value - swapped) <= 1e-12 * scale, (z.X.shape, z.r)
+        assert abs(value - polarize(quad, a, b)) <= 1e-12 * scale, (z.X.shape, z.r)

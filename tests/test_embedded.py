@@ -11,7 +11,7 @@ from georank.embedded import (
     project_rank_r,
     retract,
     riem_grad_embedded,
-    riem_hess_form_embedded,
+    riem_hess_matrix_embedded,
     riem_hess_quad_embedded,
     tangent_basis,
     tangent_project,
@@ -27,6 +27,7 @@ from georank.transport import forward_map, inverse_map
 from util import (
     ALL_QUOTIENTS,
     count_calls,
+    counting,
     geometry_metric_combos,
     kind_of,
     polarize,
@@ -229,20 +230,45 @@ class TestRiemHess:
 
     @pytest.mark.parametrize("kind", ["psd", "general"])
     def test_bilinear_form_is_the_polarized_quadratic_form(self, kind):
-        # form(a, b) = form(b, a) = (Q(a+b) - Q(a-b))/4 with Q(v) = form(v),
-        # at non-stationary points, where the curvature term is live
+        # form(a, b) = form(b, a) = (Q(a+b) - Q(a-b))/4 with Q the quadratic
+        # form, at non-stationary points, where the curvature term is live;
+        # form(a, b) and form(b, a) come from two builds, on [a, b] and [b, a]
         rng = np.random.default_rng(12)
         for p1, p2, r in [(6, 5, 2), (5, 4, 1), (7, 3, 3)]:
             p2 = p1 if kind == "psd" else p2
             pt = random_point(EMBEDDED[kind], p1, p2, r, rng)
-            form = riem_hess_form_embedded(pt, random_approx_objective(kind, p1, p2, rng))
+            obj = random_approx_objective(kind, p1, p2, rng)
+
+            def quad(v):
+                return riem_hess_quad_embedded(pt, obj, v)
+
             for _ in range(3):
                 a, b = (tangent_project(pt, rng.standard_normal((p1, p2)))
                         for _ in range(2))
-                scale = sum(abs(form(v)) for v in (a, b, a + b, a - b))
-                value = form(a, b)
-                assert abs(value - form(b, a)) <= 1e-12 * scale
-                assert abs(value - polarize(form, a, b)) <= 1e-12 * scale
+                scale = sum(abs(quad(v)) for v in (a, b, a + b, a - b))
+                value = riem_hess_matrix_embedded(pt, obj, [a, b])[0, 1]
+                swapped = riem_hess_matrix_embedded(pt, obj, [b, a])[0, 1]
+                assert abs(value - swapped) <= 1e-12 * scale
+                assert abs(value - polarize(quad, a, b)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("kind", ["psd", "general"])
+    def test_tangent_at_another_point_rejected(self, kind):
+        # alone or among tangents at pt, before the objective is evaluated;
+        # a twin point with the same matrix is another point too
+        rng = np.random.default_rng(14)
+        p1, p2 = (5, 5) if kind == "psd" else (5, 4)
+        pt = random_point(EMBEDDED[kind], p1, p2, 2, rng)
+        obj, calls = counting(random_approx_objective(kind, p1, p2, rng))
+        here = tangent_project(pt, rng.standard_normal((p1, p2)))
+        for other in (random_point(EMBEDDED[kind], p1, p2, 2, rng),
+                      embed_point(pt.X, 2, kind)):
+            there = tangent_project(other, rng.standard_normal((p1, p2)))
+            for tangents in ([there], [here, there], [there, here]):
+                with pytest.raises(ValueError, match="not based"):
+                    riem_hess_matrix_embedded(pt, obj, tangents)
+            with pytest.raises(ValueError, match="not based"):
+                riem_hess_quad_embedded(pt, obj, there)
+        assert calls == {"egrad": 0, "ehess_vec": 0}
 
 
 class TestRetract:

@@ -142,8 +142,11 @@ class TestHessianSpectrum:
         # nearly parallel factor columns make the q1 Gram matrix explode
         y = np.ones((6, 2)) + 1e-4 * rng.standard_normal((6, 2))
         z = quotient_point("psd_q1", y)
+        obj, calls = counting(obj)
         with pytest.raises(ConditioningError):
             hessian_spectrum(z, obj, metric_family("psd_q1", "flat"))
+        # the Gram is checked before any Hessian or gradient work
+        assert calls == {"egrad": 0, "ehess_vec": 0}, calls
 
     def test_metric_must_match_the_point(self):
         # the point names its geometry: an embedded one takes no metric, a
@@ -237,15 +240,14 @@ class TestVerifySandwich:
         # a fault confined to gen_q2's skew block of the horizontal basis, at
         # 1e-6 of the form, fails the identity on every FOSP
         geo = REGISTRY["gen_q2"]
-        original = type(geo).hess_form
+        original = type(geo).hess_matrix
 
-        def perturbed(self, z, obj, wt):
-            form = original(self, z, obj, wt)
+        def perturbed(self, z, obj, wt, parts):
             u = z.factors[0]
-            return lambda a, b: form(a, b) + 1e-6 * float(
-                np.sum(skew(u.T @ a[0]) * skew(u.T @ b[0])))
+            skews = np.array([skew(u.T @ a[0]).ravel() for a in parts])
+            return original(self, z, obj, wt, parts) + 1e-6 * skews @ skews.T
 
-        monkeypatch.setattr(type(geo), "hess_form", perturbed)
+        monkeypatch.setattr(type(geo), "hess_matrix", perturbed)
         met = metric_family("gen_q2", "polar")
         for shape in ((6, 5), (10, 8)):
             obj = make_matrix_approx(np.random.default_rng(31).standard_normal(shape))

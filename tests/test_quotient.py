@@ -25,6 +25,7 @@ from georank.quotient import (
     quotient_point,
     random_horizontal,
     riem_grad_quotient,
+    riem_hess_matrix_quotient,
     riem_hess_quad_quotient,
     total_curve,
     vertical_project,
@@ -35,6 +36,7 @@ from util import (
     ALL_QUOTIENTS,
     act_on_horizontal,
     act_on_point,
+    counting,
     geometry_metric_combos,
     hv_gap,
     kind_of,
@@ -403,6 +405,29 @@ class TestRiemHess:
                 z2, obj, met, act_on_horizontal(theta, z2, g)
             )
             assert q1 == pytest.approx(q2, rel=1e-10)
+
+    def test_vector_at_another_representative_rejected(self):
+        # the same horizontal vector moved to a gauge-moved representative of
+        # the same matrix, alone or among vectors at z, before the objective
+        # is evaluated
+        rng = np.random.default_rng(23)
+        for geo, met in geometry_metric_combos(ALL_QUOTIENTS):
+            z = _instance(geo, rng)
+            obj, calls = counting(_objective(geo, rng))
+            g = (
+                rng.standard_normal((R, R)) + 2 * np.eye(R)
+                if geo == "gen_q1"
+                else qf(rng.standard_normal((R, R)))
+            )
+            z2 = act_on_point(z, g)
+            here = random_horizontal(z, met, rng)
+            there = act_on_horizontal(here, z2, g)
+            for vectors in ([there], [here, there], [there, here]):
+                with pytest.raises(ValueError, match="not based"):
+                    riem_hess_matrix_quotient(z, obj, met, vectors)
+            with pytest.raises(ValueError, match="not based"):
+                riem_hess_quad_quotient(z, obj, met, there)
+            assert calls == {"egrad": 0, "ehess_vec": 0}, geo
 
     def test_non_horizontal_rejected(self):
         rng = np.random.default_rng(22)

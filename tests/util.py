@@ -35,7 +35,7 @@ from georank.quotient import (
     metric_family,
     quotient_point,
     random_point,
-    riem_hess_form_quotient,
+    riem_hess_quad_quotient,
     total_curve,
 )
 
@@ -163,7 +163,7 @@ def mixed_basis_spectrum(z, obj, metric, rng):
     """Quotient Hessian spectrum assembled by polarization of the quadratic
     form over a random invertible recombination of the structured horizontal
     basis. The spectrum does not depend on the basis, so it must match
-    ``hessian_spectrum``, which evaluates the bilinear form directly."""
+    ``hessian_spectrum``, which builds the Hessian matrix directly."""
     basis, gram = horizontal_basis(z, metric)
     d = len(basis)
     c = rng.standard_normal((d, d)) / np.sqrt(d) + np.eye(d)
@@ -174,7 +174,9 @@ def mixed_basis_spectrum(z, obj, metric, rng):
             v = v + basis[i] * c[i, j]
         mixed.append(v)
 
-    quad = riem_hess_form_quotient(z, obj, metric)
+    def quad(v):
+        return riem_hess_quad_quotient(z, obj, metric, v)
+
     h = np.zeros((d, d))
     for i in range(d):
         h[i, i] = quad(mixed[i])
@@ -186,6 +188,11 @@ def mixed_basis_spectrum(z, obj, metric, rng):
 # Hand-derived gradient lifts and Hessian forms, one per geometry, kept as
 # oracles for the forms the library derives from each factor map's chain.
 # Their differential is the library's.
+
+
+def ehess_quad(obj, x, d):
+    """The Euclidean Hessian form <ehess_vec(X, D), D>."""
+    return _dot(obj.ehess_vec(x, d), d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,7 +228,7 @@ class HandPsdQ1(PsdQ1):
     def hess_quad(self, z, obj, wt, theta, x, nabla):
         yfac = z.factor("Y")
         (ty,) = theta
-        out = obj.ehess_quad(x, self.differential(z, theta))
+        out = ehess_quad(obj, x, self.differential(z, theta))
         out += 2.0 * _dot(nabla, ty @ ty.T)
         out += 2.0 * _dot(nabla @ yfac @ wt.dw_inv(theta), ty @ wt.w)
         grad = self.grad_lift(z, wt, nabla)
@@ -239,7 +246,7 @@ class HandPsdQ2(PsdQ2):
     def hess_quad(self, z, obj, wt, theta, x, nabla):
         u, b = z.factors
         tu, tb = theta
-        out = obj.ehess_quad(x, self.differential(z, theta))
+        out = ehess_quad(obj, x, self.differential(z, theta))
         out += 2.0 * _dot(nabla, tu @ b @ tu.T)
         wb, vb = wt.w, wt.v
         inner = (
@@ -265,7 +272,7 @@ class HandGenQ1(GenQ1):
     def hess_quad(self, z, obj, wt, theta, x, nabla):
         lfac, rfac = z.factors
         tl, tr = theta
-        out = obj.ehess_quad(x, self.differential(z, theta))
+        out = ehess_quad(obj, x, self.differential(z, theta))
         out += 2.0 * _dot(nabla, tl @ tr.T)
         out += _dot(nabla @ rfac @ wt.dw_inv(theta), tl @ wt.w)
         out += _dot(nabla.T @ lfac @ wt.dv_inv(theta), tr @ wt.v)
@@ -291,7 +298,7 @@ class HandGenQ2(GenQ2):
     def hess_quad(self, z, obj, wt, theta, x, nabla):
         u, b, v = z.factors
         tu, tb, tv = theta
-        out = obj.ehess_quad(x, self.differential(z, theta))
+        out = ehess_quad(obj, x, self.differential(z, theta))
         out += 2.0 * _dot(nabla, tu @ b @ tv.T)
         delta = u.T @ nabla @ v
         dprime = tu.T @ nabla @ v
@@ -316,7 +323,7 @@ class HandGenQ3(GenQ3):
     def hess_quad(self, z, obj, wt, theta, x, nabla):
         u, yfac = z.factors
         tu, ty = theta
-        out = obj.ehess_quad(x, self.differential(z, theta))
+        out = ehess_quad(obj, x, self.differential(z, theta))
         out += 2.0 * _dot(nabla, tu @ ty.T)
         out -= _dot(u.T @ nabla @ yfac, tu.T @ tu)
         out += _dot(nabla.T @ u @ wt.dw_inv(theta), ty @ wt.w)
