@@ -302,6 +302,8 @@ def riem_hess_quad_embedded(pt: EmbeddedPoint, obj: Objective,
 
 def retract(pt: EmbeddedPoint, xi: EmbeddedTangent, t: float) -> EmbeddedPoint:
     """Projection retraction: rank-r truncation of X + t * xi."""
+    if xi.base is not pt:
+        raise ValueError("tangent vector is not based at the given point")
     if not np.isfinite(t):
         raise ValueError("step must be finite")
     return project_rank_r(pt.X + t * xi.ambient(), pt.r, pt.kind)

@@ -9,7 +9,8 @@ matrices; the gradient flows avoid the last by truncating from factors
 The geometries' Sylvester operators are symmetric, and their coefficients
 depend only on the point and the metric: ``SymmetricSylvester`` factors one
 with an eigendecomposition of each coefficient, once per (point, metric),
-and each solve is then a few r x r products. ``solve_sylvester`` is the
+kept in the point's ``quotient.Weights`` record for the metric, and each
+solve is then a few r x r products. ``solve_sylvester`` is the
 general Kronecker-vectorized solver, which no geometry calls; the tests
 hold the factored solver to it.
 """

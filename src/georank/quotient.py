@@ -23,9 +23,10 @@ computed once and each vector's differential and weight derivatives once.
 
 A quotient point caches the embedded-geometry frame built from its own
 factors, so transports to the embedded tangent space are free of rotation
-ambiguity, and, evaluated once, each metric's weights and inverses, B^-1,
-and the symmetric Sylvester operators of L^-1 and of the q1 vertical
-projections, each factored by one eigendecomposition per (point, metric).
+ambiguity, and one ``Weights`` record per metric family used at it: the
+weights and their inverses, and the constants that
+``QuotientGeometry.constants`` builds on first use (P^-1, B^-1 and the
+factored Sylvester operators of L^-1 and of the q1 vertical projections).
 
 Horizontal vectors are stored in ambient total-space coordinates. Those the
 library makes (projections, bases, gradient lifts, ``transport.inverse_map``)
@@ -36,7 +37,6 @@ defect above 1e-8 is an error. Nothing is silently re-projected.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple, Optional
 
@@ -67,7 +67,8 @@ EMBEDDED = {"psd": "psd_embedded", "general": "gen_embedded"}
 
 @dataclass(frozen=True, eq=False)
 class QuotientPoint:
-    """A total-space representative plus its matched embedded frame."""
+    """A total-space representative plus its matched embedded frame, and
+    the ``Weights`` of each metric family used at it."""
 
     geometry: str
     factors: tuple
@@ -85,36 +86,13 @@ class QuotientPoint:
     def factor(self, name: str) -> np.ndarray:
         return self.factors[FACTOR_NAMES[self.geometry].index(name)]
 
-    @cached_property
-    def P(self) -> np.ndarray:
-        """U_frame^T Y for psd_q1 (invertible r x r)."""
-        return _read_only(self.point.U.T @ self.factor("Y"))
-
-    @cached_property
-    def P1(self) -> np.ndarray:
-        return _read_only(self.point.U.T @ self.factor("L"))
-
-    @cached_property
-    def P2(self) -> np.ndarray:
-        return _read_only(self.point.V.T @ self.factor("R"))
-
-    @cached_property
-    def binv(self) -> np.ndarray:
-        """B^-1 for the geometries with an SPD core factor."""
-        return _read_only(spd_functions(self.factor("B")).inv)
-
-    @cached_property
-    def b_sylvester(self) -> SymmetricSylvester:
-        """B X + X B factored, for gen_q2's inverse and gradient conversion."""
-        b = self.factor("B")
-        return SymmetricSylvester(b, b)
-
     def weights(self, metric: "MetricFamily") -> "Weights":
-        """The metric's weights at this point, evaluated on first use."""
+        """The metric's ``Weights`` at this point, evaluated on first use and
+        kept per family object."""
         _check_metric(self, metric)
-        if metric.name not in self._weights:
-            self._weights[metric.name] = Weights.at(self, metric)
-        return self._weights[metric.name]
+        if metric not in self._weights:
+            self._weights[metric] = Weights.at(self, metric)
+        return self._weights[metric]
 
 
 def _read_only(a):
@@ -278,17 +256,18 @@ class MetricFamily:
 
 @dataclass(frozen=True, eq=False)
 class Weights:
-    """A metric family's weights and their inverses at one point, and for
-    the q1 geometries, once asked for, the point's ``Operator`` under the
-    metric. It holds no reference to the point, which caches it, so a point
-    is freed as soon as it is dropped."""
+    """What a point determines under one metric family: the weights, their
+    inverses and ``constants``, the geometry's constants at the point under
+    the metric, which ``QuotientGeometry.constants`` fills on first use. It
+    holds no reference to the point, which caches it, so a point is freed as
+    soon as it is dropped."""
 
     metric: MetricFamily
     w: np.ndarray
     w_inv: np.ndarray
     v: Optional[np.ndarray] = None
     v_inv: Optional[np.ndarray] = None
-    _operator: Optional["Operator"] = field(default=None, init=False, repr=False)
+    constants: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def at(cls, z: QuotientPoint, metric: MetricFamily) -> "Weights":
@@ -297,24 +276,6 @@ class Weights:
             values[key] = w = _read_only(spec.value(z))
             values[f"{key}_inv"] = _read_only(spd_functions(w).inv)
         return cls(metric, **values)
-
-    def operator(self, z: QuotientPoint) -> "Operator":
-        """The q1 geometry's ``Operator`` at z, the point these weights
-        belong to, built on first use: the gradient lift and L need only the
-        weights, and an ill-separated operator must not fail them."""
-        if self._operator is None:
-            # the one field set after construction
-            object.__setattr__(self, "_operator", REGISTRY[z.geometry].operator(z, self))
-        return self._operator
-
-
-class Operator(NamedTuple):
-    """A q1 geometry's constants at one (point, metric): the inverses of the
-    frame coefficients (P, or P1 and P2, read-only) and the factored
-    Sylvester operator of L^-1 and of the vertical projection."""
-
-    pinv: tuple
-    sylvester: SymmetricSylvester
 
 
 def metric_choices(geometry: str):
@@ -588,6 +549,8 @@ def total_curve(z: QuotientPoint, theta: HorizontalVector):
     factors. Used by the finite-difference oracles for gradients (any t) and
     for Hessians at stationary points (curve-independence holds there).
     """
+    if theta.base is not z:
+        raise ValueError("horizontal vector is not based at the given point")
     geo = REGISTRY[z.geometry]
 
     def curve(t):
@@ -635,9 +598,9 @@ class QuotientGeometry:
     - ``lift(x_pt, sig, root)``: canonical factors of a spectral frame;
     - ``vertical(z, parts, wt)``: vertical part of a tangent vector (the
       base class covers O(r) acting on a total space with a Stiefel factor);
-    - ``operator(z, wt)``: for a metric-dependent horizontal space (the q1
-      geometries), the point's ``Operator`` under the metric, which
-      ``Weights.operator`` caches;
+    - ``build_constants(z, wt)``, where the geometry has constants: those
+      at z under the metric, a dict of read-only values, which
+      ``constants`` keeps in ``wt``;
     - ``basis(z, wt)``: a structured basis of the horizontal space;
     - ``inverse(z, xi, wt)``: the inverse of L on the embedded tangent space;
     - ``bounds(z, wt)``: (alpha, beta) with alpha g <= ||L||^2 <= beta g;
@@ -655,6 +618,14 @@ class QuotientGeometry:
         names = [f.name for f in self.factors]
         self.links = tuple((names.index(link.removesuffix("^T")), link.endswith("^T"))
                            for link in self.chain)
+
+    def constants(self, z, wt) -> dict:
+        """The geometry's constants at z under wt's metric, built on first use
+        and kept in ``wt``: the gradient lift and L need only the weights, and
+        an ill-separated operator must not fail them."""
+        if not wt.constants:
+            wt.constants.update(self.build_constants(z, wt))
+        return wt.constants
 
     def _product(self, base, read=None, lo=0, hi=None):
         """Product of the links lo..hi-1 of the chain, the link at position k
@@ -848,35 +819,39 @@ class PsdQ1(QuotientGeometry):
     def lift(self, x_pt, sig, root):
         return (x_pt.U @ root,)
 
-    def operator(self, z, wt):
-        """P^-1 and M X + X M factored, M = P^-T W P^-1."""
-        pinv = _read_only(np.linalg.inv(z.P))
+    def build_constants(self, z, wt):
+        """P = U_frame^T Y (invertible r x r), P^-1 and M X + X M factored,
+        M = P^-T W P^-1."""
+        p = _read_only(z.point.U.T @ z.factor("Y"))
+        pinv = _read_only(np.linalg.inv(p))
         m = sym(pinv.T @ wt.w @ pinv)
-        return Operator((pinv,), SymmetricSylvester(m, m))
+        return {"p": p, "pinv": pinv, "sylvester": SymmetricSylvester(m, m)}
 
     def vertical(self, z, parts, wt):
-        u, p = z.point.U, z.P
-        (pinv,), op = wt.operator(z)
-        a = u.T @ parts[0] @ p.T
+        u, c = z.point.U, self.constants(z, wt)
+        op = c["sylvester"]
+        a = u.T @ parts[0] @ c["p"].T
         omega = op.solve(2.0 * skew(a @ op.a))
-        return (u @ omega @ pinv.T,)
+        return (u @ omega @ c["pinv"].T,)
 
     def basis(self, z, wt):
         u, uperp = z.point.U, z.point.Uperp
-        (pinv,), op = wt.operator(z)
+        c = self.constants(z, wt)
+        pinv, op = c["pinv"], c["sylvester"]
         minv = sym((op.qa / op.la) @ op.qa.T)
         vecs = [(u @ (a @ minv) @ pinv.T,) for a in sym_basis(z.r)]
         vecs += [(uperp @ e @ pinv.T,) for e in unit_basis(uperp.shape[1], z.r)]
         return vecs
 
     def inverse(self, z, xi, wt):
-        (pinv,), op = wt.operator(z)
+        c = self.constants(z, wt)
+        op = c["sylvester"]
         s_prime = op.solve(op.a @ xi.S)
-        return ((z.point.U @ s_prime + xi.Up) @ pinv.T,)
+        return ((z.point.U @ s_prime + xi.Up) @ c["pinv"].T,)
 
     def bounds(self, z, wt):
         # the extreme eigenvalues of M^-1 = P W^-1 P^T
-        la = wt.operator(z).sylvester.la
+        la = self.constants(z, wt)["sylvester"].la
         return 2.0 / float(la[-1]), 4.0 / float(la[0])
 
     def grad_embedded(self, z, wt, grad):
@@ -904,6 +879,10 @@ class PsdQ2(QuotientGeometry):
     def lift(self, x_pt, sig, root):
         return (x_pt.U, sig)
 
+    def build_constants(self, z, wt):
+        """B^-1."""
+        return {"binv": _read_only(spd_functions(z.factor("B")).inv)}
+
     def basis(self, z, wt):
         u = z.factor("U")
         uperp = z.point.Uperp
@@ -913,7 +892,7 @@ class PsdQ2(QuotientGeometry):
         return vecs
 
     def inverse(self, z, xi, wt):
-        return (xi.Up @ z.binv, sym(xi.S))
+        return (xi.Up @ self.constants(z, wt)["binv"], sym(xi.S))
 
     def bounds(self, z, wt):
         b = z.factor("B")
@@ -924,7 +903,7 @@ class PsdQ2(QuotientGeometry):
     def grad_embedded(self, z, wt, grad):
         u, b = z.factors
         gu, gb = grad
-        a = gu @ wt.v @ z.binv @ u.T / 2.0
+        a = gu @ wt.v @ self.constants(z, wt)["binv"] @ u.T / 2.0
         return a + a.T + u @ wt.w @ gb @ wt.w @ u.T
 
 
@@ -948,26 +927,30 @@ class GenQ1(QuotientGeometry):
     def lift(self, x_pt, sig, root):
         return (x_pt.U @ root, x_pt.V @ root)
 
-    def operator(self, z, wt):
-        """P1^-1, P2^-1 and M2 X + X M1 factored, M1 = P1 V^-1 P1^T and
-        M2 = P2 W^-1 P2^T; L^-1 solves its transpose."""
-        p1, p2 = z.P1, z.P2
+    def build_constants(self, z, wt):
+        """P1 = U^T L, P2 = V^T R, their inverses and M2 X + X M1 factored,
+        M1 = P1 V^-1 P1^T and M2 = P2 W^-1 P2^T; L^-1 solves its transpose."""
+        p1 = _read_only(z.point.U.T @ z.factor("L"))
+        p2 = _read_only(z.point.V.T @ z.factor("R"))
         m1, m2 = sym(p1 @ wt.v_inv @ p1.T), sym(p2 @ wt.w_inv @ p2.T)
-        return Operator((_read_only(np.linalg.inv(p1)), _read_only(np.linalg.inv(p2))),
-                        SymmetricSylvester(m2, m1))
+        return {"p1": p1, "p2": p2, "p1inv": _read_only(np.linalg.inv(p1)),
+                "p2inv": _read_only(np.linalg.inv(p2)),
+                "sylvester": SymmetricSylvester(m2, m1)}
 
     def vertical(self, z, parts, wt):
         u, v = z.point.U, z.point.V
-        (p1inv, p2inv), op = wt.operator(z)
-        a1 = u.T @ parts[0] @ z.P2.T
-        a2 = v.T @ parts[1] @ z.P1.T
+        c = self.constants(z, wt)
+        op = c["sylvester"]
+        a1 = u.T @ parts[0] @ c["p2"].T
+        a2 = v.T @ parts[1] @ c["p1"].T
         sv = op.solve(a1.T @ op.b - op.a @ a2).T
-        return (u @ sv @ p2inv.T, -v @ sv.T @ p1inv.T)
+        return (u @ sv @ c["p2inv"].T, -v @ sv.T @ c["p1inv"].T)
 
     def basis(self, z, wt):
         u, v = z.point.U, z.point.V
         uperp, vperp = z.point.Uperp, z.point.Vperp
-        (p1inv, p2inv), op = wt.operator(z)
+        c = self.constants(z, wt)
+        p1inv, p2inv, op = c["p1inv"], c["p2inv"], c["sylvester"]
         m1, m2 = op.b, op.a
         zl, zr = np.zeros_like(z.factor("L")), np.zeros_like(z.factor("R"))
         vecs = [(u @ e @ m2 @ p2inv.T, v @ e.T @ m1 @ p1inv.T)
@@ -977,16 +960,16 @@ class GenQ1(QuotientGeometry):
         return vecs
 
     def inverse(self, z, xi, wt):
-        pt = z.point
-        (p1inv, p2inv), op = wt.operator(z)
+        pt, c = z.point, self.constants(z, wt)
+        op = c["sylvester"]
         # M1 S' + S' M2 = S, solved as its transpose
         s_prime = op.solve(xi.S.T).T
-        tl = (pt.U @ s_prime @ op.a + xi.Up) @ p2inv.T
-        tr = (pt.V @ s_prime.T @ op.b + xi.Vp) @ p1inv.T
+        tl = (pt.U @ s_prime @ op.a + xi.Up) @ c["p2inv"].T
+        tr = (pt.V @ s_prime.T @ op.b + xi.Vp) @ c["p1inv"].T
         return (tl, tr)
 
     def bounds(self, z, wt):
-        op = wt.operator(z).sylvester
+        op = self.constants(z, wt)["sylvester"]
         return (float(min(op.la[0], op.lb[0])),
                 2.0 * float(max(op.la[-1], op.lb[-1])))
 
@@ -1016,6 +999,13 @@ class GenQ2(QuotientGeometry):
     def lift(self, x_pt, sig, root):
         return (x_pt.U, sig, x_pt.V)
 
+    def build_constants(self, z, wt):
+        """B^-1 and B X + X B factored, for the inverse and the gradient
+        conversion."""
+        b = z.factor("B")
+        return {"binv": _read_only(spd_functions(b).inv),
+                "sylvester": SymmetricSylvester(b, b)}
+
     def grad_lift(self, z, wt, nabla):
         """The base lift plus (U mix, 0, -V mix), mix = (K B + B K)/2 with
         K = skew(U^T nabla V), which makes it horizontal."""
@@ -1038,8 +1028,9 @@ class GenQ2(QuotientGeometry):
 
     def inverse(self, z, xi, wt):
         u, _, v = z.factors
-        binv = z.binv
-        omega = z.b_sylvester.solve(skew(xi.S))
+        c = self.constants(z, wt)
+        binv = c["binv"]
+        omega = c["sylvester"].solve(skew(xi.S))
         tu = xi.Up @ binv + u @ omega
         tv = xi.Vp @ binv - v @ omega
         return (tu, sym(xi.S), tv)
@@ -1052,9 +1043,10 @@ class GenQ2(QuotientGeometry):
     def grad_embedded(self, z, wt, grad):
         u, _, v = z.factors
         gu, gb, gv = grad
-        binv = z.binv
+        c = self.constants(z, wt)
+        binv = c["binv"]
         # skew part of Delta solves B K + K B = 2 gu^T U with K = skew(Delta)^T
-        k = z.b_sylvester.solve(2.0 * gu.T @ u)
+        k = c["sylvester"].solve(2.0 * gu.T @ u)
         delta = binv @ gb @ binv + k.T
         pgu = gu - u @ (u.T @ gu)
         pgv = gv - v @ (v.T @ gv)

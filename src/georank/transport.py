@@ -14,9 +14,10 @@ L(theta) is returned in the embedded tangent's factored form (S, Up, Vp), the
 tangent projection of the differential. The inverses read the factors
 directly, except for an r x r Sylvester sub-solve in psd_q1, gen_q1, and
 gen_q2, whose operator depends only on the point and the metric: it is
-factored by one eigendecomposition per (point, metric), cached with the
-point's weights (B's, for gen_q2, with the point), and each solve is a few
-r x r products. The squared Frobenius norm of L is bounded above and below by
+factored by one eigendecomposition per (point, metric) and kept, with P^-1
+or B^-1, in the point's ``Weights`` record for that metric
+(``QuotientGeometry.constants``), and each solve is a few r x r products.
+The squared Frobenius norm of L is bounded above and below by
 metric-dependent coefficients (alpha, beta), which are the gap coefficients
 of the Hessian-spectrum sandwich inequalities.
 

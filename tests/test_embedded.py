@@ -278,6 +278,13 @@ class TestRetract:
         xi = tangent_project(pt, rng.standard_normal((5, 4)))
         np.testing.assert_allclose(retract(pt, xi, 0.0).X, pt.X, atol=1e-12)
 
+    def test_tangent_at_another_point_rejected(self):
+        rng = np.random.default_rng(15)
+        pt, other = (random_point("gen_embedded", 5, 4, 2, rng) for _ in range(2))
+        xi = tangent_project(other, rng.standard_normal((5, 4)))
+        with pytest.raises(ValueError, match="not based"):
+            retract(pt, xi, 1e-3)
+
     def test_core_block_step_exact(self):
         # X + t U S U^T is already rank r, so the projection returns it
         rng = np.random.default_rng(13)

@@ -75,8 +75,8 @@ def test_report_matches_golden(name, tmp_path):
 
 
 # Sylvester operators factored by a bijection-roundtrip golden report: one
-# per (point, metric) for psd_q1 (3 families) and gen_q1 (2), one per point
-# for gen_q2's B, with a new point for each of the 2 trials of every row
+# per (point, metric) for psd_q1 (3 families), gen_q1 (2) and gen_q2's B (1
+# family), with a new point for each of the 2 trials of every row
 FACTORIZATIONS = {"psd": 3 * 2, "general": (2 + 1) * 2}
 
 

@@ -13,6 +13,8 @@ from georank.objectives import make_matrix_approx
 from georank.quotient import (
     REGISTRY,
     HorizontalVector,
+    MetricFamily,
+    Weight,
     horizontal_basis,
     horizontal_project,
     horizontal_vector,
@@ -251,6 +253,20 @@ class TestMetricInner:
         with pytest.raises(ValueError):
             metric_inner(z1, t1, t2, met)
 
+    def test_caller_family_with_a_registry_name_has_its_own_weights(self):
+        # the point keeps weights per family object, not per family name
+        rng = np.random.default_rng(16)
+        z = random_point("psd_q1", 5, 5, R, rng)
+        y, t = z.factor("Y"), rng.standard_normal((5, R))
+        theta = HorizontalVector(z, (t,))
+        flat = metric_family("psd_q1", "flat")
+        scaled = MetricFamily("psd_q1", "flat", "W_Y = 5 Y^T Y",
+                              {"w": Weight("FtF", "Y", 5.0)})
+        assert metric_inner(z, theta, theta, flat) == pytest.approx(
+            np.sum(t * t), rel=1e-12)
+        assert metric_inner(z, theta, theta, scaled) == pytest.approx(
+            5.0 * np.trace(y.T @ y @ t.T @ t), rel=1e-12)
+
 
 class TestRiemGrad:
     def test_zero_at_factorized_stationary_point(self):
@@ -297,6 +313,13 @@ class TestRiemGrad:
                     np.max(np.abs(lhs - rhs)) / max(np.max(np.abs(rhs)), 1e-300),
                 )
             assert worst <= 1e-6, f"{geo}: {worst:.2e}"
+
+    def test_curve_rejects_a_vector_at_another_point(self):
+        rng = np.random.default_rng(18)
+        met = metric_family("gen_q3", "flat")
+        z, other = _instance("gen_q3", rng), _instance("gen_q3", rng)
+        with pytest.raises(ValueError, match="not based"):
+            total_curve(z, random_horizontal(other, met, rng))
 
     def test_gauge_equivariance(self):
         # the lift at a moved representative is the moved lift
@@ -593,13 +616,9 @@ def test_point_is_freed_without_the_cyclic_collector():
         gc.enable()
 
 
-def _operators(z):
-    """Every factored Sylvester operator a point has built, with its P^-1s."""
-    out = [(wt._operator.sylvester, wt._operator.pinv) for wt in z._weights.values()
-           if wt._operator is not None]
-    if "b_sylvester" in vars(z):
-        out.append((z.b_sylvester, ()))
-    return out
+def _constants(z):
+    """Every constants record that a point's weights hold, once built."""
+    return [wt.constants for wt in z._weights.values() if wt.constants]
 
 
 def _roundtrip(z, met, rng):
@@ -610,9 +629,9 @@ def _roundtrip(z, met, rng):
 
 
 class TestOperatorCache:
-    """The Sylvester operators of L^-1 and of the q1 vertical projections are
-    factored once per (point, metric), B's once per point, and kept where
-    the weights are."""
+    """The Sylvester operators of L^-1, of the q1 vertical projections and
+    of gen_q2's B are factored once per (point, metric), and kept, with
+    P^-1 and B^-1, in the one record of the weights."""
 
     def test_each_metric_family_has_its_own_factor(self):
         rng = np.random.default_rng(31)
@@ -621,10 +640,10 @@ class TestOperatorCache:
             names = list(REGISTRY[geo].families)
             for name in names:
                 _roundtrip(z, metric_family(geo, name), rng)
-            ops = [z.weights(metric_family(geo, name)).operator(z).sylvester
+            ops = [z.weights(metric_family(geo, name)).constants["sylvester"]
                    for name in names]
             assert all(isinstance(op, SymmetricSylvester) for op in ops)
-            assert len({id(op) for op in ops}) == len(names) == len(_operators(z))
+            assert len({id(op) for op in ops}) == len(names) == len(_constants(z))
             assert not np.allclose(ops[0].a, ops[1].a)
 
     def test_gradient_and_forward_map_build_no_operator(self):
@@ -636,31 +655,34 @@ class TestOperatorCache:
         obj = make_matrix_approx(sym(rng.standard_normal((6, 6))), symmetric=True)
         grad = riem_grad_quotient(z, obj, met)
         forward_map(z, grad, met)
-        assert not _operators(z)
+        assert not _constants(z)
         with pytest.raises(ConditioningError):
             inverse_map(z, forward_map(z, grad, met), met)
 
-    @pytest.mark.parametrize("geo", ["psd_q1", "gen_q1", "gen_q2"])
+    @pytest.mark.parametrize("geo", ["psd_q1", "psd_q2", "gen_q1", "gen_q2"])
     def test_cached_arrays_are_read_only(self, geo):
         rng = np.random.default_rng(33)
         z = _instance(geo, rng)
         for _, met in geometry_metric_combos([geo]):
             _roundtrip(z, met, rng)
-        ops = _operators(z)
-        assert ops
-        for op, pinv in ops:
-            for a in list(pinv) + [op.a, op.b, op.la, op.qa, op.lb, op.qb, op.denom]:
-                assert not a.flags.writeable
-                with pytest.raises(ValueError):
-                    a[...] = 0.0
+        records = _constants(z)
+        assert len(records) == len(REGISTRY[geo].families)
+        for record in records:
+            for value in record.values():
+                arrays = [value] if isinstance(value, np.ndarray) else [
+                    value.a, value.b, value.la, value.qa, value.lb, value.qb, value.denom]
+                for a in arrays:
+                    assert not a.flags.writeable
+                    with pytest.raises(ValueError):
+                        a[...] = 0.0
 
-    @pytest.mark.parametrize("geo", ["psd_q1", "gen_q1", "gen_q2"])
+    @pytest.mark.parametrize("geo", ["psd_q1", "psd_q2", "gen_q1", "gen_q2"])
     def test_point_with_factored_operators_is_freed(self, geo):
         rng = np.random.default_rng(34)
         z = _instance(geo, rng)
         for _, met in geometry_metric_combos([geo]):
             _roundtrip(z, met, rng)
-        assert _operators(z)
+        assert _constants(z)
         ref = weakref.ref(z)
         gc.disable()
         try:

@@ -305,7 +305,7 @@ class HandGenQ2(GenQ2):
         dsecond = u.T @ nabla @ tv
         utu = u.T @ tu
         vtv = v.T @ tv
-        binv = z.binv
+        binv = np.linalg.inv(b)
         out += _dot(delta, sym(utu @ utu) @ b + b @ sym(vtv @ utu) - 2.0 * tu.T @ tu @ b) / 2.0
         out += _dot(delta, b @ sym(vtv @ vtv) + sym(utu @ vtv) @ b
                     - 2.0 * b @ tv.T @ tv + 2.0 * tb @ binv @ tb) / 2.0
