@@ -412,7 +412,7 @@ def cmd_flow_compare(plan, obj, rng):
         f_q1 = flow_field(pt, obj, q1).ambient()
         pu = pt.U @ pt.U.T
         nabla = obj.egrad(pt.X)
-        pr = pu @ nabla @ pu if case == "psd" else pu @ nabla @ (pt.V @ pt.V.T)
+        pr = pu @ nabla @ (pt.V @ pt.V.T)
         resids.append(np.linalg.norm((f_emb - f_q1) - pr) / max(1.0, np.linalg.norm(pr)))
     worst = _worst(resids)
     checks.append(_check(f"flow-difference/{q1[0]}",

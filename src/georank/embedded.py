@@ -1,18 +1,17 @@
 """Embedded geometry of the fixed-rank PSD and general matrix manifolds.
 
-Points are stored with cached factors: a rank-r PSD matrix as X = U S U^T
-with U orthonormal, a rank-r general matrix as X = U S V^T. Tangent vectors
-are stored in factored form (Vandereycken, SIAM J. Optim. 2013), as an r x r
-core S and p x r factors orthogonal to the frame:
+Both kinds share one factored form (Vandereycken, SIAM J. Optim. 2013): a
+rank-r point is X = U S V^T with orthonormal frames U, V, and a tangent
+vector is an r x r core S with p x r factors orthogonal to the frames,
 
-    psd:      U S U^T + Up U^T + U Up^T,   S symmetric,  U^T Up = 0
-    general:  U S V^T + Up V^T + U Vp^T,   U^T Up = 0,   V^T Vp = 0
+    U S V^T + Up V^T + U Vp^T,   U^T Up = 0,   V^T Vp = 0.
 
-so the manifold dimension is p*r - r(r-1)/2 in the PSD case and
-(p1 + p2 - r)*r in the general case. The ambient metric is Frobenius.
-Projection, norms, the Hessian matrix and the retraction need only U and V;
-the orthogonal complements U_perp and V_perp are built on first use, by the
-orthonormal tangent basis.
+The PSD kind is the symmetric case: V is U and Vp is Up, the same arrays,
+and S is symmetric. The manifold dimension is p*r - r(r-1)/2 in the PSD
+case and (p1 + p2 - r)*r in the general case. The ambient metric is
+Frobenius. Projection, norms, the Hessian matrix and the retraction need
+only U and V; the orthogonal complements U_perp and V_perp are built on
+first use, by the orthonormal tangent basis.
 
 ``project_rank_r`` (and with it ``embed_point`` and ``retract``) truncates
 an ambient matrix by a dense p x p eigendecomposition or SVD.
@@ -23,7 +22,6 @@ size at most r(1 + 2m) for m tangents; the gradient flows use it.
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -35,13 +33,18 @@ RANK_GAP_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class EmbeddedPoint:
-    """Rank-r point with cached orthonormal frame and r x r core factor."""
+    """Rank-r point X = U Sigma V^T with cached orthonormal frames and
+    invertible r x r core; V is U itself for the PSD kind."""
 
     kind: str  # "psd" | "general"
     X: np.ndarray
     U: np.ndarray
-    Sigma: np.ndarray  # U^T X U (psd) or U^T X V (general); invertible r x r
-    V: Optional[np.ndarray]
+    Sigma: np.ndarray  # U^T X V
+    V: np.ndarray
+
+    def __post_init__(self):
+        if self.kind == "psd" and self.V is not self.U:
+            raise ValueError("a psd point's V must be its U")
 
     @property
     def r(self) -> int:
@@ -57,53 +60,47 @@ class EmbeddedPoint:
         return orth_complement(self.U)
 
     @cached_property
-    def Vperp(self) -> Optional[np.ndarray]:
-        """Orthonormal basis of the complement of span(V); None for psd."""
-        return None if self.V is None else orth_complement(self.V)
+    def Vperp(self) -> np.ndarray:
+        """Orthonormal basis of the complement of span(V), p2 x (p2 - r);
+        Uperp itself when V is U."""
+        return self.Uperp if self.V is self.U else orth_complement(self.V)
 
 
 @dataclass(frozen=True, eq=False)
 class EmbeddedTangent:
     """Tangent vector in factored form at a fixed point: the core
-    S = U^T xi V, Up = (I - U U^T) xi V and Vp = (I - V V^T) xi^T U, with V
-    read as U and Vp as None for the PSD kind."""
+    S = U^T xi V, Up = (I - U U^T) xi V and Vp = (I - V V^T) xi^T U. For the
+    PSD kind Vp is Up itself, and arithmetic keeps the two shared."""
 
     base: EmbeddedPoint
     S: np.ndarray
     Up: np.ndarray
-    Vp: Optional[np.ndarray]  # None for the PSD kind
+    Vp: np.ndarray
+
+    def __post_init__(self):
+        if self.base.kind == "psd" and self.Vp is not self.Up:
+            raise ValueError("a psd tangent's Vp must be its Up")
 
     def ambient(self) -> np.ndarray:
         pt = self.base
-        if pt.kind == "psd":
-            core = pt.U @ self.S @ pt.U.T
-            off = self.Up @ pt.U.T
-            return core + off + off.T
         return pt.U @ self.S @ pt.V.T + self.Up @ pt.V.T + pt.U @ self.Vp.T
 
     def flat(self) -> np.ndarray:
-        """Coordinates whose dot product is the Frobenius inner product of
-        the ambient matrices: (S, sqrt(2) Up) for psd, (S, Up, Vp) for
-        general."""
-        if self.Vp is None:
-            return np.concatenate([self.S.ravel(), np.sqrt(2.0) * self.Up.ravel()])
+        """Coordinates (S, Up, Vp) whose dot product is the Frobenius inner
+        product of the ambient matrices."""
         return np.concatenate([self.S.ravel(), self.Up.ravel(), self.Vp.ravel()])
 
     def norm(self) -> float:
-        if self.base.kind == "psd":
-            return float(
-                np.sqrt(np.sum(self.S**2) + 2.0 * np.sum(self.Up**2))
-            )
-        return float(
-            np.sqrt(np.sum(self.S**2) + np.sum(self.Up**2) + np.sum(self.Vp**2))
-        )
+        return float(np.sqrt((self.S * self.S).sum() + (self.Up * self.Up).sum()
+                             + (self.Vp * self.Vp).sum()))
 
     def _combine(self, other, sa, sb):
         if other.base is not self.base:
             raise ValueError("tangent arithmetic requires a common base point")
-        vp = None if self.Vp is None else sa * self.Vp + sb * other.Vp
-        return EmbeddedTangent(self.base, sa * self.S + sb * other.S,
-                               sa * self.Up + sb * other.Up, vp)
+        up = sa * self.Up + sb * other.Up
+        shared = self.Vp is self.Up and other.Vp is other.Up
+        vp = up if shared else sa * self.Vp + sb * other.Vp
+        return EmbeddedTangent(self.base, sa * self.S + sb * other.S, up, vp)
 
     def __add__(self, other):
         return self._combine(other, 1.0, 1.0)
@@ -112,8 +109,9 @@ class EmbeddedTangent:
         return self._combine(other, 1.0, -1.0)
 
     def __mul__(self, c):
-        vp = None if self.Vp is None else c * self.Vp
-        return EmbeddedTangent(self.base, c * self.S, c * self.Up, vp)
+        up = c * self.Up
+        vp = up if self.Vp is self.Up else c * self.Vp
+        return EmbeddedTangent(self.base, c * self.S, up, vp)
 
     __rmul__ = __mul__
 
@@ -121,28 +119,30 @@ class EmbeddedTangent:
         return self * (-1.0)
 
 
-def _fix_column_signs(u, v=None):
-    """Make the largest-magnitude entry of each column of U positive.
-
-    For the general kind the corresponding column of V is flipped along with
-    U's, so the represented product is unchanged.
-    """
+def _column_signs(u):
+    """Signs that make the largest-magnitude entry of each column of U
+    positive; flipping V's columns by the same signs keeps U S V^T."""
     flips = np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])])
     flips[flips == 0] = 1.0
-    u = u * flips
-    if v is None:
-        return u, None
-    return u, v * flips
+    return flips
+
+
+def _finite(x):
+    """x itself; a non-finite entry raises ``np.linalg.LinAlgError`` before
+    any decomposition, since LAPACK's SVD need not return on one."""
+    if not np.isfinite(x).all():
+        raise np.linalg.LinAlgError("matrix has a non-finite entry")
+    return x
 
 
 def _top_factors(x, r, kind, left=None, right=None):
-    """Top-r factorization of an ambient matrix, with sign-fixed frames.
+    """Top-r factors (U, Sigma, V) of an ambient matrix, with sign-fixed
+    frames; V is U for the PSD kind.
 
-    Given orthonormal ``left`` (and ``right``, general kind only), x is the
-    core of the matrix left @ x @ right^T, read as left @ x @ left^T for the
-    PSD kind: the core's frames are lifted through them before their signs
-    are fixed, and the rank test reads the core's spectrum, which is the
-    matrix's own up to zeros.
+    Given orthonormal ``left`` and ``right`` (the same for the PSD kind), x
+    is the core of the matrix left @ x @ right^T: the core's frames are
+    lifted through them before their signs are fixed, and the rank test
+    reads the core's spectrum, which is the matrix's own up to zeros.
     """
     x = np.asarray(x, dtype=float)
     if kind == "psd":
@@ -150,7 +150,7 @@ def _top_factors(x, r, kind, left=None, right=None):
             raise ValueError(f"psd kind needs a square matrix, got {x.shape}")
         if np.linalg.norm(x - x.T) > 1e-10 * max(1.0, np.linalg.norm(x)):
             raise ValueError("psd kind requires a symmetric matrix")
-        w, q = np.linalg.eigh(sym(x))
+        w, q = np.linalg.eigh(_finite(sym(x)))
         order = np.argsort(w)[::-1]
         w, q = w[order], q[:, order]
         scale = max(np.max(np.abs(w)), 1e-300)
@@ -160,11 +160,11 @@ def _top_factors(x, r, kind, left=None, right=None):
                 f"(eigenvalue {r} is {w[r - 1]:.3e})"
             )
         q = q[:, :r] if left is None else left @ q[:, :r]
-        u, _ = _fix_column_signs(q)
-        return u, np.diag(w[:r]), None
+        u = q * _column_signs(q)
+        return u, np.diag(w[:r]), u
     if kind != "general":
         raise ValueError(f"unknown manifold kind {kind!r}")
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    u, s, vt = np.linalg.svd(_finite(x), full_matrices=False)
     if s[r - 1] <= RANK_GAP_TOL * max(s[0], 1e-300):
         raise RankError(
             f"matrix is not numerically rank {r} (singular value {r} is {s[r-1]:.3e})"
@@ -172,14 +172,13 @@ def _top_factors(x, r, kind, left=None, right=None):
     u, v = u[:, :r], vt[:r].T
     if left is not None:
         u, v = left @ u, right @ v
-    u, v = _fix_column_signs(u, v)
-    return u, np.diag(s[:r]), v
+    flips = _column_signs(u)
+    return u * flips, np.diag(s[:r]), v * flips
 
 
 def _point_from_factors(kind, u, sigma, v):
-    if kind == "psd":
-        return EmbeddedPoint("psd", sym(u @ sigma @ u.T), u, sigma, None)
-    return EmbeddedPoint("general", u @ sigma @ v.T, u, sigma, v)
+    x = u @ sigma @ v.T
+    return EmbeddedPoint(kind, sym(x) if kind == "psd" else x, u, sigma, v)
 
 
 def embed_point(x, r, kind) -> EmbeddedPoint:
@@ -208,24 +207,24 @@ def truncate_sum(pt: EmbeddedPoint, terms) -> EmbeddedPoint:
 
     The sum is L C R^T: X contributes (U, Sigma, V), and a tangent at a
     point with frame (U_b, V_b) contributes [U_b, Up] [[S, I], [I, 0]]
-    [V_b, Vp]^T, with V read as U for the PSD kind. Reduced QRs of the
-    stacked factors, L = Q_L R_L and R = Q_R R_R, leave the core
-    R_L C R_R^T, at most k = r (1 + 2m) square for m tangents, whose top-r
-    factors lifted through Q_L and Q_R are those of the sum (Absil &
-    Oseledets, "Low-rank retractions: a survey and new results", Comput.
-    Optim. Appl. 2015). Householder QR returns an orthonormal Q for a
-    rank-deficient or wide stack, so k >= p needs no other path. The rank
-    test and the sign convention are ``project_rank_r``'s.
+    [V_b, Vp]^T. Reduced QRs of the stacked factors, L = Q_L R_L and
+    R = Q_R R_R, leave the core R_L C R_R^T, at most k = r (1 + 2m) square
+    for m tangents, whose top-r factors lifted through Q_L and Q_R are those
+    of the sum (Absil & Oseledets, "Low-rank retractions: a survey and new
+    results", Comput. Optim. Appl. 2015). For the PSD kind the two stacks
+    are the same, and so is their QR. Householder QR returns an orthonormal
+    Q for a rank-deficient or wide stack, so k >= p needs no other path. The
+    rank test and the sign convention are ``project_rank_r``'s.
     """
-    r, psd = pt.r, pt.kind == "psd"
+    r = pt.r
     eye, zero = np.eye(r), np.zeros((r, r))
-    lefts, rights, blocks = [pt.U], [pt.U if psd else pt.V], [pt.Sigma]
+    lefts, rights, blocks = [pt.U], [pt.V], [pt.Sigma]
     for c, xi in terms:
         base = xi.base
         if base.kind != pt.kind or base.shape != pt.shape or base.r != r:
             raise ValueError("tangent is not at a point of the same manifold")
         lefts += [base.U, xi.Up]
-        rights += [base.U, xi.Up] if psd else [base.V, xi.Vp]
+        rights += [base.V, xi.Vp]
         blocks.append(c * np.block([[xi.S, eye], [eye, zero]]))
     core = np.zeros((sum(len(block) for block in blocks),) * 2)
     i = 0
@@ -233,12 +232,10 @@ def truncate_sum(pt: EmbeddedPoint, terms) -> EmbeddedPoint:
         core[i:i + len(block), i:i + len(block)] = block
         i += len(block)
     q_left, r_left = np.linalg.qr(np.hstack(lefts))
-    if psd:
-        u, sigma, v = _top_factors(r_left @ core @ r_left.T, r, "psd", left=q_left)
-    else:
-        q_right, r_right = np.linalg.qr(np.hstack(rights))
-        u, sigma, v = _top_factors(r_left @ core @ r_right.T, r, "general",
-                                   left=q_left, right=q_right)
+    q_right, r_right = ((q_left, r_left) if pt.kind == "psd"
+                        else np.linalg.qr(np.hstack(rights)))
+    u, sigma, v = _top_factors(r_left @ core @ r_right.T, r, pt.kind,
+                               left=q_left, right=q_right)
     return _point_from_factors(pt.kind, u, sigma, v)
 
 
@@ -251,7 +248,8 @@ def tangent_project(pt: EmbeddedPoint, z) -> EmbeddedTangent:
     if pt.kind == "psd":
         zu = sym(z) @ u
         k = u.T @ zu
-        return EmbeddedTangent(pt, sym(k), zu - u @ k, None)
+        up = zu - u @ k
+        return EmbeddedTangent(pt, sym(k), up, up)
     zv, ztu = z @ pt.V, z.T @ u
     s = u.T @ zv
     return EmbeddedTangent(pt, s, zv - u @ s, ztu - pt.V @ s.T)
@@ -270,7 +268,7 @@ def riem_hess_matrix_embedded(pt: EmbeddedPoint, obj: Objective,
 
         Hess f[xi, eta] + <nabla f, Up_xi Sigma^-1 Vp_eta^T + Up_eta Sigma^-1 Vp_xi^T>,
 
-    with Vp read as Up for the PSD kind. The gradient and the core's rank
+    The gradient and the core's rank
     check are evaluated once, each tangent's base, ambient matrix and
     Sigma^-1 Vp^T once, and each row's Euclidean Hessian image at the start
     of the row: the extra memory is the d kept ambient matrices (d p1 p2
@@ -282,8 +280,7 @@ def riem_hess_matrix_embedded(pt: EmbeddedPoint, obj: Objective,
         raise RankError("core factor is numerically singular")
     egrad = obj.egrad(pt.X)
     ambs = [xi.ambient() for xi in tangents]
-    right = [np.linalg.solve(sig, (xi.Up if pt.kind == "psd" else xi.Vp).T)
-             for xi in tangents]
+    right = [np.linalg.solve(sig, xi.Vp.T) for xi in tangents]
     h = np.zeros((len(tangents),) * 2)
     for i, xi in enumerate(tangents):
         image = obj.ehess_vec(pt.X, ambs[i])
@@ -317,10 +314,9 @@ def tangent_basis(pt: EmbeddedPoint):
     zero_s, zero_up = np.zeros((r, r)), np.zeros((p1, r))
     if pt.kind == "psd":
         # an off-frame factor Up enters the ambient matrix twice
-        basis = [EmbeddedTangent(pt, s, zero_up, None) for s in sym_basis(r)]
-        basis += [EmbeddedTangent(pt, zero_s, pt.Uperp @ (e / np.sqrt(2.0)), None)
-                  for e in unit_basis(p1 - r, r)]
-        return basis
+        basis = [EmbeddedTangent(pt, s, zero_up, zero_up) for s in sym_basis(r)]
+        ups = [pt.Uperp @ (e / np.sqrt(2.0)) for e in unit_basis(p1 - r, r)]
+        return basis + [EmbeddedTangent(pt, zero_s, up, up) for up in ups]
     zero_vp = np.zeros((p2, r))
     basis = [EmbeddedTangent(pt, s, zero_up, zero_vp) for s in unit_basis(r, r)]
     basis += [EmbeddedTangent(pt, zero_s, pt.Uperp @ e, zero_vp)

@@ -369,7 +369,7 @@ def find_fosp(
         for _ in range(FOSP_BACKTRACKS):
             try:
                 cand = retract(pt, grad, -step)
-            except RankError:
+            except (RankError, np.linalg.LinAlgError):
                 step *= 0.5
                 continue
             fnew = obj.value(cand.X)

@@ -814,7 +814,7 @@ class PsdQ1(QuotientGeometry):
 
     def frame(self, y):
         u = _qf(y)
-        return _point_from_factors("psd", u, u.T @ (y @ y.T) @ u, None)
+        return _point_from_factors("psd", u, u.T @ (y @ y.T) @ u, u)
 
     def lift(self, x_pt, sig, root):
         return (x_pt.U @ root,)
@@ -874,7 +874,7 @@ class PsdQ2(QuotientGeometry):
     }
 
     def frame(self, u, b):
-        return _point_from_factors("psd", u, b, None)
+        return _point_from_factors("psd", u, b, u)
 
     def lift(self, x_pt, sig, root):
         return (x_pt.U, sig)

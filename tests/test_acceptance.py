@@ -294,8 +294,7 @@ def test_criterion_08_flow_identities():
             diff = (flow_field(pt, obj, emb_tag).ambient()
                     - flow_field(pt, obj, q1).ambient())
             pu = pt.U @ pt.U.T
-            pright = pu if pt.kind == "psd" else pt.V @ pt.V.T
-            resid = np.linalg.norm(diff - pu @ obj.egrad(pt.X) @ pright)
+            resid = np.linalg.norm(diff - pu @ obj.egrad(pt.X) @ (pt.V @ pt.V.T))
             worst_field = max(worst_field,
                               resid / max(1.0, np.linalg.norm(diff)))
     passed = dev_ok and worst_field <= 1e-10

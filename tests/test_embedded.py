@@ -6,6 +6,7 @@ import pytest
 
 from georank import linalg
 from georank.embedded import (
+    EmbeddedPoint,
     EmbeddedTangent,
     embed_point,
     project_rank_r,
@@ -21,11 +22,12 @@ from georank.flows import integrate_flow
 from georank.landscape import find_fosp
 from georank.linalg import RankError, sym
 from georank.objectives import make_matrix_approx
-from georank.quotient import EMBEDDED, random_horizontal
+from georank.quotient import EMBEDDED, lift_point, random_horizontal
 from georank.transport import forward_map, inverse_map
 
 from util import (
     ALL_QUOTIENTS,
+    PSD_QUOTIENTS,
     count_calls,
     counting,
     geometry_metric_combos,
@@ -115,7 +117,9 @@ class TestTangentProject:
         for kind, p1, p2, r in SHAPES:
             pt = random_point(EMBEDDED[kind], p1, p2, r, rng)
             xi = tangent_project(pt, rng.standard_normal((p1, p2)))
-            assert xi.norm() == pytest.approx(np.linalg.norm(xi.ambient()), rel=1e-12)
+            amb_norm = np.linalg.norm(xi.ambient())
+            assert xi.norm() == pytest.approx(amb_norm, rel=1e-12)
+            assert xi.flat() @ xi.flat() == pytest.approx(amb_norm**2, rel=1e-12)
             # the off-frame factors are orthogonal to the frame
             np.testing.assert_allclose(pt.U.T @ xi.Up, 0, atol=1e-12)
             if kind == "general":
@@ -190,7 +194,8 @@ class TestRiemHess:
         rng = np.random.default_rng(9)
         pt = random_point("psd_embedded", 4, 4, 2, rng)
         obj = make_matrix_approx(sym(rng.standard_normal((4, 4))), symmetric=True)
-        xi = EmbeddedTangent(pt, np.zeros((2, 2)), np.zeros((4, 2)), None)
+        up = np.zeros((4, 2))
+        xi = EmbeddedTangent(pt, np.zeros((2, 2)), up, up)
         assert riem_hess_quad_embedded(pt, obj, xi) == 0.0
 
     def test_worked_correction_value(self):
@@ -198,7 +203,7 @@ class TestRiemHess:
         # quad = ||xi||^2 + 2 <grad, Up Sigma^-1 Up^T> = 2 - 2/3
         obj = make_matrix_approx(np.diag([3.0, 1.0]), symmetric=True)
         pt = embed_point(np.diag([3.0, 0.0]), 1, "psd")
-        xi = EmbeddedTangent(pt, np.array([[0.0]]), pt.Uperp, None)
+        xi = EmbeddedTangent(pt, np.array([[0.0]]), pt.Uperp, pt.Uperp)
         assert riem_hess_quad_embedded(pt, obj, xi) == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_equals_euclidean_when_gradient_vanishes(self):
@@ -290,7 +295,8 @@ class TestRetract:
         rng = np.random.default_rng(13)
         pt = random_point("psd_embedded", 5, 5, 2, rng)
         s = sym(rng.standard_normal((2, 2)))
-        xi = EmbeddedTangent(pt, s, np.zeros((5, 2)), None)
+        up = np.zeros((5, 2))
+        xi = EmbeddedTangent(pt, s, up, up)
         t = 1e-3
         out = retract(pt, xi, t)
         np.testing.assert_allclose(out.X, pt.X + t * xi.ambient(), atol=1e-12)
@@ -357,12 +363,28 @@ class TestTruncateSum:
         rng = np.random.default_rng(32)
         pt = random_point(EMBEDDED[kind], p1, p2, 2, rng)
         s = -np.diag([0.0, pt.Sigma[1, 1]])
-        vp = None if kind == "psd" else np.zeros((p2, 2))
-        terms = [(1.0, EmbeddedTangent(pt, s, np.zeros((p1, 2)), vp))]
+        up = np.zeros((p1, 2))
+        vp = up if kind == "psd" else np.zeros((p2, 2))
+        terms = [(1.0, EmbeddedTangent(pt, s, up, vp))]
         with pytest.raises(RankError):
             self._dense(pt, terms)
         with pytest.raises(RankError):
             truncate_sum(pt, terms)
+
+    @pytest.mark.parametrize("kind,p1,p2,qrs", [("psd", 6, 6, 1), ("general", 6, 5, 2)])
+    def test_psd_stacks_share_one_qr(self, monkeypatch, kind, p1, p2, qrs):
+        rng = np.random.default_rng(39)
+        pt = random_point(EMBEDDED[kind], p1, p2, 2, rng)
+        terms = self._terms(pt, 2, rng)
+        shapes, original = [], np.linalg.qr
+
+        def counted(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        truncate_sum(pt, terms)
+        assert len(shapes) == qrs
 
     def test_tangent_of_another_manifold_rejected(self):
         rng = np.random.default_rng(33)
@@ -371,6 +393,79 @@ class TestTruncateSum:
         xi = tangent_project(other, rng.standard_normal((5, 3)))
         with pytest.raises(ValueError):
             truncate_sum(pt, [(1.0, xi)])
+
+
+class TestNonFinite:
+    """A matrix with a non-finite entry is refused before any decomposition,
+    with the error that the flows read as divergence."""
+
+    # at r = 2 the psd eigendecomposition returns NaN factors, and LAPACK's
+    # SVD need not return at all
+    @pytest.mark.parametrize("kind,diag", [("psd", [np.inf, 1.0, 1.0, 0.0]),
+                                           ("general", [np.inf, 1.0, 1.0])])
+    def test_projection(self, kind, diag):
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError,
+                                                          match="non-finite"):
+            project_rank_r(np.diag(diag), 2, kind)
+
+    def test_overflowing_truncated_sum(self):
+        rng = np.random.default_rng(34)
+        pt = random_point("psd_embedded", 6, 6, 2, rng)
+        xi = tangent_project(pt, rng.standard_normal((6, 6)))
+        with np.errstate(over="ignore"), pytest.raises(np.linalg.LinAlgError,
+                                                       match="non-finite"):
+            truncate_sum(pt, [(1e308, xi)])
+
+
+class TestOneForm:
+    """The PSD kind is the symmetric case of the general factored form: a
+    point's V is its U and a tangent's Vp is its Up, the same arrays."""
+
+    def test_library_made_psd_objects_share_their_factors(self):
+        rng = np.random.default_rng(35)
+        obj = random_approx_objective("psd", 6, 6, rng)
+        pt = embed_point(random_point("psd_embedded", 6, 6, 2, rng).X, 2, "psd")
+        points = [pt]
+        tangents = [tangent_project(pt, rng.standard_normal((6, 6))),
+                    riem_grad_embedded(pt, obj), *tangent_basis(pt)]
+        for geometry, metric in geometry_metric_combos(PSD_QUOTIENTS):
+            for z in (random_point(geometry, 6, 6, 2, rng), lift_point(pt, geometry)):
+                points.append(z.point)
+                tangents.append(forward_map(z, random_horizontal(z, metric, rng),
+                                            metric))
+        a, b, c = tangents[0], tangents[1], tangents[-1]
+        tangents += [a + b, a - b, 0.5 * a, a * 2.0, -a]
+        points += [truncate_sum(pt, [(1e-3, a), (1e-3, c)]), retract(pt, b, 1e-3)]
+        for q in points:
+            assert q.V is q.U and q.Vperp is q.Uperp
+        for xi in tangents:
+            assert xi.Vp is xi.Up
+
+    def test_general_tangent_sharing_its_zero_factors_adds_by_value(self):
+        rng = np.random.default_rng(38)
+        pt = random_point("gen_embedded", 5, 5, 2, rng)
+        zero = np.zeros((5, 2))
+        core = EmbeddedTangent(pt, rng.standard_normal((2, 2)), zero, zero)
+        xi = tangent_project(pt, rng.standard_normal((5, 5)))
+        for got, want in [(core + xi, core.ambient() + xi.ambient()),
+                          (xi - core, xi.ambient() - core.ambient())]:
+            np.testing.assert_allclose(got.ambient(), want, atol=1e-12)
+
+    def test_psd_tangent_needs_vp_to_be_up(self):
+        # with Vp = 0 the factors would stand for a non-symmetric matrix,
+        # whose flat() and norm() disagree
+        rng = np.random.default_rng(36)
+        pt = random_point("psd_embedded", 5, 5, 2, rng)
+        xi = tangent_project(pt, rng.standard_normal((5, 5)))
+        for vp in (np.zeros_like(xi.Up), xi.Up.copy()):
+            with pytest.raises(ValueError, match="Vp must be its Up"):
+                EmbeddedTangent(pt, xi.S, xi.Up, vp)
+
+    def test_psd_point_needs_v_to_be_u(self):
+        rng = np.random.default_rng(37)
+        pt = random_point("psd_embedded", 5, 5, 2, rng)
+        with pytest.raises(ValueError, match="V must be its U"):
+            EmbeddedPoint("psd", pt.X, pt.U, pt.Sigma, pt.U.copy())
 
 
 class TestTangentBasis:

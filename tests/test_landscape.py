@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from georank import landscape
-from georank.embedded import embed_point, project_rank_r, riem_grad_embedded
+from georank.embedded import embed_point, project_rank_r, retract, riem_grad_embedded
 from georank.linalg import skew
 from georank.landscape import (
     analytic_fosps,
@@ -357,6 +357,23 @@ class TestFindFosp:
         assert z.geometry == "psd_q2" and z.point is res.point
         met = metric_family("psd_q2", "polar")
         assert metric_norm(z, riem_grad_quotient(z, obj, met), met) <= 1e-7
+
+    def test_line_search_halves_the_step_on_a_non_finite_candidate(self, monkeypatch):
+        # a step that overflows X makes the retraction raise LinAlgError
+        steps = []
+
+        def overflowing_once(pt, xi, t):
+            steps.append(t)
+            if len(steps) == 1:
+                raise np.linalg.LinAlgError("matrix has a non-finite entry")
+            return retract(pt, xi, t)
+
+        monkeypatch.setattr(landscape, "retract", overflowing_once)
+        rng = np.random.default_rng(17)
+        obj = make_matrix_approx(PSD_M3, symmetric=True)
+        a = rng.standard_normal((3, 1))
+        res = find_fosp(obj, project_rank_r(a @ a.T, 1, "psd"))
+        assert res.converged and steps[1] == 0.5 * steps[0]
 
     def test_exhausted_budget_is_a_result_not_an_error(self):
         rng = np.random.default_rng(16)
