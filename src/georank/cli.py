@@ -83,6 +83,8 @@ class ConfigError(Exception):
 
 
 COUNTS = ("trials", "directions", "max_fosp_points")
+# directions per bijection-roundtrip stack, so its memory is flat in their count
+DIRECTION_BLOCK = 64
 FLOW_DEFAULTS = {"T": 1.0, "dt": 1e-2}
 # the keys a config may hold: at the top level ("") and in each of its objects
 CONFIG_KEYS = {
@@ -314,18 +316,18 @@ def cmd_bijection(plan, obj, rng):
         for _ in range(trials):
             z = plan.point(geometry, rng)
             coeffs = spectrum_bounds(z, metric)
-            for _ in range(n_vec):
-                theta = random_horizontal(z, metric, rng)
+            for start in range(0, n_vec, DIRECTION_BLOCK):
+                theta = random_horizontal(z, metric, rng,
+                                          min(DIRECTION_BLOCK, n_vec - start))
                 xi = forward_map(z, theta, metric)
                 back = inverse_map(z, xi, metric)
-                num = np.sqrt(sum(np.sum((a - b) ** 2)
-                                  for a, b in zip(theta.parts, back.parts)))
-                roundtrip.append(num / max(theta.raw_norm(), 1e-300))
+                roundtrip.append((theta - back).raw_norm()
+                                 / np.maximum(theta.raw_norm(), 1e-300))
                 q = metric_inner(z, theta, theta, metric)
                 nrm2 = xi.norm() ** 2
-                ref = max(1.0, coeffs.beta * q)
+                ref = np.maximum(1.0, coeffs.beta * q)
                 slack += [(coeffs.alpha * q - nrm2) / ref, (nrm2 - coeffs.beta * q) / ref]
-        worst_rt, worst_slack = _worst(roundtrip), _worst(slack)
+        worst_rt, worst_slack = (_worst(np.concatenate(v)) for v in (roundtrip, slack))
         checks.append(_check(f"bijection/{geometry}/{mname}",
                              (worst_rt <= tols["roundtrip_rtol"]
                               and worst_slack <= tols["bound_slack"]),
@@ -410,9 +412,8 @@ def cmd_flow_compare(plan, obj, rng):
     for pt in trace.points[::stride]:
         f_emb = flow_field(pt, obj, emb).ambient()
         f_q1 = flow_field(pt, obj, q1).ambient()
-        pu = pt.U @ pt.U.T
         nabla = obj.egrad(pt.X)
-        pr = pu @ nabla @ (pt.V @ pt.V.T)
+        pr = pt.U @ ((pt.U.T @ nabla @ pt.V) @ pt.V.T)
         resids.append(np.linalg.norm((f_emb - f_q1) - pr) / max(1.0, np.linalg.norm(pr)))
     worst = _worst(resids)
     checks.append(_check(f"flow-difference/{q1[0]}",

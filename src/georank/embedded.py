@@ -83,16 +83,18 @@ class EmbeddedTangent:
 
     def ambient(self) -> np.ndarray:
         pt = self.base
-        return pt.U @ self.S @ pt.V.T + self.Up @ pt.V.T + pt.U @ self.Vp.T
+        return pt.U @ self.S @ pt.V.T + self.Up @ pt.V.T + pt.U @ self.Vp.mT
 
     def flat(self) -> np.ndarray:
         """Coordinates (S, Up, Vp) whose dot product is the Frobenius inner
-        product of the ambient matrices."""
-        return np.concatenate([self.S.ravel(), self.Up.ravel(), self.Vp.ravel()])
+        product of the ambient matrices: one row per tangent of a stack."""
+        lead = self.S.shape[:-2]
+        return np.concatenate([a.reshape(*lead, -1) for a in (self.S, self.Up, self.Vp)],
+                              axis=-1)
 
-    def norm(self) -> float:
-        return float(np.sqrt((self.S * self.S).sum() + (self.Up * self.Up).sum()
-                             + (self.Vp * self.Vp).sum()))
+    def norm(self):
+        """The Frobenius norm: a float, or one per tangent of a stack."""
+        return np.sqrt(sum((a * a).sum(axis=(-2, -1)) for a in (self.S, self.Up, self.Vp)))
 
     def _combine(self, other, sa, sb):
         if other.base is not self.base:
@@ -144,13 +146,13 @@ def _top_factors(x, r, kind, left=None, right=None):
     lifted through them before their signs are fixed, and the rank test
     reads the core's spectrum, which is the matrix's own up to zeros.
     """
-    x = np.asarray(x, dtype=float)
+    x = _finite(np.asarray(x, dtype=float))
     if kind == "psd":
         if x.shape[0] != x.shape[1]:
             raise ValueError(f"psd kind needs a square matrix, got {x.shape}")
         if np.linalg.norm(x - x.T) > 1e-10 * max(1.0, np.linalg.norm(x)):
             raise ValueError("psd kind requires a symmetric matrix")
-        w, q = np.linalg.eigh(_finite(sym(x)))
+        w, q = np.linalg.eigh(_finite(sym(x)))  # sym(x) itself may overflow
         order = np.argsort(w)[::-1]
         w, q = w[order], q[:, order]
         scale = max(np.max(np.abs(w)), 1e-300)
@@ -164,7 +166,7 @@ def _top_factors(x, r, kind, left=None, right=None):
         return u, np.diag(w[:r]), u
     if kind != "general":
         raise ValueError(f"unknown manifold kind {kind!r}")
-    u, s, vt = np.linalg.svd(_finite(x), full_matrices=False)
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
     if s[r - 1] <= RANK_GAP_TOL * max(s[0], 1e-300):
         raise RankError(
             f"matrix is not numerically rank {r} (singular value {r} is {s[r-1]:.3e})"
@@ -244,15 +246,20 @@ def tangent_project(pt: EmbeddedPoint, z) -> EmbeddedTangent:
     z = np.asarray(z, dtype=float)
     if z.shape != pt.X.shape:
         raise ValueError(f"expected shape {pt.X.shape}, got {z.shape}")
-    u = pt.U
     if pt.kind == "psd":
-        zu = sym(z) @ u
-        k = u.T @ zu
-        up = zu - u @ k
-        return EmbeddedTangent(pt, sym(k), up, up)
-    zv, ztu = z @ pt.V, z.T @ u
+        return _tangent_from_products(pt, sym(z) @ pt.U, None)
+    return _tangent_from_products(pt, z @ pt.V, z.T @ pt.U)
+
+
+def _tangent_from_products(pt: EmbeddedPoint, zv, ztu) -> EmbeddedTangent:
+    """The tangent projection of an ambient Z from Z V and Z^T U, or stacks of
+    them (for the PSD kind, from sym(Z) U as ``zv``): Z itself need not exist."""
+    u = pt.U
     s = u.T @ zv
-    return EmbeddedTangent(pt, s, zv - u @ s, ztu - pt.V @ s.T)
+    up = zv - u @ s
+    if pt.kind == "psd":
+        return EmbeddedTangent(pt, sym(s), up, up)
+    return EmbeddedTangent(pt, s, up, ztu - pt.V @ s.mT)
 
 
 def riem_grad_embedded(pt: EmbeddedPoint, obj: Objective) -> EmbeddedTangent:

@@ -226,7 +226,9 @@ def verify_sandwich(
     # the congruence H_q = M^T H_f M, entry by entry
     identity_tol = identity_rtol + gnorm / scale
     frame = np.array([xi.flat() for xi in embedded.basis])
-    m = frame @ np.array([forward_map(z, b, metric).flat() for b in quo.basis]).T
+    stacks = tuple(np.stack(c) for c in zip(*(b.parts for b in quo.basis)))
+    basis = HorizontalVector(z, stacks, quo.basis[0].space)
+    m = frame @ forward_map(z, basis, metric).flat().T
     root = np.sqrt(np.diag(quo.gram))
     err = np.abs(quo.matrix - m.T @ embedded.matrix @ m) / (scale * np.outer(root, root))
     max_rel = float(np.max(err))

@@ -41,19 +41,19 @@ def _as_matrix(x) -> np.ndarray:
 
 
 def sym(x) -> np.ndarray:
-    """Symmetric part (X + X^T)/2 of a square matrix."""
-    x = _as_matrix(x)
-    if x.shape[0] != x.shape[1]:
-        raise ValueError(f"sym requires a square matrix, got {x.shape}")
-    return (x + x.T) / 2.0
+    """Symmetric part (X + X^T)/2 of a square matrix, or of each in a stack."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
+        raise ValueError(f"sym requires square matrices, got shape {x.shape}")
+    return (x + x.mT) / 2.0
 
 
 def skew(x) -> np.ndarray:
-    """Skew-symmetric part (X - X^T)/2 of a square matrix."""
-    x = _as_matrix(x)
-    if x.shape[0] != x.shape[1]:
-        raise ValueError(f"skew requires a square matrix, got {x.shape}")
-    return (x - x.T) / 2.0
+    """Skew-symmetric part (X - X^T)/2 of a square matrix, or of each in a stack."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
+        raise ValueError(f"skew requires square matrices, got shape {x.shape}")
+    return (x - x.mT) / 2.0
 
 
 def solve_sylvester(a, b, c) -> np.ndarray:
@@ -122,9 +122,9 @@ class SymmetricSylvester:
         self.denom = _frozen(denom)
 
     def solve(self, c) -> np.ndarray:
-        """X with A X + X B = C."""
-        c = _as_matrix(c)
-        if c.shape != self.denom.shape:
+        """X with A X + X B = C, for one C or a stack of them on leading axes."""
+        c = np.asarray(c, dtype=float)
+        if c.shape[-2:] != self.denom.shape:
             raise ValueError(
                 f"incompatible Sylvester shapes: A {self.a.shape}, B {self.b.shape}, "
                 f"C {c.shape}"

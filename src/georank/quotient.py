@@ -37,6 +37,7 @@ defect above 1e-8 is an error. Nothing is silently re-projected.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
 from typing import NamedTuple, Optional
 
@@ -45,9 +46,9 @@ import numpy as np
 from .embedded import (
     EmbeddedPoint,
     _point_from_factors,
+    _tangent_from_products,
     embed_point,
     project_rank_r,
-    tangent_project,
 )
 from .linalg import (SymmetricSylvester, skew, skew_basis, spd_functions, sym,
                      sym_basis, unit_basis)
@@ -342,13 +343,13 @@ class HorizontalVector:
     def __neg__(self):
         return self * (-1.0)
 
-    def raw_norm(self) -> float:
-        """Frobenius norm of the stacked components (metric-independent)."""
+    def raw_norm(self):
+        """Frobenius norm of the components, one per vector of a stack."""
         return _norm(self.parts)
 
 
-def _norm(parts) -> float:
-    return float(np.sqrt(sum(np.sum(a**2) for a in parts)))
+def _norm(parts):
+    return np.sqrt(sum((a * a).sum(axis=(-2, -1)) for a in parts))
 
 
 def _space(z: QuotientPoint, metric: Optional[MetricFamily]):
@@ -410,14 +411,16 @@ def horizontal_vector(
 
     Components within 1e-8 (relative) of the horizontal space are accepted
     as given and the result records that space; anything further off is an
-    error. Nothing is re-projected.
+    error, in a stack on a leading axis each vector's own. Nothing is
+    re-projected.
     """
     parts = tuple(np.asarray(a, dtype=float) for a in parts)
     # distance from the horizontal space, relative to the norm: one tangent
     # projection and one vertical projection
     tangent = project_total_tangent(z, parts)
     off = tuple(a - b for a, b in zip(parts, tangent))
-    defect = _norm(off + _vertical(z, tangent, metric)) / max(_norm(parts), 1e-300)
+    defect = np.max(_norm(off + _vertical(z, tangent, metric))
+                    / np.maximum(_norm(parts), 1e-300))
     if defect > HORIZ_TOL:
         raise ValueError(
             f"components are not horizontal (relative defect {defect:.3e})"
@@ -436,10 +439,17 @@ def _as_horizontal(z: QuotientPoint, theta: HorizontalVector, metric):
 
 
 def random_horizontal(
-    z: QuotientPoint, metric: Optional[MetricFamily], rng: np.random.Generator
+    z: QuotientPoint, metric: Optional[MetricFamily], rng: np.random.Generator,
+    n: Optional[int] = None,
 ) -> HorizontalVector:
-    """Gaussian tangent draw projected onto the horizontal space."""
-    raw = tuple(rng.standard_normal(f.shape) for f in z.factors)
+    """Gaussian tangent draw projected onto the horizontal space; with ``n``,
+    a stack of n on a leading axis, from one draw that is bitwise the stream
+    of n single calls (vector after vector, factor after factor)."""
+    lead = () if n is None else (n,)
+    sizes = [f.size for f in z.factors]
+    draw = rng.standard_normal(lead + (sum(sizes),))
+    raw = tuple(a.reshape(lead + f.shape) for f, a in
+                zip(z.factors, np.split(draw, np.cumsum(sizes)[:-1], axis=-1)))
     return horizontal_project(z, raw, metric)
 
 
@@ -450,11 +460,12 @@ def random_horizontal(
 def metric_inner(
     z: QuotientPoint, t1: HorizontalVector, t2: HorizontalVector,
     metric: MetricFamily,
-) -> float:
-    """Total-space Riemannian metric evaluated on two tangent vectors at z."""
+):
+    """Total-space Riemannian metric on two tangent vectors at z: a float, or
+    one per vector where either is a stack (two stacks pair up in order)."""
     if t1.base is not z or t2.base is not z:
         raise ValueError("vectors are not based at the given point")
-    return float(REGISTRY[z.geometry].inner(z.weights(metric), t1.parts, t2.parts))
+    return REGISTRY[z.geometry].inner(z.weights(metric), t1.parts, t2.parts)
 
 
 def metric_norm(z, t, metric) -> float:
@@ -627,17 +638,17 @@ class QuotientGeometry:
             wt.constants.update(self.build_constants(z, wt))
         return wt.constants
 
-    def _product(self, base, read=None, lo=0, hi=None):
-        """Product of the links lo..hi-1 of the chain, the link at position k
+    def _chain(self, base, read=None, lo=0, hi=None):
+        """The links lo..hi-1 of the chain as matrices, the link at position k
         read from the tangent ``read[k]`` where ``read`` maps k, and from the
         factors ``base`` elsewhere."""
         read = read or {}
-        out = None
-        for k, (i, transposed) in enumerate(self.links[lo:hi], lo):
-            a = read.get(k, base)[i]
-            a = a.T if transposed else a
-            out = a if out is None else out @ a
-        return out
+        return [read.get(k, base)[i].mT if transposed else read.get(k, base)[i]
+                for k, (i, transposed) in enumerate(self.links[lo:hi], lo)]
+
+    def _product(self, base, read=None, lo=0, hi=None):
+        """Product of the links lo..hi-1 of the chain (see ``_chain``)."""
+        return reduce(np.matmul, self._chain(base, read, lo, hi))
 
     def differential(self, z, theta):
         """D pi[theta]: the sum over links of the product with that link
@@ -782,12 +793,22 @@ class QuotientGeometry:
                      for k, f in zip(self.factors, z.factors))
 
     def forward(self, z, theta):
-        """L(theta): the factor map's differential, which lies in the
-        embedded tangent space at X, in that space's factored form."""
-        return tangent_project(z.point, self.differential(z, theta))
+        """L(theta): the factor map's differential X_theta, which lies in the
+        embedded tangent space at X, in that space's factored form, read from
+        X_theta V and U^T X_theta: each link's product is multiplied out from
+        the frame's side, so no p1 x p2 matrix is formed."""
+        pt = z.point
+        xv = xtu = 0.0
+        for k in range(len(self.links)):
+            chain = self._chain(z.factors, {k: theta})
+            xv = xv + reduce(lambda acc, a: a @ acc, reversed(chain), pt.V)
+            xtu = xtu + reduce(np.matmul, chain, pt.U.T).mT
+        if self.kind == "psd":
+            xv = (xv + xtu) / 2.0  # sym(X_theta) U, as V is U
+        return _tangent_from_products(pt, xv, xtu)
 
     def inner(self, wt, t1, t2):
-        """The metric on two tangent vectors. Each component of ``t2`` may
+        """The metric on two tangent vectors. The components of either may
         carry a leading stack axis, giving one value per stacked vector."""
         out = None
         for f, a, b in zip(self.factors, t1, t2):
@@ -795,7 +816,7 @@ class QuotientGeometry:
             if f.kind == "spd":
                 term = np.trace(w @ a @ w @ b, axis1=-2, axis2=-1)
             else:
-                term = np.trace(w @ a.T @ b, axis1=-2, axis2=-1)
+                term = np.trace(w @ a.mT @ b, axis1=-2, axis2=-1)
             out = term if out is None else out + term
         return out
 
@@ -943,8 +964,8 @@ class GenQ1(QuotientGeometry):
         op = c["sylvester"]
         a1 = u.T @ parts[0] @ c["p2"].T
         a2 = v.T @ parts[1] @ c["p1"].T
-        sv = op.solve(a1.T @ op.b - op.a @ a2).T
-        return (u @ sv @ c["p2inv"].T, -v @ sv.T @ c["p1inv"].T)
+        sv = op.solve(a1.mT @ op.b - op.a @ a2).mT
+        return (u @ sv @ c["p2inv"].T, -v @ sv.mT @ c["p1inv"].T)
 
     def basis(self, z, wt):
         u, v = z.point.U, z.point.V
@@ -963,9 +984,9 @@ class GenQ1(QuotientGeometry):
         pt, c = z.point, self.constants(z, wt)
         op = c["sylvester"]
         # M1 S' + S' M2 = S, solved as its transpose
-        s_prime = op.solve(xi.S.T).T
+        s_prime = op.solve(xi.S.mT).mT
         tl = (pt.U @ s_prime @ op.a + xi.Up) @ c["p2inv"].T
-        tr = (pt.V @ s_prime.T @ op.b + xi.Vp) @ c["p1inv"].T
+        tr = (pt.V @ s_prime.mT @ op.b + xi.Vp) @ c["p1inv"].T
         return (tl, tr)
 
     def bounds(self, z, wt):
@@ -1084,8 +1105,8 @@ class GenQ3(QuotientGeometry):
     def inverse(self, z, xi, wt):
         pt = z.point
         core = z.factor("Y").T @ pt.V  # invertible r x r
-        tu = np.linalg.solve(core.T, xi.Up.T).T
-        ty = pt.V @ xi.S.T + xi.Vp
+        tu = np.linalg.solve(core.T, xi.Up.mT).mT
+        ty = pt.V @ xi.S.mT + xi.Vp
         return (tu, ty)
 
     def bounds(self, z, wt):

@@ -11,7 +11,8 @@ tangent space at X (Absil, Mahony & Sepulchre 2008, ch. 3):
     gen_q3   L(theta)     = U theta_Y^T + theta_U Y^T
 
 L(theta) is returned in the embedded tangent's factored form (S, Up, Vp), the
-tangent projection of the differential. The inverses read the factors
+tangent projection of the differential, read from its products with the
+frames in O(p r^2): no p1 x p2 matrix is formed. The inverses read the factors
 directly, except for an r x r Sylvester sub-solve in psd_q1, gen_q1, and
 gen_q2, whose operator depends only on the point and the metric: it is
 factored by one eigendecomposition per (point, metric) and kept, with P^-1
@@ -23,6 +24,8 @@ of the Hessian-spectrum sandwich inequalities.
 
 L is defined only between Z and the embedded point cached inside Z (the
 matched-pair convention), which removes any eigenbasis rotation ambiguity.
+Both maps take a stack too: components with one leading axis of n vectors at
+one base point, mapped in one call.
 
 The five formulas above are documentation: the differential is derived, in
 ``quotient.QuotientGeometry``, from each geometry's factor map written as a
@@ -70,7 +73,8 @@ def _match(z: QuotientPoint, xi: EmbeddedTangent):
 def forward_map(
     z: QuotientPoint, theta: HorizontalVector, metric: MetricFamily
 ) -> EmbeddedTangent:
-    """L(theta): the embedded tangent induced by a horizontal vector."""
+    """L(theta): the embedded tangent induced by a horizontal vector, or the
+    stack of tangents of a stack of them."""
     _check_metric(z, metric)
     theta = _as_horizontal(z, theta, metric)
     return REGISTRY[z.geometry].forward(z, theta.parts)
@@ -79,7 +83,8 @@ def forward_map(
 def inverse_map(
     z: QuotientPoint, xi: EmbeddedTangent, metric: MetricFamily
 ) -> HorizontalVector:
-    """L^-1(xi): the unique horizontal preimage of an embedded tangent."""
+    """L^-1(xi): the unique horizontal preimage of an embedded tangent, or
+    the stack of preimages of a stack of them."""
     wt = z.weights(metric)
     _match(z, xi)
     parts = REGISTRY[z.geometry].inverse(z, xi, wt)

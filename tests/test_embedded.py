@@ -1,6 +1,8 @@
 """Embedded fixed-rank geometry: factors, projections, gradients, Hessians,
 retraction, bases."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -404,8 +406,10 @@ class TestNonFinite:
     @pytest.mark.parametrize("kind,diag", [("psd", [np.inf, 1.0, 1.0, 0.0]),
                                            ("general", [np.inf, 1.0, 1.0])])
     def test_projection(self, kind, diag):
-        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError,
-                                                          match="non-finite"):
+        # refused before any arithmetic on the entries, so with no warning
+        with warnings.catch_warnings(), pytest.raises(np.linalg.LinAlgError,
+                                                      match="non-finite"):
+            warnings.simplefilter("error")
             project_rank_r(np.diag(diag), 2, kind)
 
     def test_overflowing_truncated_sum(self):

@@ -11,7 +11,8 @@ import numpy as np
 
 import georank
 from georank import make_masked_completion, make_matrix_approx
-from georank.embedded import project_rank_r
+from georank.cli import _check, _worst
+from georank.embedded import project_rank_r, tangent_project
 from georank.flows import flow_field
 from georank.objectives import Objective
 from georank.landscape import hessian_spectrum
@@ -33,11 +34,14 @@ from georank.quotient import (
     horizontal_basis,
     metric_choices,
     metric_family,
+    metric_inner,
     quotient_point,
+    random_horizontal,
     random_point,
     riem_hess_quad_quotient,
     total_curve,
 )
+from georank.transport import forward_map, inverse_map, spectrum_bounds
 
 PSD_QUOTIENTS = ("psd_q1", "psd_q2")
 GEN_QUOTIENTS = ("gen_q1", "gen_q2", "gen_q3")
@@ -391,6 +395,45 @@ def count_calls(monkeypatch, original):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+def dense_forward(z, theta):
+    """L(theta) through the dense p1 x p2 differential and its tangent
+    projection, O(p^2 r) per vector: the oracle of the factored forward map."""
+    return tangent_project(z.point, REGISTRY[z.geometry].differential(z, theta.parts))
+
+
+def bijection_per_direction(plan, obj, rng):
+    """``cli.cmd_bijection`` one direction at a time: one draw, L, L^-1 and
+    metric inner product per direction, the oracle of its stacked blocks."""
+    trials = plan.counts.get("trials", 3)
+    n_vec = plan.counts.get("directions", 200)
+    tols = plan.tolerances
+    checks = []
+    for geometry, mname, metric in plan.quotient_rows:
+        roundtrip, slack = [], []
+        for _ in range(trials):
+            z = plan.point(geometry, rng)
+            coeffs = spectrum_bounds(z, metric)
+            for _ in range(n_vec):
+                theta = random_horizontal(z, metric, rng)
+                xi = forward_map(z, theta, metric)
+                back = inverse_map(z, xi, metric)
+                num = np.sqrt(sum(np.sum((a - b) ** 2)
+                                  for a, b in zip(theta.parts, back.parts)))
+                roundtrip.append(num / max(theta.raw_norm(), 1e-300))
+                q = metric_inner(z, theta, theta, metric)
+                nrm2 = xi.norm() ** 2
+                ref = max(1.0, coeffs.beta * q)
+                slack += [(coeffs.alpha * q - nrm2) / ref, (nrm2 - coeffs.beta * q) / ref]
+        worst_rt, worst_slack = _worst(roundtrip), _worst(slack)
+        checks.append(_check(f"bijection/{geometry}/{mname}",
+                             (worst_rt <= tols["roundtrip_rtol"]
+                              and worst_slack <= tols["bound_slack"]),
+                             max_roundtrip_rel_err=worst_rt,
+                             max_bound_violation=worst_slack,
+                             vectors=n_vec * trials))
+    return checks
 
 
 def kind_of(geometry):
