@@ -241,7 +241,7 @@ def _build_objective(prob, rng):
     n_meas = prob.get("num_measurements", 3 * (p1 + p2) * r)
     ops = rng.standard_normal((n_meas, p1, p2))
     if symmetric:
-        ops = np.array([sym(a) for a in ops])
+        ops = sym(ops)
     obs = np.tensordot(ops, truth, axes=([1, 2], [0, 1]))
     return make_matrix_sensing(ops, obs, symmetric=symmetric)
 
@@ -279,16 +279,15 @@ def _grad_fd_maxrel(point, obj, metric, h=1e-5):
     objective along the basis curves of the point's geometry, normalized by
     the largest directional derivative."""
     if isinstance(point, EmbeddedPoint):
-        grad = riem_grad_embedded(point, obj).ambient()
-        pairs = [(float(np.sum(grad * b.ambient())), functools.partial(retract, point, b))
-                 for b in tangent_basis(point)]
+        basis = tangent_basis(point)
+        lhs = basis.flat() @ riem_grad_embedded(point, obj).flat()
+        curves = [functools.partial(retract, point, b) for b in basis]
     else:
-        grad = riem_grad_quotient(point, obj, metric)
-        pairs = [(metric_inner(point, grad, b, metric), total_curve(point, b))
-                 for b in horizontal_basis(point, metric)[0]]
-    lhs = np.array([inner for inner, _ in pairs])
+        basis = horizontal_basis(point, metric)[0]
+        lhs = metric_inner(point, riem_grad_quotient(point, obj, metric), basis, metric)
+        curves = [total_curve(point, b) for b in basis]
     rhs = np.array([(obj.value(curve(h).X) - obj.value(curve(-h).X)) / (2.0 * h)
-                    for _, curve in pairs])
+                    for curve in curves])
     denom = max(np.max(np.abs(rhs)), 1e-300)
     return float(np.max(np.abs(lhs - rhs)) / denom)
 

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import RankError, orth_complement, sym, sym_basis, unit_basis
+from .linalg import RankError, orth_complement, stack_blocks, sym, sym_basis, unit_basis
 from .objectives import Objective
 
 RANK_GAP_TOL = 1e-10
@@ -81,6 +81,15 @@ class EmbeddedTangent:
         if self.base.kind == "psd" and self.Vp is not self.Up:
             raise ValueError("a psd tangent's Vp must be its Up")
 
+    def __len__(self):
+        return _stack_len(self.S)
+
+    def __getitem__(self, key):
+        """The tangents of the stack at ``key`` on its leading axis."""
+        up = self.Up[key]
+        return EmbeddedTangent(self.base, self.S[key], up,
+                               up if self.Vp is self.Up else self.Vp[key])
+
     def ambient(self) -> np.ndarray:
         pt = self.base
         return pt.U @ self.S @ pt.V.T + self.Up @ pt.V.T + pt.U @ self.Vp.mT
@@ -119,6 +128,12 @@ class EmbeddedTangent:
 
     def __neg__(self):
         return self * (-1.0)
+
+
+def _stack_len(a):  # the vector count of a stack, from one of its components
+    if a.ndim < 3:
+        raise TypeError("a single vector has no len(); a stack has a leading axis")
+    return len(a)
 
 
 def _column_signs(u):
@@ -268,31 +283,31 @@ def riem_grad_embedded(pt: EmbeddedPoint, obj: Objective) -> EmbeddedTangent:
 
 
 def riem_hess_matrix_embedded(pt: EmbeddedPoint, obj: Objective,
-                              tangents) -> np.ndarray:
-    """[Hess f[xi_i, xi_j]], the Riemannian Hessian at pt on the tangents:
-    the Euclidean Hessian form plus the curvature correction coupling the
-    Euclidean gradient with the off-frame factors through Sigma^-1,
+                              tangents: EmbeddedTangent) -> np.ndarray:
+    """[Hess f[xi_i, xi_j]], the Riemannian Hessian at pt on a stack of
+    tangents: the Euclidean Hessian form plus the curvature correction
+    coupling the Euclidean gradient with the off-frame factors through
+    Sigma^-1,
 
-        Hess f[xi, eta] + <nabla f, Up_xi Sigma^-1 Vp_eta^T + Up_eta Sigma^-1 Vp_xi^T>,
+        Hess f[xi, eta] + <nabla f, Up_xi Sigma^-1 Vp_eta^T + Up_eta Sigma^-1 Vp_xi^T>.
 
-    The gradient and the core's rank
-    check are evaluated once, each tangent's base, ambient matrix and
-    Sigma^-1 Vp^T once, and each row's Euclidean Hessian image at the start
-    of the row: the extra memory is the d kept ambient matrices (d p1 p2
-    doubles)."""
-    if any(xi.base is not pt for xi in tangents):
+    The stack's base, the gradient and the core's rank are checked once,
+    the stack's ambient matrices and Sigma^-1 Vp^T taken in one call each,
+    and each row's Euclidean Hessian image at the start of the row: the
+    extra memory is the d ambient matrices (d p1 p2 doubles)."""
+    if tangents.base is not pt:
         raise ValueError("tangent vector is not based at the given point")
     sig = pt.Sigma
     if np.linalg.svd(sig, compute_uv=False)[-1] <= RANK_GAP_TOL * np.linalg.norm(sig, 2):
         raise RankError("core factor is numerically singular")
     egrad = obj.egrad(pt.X)
-    ambs = [xi.ambient() for xi in tangents]
-    right = [np.linalg.solve(sig, xi.Vp.T) for xi in tangents]
+    ambs = tangents.ambient()
+    ups, right = tangents.Up, np.linalg.solve(sig, tangents.Vp.mT)
     h = np.zeros((len(tangents),) * 2)
-    for i, xi in enumerate(tangents):
+    for i in range(len(h)):
         image = obj.ehess_vec(pt.X, ambs[i])
-        for j in range(i, len(tangents)):
-            coupled = xi.Up @ right[j] + tangents[j].Up @ right[i]
+        for j in range(i, len(h)):
+            coupled = ups[i] @ right[j] + ups[j] @ right[i]
             h[i, j] = h[j, i] = (float(np.sum(image * ambs[j]))
                                  + float(np.sum(egrad * coupled)))
     return h
@@ -301,7 +316,7 @@ def riem_hess_matrix_embedded(pt: EmbeddedPoint, obj: Objective,
 def riem_hess_quad_embedded(pt: EmbeddedPoint, obj: Objective,
                             xi: EmbeddedTangent) -> float:
     """Quadratic form of the Riemannian Hessian at pt along xi."""
-    return float(riem_hess_matrix_embedded(pt, obj, [xi])[0, 0])
+    return float(riem_hess_matrix_embedded(pt, obj, xi[None])[0, 0])
 
 
 def retract(pt: EmbeddedPoint, xi: EmbeddedTangent, t: float) -> EmbeddedPoint:
@@ -313,21 +328,16 @@ def retract(pt: EmbeddedPoint, xi: EmbeddedTangent, t: float) -> EmbeddedPoint:
     return project_rank_r(pt.X + t * xi.ambient(), pt.r, pt.kind)
 
 
-def tangent_basis(pt: EmbeddedPoint):
-    """Frobenius-orthonormal basis of the tangent space, core blocks first,
-    then U_perp E (and V_perp E) for the matrix units E."""
+def tangent_basis(pt: EmbeddedPoint) -> EmbeddedTangent:
+    """Frobenius-orthonormal basis of the tangent space as one stack, core
+    blocks first, then U_perp E (and V_perp E) for the matrix units E."""
     r = pt.r
     p1, p2 = pt.X.shape
-    zero_s, zero_up = np.zeros((r, r)), np.zeros((p1, r))
     if pt.kind == "psd":
         # an off-frame factor Up enters the ambient matrix twice
-        basis = [EmbeddedTangent(pt, s, zero_up, zero_up) for s in sym_basis(r)]
-        ups = [pt.Uperp @ (e / np.sqrt(2.0)) for e in unit_basis(p1 - r, r)]
-        return basis + [EmbeddedTangent(pt, zero_s, up, up) for up in ups]
-    zero_vp = np.zeros((p2, r))
-    basis = [EmbeddedTangent(pt, s, zero_up, zero_vp) for s in unit_basis(r, r)]
-    basis += [EmbeddedTangent(pt, zero_s, pt.Uperp @ e, zero_vp)
-              for e in unit_basis(p1 - r, r)]
-    basis += [EmbeddedTangent(pt, zero_s, zero_up, pt.Vperp @ e)
-              for e in unit_basis(p2 - r, r)]
-    return basis
+        s, up = stack_blocks((pt.Sigma, pt.U), {0: sym_basis(r)},
+                             {1: pt.Uperp @ (unit_basis(p1 - r, r) / np.sqrt(2.0))})
+        return EmbeddedTangent(pt, s, up, up)
+    return EmbeddedTangent(pt, *stack_blocks(
+        (pt.Sigma, pt.U, pt.V), {0: unit_basis(r, r)},
+        {1: pt.Uperp @ unit_basis(p1 - r, r)}, {2: pt.Vperp @ unit_basis(p2 - r, r)}))

@@ -108,7 +108,7 @@ class SpectrumReport:
     geometry: str
     metric: str
     eigenvalues: np.ndarray  # descending
-    basis: list  # embedded tangents or horizontal vectors
+    basis: object  # one stack: an EmbeddedTangent or a HorizontalVector
     gram: np.ndarray  # metric Gram matrix of the basis
     matrix: np.ndarray  # Hessian matrix on the basis
     grad_norm: float
@@ -131,34 +131,31 @@ def hessian_spectrum(
 
     An ``EmbeddedPoint`` takes the embedded geometry of its kind and no
     metric; a ``QuotientPoint`` takes its geometry and needs a metric family.
-    The basis Gram matrix's condition is checked before the objective is
-    evaluated. The Hessian matrix on an explicit tangent/horizontal basis
-    comes from one matrix builder call, which takes each basis vector's
-    differential once and each row's Euclidean Hessian image once, and the
-    eigenvalues are those of the pencil (H, Gram). The report keeps the
-    basis, its Gram matrix and H, on which ``verify_sandwich`` checks the
-    Hessian congruence.
+    A horizontal basis's Gram condition is checked before the objective is
+    evaluated. The Hessian matrix on an explicit tangent/horizontal basis,
+    one stack, comes from one matrix builder call, which takes the basis's
+    differentials in one call and each row's Euclidean Hessian image once,
+    and the eigenvalues are those of the pencil (H, Gram). The report keeps
+    the basis, its Gram matrix and H, on which ``verify_sandwich`` checks
+    the Hessian congruence.
     """
-    embedded = isinstance(point, EmbeddedPoint)
-    if embedded:
+    if isinstance(point, EmbeddedPoint):
         if metric is not None:
             raise ValueError("an embedded point takes no metric family")
         geometry, mname = EMBEDDED[point.kind], "euclidean"
         basis = tangent_basis(point)
-        gram = np.eye(len(basis))
+        gram = np.eye(len(basis))  # the basis is orthonormal
+        h = riem_hess_matrix_embedded(point, obj, basis)
+        gnorm = riem_grad_embedded(point, obj).norm()
     else:
         if metric is None:
             raise ValueError("quotient geometries need a metric family")
         geometry, mname = point.geometry, metric.name
         basis, gram = horizontal_basis(point, metric)
-    cond = float(np.linalg.cond(gram))
-    if cond > GRAM_COND_LIMIT:
-        raise ConditioningError(f"basis Gram condition {cond:.3e} exceeds "
-                                f"{GRAM_COND_LIMIT:.1e}")
-    if embedded:
-        h = riem_hess_matrix_embedded(point, obj, basis)
-        gnorm = riem_grad_embedded(point, obj).norm()
-    else:
+        cond = float(np.linalg.cond(gram))
+        if cond > GRAM_COND_LIMIT:
+            raise ConditioningError(f"basis Gram condition {cond:.3e} exceeds "
+                                    f"{GRAM_COND_LIMIT:.1e}")
         h = riem_hess_matrix_quotient(point, obj, metric, basis)
         gnorm = metric_norm(point, riem_grad_quotient(point, obj, metric), metric)
     eig, _ = gen_sym_eig(h, gram)
@@ -194,7 +191,7 @@ def verify_sandwich(
     tolerance is therefore widened proportionally to the residual gradient
     norm, and the report records the coupling.
     """
-    if embedded.basis[0].base is not z.point:
+    if embedded.basis.base is not z.point:
         raise ValueError("embedded spectrum is not based at the point matched "
                          "to this quotient representative")
     quo = hessian_spectrum(z, obj, metric)
@@ -210,25 +207,18 @@ def verify_sandwich(
     scale = max(1.0, np.max(np.abs(lam_f)), np.max(np.abs(lam_h)))
 
     per_index = []
-    sandwich_ok = True
-    for k in range(len(lam_f)):
-        lo, hi = coeffs.interval(lam_f[k])
-        m_lo = float(lam_h[k] - lo)
-        m_hi = float(hi - lam_h[k])
+    for k, (f, q) in enumerate(zip(lam_f, lam_h)):
+        lo, hi = coeffs.interval(f)
+        m_lo, m_hi = float(q - lo), float(hi - q)
         ok = m_lo >= -margin_tol * scale and m_hi >= -margin_tol * scale
-        sandwich_ok &= ok
-        per_index.append(
-            {"k": k, "lam_f": float(lam_f[k]), "lam_h": float(lam_h[k]),
-             "lo": float(lo), "hi": float(hi),
-             "margin_lo": m_lo, "margin_hi": m_hi, "ok": bool(ok)}
-        )
+        per_index.append({"k": k, "lam_f": float(f), "lam_h": float(q), "lo": float(lo),
+                          "hi": float(hi), "margin_lo": m_lo, "margin_hi": m_hi,
+                          "ok": bool(ok)})
+    sandwich_ok = all(row["ok"] for row in per_index)
 
     # the congruence H_q = M^T H_f M, entry by entry
     identity_tol = identity_rtol + gnorm / scale
-    frame = np.array([xi.flat() for xi in embedded.basis])
-    stacks = tuple(np.stack(c) for c in zip(*(b.parts for b in quo.basis)))
-    basis = HorizontalVector(z, stacks, quo.basis[0].space)
-    m = frame @ forward_map(z, basis, metric).flat().T
+    m = embedded.basis.flat() @ forward_map(z, quo.basis, metric).flat().T
     root = np.sqrt(np.diag(quo.gram))
     err = np.abs(quo.matrix - m.T @ embedded.matrix @ m) / (scale * np.outer(root, root))
     max_rel = float(np.max(err))

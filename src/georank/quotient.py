@@ -15,11 +15,11 @@ its factors (each Stiefel, SPD or free), its factor map as a product chain
 (``Weight``), and the formulas particular to it. The base class derives from
 the chain, once for all five, the factor map's first and second
 differentials, each factor's partial derivative, the gradient lift and the
-Hessian's matrix on a list of vectors; operations that depend only on a
+Hessian's matrix on a stack of vectors; operations that depend only on a
 factor's kind are also written once there. The public functions below check
 their arguments and make one registry call; ``riem_hess_matrix_quotient``
-builds a point's Hessian matrix on a basis, with the gradient and its lift
-computed once and each vector's differential and weight derivatives once.
+builds a point's Hessian matrix on a basis, computing the gradient, its lift
+and the basis's differentials and weight derivatives once each.
 
 A quotient point caches the embedded-geometry frame built from its own
 factors, so transports to the embedded tangent space are free of rotation
@@ -46,12 +46,13 @@ import numpy as np
 from .embedded import (
     EmbeddedPoint,
     _point_from_factors,
+    _stack_len,
     _tangent_from_products,
     embed_point,
     project_rank_r,
 )
-from .linalg import (SymmetricSylvester, skew, skew_basis, spd_functions, sym,
-                     sym_basis, unit_basis)
+from .linalg import (SymmetricSylvester, skew, skew_basis, spd_functions, stack_blocks,
+                     sym, sym_basis, unit_basis)
 from .objectives import Objective
 
 HORIZ_TOL = 1e-8
@@ -222,7 +223,7 @@ class Weight:
         return spd_functions(w).inv if self.inverse else w
 
     def deriv(self, z: QuotientPoint, w: np.ndarray, parts) -> np.ndarray:
-        """Derivative along tangent components ``parts``; ``w`` is the value."""
+        """Derivative along ``parts``, one per vector of a stack; ``w`` is the value."""
         d = self._form(z, parts)
         return -w @ d @ w if self.inverse else d
 
@@ -231,13 +232,11 @@ class Weight:
         if self.form == "I":
             return np.eye(z.r) if parts is None else np.zeros((z.r, z.r))
         f = z.factor(self.factor)
-        df = None
-        if parts is not None:
-            df = parts[FACTOR_NAMES[z.geometry].index(self.factor)]
+        df = None if parts is None else parts[FACTOR_NAMES[z.geometry].index(self.factor)]
         if self.form == "B":
             return f if df is None else df
         if self.form == "FtF":
-            return self.c * f.T @ f if df is None else self.c * (df.T @ f + f.T @ df)
+            return self.c * f.T @ f if df is None else self.c * (df.mT @ f + f.T @ df)
         return self.c * f @ f if df is None else self.c * (df @ f + f @ df)
 
 
@@ -347,6 +346,13 @@ class HorizontalVector:
         """Frobenius norm of the components, one per vector of a stack."""
         return _norm(self.parts)
 
+    def __len__(self):
+        return _stack_len(self.parts[0])
+
+    def __getitem__(self, key):
+        """The vectors of the stack at ``key`` on its leading axis."""
+        return HorizontalVector(self.base, tuple(a[key] for a in self.parts), self.space)
+
 
 def _norm(parts):
     return np.sqrt(sum((a * a).sum(axis=(-2, -1)) for a in parts))
@@ -378,7 +384,8 @@ def _vertical(z: QuotientPoint, tangent, metric: Optional[MetricFamily]):
 
 
 def vertical_project(z: QuotientPoint, parts, metric: Optional[MetricFamily] = None):
-    """Vertical component of a total-space tangent vector.
+    """Vertical component of a total-space tangent vector, or of each in a
+    stack; each must be within 1e-8 (relative) of the tangent space.
 
     The decomposition is the direct sum T = V + H: the returned tuple lies in
     the vertical space and ``parts - vertical`` lies in the horizontal space.
@@ -389,7 +396,7 @@ def vertical_project(z: QuotientPoint, parts, metric: Optional[MetricFamily] = N
     parts = tuple(np.asarray(a, dtype=float) for a in parts)
     tangent = project_total_tangent(z, parts)
     off = _norm(tuple(a - b for a, b in zip(parts, tangent)))
-    if off > HORIZ_TOL * max(_norm(parts), 1e-300):
+    if np.any(off > HORIZ_TOL * np.maximum(_norm(parts), 1e-300)):
         raise ValueError("input is not tangent to the total space")
     return _vertical(z, tangent, metric)
 
@@ -468,8 +475,9 @@ def metric_inner(
     return REGISTRY[z.geometry].inner(z.weights(metric), t1.parts, t2.parts)
 
 
-def metric_norm(z, t, metric) -> float:
-    return float(np.sqrt(max(metric_inner(z, t, t, metric), 0.0)))
+def metric_norm(z, t, metric):
+    """sqrt g(t, t): a float, or one per vector of a stack."""
+    return np.sqrt(np.maximum(metric_inner(z, t, t, metric), 0.0))
 
 
 def _ambient_gradient(z: QuotientPoint, nabla) -> np.ndarray:
@@ -506,11 +514,11 @@ def riem_grad_quotient(
 
 
 def riem_hess_matrix_quotient(z: QuotientPoint, obj: Objective, metric: MetricFamily,
-                              vectors) -> np.ndarray:
+                              vectors: HorizontalVector) -> np.ndarray:
     """The matrix [Hess h[theta_i, theta_j]] of the lifted Riemannian Hessian
-    of h at z on the horizontal vectors theta_i, each checked once (see
+    of h at z on a stack of horizontal vectors theta_i, checked once (see
     ``QuotientGeometry.hess_matrix``)."""
-    parts = [_as_horizontal(z, theta, metric).parts for theta in vectors]
+    parts = _as_horizontal(z, vectors, metric).parts
     return REGISTRY[z.geometry].hess_matrix(z, obj, z.weights(metric), parts)
 
 
@@ -518,23 +526,20 @@ def riem_hess_quad_quotient(
     z: QuotientPoint, obj: Objective, metric: MetricFamily, theta: HorizontalVector
 ) -> float:
     """Quadratic form of the lifted Riemannian Hessian of h along theta."""
-    return float(riem_hess_matrix_quotient(z, obj, metric, [theta])[0, 0])
+    return float(riem_hess_matrix_quotient(z, obj, metric, theta[None])[0, 0])
 
 
 def horizontal_basis(z: QuotientPoint, metric: MetricFamily):
-    """Structured basis of the horizontal space plus its metric Gram matrix.
+    """Structured basis of the horizontal space, as one stack, plus its
+    metric Gram matrix.
 
     The count equals the quotient-manifold dimension: p*r - r(r-1)/2 for the
     PSD geometries, (p1 + p2 - r)*r for the general ones.
     """
     wt = z.weights(metric)
     geo = REGISTRY[z.geometry]
-    basis = geo.basis(z, wt)
-    stacks = [np.stack(c) for c in zip(*basis)]
-    gram = np.zeros((len(basis), len(basis)))
-    for i, parts in enumerate(basis):
-        gram[i, i:] = gram[i:, i] = geo.inner(wt, parts, [s[i:] for s in stacks])
-    return [HorizontalVector(z, parts, _space(z, metric)) for parts in basis], gram
+    parts = geo.basis(z, wt)
+    return HorizontalVector(z, parts, _space(z, metric)), geo.gram(wt, parts)
 
 
 def geometries(kind: str) -> tuple:
@@ -601,9 +606,9 @@ class QuotientGeometry:
 
     From the chain, the factor kinds and the weights, the base class derives
     the differential and second differential of the factor map, each
-    factor's partial derivative, the gradient lift, the Hessian's matrix on
-    a list of vectors and L(theta). A subclass implements, on raw component
-    tuples and the point's ``Weights`` ``wt``:
+    factor's partial derivative, the gradient lift, the Hessian's and the
+    metric's matrices on a stack of vectors and L(theta). A subclass
+    implements, on raw component tuples and the point's ``Weights`` ``wt``:
 
     - ``frame(*factors)``: the matched ``EmbeddedPoint``;
     - ``lift(x_pt, sig, root)``: canonical factors of a spectral frame;
@@ -612,7 +617,8 @@ class QuotientGeometry:
     - ``build_constants(z, wt)``, where the geometry has constants: those
       at z under the metric, a dict of read-only values, which
       ``constants`` keeps in ``wt``;
-    - ``basis(z, wt)``: a structured basis of the horizontal space;
+    - ``basis(z, wt)``: a structured basis of the horizontal space, one
+      stack per factor (``linalg.stack_blocks``);
     - ``inverse(z, xi, wt)``: the inverse of L on the embedded tangent space;
     - ``bounds(z, wt)``: (alpha, beta) with alpha g <= ||L||^2 <= beta g;
     - ``grad_embedded(z, wt, grad)``: ambient embedded gradient from a lift.
@@ -697,7 +703,7 @@ class QuotientGeometry:
         return tuple(out)
 
     def _dw(self, z, wt, zeta):
-        """Derivative of each non-identity weight at z along ``zeta``."""
+        """Each non-identity weight's derivative at z along ``zeta`` (or a stack)."""
         return {key: spec.deriv(z, getattr(wt, key), zeta)
                 for key, spec in wt.metric.weights.items() if spec.form != "I"}
 
@@ -718,7 +724,7 @@ class QuotientGeometry:
         return out
 
     def hess_matrix(self, z, obj, wt, parts):
-        """[Hess h[a_i, a_j]] on the component tuples ``parts``, each entry
+        """[Hess h[a_i, a_j]] on the stacked components ``parts``, each entry
         the symmetric bilinear form
 
             Hess f[D pi a, D pi b] + <nabla f, D^2 pi[a, b]>
@@ -728,10 +734,10 @@ class QuotientGeometry:
         the Euclidean Hessian along the differential, the gradient against
         the second differential, the Stiefel normal term and the metric's
         Koszul terms, with G the gradient lift. nabla f, G, the Stiefel
-        partials and DW[G] are computed once, each vector's differential and
-        DW once, and each row's Euclidean Hessian image at the start of the
-        row, so the pair loop only contracts: the extra memory is the d kept
-        differentials (d p1 p2 doubles)."""
+        partials and DW[G] are computed once, the stack's differentials and
+        DWs in one call each, and each row's Euclidean Hessian image at the
+        start of the row, so the pair loop only contracts: the extra memory
+        is the d differentials (d p1 p2 doubles)."""
         x = z.X
         nabla = _ambient_gradient(z, obj.egrad(x))
         grad = self.grad_lift(z, wt, nabla)
@@ -739,21 +745,34 @@ class QuotientGeometry:
                    for i, (f, base) in enumerate(zip(self.factors, z.factors))
                    if f.kind == "stiefel"]
         dw_grad = self._dw(z, wt, grad)
-        diffs = [self.differential(z, a) for a in parts]
-        dws = [self._dw(z, wt, a) for a in parts]
-        h = np.zeros((len(parts),) * 2)
-        for i, a in enumerate(parts):
+        diffs = self.differential(z, parts)
+        dws = self._dw(z, wt, parts)
+        h = np.zeros((len(parts[0]),) * 2)
+        for i in range(len(h)):
+            a, dwa = [c[i] for c in parts], {key: dw[i] for key, dw in dws.items()}
             image = obj.ehess_vec(x, diffs[i])
-            for j in range(i, len(parts)):
-                b = parts[j]
+            for j in range(i, len(h)):
+                b, dwb = [c[j] for c in parts], {key: dw[j] for key, dw in dws.items()}
                 out = _dot(image, diffs[j])
                 out += _dot(nabla, self.second(z, a, b))
                 for k, base, dk in stiefel:
                     out -= _dot(dk, base @ sym(a[k].T @ b[k]))
-                out -= (self._dg(wt, dws[i], b, grad) + self._dg(wt, dws[j], a, grad)) / 2.0
+                out -= (self._dg(wt, dwa, b, grad) + self._dg(wt, dwb, a, grad)) / 2.0
                 out += self._dg(wt, dw_grad, a, b) / 2.0
                 h[i, j] = h[j, i] = out
         return h
+
+    def gram(self, wt, parts):
+        """The metric's Gram matrix of the stacked components ``parts``, one
+        flattened product per factor: tr(W a^T b) = <a W, b> on Stiefel and
+        free factors, tr(W a W b) = <W a W, b^T> on the SPD core."""
+        n = len(parts[0])
+        out = 0.0
+        for f, a in zip(self.factors, parts):
+            w = getattr(wt, f.weight)
+            left, right = (w @ a @ w, a.mT) if f.kind == "spd" else (a @ w, a)
+            out = out + left.reshape(n, -1) @ right.reshape(n, -1).T
+        return sym(out)
 
     def checked(self, factors):
         """Validate factors by kind; SPD factors are symmetrized."""
@@ -763,14 +782,9 @@ class QuotientGeometry:
                      for f, a in zip(self.factors, factors))
 
     def project_tangent(self, z, parts):
-        out = []
-        for f, base, a in zip(self.factors, z.factors, parts):
-            if f.kind == "stiefel":
-                a = a - base @ sym(base.T @ a)
-            elif f.kind == "spd":
-                a = sym(a)
-            out.append(a)
-        return tuple(out)
+        return tuple(a - base @ sym(base.T @ a) if f.kind == "stiefel"
+                     else sym(a) if f.kind == "spd" else a
+                     for f, base, a in zip(self.factors, z.factors, parts))
 
     def curve(self, z, parts, t):
         out = []
@@ -860,9 +874,8 @@ class PsdQ1(QuotientGeometry):
         c = self.constants(z, wt)
         pinv, op = c["pinv"], c["sylvester"]
         minv = sym((op.qa / op.la) @ op.qa.T)
-        vecs = [(u @ (a @ minv) @ pinv.T,) for a in sym_basis(z.r)]
-        vecs += [(uperp @ e @ pinv.T,) for e in unit_basis(uperp.shape[1], z.r)]
-        return vecs
+        return stack_blocks(z.factors, {0: u @ (sym_basis(z.r) @ minv) @ pinv.T},
+                            {0: uperp @ unit_basis(uperp.shape[1], z.r) @ pinv.T})
 
     def inverse(self, z, xi, wt):
         c = self.constants(z, wt)
@@ -905,12 +918,9 @@ class PsdQ2(QuotientGeometry):
         return {"binv": _read_only(spd_functions(z.factor("B")).inv)}
 
     def basis(self, z, wt):
-        u = z.factor("U")
         uperp = z.point.Uperp
-        zero_b, zero_u = np.zeros((z.r, z.r)), np.zeros_like(u)
-        vecs = [(uperp @ e, zero_b) for e in unit_basis(uperp.shape[1], z.r)]
-        vecs += [(zero_u, a) for a in sym_basis(z.r)]
-        return vecs
+        return stack_blocks(z.factors, {0: uperp @ unit_basis(uperp.shape[1], z.r)},
+                            {1: sym_basis(z.r)})
 
     def inverse(self, z, xi, wt):
         return (xi.Up @ self.constants(z, wt)["binv"], sym(xi.S))
@@ -972,13 +982,11 @@ class GenQ1(QuotientGeometry):
         uperp, vperp = z.point.Uperp, z.point.Vperp
         c = self.constants(z, wt)
         p1inv, p2inv, op = c["p1inv"], c["p2inv"], c["sylvester"]
-        m1, m2 = op.b, op.a
-        zl, zr = np.zeros_like(z.factor("L")), np.zeros_like(z.factor("R"))
-        vecs = [(u @ e @ m2 @ p2inv.T, v @ e.T @ m1 @ p1inv.T)
-                for e in unit_basis(z.r, z.r)]
-        vecs += [(uperp @ e @ p2inv.T, zr) for e in unit_basis(uperp.shape[1], z.r)]
-        vecs += [(zl, vperp @ e @ p1inv.T) for e in unit_basis(vperp.shape[1], z.r)]
-        return vecs
+        m1, m2, e = op.b, op.a, unit_basis(z.r, z.r)
+        return stack_blocks(z.factors,
+                            {0: u @ e @ m2 @ p2inv.T, 1: v @ e.mT @ m1 @ p1inv.T},
+                            {0: uperp @ unit_basis(uperp.shape[1], z.r) @ p2inv.T},
+                            {1: vperp @ unit_basis(vperp.shape[1], z.r) @ p1inv.T})
 
     def inverse(self, z, xi, wt):
         pt, c = z.point, self.constants(z, wt)
@@ -1037,15 +1045,11 @@ class GenQ2(QuotientGeometry):
         return (gu + u @ mix, gb, gv - v @ mix)
 
     def basis(self, z, wt):
-        u, b, v = z.factors
-        uperp, vperp = z.point.Uperp, z.point.Vperp
-        zero_b = np.zeros((z.r, z.r))
-        zero_u, zero_v = np.zeros_like(u), np.zeros_like(v)
-        vecs = [(uperp @ e, zero_b, zero_v) for e in unit_basis(uperp.shape[1], z.r)]
-        vecs += [(zero_u, zero_b, vperp @ e) for e in unit_basis(vperp.shape[1], z.r)]
-        vecs += [(zero_u, a, zero_v) for a in sym_basis(z.r)]
-        vecs += [(u @ w, zero_b, -v @ w) for w in skew_basis(z.r)]
-        return vecs
+        u, _, v = z.factors
+        uperp, vperp, w = z.point.Uperp, z.point.Vperp, skew_basis(z.r)
+        return stack_blocks(z.factors, {0: uperp @ unit_basis(uperp.shape[1], z.r)},
+                            {2: vperp @ unit_basis(vperp.shape[1], z.r)},
+                            {1: sym_basis(z.r)}, {0: u @ w, 2: -v @ w})
 
     def inverse(self, z, xi, wt):
         u, _, v = z.factors
@@ -1095,12 +1099,9 @@ class GenQ3(QuotientGeometry):
         return (x_pt.U, x_pt.V @ sig)
 
     def basis(self, z, wt):
-        u, yfac = z.factors
         uperp = z.point.Uperp
-        zero_y, zero_u = np.zeros_like(yfac), np.zeros_like(u)
-        vecs = [(uperp @ e, zero_y) for e in unit_basis(uperp.shape[1], z.r)]
-        vecs += [(zero_u, e) for e in unit_basis(yfac.shape[0], z.r)]
-        return vecs
+        return stack_blocks(z.factors, {0: uperp @ unit_basis(uperp.shape[1], z.r)},
+                            {1: unit_basis(z.factor("Y").shape[0], z.r)})
 
     def inverse(self, z, xi, wt):
         pt = z.point

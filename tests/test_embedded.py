@@ -37,6 +37,7 @@ from util import (
     polarize,
     random_approx_objective,
     random_point,
+    stacked,
 )
 
 
@@ -253,8 +254,8 @@ class TestRiemHess:
                 a, b = (tangent_project(pt, rng.standard_normal((p1, p2)))
                         for _ in range(2))
                 scale = sum(abs(quad(v)) for v in (a, b, a + b, a - b))
-                value = riem_hess_matrix_embedded(pt, obj, [a, b])[0, 1]
-                swapped = riem_hess_matrix_embedded(pt, obj, [b, a])[0, 1]
+                value = riem_hess_matrix_embedded(pt, obj, stacked(a, b))[0, 1]
+                swapped = riem_hess_matrix_embedded(pt, obj, stacked(b, a))[0, 1]
                 assert abs(value - swapped) <= 1e-12 * scale
                 assert abs(value - polarize(quad, a, b)) <= 1e-12 * scale
 
@@ -270,7 +271,7 @@ class TestRiemHess:
         for other in (random_point(EMBEDDED[kind], p1, p2, 2, rng),
                       embed_point(pt.X, 2, kind)):
             there = tangent_project(other, rng.standard_normal((p1, p2)))
-            for tangents in ([there], [here, there], [there, here]):
+            for tangents in (there[None], stacked(there, there)):
                 with pytest.raises(ValueError, match="not based"):
                     riem_hess_matrix_embedded(pt, obj, tangents)
             with pytest.raises(ValueError, match="not based"):

@@ -244,7 +244,7 @@ class TestVerifySandwich:
 
         def perturbed(self, z, obj, wt, parts):
             u = z.factors[0]
-            skews = np.array([skew(u.T @ a[0]).ravel() for a in parts])
+            skews = skew(u.T @ parts[0]).reshape(len(parts[0]), -1)
             return original(self, z, obj, wt, parts) + 1e-6 * skews @ skews.T
 
         monkeypatch.setattr(type(geo), "hess_matrix", perturbed)

@@ -2,6 +2,7 @@
 Hessian quadratic forms, horizontal bases, gauge equivariance."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -36,6 +37,7 @@ from georank.transport import forward_map, inverse_map
 
 from util import (
     ALL_QUOTIENTS,
+    GEN_QUOTIENTS,
     act_on_horizontal,
     act_on_point,
     counting,
@@ -44,6 +46,7 @@ from util import (
     kind_of,
     metric_derivative_fd,
     oracle_weights,
+    pairwise_gram,
     qf,
     random_approx_objective,
     random_point,
@@ -431,8 +434,8 @@ class TestRiemHess:
 
     def test_vector_at_another_representative_rejected(self):
         # the same horizontal vector moved to a gauge-moved representative of
-        # the same matrix, alone or among vectors at z, before the objective
-        # is evaluated
+        # the same matrix, alone or in a stack there, before the objective is
+        # evaluated
         rng = np.random.default_rng(23)
         for geo, met in geometry_metric_combos(ALL_QUOTIENTS):
             z = _instance(geo, rng)
@@ -445,7 +448,7 @@ class TestRiemHess:
             z2 = act_on_point(z, g)
             here = random_horizontal(z, met, rng)
             there = act_on_horizontal(here, z2, g)
-            for vectors in ([there], [here, there], [there, here]):
+            for vectors in (there[None], random_horizontal(z2, met, rng, 2)):
                 with pytest.raises(ValueError, match="not based"):
                     riem_hess_matrix_quotient(z, obj, met, vectors)
             with pytest.raises(ValueError, match="not based"):
@@ -574,10 +577,25 @@ class TestHorizontalBasis:
             eigs = np.linalg.eigvalsh(gram)
             assert eigs[0] > 0
             np.testing.assert_allclose(gram, gram.T, atol=1e-12)
-            # the rows are the pairwise metric, bit for bit
-            pairwise = [[metric_inner(z, basis[min(i, j)], basis[max(i, j)], met)
-                         for j in range(len(basis))] for i in range(len(basis))]
-            np.testing.assert_array_equal(gram, pairwise)
+            # the flattened products are the pairwise metric to rounding
+            pairwise = pairwise_gram(z, basis, met)
+            assert np.max(np.abs(gram - pairwise)) <= 1e-14 * np.max(np.abs(pairwise))
+
+    def test_memory_at_general_40_by_30(self):
+        # d = 201: the stacked basis, its Gram and their temporaries peak at
+        # about 1.2 MB; a (d, d, r, r) broadcast of the Gram's products
+        # would add 2.9 MB
+        rng = np.random.default_rng(27)
+        for geo, met in geometry_metric_combos(GEN_QUOTIENTS):
+            z = random_point(geo, 40, 30, 3, rng)
+            assert len(horizontal_basis(z, met)[0]) == 201
+            tracemalloc.start()
+            try:
+                horizontal_basis(z, met)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2e6, (geo, met.name, peak)
 
 
 class TestFiberInvariance:

@@ -16,6 +16,7 @@ from georank.quotient import (
     HorizontalVector,
     metric_family,
     metric_inner,
+    metric_norm,
     project_total_tangent,
     quotient_point,
     random_horizontal,
@@ -273,11 +274,6 @@ STACK_CASES = [pytest.param(geo, met, shape,
 N_STACK = 6
 
 
-def _vector(stack, i):
-    """Vector i of a stacked horizontal vector, in the stack's space."""
-    return HorizontalVector(stack.base, tuple(a[i] for a in stack.parts), stack.space)
-
-
 def _rel(a, b):
     a, b = np.ravel(a), np.ravel(b)
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
@@ -311,7 +307,7 @@ class TestStacks:
             for a, b in zip(block, raw):
                 assert np.array_equal(a[i], b)
         for i, single in enumerate(singles):
-            assert hv_gap(_vector(stack, i), single) <= 1e-13
+            assert hv_gap(stack[i], single) <= 1e-13
 
     @pytest.mark.parametrize("geo,met,shape", STACK_CASES)
     def test_stacked_maps_match_single_vectors(self, geo, met, shape):
@@ -323,15 +319,15 @@ class TestStacks:
         flat, norms = xi.flat(), xi.norm()
         assert flat.shape[0] == q.shape[0] == norms.shape[0] == N_STACK
         for i in range(N_STACK):
-            theta = _vector(stack, i)
+            theta = stack[i]
             one = forward_map(z, theta, met)
             assert _rel(flat[i], one.flat()) <= 1e-13
             assert abs(norms[i] - one.norm()) <= 1e-13 * one.norm()
-            assert hv_gap(_vector(back, i), inverse_map(z, one, met)) <= 1e-13
+            assert hv_gap(back[i], inverse_map(z, one, met)) <= 1e-13
             single_q = metric_inner(z, theta, theta, met)
             assert abs(q[i] - single_q) <= 1e-13 * abs(single_q)
-            assert abs(back.raw_norm()[i] - _vector(back, i).raw_norm()) <= (
-                1e-13 * _vector(back, i).raw_norm())
+            assert abs(back.raw_norm()[i] - back[i].raw_norm()) <= (
+                1e-13 * back[i].raw_norm())
 
     @pytest.mark.parametrize("geo,met,shape", STACK_CASES)
     def test_one_vector_stack_is_the_single_call(self, geo, met, shape):
@@ -340,7 +336,7 @@ class TestStacks:
         stack = random_horizontal(z, met, rng, 1)
         single = random_horizontal(z, met, twin)
         assert all(a.shape == (1,) + b.shape for a, b in zip(stack.parts, single.parts))
-        assert hv_gap(_vector(stack, 0), single) <= 1e-13
+        assert hv_gap(stack[0], single) <= 1e-13
         assert _rel(forward_map(z, stack, met).flat()[0],
                     forward_map(z, single, met).flat()) <= 1e-13
         assert np.ndim(metric_inner(z, single, single, met)) == 0
@@ -352,7 +348,35 @@ class TestStacks:
         stack = random_horizontal(z, met, rng, N_STACK)
         flat = forward_map(z, stack, met).flat()
         for i in range(N_STACK):
-            assert _rel(flat[i], dense_forward(z, _vector(stack, i)).flat()) <= 1e-12
+            assert _rel(flat[i], dense_forward(z, stack[i]).flat()) <= 1e-12
+
+    @pytest.mark.parametrize("geo,met,shape", STACK_CASES)
+    def test_vertical_project_and_metric_norm_take_a_stack(self, geo, met, shape):
+        z, rng = _stack_instance(geo, shape)
+        raw = project_total_tangent(z, tuple(rng.standard_normal((N_STACK,) + f.shape)
+                                             for f in z.factors))
+        vert = vertical_project(z, raw, met)
+        stack = random_horizontal(z, met, rng, N_STACK)
+        norms = metric_norm(z, stack, met)
+        assert norms.shape == (N_STACK,)
+        for i in range(N_STACK):
+            one = vertical_project(z, tuple(a[i] for a in raw), met)
+            assert _rel(np.concatenate([a[i].ravel() for a in vert]),
+                        np.concatenate([a.ravel() for a in one])) <= 1e-13
+            assert abs(norms[i] - metric_norm(z, stack[i], met)) <= 1e-13 * norms[i]
+
+    def test_vertical_project_measures_each_vector_of_a_stack(self):
+        # one nearly-zero normal vector among unit tangent ones: pooled over
+        # the stack its defect would be about 1e-9; as its own vector it is
+        # wholly off the tangent space
+        z, rng = _stack_instance("gen_q3", (5, 4, 2))
+        met = metric_family("gen_q3", "flat")
+        parts = [np.array(a) for a in random_horizontal(z, met, rng, 4).parts]
+        u = z.factor("U")
+        parts[0][2], parts[1][2] = 1e-9 * u / np.linalg.norm(u), 0.0
+        vertical_project(z, tuple(a[[0, 1, 3]] for a in parts), met)
+        with pytest.raises(ValueError, match="not tangent"):
+            vertical_project(z, tuple(parts), met)
 
     @pytest.mark.parametrize("geo,met,shape", STACK_CASES)
     def test_gate_measures_each_vector_of_a_stack(self, geo, met, shape):

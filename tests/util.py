@@ -12,7 +12,7 @@ import numpy as np
 import georank
 from georank import make_masked_completion, make_matrix_approx
 from georank.cli import _check, _worst
-from georank.embedded import project_rank_r, tangent_project
+from georank.embedded import EmbeddedTangent, project_rank_r, tangent_project
 from georank.flows import flow_field
 from georank.objectives import Objective
 from georank.landscape import hessian_spectrum
@@ -163,6 +163,26 @@ def polarize(quad, a, b) -> float:
     return (quad(a + b) - quad(a - b)) / 4.0
 
 
+def stacked(*vectors):
+    """Single vectors at one base point as one stack, in order: horizontal
+    vectors (keeping the first one's space) or embedded tangents."""
+    first = vectors[0]
+    if isinstance(first, HorizontalVector):
+        parts = tuple(map(np.stack, zip(*(v.parts for v in vectors))))
+        return HorizontalVector(first.base, parts, first.space)
+    up = np.stack([v.Up for v in vectors])
+    vp = up if first.Vp is first.Up else np.stack([v.Vp for v in vectors])
+    return EmbeddedTangent(first.base, np.stack([v.S for v in vectors]), up, vp)
+
+
+def pairwise_gram(z, basis, metric):
+    """The Gram matrix of a stacked basis, one ``metric_inner`` per pair: the
+    oracle of ``horizontal_basis``'s flattened products."""
+    d = len(basis)
+    return np.array([[metric_inner(z, basis[i], basis[j], metric) for j in range(d)]
+                     for i in range(d)])
+
+
 def mixed_basis_spectrum(z, obj, metric, rng):
     """Quotient Hessian spectrum assembled by polarization of the quadratic
     form over a random invertible recombination of the structured horizontal
@@ -171,12 +191,8 @@ def mixed_basis_spectrum(z, obj, metric, rng):
     basis, gram = horizontal_basis(z, metric)
     d = len(basis)
     c = rng.standard_normal((d, d)) / np.sqrt(d) + np.eye(d)
-    mixed = []
-    for j in range(d):
-        v = basis[0] * c[0, j]
-        for i in range(1, d):
-            v = v + basis[i] * c[i, j]
-        mixed.append(v)
+    mixed = HorizontalVector(z, tuple(np.tensordot(c.T, a, axes=1) for a in basis.parts),
+                             basis.space)
 
     def quad(v):
         return riem_hess_quad_quotient(z, obj, metric, v)
