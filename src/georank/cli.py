@@ -37,6 +37,7 @@ from .embedded import (
 )
 from .flows import compare_flows, flow_field
 from .landscape import (
+    IDENTITY_RTOL,
     analytic_fosps,
     classify_point,
     find_fosp,
@@ -52,6 +53,7 @@ from .objectives import (
 )
 from .quotient import (
     EMBEDDED,
+    HORIZ_TOL,
     geometries,
     horizontal_basis,
     lift_point,
@@ -71,7 +73,7 @@ DEFAULT_TOLERANCES = {
     "roundtrip_rtol": 1e-9,
     "bound_slack": 1e-10,
     "sandwich_margin": 1e-8,
-    "identity_rtol": 1e-8,
+    "identity_rtol": IDENTITY_RTOL,
     "fosp_tol": 1e-8,
     "flow_identical_tol": 1e-8,
     "flow_difference_tol": 1e-10,
@@ -260,6 +262,17 @@ def _worst(samples):
     return float(np.max(samples, initial=0.0))
 
 
+def _horizontal_dim(z, metric, rng):
+    """The horizontal space's dimension, measured without L: the number of
+    singular values above HORIZ_TOL * s_max of the horizontal projections
+    of as many random tangents as the total space has dimensions."""
+    n = sum(f.size for f in z.factors)
+    parts = random_horizontal(z, metric, rng, n).parts
+    s = np.linalg.svd(np.concatenate([a.reshape(n, -1) for a in parts], axis=1),
+                      compute_uv=False)
+    return int(np.sum(s > HORIZ_TOL * s[0]))
+
+
 def cmd_dims(plan, obj, rng):
     prob = plan.problem
     checks = []
@@ -267,8 +280,8 @@ def cmd_dims(plan, obj, rng):
         expected = quotient_dim(geometry, prob["p1"], prob["p2"], prob["r"])
         point = plan.point(geometry, rng)
         metric = next(rows)[2]
-        count = len(tangent_basis(point) if metric is None
-                    else horizontal_basis(point, metric)[0])
+        count = (len(tangent_basis(point)) if metric is None
+                 else _horizontal_dim(point, metric, rng))
         checks.append(_check(f"dims/{geometry}", count == expected,
                              count=count, expected=expected))
     return checks

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import RankError, orth_complement, stack_blocks, sym, sym_basis, unit_basis
+from .linalg import RankError, orth_complement, sym, sym_basis
 from .objectives import Objective
 
 RANK_GAP_TOL = 1e-10
@@ -330,14 +330,23 @@ def retract(pt: EmbeddedPoint, xi: EmbeddedTangent, t: float) -> EmbeddedPoint:
 
 def tangent_basis(pt: EmbeddedPoint) -> EmbeddedTangent:
     """Frobenius-orthonormal basis of the tangent space as one stack, core
-    blocks first, then U_perp E (and V_perp E) for the matrix units E."""
+    blocks first, then U_perp E (and V_perp E) for the matrix units E, row by
+    row: each copies one column of U_perp (or V_perp) into one column."""
     r = pt.r
-    p1, p2 = pt.X.shape
-    if pt.kind == "psd":
-        # an off-frame factor Up enters the ambient matrix twice
-        s, up = stack_blocks((pt.Sigma, pt.U), {0: sym_basis(r)},
-                             {1: pt.Uperp @ (unit_basis(p1 - r, r) / np.sqrt(2.0))})
-        return EmbeddedTangent(pt, s, up, up)
-    return EmbeddedTangent(pt, *stack_blocks(
-        (pt.Sigma, pt.U, pt.V), {0: unit_basis(r, r)},
-        {1: pt.Uperp @ unit_basis(p1 - r, r)}, {2: pt.Vperp @ unit_basis(p2 - r, r)}))
+    psd = pt.kind == "psd"
+    core = sym_basis(r) if psd else np.eye(r * r).reshape(-1, r, r)
+    perps = (pt.Uperp,) if psd else (pt.Uperp, pt.Vperp)
+    # an off-frame factor Up of the PSD kind enters the ambient matrix twice
+    scale = 1.0 / np.sqrt(2.0) if psd else 1.0
+    d = len(core) + sum(perp.shape[1] for perp in perps) * r
+    s = np.zeros((d, r, r))
+    s[:len(core)] = core
+    factors, start = [], len(core)
+    for perp in perps:
+        n = perp.shape[1] * r
+        i, j = np.divmod(np.arange(n), r)
+        f = np.zeros((d, perp.shape[0], r))
+        f[start + np.arange(n), :, j] = perp[:, i].T * scale
+        factors.append(f)
+        start += n
+    return EmbeddedTangent(pt, s, factors[0], factors[-1])

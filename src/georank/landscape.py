@@ -47,6 +47,8 @@ from .quotient import (
 from .transport import forward_map, spectrum_bounds
 
 GRAM_COND_LIMIT = 1e10  # largest basis Gram condition a spectrum accepts
+# relative entry error of the Hessian congruence H_q = M^T H_f M at a FOSP
+IDENTITY_RTOL = 5e-10
 FOSP_BACKTRACKS = 60  # step halvings per line search in find_fosp
 FOSP_ARMIJO = 1e-4  # sufficient-decrease constant of that line search
 SPECTRUM_GAP_TOL = 1e-8  # relative gap that keeps analytic FOSPs isolated
@@ -172,7 +174,7 @@ def verify_sandwich(
     metric: MetricFamily,
     embedded: SpectrumReport,
     margin_tol: float = 1e-8,
-    identity_rtol: float = 1e-8,
+    identity_rtol: float = IDENTITY_RTOL,
     fosp_tol: float = 1e-8,
 ) -> dict:
     """Check the per-index spectrum sandwich and the Hessian congruence at a

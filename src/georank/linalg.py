@@ -219,29 +219,3 @@ def sym_basis(r) -> np.ndarray:
     k = np.arange(len(i))
     out[k, i, j] = out[k, j, i] = np.where(i == j, 1.0, 1.0 / np.sqrt(2.0))
     return out
-
-
-def skew_basis(r) -> np.ndarray:
-    """Frobenius-orthonormal basis of the skew-symmetric r x r matrices: a
-    (r(r-1)/2, r, r) stack, over the strict upper triangle row by row."""
-    i, j = np.triu_indices(r, 1)
-    out = np.zeros((len(i), r, r))
-    k = np.arange(len(i))
-    out[k, i, j] = 1.0 / np.sqrt(2.0)
-    out[k, j, i] = -1.0 / np.sqrt(2.0)
-    return out
-
-
-def unit_basis(m, n) -> np.ndarray:
-    """The m x n matrix units E_ij, row-major: an (m n, m, n) stack."""
-    return np.eye(m * n).reshape(m * n, m, n)
-
-
-def stack_blocks(like, *blocks) -> tuple:
-    """Stacked vectors whose components are shaped like the arrays ``like``,
-    from blocks in order: each block maps a component's position to a stack,
-    and its vectors are zero in the other components."""
-    counts = [len(next(iter(block.values()))) for block in blocks]
-    return tuple(np.concatenate([block.get(i, np.zeros((n,) + np.shape(a)))
-                                 for block, n in zip(blocks, counts)])
-                 for i, a in enumerate(like))

@@ -21,6 +21,12 @@ their arguments and make one registry call; ``riem_hess_matrix_quotient``
 builds a point's Hessian matrix on a basis, computing the gradient, its lift
 and the basis's differentials and weight derivatives once each.
 
+No geometry writes a basis of its horizontal space: ``horizontal_basis`` is
+the horizontal lift L^-1(E_i) of the embedded orthonormal basis E, through
+each geometry's ``inverse`` (the registry method that
+``transport.inverse_map`` checks and calls). The horizontal spaces
+themselves are those of ``vertical`` and ``horizontal_project``.
+
 A quotient point caches the embedded-geometry frame built from its own
 factors, so transports to the embedded tangent space are free of rotation
 ambiguity, and one ``Weights`` record per metric family used at it: the
@@ -50,9 +56,9 @@ from .embedded import (
     _tangent_from_products,
     embed_point,
     project_rank_r,
+    tangent_basis,
 )
-from .linalg import (SymmetricSylvester, skew, skew_basis, spd_functions, stack_blocks,
-                     sym, sym_basis, unit_basis)
+from .linalg import SymmetricSylvester, skew, spd_functions, sym
 from .objectives import Objective
 
 HORIZ_TOL = 1e-8
@@ -530,15 +536,16 @@ def riem_hess_quad_quotient(
 
 
 def horizontal_basis(z: QuotientPoint, metric: MetricFamily):
-    """Structured basis of the horizontal space, as one stack, plus its
-    metric Gram matrix.
+    """Basis of the horizontal space, as one stack, plus its metric Gram
+    matrix: the horizontal lift b_i = L^-1(E_i) of the embedded orthonormal
+    basis E at the matched point, one formula for every geometry.
 
-    The count equals the quotient-manifold dimension: p*r - r(r-1)/2 for the
-    PSD geometries, (p1 + p2 - r)*r for the general ones.
+    Since L(b_i) = E_i, the Gram's condition is at most beta/alpha of
+    ``transport.spectrum_bounds``: it belongs to the metric, not the basis.
     """
     wt = z.weights(metric)
     geo = REGISTRY[z.geometry]
-    parts = geo.basis(z, wt)
+    parts = geo.inverse(z, tangent_basis(z.point), wt)
     return HorizontalVector(z, parts, _space(z, metric)), geo.gram(wt, parts)
 
 
@@ -617,8 +624,6 @@ class QuotientGeometry:
     - ``build_constants(z, wt)``, where the geometry has constants: those
       at z under the metric, a dict of read-only values, which
       ``constants`` keeps in ``wt``;
-    - ``basis(z, wt)``: a structured basis of the horizontal space, one
-      stack per factor (``linalg.stack_blocks``);
     - ``inverse(z, xi, wt)``: the inverse of L on the embedded tangent space;
     - ``bounds(z, wt)``: (alpha, beta) with alpha g <= ||L||^2 <= beta g;
     - ``grad_embedded(z, wt, grad)``: ambient embedded gradient from a lift.
@@ -869,14 +874,6 @@ class PsdQ1(QuotientGeometry):
         omega = op.solve(2.0 * skew(a @ op.a))
         return (u @ omega @ c["pinv"].T,)
 
-    def basis(self, z, wt):
-        u, uperp = z.point.U, z.point.Uperp
-        c = self.constants(z, wt)
-        pinv, op = c["pinv"], c["sylvester"]
-        minv = sym((op.qa / op.la) @ op.qa.T)
-        return stack_blocks(z.factors, {0: u @ (sym_basis(z.r) @ minv) @ pinv.T},
-                            {0: uperp @ unit_basis(uperp.shape[1], z.r) @ pinv.T})
-
     def inverse(self, z, xi, wt):
         c = self.constants(z, wt)
         op = c["sylvester"]
@@ -916,11 +913,6 @@ class PsdQ2(QuotientGeometry):
     def build_constants(self, z, wt):
         """B^-1."""
         return {"binv": _read_only(spd_functions(z.factor("B")).inv)}
-
-    def basis(self, z, wt):
-        uperp = z.point.Uperp
-        return stack_blocks(z.factors, {0: uperp @ unit_basis(uperp.shape[1], z.r)},
-                            {1: sym_basis(z.r)})
 
     def inverse(self, z, xi, wt):
         return (xi.Up @ self.constants(z, wt)["binv"], sym(xi.S))
@@ -976,17 +968,6 @@ class GenQ1(QuotientGeometry):
         a2 = v.T @ parts[1] @ c["p1"].T
         sv = op.solve(a1.mT @ op.b - op.a @ a2).mT
         return (u @ sv @ c["p2inv"].T, -v @ sv.mT @ c["p1inv"].T)
-
-    def basis(self, z, wt):
-        u, v = z.point.U, z.point.V
-        uperp, vperp = z.point.Uperp, z.point.Vperp
-        c = self.constants(z, wt)
-        p1inv, p2inv, op = c["p1inv"], c["p2inv"], c["sylvester"]
-        m1, m2, e = op.b, op.a, unit_basis(z.r, z.r)
-        return stack_blocks(z.factors,
-                            {0: u @ e @ m2 @ p2inv.T, 1: v @ e.mT @ m1 @ p1inv.T},
-                            {0: uperp @ unit_basis(uperp.shape[1], z.r) @ p2inv.T},
-                            {1: vperp @ unit_basis(vperp.shape[1], z.r) @ p1inv.T})
 
     def inverse(self, z, xi, wt):
         pt, c = z.point, self.constants(z, wt)
@@ -1044,13 +1025,6 @@ class GenQ2(QuotientGeometry):
         gu, gb, gv = super().grad_lift(z, wt, nabla)
         return (gu + u @ mix, gb, gv - v @ mix)
 
-    def basis(self, z, wt):
-        u, _, v = z.factors
-        uperp, vperp, w = z.point.Uperp, z.point.Vperp, skew_basis(z.r)
-        return stack_blocks(z.factors, {0: uperp @ unit_basis(uperp.shape[1], z.r)},
-                            {2: vperp @ unit_basis(vperp.shape[1], z.r)},
-                            {1: sym_basis(z.r)}, {0: u @ w, 2: -v @ w})
-
     def inverse(self, z, xi, wt):
         u, _, v = z.factors
         c = self.constants(z, wt)
@@ -1097,11 +1071,6 @@ class GenQ3(QuotientGeometry):
 
     def lift(self, x_pt, sig, root):
         return (x_pt.U, x_pt.V @ sig)
-
-    def basis(self, z, wt):
-        uperp = z.point.Uperp
-        return stack_blocks(z.factors, {0: uperp @ unit_basis(uperp.shape[1], z.r)},
-                            {1: unit_basis(z.factor("Y").shape[0], z.r)})
 
     def inverse(self, z, xi, wt):
         pt = z.point

@@ -25,7 +25,13 @@ of the Hessian-spectrum sandwich inequalities.
 L is defined only between Z and the embedded point cached inside Z (the
 matched-pair convention), which removes any eigenbasis rotation ambiguity.
 Both maps take a stack too: components with one leading axis of n vectors at
-one base point, mapped in one call.
+one base point, mapped in one call. L^-1 of the embedded orthonormal basis is
+``quotient.horizontal_basis``, the one horizontal basis of every geometry,
+which calls the registry's inverse itself, since this module imports
+``quotient``. ``landscape.verify_sandwich`` measures L on that basis with
+``forward_map`` and never assumes it is the identity, so the congruence
+does not rest on the inverse being exact; ``bijection-roundtrip`` checks
+the inverse.
 
 The five formulas above are documentation: the differential is derived, in
 ``quotient.QuotientGeometry``, from each geometry's factor map written as a

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from georank import landscape
+from georank.cli import run
 from georank.embedded import embed_point, project_rank_r, retract, riem_grad_embedded
 from georank.linalg import skew
 from georank.landscape import (
@@ -26,6 +27,7 @@ from georank.quotient import (
     quotient_point,
     riem_grad_quotient,
 )
+from georank.transport import spectrum_bounds
 
 from util import (
     ALL_QUOTIENTS,
@@ -134,19 +136,35 @@ class TestHessianSpectrum:
         rep = hessian_spectrum(z, obj, metric_family("psd_q1", "flat"))
         assert rep.dim == 6 * R - (R * R - R) // 2
 
+    @staticmethod
+    def _nearly_parallel(eps):
+        # nearly parallel factor columns: the flat q1 metric's beta/alpha,
+        # and so the basis Gram's condition, grows as eps^-2
+        rng = np.random.default_rng(55)
+        obj = random_approx_objective("psd", 6, 6, rng)
+        y = np.ones((6, 2)) + eps * rng.standard_normal((6, 2))
+        return obj, quotient_point("psd_q1", y), metric_family("psd_q1", "flat")
+
     def test_ill_conditioned_gram_rejected(self):
         from georank.linalg import ConditioningError
 
-        rng = np.random.default_rng(55)
-        obj = random_approx_objective("psd", 6, 6, rng)
-        # nearly parallel factor columns make the q1 Gram matrix explode
-        y = np.ones((6, 2)) + 1e-4 * rng.standard_normal((6, 2))
-        z = quotient_point("psd_q1", y)
+        # beta/alpha = 6.2e10; at 1e-6 the Sylvester operator of L^-1
+        # would refuse the point before the Gram is formed
+        obj, z, met = self._nearly_parallel(1e-5)
         obj, calls = counting(obj)
-        with pytest.raises(ConditioningError):
-            hessian_spectrum(z, obj, metric_family("psd_q1", "flat"))
+        with pytest.raises(ConditioningError, match="basis Gram condition"):
+            hessian_spectrum(z, obj, met)
         # the Gram is checked before any Hessian or gradient work
         assert calls == {"egrad": 0, "ehess_vec": 0}, calls
+
+    def test_gram_condition_is_the_metrics(self):
+        # at beta/alpha = 6.2e8 the point is within GRAM_COND_LIMIT, and the
+        # pulled-back basis's Gram has the metric's condition, not more
+        obj, z, met = self._nearly_parallel(1e-4)
+        rep = hessian_spectrum(z, obj, met)
+        co = spectrum_bounds(z, met)
+        assert np.linalg.cond(rep.gram) <= 1.01 * co.beta / co.alpha
+        assert np.linalg.cond(rep.gram) >= 0.99 * co.beta / co.alpha
 
     def test_metric_must_match_the_point(self):
         # the point names its geometry: an embedded one takes no metric, a
@@ -236,7 +254,7 @@ class TestVerifySandwich:
             counts.append(calls["egrad"])
         assert counts == [3, 3, 3], counts
 
-    def test_skew_block_fault_in_gen_q2_form_fails(self, monkeypatch):
+    def test_skew_block_fault_in_gen_q2_form_fails(self, monkeypatch, tmp_path):
         # a fault confined to gen_q2's skew block of the horizontal basis, at
         # 1e-6 of the form, fails the identity on every FOSP
         geo = REGISTRY["gen_q2"]
@@ -256,6 +274,18 @@ class TestVerifySandwich:
                                       embedded_spectrum(pt, obj))
                 assert rep["identity_max_rel_err"] > rep["identity_tol"], shape
                 assert not rep["passed"], shape
+        # the benchmark's verify-sandwich problem, general 10x8, r=2, through
+        # the CLI and its default tolerance, at the first four FOSPs
+        config = {"problem": {"kind": "approx", "case": "general", "p1": 10, "p2": 8,
+                              "r": 2}, "geometries": ["gen_q2"]}
+        for seed in (1, 2, 3):
+            report, status = run("verify-sandwich", config, seed=seed,
+                                 out_path=tmp_path / f"{seed}.json", no_timestamp=True)
+            assert status == 1 and len(report["checks"]) == 4, seed
+            for check in report["checks"]:
+                rep = check["details"]
+                assert rep["identity_max_rel_err"] > rep["identity_tol"], seed
+                assert not rep["passed"], seed
 
     def test_non_fosp_rejected(self):
         rng = np.random.default_rng(9)

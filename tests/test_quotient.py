@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from georank.embedded import embed_point
+from georank.embedded import embed_point, tangent_basis
 from georank.linalg import ConditioningError, SymmetricSylvester, sym
 from georank.objectives import make_matrix_approx
 from georank.quotient import (
@@ -33,7 +33,7 @@ from georank.quotient import (
     total_curve,
     vertical_project,
 )
-from georank.transport import forward_map, inverse_map
+from georank.transport import forward_map, inverse_map, spectrum_bounds
 
 from util import (
     ALL_QUOTIENTS,
@@ -580,6 +580,28 @@ class TestHorizontalBasis:
             # the flattened products are the pairwise metric to rounding
             pairwise = pairwise_gram(z, basis, met)
             assert np.max(np.abs(gram - pairwise)) <= 1e-14 * np.max(np.abs(pairwise))
+
+    def test_pulls_back_the_embedded_basis(self):
+        # L(b_i) = E_i: the basis is the horizontal lift of the embedded
+        # orthonormal basis at the matched point
+        rng = np.random.default_rng(26)
+        for geo, met in geometry_metric_combos(ALL_QUOTIENTS):
+            z = _instance(geo, rng)
+            basis, _ = horizontal_basis(z, met)
+            err = forward_map(z, basis, met).flat() - tangent_basis(z.point).flat()
+            assert np.max(np.abs(err)) <= 1e-13, (geo, met.name)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_gram_condition_is_at_most_the_metrics(self, seed):
+        # alpha g <= ||L theta||^2 <= beta g and L(b_i) = E_i bound the
+        # Gram's spectrum by [1/beta, 1/alpha]
+        rng = np.random.default_rng(seed)
+        for geo, met in geometry_metric_combos(ALL_QUOTIENTS):
+            p1, p2 = (40, 40) if kind_of(geo) == "psd" else (30, 20)
+            z = random_point(geo, p1, p2, 3, rng)
+            co = spectrum_bounds(z, met)
+            cond = np.linalg.cond(horizontal_basis(z, met)[1])
+            assert cond <= (1 + 1e-6) * co.beta / co.alpha, (geo, met.name, cond)
 
     def test_memory_at_general_40_by_30(self):
         # d = 201: the stacked basis, its Gram and their temporaries peak at

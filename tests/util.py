@@ -185,7 +185,7 @@ def pairwise_gram(z, basis, metric):
 
 def mixed_basis_spectrum(z, obj, metric, rng):
     """Quotient Hessian spectrum assembled by polarization of the quadratic
-    form over a random invertible recombination of the structured horizontal
+    form over a random invertible recombination of the pulled-back horizontal
     basis. The spectrum does not depend on the basis, so it must match
     ``hessian_spectrum``, which builds the Hessian matrix directly."""
     basis, gram = horizontal_basis(z, metric)
