@@ -20,7 +20,6 @@ config + seed therefore reproduces identical reports byte for byte (with
 
 import argparse
 import datetime
-import functools
 import itertools
 import json
 import sys
@@ -31,7 +30,7 @@ import numpy as np
 
 from .embedded import (
     EmbeddedPoint,
-    retract,
+    _top_factors,
     riem_grad_embedded,
     tangent_basis,
 )
@@ -54,6 +53,7 @@ from .objectives import (
 from .quotient import (
     EMBEDDED,
     HORIZ_TOL,
+    REGISTRY,
     geometries,
     horizontal_basis,
     lift_point,
@@ -64,7 +64,6 @@ from .quotient import (
     random_horizontal,
     random_point,
     riem_grad_quotient,
-    total_curve,
 )
 from .transport import forward_map, inverse_map, spectrum_bounds
 
@@ -85,8 +84,10 @@ class ConfigError(Exception):
 
 
 COUNTS = ("trials", "directions", "max_fosp_points")
-# directions per bijection-roundtrip stack, so its memory is flat in their count
+# vectors per stack in bijection-roundtrip and check-gradients, so memory is flat
+# in their count; check-gradients stacks fit STACK_BYTES, as larger ran slower
 DIRECTION_BLOCK = 64
+STACK_BYTES = 4 << 20
 FLOW_DEFAULTS = {"T": 1.0, "dt": 1e-2}
 # the keys a config may hold: at the top level ("") and in each of its objects
 CONFIG_KEYS = {
@@ -290,17 +291,27 @@ def cmd_dims(plan, obj, rng):
 def _grad_fd_maxrel(point, obj, metric, h=1e-5):
     """Max relative gap between g(grad, b) and a central difference of the
     objective along the basis curves of the point's geometry, normalized by
-    the largest directional derivative."""
+    the largest directional derivative. The curve points X(+-h b) are taken
+    in stacks of n basis vectors, with one objective call per stack."""
+    steps = np.array([h, -h]).reshape(2, 1, 1, 1)
+    n = min(DIRECTION_BLOCK, max(1, STACK_BYTES // (16 * obj.shape[0] * obj.shape[1])))
     if isinstance(point, EmbeddedPoint):
         basis = tangent_basis(point)
         lhs = basis.flat() @ riem_grad_embedded(point, obj).flat()
-        curves = [functools.partial(retract, point, b) for b in basis]
+
+        def curve_points(b):  # X + t b, truncated to rank r
+            u, s, v = _top_factors(point.X + steps * b.ambient(), point.r, point.kind)
+            return sym(u @ s @ v.mT) if point.kind == "psd" else u @ s @ v.mT
     else:
+        geo = REGISTRY[point.geometry]
         basis = horizontal_basis(point, metric)[0]
         lhs = metric_inner(point, riem_grad_quotient(point, obj, metric), basis, metric)
-        curves = [total_curve(point, b) for b in basis]
-    rhs = np.array([(obj.value(curve(h).X) - obj.value(curve(-h).X)) / (2.0 * h)
-                    for curve in curves])
+
+        def curve_points(b):  # the factors moved along b, checked, multiplied out
+            return geo._product(geo.checked(geo.curve(point, b.parts, steps)))
+    values = np.concatenate([obj.value(curve_points(basis[i:i + n]))
+                             for i in range(0, len(basis), n)], axis=1)
+    rhs = (values[0] - values[1]) / (2.0 * h)
     denom = max(np.max(np.abs(rhs)), 1e-300)
     return float(np.max(np.abs(lhs - rhs)) / denom)
 

@@ -14,7 +14,9 @@ only U and V; the orthogonal complements U_perp and V_perp are built on
 first use, by the orthonormal tangent basis.
 
 ``project_rank_r`` (and with it ``embed_point`` and ``retract``) truncates
-an ambient matrix by a dense p x p eigendecomposition or SVD.
+an ambient matrix by a dense p x p eigendecomposition or SVD; its
+``_top_factors`` also truncates a stack of matrices, each checked on its own,
+as the CLI's gradient check does with its finite-difference points.
 ``truncate_sum`` truncates X plus a combination of tangents, each at its
 own base point, from their stacked factors, decomposing only a core of
 size at most r(1 + 2m) for m tangents; the gradient flows use it.
@@ -25,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import RankError, orth_complement, sym, sym_basis
+from .linalg import RankError, frobenius, orth_complement, sym, sym_basis
 from .objectives import Objective
 
 RANK_GAP_TOL = 1e-10
@@ -137,10 +139,13 @@ def _stack_len(a):  # the vector count of a stack, from one of its components
 
 
 def _column_signs(u):
-    """Signs that make the largest-magnitude entry of each column of U
-    positive; flipping V's columns by the same signs keeps U S V^T."""
-    flips = np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])])
-    flips[flips == 0] = 1.0
+    """Signs, shaped (..., 1, r), making the largest-magnitude entry of each column
+    of U (of each U of a stack) positive, the first on a tie; V flips by them too."""
+    cols = u.mT.copy()  # U's columns as rows, so the reductions run along memory
+    flips = np.sign(cols.max(axis=-1) + cols.min(axis=-1))[..., None, :]
+    if not all(flips.flat):  # a tie of magnitudes: the first of max and min wins
+        first = (cols.argmax(axis=-1) <= cols.argmin(axis=-1))[..., None, :]
+        flips = np.where(flips == 0, np.where(first, 1.0, -1.0), flips)
     return flips
 
 
@@ -153,8 +158,8 @@ def _finite(x):
 
 
 def _top_factors(x, r, kind, left=None, right=None):
-    """Top-r factors (U, Sigma, V) of an ambient matrix, with sign-fixed
-    frames; V is U for the PSD kind.
+    """Top-r factors (U, Sigma, V) of an ambient matrix, or of each in a stack
+    (each checked on its own), with sign-fixed frames; V is U for the PSD kind.
 
     Given orthonormal ``left`` and ``right`` (the same for the PSD kind), x
     is the core of the matrix left @ x @ right^T: the core's frames are
@@ -162,35 +167,33 @@ def _top_factors(x, r, kind, left=None, right=None):
     reads the core's spectrum, which is the matrix's own up to zeros.
     """
     x = _finite(np.asarray(x, dtype=float))
-    if kind == "psd":
-        if x.shape[0] != x.shape[1]:
+    psd = kind == "psd"
+    if psd:
+        if x.shape[-2] != x.shape[-1]:
             raise ValueError(f"psd kind needs a square matrix, got {x.shape}")
-        if np.linalg.norm(x - x.T) > 1e-10 * max(1.0, np.linalg.norm(x)):
+        if (frobenius(x - x.mT) > 1e-10 * np.maximum(1.0, frobenius(x))).any():
             raise ValueError("psd kind requires a symmetric matrix")
         w, q = np.linalg.eigh(_finite(sym(x)))  # sym(x) itself may overflow
-        order = np.argsort(w)[::-1]
-        w, q = w[order], q[:, order]
-        scale = max(np.max(np.abs(w)), 1e-300)
-        if w[r - 1] <= RANK_GAP_TOL * scale:
-            raise RankError(
-                f"matrix is not numerically rank {r} with positive spectrum "
-                f"(eigenvalue {r} is {w[r - 1]:.3e})"
-            )
-        q = q[:, :r] if left is None else left @ q[:, :r]
-        u = q * _column_signs(q)
-        return u, np.diag(w[:r]), u
-    if kind != "general":
+        # descending; the top r by an index array, whose copy the lift multiplies
+        s, u = w[..., ::-1], q[..., np.arange(-1, -r - 1, -1)]
+        scale = np.maximum(s.T[0], -s.T[-1])  # the largest magnitude
+    elif kind == "general":
+        u, s, vt = np.linalg.svd(x, full_matrices=False)
+        scale = s.T[0]
+    else:
         raise ValueError(f"unknown manifold kind {kind!r}")
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
-    if s[r - 1] <= RANK_GAP_TOL * max(s[0], 1e-300):
-        raise RankError(
-            f"matrix is not numerically rank {r} (singular value {r} is {s[r-1]:.3e})"
-        )
-    u, v = u[:, :r], vt[:r].T
-    if left is not None:
-        u, v = left @ u, right @ v
+    top = s.T[r - 1]  # against max(scale, 1e-300); through s.T, floats for one matrix
+    low = (top <= RANK_GAP_TOL * scale) | (top <= RANK_GAP_TOL * 1e-300)
+    if any(low.flat):
+        what = " with positive spectrum (eigenvalue" if psd else " (singular value"
+        raise RankError(f"matrix is not numerically rank {r}{what} {r} is "
+                        f"{np.extract(low, top)[0]:.3e})")
+    u = u[..., :r] if left is None else left @ u[..., :r]
     flips = _column_signs(u)
-    return u * flips, np.diag(s[:r]), v * flips
+    if not psd:
+        v = vt[..., :r, :].mT if right is None else right @ vt[..., :r, :].mT
+    u = u * flips
+    return u, s[..., :r, None] * np.eye(r), u if psd else v * flips
 
 
 def _point_from_factors(kind, u, sigma, v):

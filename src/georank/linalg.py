@@ -48,6 +48,12 @@ def sym(x) -> np.ndarray:
     return (x + x.mT) / 2.0
 
 
+def frobenius(x) -> np.ndarray:
+    """Frobenius norm of a matrix, or one per matrix of a stack."""
+    flat = x.reshape(x.shape[:-2] + (-1,))
+    return np.sqrt(np.vecdot(flat, flat))
+
+
 def skew(x) -> np.ndarray:
     """Skew-symmetric part (X - X^T)/2 of a square matrix, or of each in a stack."""
     x = np.asarray(x, dtype=float)
@@ -77,15 +83,21 @@ def solve_sylvester(a, b, c) -> np.ndarray:
     scale = np.linalg.norm(a, 2) + np.linalg.norm(b, 2)
     alpha = np.linalg.eigvals(a)
     beta = np.linalg.eigvals(b)
-    gap = np.min(np.abs(alpha[:, None] + beta[None, :]))
-    if gap <= SYLVESTER_SEP_TOL * max(scale, 1e-300):
-        raise ConditioningError(
-            f"spectra of A and -B overlap (separation {gap:.3e}); "
-            "Sylvester equation has no unique solution"
-        )
+    _check_separation(np.min(np.abs(alpha[:, None] + beta[None, :])), scale)
     k = np.kron(np.eye(n), a) + np.kron(b.T, np.eye(m))
     x = np.linalg.solve(k, c.reshape(-1, order="F"))
     return x.reshape((m, n), order="F")
+
+
+def _check_separation(gap, scale):
+    """Refuse a Sylvester equation whose spectra of A and -B come within
+    SYLVESTER_SEP_TOL of each other relative to the scale, and say by how much."""
+    gap = gap / max(scale, 1e-300)
+    if gap <= SYLVESTER_SEP_TOL:
+        raise ConditioningError(
+            f"spectra of A and -B overlap (relative separation {gap:.3e} <= "
+            f"SYLVESTER_SEP_TOL {SYLVESTER_SEP_TOL:.0e}); Sylvester equation has "
+            "no unique solution")
 
 
 def _frozen(a) -> np.ndarray:
@@ -113,12 +125,7 @@ class SymmetricSylvester:
                             else map(_frozen, np.linalg.eigh(self.b)))
         denom = self.la[:, None] + self.lb[None, :]
         scale = np.max(np.abs(self.la)) + np.max(np.abs(self.lb))
-        gap = np.min(np.abs(denom))
-        if gap <= SYLVESTER_SEP_TOL * max(scale, 1e-300):
-            raise ConditioningError(
-                f"spectra of A and -B overlap (separation {gap:.3e}); "
-                "Sylvester equation has no unique solution"
-            )
+        _check_separation(np.min(np.abs(denom)), scale)
         self.denom = _frozen(denom)
 
     def solve(self, c) -> np.ndarray:

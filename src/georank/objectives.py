@@ -29,14 +29,16 @@ class Objective:
     _egrad: Callable = field(repr=False)
     _ehess: Callable = field(repr=False)
 
-    def _check(self, x) -> np.ndarray:
+    def _check(self, x, stack=False) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape != self.shape:
+        if (x.shape[-2:] if stack else x.shape) != self.shape:
             raise ValueError(f"objective expects shape {self.shape}, got {x.shape}")
         return x
 
-    def value(self, x) -> float:
-        return float(self._value(self._check(x)))
+    def value(self, x):
+        """f(X): a float, or one per matrix of a stack on leading axes."""
+        out = self._value(x := self._check(x, stack=True))
+        return out if x.ndim > 2 else float(out)
 
     def egrad(self, x) -> np.ndarray:
         return self._egrad(self._check(x))
@@ -50,7 +52,7 @@ def _symmetrized(obj: Objective) -> Objective:
     symmetric matrices but has symmetric gradients everywhere."""
 
     def value(x):
-        return 0.5 * (obj._value(x) + obj._value(x.T))
+        return 0.5 * (obj._value(x) + obj._value(x.mT))
 
     def egrad(x):
         return 0.5 * (obj._egrad(x) + obj._egrad(x.T).T)
@@ -78,7 +80,7 @@ def make_matrix_approx(m, symmetric: bool = False) -> Objective:
         m.shape,
         symmetric,
         "approx",
-        lambda x: 0.5 * np.sum((x - m) ** 2),
+        lambda x: 0.5 * np.sum((x - m) ** 2, axis=(-2, -1)),
         lambda x: x - m,
         lambda x, z: z,
     )
@@ -102,7 +104,7 @@ def make_masked_completion(m, mask, symmetric: bool = False) -> Objective:
         m.shape,
         symmetric,
         "completion",
-        lambda x: 0.5 * np.sum((mask * (x - m)) ** 2),
+        lambda x: 0.5 * np.sum((mask * (x - m)) ** 2, axis=(-2, -1)),
         lambda x: mask * (x - m),
         lambda x, z: mask * z,
     )
@@ -122,14 +124,15 @@ def make_matrix_sensing(operators, observations, symmetric: bool = False) -> Obj
         raise ValueError(f"{ops.shape[0]} operators but {len(b)} observations")
     shape = ops.shape[1:]
 
-    def residuals(x):
-        return np.tensordot(ops, x, axes=([1, 2], [0, 1])) - b
+    def residuals(x):  # on the leading axis, for X or a stack of them
+        return (np.tensordot(ops, x, axes=([1, 2], [-2, -1]))
+                - b.reshape((-1,) + (1,) * (x.ndim - 2)))
 
     obj = Objective(
         shape,
         False,
         "sensing",
-        lambda x: 0.5 * np.sum(residuals(x) ** 2),
+        lambda x: 0.5 * np.sum(residuals(x) ** 2, axis=0),
         lambda x: np.tensordot(residuals(x), ops, axes=(0, 0)),
         lambda x, z: np.tensordot(
             np.tensordot(ops, z, axes=([1, 2], [0, 1])), ops, axes=(0, 0)

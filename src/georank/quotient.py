@@ -58,7 +58,8 @@ from .embedded import (
     project_rank_r,
     tangent_basis,
 )
-from .linalg import SymmetricSylvester, skew, spd_functions, sym
+from .linalg import (ConditioningError, SymmetricSylvester, frobenius, skew,
+                     spd_functions, sym)
 from .objectives import Objective
 
 HORIZ_TOL = 1e-8
@@ -111,30 +112,31 @@ def _read_only(a):
 
 
 def _qf(a):
-    """QR orthonormal factor with positive diagonal R (deterministic)."""
+    """QR orthonormal factor with positive diagonal R, of each matrix of a stack."""
     q, r = np.linalg.qr(a)
-    signs = np.sign(np.diag(r))
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    return q * signs
+    return q * signs[..., None, :]
 
 
+# the factor checks, by kind: each matrix of a stack is checked on its own
 def _check_full_rank(a, name):
     s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] <= FULL_RANK_TOL * max(s[0], 1e-300):
+    if (s[..., -1] <= FULL_RANK_TOL * np.maximum(s[..., 0], 1e-300)).any():
         raise ValueError(f"factor {name} is numerically rank deficient")
 
 
 def _check_stiefel(u, name):
-    r = u.shape[1]
-    if np.linalg.norm(u.T @ u - np.eye(r)) > STIEFEL_TOL * max(1.0, np.sqrt(r)):
+    r = u.shape[-1]
+    if (frobenius(u.mT @ u - np.eye(r)) > STIEFEL_TOL * max(1.0, np.sqrt(r))).any():
         raise ValueError(f"factor {name} does not have orthonormal columns")
 
 
 def _check_spd(b, name):
-    if np.linalg.norm(b - b.T) > 1e-10 * max(1.0, np.linalg.norm(b)):
+    if (frobenius(b - b.mT) > 1e-10 * np.maximum(1.0, frobenius(b))).any():
         raise ValueError(f"factor {name} is not symmetric")
     w = np.linalg.eigvalsh(sym(b))
-    if w[0] <= FULL_RANK_TOL * max(w[-1], 0.0):
+    if (w[..., 0] <= FULL_RANK_TOL * np.maximum(w[..., -1], 0.0)).any():
         raise ValueError(f"factor {name} is not positive definite")
 
 
@@ -565,23 +567,6 @@ def quotient_dim(geometry: str, p1: int, p2: int, r: int) -> int:
     raise ValueError(f"unknown geometry {geometry!r}")
 
 
-def total_curve(z: QuotientPoint, theta: HorizontalVector):
-    """Curve t -> point through z with initial velocity theta.
-
-    Straight lines in the vector-space factors, QR retraction on Stiefel
-    factors. Used by the finite-difference oracles for gradients (any t) and
-    for Hessians at stationary points (curve-independence holds there).
-    """
-    if theta.base is not z:
-        raise ValueError("horizontal vector is not based at the given point")
-    geo = REGISTRY[z.geometry]
-
-    def curve(t):
-        return quotient_point(z.geometry, *geo.curve(z, theta.parts, t))
-
-    return curve
-
-
 # ---------------------------------------------------------------------------
 # the geometries
 
@@ -644,9 +629,12 @@ class QuotientGeometry:
     def constants(self, z, wt) -> dict:
         """The geometry's constants at z under wt's metric, built on first use
         and kept in ``wt``: the gradient lift and L need only the weights, and
-        an ill-separated operator must not fail them."""
+        an ill-separated operator must not fail them (its refusal names the family)."""
         if not wt.constants:
-            wt.constants.update(self.build_constants(z, wt))
+            try:
+                wt.constants.update(self.build_constants(z, wt))
+            except ConditioningError as exc:
+                raise ConditioningError(f"{self.name}/{wt.metric.name}: {exc}") from exc
         return wt.constants
 
     def _chain(self, base, read=None, lo=0, hi=None):
@@ -792,6 +780,9 @@ class QuotientGeometry:
                      for f, base, a in zip(self.factors, z.factors, parts))
 
     def curve(self, z, parts, t):
+        """The factors moved from z by t along ``parts``: straight lines, QR
+        retraction on Stiefel factors; a stack of ``parts`` and an array ``t``
+        that broadcasts against it move as one stack."""
         out = []
         for f, base, a in zip(self.factors, z.factors, parts):
             moved = base + t * a

@@ -35,7 +35,6 @@ from georank.quotient import (
     random_horizontal,
     riem_grad_quotient,
     riem_hess_quad_quotient,
-    total_curve,
 )
 from georank.transport import forward_map, inverse_map, spectrum_bounds
 
@@ -50,6 +49,7 @@ from util import (
     random_approx_objective,
     random_point,
     run_cli,
+    total_curve,
 )
 
 

@@ -30,6 +30,7 @@ from util import (
     kind_of,
     random_approx_objective,
     random_point,
+    total_curve,
 )
 
 
@@ -119,8 +120,6 @@ class TestNonIdentityHessianObjectives:
         mask = (rng.random((5, 4)) < 0.8).astype(float)
         obj = make_masked_completion(rng.standard_normal((5, 4)), mask)
         h = 1e-5
-        from georank.quotient import total_curve
-
         for geo, met in geometry_metric_combos(GEN_QUOTIENTS):
             z = random_point(geo, 5, 4, 2, rng)
             grad = riem_grad_quotient(z, obj, met)

@@ -157,7 +157,7 @@ class TestSymmetricSylvester:
 
     def test_overlapping_spectra_rejected(self):
         a = np.diag([1.0, 2.0])
-        with pytest.raises(ConditioningError):
+        with pytest.raises(ConditioningError, match="relative separation 0.000e"):
             SymmetricSylvester(a, -a)
 
     def test_shape_mismatch(self):

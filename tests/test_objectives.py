@@ -167,6 +167,32 @@ class TestSharedInvariants:
             assert abs(obj.value(x) - obj.value(x.T)) < 1e-12
 
 
+@pytest.mark.parametrize("kind", ["approx", "completion", "sensing"])
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_stacked_values_are_each_matrix_s(kind, symmetric):
+    # value takes a stack on leading axes and returns one value per matrix;
+    # one matrix still gives a float
+    rng = np.random.default_rng(11)
+    target = sym(rng.standard_normal((4, 4)))
+    if kind == "approx":
+        obj = make_matrix_approx(target, symmetric=symmetric)
+    elif kind == "completion":
+        mask = (rng.random((4, 4)) < 0.7).astype(float)
+        obj = make_masked_completion(target, np.maximum(mask, mask.T), symmetric=symmetric)
+    else:
+        obj = make_matrix_sensing(rng.standard_normal((6, 4, 4)), rng.standard_normal(6),
+                                  symmetric=symmetric)
+    xs = rng.standard_normal((2, 3, 4, 4))
+    values = obj.value(xs)
+    assert values.shape == (2, 3)
+    for i in np.ndindex(2, 3):
+        single = obj.value(xs[i])
+        assert type(single) is float
+        assert abs(values[i] - single) <= 1e-13 * abs(single)
+    with pytest.raises(ValueError, match="expects shape"):
+        obj.value(xs[..., :3])
+
+
 def test_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(10)
     m = rng.standard_normal((3, 4))

@@ -30,7 +30,6 @@ from georank.quotient import (
     riem_grad_quotient,
     riem_hess_matrix_quotient,
     riem_hess_quad_quotient,
-    total_curve,
     vertical_project,
 )
 from georank.transport import forward_map, inverse_map, spectrum_bounds
@@ -50,6 +49,7 @@ from util import (
     qf,
     random_approx_objective,
     random_point,
+    total_curve,
 )
 
 SIZES = {"psd": (6, 6), "general": (5, 4)}
@@ -192,6 +192,20 @@ class TestProjections:
         with pytest.raises(ConditioningError):
             vertical_project(z, (rng.standard_normal((6, 2)),),
                              metric_family("psd_q1", family))
+
+    def test_nearly_parallel_refusal_names_the_metric(self):
+        # the refusal gives the separation relative to the operator's scale,
+        # against the tolerance, and names the geometry and metric family
+        rng = np.random.default_rng(55)
+        rng.standard_normal((6, 6))  # the draw of a 6 x 6 psd objective
+        z = quotient_point("psd_q1", np.ones((6, 2)) + 1e-6 * rng.standard_normal((6, 2)))
+        with pytest.raises(ConditioningError) as info:
+            horizontal_basis(z, metric_family("psd_q1", "flat"))
+        message = str(info.value)
+        assert message.startswith("psd_q1/flat: spectra of A and -B overlap")
+        gap = float(message.split("relative separation ")[1].split()[0])
+        assert 0 <= gap <= 1e-12
+        assert "<= SYLVESTER_SEP_TOL 1e-12" in message
 
     def test_non_tangent_rejected(self):
         rng = np.random.default_rng(10)

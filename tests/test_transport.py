@@ -32,6 +32,7 @@ from util import (
     hv_gap,
     kind_of,
     random_point,
+    total_curve,
 )
 
 SIZES = {"psd": (6, 6), "general": (5, 4)}
@@ -71,8 +72,6 @@ class TestForwardMap:
         # L(theta) equals the derivative of the factor product along theta
         rng = np.random.default_rng(2)
         h = 1e-6
-        from georank.quotient import total_curve
-
         for geo, met in geometry_metric_combos(ALL_QUOTIENTS):
             z = _instance(geo, rng)
             theta = random_horizontal(z, met, rng)

@@ -39,7 +39,6 @@ from georank.quotient import (
     random_horizontal,
     random_point,
     riem_hess_quad_quotient,
-    total_curve,
 )
 from georank.transport import forward_map, inverse_map, spectrum_bounds
 
@@ -113,6 +112,22 @@ def finite_diff_directional(fn, x, v, order, h):
     if not np.isfinite(out):
         raise ValueError("function evaluated to a non-finite value")
     return out
+
+
+def total_curve(z, theta):
+    """Curve t -> quotient point through z with initial velocity theta, one
+    ``quotient_point`` (checks, frame and X) per evaluation: the per-curve
+    oracle for the gradient check's stacked curve points, and the curve of
+    the finite-difference tests (any t for gradients, stationary points for
+    Hessians, where curve-independence holds)."""
+    if theta.base is not z:
+        raise ValueError("horizontal vector is not based at the given point")
+    geo = REGISTRY[z.geometry]
+
+    def curve(t):
+        return quotient_point(z.geometry, *geo.curve(z, theta.parts, t))
+
+    return curve
 
 
 def metric_derivative_fd(metric, key, z, parts, h=1e-6):
