@@ -98,6 +98,9 @@ CONFIG_KEYS = {
     "flow": set(FLOW_DEFAULTS),
     "tolerances": set(DEFAULT_TOLERANCES),
 }
+# the problem keys that one problem kind alone reads
+KIND_KEYS = {"target_csv": "approx", "mask_csv": "completion",
+             "mask_density": "completion", "num_measurements": "sensing"}
 
 
 @dataclass(frozen=True)
@@ -141,8 +144,8 @@ def _plan(config):
     """Check the whole config before anything runs, and resolve it into the
     one ``Plan`` every command reads."""
     _section("", config)
-    prob = {"kind": "approx", "case": "psd", "p1": 5, "r": 2, "mask_density": 0.7,
-            **_section("problem", config.get("problem", {}))}
+    given = _section("problem", config.get("problem", {}))
+    prob = {"kind": "approx", "case": "psd", "p1": 5, "r": 2, "mask_density": 0.7, **given}
     if prob["case"] == "psd":
         prob["p2"] = prob["p1"]
     prob.setdefault("p2", 4)
@@ -150,6 +153,10 @@ def _plan(config):
         raise ConfigError(f"unknown problem kind {prob['kind']!r}")
     if prob["case"] not in ("psd", "general"):
         raise ConfigError(f"unknown problem case {prob['case']!r}")
+    for key in sorted(KIND_KEYS.keys() & given):
+        if KIND_KEYS[key] != prob["kind"]:
+            raise ConfigError(f"problem key {key!r} is not read by kind {prob['kind']!r}, "
+                              f"only by {KIND_KEYS[key]!r}")
     for key in ("p1", "p2", "r"):
         if not _is_number(prob[key], int):
             raise ConfigError(f"problem {key} must be an integer, got {prob[key]!r}")

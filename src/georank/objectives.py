@@ -90,6 +90,8 @@ def make_masked_completion(m, mask, symmetric: bool = False) -> Objective:
     """f(X) = 0.5 ||mask o (X - M)||_F^2 (entrywise observation mask)."""
     m = np.asarray(m, dtype=float)
     mask = np.asarray(mask, dtype=float)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("target matrix must be finite")
     if mask.shape != m.shape:
         raise ValueError(f"mask shape {mask.shape} != target shape {m.shape}")
     if not np.all((mask == 0) | (mask == 1)):
@@ -118,6 +120,8 @@ def make_matrix_sensing(operators, observations, symmetric: bool = False) -> Obj
     """
     ops = np.asarray(operators, dtype=float)
     b = np.asarray(observations, dtype=float).ravel()
+    if not (np.all(np.isfinite(ops)) and np.all(np.isfinite(b))):
+        raise ValueError("measurement operators and observations must be finite")
     if ops.ndim != 3:
         raise ValueError("operators must be a list of equally-shaped matrices")
     if len(b) != ops.shape[0]:

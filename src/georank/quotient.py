@@ -12,14 +12,15 @@ factorization's invariance group:
 Each geometry is one ``QuotientGeometry`` subclass in ``REGISTRY``, holding
 its factors (each Stiefel, SPD or free), its factor map as a product chain
 (e.g. ("U", "B", "U^T")), its metric families as plain weight specs
-(``Weight``), and the formulas particular to it. The base class derives from
-the chain, once for all five, the factor map's first and second
-differentials, each factor's partial derivative, the gradient lift and the
-Hessian's matrix on a stack of vectors; operations that depend only on a
-factor's kind are also written once there. The public functions below check
-their arguments and make one registry call; ``riem_hess_matrix_quotient``
-builds a point's Hessian matrix on a basis, computing the gradient, its lift
-and the basis's differentials and weight derivatives once each.
+(``Weight``), and the paper's formulas particular to it. The base class
+derives from the chain, once for all five, the matched frame, the canonical
+lift, the metric, the factor map's first and second differentials, each
+factor's partial derivative, the gradient lift and the Hessian's matrix on a
+stack of vectors, and writes the operations that depend only on a factor's
+kind. The public functions below check their arguments and make one registry
+call; ``riem_hess_matrix_quotient`` builds a point's Hessian matrix on a
+basis, computing the gradient, its lift and the basis's differentials and
+weight derivatives once each.
 
 No geometry writes a basis of its horizontal space: ``horizontal_basis`` is
 the horizontal lift L^-1(E_i) of the embedded orthonormal basis E, through
@@ -93,7 +94,7 @@ class QuotientPoint:
         return self.point.r
 
     def factor(self, name: str) -> np.ndarray:
-        return self.factors[FACTOR_NAMES[self.geometry].index(name)]
+        return self.factors[REGISTRY[self.geometry].names.index(name)]
 
     def weights(self, metric: "MetricFamily") -> "Weights":
         """The metric's ``Weights`` at this point, evaluated on first use and
@@ -154,9 +155,9 @@ def quotient_point(geometry: str, *factors) -> QuotientPoint:
     geo = _geometry(geometry)
     factors = tuple(np.asarray(f, dtype=float) for f in factors)
     if len(factors) != len(geo.factors):
-        raise ValueError(f"{geometry} expects factors {FACTOR_NAMES[geometry]}")
+        raise ValueError(f"{geometry} expects factors {geo.names}")
     factors = geo.checked(factors)
-    return QuotientPoint(geometry, factors, geo.frame(*factors))
+    return QuotientPoint(geometry, factors, geo.frame(factors))
 
 
 def lift_point(x_pt: EmbeddedPoint, geometry: str) -> QuotientPoint:
@@ -173,9 +174,7 @@ def lift_point(x_pt: EmbeddedPoint, geometry: str) -> QuotientPoint:
     if np.linalg.norm(sig - np.diag(np.diag(sig))) > 1e-12 * np.linalg.norm(sig):
         # canonical lifts need a spectral frame; rebuild one from X
         x_pt = embed_point(x_pt.X, x_pt.r, x_pt.kind)
-        sig = x_pt.Sigma
-    root = np.diag(np.sqrt(np.diag(sig)))
-    return QuotientPoint(geometry, geo.lift(x_pt, sig, root), x_pt)
+    return QuotientPoint(geometry, geo.lift(x_pt), x_pt)
 
 
 def random_point(geometry: str, p1: int, p2: int, r: int,
@@ -240,7 +239,7 @@ class Weight:
         if self.form == "I":
             return np.eye(z.r) if parts is None else np.zeros((z.r, z.r))
         f = z.factor(self.factor)
-        df = None if parts is None else parts[FACTOR_NAMES[z.geometry].index(self.factor)]
+        df = None if parts is None else parts[REGISTRY[z.geometry].names.index(self.factor)]
         if self.form == "B":
             return f if df is None else df
         if self.form == "FtF":
@@ -597,15 +596,15 @@ class QuotientGeometry:
     ``metric_horizontal`` when its horizontal space depends on the metric.
 
     From the chain, the factor kinds and the weights, the base class derives
+    the matched frame, the canonical lift, the metric and its Gram matrix,
     the differential and second differential of the factor map, each
-    factor's partial derivative, the gradient lift, the Hessian's and the
-    metric's matrices on a stack of vectors and L(theta). A subclass
-    implements, on raw component tuples and the point's ``Weights`` ``wt``:
+    factor's partial derivative, the gradient lift, the Hessian's matrix on
+    a stack of vectors and L(theta). A subclass adds the paper's formulas
+    particular to it, on raw component tuples and the point's ``Weights`` ``wt``:
 
-    - ``frame(*factors)``: the matched ``EmbeddedPoint``;
-    - ``lift(x_pt, sig, root)``: canonical factors of a spectral frame;
-    - ``vertical(z, parts, wt)``: vertical part of a tangent vector (the
-      base class covers O(r) acting on a total space with a Stiefel factor);
+    - ``vertical(z, parts, wt)`` where the vertical part depends on the
+      metric (the base class covers O(r) acting with a Stiefel factor);
+    - ``grad_lift(z, wt, nabla)`` where the base lift is not horizontal;
     - ``build_constants(z, wt)``, where the geometry has constants: those
       at z under the metric, a dict of read-only values, which
       ``constants`` keeps in ``wt``;
@@ -621,10 +620,39 @@ class QuotientGeometry:
             name: MetricFamily(self.name, name, description, weights)
             for name, (description, weights) in self.metrics.items()
         }
-        # each link as (factor position, transposed), resolved once
-        names = [f.name for f in self.factors]
-        self.links = tuple((names.index(link.removesuffix("^T")), link.endswith("^T"))
+        # resolved once: each link as (factor position, transposed), the end links'
+        # factors, each factor's lift frame (0: U, 1: V), the free-factor links
+        self.names = tuple(f.name for f in self.factors)
+        self.links = tuple((self.names.index(link.removesuffix("^T")), link.endswith("^T"))
                            for link in self.chain)
+        self.ends = (self.links[0][0], self.links[-1][0])
+        self.sides = tuple(int(i != self.ends[0]) for i in range(len(self.factors)))
+        self.free_links = sum(self.factors[i].kind == "free" for i, _ in self.links)
+
+    def frame(self, factors):
+        """The matched ``EmbeddedPoint``: U is the first link's factor if it
+        is Stiefel, else its QR factor, V likewise from the last link's (U
+        itself for the PSD kind), and Sigma the chain with its end links read
+        as U^T F and (V^T F)^T, or dropped where F is the frame itself."""
+        i, j = self.ends
+        u = factors[i] if self.factors[i].kind == "stiefel" else _qf(factors[i])
+        v = (u if self.kind == "psd" else factors[j] if self.factors[j].kind == "stiefel"
+             else _qf(factors[j]))
+        core = self._chain(factors, lo=1, hi=len(self.links) - 1)
+        if u is not factors[i]:
+            core.insert(0, u.T @ factors[i])
+        if v is not factors[j]:
+            core.append((v.T @ factors[j]).T)
+        return _point_from_factors(self.kind, u, reduce(np.matmul, core), v)
+
+    def lift(self, x_pt):
+        """Canonical factors of a point with a spectral (diagonal) Sigma: U
+        for the first link's factor and V for the others, times Sigma^(1/k) on
+        a free factor, where k <= 2 links read free factors; Sigma for the SPD core."""
+        sig, frames = x_pt.Sigma, (x_pt.U, x_pt.V)
+        root = sig if self.free_links < 2 else np.diag(np.sqrt(np.diag(sig)))
+        return tuple(sig if f.kind == "spd" else frames[side] if f.kind == "stiefel"
+                     else frames[side] @ root for f, side in zip(self.factors, self.sides))
 
     def constants(self, z, wt) -> dict:
         """The geometry's constants at z under wt's metric, built on first use
@@ -755,21 +783,31 @@ class QuotientGeometry:
                 h[i, j] = h[j, i] = out
         return h
 
+    def lowered(self, wt, parts):
+        """Each component with the metric's weights applied, so that the
+        metric is its elementwise product with a second vector: a W on
+        Stiefel and free factors, W a W on the (symmetric) SPD core."""
+        ws = [getattr(wt, f.weight) for f in self.factors]
+        return [w @ a @ w if f.kind == "spd" else a @ w
+                for f, w, a in zip(self.factors, ws, parts)]
+
+    def inner(self, wt, t1, t2):
+        """The metric on two tangent vectors. The components of either may
+        carry a leading stack axis, giving one value per stacked vector."""
+        return sum((a * b).sum(axis=(-2, -1)) for a, b in zip(self.lowered(wt, t1), t2))
+
     def gram(self, wt, parts):
         """The metric's Gram matrix of the stacked components ``parts``, one
-        flattened product per factor: tr(W a^T b) = <a W, b> on Stiefel and
-        free factors, tr(W a W b) = <W a W, b^T> on the SPD core."""
+        flattened product of lowered components against components per factor."""
         n = len(parts[0])
-        out = 0.0
-        for f, a in zip(self.factors, parts):
-            w = getattr(wt, f.weight)
-            left, right = (w @ a @ w, a.mT) if f.kind == "spd" else (a @ w, a)
-            out = out + left.reshape(n, -1) @ right.reshape(n, -1).T
-        return sym(out)
+        return sym(sum(a.reshape(n, -1) @ b.reshape(n, -1).T
+                       for a, b in zip(self.lowered(wt, parts), parts)))
 
     def checked(self, factors):
-        """Validate factors by kind; SPD factors are symmetrized."""
+        """Validate factors: each finite, then by kind; SPD factors are symmetrized."""
         for f, a in zip(self.factors, factors):
+            if not np.isfinite(a).all():
+                raise ValueError(f"factor {f.name} has a non-finite entry")
             _CHECKS[f.kind](a, f.name)
         return tuple(sym(a) if f.kind == "spd" else a
                      for f, a in zip(self.factors, factors))
@@ -783,15 +821,9 @@ class QuotientGeometry:
         """The factors moved from z by t along ``parts``: straight lines, QR
         retraction on Stiefel factors; a stack of ``parts`` and an array ``t``
         that broadcasts against it move as one stack."""
-        out = []
-        for f, base, a in zip(self.factors, z.factors, parts):
-            moved = base + t * a
-            if f.kind == "stiefel":
-                moved = _qf(moved)
-            elif f.kind == "spd":
-                moved = sym(moved)
-            out.append(moved)
-        return tuple(out)
+        moved = [base + t * a for base, a in zip(z.factors, parts)]
+        return tuple(_qf(m) if f.kind == "stiefel" else sym(m) if f.kind == "spd" else m
+                     for f, m in zip(self.factors, moved))
 
     def vertical(self, z, parts, wt):
         """Vertical part under O(r) with a Stiefel factor: F Omega on the
@@ -817,18 +849,6 @@ class QuotientGeometry:
             xv = (xv + xtu) / 2.0  # sym(X_theta) U, as V is U
         return _tangent_from_products(pt, xv, xtu)
 
-    def inner(self, wt, t1, t2):
-        """The metric on two tangent vectors. The components of either may
-        carry a leading stack axis, giving one value per stacked vector."""
-        out = None
-        for f, a, b in zip(self.factors, t1, t2):
-            w = getattr(wt, f.weight)
-            if f.kind == "spd":
-                term = np.trace(w @ a @ w @ b, axis1=-2, axis2=-1)
-            else:
-                term = np.trace(w @ a.mT @ b, axis1=-2, axis2=-1)
-            out = term if out is None else out + term
-        return out
 
 
 class PsdQ1(QuotientGeometry):
@@ -842,13 +862,6 @@ class PsdQ1(QuotientGeometry):
                          {"w": Weight("FtF", "Y", inverse=True)}),
     }
     metric_horizontal = True
-
-    def frame(self, y):
-        u = _qf(y)
-        return _point_from_factors("psd", u, u.T @ (y @ y.T) @ u, u)
-
-    def lift(self, x_pt, sig, root):
-        return (x_pt.U @ root,)
 
     def build_constants(self, z, wt):
         """P = U_frame^T Y (invertible r x r), P^-1 and M X + X M factored,
@@ -895,12 +908,6 @@ class PsdQ2(QuotientGeometry):
                     {"v": Weight("B2", "B", 2.0), "w": IDENTITY}),
     }
 
-    def frame(self, u, b):
-        return _point_from_factors("psd", u, b, u)
-
-    def lift(self, x_pt, sig, root):
-        return (x_pt.U, sig)
-
     def build_constants(self, z, wt):
         """B^-1."""
         return {"binv": _read_only(spd_functions(z.factor("B")).inv)}
@@ -933,13 +940,6 @@ class GenQ1(QuotientGeometry):
                          {"w": Weight("FtF", "R"), "v": Weight("FtF", "L")}),
     }
     metric_horizontal = True
-
-    def frame(self, l, r_):
-        u, v = _qf(l), _qf(r_)
-        return _point_from_factors("general", u, (u.T @ l) @ (v.T @ r_).T, v)
-
-    def lift(self, x_pt, sig, root):
-        return (x_pt.U @ root, x_pt.V @ root)
 
     def build_constants(self, z, wt):
         """P1 = U^T L, P2 = V^T R, their inverses and M2 X + X M1 factored,
@@ -994,12 +994,6 @@ class GenQ2(QuotientGeometry):
                   {"v": IDENTITY, "w": Weight("B", "B", inverse=True)}),
     }
 
-    def frame(self, u, b, v):
-        return _point_from_factors("general", u, b, v)
-
-    def lift(self, x_pt, sig, root):
-        return (x_pt.U, sig, x_pt.V)
-
     def build_constants(self, z, wt):
         """B^-1 and B X + X B factored, for the inverse and the gradient
         conversion."""
@@ -1026,6 +1020,9 @@ class GenQ2(QuotientGeometry):
         return (tu, sym(xi.S), tv)
 
     def bounds(self, z, wt):
+        """(sigma_r^2, 2 sigma_1^2) of X: derived for polar's weights only."""
+        if wt.metric.weights != self.families["polar"].weights:
+            raise ValueError(f"gen_q2 has bounds for polar only, not {wt.metric.name!r}")
         s = np.linalg.svd(z.X, compute_uv=False)
         lo, hi = float(s[z.r - 1]), float(s[0])  # r-th/top singular value of X
         return lo**2, 2.0 * hi**2
@@ -1055,14 +1052,6 @@ class GenQ3(QuotientGeometry):
                     {"v": Weight("FtF", "Y"), "w": IDENTITY}),
     }
 
-    def frame(self, u, y):
-        v = _qf(y)
-        # Sigma = U^T X V = Y^T V for X = U Y^T
-        return _point_from_factors("general", u, y.T @ v, v)
-
-    def lift(self, x_pt, sig, root):
-        return (x_pt.U, x_pt.V @ sig)
-
     def inverse(self, z, xi, wt):
         pt = z.point
         core = z.factor("Y").T @ pt.V  # invertible r x r
@@ -1085,5 +1074,3 @@ REGISTRY = {geo.name: geo for geo in (PsdQ1(), PsdQ2(), GenQ1(), GenQ2(), GenQ3(
 # matrix kind of every geometry, embedded and quotient
 GEOMETRY_KIND = {name: kind for kind, name in EMBEDDED.items()}
 GEOMETRY_KIND.update((name, geo.kind) for name, geo in REGISTRY.items())
-FACTOR_NAMES = {name: tuple(f.name for f in geo.factors)
-                for name, geo in REGISTRY.items()}

@@ -1,7 +1,9 @@
 """Experiment-runner CLI: exit codes, report schema, determinism."""
 
+import importlib.util
 import json
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ import pytest
 from georank import cli
 
 from util import run_cli
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def read_report(proc, out, status=0):
@@ -248,6 +252,47 @@ class TestErrorPaths:
         assert_input_error(proc)
         assert field in proc.stderr, proc.stderr
         assert not out.exists()
+
+    # a problem key that the problem's kind never reads is an error: a
+    # completion target CSV only shifted the generator's stream
+    @pytest.mark.parametrize("kind,key,value", [
+        ("completion", "target_csv", "m.csv"), ("sensing", "target_csv", "m.csv"),
+        ("approx", "mask_csv", "m.csv"), ("sensing", "mask_csv", "m.csv"),
+        ("approx", "mask_density", 0.5), ("sensing", "mask_density", 0.5),
+        ("approx", "num_measurements", 5), ("completion", "num_measurements", 5),
+    ])
+    def test_key_the_kind_never_reads_is_refused(self, kind, key, value):
+        with pytest.raises(cli.ConfigError, match=f"'{key}'.*'{kind}'"):
+            cli._plan({"problem": {"case": "general", "kind": kind, key: value}})
+
+    def test_key_of_the_kind_is_planned(self):
+        values = {"target_csv": "m.csv", "mask_csv": "m.csv", "mask_density": 0.5,
+                  "num_measurements": 5}
+        for key, kind in cli.KIND_KEYS.items():
+            plan = cli._plan({"problem": {"kind": kind, key: values[key]}})
+            assert plan.problem[key] == values[key]
+
+    def test_completion_target_csv_exits_2_no_report(self, tmp_path):
+        path = tmp_path / "m.csv"
+        np.savetxt(path, 1e3 * np.ones((5, 4)), delimiter=",")
+        cfg = write_config(tmp_path, "c.json",
+                           {"problem": {"case": "general", "kind": "completion",
+                                        "p1": 5, "p2": 4, "target_csv": str(path)}})
+        out = tmp_path / "report.json"
+        proc = run_cli(["check-gradients", "--config", str(cfg), "--out", str(out)],
+                       tmp_path)
+        assert_input_error(proc)
+        assert "target_csv" in proc.stderr and "completion" in proc.stderr, proc.stderr
+        assert not out.exists()
+
+    def test_benchmark_workloads_plan(self):
+        # the benchmark's configs pass no key their kind does not read
+        spec = importlib.util.spec_from_file_location("_perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for name in workloads.WORKLOADS:
+            for rep in workloads.reports(name, 0):
+                cli._plan(rep.config)
 
     # a path is a string: open() takes an integer for a file descriptor, and
     # np.loadtxt takes a list of strings for the lines of an inline CSV

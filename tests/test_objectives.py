@@ -87,8 +87,24 @@ class TestMaskedCompletion:
         with pytest.raises(ValueError):
             make_masked_completion(np.zeros((2, 2)), 0.5 * np.ones((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        # every value of the objective would be NaN or inf
+        m = np.zeros((3, 2))
+        m[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            make_masked_completion(m, np.ones((3, 2)))
+
 
 class TestMatrixSensing:
+    @pytest.mark.parametrize("where", ["operators", "observations"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, where, bad):
+        ops, obs = np.ones((2, 3, 3)), np.ones(2)
+        (ops if where == "operators" else obs).flat[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            make_matrix_sensing(ops, obs)
+
     def test_single_operator(self):
         a = np.zeros((2, 2))
         a[0, 0] = 1.0

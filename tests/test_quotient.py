@@ -106,6 +106,34 @@ class TestLiftPoint:
             lift_point(xg, "psd_q1")
 
 
+class TestFactorChecks:
+    # a non-finite entry is refused before the kind's check, which a NaN
+    # passes (a Stiefel check's comparison is False on it) or fails with a
+    # message about something else
+    @pytest.mark.parametrize("geo,name,bad", [
+        ("gen_q3", "U", np.nan), ("gen_q1", "L", np.inf), ("gen_q1", "L", np.nan),
+        ("psd_q2", "B", np.nan), ("psd_q1", "Y", -np.inf), ("gen_q2", "V", np.nan),
+    ])
+    def test_non_finite_factor_is_refused(self, geo, name, bad):
+        z = random_point(geo, 6, 6 if geo.startswith("psd") else 5, R,
+                         np.random.default_rng(0))
+        factors = [f.copy() for f in z.factors]
+        factors[REGISTRY[geo].names.index(name)][0, 0] = bad
+        with pytest.raises(ValueError, match=f"factor {name} has a non-finite entry"):
+            quotient_point(geo, *factors)
+
+    def test_each_matrix_of_a_stack_is_checked(self):
+        # the gradient check moves a point's factors along a stack of vectors
+        rng = np.random.default_rng(1)
+        geo = REGISTRY["gen_q3"]
+        z = random_point("gen_q3", 6, 5, R, rng)
+        moved = [np.stack([f, f, f]) for f in z.factors]
+        geo.checked(moved)
+        moved[1][2, 0, 0] = np.inf
+        with pytest.raises(ValueError, match="factor Y has a non-finite entry"):
+            geo.checked(moved)
+
+
 class TestSameFiber:
     def test_rotation_stays_on_fiber(self):
         rng = np.random.default_rng(2)

@@ -13,7 +13,11 @@ from georank import cli, quotient
 from georank.embedded import EmbeddedTangent, tangent_project
 from georank.linalg import skew, sym
 from georank.quotient import (
+    IDENTITY,
     HorizontalVector,
+    MetricFamily,
+    Weight,
+    horizontal_basis,
     metric_family,
     metric_inner,
     metric_norm,
@@ -189,6 +193,27 @@ class TestInverseMap:
 
 
 class TestSpectrumBounds:
+    def test_gen_q2_refuses_a_family_other_than_polar(self):
+        # (sigma_r^2, 2 sigma_1^2) is derived for polar's weights. Under
+        # V = I, W = B the exact interval, 1/lambda of the pulled-back Gram
+        # (on which L is orthonormal), leaves it: beta* > beta at seed 0,
+        # alpha > alpha* at seeds 1 and 2
+        family = MetricFamily("gen_q2", "w-is-b", "V = I, W = B",
+                              {"v": IDENTITY, "w": Weight("B", "B")})
+        polar = metric_family("gen_q2", "polar")
+        for seed, (alpha_star, beta_star) in enumerate([(0.2726, 3.668), (0.1203, 8.313),
+                                                         (0.02120, 47.17)]):
+            z = random_point("gen_q2", 7, 5, 2, np.random.default_rng(seed))
+            lam = np.linalg.eigvalsh(horizontal_basis(z, family)[1])
+            assert (1 / lam[-1], 1 / lam[0]) == (pytest.approx(alpha_star, rel=1e-3),
+                                                 pytest.approx(beta_star, rel=1e-3))
+            with pytest.raises(ValueError, match="gen_q2.*'w-is-b'"):
+                spectrum_bounds(z, family)
+            # polar's own closed form holds the exact interval
+            co = spectrum_bounds(z, polar)
+            lam = np.linalg.eigvalsh(horizontal_basis(z, polar)[1])
+            assert co.alpha <= (1 + 1e-9) / lam[-1] and 1 / lam[0] <= (1 + 1e-9) * co.beta
+
     def test_closed_forms_match_weight_tables(self):
         rng = np.random.default_rng(10)
         # psd_q1 flat: (2 sigma_r(X), 4 sigma_1(X))

@@ -12,7 +12,8 @@ import numpy as np
 import georank
 from georank import make_masked_completion, make_matrix_approx
 from georank.cli import _check, _worst
-from georank.embedded import EmbeddedTangent, project_rank_r, tangent_project
+from georank.embedded import (EmbeddedTangent, _point_from_factors, project_rank_r,
+                              tangent_project)
 from georank.flows import flow_field
 from georank.objectives import Objective
 from georank.landscape import hessian_spectrum
@@ -218,6 +219,59 @@ def mixed_basis_spectrum(z, obj, metric, rng):
         for j in range(i + 1, d):
             h[i, j] = h[j, i] = polarize(quad, mixed[i], mixed[j])
     return gen_sym_eig(h, c.T @ gram @ c)[0]
+
+
+# Hand-written matched frames and canonical lifts, one per geometry, kept as
+# oracles for the ones the library derives from each factor map's chain. A
+# lift takes a point with a diagonal Sigma and that Sigma's square root.
+
+
+def hand_frame(geometry, factors):
+    """The matched embedded point of a geometry's factors."""
+    if geometry == "psd_q1":
+        (y,) = factors
+        u = qf(y)
+        return _point_from_factors("psd", u, u.T @ (y @ y.T) @ u, u)
+    if geometry == "psd_q2":
+        u, b = factors
+        return _point_from_factors("psd", u, b, u)
+    if geometry == "gen_q1":
+        l, r_ = factors
+        u, v = qf(l), qf(r_)
+        return _point_from_factors("general", u, (u.T @ l) @ (v.T @ r_).T, v)
+    if geometry == "gen_q2":
+        u, b, v = factors
+        return _point_from_factors("general", u, b, v)
+    u, y = factors
+    v = qf(y)
+    # Sigma = U^T X V = Y^T V for X = U Y^T
+    return _point_from_factors("general", u, y.T @ v, v)
+
+
+HAND_LIFTS = {
+    "psd_q1": lambda pt, sig, root: (pt.U @ root,),
+    "psd_q2": lambda pt, sig, root: (pt.U, sig),
+    "gen_q1": lambda pt, sig, root: (pt.U @ root, pt.V @ root),
+    "gen_q2": lambda pt, sig, root: (pt.U, sig, pt.V),
+    "gen_q3": lambda pt, sig, root: (pt.U, pt.V @ sig),
+}
+
+
+def hand_lift(geometry, pt):
+    """Canonical factors of an embedded point with a diagonal Sigma."""
+    sig = pt.Sigma
+    return HAND_LIFTS[geometry](pt, sig, np.diag(np.sqrt(np.diag(sig))))
+
+
+def hand_inner(z, metric, t1, t2):
+    """The metric as traces: tr(W a^T b) on Stiefel and free factors,
+    tr(W a W b) on the SPD core."""
+    wt = z.weights(metric)
+    out = 0.0
+    for f, a, b in zip(REGISTRY[z.geometry].factors, t1.parts, t2.parts):
+        w = getattr(wt, f.weight)
+        out += np.trace(w @ a @ w @ b if f.kind == "spd" else w @ a.T @ b)
+    return out
 
 
 # Hand-derived gradient lifts and Hessian forms, one per geometry, kept as
