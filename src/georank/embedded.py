@@ -6,12 +6,18 @@ vector is an r x r core S with p x r factors orthogonal to the frames,
 
     U S V^T + Up V^T + U Vp^T,   U^T Up = 0,   V^T Vp = 0.
 
-The PSD kind is the symmetric case: V is U and Vp is Up, the same arrays,
-and S is symmetric. The manifold dimension is p*r - r(r-1)/2 in the PSD
-case and (p1 + p2 - r)*r in the general case. The ambient metric is
-Frobenius. Projection, norms, the Hessian matrix and the retraction need
-only U and V; the orthogonal complements U_perp and V_perp are built on
-first use, by the orthonormal tangent basis.
+The PSD kind is the symmetric case: a point's V is its U, the same array;
+a tangent holds (S, Up) with S symmetric, and its Vp is its Up. The
+manifold dimension is p*r - r(r-1)/2 in the PSD case and (p1 + p2 - r)*r
+in the general case. The ambient metric is Frobenius. Projection, norms,
+the Hessian matrix and the retraction need only U and V; the orthogonal
+complements U_perp and V_perp are built on first use, by the orthonormal
+tangent basis.
+
+A tangent is a ``Stack``, the one vector type of the package: component
+arrays at one base point, one vector or a stack of them on a leading axis,
+with the arithmetic, ``len``, indexing and the base-point check written
+once. ``quotient.HorizontalVector`` is the other ``Stack``.
 
 ``project_rank_r`` (and with it ``embed_point`` and ``retract``) truncates
 an ambient matrix by a dense p x p eigendecomposition or SVD; its
@@ -69,28 +75,72 @@ class EmbeddedPoint:
 
 
 @dataclass(frozen=True, eq=False)
-class EmbeddedTangent:
-    """Tangent vector in factored form at a fixed point: the core
-    S = U^T xi V, Up = (I - U U^T) xi V and Vp = (I - V V^T) xi^T U. For the
-    PSD kind Vp is Up itself, and arithmetic keeps the two shared."""
+class Stack:
+    """A vector, or a stack of vectors on a leading axis, at one base point,
+    held as a tuple of component arrays ``parts``. The arithmetic, ``len``,
+    indexing and the base-point check are written here once: a subclass
+    adds what its vectors are, and ``_new`` where a result carries more than
+    its base and parts."""
 
-    base: EmbeddedPoint
-    S: np.ndarray
-    Up: np.ndarray
-    Vp: np.ndarray
+    base: object
+    parts: tuple
 
-    def __post_init__(self):
-        if self.base.kind == "psd" and self.Vp is not self.Up:
-            raise ValueError("a psd tangent's Vp must be its Up")
+    def check_base(self, base, what=None):
+        """Refuse vectors that are not at ``base`` itself; ``what`` names them
+        in the message, by default by their class."""
+        if self.base is not base:
+            raise ValueError(f"{what or type(self).__name__} is not based at the given point")
+
+    def _new(self, parts, other=None):
+        """A result of this class at this base, from self (and ``other``, the
+        second operand of a sum)."""
+        return type(self)(self.base, parts)
+
+    def _combine(self, other, sa, sb):
+        other.check_base(self.base)
+        return self._new(tuple(sa * a + sb * b for a, b in zip(self.parts, other.parts)),
+                         other)
+
+    def __add__(self, other):
+        return self._combine(other, 1.0, 1.0)
+
+    def __sub__(self, other):
+        return self._combine(other, 1.0, -1.0)
+
+    def __mul__(self, c):
+        return self._new(tuple(c * a for a in self.parts))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * (-1.0)
 
     def __len__(self):
-        return _stack_len(self.S)
+        if self.parts[0].ndim < 3:
+            raise TypeError("a single vector has no len(); a stack has a leading axis")
+        return len(self.parts[0])
 
     def __getitem__(self, key):
-        """The tangents of the stack at ``key`` on its leading axis."""
-        up = self.Up[key]
-        return EmbeddedTangent(self.base, self.S[key], up,
-                               up if self.Vp is self.Up else self.Vp[key])
+        """The vectors of the stack at ``key`` on its leading axis."""
+        return self._new(tuple(a[key] for a in self.parts))
+
+
+@dataclass(frozen=True, eq=False)
+class EmbeddedTangent(Stack):
+    """Tangent vector in factored form at a fixed point: the core
+    S = U^T xi V, Up = (I - U U^T) xi V and Vp = (I - V V^T) xi^T U. The
+    parts are (S, Up) for the PSD kind, whose Vp is its Up, and (S, Up, Vp)
+    for the general kind."""
+
+    def __post_init__(self):
+        want = 2 if self.base.kind == "psd" else 3
+        if len(self.parts) != want:
+            raise ValueError(f"a {self.base.kind} tangent has {want} parts, "
+                             f"got {len(self.parts)}")
+
+    S = property(lambda self: self.parts[0])
+    Up = property(lambda self: self.parts[1])
+    Vp = property(lambda self: self.parts[-1])
 
     def ambient(self) -> np.ndarray:
         pt = self.base
@@ -106,36 +156,6 @@ class EmbeddedTangent:
     def norm(self):
         """The Frobenius norm: a float, or one per tangent of a stack."""
         return np.sqrt(sum((a * a).sum(axis=(-2, -1)) for a in (self.S, self.Up, self.Vp)))
-
-    def _combine(self, other, sa, sb):
-        if other.base is not self.base:
-            raise ValueError("tangent arithmetic requires a common base point")
-        up = sa * self.Up + sb * other.Up
-        shared = self.Vp is self.Up and other.Vp is other.Up
-        vp = up if shared else sa * self.Vp + sb * other.Vp
-        return EmbeddedTangent(self.base, sa * self.S + sb * other.S, up, vp)
-
-    def __add__(self, other):
-        return self._combine(other, 1.0, 1.0)
-
-    def __sub__(self, other):
-        return self._combine(other, 1.0, -1.0)
-
-    def __mul__(self, c):
-        up = c * self.Up
-        vp = up if self.Vp is self.Up else c * self.Vp
-        return EmbeddedTangent(self.base, c * self.S, up, vp)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
-
-
-def _stack_len(a):  # the vector count of a stack, from one of its components
-    if a.ndim < 3:
-        raise TypeError("a single vector has no len(); a stack has a leading axis")
-    return len(a)
 
 
 def _column_signs(u):
@@ -276,8 +296,8 @@ def _tangent_from_products(pt: EmbeddedPoint, zv, ztu) -> EmbeddedTangent:
     s = u.T @ zv
     up = zv - u @ s
     if pt.kind == "psd":
-        return EmbeddedTangent(pt, sym(s), up, up)
-    return EmbeddedTangent(pt, s, up, ztu - pt.V @ s.mT)
+        return EmbeddedTangent(pt, (sym(s), up))
+    return EmbeddedTangent(pt, (s, up, ztu - pt.V @ s.mT))
 
 
 def riem_grad_embedded(pt: EmbeddedPoint, obj: Objective) -> EmbeddedTangent:
@@ -298,8 +318,7 @@ def riem_hess_matrix_embedded(pt: EmbeddedPoint, obj: Objective,
     the stack's ambient matrices and Sigma^-1 Vp^T taken in one call each,
     and each row's Euclidean Hessian image at the start of the row: the
     extra memory is the d ambient matrices (d p1 p2 doubles)."""
-    if tangents.base is not pt:
-        raise ValueError("tangent vector is not based at the given point")
+    tangents.check_base(pt)
     sig = pt.Sigma
     if np.linalg.svd(sig, compute_uv=False)[-1] <= RANK_GAP_TOL * np.linalg.norm(sig, 2):
         raise RankError("core factor is numerically singular")
@@ -324,8 +343,7 @@ def riem_hess_quad_embedded(pt: EmbeddedPoint, obj: Objective,
 
 def retract(pt: EmbeddedPoint, xi: EmbeddedTangent, t: float) -> EmbeddedPoint:
     """Projection retraction: rank-r truncation of X + t * xi."""
-    if xi.base is not pt:
-        raise ValueError("tangent vector is not based at the given point")
+    xi.check_base(pt)
     if not np.isfinite(t):
         raise ValueError("step must be finite")
     return project_rank_r(pt.X + t * xi.ambient(), pt.r, pt.kind)
@@ -352,4 +370,4 @@ def tangent_basis(pt: EmbeddedPoint) -> EmbeddedTangent:
         f[start + np.arange(n), :, j] = perp[:, i].T * scale
         factors.append(f)
         start += n
-    return EmbeddedTangent(pt, s, factors[0], factors[-1])
+    return EmbeddedTangent(pt, (s, *factors))

@@ -72,8 +72,7 @@ def grad_embedded_from_quotient(
     Riemannian gradient of h the result equals the embedded Riemannian
     gradient of f at the represented matrix.
     """
-    if grad_h.base is not z:
-        raise ValueError("horizontal vector is not based at the given point")
+    grad_h.check_base(z)
     geo = REGISTRY[z.geometry]
     amb = geo.grad_embedded(z, z.weights(metric), grad_h.parts)
     return tangent_project(z.point, amb)
@@ -87,11 +86,7 @@ def grad_quotient_from_embedded(
     The conversion has the same closed form as the lifted gradient itself,
     with the Euclidean gradient replaced by the embedded Riemannian gradient.
     """
-    if grad_f.base is not z.point:
-        raise ValueError(
-            "embedded tangent is not based at the point matched to this "
-            "quotient representative"
-        )
+    grad_f.check_base(z.point)
     return gradient_lift_from_ambient(z, metric, grad_f.ambient())
 
 
@@ -193,9 +188,7 @@ def verify_sandwich(
     tolerance is therefore widened proportionally to the residual gradient
     norm, and the report records the coupling.
     """
-    if embedded.basis.base is not z.point:
-        raise ValueError("embedded spectrum is not based at the point matched "
-                         "to this quotient representative")
+    embedded.basis.check_base(z.point, "embedded spectrum")
     quo = hessian_spectrum(z, obj, metric)
     gnorm = quo.grad_norm
     threshold = fosp_threshold(obj, z.X, fosp_tol)

@@ -35,7 +35,9 @@ weights and their inverses, and the constants that
 ``QuotientGeometry.constants`` builds on first use (P^-1, B^-1 and the
 factored Sylvester operators of L^-1 and of the q1 vertical projections).
 
-Horizontal vectors are stored in ambient total-space coordinates. Those the
+Horizontal vectors are stored in ambient total-space coordinates, one
+component per factor, as an ``embedded.Stack``, whose arithmetic, indexing
+and base-point check they share with the embedded tangents. Those the
 library makes (projections, bases, gradient lifts, ``transport.inverse_map``)
 are horizontal by construction and record their horizontal space. A vector
 built by the caller has no record and is checked once, by
@@ -52,8 +54,8 @@ import numpy as np
 
 from .embedded import (
     EmbeddedPoint,
+    Stack,
     _point_from_factors,
-    _stack_len,
     _tangent_from_products,
     embed_point,
     project_rank_r,
@@ -311,7 +313,7 @@ def _check_metric(z: QuotientPoint, metric: MetricFamily):
 
 
 @dataclass(frozen=True, eq=False)
-class HorizontalVector:
+class HorizontalVector(Stack):
     """Ambient-coordinate tangent components in the horizontal space at the
     base point.
 
@@ -323,42 +325,15 @@ class HorizontalVector:
     functions that need a horizontal input check such a vector once.
     """
 
-    base: QuotientPoint
-    parts: tuple
     space: object = field(default=None, repr=False)
 
-    def _combine(self, other, sa, sb):
-        if other.base is not self.base:
-            raise ValueError("vector arithmetic requires a common base point")
-        return HorizontalVector(
-            self.base, tuple(sa * a + sb * b for a, b in zip(self.parts, other.parts)),
-            self.space if other.space is self.space else None,
-        )
-
-    def __add__(self, other):
-        return self._combine(other, 1.0, 1.0)
-
-    def __sub__(self, other):
-        return self._combine(other, 1.0, -1.0)
-
-    def __mul__(self, c):
-        return HorizontalVector(self.base, tuple(c * a for a in self.parts), self.space)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
+    def _new(self, parts, other=None):
+        keep = other is None or other.space is self.space
+        return HorizontalVector(self.base, parts, self.space if keep else None)
 
     def raw_norm(self):
         """Frobenius norm of the components, one per vector of a stack."""
         return _norm(self.parts)
-
-    def __len__(self):
-        return _stack_len(self.parts[0])
-
-    def __getitem__(self, key):
-        """The vectors of the stack at ``key`` on its leading axis."""
-        return HorizontalVector(self.base, tuple(a[key] for a in self.parts), self.space)
 
 
 def _norm(parts):
@@ -445,8 +420,7 @@ def horizontal_vector(
 def _as_horizontal(z: QuotientPoint, theta: HorizontalVector, metric):
     """theta itself if a library function made it in the horizontal space of
     ``metric`` at z, else the gate's verdict on its components."""
-    if theta.base is not z:
-        raise ValueError("horizontal vector is not based at the given point")
+    theta.check_base(z)
     if theta.space is _space(z, metric):
         return theta
     return horizontal_vector(z, *theta.parts, metric=metric)
@@ -477,8 +451,8 @@ def metric_inner(
 ):
     """Total-space Riemannian metric on two tangent vectors at z: a float, or
     one per vector where either is a stack (two stacks pair up in order)."""
-    if t1.base is not z or t2.base is not z:
-        raise ValueError("vectors are not based at the given point")
+    t1.check_base(z)
+    t2.check_base(z)
     return REGISTRY[z.geometry].inner(z.weights(metric), t1.parts, t2.parts)
 
 

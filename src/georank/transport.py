@@ -68,14 +68,6 @@ class SandwichCoefficients:
         return (lo, hi) if lam >= 0 else (hi, lo)
 
 
-def _match(z: QuotientPoint, xi: EmbeddedTangent):
-    if xi.base is not z.point:
-        raise ValueError(
-            "embedded tangent is not based at the point matched to this "
-            "quotient representative"
-        )
-
-
 def forward_map(
     z: QuotientPoint, theta: HorizontalVector, metric: MetricFamily
 ) -> EmbeddedTangent:
@@ -92,7 +84,7 @@ def inverse_map(
     """L^-1(xi): the unique horizontal preimage of an embedded tangent, or
     the stack of preimages of a stack of them."""
     wt = z.weights(metric)
-    _match(z, xi)
+    xi.check_base(z.point)
     parts = REGISTRY[z.geometry].inverse(z, xi, wt)
     return HorizontalVector(z, parts, _space(z, metric))
 

@@ -197,8 +197,7 @@ class TestRiemHess:
         rng = np.random.default_rng(9)
         pt = random_point("psd_embedded", 4, 4, 2, rng)
         obj = make_matrix_approx(sym(rng.standard_normal((4, 4))), symmetric=True)
-        up = np.zeros((4, 2))
-        xi = EmbeddedTangent(pt, np.zeros((2, 2)), up, up)
+        xi = EmbeddedTangent(pt, (np.zeros((2, 2)), np.zeros((4, 2))))
         assert riem_hess_quad_embedded(pt, obj, xi) == 0.0
 
     def test_worked_correction_value(self):
@@ -206,7 +205,7 @@ class TestRiemHess:
         # quad = ||xi||^2 + 2 <grad, Up Sigma^-1 Up^T> = 2 - 2/3
         obj = make_matrix_approx(np.diag([3.0, 1.0]), symmetric=True)
         pt = embed_point(np.diag([3.0, 0.0]), 1, "psd")
-        xi = EmbeddedTangent(pt, np.array([[0.0]]), pt.Uperp, pt.Uperp)
+        xi = EmbeddedTangent(pt, (np.array([[0.0]]), pt.Uperp))
         assert riem_hess_quad_embedded(pt, obj, xi) == pytest.approx(4.0 / 3.0, rel=1e-12)
 
     def test_equals_euclidean_when_gradient_vanishes(self):
@@ -298,8 +297,7 @@ class TestRetract:
         rng = np.random.default_rng(13)
         pt = random_point("psd_embedded", 5, 5, 2, rng)
         s = sym(rng.standard_normal((2, 2)))
-        up = np.zeros((5, 2))
-        xi = EmbeddedTangent(pt, s, up, up)
+        xi = EmbeddedTangent(pt, (s, np.zeros((5, 2))))
         t = 1e-3
         out = retract(pt, xi, t)
         np.testing.assert_allclose(out.X, pt.X + t * xi.ambient(), atol=1e-12)
@@ -366,9 +364,9 @@ class TestTruncateSum:
         rng = np.random.default_rng(32)
         pt = random_point(EMBEDDED[kind], p1, p2, 2, rng)
         s = -np.diag([0.0, pt.Sigma[1, 1]])
-        up = np.zeros((p1, 2))
-        vp = up if kind == "psd" else np.zeros((p2, 2))
-        terms = [(1.0, EmbeddedTangent(pt, s, up, vp))]
+        offs = (np.zeros((p1, 2)),) if kind == "psd" else (np.zeros((p1, 2)),
+                                                            np.zeros((p2, 2)))
+        terms = [(1.0, EmbeddedTangent(pt, (s, *offs)))]
         with pytest.raises(RankError):
             self._dense(pt, terms)
         with pytest.raises(RankError):
@@ -424,7 +422,7 @@ class TestNonFinite:
 
 class TestOneForm:
     """The PSD kind is the symmetric case of the general factored form: a
-    point's V is its U and a tangent's Vp is its Up, the same arrays."""
+    point's V is its U, and a tangent holds (S, Up), its Vp being its Up."""
 
     def test_library_made_psd_objects_share_their_factors(self):
         rng = np.random.default_rng(35)
@@ -444,27 +442,29 @@ class TestOneForm:
         for q in points:
             assert q.V is q.U and q.Vperp is q.Uperp
         for xi in tangents:
-            assert xi.Vp is xi.Up
+            assert len(xi.parts) == 2 and xi.Vp is xi.Up
 
     def test_general_tangent_sharing_its_zero_factors_adds_by_value(self):
         rng = np.random.default_rng(38)
         pt = random_point("gen_embedded", 5, 5, 2, rng)
         zero = np.zeros((5, 2))
-        core = EmbeddedTangent(pt, rng.standard_normal((2, 2)), zero, zero)
+        core = EmbeddedTangent(pt, (rng.standard_normal((2, 2)), zero, zero))
         xi = tangent_project(pt, rng.standard_normal((5, 5)))
         for got, want in [(core + xi, core.ambient() + xi.ambient()),
                           (xi - core, xi.ambient() - core.ambient())]:
             np.testing.assert_allclose(got.ambient(), want, atol=1e-12)
 
-    def test_psd_tangent_needs_vp_to_be_up(self):
-        # with Vp = 0 the factors would stand for a non-symmetric matrix,
-        # whose flat() and norm() disagree
+    @pytest.mark.parametrize("kind,parts", [("psd", 2), ("general", 3)])
+    def test_tangent_refuses_a_wrong_part_count(self, kind, parts):
+        # a PSD tangent is (S, Up), its Vp being its Up; a separate Vp would
+        # stand for a non-symmetric matrix, whose flat() and norm() disagree
         rng = np.random.default_rng(36)
-        pt = random_point("psd_embedded", 5, 5, 2, rng)
+        pt = random_point(EMBEDDED[kind], 5, 5, 2, rng)
         xi = tangent_project(pt, rng.standard_normal((5, 5)))
-        for vp in (np.zeros_like(xi.Up), xi.Up.copy()):
-            with pytest.raises(ValueError, match="Vp must be its Up"):
-                EmbeddedTangent(pt, xi.S, xi.Up, vp)
+        assert len(xi.parts) == parts
+        for wrong in (xi.parts[:-1], xi.parts + (xi.Up.copy(),)):
+            with pytest.raises(ValueError, match=f"a {kind} tangent has {parts} parts"):
+                EmbeddedTangent(pt, wrong)
 
     def test_psd_point_needs_v_to_be_u(self):
         rng = np.random.default_rng(37)

@@ -138,8 +138,8 @@ class TestInverseMap:
         met = metric_family("gen_q2", "polar")
         z = _instance("gen_q2", rng)
         s = sym(rng.standard_normal((R, R)))
-        xi = EmbeddedTangent(z.point, s, z.point.Uperp @ rng.standard_normal((3, R)),
-                             z.point.Vperp @ rng.standard_normal((2, R)))
+        xi = EmbeddedTangent(z.point, (s, z.point.Uperp @ rng.standard_normal((3, R)),
+                                       z.point.Vperp @ rng.standard_normal((2, R))))
         theta = inverse_map(z, xi, met)
         u, v = z.factor("U"), z.factor("V")
         np.testing.assert_allclose(u.T @ theta.parts[0], 0, atol=1e-12)
@@ -461,7 +461,7 @@ class TestBijectionBlocks:
             xi = forward_map(z, theta, metric)
             s = xi.S.copy()
             s[5] = np.nan
-            return EmbeddedTangent(xi.base, s, xi.Up, xi.Vp)
+            return EmbeddedTangent(xi.base, (s, *xi.parts[1:]))
 
         monkeypatch.setattr(cli, "forward_map", poisoned)
         plan, obj, rng = _bijection_inputs(BIJECTION["general"], 20)

@@ -12,8 +12,7 @@ import numpy as np
 import georank
 from georank import make_masked_completion, make_matrix_approx
 from georank.cli import _check, _worst
-from georank.embedded import (EmbeddedTangent, _point_from_factors, project_rank_r,
-                              tangent_project)
+from georank.embedded import _point_from_factors, project_rank_r, tangent_project
 from georank.flows import flow_field
 from georank.objectives import Objective
 from georank.landscape import hessian_spectrum
@@ -121,8 +120,7 @@ def total_curve(z, theta):
     oracle for the gradient check's stacked curve points, and the curve of
     the finite-difference tests (any t for gradients, stationary points for
     Hessians, where curve-independence holds)."""
-    if theta.base is not z:
-        raise ValueError("horizontal vector is not based at the given point")
+    theta.check_base(z)
     geo = REGISTRY[z.geometry]
 
     def curve(t):
@@ -180,15 +178,10 @@ def polarize(quad, a, b) -> float:
 
 
 def stacked(*vectors):
-    """Single vectors at one base point as one stack, in order: horizontal
-    vectors (keeping the first one's space) or embedded tangents."""
+    """Single vectors at one base point as one stack, in order, of the first
+    one's class (a horizontal stack keeps the first one's space)."""
     first = vectors[0]
-    if isinstance(first, HorizontalVector):
-        parts = tuple(map(np.stack, zip(*(v.parts for v in vectors))))
-        return HorizontalVector(first.base, parts, first.space)
-    up = np.stack([v.Up for v in vectors])
-    vp = up if first.Vp is first.Up else np.stack([v.Vp for v in vectors])
-    return EmbeddedTangent(first.base, np.stack([v.S for v in vectors]), up, vp)
+    return first._new(tuple(map(np.stack, zip(*(v.parts for v in vectors)))))
 
 
 def pairwise_gram(z, basis, metric):
@@ -207,8 +200,7 @@ def mixed_basis_spectrum(z, obj, metric, rng):
     basis, gram = horizontal_basis(z, metric)
     d = len(basis)
     c = rng.standard_normal((d, d)) / np.sqrt(d) + np.eye(d)
-    mixed = HorizontalVector(z, tuple(np.tensordot(c.T, a, axes=1) for a in basis.parts),
-                             basis.space)
+    mixed = basis._new(tuple(np.tensordot(c.T, a, axes=1) for a in basis.parts))
 
     def quad(v):
         return riem_hess_quad_quotient(z, obj, metric, v)
