@@ -208,6 +208,9 @@ def _plan(config):
                 and all(name in metric_choices(g) for name in names)):
             raise ConfigError(f"'metrics' must map geometries of {list(choices[1:])} to "
                               f"non-empty lists of their families, got {g!r}: {names!r}")
+        if g not in geos:
+            raise ConfigError(f"'metrics' names {g!r}, which 'geometries' leaves out: "
+                              f"{geos}")
     rows = []
     for g in geos:
         if g == choices[0]:

@@ -306,18 +306,19 @@ def riem_grad_embedded(pt: EmbeddedPoint, obj: Objective) -> EmbeddedTangent:
 
 
 def riem_hess_matrix_embedded(pt: EmbeddedPoint, obj: Objective,
-                              tangents: EmbeddedTangent) -> np.ndarray:
+                              tangents: EmbeddedTangent):
     """[Hess f[xi_i, xi_j]], the Riemannian Hessian at pt on a stack of
-    tangents: the Euclidean Hessian form plus the curvature correction
-    coupling the Euclidean gradient with the off-frame factors through
-    Sigma^-1,
+    tangents, and the Riemannian gradient, the tangent projection of the
+    Euclidean gradient that the matrix reads. Each entry is the Euclidean
+    Hessian form plus the curvature correction coupling the Euclidean
+    gradient with the off-frame factors through Sigma^-1,
 
         Hess f[xi, eta] + <nabla f, Up_xi Sigma^-1 Vp_eta^T + Up_eta Sigma^-1 Vp_xi^T>.
 
-    The stack's base, the gradient and the core's rank are checked once,
-    the stack's ambient matrices and Sigma^-1 Vp^T taken in one call each,
-    and each row's Euclidean Hessian image at the start of the row: the
-    extra memory is the d ambient matrices (d p1 p2 doubles)."""
+    The stack's base and the core's rank are checked once, the gradient
+    evaluated once, the stack's ambient matrices and Sigma^-1 Vp^T taken in
+    one call each, and each row's Euclidean Hessian image at the start of
+    the row: the extra memory is the d ambient matrices (d p1 p2 doubles)."""
     tangents.check_base(pt)
     sig = pt.Sigma
     if np.linalg.svd(sig, compute_uv=False)[-1] <= RANK_GAP_TOL * np.linalg.norm(sig, 2):
@@ -332,13 +333,13 @@ def riem_hess_matrix_embedded(pt: EmbeddedPoint, obj: Objective,
             coupled = ups[i] @ right[j] + ups[j] @ right[i]
             h[i, j] = h[j, i] = (float(np.sum(image * ambs[j]))
                                  + float(np.sum(egrad * coupled)))
-    return h
+    return h, tangent_project(pt, egrad)
 
 
 def riem_hess_quad_embedded(pt: EmbeddedPoint, obj: Objective,
                             xi: EmbeddedTangent) -> float:
     """Quadratic form of the Riemannian Hessian at pt along xi."""
-    return float(riem_hess_matrix_embedded(pt, obj, xi[None])[0, 0])
+    return float(riem_hess_matrix_embedded(pt, obj, xi[None])[0][0, 0])
 
 
 def retract(pt: EmbeddedPoint, xi: EmbeddedTangent, t: float) -> EmbeddedPoint:

@@ -41,7 +41,6 @@ from .quotient import (
     gradient_lift_from_ambient,
     horizontal_basis,
     metric_norm,
-    riem_grad_quotient,
     riem_hess_matrix_quotient,
 )
 from .transport import forward_map, spectrum_bounds
@@ -131,10 +130,11 @@ def hessian_spectrum(
     A horizontal basis's Gram condition is checked before the objective is
     evaluated. The Hessian matrix on an explicit tangent/horizontal basis,
     one stack, comes from one matrix builder call, which takes the basis's
-    differentials in one call and each row's Euclidean Hessian image once,
-    and the eigenvalues are those of the pencil (H, Gram). The report keeps
-    the basis, its Gram matrix and H, on which ``verify_sandwich`` checks
-    the Hessian congruence.
+    differentials in one call and each row's Euclidean Hessian image once;
+    the gradient norm is that of the gradient the builder returns, so the
+    gradient is evaluated once. The eigenvalues are those of the pencil
+    (H, Gram). The report keeps the basis, its Gram matrix and H, on which
+    ``verify_sandwich`` checks the Hessian congruence.
     """
     if isinstance(point, EmbeddedPoint):
         if metric is not None:
@@ -142,8 +142,8 @@ def hessian_spectrum(
         geometry, mname = EMBEDDED[point.kind], "euclidean"
         basis = tangent_basis(point)
         gram = np.eye(len(basis))  # the basis is orthonormal
-        h = riem_hess_matrix_embedded(point, obj, basis)
-        gnorm = riem_grad_embedded(point, obj).norm()
+        h, grad = riem_hess_matrix_embedded(point, obj, basis)
+        gnorm = grad.norm()
     else:
         if metric is None:
             raise ValueError("quotient geometries need a metric family")
@@ -153,8 +153,8 @@ def hessian_spectrum(
         if cond > GRAM_COND_LIMIT:
             raise ConditioningError(f"basis Gram condition {cond:.3e} exceeds "
                                     f"{GRAM_COND_LIMIT:.1e}")
-        h = riem_hess_matrix_quotient(point, obj, metric, basis)
-        gnorm = metric_norm(point, riem_grad_quotient(point, obj, metric), metric)
+        h, grad = riem_hess_matrix_quotient(point, obj, metric, basis)
+        gnorm = metric_norm(point, grad, metric)
     eig, _ = gen_sym_eig(h, gram)
     return SpectrumReport(geometry, mname, eig, basis, gram, h, float(gnorm))
 

@@ -227,9 +227,15 @@ class Weight:
     c: float = 1.0
     inverse: bool = False
 
-    def value(self, z: QuotientPoint) -> np.ndarray:
-        w = self._form(z, None)
-        return spd_functions(w).inv if self.inverse else w
+    def values(self, z: QuotientPoint) -> tuple:
+        """The weight and its inverse at z, from one inversion of the form:
+        none for the identity, and the form itself is an inverse weight's
+        inverse."""
+        f = self._form(z, None)
+        if self.form == "I":
+            return f, f
+        f_inv = spd_functions(f).inv
+        return (f_inv, f) if self.inverse else (f, f_inv)
 
     def deriv(self, z: QuotientPoint, w: np.ndarray, parts) -> np.ndarray:
         """Derivative along ``parts``, one per vector of a stack; ``w`` is the value."""
@@ -282,8 +288,7 @@ class Weights:
     def at(cls, z: QuotientPoint, metric: MetricFamily) -> "Weights":
         values = {}
         for key, spec in metric.weights.items():
-            values[key] = w = _read_only(spec.value(z))
-            values[f"{key}_inv"] = _read_only(spd_functions(w).inv)
+            values[key], values[f"{key}_inv"] = map(_read_only, spec.values(z))
         return cls(metric, **values)
 
 
@@ -495,19 +500,21 @@ def riem_grad_quotient(
 
 
 def riem_hess_matrix_quotient(z: QuotientPoint, obj: Objective, metric: MetricFamily,
-                              vectors: HorizontalVector) -> np.ndarray:
+                              vectors: HorizontalVector):
     """The matrix [Hess h[theta_i, theta_j]] of the lifted Riemannian Hessian
-    of h at z on a stack of horizontal vectors theta_i, checked once (see
+    of h at z on a stack of horizontal vectors theta_i, checked once, and the
+    lifted Riemannian gradient that the matrix reads (see
     ``QuotientGeometry.hess_matrix``)."""
     parts = _as_horizontal(z, vectors, metric).parts
-    return REGISTRY[z.geometry].hess_matrix(z, obj, z.weights(metric), parts)
+    h, grad = REGISTRY[z.geometry].hess_matrix(z, obj, z.weights(metric), parts)
+    return h, HorizontalVector(z, grad, _space(z, metric))
 
 
 def riem_hess_quad_quotient(
     z: QuotientPoint, obj: Objective, metric: MetricFamily, theta: HorizontalVector
 ) -> float:
     """Quadratic form of the lifted Riemannian Hessian of h along theta."""
-    return float(riem_hess_matrix_quotient(z, obj, metric, theta[None])[0, 0])
+    return float(riem_hess_matrix_quotient(z, obj, metric, theta[None])[0][0, 0])
 
 
 def horizontal_basis(z: QuotientPoint, metric: MetricFamily):
@@ -719,8 +726,8 @@ class QuotientGeometry:
         return out
 
     def hess_matrix(self, z, obj, wt, parts):
-        """[Hess h[a_i, a_j]] on the stacked components ``parts``, each entry
-        the symmetric bilinear form
+        """[Hess h[a_i, a_j]] on the stacked components ``parts``, and the
+        gradient lift G that it reads; each entry is the symmetric bilinear form
 
             Hess f[D pi a, D pi b] + <nabla f, D^2 pi[a, b]>
             - sum over Stiefel F of <d_F, F sym(a_F^T b_F)>
@@ -755,7 +762,7 @@ class QuotientGeometry:
                 out -= (self._dg(wt, dwa, b, grad) + self._dg(wt, dwb, a, grad)) / 2.0
                 out += self._dg(wt, dw_grad, a, b) / 2.0
                 h[i, j] = h[j, i] = out
-        return h
+        return h, grad
 
     def lowered(self, wt, parts):
         """Each component with the metric's weights applied, so that the

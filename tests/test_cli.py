@@ -208,6 +208,10 @@ class TestErrorPaths:
                      id="metrics-key-other-case"),
         pytest.param("dims", {"metrics": {"psd_embedded": ["flat"]}}, "'psd_embedded'",
                      id="metrics-key-embedded"),
+        # a family for a geometry that no row runs would be silently dropped
+        pytest.param("dims", {"geometries": ["psd_q1"], "metrics": {"psd_q2": ["polar"]}},
+                     "'psd_q2', which 'geometries' leaves out: ['psd_q1']",
+                     id="metrics-key-unselected"),
         pytest.param("check-gradients", {"trials": -1}, "trials",
                      id="trials-negative"),
         pytest.param("bijection-roundtrip", {"directions": 0}, "directions",

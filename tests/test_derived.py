@@ -7,15 +7,18 @@ Hessian spectrum."""
 import numpy as np
 import pytest
 
+from georank.embedded import riem_grad_embedded, riem_hess_matrix_embedded, tangent_basis
 from georank.landscape import hessian_spectrum
 from georank.quotient import (
     EMBEDDED,
     REGISTRY,
     _ambient_gradient,
     gradient_lift_from_ambient,
+    horizontal_basis,
     project_total_tangent,
     QuotientGeometry,
     random_horizontal,
+    riem_grad_quotient,
     riem_hess_matrix_quotient,
     riem_hess_quad_quotient,
 )
@@ -150,7 +153,7 @@ def test_spectrum_evaluates_the_gradient_a_fixed_number_of_times(geo, mname):
         d = hessian_spectrum(z, obj, met).dim
         assert calls["ehess_vec"] == d, (p, d, calls)
         counts.append(calls["egrad"])
-    assert counts[0] == counts[1] <= 2, counts
+    assert counts == [1, 1], counts
 
 
 def _counted_method(monkeypatch, name):
@@ -174,7 +177,8 @@ def _counted_method(monkeypatch, name):
 def test_spectrum_does_per_vector_work_once_per_vector(geo, mname, monkeypatch):
     """Per spectrum of dimension d: one Euclidean Hessian image per row, one
     differential and one set of weight derivatives per basis vector (plus
-    the set along the gradient lift), and at most two gradients. The
+    the set along the gradient lift), and one gradient, which the Hessian
+    matrix and the gradient norm share. The
     differentials and weight derivatives are counted by the vectors they
     process, whether one at a time or as a stack."""
     met = None if mname is None else REGISTRY[geo].families[mname]
@@ -186,7 +190,7 @@ def test_spectrum_does_per_vector_work_once_per_vector(geo, mname, monkeypatch):
     obj, calls = counting(random_objective(kind, p1, p2, "completion", rng))
     d = hessian_spectrum(z, obj, met).dim
     assert calls["ehess_vec"] == d, (d, calls)
-    assert calls["egrad"] <= 2, calls
+    assert calls["egrad"] == 1, calls
     quotient = met is not None
     assert sum(diffs) == (d if quotient else 0), (d, diffs)
     assert sum(dws) == (d + 1 if quotient else 0), (d, dws)
@@ -206,7 +210,30 @@ def test_bilinear_form_is_the_polarized_quadratic_form(geo, mname):
 
         a, b = random_horizontal(z, met, rng), random_horizontal(z, met, rng)
         scale = sum(abs(quad(v)) for v in (a, b, a + b, a - b))
-        value = riem_hess_matrix_quotient(z, obj, met, stacked(a, b))[0, 1]
-        swapped = riem_hess_matrix_quotient(z, obj, met, stacked(b, a))[0, 1]
+        value = riem_hess_matrix_quotient(z, obj, met, stacked(a, b))[0][0, 1]
+        swapped = riem_hess_matrix_quotient(z, obj, met, stacked(b, a))[0][0, 1]
         assert abs(value - swapped) <= 1e-12 * scale, (z.X.shape, z.r)
         assert abs(value - polarize(quad, a, b)) <= 1e-12 * scale, (z.X.shape, z.r)
+
+
+@pytest.mark.parametrize("geo,mname", PAIRS + [(EMBEDDED["psd"], None),
+                                               (EMBEDDED["general"], None)])
+def test_hessian_builder_returns_the_riemannian_gradient(geo, mname):
+    """The gradient that a Hessian matrix builder returns, which
+    ``hessian_spectrum`` takes its norm from, is the Riemannian gradient (its
+    horizontal lift on the quotient side), bit for bit."""
+    kind, rng = kind_of(geo), np.random.default_rng(17)
+    p1, p2 = (6, 6) if kind == "psd" else (6, 5)
+    z = random_point(geo, p1, p2, 2, rng)
+    obj = random_objective(kind, p1, p2, "completion", rng)
+    if mname is None:
+        _, grad = riem_hess_matrix_embedded(z, obj, tangent_basis(z)[:3])
+        want = riem_grad_embedded(z, obj)
+    else:
+        met = REGISTRY[geo].families[mname]
+        _, grad = riem_hess_matrix_quotient(z, obj, met, horizontal_basis(z, met)[0][:3])
+        want = riem_grad_quotient(z, obj, met)
+        assert grad.space is want.space
+    assert type(grad) is type(want) and grad.base is z
+    for got, ref in zip(grad.parts, want.parts, strict=True):
+        assert np.array_equal(got, ref)

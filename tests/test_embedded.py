@@ -253,8 +253,8 @@ class TestRiemHess:
                 a, b = (tangent_project(pt, rng.standard_normal((p1, p2)))
                         for _ in range(2))
                 scale = sum(abs(quad(v)) for v in (a, b, a + b, a - b))
-                value = riem_hess_matrix_embedded(pt, obj, stacked(a, b))[0, 1]
-                swapped = riem_hess_matrix_embedded(pt, obj, stacked(b, a))[0, 1]
+                value = riem_hess_matrix_embedded(pt, obj, stacked(a, b))[0][0, 1]
+                swapped = riem_hess_matrix_embedded(pt, obj, stacked(b, a))[0][0, 1]
                 assert abs(value - swapped) <= 1e-12 * scale
                 assert abs(value - polarize(quad, a, b)) <= 1e-12 * scale
 

@@ -17,7 +17,9 @@ how many check margins moved inward and outward (by at least 0.005
 decades, so the move shows at the printed precision), and the lowest moved
 one; every check that falls below the 5-decade noise floor from at or above
 it, with its margin golden -> regenerated; and each report's smallest
-margin, golden -> regenerated:
+margin, golden -> regenerated. The comparison exits 1 when the golden rule
+breaks: a spectral value moves more than 1e-12 relative to the value, or a
+check falls below the noise floor from at or above it:
 
     PYTHONPATH=src python tests/test_golden.py --compare
 
@@ -133,6 +135,7 @@ def _is_number(value):
 
 
 MOVED_DEC = 0.005  # margin change, in decades, that the summary counts as a move
+SPECTRAL_RTOL = 1e-12  # largest relative move of a spectral value the rule allows
 # a noise check stays this many decades inside its tolerance unless it was
 # closer before; the summary names each check that falls below it
 NOISE_FLOOR_DEC = 5.0
@@ -181,7 +184,7 @@ def compare(tmp_dir):
     each check's margin in decades, golden -> regenerated; then a summary:
     the largest spectral change per case, the count of margins that moved
     each way, the checks that fell below the noise floor, and each report's
-    smallest margin."""
+    smallest margin. Returns the breaches of the golden rule, one line each."""
     gate = _load_gate()
     spectral, margins, smallest = {}, [], {}
     for case in sorted(CASES):
@@ -240,6 +243,14 @@ def compare(tmp_dir):
     print("  smallest margin per report:")
     for case, (m0, m1) in smallest.items():
         print(f"    {case}: {m0:.2f} -> {m1:.2f} dec")
+    breaches = [f"{case}: a spectral value moved {by_value:.2e} relative"
+                for case, (by_value, _) in spectral.items() if by_value > SPECTRAL_RTOL]
+    breaches += [f"{label}: {m0:.2f} -> {m1:.2f} dec, below the noise floor"
+                 for label, m0, m1 in below]
+    print(f"  golden rule: {'broken' if breaches else 'kept'}")
+    for line in breaches:
+        print(f"    {line}")
+    return breaches
 
 
 if __name__ == "__main__":
@@ -247,7 +258,7 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         if sys.argv[1:] == ["--compare"]:
-            compare(tmp)
+            sys.exit(1 if compare(tmp) else 0)
         elif sys.argv[1:]:
             sys.exit("usage: python tests/test_golden.py [--compare]")
         else:

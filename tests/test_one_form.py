@@ -1,9 +1,9 @@
 """The PSD kind is the symmetric case of the one factored form.
 
-A PSD point's V is its U and a PSD tangent's Vp is its Up, so no code needs
-to ask whether either is missing. A ``V`` or ``Vp`` compared with None would
-bring back a second format for the PSD kind. ``src/georank/`` is parsed,
-not imported.
+A PSD point's V is its U, and a PSD tangent holds (S, Up), its Vp being its
+Up, so no code needs to ask whether either is missing. A ``V`` or ``Vp``
+compared with None would bring back a second format for the PSD kind.
+``src/georank/`` is parsed, not imported.
 """
 
 import ast

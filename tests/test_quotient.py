@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 from georank.embedded import embed_point, tangent_basis
-from georank.linalg import ConditioningError, SymmetricSylvester, sym
+from georank.linalg import ConditioningError, SymmetricSylvester, spd_functions, sym
 from georank.objectives import make_matrix_approx
 from georank.quotient import (
     REGISTRY,
     HorizontalVector,
     MetricFamily,
     Weight,
+    Weights,
     horizontal_basis,
     horizontal_project,
     horizontal_vector,
@@ -39,6 +40,7 @@ from util import (
     GEN_QUOTIENTS,
     act_on_horizontal,
     act_on_point,
+    count_calls,
     counting,
     geometry_metric_combos,
     hv_gap,
@@ -241,6 +243,38 @@ class TestProjections:
         bad = (rng.standard_normal((6, 2)), rng.standard_normal((2, 2)))
         with pytest.raises(ValueError):
             vertical_project(z, bad)
+
+
+# spd_functions calls per Weights.at: one inversion per weight form other
+# than the identity, whose inverse is itself; an inverse weight's inverse is
+# its form
+WEIGHT_INVERSIONS = {
+    ("psd_q1", "flat"): 0, ("psd_q1", "double-gram"): 1, ("psd_q1", "inverse-gram"): 1,
+    ("psd_q2", "polar"): 1, ("psd_q2", "matched"): 1,
+    ("gen_q1", "inverse-gram"): 2, ("gen_q1", "crossed-gram"): 2,
+    ("gen_q2", "polar"): 1,
+    ("gen_q3", "flat"): 0, ("gen_q3", "inverse-gram"): 1, ("gen_q3", "matched"): 1,
+}
+
+
+class TestWeights:
+    def test_one_inversion_per_non_identity_form(self, monkeypatch):
+        assert set(WEIGHT_INVERSIONS) == {(geo, met.name) for geo, met
+                                          in geometry_metric_combos(ALL_QUOTIENTS)}
+        calls = count_calls(monkeypatch, spd_functions)
+        rng = np.random.default_rng(40)
+        for geo, met in geometry_metric_combos(ALL_QUOTIENTS):
+            z = _instance(geo, rng)
+            calls.clear()
+            wt = Weights.at(z, met)
+            assert len(calls) == WEIGHT_INVERSIONS[geo, met.name], (geo, met.name)
+            for key, spec in met.weights.items():
+                w, w_inv = getattr(wt, key), getattr(wt, f"{key}_inv")
+                np.testing.assert_allclose(w @ w_inv, np.eye(R), atol=1e-12)
+                if spec.form == "I":
+                    assert np.array_equal(w, np.eye(R)) and np.array_equal(w_inv, np.eye(R))
+                elif spec.inverse:
+                    assert np.array_equal(w_inv, spec._form(z, None))
 
 
 class TestMetricInner:
