@@ -30,9 +30,9 @@ import numpy as np
 
 from .embedded import (
     EmbeddedPoint,
-    _top_factors,
     riem_grad_embedded,
     tangent_basis,
+    truncate_sum,
 )
 from .flows import compare_flows, flow_field
 from .landscape import (
@@ -309,9 +309,8 @@ def _grad_fd_maxrel(point, obj, metric, h=1e-5):
         basis = tangent_basis(point)
         lhs = basis.flat() @ riem_grad_embedded(point, obj).flat()
 
-        def curve_points(b):  # X + t b, truncated to rank r
-            u, s, v = _top_factors(point.X + steps * b.ambient(), point.r, point.kind)
-            return sym(u @ s @ v.mT) if point.kind == "psd" else u @ s @ v.mT
+        def curve_points(b):  # X + t b, truncated to rank r from factors
+            return truncate_sum(point, [(steps, b)]).X
     else:
         geo = REGISTRY[point.geometry]
         basis = horizontal_basis(point, metric)[0]

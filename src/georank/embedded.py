@@ -20,12 +20,10 @@ with the arithmetic, ``len``, indexing and the base-point check written
 once. ``quotient.HorizontalVector`` is the other ``Stack``.
 
 ``project_rank_r`` (and with it ``embed_point`` and ``retract``) truncates
-an ambient matrix by a dense p x p eigendecomposition or SVD; its
-``_top_factors`` also truncates a stack of matrices, each checked on its own,
-as the CLI's gradient check does with its finite-difference points.
-``truncate_sum`` truncates X plus a combination of tangents, each at its
-own base point, from their stacked factors, decomposing only a core of
-size at most r(1 + 2m) for m tangents; the gradient flows use it.
+an ambient matrix by a dense p x p eigendecomposition or SVD.
+``truncate_sum`` truncates X plus a combination of tangents, or of stacks of
+them, from their factors, decomposing only a core of size at most r(1 + 2m)
+for m tangents; the gradient flows and the CLI's gradient check use it.
 """
 
 from dataclasses import dataclass
@@ -42,7 +40,9 @@ RANK_GAP_TOL = 1e-10
 @dataclass(frozen=True, eq=False)
 class EmbeddedPoint:
     """Rank-r point X = U Sigma V^T with cached orthonormal frames and
-    invertible r x r core; V is U itself for the PSD kind."""
+    invertible r x r core; V is U itself for the PSD kind. ``truncate_sum``
+    of stacked terms returns a stack of points, whose arrays carry the
+    stack's leading axes."""
 
     kind: str  # "psd" | "general"
     X: np.ndarray
@@ -56,7 +56,7 @@ class EmbeddedPoint:
 
     @property
     def r(self) -> int:
-        return self.U.shape[1]
+        return self.U.shape[-1]
 
     @property
     def shape(self) -> tuple:
@@ -217,7 +217,7 @@ def _top_factors(x, r, kind, left=None, right=None):
 
 
 def _point_from_factors(kind, u, sigma, v):
-    x = u @ sigma @ v.T
+    x = u @ sigma @ v.mT
     return EmbeddedPoint(kind, sym(x) if kind == "psd" else x, u, sigma, v)
 
 
@@ -241,40 +241,67 @@ def project_rank_r(x, r, kind) -> EmbeddedPoint:
     return _point_from_factors(kind, u, sigma, v)
 
 
-def truncate_sum(pt: EmbeddedPoint, terms) -> EmbeddedPoint:
-    """Rank-r truncation of X + sum_i c_i xi_i, given (c_i, xi_i) pairs whose
-    tangents may each sit at its own base point, without forming the sum.
+def _side_by_side(blocks):
+    """The blocks' columns side by side, a stacked block's leading axes
+    broadcast over the others."""
+    lead = np.broadcast_shapes(*(b.shape[:-2] for b in blocks))
+    if lead:
+        blocks = [np.broadcast_to(b, lead + b.shape[-2:]) for b in blocks]
+    return np.concatenate(blocks, axis=-1)
 
-    The sum is L C R^T: X contributes (U, Sigma, V), and a tangent at a
-    point with frame (U_b, V_b) contributes [U_b, Up] [[S, I], [I, 0]]
-    [V_b, Vp]^T. Reduced QRs of the stacked factors, L = Q_L R_L and
-    R = Q_R R_R, leave the core R_L C R_R^T, at most k = r (1 + 2m) square
-    for m tangents, whose top-r factors lifted through Q_L and Q_R are those
-    of the sum (Absil & Oseledets, "Low-rank retractions: a survey and new
-    results", Comput. Optim. Appl. 2015). For the PSD kind the two stacks
-    are the same, and so is their QR. Householder QR returns an orthonormal
-    Q for a rank-deficient or wide stack, so k >= p needs no other path. The
-    rank test and the sign convention are ``project_rank_r``'s.
+
+def truncate_sum(pt: EmbeddedPoint, terms) -> EmbeddedPoint:
+    """Rank-r truncation of X + sum_i c_i xi_i from (c_i, xi_i) pairs,
+    without forming the sum. Each xi_i is a tangent, or a stack of them, at
+    pt or at a point of its own, and c_i anything ``c_i * xi_i`` takes; a
+    stacked term gives a stack of points, with the broadcast leading axes.
+
+    The sum is L C R^T. X contributes (U, Sigma, V). A tangent at pt shares
+    its frames: it adds Up to L and Vp to R, c S to Sigma's block, and c I
+    coupling the two. A tangent at a point with frames (U_b, V_b) adds
+    [U_b, Up] [[c S, c I], [c I, 0]] [V_b, Vp]^T. Reduced QRs L = Q_L R_L
+    and R = Q_R R_R leave the core R_L C R_R^T, k = r (1 + a + 2b) square for
+    a tangents at pt and b elsewhere, whose top-r factors lifted through Q_L
+    and Q_R are those of the sum (Absil & Oseledets, "Low-rank retractions:
+    a survey and new results", Comput. Optim. Appl. 2015). The QRs do not
+    read the coefficients, so an array c shares them; for the PSD kind L is
+    R and one QR serves. Householder QR returns an orthonormal Q for a
+    rank-deficient or wide stack, so k >= p needs no other path. The rank
+    test, sign convention and finiteness refusal are ``_top_factors``',
+    applied to each core of a stack.
     """
     r = pt.r
-    eye, zero = np.eye(r), np.zeros((r, r))
-    lefts, rights, blocks = [pt.U], [pt.V], [pt.Sigma]
+    eye = np.eye(r)
+    lefts, rights, blocks = [pt.U], [pt.V], []
     for c, xi in terms:
         base = xi.base
-        if base.kind != pt.kind or base.shape != pt.shape or base.r != r:
-            raise ValueError("tangent is not at a point of the same manifold")
-        lefts += [base.U, xi.Up]
-        rights += [base.V, xi.Vp]
-        blocks.append(c * np.block([[xi.S, eye], [eye, zero]]))
-    core = np.zeros((sum(len(block) for block in blocks),) * 2)
-    i = 0
-    for block in blocks:
-        core[i:i + len(block), i:i + len(block)] = block
-        i += len(block)
-    q_left, r_left = np.linalg.qr(np.hstack(lefts))
+        if base is not pt:
+            if base.kind != pt.kind or base.shape != pt.shape or base.r != r:
+                raise ValueError("tangent is not at a point of the same manifold")
+            lefts.append(base.U)
+            rights.append(base.V)
+        lefts.append(xi.Up)
+        rights.append(xi.Vp)
+        blocks.append((base is pt, c * xi.S, c * eye))
+    left = _side_by_side(lefts)
+    k = left.shape[-1]
+    core = np.zeros(np.broadcast_shapes(*(cs.shape[:-2] for _, cs, _ in blocks)) + (k, k))
+    core[..., :r, :r] = pt.Sigma
+    i = r
+    for own, cs, ci in blocks:
+        if own:  # the frame is X's: c S joins Sigma's block
+            j = 0
+            core[..., :r, :r] += cs
+        else:  # the frame takes r rows and columns of its own
+            j, i = i, i + r
+            core[..., j:i, j:i] = cs
+        core[..., j:j + r, i:i + r] = ci
+        core[..., i:i + r, j:j + r] = ci
+        i += r
+    q_left, r_left = np.linalg.qr(left)
     q_right, r_right = ((q_left, r_left) if pt.kind == "psd"
-                        else np.linalg.qr(np.hstack(rights)))
-    u, sigma, v = _top_factors(r_left @ core @ r_right.T, r, pt.kind,
+                        else np.linalg.qr(_side_by_side(rights)))
+    u, sigma, v = _top_factors(r_left @ core @ r_right.mT, r, pt.kind,
                                left=q_left, right=q_right)
     return _point_from_factors(pt.kind, u, sigma, v)
 

@@ -17,7 +17,9 @@ Integration is classical RK4 on the manifold points themselves: each stage
 point and each step's end point is the rank-r truncation of X plus a
 combination of the stages' fields, each a tangent at its own stage point.
 ``embedded.truncate_sum`` takes that truncation from the stacked factors, so
-no p x p matrix is decomposed.
+no p x p matrix is decomposed. The first stage's field is a tangent at X
+itself and shares its frames, so the second stage point's core is 2r square
+and the step's end point's 8r.
 """
 
 from dataclasses import dataclass

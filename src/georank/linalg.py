@@ -3,8 +3,8 @@
 Everything here is pure and operates on plain ``numpy`` arrays, with dense
 factorizations. The geometries call them on r x r cores, on p x r frames
 and, for the bases and the projections onto the manifold, on p x p
-matrices; the gradient flows avoid the last by truncating from factors
-(``embedded.truncate_sum``).
+matrices; the gradient flows and the gradient check's finite-difference
+points avoid the last by truncating from factors (``embedded.truncate_sum``).
 
 The geometries' Sylvester operators are symmetric, and their coefficients
 depend only on the point and the metric: ``SymmetricSylvester`` factors one

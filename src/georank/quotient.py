@@ -32,8 +32,9 @@ A quotient point caches the embedded-geometry frame built from its own
 factors, so transports to the embedded tangent space are free of rotation
 ambiguity, and one ``Weights`` record per metric family used at it: the
 weights and their inverses, and the constants that
-``QuotientGeometry.constants`` builds on first use (P^-1, B^-1 and the
-factored Sylvester operators of L^-1 and of the q1 vertical projections).
+``QuotientGeometry.constants`` builds on first use (P^-1, B^-1, gen_q3's
+(Y^T V)^-1 and the factored Sylvester operators of L^-1 and of the q1
+vertical projections).
 
 Horizontal vectors are stored in ambient total-space coordinates, one
 component per factor, as an ``embedded.Stack``, whose arithmetic, indexing
@@ -1033,11 +1034,13 @@ class GenQ3(QuotientGeometry):
                     {"v": Weight("FtF", "Y"), "w": IDENTITY}),
     }
 
+    def build_constants(self, z, wt):
+        """(Y^T V)^-1, V the frame of Y (invertible r x r)."""
+        return {"cinv": _read_only(np.linalg.inv(z.factor("Y").T @ z.point.V))}
+
     def inverse(self, z, xi, wt):
-        pt = z.point
-        core = z.factor("Y").T @ pt.V  # invertible r x r
-        tu = np.linalg.solve(core.T, xi.Up.mT).mT
-        ty = pt.V @ xi.S.mT + xi.Vp
+        tu = xi.Up @ self.constants(z, wt)["cinv"]
+        ty = z.point.V @ xi.S.mT + xi.Vp
         return (tu, ty)
 
     def bounds(self, z, wt):

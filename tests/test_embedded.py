@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from georank import linalg
+from georank import cli, linalg
 from georank.embedded import (
     EmbeddedPoint,
     EmbeddedTangent,
@@ -336,27 +336,56 @@ class TestTruncateSum:
         total = pt.X + sum(c * xi.ambient() for c, xi in terms)
         return project_rank_r(total, pt.r, pt.kind)
 
-    @pytest.mark.parametrize("kind,p1,p2,r", [
+    @staticmethod
+    def _close_to_dense(got, want):
+        assert np.linalg.norm(got.X - want.X) <= 1e-12 * np.linalg.norm(want.X)
+        assert (np.linalg.norm(got.Sigma - want.Sigma)
+                <= 1e-12 * np.linalg.norm(want.Sigma))
+        # the same sign convention, so the frames agree column by column
+        np.testing.assert_allclose(got.U, want.U, atol=1e-9)
+        if want.kind == "general":
+            np.testing.assert_allclose(got.V, want.V, atol=1e-9)
+
+    GRID = [
         ("psd", 8, 8, 2),
         ("general", 8, 6, 2),
         ("psd", 6, 6, 2),       # 4 tangents stack 18 columns, wider than p
         ("psd", 3, 3, 3),       # r = p
         ("general", 4, 3, 3),   # r = p2
         ("general", 12, 3, 2),  # small p2
-    ])
+    ]
+
+    @pytest.mark.parametrize("kind,p1,p2,r", GRID)
     @pytest.mark.parametrize("n_terms", [1, 4])
     def test_matches_dense_truncation(self, kind, p1, p2, r, n_terms):
         rng = np.random.default_rng(100 * p1 + 10 * p2 + r + n_terms)
         pt = random_point(EMBEDDED[kind], p1, p2, r, rng)
         terms = self._terms(pt, n_terms, rng)
-        got, want = truncate_sum(pt, terms), self._dense(pt, terms)
-        assert np.linalg.norm(got.X - want.X) <= 1e-12 * np.linalg.norm(want.X)
-        assert (np.linalg.norm(got.Sigma - want.Sigma)
-                <= 1e-12 * np.linalg.norm(want.Sigma))
-        # the same sign convention, so the frames agree column by column
-        np.testing.assert_allclose(got.U, want.U, atol=1e-9)
-        if kind == "general":
-            np.testing.assert_allclose(got.V, want.V, atol=1e-9)
+        self._close_to_dense(truncate_sum(pt, terms), self._dense(pt, terms))
+
+    @pytest.mark.parametrize("kind,p1,p2,r", GRID)
+    def test_stack_at_the_point_is_each_truncation(self, kind, p1, p2, r):
+        # X + c xi for a stack of tangents at pt and an array coefficient
+        # c = (+a, -a), as check-gradients takes its points: each point is
+        # the dense truncation, and the one-tangent truncation bit for bit
+        rng = np.random.default_rng(100 * p1 + 10 * p2 + r)
+        pt = random_point(EMBEDDED[kind], p1, p2, r, rng)
+        units = [xi * (1.0 / xi.norm()) for xi in (
+            tangent_project(pt, rng.standard_normal((p1, p2))) for _ in range(3))]
+        a = 0.05 * np.min(np.abs(np.diag(pt.Sigma)))
+        steps = np.array([a, -a]).reshape(2, 1, 1, 1)
+        got = truncate_sum(pt, [(steps, stacked(*units))])
+        assert got.X.shape == (2, 3, p1, p2)
+        for j, c in enumerate((a, -a)):
+            for i, xi in enumerate(units):
+                one = truncate_sum(pt, [(c, xi)])
+                for mine, ref in zip((got.X, got.U, got.Sigma, got.V),
+                                     (one.X, one.U, one.Sigma, one.V)):
+                    assert np.array_equal(mine[j, i], ref)
+                u = got.U[j, i]
+                point = EmbeddedPoint(kind, got.X[j, i], u, got.Sigma[j, i],
+                                      got.V[j, i] if kind == "general" else u)
+                self._close_to_dense(point, self._dense(pt, [(c, xi)]))
 
     @pytest.mark.parametrize("kind,p1,p2", [("psd", 5, 5), ("general", 5, 4)])
     def test_rank_deficient_sum_raises_in_both_paths(self, kind, p1, p2):
@@ -386,6 +415,35 @@ class TestTruncateSum:
         monkeypatch.setattr(np.linalg, "qr", counted)
         truncate_sum(pt, terms)
         assert len(shapes) == qrs
+
+    @pytest.mark.parametrize("kind,p1,p2,qrs", [("psd", 30, 30, 1), ("general", 24, 18, 2)])
+    def test_gradient_check_decomposes_no_ambient_matrix(self, monkeypatch, kind, p1, p2, qrs):
+        # check-gradients' embedded points X +- h b at the pointwise workload's
+        # sizes (r = 3): per stack of n basis vectors, qrs QRs of the p x 2r
+        # factors and one eigh or SVD of the (2, n) cores, each 2r x 2r
+        r = 3
+        rng = np.random.default_rng(40)
+        pt = random_point(EMBEDDED[kind], p1, p2, r, rng)
+        obj = random_approx_objective(kind, p1, p2, rng)
+        d = len(tangent_basis(pt))  # builds the complements, kept on pt
+        n = min(cli.DIRECTION_BLOCK, cli.STACK_BYTES // (16 * p1 * p2))
+        stacks = -(-d // n)
+        seen = {}
+        for name in ("eigh", "svd", "qr"):
+            original, shapes = getattr(np.linalg, name), seen.setdefault(name, [])
+
+            def recorded(a, *args, original=original, shapes=shapes, **kwargs):
+                shapes.append(np.shape(a))
+                return original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        cli._grad_fd_maxrel(pt, obj, None)
+        cores = seen["eigh"] + seen["svd"]
+        assert len(cores) == stacks
+        assert all(shape[-2:] == (2 * r, 2 * r) for shape in cores)
+        assert sum(shape[1] for shape in cores) == d
+        assert len(seen["qr"]) == qrs * stacks
+        assert all(shape[-1] == 2 * r and shape[-2] in (p1, p2) for shape in seen["qr"])
 
     def test_tangent_of_another_manifold_rejected(self):
         rng = np.random.default_rng(33)

@@ -1,11 +1,11 @@
 """check-gradients evaluates its finite-difference points in stacks.
 
 ``cli._grad_fd_maxrel`` takes the 2 d points X(+-h b_i) of a row in stacks of
-basis vectors: one stacked truncation for an embedded row, one stacked move
-of the factors, checked by the factor rules, for a quotient row, and one
-objective call per stack. These tests hold the stacks to the per-curve
-oracle, check that faults still fail their rows, that the stack size does
-not change a report, and pin the work per row.
+basis vectors: one stacked truncation from factors (``embedded.truncate_sum``)
+for an embedded row, one stacked move of the factors, checked by the factor
+rules, for a quotient row, and one objective call per stack. These tests hold
+the stacks to the per-curve oracle, check that faults still fail their rows,
+that the stack size does not change a report, and pin the work per row.
 """
 
 import inspect
@@ -17,7 +17,7 @@ import pytest
 
 import test_golden as golden
 from georank import cli, embedded, objectives, quotient
-from georank.embedded import _top_factors, retract, tangent_basis
+from georank.embedded import _top_factors, retract, tangent_basis, truncate_sum
 from georank.linalg import RankError
 from georank.quotient import REGISTRY, _CHECKS, _qf, horizontal_basis, random_point
 
@@ -50,7 +50,10 @@ class TestStacksMatchThePerCurveOracle:
     H = 1e-5
 
     @pytest.mark.parametrize("kind", ["psd", "general"])
-    def test_embedded_points_are_the_retraction_bit_for_bit(self, kind, monkeypatch):
+    def test_embedded_points_are_the_one_tangent_truncation_bit_for_bit(self, kind,
+                                                                        monkeypatch):
+        # the factored truncation of one X + t b, bit for bit, and the dense
+        # projection retraction within rounding
         rng = np.random.default_rng(5)
         obj = random_approx_objective(kind, 7, 7 if kind == "psd" else 5, rng)
         pt = random_point(quotient.EMBEDDED[kind], 7, 7 if kind == "psd" else 5, 2, rng)
@@ -60,7 +63,9 @@ class TestStacksMatchThePerCurveOracle:
         basis = tangent_basis(pt)
         for i, b in enumerate(basis):
             for j, t in enumerate((self.H, -self.H)):
-                assert np.array_equal(stack[j, i], retract(pt, b, t).X)
+                assert np.array_equal(stack[j, i], truncate_sum(pt, [(t, b)]).X)
+                ref = retract(pt, b, t).X
+                assert np.linalg.norm(stack[j, i] - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("geo", sorted(REGISTRY))
     def test_quotient_points_are_the_total_curves(self, geo, monkeypatch):

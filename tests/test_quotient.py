@@ -747,7 +747,7 @@ def _roundtrip(z, met, rng):
 class TestOperatorCache:
     """The Sylvester operators of L^-1, of the q1 vertical projections and
     of gen_q2's B are factored once per (point, metric), and kept, with
-    P^-1 and B^-1, in the one record of the weights."""
+    P^-1, B^-1 and gen_q3's (Y^T V)^-1, in the one record of the weights."""
 
     def test_each_metric_family_has_its_own_factor(self):
         rng = np.random.default_rng(31)
@@ -775,7 +775,7 @@ class TestOperatorCache:
         with pytest.raises(ConditioningError):
             inverse_map(z, forward_map(z, grad, met), met)
 
-    @pytest.mark.parametrize("geo", ["psd_q1", "psd_q2", "gen_q1", "gen_q2"])
+    @pytest.mark.parametrize("geo", sorted(REGISTRY))
     def test_cached_arrays_are_read_only(self, geo):
         rng = np.random.default_rng(33)
         z = _instance(geo, rng)
@@ -792,7 +792,7 @@ class TestOperatorCache:
                     with pytest.raises(ValueError):
                         a[...] = 0.0
 
-    @pytest.mark.parametrize("geo", ["psd_q1", "psd_q2", "gen_q1", "gen_q2"])
+    @pytest.mark.parametrize("geo", sorted(REGISTRY))
     def test_point_with_factored_operators_is_freed(self, geo):
         rng = np.random.default_rng(34)
         z = _instance(geo, rng)
