@@ -398,7 +398,7 @@ def analytic_fosps(obj: Objective, r: int):
     """
     if obj.kind != "approx":
         raise ValueError("analytic stationary points require the matrix-approx objective")
-    m = -obj.egrad(np.zeros(obj.shape))
+    m = obj.target
     scale = max(np.linalg.norm(m, 2), 1e-300)
     if obj.symmetric:
         w, q = np.linalg.eigh(sym(m))

@@ -1,4 +1,4 @@
-"""Euclidean objectives f, grad f, and Hessian-vector products.
+"""Least-squares objectives f(X) = 0.5 ||A(X) - b||^2, held as data.
 
 Every geometry module consumes objectives through the same three oracles:
 ``value``, ``egrad`` and ``ehess_vec``. Objectives are immutable after
@@ -6,28 +6,35 @@ construction and evaluations are pure.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
+
+from .linalg import sym
 
 
 @dataclass(frozen=True, eq=False)
 class Objective:
-    """Smooth objective on the ambient matrix space.
+    """f(X) = 0.5 ||A(X) - b||^2 on the ambient matrix space.
+
+    ``kind`` names the operator A and ``op`` holds it: "approx" is the
+    identity (``op`` None), "completion" the entrywise 0/1 mask ``op``, and
+    "sensing" the m measurement matrices ``op`` of shape (m, p1, p2), with
+    A(X)_i = <A_i, X>. ``target`` is b: the p1 x p2 matrix M of the first
+    two, the m observations of sensing.
 
     ``ehess_vec(X, Z)`` applies the Euclidean Hessian at X to the direction Z;
     it is linear in Z and self-adjoint in the Frobenius inner product, so the
     Hessian matrix builders take one image per basis vector. When
     ``symmetric`` is set the objective satisfies f(X) = f(X^T), which the PSD
-    geometries rely on.
+    geometries rely on: symmetric sensing holds symmetrized operators and
+    returns the symmetric part of its gradient and Hessian images.
     """
 
+    kind: str
     shape: tuple
     symmetric: bool
-    kind: str
-    _value: Callable = field(repr=False)
-    _egrad: Callable = field(repr=False)
-    _ehess: Callable = field(repr=False)
+    target: np.ndarray = field(repr=False)
+    op: np.ndarray | None = field(default=None, repr=False)
 
     def _check(self, x, stack=False) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -35,32 +42,69 @@ class Objective:
             raise ValueError(f"objective expects shape {self.shape}, got {x.shape}")
         return x
 
+    def _residual(self, x) -> np.ndarray:
+        """A(X) - b for X or a stack of them; sensing's on the leading axis."""
+        if self.kind == "sensing":
+            return (np.tensordot(self.op, x, axes=([1, 2], [-2, -1]))
+                    - self.target.reshape((-1,) + (1,) * (x.ndim - 2)))
+        return x - self.target if self.op is None else self.op * (x - self.target)
+
+    def _adjoint(self, y) -> np.ndarray:
+        """A^T y for m sensing measurements y, symmetric for a symmetric objective."""
+        out = np.tensordot(y, self.op, axes=(0, 0))
+        return sym(out) if self.symmetric else out
+
     def value(self, x):
         """f(X): a float, or one per matrix of a stack on leading axes."""
-        out = self._value(x := self._check(x, stack=True))
+        res = self._residual(x := self._check(x, stack=True))
+        out = 0.5 * np.sum(res**2, axis=0 if self.kind == "sensing" else (-2, -1))
         return out if x.ndim > 2 else float(out)
 
     def egrad(self, x) -> np.ndarray:
-        return self._egrad(self._check(x))
+        # A^T (A(X) - b); the mask is 0/1, so the completion residual is its own image
+        res = self._residual(self._check(x))
+        return self._adjoint(res) if self.kind == "sensing" else res
 
     def ehess_vec(self, x, z) -> np.ndarray:
-        return self._ehess(self._check(x), self._check(z))
+        self._check(x)
+        z = self._check(z)
+        if self.kind == "sensing":
+            return self._adjoint(np.tensordot(self.op, z, axes=([1, 2], [0, 1])))
+        return z if self.op is None else self.op * z
 
 
-def _symmetrized(obj: Objective) -> Objective:
-    """Wrap an objective as (f(X) + f(X^T))/2, which agrees with f on
-    symmetric matrices but has symmetric gradients everywhere."""
-
-    def value(x):
-        return 0.5 * (obj._value(x) + obj._value(x.mT))
-
-    def egrad(x):
-        return 0.5 * (obj._egrad(x) + obj._egrad(x.T).T)
-
-    def ehess(x, z):
-        return 0.5 * (obj._ehess(x, z) + obj._ehess(x.T, z.T).T)
-
-    return Objective(obj.shape, True, obj.kind, value, egrad, ehess)
+def _objective(kind, target, op, symmetric) -> Objective:
+    """The factories' one validation path: finite data of matching shapes,
+    square and symmetric data for a symmetric objective."""
+    target = np.asarray(target, dtype=float)
+    if op is not None:
+        op = np.asarray(op, dtype=float)
+    if not all(np.all(np.isfinite(a)) for a in (target, op) if a is not None):
+        raise ValueError(f"{kind} data (target, mask or operators) must be finite")
+    if kind == "sensing":
+        if op.ndim != 3:
+            raise ValueError("operators must be a list of equally-shaped matrices")
+        target = target.ravel()
+        if len(target) != op.shape[0]:
+            raise ValueError(f"{op.shape[0]} operators but {len(target)} observations")
+        shape = op.shape[1:]
+    else:
+        shape = target.shape
+        if op is not None and op.shape != shape:
+            raise ValueError(f"mask shape {op.shape} != target shape {shape}")
+        if op is not None and not np.all((op == 0) | (op == 1)):
+            raise ValueError("mask entries must be 0 or 1")
+    if symmetric:
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"a symmetric objective requires square matrices, got {shape}")
+        if kind == "sensing":
+            op = op + op.mT
+            op *= 0.5
+        elif np.linalg.norm(target - target.T) > 1e-12 * max(1.0, np.linalg.norm(target)):
+            raise ValueError("symmetric objective requires a symmetric target")
+        elif op is not None and np.any(op != op.T):
+            raise ValueError("symmetric objective requires a symmetric mask")
+    return Objective(kind, shape, symmetric, target, op)
 
 
 def make_matrix_approx(m, symmetric: bool = False) -> Objective:
@@ -70,83 +114,21 @@ def make_matrix_approx(m, symmetric: bool = False) -> Objective:
     M onto eigenvalue/singular-value subsets), which makes it the reference
     instance for every stationarity-dependent check.
     """
-    m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("target matrix must be finite")
-    if symmetric and np.linalg.norm(m - m.T) > 1e-12 * max(1.0, np.linalg.norm(m)):
-        raise ValueError("symmetric objective requires a symmetric target")
-
-    return Objective(
-        m.shape,
-        symmetric,
-        "approx",
-        lambda x: 0.5 * np.sum((x - m) ** 2, axis=(-2, -1)),
-        lambda x: x - m,
-        lambda x, z: z,
-    )
+    return _objective("approx", m, None, symmetric)
 
 
 def make_masked_completion(m, mask, symmetric: bool = False) -> Objective:
     """f(X) = 0.5 ||mask o (X - M)||_F^2 (entrywise observation mask)."""
-    m = np.asarray(m, dtype=float)
-    mask = np.asarray(mask, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("target matrix must be finite")
-    if mask.shape != m.shape:
-        raise ValueError(f"mask shape {mask.shape} != target shape {m.shape}")
-    if not np.all((mask == 0) | (mask == 1)):
-        raise ValueError("mask entries must be 0 or 1")
-    if symmetric:
-        if np.linalg.norm(m - m.T) > 1e-12 * max(1.0, np.linalg.norm(m)):
-            raise ValueError("symmetric objective requires a symmetric target")
-        if np.any(mask != mask.T):
-            raise ValueError("symmetric objective requires a symmetric mask")
-
-    return Objective(
-        m.shape,
-        symmetric,
-        "completion",
-        lambda x: 0.5 * np.sum((mask * (x - m)) ** 2, axis=(-2, -1)),
-        lambda x: mask * (x - m),
-        lambda x, z: mask * z,
-    )
+    return _objective("completion", m, mask, symmetric)
 
 
 def make_matrix_sensing(operators, observations, symmetric: bool = False) -> Objective:
     """f(X) = 0.5 sum_i (<A_i, X> - b_i)^2 for measurement matrices A_i.
 
-    With the symmetric flag the objective is replaced by its symmetrization
-    (f(X) + f(X^T))/2, which leaves values on symmetric matrices unchanged.
+    With the symmetric flag each A_i is replaced by its symmetric part, which
+    leaves values on symmetric matrices unchanged.
     """
-    ops = np.asarray(operators, dtype=float)
-    b = np.asarray(observations, dtype=float).ravel()
-    if not (np.all(np.isfinite(ops)) and np.all(np.isfinite(b))):
-        raise ValueError("measurement operators and observations must be finite")
-    if ops.ndim != 3:
-        raise ValueError("operators must be a list of equally-shaped matrices")
-    if len(b) != ops.shape[0]:
-        raise ValueError(f"{ops.shape[0]} operators but {len(b)} observations")
-    shape = ops.shape[1:]
-
-    def residuals(x):  # on the leading axis, for X or a stack of them
-        return (np.tensordot(ops, x, axes=([1, 2], [-2, -1]))
-                - b.reshape((-1,) + (1,) * (x.ndim - 2)))
-
-    obj = Objective(
-        shape,
-        False,
-        "sensing",
-        lambda x: 0.5 * np.sum(residuals(x) ** 2, axis=0),
-        lambda x: np.tensordot(residuals(x), ops, axes=(0, 0)),
-        lambda x, z: np.tensordot(
-            np.tensordot(ops, z, axes=([1, 2], [0, 1])), ops, axes=(0, 0)
-        ),
-    )
-    if symmetric:
-        if shape[0] != shape[1]:
-            raise ValueError("symmetric sensing requires square operators")
-        obj = _symmetrized(obj)
-    return obj
+    return _objective("sensing", observations, operators, symmetric)
 
 
 def load_matrix_csv(path) -> np.ndarray:

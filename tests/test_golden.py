@@ -40,9 +40,12 @@ import pytest
 from georank import landscape, linalg
 from georank.cli import COMMANDS, run
 
+from util import blas_core
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GATE = Path(__file__).resolve().parent.parent / "perfbench" / "gate.py"
 SEED = 3
+GOLDEN_KERNEL = "SkylakeX"  # the OpenBLAS kernel the golden reports were written under
 
 PROBLEMS = {
     "psd": {"kind": "approx", "case": "psd", "p1": 6, "r": 2},
@@ -73,7 +76,8 @@ def report_text(name, tmp_dir):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name, tmp_path):
     expected = (GOLDEN / f"{name}.json").read_text()
-    assert report_text(name, tmp_path) == expected
+    assert report_text(name, tmp_path) == expected, (
+        f"running under OpenBLAS kernel {blas_core()}; goldens written under {GOLDEN_KERNEL}")
 
 
 # Sylvester operators factored by a bijection-roundtrip golden report: one

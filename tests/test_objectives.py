@@ -11,7 +11,7 @@ from georank.objectives import (
     make_matrix_sensing,
 )
 
-from util import finite_diff_directional
+from util import finite_diff_directional, symmetrized_sensing
 
 
 def _check_egrad_fd(obj, x, rng, n_dirs=20, rtol=1e-6):
@@ -136,6 +136,51 @@ class TestMatrixSensing:
         xs = sym(x)
         g = obj.egrad(xs)
         np.testing.assert_allclose(g, g.T, atol=1e-13)
+
+
+def _psd_sensing(p, rng, r=3):
+    """Symmetric sensing data as the CLI draws it: 3 (2p) r operators, and
+    the observations of a rank-r PSD truth. At p = 30 the unsymmetrized
+    gradient of these operators is asymmetric in its last bits."""
+    ops = rng.standard_normal((6 * p * r, p, p))
+    a = rng.standard_normal((p, r))
+    return ops, np.tensordot(sym(ops), a @ a.T, axes=([1, 2], [0, 1]))
+
+
+@pytest.mark.parametrize("p", [6, 30, 60])
+def test_psd_sensing_is_the_symmetrized_objective_bit_for_bit(p):
+    # symmetric operators and inputs: the value, gradient and Hessian image
+    # are those of (f(X) + f(X^T))/2 to the last bit. On a stack the oracle
+    # is not one sum: tensordot reads the stack as a view and its transpose
+    # as a copy, so its two halves round differently, and the stack is held
+    # to the oracle's rounding only
+    rng = np.random.default_rng(p)
+    ops, obs = _psd_sensing(p, rng)
+    ops = sym(ops)
+    obj = make_matrix_sensing(ops, obs, symmetric=True)
+    value, egrad, ehess_vec = symmetrized_sensing(ops, obs)
+    x, z = sym(rng.standard_normal((2, p, p)))
+    assert obj.value(x) == value(x)
+    assert np.array_equal(obj.egrad(x), egrad(x))
+    assert np.array_equal(obj.ehess_vec(x, z), ehess_vec(x, z))
+    stack = sym(rng.standard_normal((2, 3, p, p)))
+    want = value(stack)
+    assert np.all(np.abs(obj.value(stack) - want) <= 4 * np.finfo(float).eps * want)
+
+
+@pytest.mark.parametrize("p", [6, 30, 60])
+def test_psd_sensing_symmetrizes_raw_operators(p):
+    # asymmetric operators: on symmetric inputs the objective is the
+    # symmetrized one up to rounding
+    rng = np.random.default_rng(100 + p)
+    ops, obs = _psd_sensing(p, rng)
+    obj = make_matrix_sensing(ops, obs, symmetric=True)
+    value, egrad, ehess_vec = symmetrized_sensing(ops, obs)
+    x, z = sym(rng.standard_normal((2, p, p)))
+    stack = sym(rng.standard_normal((2, 3, p, p)))
+    for got, want in [(obj.value(x), value(x)), (obj.value(stack), value(stack)),
+                      (obj.egrad(x), egrad(x)), (obj.ehess_vec(x, z), ehess_vec(x, z))]:
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 class TestSharedInvariants:

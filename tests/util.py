@@ -1,6 +1,7 @@
 """Shared builders for randomized test instances, finite-difference oracles,
 and the CLI runner."""
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -66,21 +67,70 @@ def random_objective(kind, p1, p2, name, rng):
     return make_masked_completion(target, mask, symmetric=kind == "psd")
 
 
+def blas_core():
+    """The OpenBLAS kernel numpy runs under, such as "SkylakeX" or "Haswell":
+    OpenBLAS picks one for the CPU, and ``OPENBLAS_CORETYPE`` overrides it.
+    "unknown" when numpy does not bundle OpenBLAS."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
+        "libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 def counting(obj):
     """The objective with counters on its Euclidean gradient and Hessian:
     returns it and a dict of call counts, "egrad" and "ehess_vec"."""
     calls = {"egrad": 0, "ehess_vec": 0}
 
+    class Counted(Objective):
+        def egrad(self, x):
+            calls["egrad"] += 1
+            return super().egrad(x)
+
+        def ehess_vec(self, x, z):
+            calls["ehess_vec"] += 1
+            return super().ehess_vec(x, z)
+
+    return Counted(*(getattr(obj, f.name) for f in fields(Objective))), calls
+
+
+def symmetrized_sensing(ops, obs):
+    """Oracle: symmetric sensing as the average (f(X) + f(X^T))/2 of the
+    sensing objective with the operators as given. Returns the value, the
+    Euclidean gradient and the Hessian-vector product; on symmetric operators
+    and inputs they are the symmetric objective's, bit for bit."""
+    ops = np.asarray(ops, dtype=float)
+    b = np.asarray(obs, dtype=float).ravel()
+
+    def residuals(x):
+        return (np.tensordot(ops, x, axes=([1, 2], [-2, -1]))
+                - b.reshape((-1,) + (1,) * (x.ndim - 2)))
+
+    def raw_value(x):
+        return 0.5 * np.sum(residuals(x) ** 2, axis=0)
+
+    def raw_egrad(x):
+        return np.tensordot(residuals(x), ops, axes=(0, 0))
+
+    def raw_ehess(x, z):
+        return np.tensordot(np.tensordot(ops, z, axes=([1, 2], [0, 1])), ops, axes=(0, 0))
+
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        out = 0.5 * (raw_value(x) + raw_value(x.mT))
+        return out if x.ndim > 2 else float(out)
+
     def egrad(x):
-        calls["egrad"] += 1
-        return obj._egrad(x)
+        return 0.5 * (raw_egrad(x) + raw_egrad(x.T).T)
 
-    def ehess(x, z):
-        calls["ehess_vec"] += 1
-        return obj._ehess(x, z)
+    def ehess_vec(x, z):
+        return 0.5 * (raw_ehess(x, z) + raw_ehess(x.T, z.T).T)
 
-    return Objective(obj.shape, obj.symmetric, obj.kind, obj._value, egrad,
-                     ehess), calls
+    return value, egrad, ehess_vec
 
 
 def geometry_metric_combos(geometries):
