@@ -3,7 +3,9 @@
 Each case runs `georank.cli.run(..., no_timestamp=True)` in-process and
 compares the JSON text with `tests/golden/<case>.json`. The cases cover all
 six commands on a small PSD and a small general problem, with every geometry
-and every metric family, plus one completion `classify` so `find_fosp` runs.
+and every metric family, plus one completion `classify` so `find_fosp` runs,
+and `flow-compare` at the benchmark's `trajectory` sizes (psd 200x200, r=5
+and general 160x120, r=4, completion, seed 1), where its flows are timed.
 
 A refactor that keeps the floating-point operation order must leave these
 files unchanged. To see what a change moves, regenerate the reports into a
@@ -53,8 +55,9 @@ PROBLEMS = {
 }
 COMMON = {"trials": 2, "directions": 20, "max_fosp_points": 1}
 
+# name -> (command, config, seed)
 CASES = {
-    f"{command}.{case}": (command, {"problem": problem, **COMMON})
+    f"{command}.{case}": (command, {"problem": problem, **COMMON}, SEED)
     for command in COMMANDS
     for case, problem in PROBLEMS.items()
 }
@@ -63,13 +66,21 @@ CASES["classify.completion"] = (
     {"problem": {"kind": "completion", "case": "general", "p1": 6, "p2": 5,
                  "r": 2},
      **COMMON},
+    SEED,
 )
+CASES["flow-compare.psd-200x200"] = (
+    "flow-compare",
+    {"problem": {"kind": "completion", "case": "psd", "p1": 200, "r": 5}}, 1)
+CASES["flow-compare.general-160x120"] = (
+    "flow-compare",
+    {"problem": {"kind": "completion", "case": "general", "p1": 160, "p2": 120,
+                 "r": 4}}, 1)
 
 
 def report_text(name, tmp_dir):
-    command, config = CASES[name]
+    command, config, seed = CASES[name]
     out = Path(tmp_dir) / f"{name}.json"
-    run(command, config, seed=SEED, out_path=out, no_timestamp=True)
+    run(command, config, seed=seed, out_path=out, no_timestamp=True)
     return out.read_text()
 
 
@@ -97,8 +108,8 @@ def test_bijection_factors_each_operator_once(case, directions, tmp_path, monkey
         original(self, a, b)
 
     monkeypatch.setattr(linalg.SymmetricSylvester, "__init__", counting)
-    command, config = CASES[f"bijection-roundtrip.{case}"]
-    _, status = run(command, {**config, "directions": directions}, seed=SEED,
+    command, config, seed = CASES[f"bijection-roundtrip.{case}"]
+    _, status = run(command, {**config, "directions": directions}, seed=seed,
                     out_path=tmp_path / "report.json", no_timestamp=True)
     assert status == 0
     assert len(calls) == FACTORIZATIONS[case]
