@@ -66,7 +66,6 @@ from .landscape import (
 from .flows import (
     FlowTrace,
     flow_field,
-    integrate_flow,
     compare_flows,
 )
 

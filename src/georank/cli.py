@@ -440,8 +440,8 @@ def cmd_flow_compare(plan, obj, rng):
     # the q1 field differs from the embedded one by the doubly projected term
     trace = out["trace_a"]
     resids = []
-    stride = max(1, len(trace.points) // 16)
-    for pt in trace.points[::stride]:
+    stride = max(1, len(trace) // 16)
+    for pt in map(trace.point, range(0, len(trace), stride)):
         f_emb = flow_field(pt, obj, emb).ambient()
         f_q1 = flow_field(pt, obj, q1).ambient()
         nabla = obj.egrad(pt.X)

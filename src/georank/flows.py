@@ -20,13 +20,20 @@ combination of the stages' fields, each a tangent at its own stage point.
 no p x p matrix is decomposed. The first stage's field is a tangent at X
 itself and shares its frames, so the second stage point's core is 2r square
 and the step's end point's 8r.
+
+One generator steps every flow and holds only its current state. A
+``FlowTrace`` keeps the start point as given and each later state as its
+factors (U, Sigma, V), (p1 + p2) r + r^2 numbers, and re-forms a point's X
+on reading it, with the bits the flow stepped from. ``compare_flows`` steps
+its two flows together and takes each deviation from their live states, so
+its memory grows with the steps only by the factors of one trace.
 """
 
 from dataclasses import dataclass
 import numpy as np
 
-from .embedded import (EmbeddedPoint, EmbeddedTangent, riem_grad_embedded,
-                       truncate_sum)
+from .embedded import (EmbeddedPoint, EmbeddedTangent, _point_from_factors,
+                       riem_grad_embedded, truncate_sum)
 from .linalg import RankError
 from .objectives import Objective
 from .quotient import (EMBEDDED, GEOMETRY_KIND, lift_point, metric_family,
@@ -62,15 +69,84 @@ def flow_field(pt: EmbeddedPoint, obj: Objective, source) -> EmbeddedTangent:
 
 @dataclass(frozen=True, eq=False)
 class FlowTrace:
+    """The states X(t) of a flow on ``times``: the start point as the caller
+    gave it, and each later state as its factors (U, Sigma, V), (p1 + p2) r
+    + r^2 numbers in place of a p1 x p2 matrix (V is U for the PSD kind)."""
+
     times: np.ndarray
-    points: list  # EmbeddedPoint of each state X(t)
+    start: EmbeddedPoint
+    factors: list  # (U, Sigma, V) of each state after the start
     degenerate: bool = False
     message: str = ""
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def point(self, i: int) -> EmbeddedPoint:
+        """State i, re-formed from its factors by the product that made it,
+        so its X has the bits the flow stepped from."""
+        i = range(len(self))[i]
+        if i == 0:
+            return self.start
+        return _point_from_factors(self.start.kind, *self.factors[i - 1])
+
+    @property
+    def points(self) -> list:
+        """Every state as an ``EmbeddedPoint``, the start point first."""
+        return [self.point(i) for i in range(len(self))]
 
     @property
     def states(self) -> list:
         """The ambient matrices X(t), rank r."""
         return [pt.X for pt in self.points]
+
+
+def _grid(source, t_final: float, dt: float) -> np.ndarray:
+    """The times of round(t_final / dt) RK4 steps from 0; a bad source or
+    horizon fails here, not at the first step."""
+    _metric(source)
+    if t_final <= 0 or dt <= 0:
+        raise ValueError("horizon and step must be positive")
+    n_steps = int(round(t_final / dt))
+    if n_steps < 1:
+        raise ValueError(f"horizon {t_final!r} with step {dt!r} gives no RK4 step")
+    return np.linspace(0.0, n_steps * dt, n_steps + 1)
+
+
+def _rk4(x0: EmbeddedPoint, obj: Objective, source, dt: float, times):
+    """The state after each RK4 step from x0 on the grid ``times``, each
+    stage truncated to rank r from factors (``truncate_sum``). Only the
+    current state is kept. A step that loses rank, or diverges so far that a
+    decomposition fails, ends the flow early, and the generator returns the
+    cause."""
+    pt = x0
+    for t in times[:-1]:
+        try:
+            k1 = flow_field(pt, obj, source)
+            k2 = flow_field(truncate_sum(pt, [(0.5 * dt, k1)]), obj, source)
+            k3 = flow_field(truncate_sum(pt, [(0.5 * dt, k2)]), obj, source)
+            k4 = flow_field(truncate_sum(pt, [(dt, k3)]), obj, source)
+            pt = truncate_sum(pt, [(dt / 6.0, k1), (dt / 3.0, k2),
+                                   (dt / 3.0, k3), (dt / 6.0, k4)])
+        except (RankError, np.linalg.LinAlgError) as exc:
+            cause = "rank collapse" if isinstance(exc, RankError) else "divergence"
+            return f"{cause} at t = {t:.6g}: {exc}"
+        yield pt
+    return ""
+
+
+def _advance(steps):
+    """(next state, None) of an ``_rk4`` generator, or (None, its cause) once
+    it has ended: "" at the end of its grid. Call it only until it ends."""
+    try:
+        return next(steps), None
+    except StopIteration as end:
+        return None, end.value
+
+
+def _trace(times, x0, factors, end) -> FlowTrace:
+    return FlowTrace(times[: len(factors) + 1], x0, factors,
+                     degenerate=bool(end), message=end)
 
 
 def integrate_flow(
@@ -83,30 +159,13 @@ def integrate_flow(
     decomposition fails, the trace is returned as far as it got, flagged
     degenerate, instead of raising.
     """
-    _metric(source)  # a bad source fails here, not at the first step
-    if t_final <= 0 or dt <= 0:
-        raise ValueError("horizon and step must be positive")
-    n_steps = int(round(t_final / dt))
-    if n_steps < 1:
-        raise ValueError(f"horizon {t_final!r} with step {dt!r} gives no RK4 step")
-    times = np.linspace(0.0, n_steps * dt, n_steps + 1)
-
-    points = [x0]
-    pt = x0
-    for k in range(n_steps):
-        try:
-            k1 = flow_field(pt, obj, source)
-            k2 = flow_field(truncate_sum(pt, [(0.5 * dt, k1)]), obj, source)
-            k3 = flow_field(truncate_sum(pt, [(0.5 * dt, k2)]), obj, source)
-            k4 = flow_field(truncate_sum(pt, [(dt, k3)]), obj, source)
-            pt = truncate_sum(pt, [(dt / 6.0, k1), (dt / 3.0, k2),
-                                   (dt / 3.0, k3), (dt / 6.0, k4)])
-        except (RankError, np.linalg.LinAlgError) as exc:
-            cause = "rank collapse" if isinstance(exc, RankError) else "divergence"
-            return FlowTrace(times[: k + 1], points, degenerate=True,
-                             message=f"{cause} at t = {times[k]:.6g}: {exc}")
-        points.append(pt)
-    return FlowTrace(times, points)
+    times = _grid(source, t_final, dt)
+    steps, factors = _rk4(x0, obj, source, dt, times), []
+    while True:
+        pt, end = _advance(steps)
+        if pt is None:
+            return _trace(times, x0, factors, end)
+        factors.append((pt.U, pt.Sigma, pt.V))
 
 
 def compare_flows(
@@ -114,15 +173,32 @@ def compare_flows(
     t_final: float, dt: float,
 ) -> dict:
     """Integrate two sources from a common start and report the deviation
-    max_t ||X_a(t) - X_b(t)||_F over the shared grid."""
-    tr_a = integrate_flow(x0, obj, source_a, t_final, dt)
-    tr_b = integrate_flow(x0, obj, source_b, t_final, dt)
-    devs = np.array([np.linalg.norm(a.X - b.X)
-                     for a, b in zip(tr_a.points, tr_b.points)])
+    max_t ||X_a(t) - X_b(t)||_F over the shared grid.
+
+    The two flows step together, and each deviation is taken from their
+    live states, so memory does not grow with the steps but by the factors
+    of trace a. Flow a runs to its own end, as its trace is returned whole;
+    flow b stops where it ends or where a does.
+    """
+    times = _grid(source_a, t_final, dt)
+    _grid(source_b, t_final, dt)
+    steps_a = _rk4(x0, obj, source_a, dt, times)
+    steps_b = _rk4(x0, obj, source_b, dt, times)
+    factors, devs, end_b = [], [np.linalg.norm(x0.X - x0.X)], None
+    while True:
+        a, end_a = _advance(steps_a)
+        if a is None:
+            break
+        factors.append((a.U, a.Sigma, a.V))
+        if end_b is None:
+            b, end_b = _advance(steps_b)
+            if b is not None:
+                devs.append(np.linalg.norm(a.X - b.X))
+    trace_a = _trace(times, x0, factors, end_a)
     n = len(devs)
     return {
-        "times": tr_a.times[:n],
-        "max_deviation": float(np.max(devs)) if n else float("nan"),
-        "degenerate": tr_a.degenerate or tr_b.degenerate,
-        "trace_a": tr_a,
+        "times": trace_a.times[:n],
+        "max_deviation": float(np.max(devs)),
+        "degenerate": trace_a.degenerate or bool(end_b),
+        "trace_a": trace_a,
     }

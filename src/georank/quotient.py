@@ -257,6 +257,7 @@ class Weight:
 
 
 IDENTITY = Weight("I")
+B_INVERSE = Weight("B", "B", inverse=True)  # W_B of the polar families
 
 
 @dataclass(frozen=True, eq=False)
@@ -554,6 +555,14 @@ def quotient_dim(geometry: str, p1: int, p2: int, r: int) -> int:
 
 def _dot(a, b):
     return float(np.sum(a * b))
+
+
+def _b_inverse(z, wt):
+    """B^-1 at z: the weight W itself where the family's W is B^-1, which
+    ``Weights.at`` has inverted already."""
+    if wt.metric.weights["w"] == B_INVERSE:
+        return wt.w
+    return _read_only(spd_functions(z.factor("B")).inv)
 
 
 def _extremes(m):
@@ -885,14 +894,14 @@ class PsdQ2(QuotientGeometry):
     chain = ("U", "B", "U^T")
     metrics = {
         "polar": ("V_B = I, W_B = B^-1",
-                  {"v": IDENTITY, "w": Weight("B", "B", inverse=True)}),
+                  {"v": IDENTITY, "w": B_INVERSE}),
         "matched": ("V_B = 2 B^2, W_B = I",
                     {"v": Weight("B2", "B", 2.0), "w": IDENTITY}),
     }
 
     def build_constants(self, z, wt):
         """B^-1."""
-        return {"binv": _read_only(spd_functions(z.factor("B")).inv)}
+        return {"binv": _b_inverse(z, wt)}
 
     def inverse(self, z, xi, wt):
         return (xi.Up @ self.constants(z, wt)["binv"], sym(xi.S))
@@ -973,15 +982,14 @@ class GenQ2(QuotientGeometry):
     chain = ("U", "B", "V^T")
     metrics = {
         "polar": ("V_B = I, W_B = B^-1",
-                  {"v": IDENTITY, "w": Weight("B", "B", inverse=True)}),
+                  {"v": IDENTITY, "w": B_INVERSE}),
     }
 
     def build_constants(self, z, wt):
         """B^-1 and B X + X B factored, for the inverse and the gradient
         conversion."""
         b = z.factor("B")
-        return {"binv": _read_only(spd_functions(b).inv),
-                "sylvester": SymmetricSylvester(b, b)}
+        return {"binv": _b_inverse(z, wt), "sylvester": SymmetricSylvester(b, b)}
 
     def grad_lift(self, z, wt, nabla):
         """The base lift plus (U mix, 0, -V mix), mix = (K B + B K)/2 with

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -491,3 +493,18 @@ class TestDeterminism:
                         "99", "--out", str(out), "--no-timestamp"], tmp_path)
         report = read_report(proc, out)
         assert report["seed"] == 99
+
+
+MAX_RSS = Path(__file__).resolve().parent / "max_rss.py"
+
+
+@pytest.mark.parametrize("limit_mb,code,status", [
+    ("10000", "pass", 0),  # under the limit
+    ("0.001", "pass", 1),  # any interpreter is over a 1 KB limit
+    ("10000", "raise SystemExit(3)", 3),  # the child's own failure
+])
+def test_max_rss_wrapper_reads_the_child(limit_mb, code, status):
+    proc = subprocess.run([sys.executable, str(MAX_RSS), limit_mb, sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == status
+    assert proc.stdout.startswith("peak RSS ")

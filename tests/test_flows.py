@@ -1,7 +1,11 @@
 """Gradient flows in ambient coordinates and their cross-geometry identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from georank.cli import FLOW_PAIRS
 
 from georank import embedded
 from georank.embedded import project_rank_r
@@ -15,7 +19,8 @@ from georank.objectives import make_masked_completion, make_matrix_approx
 from georank.quotient import EMBEDDED, lift_point, metric_inner, riem_grad_quotient
 
 from util import (GEN_QUOTIENTS, PSD_QUOTIENTS, count_calls, dense_flow_states,
-                  geometry_metric_combos, random_objective, random_point)
+                  geometry_metric_combos, random_objective, random_point,
+                  sequential_compare)
 
 PSD_M = np.diag([3.0, 2.0, 1.0, 0.5])
 GEN_M = np.vstack([np.diag([3.0, 2.0, 1.0]), np.zeros((1, 3))])
@@ -175,9 +180,11 @@ class TestIntegrateFlow:
         obj, pt = _gen_setup(rng)
         trace = integrate_flow(pt, obj, ("gen_q1", "crossed-gram"), 0.05, 0.01)
         assert trace.points[0] is pt
-        assert len(trace.points) == len(trace.times) == 6
-        for point, x in zip(trace.points, trace.states):
-            assert point.X is x
+        assert len(trace) == len(trace.points) == len(trace.times) == 6
+        assert len(trace.factors) == 5
+        for i, (point, x) in enumerate(zip(trace.points, trace.states)):
+            assert np.array_equal(point.X, x)
+            assert np.array_equal(trace.point(i - 6).X, x)
 
 
 def _sources(kind):
@@ -255,3 +262,85 @@ class TestCompareFlows:
             pu = p.U @ p.U.T
             resid = np.linalg.norm(d - pu @ obj.egrad(p.X) @ pu)
             assert resid <= 1e-10 * max(1.0, np.linalg.norm(d))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _assert_matches_sequential(out, want):
+    """``compare_flows``' result is the sequential oracle's, bit for bit, in
+    every trace-a state's X, U, Sigma and V."""
+    assert _same_bits(out["max_deviation"], want["max_deviation"])
+    assert _same_bits(out["times"], want["times"])
+    assert out["degenerate"] is want["degenerate"]
+    trace, (times, points, degenerate, message) = out["trace_a"], want["trace_a"]
+    assert _same_bits(trace.times, times)
+    assert (trace.degenerate, trace.message) == (degenerate, message)
+    assert len(trace) == len(points)
+    for i, expected in enumerate(points):
+        got = trace.point(i)
+        for name in ("X", "U", "Sigma", "V"):
+            assert _same_bits(getattr(got, name), getattr(expected, name)), (i, name)
+
+
+@pytest.mark.parametrize("kind,p1,p2", [("psd", 6, 6), ("general", 6, 5)])
+@pytest.mark.parametrize("name", ["approx", "completion"])
+def test_lockstep_comparison_matches_the_sequential_oracle(kind, p1, p2, name):
+    rng = np.random.default_rng(17)
+    obj = random_objective(kind, p1, p2, name, rng)
+    x0 = random_point(EMBEDDED[kind], p1, p2, 2, rng)
+    emb, matched, q1 = FLOW_PAIRS[kind]
+    for other in (matched, q1):
+        out = compare_flows(x0, obj, emb, other, 1.0, 1e-2)
+        want = sequential_compare(x0, obj, emb, other, 1.0, 1e-2)
+        assert not want["degenerate"] and len(want["times"]) == 101
+        _assert_matches_sequential(out, want)
+
+
+# the rank-collapse setup of ``test_rank_collapse_returns_partial_trace``: the
+# embedded flow collapses at t = 4.6, psd_q1/double-gram at t = 2.3, and the
+# psd_q1/flat flow keeps rank 2 to t = 10
+COLLAPSE = {"emb": ("psd_embedded", None), "gram": ("psd_q1", "double-gram"),
+            "flat": ("psd_q1", "flat")}
+
+
+@pytest.mark.parametrize("a,b,lengths", [
+    ("flat", "emb", (201, 93)),  # only b degenerates: a runs to its own end
+    ("emb", "flat", (93, 201)),  # only a degenerates
+    ("emb", "gram", (93, 47)),  # both, b first
+    ("gram", "emb", (47, 93)),  # both, a first
+])
+def test_one_sided_collapse_matches_the_sequential_oracle(a, b, lengths):
+    obj = make_matrix_approx(np.diag([1.0, 0.0, 0.0]), symmetric=True)
+    x0 = project_rank_r(np.diag([1.0, 1e-8, 0.0]), 2, "psd")
+    out = compare_flows(x0, obj, COLLAPSE[a], COLLAPSE[b], 10.0, 0.05)
+    want = sequential_compare(x0, obj, COLLAPSE[a], COLLAPSE[b], 10.0, 0.05)
+    assert len(want["trace_a"][1]) == lengths[0]
+    assert len(want["times"]) == min(lengths)
+    assert want["degenerate"]
+    _assert_matches_sequential(out, want)
+
+
+def test_comparison_memory_does_not_grow_with_dense_states():
+    """Ten times the steps adds only factor-sized states: the tracemalloc
+    peak of ``compare_flows`` grows by at most 4 (p1 + p2) r doubles per
+    extra step, where keeping each step's two p1 x p2 states would add
+    2 p1 p2 (20 times as many at this size)."""
+    p, r = 60, 3
+    rng = np.random.default_rng(18)
+    obj = random_objective("psd", p, p, "completion", rng)
+    x0 = random_point("psd_embedded", p, p, r, rng)
+    emb, matched, _ = FLOW_PAIRS["psd"]
+    peaks = {}
+    for n_steps in (20, 200):
+        tracemalloc.start()
+        try:
+            out = compare_flows(x0, obj, emb, matched, n_steps * 1e-2, 1e-2)
+            peaks[n_steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not out["degenerate"] and len(out["times"]) == n_steps + 1
+    per_step = (peaks[200] - peaks[20]) / 180
+    assert per_step <= 4 * (p + p) * r * 8, f"{per_step:.0f} bytes per extra step"

@@ -775,6 +775,21 @@ class TestOperatorCache:
         with pytest.raises(ConditioningError):
             inverse_map(z, forward_map(z, grad, met), met)
 
+    @pytest.mark.parametrize("geo", ["psd_q2", "gen_q2"])
+    def test_b_inverse_is_inverted_once(self, geo, monkeypatch):
+        # under polar W is B^-1, and the constants take it from the weights;
+        # psd_q2/matched has W = I and inverts B for its constants
+        rng = np.random.default_rng(35)
+        z = _instance(geo, rng)
+        inverted = count_calls(monkeypatch, spd_functions)
+        for name in REGISTRY[geo].families:
+            wt = z.weights(metric_family(geo, name))
+            before = len(inverted)
+            binv = REGISTRY[geo].constants(z, wt)["binv"]
+            assert np.array_equal(binv, spd_functions(z.factor("B")).inv)
+            assert (binv is wt.w) == (name == "polar")
+            assert len(inverted) - before == (name != "polar")
+
     @pytest.mark.parametrize("geo", sorted(REGISTRY))
     def test_cached_arrays_are_read_only(self, geo):
         rng = np.random.default_rng(33)

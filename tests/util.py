@@ -13,11 +13,12 @@ import numpy as np
 import georank
 from georank import make_masked_completion, make_matrix_approx
 from georank.cli import _check, _worst
-from georank.embedded import _point_from_factors, project_rank_r, tangent_project
+from georank.embedded import (_point_from_factors, project_rank_r, tangent_project,
+                               truncate_sum)
 from georank.flows import flow_field
 from georank.objectives import Objective
 from georank.landscape import hessian_spectrum
-from georank.linalg import gen_sym_eig, skew, sym
+from georank.linalg import RankError, gen_sym_eig, skew, sym
 from georank.quotient import (
     GEOMETRY_KIND,
     GenQ1,
@@ -505,6 +506,44 @@ def dense_flow_states(x0, obj, source, t_final, dt):
         ).X
         states.append(x)
     return states
+
+
+def sequential_flow(x0, obj, source, t_final, dt):
+    """``flows.integrate_flow`` as it was when a trace kept every state as a
+    live point: (times, points, degenerate, message)."""
+    n_steps = int(round(t_final / dt))
+    times = np.linspace(0.0, n_steps * dt, n_steps + 1)
+    points = [x0]
+    pt = x0
+    for k in range(n_steps):
+        try:
+            k1 = flow_field(pt, obj, source)
+            k2 = flow_field(truncate_sum(pt, [(0.5 * dt, k1)]), obj, source)
+            k3 = flow_field(truncate_sum(pt, [(0.5 * dt, k2)]), obj, source)
+            k4 = flow_field(truncate_sum(pt, [(dt, k3)]), obj, source)
+            pt = truncate_sum(pt, [(dt / 6.0, k1), (dt / 3.0, k2),
+                                   (dt / 3.0, k3), (dt / 6.0, k4)])
+        except (RankError, np.linalg.LinAlgError) as exc:
+            cause = "rank collapse" if isinstance(exc, RankError) else "divergence"
+            return (times[: k + 1], points, True,
+                    f"{cause} at t = {times[k]:.6g}: {exc}")
+        points.append(pt)
+    return times, points, False, ""
+
+
+def sequential_compare(x0, obj, source_a, source_b, t_final, dt):
+    """Oracle for ``flows.compare_flows``: each flow integrated to its own
+    end, one after the other, and the deviations taken from the zipped
+    states; its "trace_a" is ``sequential_flow``'s tuple."""
+    tr_a = sequential_flow(x0, obj, source_a, t_final, dt)
+    tr_b = sequential_flow(x0, obj, source_b, t_final, dt)
+    devs = np.array([np.linalg.norm(a.X - b.X) for a, b in zip(tr_a[1], tr_b[1])])
+    return {
+        "times": tr_a[0][: len(devs)],
+        "max_deviation": float(np.max(devs)),
+        "degenerate": tr_a[2] or tr_b[2],
+        "trace_a": tr_a,
+    }
 
 
 def count_calls(monkeypatch, original):
