@@ -181,9 +181,10 @@ def compare_flows(
     flow b stops where it ends or where a does.
     """
     times = _grid(source_a, t_final, dt)
-    _grid(source_b, t_final, dt)
+    _metric(source_b)  # a bad source b fails before flow a takes a step
     steps_a = _rk4(x0, obj, source_a, dt, times)
     steps_b = _rk4(x0, obj, source_b, dt, times)
+    # the deviation at t = 0 is 0, or NaN for a non-finite start
     factors, devs, end_b = [], [np.linalg.norm(x0.X - x0.X)], None
     while True:
         a, end_a = _advance(steps_a)
@@ -195,9 +196,8 @@ def compare_flows(
             if b is not None:
                 devs.append(np.linalg.norm(a.X - b.X))
     trace_a = _trace(times, x0, factors, end_a)
-    n = len(devs)
     return {
-        "times": trace_a.times[:n],
+        "times": trace_a.times[: len(devs)],
         "max_deviation": float(np.max(devs)),
         "degenerate": trace_a.degenerate or bool(end_b),
         "trace_a": trace_a,
