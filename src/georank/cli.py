@@ -252,9 +252,8 @@ def _build_objective(prob, rng):
                 mask = np.clip(mask + mask.T, 0, 1)
         return make_masked_completion(truth, mask, symmetric=symmetric)
     n_meas = prob.get("num_measurements", 3 * (p1 + p2) * r)
+    # the objective symmetrizes the operators: <sym(A_i), T> = <A_i, T>, T symmetric
     ops = rng.standard_normal((n_meas, p1, p2))
-    if symmetric:
-        ops = sym(ops)
     obs = np.tensordot(ops, truth, axes=([1, 2], [0, 1]))
     return make_matrix_sensing(ops, obs, symmetric=symmetric)
 

@@ -342,24 +342,18 @@ def riem_hess_matrix_embedded(pt: EmbeddedPoint, obj: Objective,
 
         Hess f[xi, eta] + <nabla f, Up_xi Sigma^-1 Vp_eta^T + Up_eta Sigma^-1 Vp_xi^T>.
 
-    The stack's base and the core's rank are checked once, the gradient
-    evaluated once, the stack's ambient matrices and Sigma^-1 Vp^T taken in
-    one call each, and each row's Euclidean Hessian image at the start of
-    the row: the extra memory is the d ambient matrices (d p1 p2 doubles)."""
+    The gradient is evaluated once; the first term is ``Objective.ehess_matrix``
+    on the ambient matrices (d p1 p2 doubles), the correction C + C^T with
+    C_ij = <Up_i^T nabla f, Sigma^-1 Vp_j^T>, one product of flattened stacks."""
     tangents.check_base(pt)
     sig = pt.Sigma
     if np.linalg.svd(sig, compute_uv=False)[-1] <= RANK_GAP_TOL * np.linalg.norm(sig, 2):
         raise RankError("core factor is numerically singular")
     egrad = obj.egrad(pt.X)
-    ambs = tangents.ambient()
-    ups, right = tangents.Up, np.linalg.solve(sig, tangents.Vp.mT)
-    h = np.zeros((len(tangents),) * 2)
-    for i in range(len(h)):
-        image = obj.ehess_vec(pt.X, ambs[i])
-        for j in range(i, len(h)):
-            coupled = ups[i] @ right[j] + ups[j] @ right[i]
-            h[i, j] = h[j, i] = (float(np.sum(image * ambs[j]))
-                                 + float(np.sum(egrad * coupled)))
+    h = obj.ehess_matrix(pt.X, tangents.ambient())
+    c = ((tangents.Up.mT @ egrad).reshape(len(h), -1)
+         @ np.linalg.solve(sig, tangents.Vp.mT).reshape(len(h), -1).T)
+    h += c + c.T
     return h, tangent_project(pt, egrad)
 
 

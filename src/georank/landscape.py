@@ -130,9 +130,10 @@ def hessian_spectrum(
     A horizontal basis's Gram condition is checked before the objective is
     evaluated. The Hessian matrix on an explicit tangent/horizontal basis,
     one stack, comes from one matrix builder call, which takes the basis's
-    differentials in one call and each row's Euclidean Hessian image once;
-    the gradient norm is that of the gradient the builder returns, so the
-    gradient is evaluated once. The eigenvalues are those of the pencil
+    differentials in one call and its Euclidean term from one
+    ``Objective.ehess_matrix`` call, one Hessian image per row; the gradient
+    norm is that of the gradient the builder returns, so the gradient is
+    evaluated once. The eigenvalues are those of the pencil
     (H, Gram). The report keeps the basis, its Gram matrix and H, on which
     ``verify_sandwich`` checks the Hessian congruence.
     """

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 SYLVESTER_SEP_TOL = 1e-12  # relative spectral separation of A and -B
-ORTHONORMAL_TOL = 1e-12  # ||U^T U - I|| per sqrt(r) accepted as orthonormal
+ORTHONORMAL_TOL = 1e-12  # ||U^T U - I||_F per sqrt(r) accepted as orthonormal
 SPD_TOL = 1e-12  # relative asymmetry and eigenvalue floor of an SPD matrix
 GRAM_PD_TOL = 1e-12  # relative eigenvalue floor of a Gram matrix
 
@@ -149,6 +149,14 @@ def _symmetric(x, name) -> np.ndarray:
     return sym(x)
 
 
+def check_orthonormal(u, message):
+    """Raise ``ValueError(message)`` unless U, or each matrix of a stack, has
+    orthonormal columns: ||U^T U - I||_F <= ORTHONORMAL_TOL max(1, sqrt(r))."""
+    r = u.shape[-1]
+    if (frobenius(u.mT @ u - np.eye(r)) > ORTHONORMAL_TOL * max(1.0, np.sqrt(r))).any():
+        raise ValueError(message)
+
+
 def orth_complement(u) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of span(U).
 
@@ -160,9 +168,7 @@ def orth_complement(u) -> np.ndarray:
     p, r = u.shape
     if r > p:
         raise ValueError(f"complement needs r <= p, got shape {u.shape}")
-    defect = np.linalg.norm(u.T @ u - np.eye(r)) if r > 0 else 0.0
-    if defect > ORTHONORMAL_TOL * max(1.0, np.sqrt(r)):
-        raise ValueError("input columns are not orthonormal")
+    check_orthonormal(u, "input columns are not orthonormal")
     if r == p:
         return np.zeros((p, 0))
     # Rows r..p of V^T in the full SVD of U^T span the null space of U^T.
@@ -177,15 +183,10 @@ class SpdFunctions(NamedTuple):
 
 
 def spd_functions(b) -> SpdFunctions:
-    """Matrix square root, inverse, and inverse square root of an SPD matrix."""
-    b = _as_matrix(b)
-    if b.shape[0] != b.shape[1]:
-        raise ValueError(f"SPD functions require a square matrix, got {b.shape}")
-    if np.linalg.norm(b - b.T) > SPD_TOL * max(1.0, np.linalg.norm(b)):
-        raise ValueError("matrix is not symmetric")
-    w, v = np.linalg.eigh(sym(b))
+    """Square root, inverse and inverse square root of an SPD matrix, else RankError."""
+    w, v = np.linalg.eigh(_symmetric(b, "matrix"))
     if w[0] <= SPD_TOL * max(w[-1], 0.0):
-        raise ValueError("matrix is not positive definite")
+        raise RankError("matrix is not positive definite")
     sq = (v * np.sqrt(w)) @ v.T
     inv = (v / w) @ v.T
     inv_sq = (v / np.sqrt(w)) @ v.T

@@ -1,8 +1,8 @@
 """Least-squares objectives f(X) = 0.5 ||A(X) - b||^2, held as data.
 
-Every geometry module consumes objectives through the same three oracles:
-``value``, ``egrad`` and ``ehess_vec``. Objectives are immutable after
-construction and evaluations are pure.
+Every geometry module consumes objectives through the same four oracles:
+``value``, ``egrad``, ``ehess_vec`` and ``ehess_matrix``. Objectives are
+immutable after construction and evaluations are pure.
 """
 
 from dataclasses import dataclass, field
@@ -23,8 +23,9 @@ class Objective:
     two, the m observations of sensing.
 
     ``ehess_vec(X, Z)`` applies the Euclidean Hessian at X to the direction Z;
-    it is linear in Z and self-adjoint in the Frobenius inner product, so the
-    Hessian matrix builders take one image per basis vector. When
+    it is linear in Z and self-adjoint in the Frobenius inner product, so
+    ``ehess_matrix``, the Euclidean term of both Hessian matrix builders,
+    takes one image per vector of a stack. When
     ``symmetric`` is set the objective satisfies f(X) = f(X^T), which the PSD
     geometries rely on: symmetric sensing holds symmetrized operators and
     returns the symmetric part of its gradient and Hessian images.
@@ -71,6 +72,16 @@ class Objective:
         if self.kind == "sensing":
             return self._adjoint(np.tensordot(self.op, z, axes=([1, 2], [0, 1])))
         return z if self.op is None else self.op * z
+
+    def ehess_matrix(self, x, z) -> np.ndarray:
+        """[<ehess_vec(X, Z_i), Z_j>] on a stack Z, symmetric: each row takes
+        one Hessian image and contracts it with the stack's rows from its own
+        on, in one product, so one image is live at a time."""
+        flat = z.reshape(len(z), -1)
+        h = np.empty((len(z),) * 2)
+        for i in range(len(h)):
+            h[i, i:] = h[i:, i] = flat[i:] @ self.ehess_vec(x, z[i]).ravel()
+        return h
 
 
 def _objective(kind, target, op, symmetric) -> Objective:

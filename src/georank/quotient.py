@@ -62,13 +62,12 @@ from .embedded import (
     project_rank_r,
     tangent_basis,
 )
-from .linalg import (ConditioningError, SymmetricSylvester, frobenius, skew,
-                     spd_functions, sym)
+from .linalg import (ConditioningError, SymmetricSylvester, check_orthonormal,
+                     frobenius, skew, spd_functions, sym)
 from .objectives import Objective
 
 HORIZ_TOL = 1e-8
 FULL_RANK_TOL = 1e-10
-STIEFEL_TOL = 1e-12
 
 # embedded geometry of each matrix kind
 EMBEDDED = {"psd": "psd_embedded", "general": "gen_embedded"}
@@ -131,9 +130,7 @@ def _check_full_rank(a, name):
 
 
 def _check_stiefel(u, name):
-    r = u.shape[-1]
-    if (frobenius(u.mT @ u - np.eye(r)) > STIEFEL_TOL * max(1.0, np.sqrt(r))).any():
-        raise ValueError(f"factor {name} does not have orthonormal columns")
+    check_orthonormal(u, f"factor {name} does not have orthonormal columns")
 
 
 def _check_spd(b, name):
@@ -746,12 +743,10 @@ class QuotientGeometry:
         the Euclidean Hessian along the differential, the gradient against
         the second differential, the Stiefel normal term and the metric's
         Koszul terms, with G the gradient lift. nabla f, G, the Stiefel
-        partials and DW[G] are computed once, the stack's differentials and
-        DWs in one call each, and each row's Euclidean Hessian image at the
-        start of the row, so the pair loop only contracts: the extra memory
-        is the d differentials (d p1 p2 doubles)."""
-        x = z.X
-        nabla = _ambient_gradient(z, obj.egrad(x))
+        partials and DW[G] are computed once, the stack's differentials
+        (d p1 p2 doubles) and DWs in one call each, the first term by
+        ``Objective.ehess_matrix`` and the others in a pair loop."""
+        nabla = _ambient_gradient(z, obj.egrad(z.X))
         grad = self.grad_lift(z, wt, nabla)
         stiefel = [(i, base, self.partial(z, nabla, i))
                    for i, (f, base) in enumerate(zip(self.factors, z.factors))
@@ -759,14 +754,12 @@ class QuotientGeometry:
         dw_grad = self._dw(z, wt, grad)
         diffs = self.differential(z, parts)
         dws = self._dw(z, wt, parts)
-        h = np.zeros((len(parts[0]),) * 2)
+        h = obj.ehess_matrix(z.X, diffs)
         for i in range(len(h)):
             a, dwa = [c[i] for c in parts], {key: dw[i] for key, dw in dws.items()}
-            image = obj.ehess_vec(x, diffs[i])
             for j in range(i, len(h)):
                 b, dwb = [c[j] for c in parts], {key: dw[j] for key, dw in dws.items()}
-                out = _dot(image, diffs[j])
-                out += _dot(nabla, self.second(z, a, b))
+                out = h[i, j] + _dot(nabla, self.second(z, a, b))
                 for k, base, dk in stiefel:
                     out -= _dot(dk, base @ sym(a[k].T @ b[k]))
                 out -= (self._dg(wt, dwa, b, grad) + self._dg(wt, dwb, a, grad)) / 2.0

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from georank import cli
+from georank.linalg import sym
 
 from util import run_cli
 
@@ -463,6 +464,23 @@ class TestOtherCommands:
         proc = run_cli(["dims", "--config", str(cfg), "--no-timestamp"],
                        tmp_path)
         assert proc.returncode == 0, proc.stderr
+
+
+def test_psd_sensing_build_symmetrizes_the_drawn_operators_once():
+    # the objective symmetrizes the drawn operators, and the observations of
+    # the symmetric truth A A^T against the raw draw are those against the
+    # symmetrized one up to rounding
+    p, r, seed = 40, 3, 1
+    plan = cli._plan({"problem": {"kind": "sensing", "case": "psd", "p1": p, "r": r}})
+    obj = cli._build_objective(plan.problem, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)  # the build's draws, in order
+    rng.standard_normal((p, p))  # target, unread by sensing
+    rng.standard_normal((p, r)) @ rng.standard_normal((r, p))  # the general truth
+    a = rng.standard_normal((p, r))
+    draw = rng.standard_normal((3 * 2 * p * r, p, p))
+    assert np.array_equal(obj.op, sym(draw))
+    want = np.tensordot(sym(draw), a @ a.T, axes=([1, 2], [0, 1]))
+    assert np.max(np.abs(obj.target - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestDeterminism:

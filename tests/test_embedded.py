@@ -220,19 +220,33 @@ class TestRiemHess:
             quad = riem_hess_quad_embedded(pt, obj, xi)
             assert quad == pytest.approx(np.sum(xi.ambient() ** 2), rel=1e-10)
 
-    def test_second_difference_at_fosp(self):
-        # curve-independence of the quadratic form holds at stationary points
+    @pytest.mark.parametrize("kind", ["psd", "general"])
+    def test_second_difference_at_fosp(self, kind):
+        # curve-independence of the quadratic form holds at stationary points.
+        # The general FOSP keeps sigma_1 and sigma_3 of M, so its gradient
+        # -2 e2 e2^T couples Up and Vp through Sigma^-1: the form differs from
+        # the Euclidean one by that curvature term
         rng = np.random.default_rng(11)
-        m = np.diag([3.0, 2.0, 1.0, 0.5])
-        obj = make_matrix_approx(m, symmetric=True)
-        pt = embed_point(np.diag([3.0, 2.0, 0.0, 0.0]), 2, "psd")
+        if kind == "psd":
+            m = np.diag([3.0, 2.0, 1.0, 0.5])
+            obj = make_matrix_approx(m, symmetric=True)
+            pt = embed_point(np.diag([3.0, 2.0, 0.0, 0.0]), 2, "psd")
+        else:
+            m = np.eye(5, 4) * [3.0, 2.0, 1.0, 0.5]
+            obj = make_matrix_approx(m)
+            pt = embed_point(np.eye(5, 4) * [3.0, 0.0, 1.0, 0.0], 2, "general")
         h = 1e-4
         for _ in range(10):
-            xi = tangent_project(pt, sym(rng.standard_normal((4, 4))))
+            z = rng.standard_normal(pt.shape)
+            xi = tangent_project(pt, sym(z) if kind == "psd" else z)
             quad = riem_hess_quad_embedded(pt, obj, xi)
             fd = (obj.value(retract(pt, xi, h).X) - 2 * obj.value(pt.X)
                   + obj.value(retract(pt, xi, -h).X)) / h**2
             assert abs(quad - fd) <= 1e-6 * max(abs(quad), abs(fd), 1.0)
+            if kind == "general":
+                amb = xi.ambient()
+                curvature = quad - float(np.sum(obj.ehess_vec(pt.X, amb) * amb))
+                assert abs(curvature) > 1e-2 * abs(quad)
 
 
     @pytest.mark.parametrize("kind", ["psd", "general"])

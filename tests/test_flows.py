@@ -157,15 +157,20 @@ class TestIntegrateFlow:
             e.append(np.linalg.norm(tr.states[-1] - ref.states[-1]))
         assert e[0] / e[1] > 8.0
 
-    def test_rank_collapse_returns_partial_trace(self):
+    @pytest.mark.parametrize("source", [("psd_embedded", None), ("psd_q2", "matched")],
+                             ids=["psd_embedded", "psd_q2-matched"])
+    def test_rank_collapse_returns_partial_trace(self, source):
         # flowing toward a rank-1 target drives sigma_2 to zero exponentially
-        # while sigma_1 stays near 1, so the rank-gap tolerance must trip
+        # while sigma_1 stays near 1, so the rank-gap tolerance must trip; the
+        # matched metric's weights refuse the core B as not positive definite
         obj = make_matrix_approx(np.diag([1.0, 0.0, 0.0]), symmetric=True)
         x0 = project_rank_r(np.diag([1.0, 1e-8, 0.0]), 2, "psd")
-        trace = integrate_flow(x0, obj, ("psd_embedded", None), 50.0, 0.05)
+        trace = integrate_flow(x0, obj, source, 50.0, 0.05)
         assert trace.degenerate
         assert len(trace.states) >= 1
-        assert "rank" in trace.message
+        assert trace.message.startswith("rank collapse at t = ")
+        out = compare_flows(x0, obj, ("psd_embedded", None), source, 50.0, 0.05)
+        assert out["degenerate"]
 
     def test_no_step_rejected(self):
         # round(T / dt) = 0 steps would return a one-state trace that

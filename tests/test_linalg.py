@@ -12,6 +12,7 @@ import scipy.linalg
 from georank.linalg import (
     ConditioningError,
     SymmetricSylvester,
+    check_orthonormal,
     gen_sym_eig,
     orth_complement,
     skew,
@@ -19,6 +20,7 @@ from georank.linalg import (
     spd_functions,
     sym,
 )
+from georank.quotient import quotient_point
 
 from util import finite_diff_directional, polarize
 
@@ -196,6 +198,26 @@ class TestOrthComplement:
     def test_non_orthonormal_rejected(self):
         with pytest.raises(ValueError):
             orth_complement(np.ones((3, 2)))
+
+    @pytest.mark.parametrize("scale,passes", [(1.0 + 4e-13, True), (1.0 + 6e-13, False)])
+    def test_one_orthonormality_rule(self, scale, passes):
+        # ||U^T U - I||_F = ((1 + e)^2 - 1) sqrt(2) for a scaled orthonormal
+        # p x 2 frame, against 1e-12 sqrt(2): the complement, a Stiefel
+        # factor and a stack holding the frame keep or refuse it together
+        rng = np.random.default_rng(6)
+        good = np.linalg.qr(rng.standard_normal((5, 2)))[0]
+        u = scale * good
+        calls = [lambda: orth_complement(u),
+                 lambda: quotient_point("psd_q2", u, np.eye(2)),
+                 lambda: check_orthonormal(np.stack([good, u]), "a stack")]
+        for call, message in zip(calls, ["input columns are not orthonormal",
+                                         "factor U does not have orthonormal columns",
+                                         "a stack"]):
+            if passes:
+                call()
+            else:
+                with pytest.raises(ValueError, match=message):
+                    call()
 
 
 class TestSpdFunctions:

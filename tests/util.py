@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import georank
-from georank import make_masked_completion, make_matrix_approx
+from georank import make_masked_completion, make_matrix_approx, make_matrix_sensing
 from georank.cli import _check, _worst
 from georank.embedded import (_point_from_factors, project_rank_r, tangent_project,
                                truncate_sum)
@@ -57,10 +57,15 @@ def random_approx_objective(kind, p1, p2, rng):
 
 
 def random_objective(kind, p1, p2, name, rng):
-    """A random "approx" objective, or a "completion" one observing about
-    60% of the entries (a symmetric mask for PSD)."""
+    """A random "approx" objective, a "completion" one observing about 60%
+    of the entries (a symmetric mask for PSD), or a "sensing" one with
+    p1 p2 + 3 Gaussian measurement matrices and observations."""
     if name == "approx":
         return random_approx_objective(kind, p1, p2, rng)
+    if name == "sensing":
+        m = p1 * p2 + 3
+        return make_matrix_sensing(rng.standard_normal((m, p1, p2)),
+                                   rng.standard_normal(m), symmetric=kind == "psd")
     target = rng.standard_normal((p1, p2))
     mask = (rng.random((p1, p2)) < 0.6).astype(float)
     if kind == "psd":
@@ -241,6 +246,54 @@ def pairwise_gram(z, basis, metric):
     d = len(basis)
     return np.array([[metric_inner(z, basis[i], basis[j], metric) for j in range(d)]
                      for i in range(d)])
+
+
+def pairwise_hess_matrix_embedded(pt, obj, tangents):
+    """The embedded Hessian matrix entry by entry: one Euclidean Hessian image
+    per row, and per pair its contraction plus the curvature coupling
+    <nabla f, Up_i Sigma^-1 Vp_j^T + Up_j Sigma^-1 Vp_i^T>. The oracle of
+    ``riem_hess_matrix_embedded``'s stacked products."""
+    egrad = obj.egrad(pt.X)
+    ambs = tangents.ambient()
+    ups, right = tangents.Up, np.linalg.solve(pt.Sigma, tangents.Vp.mT)
+    h = np.zeros((len(tangents),) * 2)
+    for i in range(len(h)):
+        image = obj.ehess_vec(pt.X, ambs[i])
+        for j in range(i, len(h)):
+            coupled = ups[i] @ right[j] + ups[j] @ right[i]
+            h[i, j] = h[j, i] = (float(np.sum(image * ambs[j]))
+                                 + float(np.sum(egrad * coupled)))
+    return h
+
+
+def pairwise_hess_matrix_quotient(z, obj, metric, vectors):
+    """The quotient Hessian matrix entry by entry, each entry the symmetric
+    bilinear form of ``QuotientGeometry.hess_matrix`` with its Euclidean term
+    contracted from one image per row: the oracle of that builder's
+    ``Objective.ehess_matrix``."""
+    geo, wt, parts, x = REGISTRY[z.geometry], z.weights(metric), vectors.parts, z.X
+    nabla = _ambient_gradient(z, obj.egrad(x))
+    grad = geo.grad_lift(z, wt, nabla)
+    stiefel = [(i, base, geo.partial(z, nabla, i))
+               for i, (f, base) in enumerate(zip(geo.factors, z.factors))
+               if f.kind == "stiefel"]
+    dw_grad = geo._dw(z, wt, grad)
+    diffs = geo.differential(z, parts)
+    dws = geo._dw(z, wt, parts)
+    h = np.zeros((len(parts[0]),) * 2)
+    for i in range(len(h)):
+        a, dwa = [c[i] for c in parts], {key: dw[i] for key, dw in dws.items()}
+        image = obj.ehess_vec(x, diffs[i])
+        for j in range(i, len(h)):
+            b, dwb = [c[j] for c in parts], {key: dw[j] for key, dw in dws.items()}
+            out = _dot(image, diffs[j])
+            out += _dot(nabla, geo.second(z, a, b))
+            for k, base, dk in stiefel:
+                out -= _dot(dk, base @ sym(a[k].T @ b[k]))
+            out -= (geo._dg(wt, dwa, b, grad) + geo._dg(wt, dwb, a, grad)) / 2.0
+            out += geo._dg(wt, dw_grad, a, b) / 2.0
+            h[i, j] = h[j, i] = out
+    return h
 
 
 def mixed_basis_spectrum(z, obj, metric, rng):
