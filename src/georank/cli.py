@@ -36,7 +36,9 @@ from .embedded import (
 )
 from .flows import compare_flows, flow_field
 from .landscape import (
+    FOSP_TOL,
     IDENTITY_RTOL,
+    SANDWICH_MARGIN,
     analytic_fosps,
     classify_point,
     find_fosp,
@@ -67,17 +69,6 @@ from .quotient import (
 )
 from .transport import forward_map, inverse_map, spectrum_bounds
 
-DEFAULT_TOLERANCES = {
-    "grad_fd_rtol": 1e-6,
-    "roundtrip_rtol": 1e-9,
-    "bound_slack": 1e-10,
-    "sandwich_margin": 1e-8,
-    "identity_rtol": IDENTITY_RTOL,
-    "fosp_tol": 1e-8,
-    "flow_identical_tol": 1e-8,
-    "flow_difference_tol": 1e-10,
-}
-
 
 class ConfigError(Exception):
     pass
@@ -91,12 +82,11 @@ STACK_BYTES = 4 << 20
 FLOW_DEFAULTS = {"T": 1.0, "dt": 1e-2}
 # the keys a config may hold: at the top level ("") and in each of its objects
 CONFIG_KEYS = {
-    "": {"command", "problem", "geometries", "metrics", "seed", "tolerances",
-         "flow", "output", *COUNTS},
+    "": {"command", "problem", "geometries", "metrics", "seed", "flow", "output",
+         *COUNTS},
     "problem": {"case", "kind", "p1", "p2", "r", "target_csv", "mask_csv",
                 "mask_density", "num_measurements"},
     "flow": set(FLOW_DEFAULTS),
-    "tolerances": set(DEFAULT_TOLERANCES),
 }
 # the problem keys that one problem kind alone reads
 KIND_KEYS = {"target_csv": "approx", "mask_csv": "completion",
@@ -108,7 +98,6 @@ class Plan:
     """A config checked and resolved: all that a command reads of it."""
 
     problem: dict  # with its defaults, echoed in the report
-    tolerances: dict
     counts: dict  # the counts the config gives
     flow: tuple  # (T, dt)
     # (geometry, family name, MetricFamily), or (geometry, None, None) if embedded
@@ -180,12 +169,9 @@ def _plan(config):
     if not (_is_number(seed, int) and seed >= 0):
         raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     flow = {**FLOW_DEFAULTS, **_section("flow", config.get("flow", {}))}
-    tols = {**DEFAULT_TOLERANCES,
-            **_section("tolerances", config.get("tolerances", {}))}
-    for key, value in [*(("flow." + k, v) for k, v in flow.items()),
-                       *(("tolerance " + k, v) for k, v in tols.items())]:
+    for key, value in flow.items():
         if not (_is_number(value) and 0 < value < np.inf):
-            raise ConfigError(f"{key} must be a finite number > 0, got {value!r}")
+            raise ConfigError(f"flow.{key} must be a finite number > 0, got {value!r}")
     if not flow["T"] / flow["dt"] > 0.5:  # round(T / dt) RK4 steps, at least 1
         raise ConfigError(f"flow.T / flow.dt must give at least one RK4 step, "
                           f"got T = {flow['T']!r} and dt = {flow['dt']!r}")
@@ -218,8 +204,7 @@ def _plan(config):
         else:
             rows += [(g, name, metric_family(g, name))
                      for name in metrics.get(g, metric_choices(g))]
-    return Plan(prob, tols, counts, (float(flow["T"]), float(flow["dt"])),
-                tuple(rows))
+    return Plan(prob, counts, (float(flow["T"]), float(flow["dt"])), tuple(rows))
 
 
 def _build_objective(prob, rng):
@@ -324,23 +309,28 @@ def _grad_fd_maxrel(point, obj, metric, h=1e-5):
     return float(np.max(np.abs(lhs - rhs)) / denom)
 
 
+GRAD_FD_RTOL = 1e-6  # a gradient's relative gap to its central differences
+
+
 def cmd_check_gradients(plan, obj, rng):
     trials = plan.counts.get("trials", 5)
-    tol = plan.tolerances["grad_fd_rtol"]
     checks = []
     for geometry, mname, metric in plan.rows:
         worst = _worst([_grad_fd_maxrel(plan.point(geometry, rng), obj, metric)
                         for _ in range(trials)])
         checks.append(_check(f"gradient-fd/{geometry}" + (f"/{mname}" if mname else ""),
-                             worst <= tol, max_rel_err=worst, tolerance=tol,
-                             trials=trials))
+                             worst <= GRAD_FD_RTOL, max_rel_err=worst,
+                             tolerance=GRAD_FD_RTOL, trials=trials))
     return checks
+
+
+ROUNDTRIP_RTOL = 1e-9  # ||theta - L^-1 L theta|| relative to ||theta||
+BOUND_SLACK = 1e-10  # relative violation of alpha g(t, t) <= ||L t||^2 <= beta g(t, t)
 
 
 def cmd_bijection(plan, obj, rng):
     trials = plan.counts.get("trials", 3)
     n_vec = plan.counts.get("directions", 200)
-    tols = plan.tolerances
     checks = []
     for geometry, mname, metric in plan.quotient_rows:
         roundtrip, slack = [], []
@@ -360,8 +350,7 @@ def cmd_bijection(plan, obj, rng):
                 slack += [(coeffs.alpha * q - nrm2) / ref, (nrm2 - coeffs.beta * q) / ref]
         worst_rt, worst_slack = (_worst(np.concatenate(v)) for v in (roundtrip, slack))
         checks.append(_check(f"bijection/{geometry}/{mname}",
-                             (worst_rt <= tols["roundtrip_rtol"]
-                              and worst_slack <= tols["bound_slack"]),
+                             worst_rt <= ROUNDTRIP_RTOL and worst_slack <= BOUND_SLACK,
                              max_roundtrip_rel_err=worst_rt,
                              max_bound_violation=worst_slack,
                              vectors=n_vec * trials))
@@ -387,16 +376,12 @@ def _fosp_points(plan, obj, rng):
 
 
 def cmd_verify_sandwich(plan, obj, rng):
-    tols = plan.tolerances
     fosps, checks = _fosp_points(plan, obj, rng)
     # every (geometry, metric) row at a FOSP shares its embedded spectrum
     spectra = [hessian_spectrum(pt, obj) for pt in fosps]
     for geometry, mname, metric in plan.quotient_rows:
         for i, (pt, spectrum) in enumerate(zip(fosps, spectra)):
-            report = verify_sandwich(
-                lift_point(pt, geometry), obj, metric, spectrum,
-                margin_tol=tols["sandwich_margin"], identity_rtol=tols["identity_rtol"],
-                fosp_tol=tols["fosp_tol"])
+            report = verify_sandwich(lift_point(pt, geometry), obj, metric, spectrum)
             checks.append(_check(f"sandwich/{geometry}/{mname}/fosp{i}",
                                  report["passed"], **report))
     return checks
@@ -422,18 +407,18 @@ FLOW_PAIRS = {
     "general": (("gen_embedded", None), ("gen_q3", "matched"),
                 ("gen_q1", "crossed-gram")),
 }
+FLOW_IDENTICAL_TOL = 1e-8  # max_t ||X_a(t) - X_b(t)||_F of the matched flows
+FLOW_DIFFERENCE_TOL = 1e-10  # relative residual of the q1 field's difference
 
 
 def cmd_flow_compare(plan, obj, rng):
-    tols = plan.tolerances
     case = plan.problem["case"]
     emb, matched, q1 = FLOW_PAIRS[case]
     x0 = plan.point(emb[0], rng)
     out = compare_flows(x0, obj, emb, matched, *plan.flow)
-    tol = tols["flow_identical_tol"]
     checks = [_check(f"flow-identical/{matched[0]}",
-                     not out["degenerate"] and out["max_deviation"] <= tol,
-                     max_deviation=out["max_deviation"], tolerance=tol,
+                     not out["degenerate"] and out["max_deviation"] <= FLOW_IDENTICAL_TOL,
+                     max_deviation=out["max_deviation"], tolerance=FLOW_IDENTICAL_TOL,
                      steps=len(out["times"]) - 1)]
 
     # the q1 field differs from the embedded one by the doubly projected term
@@ -447,13 +432,23 @@ def cmd_flow_compare(plan, obj, rng):
         pr = pt.U @ ((pt.U.T @ nabla @ pt.V) @ pt.V.T)
         resids.append(np.linalg.norm((f_emb - f_q1) - pr) / max(1.0, np.linalg.norm(pr)))
     worst = _worst(resids)
-    checks.append(_check(f"flow-difference/{q1[0]}",
-                         worst <= tols["flow_difference_tol"],
-                         max_rel_residual=worst,
-                         tolerance=tols["flow_difference_tol"]))
+    checks.append(_check(f"flow-difference/{q1[0]}", worst <= FLOW_DIFFERENCE_TOL,
+                         max_rel_residual=worst, tolerance=FLOW_DIFFERENCE_TOL))
     return checks
 
 
+# the checks' tolerances, echoed in every report; each is a constant of the
+# code, beside its check, and no config sets one
+TOLERANCES = {
+    "grad_fd_rtol": GRAD_FD_RTOL,
+    "roundtrip_rtol": ROUNDTRIP_RTOL,
+    "bound_slack": BOUND_SLACK,
+    "sandwich_margin": SANDWICH_MARGIN,
+    "identity_rtol": IDENTITY_RTOL,
+    "fosp_tol": FOSP_TOL,
+    "flow_identical_tol": FLOW_IDENTICAL_TOL,
+    "flow_difference_tol": FLOW_DIFFERENCE_TOL,
+}
 DISPATCH = {
     "dims": cmd_dims,
     "check-gradients": cmd_check_gradients,
@@ -491,7 +486,7 @@ def run(command, config, seed=None, out_path=None, no_timestamp=False):
         "command": command,
         "seed": seed,
         "problem": plan.problem,
-        "tolerances": plan.tolerances,
+        "tolerances": TOLERANCES,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }

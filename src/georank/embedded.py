@@ -31,10 +31,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import RankError, frobenius, orth_complement, sym, sym_basis
+from .linalg import (RANK_TOL, RankError, finite, frobenius, orth_complement, sym,
+                     sym_basis)
 from .objectives import Objective
-
-RANK_GAP_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,14 +168,6 @@ def _column_signs(u):
     return flips
 
 
-def _finite(x):
-    """x itself; a non-finite entry raises ``np.linalg.LinAlgError`` before
-    any decomposition, since LAPACK's SVD need not return on one."""
-    if not np.isfinite(x).all():
-        raise np.linalg.LinAlgError("matrix has a non-finite entry")
-    return x
-
-
 def _top_factors(x, r, kind, left=None, right=None):
     """Top-r factors (U, Sigma, V) of an ambient matrix, or of each in a stack
     (each checked on its own), with sign-fixed frames; V is U for the PSD kind.
@@ -186,14 +177,14 @@ def _top_factors(x, r, kind, left=None, right=None):
     lifted through them before their signs are fixed, and the rank test
     reads the core's spectrum, which is the matrix's own up to zeros.
     """
-    x = _finite(np.asarray(x, dtype=float))
+    x = finite(np.asarray(x, dtype=float))
     psd = kind == "psd"
     if psd:
         if x.shape[-2] != x.shape[-1]:
             raise ValueError(f"psd kind needs a square matrix, got {x.shape}")
         if (frobenius(x - x.mT) > 1e-10 * np.maximum(1.0, frobenius(x))).any():
             raise ValueError("psd kind requires a symmetric matrix")
-        w, q = np.linalg.eigh(_finite(sym(x)))  # sym(x) itself may overflow
+        w, q = np.linalg.eigh(finite(sym(x)))  # sym(x) itself may overflow
         # descending; the top r by an index array, whose copy the lift multiplies
         s, u = w[..., ::-1], q[..., np.arange(-1, -r - 1, -1)]
         scale = np.maximum(s.T[0], -s.T[-1])  # the largest magnitude
@@ -203,7 +194,7 @@ def _top_factors(x, r, kind, left=None, right=None):
     else:
         raise ValueError(f"unknown manifold kind {kind!r}")
     top = s.T[r - 1]  # against max(scale, 1e-300); through s.T, floats for one matrix
-    low = (top <= RANK_GAP_TOL * scale) | (top <= RANK_GAP_TOL * 1e-300)
+    low = (top <= RANK_TOL * scale) | (top <= RANK_TOL * 1e-300)
     if any(low.flat):
         what = " with positive spectrum (eigenvalue" if psd else " (singular value"
         raise RankError(f"matrix is not numerically rank {r}{what} {r} is "
@@ -347,7 +338,7 @@ def riem_hess_matrix_embedded(pt: EmbeddedPoint, obj: Objective,
     C_ij = <Up_i^T nabla f, Sigma^-1 Vp_j^T>, one product of flattened stacks."""
     tangents.check_base(pt)
     sig = pt.Sigma
-    if np.linalg.svd(sig, compute_uv=False)[-1] <= RANK_GAP_TOL * np.linalg.norm(sig, 2):
+    if np.linalg.svd(sig, compute_uv=False)[-1] <= RANK_TOL * np.linalg.norm(sig, 2):
         raise RankError("core factor is numerically singular")
     egrad = obj.egrad(pt.X)
     h = obj.ehess_matrix(pt.X, tangents.ambient())

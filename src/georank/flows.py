@@ -21,10 +21,10 @@ no p x p matrix is decomposed. The first stage's field is a tangent at X
 itself and shares its frames, so the second stage point's core is 2r square
 and the step's end point's 8r.
 
-One generator steps every flow and holds only its current state. A
-``FlowTrace`` keeps the start point as given and each later state as its
-factors (U, Sigma, V), (p1 + p2) r + r^2 numbers, and re-forms a point's X
-on reading it, with the bits the flow stepped from. ``compare_flows`` steps
+One loop steps every flow, one or several together, and holds only each
+flow's current state. A ``FlowTrace`` keeps the start point as given and
+each later state as its factors (U, Sigma, V), (p1 + p2) r + r^2 numbers,
+and re-forms a point's X on reading it, with the bits the flow stepped from. ``compare_flows`` steps
 its two flows together and takes each deviation from their live states, so
 its memory grows with the steps only by the factors of one trace.
 """
@@ -101,10 +101,9 @@ class FlowTrace:
         return [pt.X for pt in self.points]
 
 
-def _grid(source, t_final: float, dt: float) -> np.ndarray:
-    """The times of round(t_final / dt) RK4 steps from 0; a bad source or
-    horizon fails here, not at the first step."""
-    _metric(source)
+def _grid(t_final: float, dt: float) -> np.ndarray:
+    """The times of round(t_final / dt) RK4 steps from 0; a bad horizon
+    fails here, not at the first step."""
     if t_final <= 0 or dt <= 0:
         raise ValueError("horizon and step must be positive")
     n_steps = int(round(t_final / dt))
@@ -113,40 +112,53 @@ def _grid(source, t_final: float, dt: float) -> np.ndarray:
     return np.linspace(0.0, n_steps * dt, n_steps + 1)
 
 
-def _rk4(x0: EmbeddedPoint, obj: Objective, source, dt: float, times):
-    """The state after each RK4 step from x0 on the grid ``times``, each
-    stage truncated to rank r from factors (``truncate_sum``). Only the
-    current state is kept. A step that loses rank, or diverges so far that a
-    decomposition fails, ends the flow early, and the generator returns the
-    cause."""
-    pt = x0
+def _step(pt: EmbeddedPoint, obj: Objective, source, dt: float) -> EmbeddedPoint:
+    """The state one classical RK4 step after pt, each stage truncated to
+    rank r from factors (``truncate_sum``)."""
+    k1 = flow_field(pt, obj, source)
+    k2 = flow_field(truncate_sum(pt, [(0.5 * dt, k1)]), obj, source)
+    k3 = flow_field(truncate_sum(pt, [(0.5 * dt, k2)]), obj, source)
+    k4 = flow_field(truncate_sum(pt, [(dt, k3)]), obj, source)
+    return truncate_sum(pt, [(dt / 6.0, k1), (dt / 3.0, k2), (dt / 3.0, k3),
+                             (dt / 6.0, k4)])
+
+
+def _lockstep(x0: EmbeddedPoint, obj: Objective, sources, t_final: float, dt: float):
+    """Step the flows of ``sources`` from x0 together, on the grid of
+    round(t_final / dt) RK4 steps, keeping only each flow's current state.
+
+    A step that loses rank, or diverges so far that a decomposition fails,
+    ends its flow with the cause. Flow 0 runs to its own end; each other flow
+    stops where it ends or where flow 0 does. Returns flow 0's trace, each
+    other flow's end ("" if it did not fail), and each other flow's
+    deviations ||X_0(t) - X_k(t)||_F from flow 0 up to its end, starting at
+    t = 0, where the deviation is 0, or NaN for a non-finite start.
+    """
+    for source in sources:
+        _metric(source)  # a bad source fails before any flow takes a step
+    times = _grid(t_final, dt)
+    pts, ends = [x0] * len(sources), [""] * len(sources)
+    factors, devs = [], [[np.linalg.norm(x0.X - x0.X)] for _ in sources[1:]]
     for t in times[:-1]:
-        try:
-            k1 = flow_field(pt, obj, source)
-            k2 = flow_field(truncate_sum(pt, [(0.5 * dt, k1)]), obj, source)
-            k3 = flow_field(truncate_sum(pt, [(0.5 * dt, k2)]), obj, source)
-            k4 = flow_field(truncate_sum(pt, [(dt, k3)]), obj, source)
-            pt = truncate_sum(pt, [(dt / 6.0, k1), (dt / 3.0, k2),
-                                   (dt / 3.0, k3), (dt / 6.0, k4)])
-        except (RankError, np.linalg.LinAlgError) as exc:
-            cause = "rank collapse" if isinstance(exc, RankError) else "divergence"
-            return f"{cause} at t = {t:.6g}: {exc}"
-        yield pt
-    return ""
-
-
-def _advance(steps):
-    """(next state, None) of an ``_rk4`` generator, or (None, its cause) once
-    it has ended: "" at the end of its grid. Call it only until it ends."""
-    try:
-        return next(steps), None
-    except StopIteration as end:
-        return None, end.value
-
-
-def _trace(times, x0, factors, end) -> FlowTrace:
-    return FlowTrace(times[: len(factors) + 1], x0, factors,
-                     degenerate=bool(end), message=end)
+        for k, source in enumerate(sources):
+            if ends[k]:
+                continue
+            try:
+                pts[k] = _step(pts[k], obj, source, dt)
+            except (RankError, np.linalg.LinAlgError) as exc:
+                cause = "rank collapse" if isinstance(exc, RankError) else "divergence"
+                ends[k] = f"{cause} at t = {t:.6g}: {exc}"
+                if k == 0:
+                    break
+            else:
+                if k:
+                    devs[k - 1].append(np.linalg.norm(pts[0].X - pts[k].X))
+        if ends[0]:
+            break
+        factors.append((pts[0].U, pts[0].Sigma, pts[0].V))
+    trace = FlowTrace(times[: len(factors) + 1], x0, factors,
+                      degenerate=bool(ends[0]), message=ends[0])
+    return trace, ends[1:], devs
 
 
 def integrate_flow(
@@ -159,13 +171,7 @@ def integrate_flow(
     decomposition fails, the trace is returned as far as it got, flagged
     degenerate, instead of raising.
     """
-    times = _grid(source, t_final, dt)
-    steps, factors = _rk4(x0, obj, source, dt, times), []
-    while True:
-        pt, end = _advance(steps)
-        if pt is None:
-            return _trace(times, x0, factors, end)
-        factors.append((pt.U, pt.Sigma, pt.V))
+    return _lockstep(x0, obj, [source], t_final, dt)[0]
 
 
 def compare_flows(
@@ -180,22 +186,7 @@ def compare_flows(
     of trace a. Flow a runs to its own end, as its trace is returned whole;
     flow b stops where it ends or where a does.
     """
-    times = _grid(source_a, t_final, dt)
-    _metric(source_b)  # a bad source b fails before flow a takes a step
-    steps_a = _rk4(x0, obj, source_a, dt, times)
-    steps_b = _rk4(x0, obj, source_b, dt, times)
-    # the deviation at t = 0 is 0, or NaN for a non-finite start
-    factors, devs, end_b = [], [np.linalg.norm(x0.X - x0.X)], None
-    while True:
-        a, end_a = _advance(steps_a)
-        if a is None:
-            break
-        factors.append((a.U, a.Sigma, a.V))
-        if end_b is None:
-            b, end_b = _advance(steps_b)
-            if b is not None:
-                devs.append(np.linalg.norm(a.X - b.X))
-    trace_a = _trace(times, x0, factors, end_a)
+    trace_a, (end_b,), (devs,) = _lockstep(x0, obj, [source_a, source_b], t_final, dt)
     return {
         "times": trace_a.times[: len(devs)],
         "max_deviation": float(np.max(devs)),

@@ -46,14 +46,14 @@ from .quotient import (
 from .transport import forward_map, spectrum_bounds
 
 GRAM_COND_LIMIT = 1e10  # largest basis Gram condition a spectrum accepts
+FOSP_TOL = 1e-8  # gradient norm relative to 1 + ||egrad||_2 at a FOSP
+SANDWICH_MARGIN = 1e-8  # a sandwich bound's slack, relative to the spectrum scale
 # relative entry error of the Hessian congruence H_q = M^T H_f M at a FOSP
 IDENTITY_RTOL = 5e-10
 FOSP_BACKTRACKS = 60  # step halvings per line search in find_fosp
 FOSP_ARMIJO = 1e-4  # sufficient-decrease constant of that line search
 SPECTRUM_GAP_TOL = 1e-8  # relative gap that keeps analytic FOSPs isolated
-# classify_point: gradient norm relative to 1 + ||egrad||_2, and the smallest
-# eigenvalue relative to the spectrum scale
-CLASSIFY_TOL_GRAD = 1e-8
+# classify_point: the smallest eigenvalue relative to the spectrum scale
 CLASSIFY_TOL_HESS = 1e-6  # lam_min >= -tol * scale is second-order stationary
 CLASSIFY_TOL_SADDLE = 1e-6  # lam_min <= -tol * scale is a strict saddle
 
@@ -89,10 +89,10 @@ def grad_quotient_from_embedded(
     return gradient_lift_from_ambient(z, metric, grad_f.ambient())
 
 
-def fosp_threshold(obj: Objective, x, tol: float) -> float:
-    """The FOSP bound on a Riemannian gradient norm at X, tol * (1 +
+def fosp_threshold(obj: Objective, x) -> float:
+    """The FOSP bound on a Riemannian gradient norm at X, FOSP_TOL * (1 +
     ||nabla f(X)||_2), relative to the Euclidean gradient's scale."""
-    return tol * (1.0 + float(np.linalg.norm(obj.egrad(x), 2)))
+    return FOSP_TOL * (1.0 + float(np.linalg.norm(obj.egrad(x), 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +169,6 @@ def verify_sandwich(
     obj: Objective,
     metric: MetricFamily,
     embedded: SpectrumReport,
-    margin_tol: float = 1e-8,
-    identity_rtol: float = IDENTITY_RTOL,
-    fosp_tol: float = 1e-8,
 ) -> dict:
     """Check the per-index spectrum sandwich and the Hessian congruence at a
     Riemannian FOSP of the quotient problem.
@@ -187,13 +184,14 @@ def verify_sandwich(
     theorem). Each entry's error is relative to scale * sqrt(G_ii G_jj).
     Both statements are exact only at exact stationary points; the identity
     tolerance is therefore widened proportionally to the residual gradient
-    norm, and the report records the coupling.
+    norm, and the report records the coupling. The tolerances are the
+    module's constants FOSP_TOL, SANDWICH_MARGIN and IDENTITY_RTOL.
     """
     embedded.basis.check_base(z.point, "embedded spectrum")
     quo = hessian_spectrum(z, obj, metric)
     gnorm = quo.grad_norm
-    threshold = fosp_threshold(obj, z.X, fosp_tol)
-    if gnorm > threshold:
+    threshold = fosp_threshold(obj, z.X)
+    if not gnorm <= threshold:  # a NaN norm is no FOSP
         raise ValueError(
             f"point is not a FOSP: |grad| = {gnorm:.3e} > {threshold:.3e}"
         )
@@ -206,14 +204,14 @@ def verify_sandwich(
     for k, (f, q) in enumerate(zip(lam_f, lam_h)):
         lo, hi = coeffs.interval(f)
         m_lo, m_hi = float(q - lo), float(hi - q)
-        ok = m_lo >= -margin_tol * scale and m_hi >= -margin_tol * scale
+        ok = m_lo >= -SANDWICH_MARGIN * scale and m_hi >= -SANDWICH_MARGIN * scale
         per_index.append({"k": k, "lam_f": float(f), "lam_h": float(q), "lo": float(lo),
                           "hi": float(hi), "margin_lo": m_lo, "margin_hi": m_hi,
                           "ok": bool(ok)})
     sandwich_ok = all(row["ok"] for row in per_index)
 
     # the congruence H_q = M^T H_f M, entry by entry
-    identity_tol = identity_rtol + gnorm / scale
+    identity_tol = IDENTITY_RTOL + gnorm / scale
     m = embedded.basis.flat() @ forward_map(z, quo.basis, metric).flat().T
     root = np.sqrt(np.diag(quo.gram))
     err = np.abs(quo.matrix - m.T @ embedded.matrix @ m) / (scale * np.outer(root, root))
@@ -288,12 +286,12 @@ def classify_point(
     report = hessian_spectrum(point, obj, metric)
     sscale = max(1.0, float(np.max(np.abs(report.eigenvalues))))
     lam_min = report.min_eigenvalue
-    is_fosp = report.grad_norm <= fosp_threshold(obj, point.X, CLASSIFY_TOL_GRAD)
+    is_fosp = report.grad_norm <= fosp_threshold(obj, point.X)
     is_sosp = bool(is_fosp and lam_min >= -CLASSIFY_TOL_HESS * sscale)
     is_saddle = bool(is_fosp and lam_min <= -CLASSIFY_TOL_SADDLE * sscale)
     return StationaryClassification(
         bool(is_fosp), is_sosp, is_saddle, float(lam_min), float(report.grad_norm),
-        {"tol_grad": CLASSIFY_TOL_GRAD, "tol_hess": CLASSIFY_TOL_HESS,
+        {"tol_grad": FOSP_TOL, "tol_hess": CLASSIFY_TOL_HESS,
          "tol_saddle": CLASSIFY_TOL_SADDLE},
     )
 

@@ -21,8 +21,8 @@ import numpy as np
 
 SYLVESTER_SEP_TOL = 1e-12  # relative spectral separation of A and -B
 ORTHONORMAL_TOL = 1e-12  # ||U^T U - I||_F per sqrt(r) accepted as orthonormal
-SPD_TOL = 1e-12  # relative asymmetry and eigenvalue floor of an SPD matrix
-GRAM_PD_TOL = 1e-12  # relative eigenvalue floor of a Gram matrix
+SPD_TOL = 1e-12  # relative asymmetry and eigenvalue floor of an SPD or Gram matrix
+RANK_TOL = 1e-10  # smallest relative singular value or eigenvalue of a full-rank matrix
 
 
 class RankError(ValueError):
@@ -31,6 +31,14 @@ class RankError(ValueError):
 
 class ConditioningError(np.linalg.LinAlgError):
     """A linear system is too close to singular to solve reliably."""
+
+
+def finite(x):
+    """x itself; a non-finite entry raises ``np.linalg.LinAlgError`` before
+    any decomposition, since LAPACK's SVD need not return on one."""
+    if not np.isfinite(x).all():
+        raise np.linalg.LinAlgError("matrix has a non-finite entry")
+    return x
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -93,7 +101,7 @@ def _check_separation(gap, scale):
     """Refuse a Sylvester equation whose spectra of A and -B come within
     SYLVESTER_SEP_TOL of each other relative to the scale, and say by how much."""
     gap = gap / max(scale, 1e-300)
-    if gap <= SYLVESTER_SEP_TOL:
+    if not gap > SYLVESTER_SEP_TOL:
         raise ConditioningError(
             f"spectra of A and -B overlap (relative separation {gap:.3e} <= "
             f"SYLVESTER_SEP_TOL {SYLVESTER_SEP_TOL:.0e}); Sylvester equation has "
@@ -139,12 +147,19 @@ class SymmetricSylvester:
         return self.qa @ ((self.qa.T @ c @ self.qb) / self.denom) @ self.qb.T
 
 
+def is_symmetric(x) -> bool:
+    """Whether a square matrix is symmetric within SPD_TOL, relative to
+    max(1, ||X||_F); one with a NaN is not."""
+    return bool(np.linalg.norm(x - x.T) <= SPD_TOL * max(1.0, np.linalg.norm(x)))
+
+
 def _symmetric(x, name) -> np.ndarray:
-    """The symmetric part of a square matrix that is symmetric within SPD_TOL."""
+    """The symmetric part of a finite square matrix that is symmetric within
+    SPD_TOL."""
     x = _as_matrix(x)
     if x.shape[0] != x.shape[1] or x.shape[0] == 0:
         raise ValueError(f"{name} must be a non-empty square matrix, got {x.shape}")
-    if np.linalg.norm(x - x.T) > SPD_TOL * max(1.0, np.linalg.norm(x)):
+    if not is_symmetric(finite(x)):
         raise ValueError(f"{name} is not symmetric")
     return sym(x)
 
@@ -153,7 +168,8 @@ def check_orthonormal(u, message):
     """Raise ``ValueError(message)`` unless U, or each matrix of a stack, has
     orthonormal columns: ||U^T U - I||_F <= ORTHONORMAL_TOL max(1, sqrt(r))."""
     r = u.shape[-1]
-    if (frobenius(u.mT @ u - np.eye(r)) > ORTHONORMAL_TOL * max(1.0, np.sqrt(r))).any():
+    tol = ORTHONORMAL_TOL * max(1.0, np.sqrt(r))
+    if not (frobenius(u.mT @ u - np.eye(r)) <= tol).all():
         raise ValueError(message)
 
 
@@ -183,9 +199,10 @@ class SpdFunctions(NamedTuple):
 
 
 def spd_functions(b) -> SpdFunctions:
-    """Square root, inverse and inverse square root of an SPD matrix, else RankError."""
+    """Square root, inverse and inverse square root of an SPD matrix, else
+    RankError; a non-finite entry raises ``np.linalg.LinAlgError``."""
     w, v = np.linalg.eigh(_symmetric(b, "matrix"))
-    if w[0] <= SPD_TOL * max(w[-1], 0.0):
+    if not w[0] > SPD_TOL * max(w[-1], 0.0):
         raise RankError("matrix is not positive definite")
     sq = (v * np.sqrt(w)) @ v.T
     inv = (v / w) @ v.T
@@ -205,7 +222,7 @@ def gen_sym_eig(h, g):
     if h.shape != g.shape or h.shape[0] != h.shape[1]:
         raise ValueError(f"H {h.shape} and G {g.shape} must be square and equal")
     wg = np.linalg.eigvalsh(sym(g))
-    if wg[0] <= GRAM_PD_TOL * max(wg[-1], 0.0):
+    if not wg[0] > SPD_TOL * max(wg[-1], 0.0):
         raise ConditioningError(
             f"Gram matrix is not safely positive definite (eigs {wg[0]:.3e}..{wg[-1]:.3e})"
         )

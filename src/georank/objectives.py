@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import sym
+from .linalg import is_symmetric, sym
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +111,7 @@ def _objective(kind, target, op, symmetric) -> Objective:
         if kind == "sensing":
             op = op + op.mT
             op *= 0.5
-        elif np.linalg.norm(target - target.T) > 1e-12 * max(1.0, np.linalg.norm(target)):
+        elif not is_symmetric(target):
             raise ValueError("symmetric objective requires a symmetric target")
         elif op is not None and np.any(op != op.T):
             raise ValueError("symmetric objective requires a symmetric mask")

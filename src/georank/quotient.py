@@ -62,12 +62,11 @@ from .embedded import (
     project_rank_r,
     tangent_basis,
 )
-from .linalg import (ConditioningError, SymmetricSylvester, check_orthonormal,
-                     frobenius, skew, spd_functions, sym)
+from .linalg import (RANK_TOL, ConditioningError, SymmetricSylvester,
+                     check_orthonormal, frobenius, skew, spd_functions, sym)
 from .objectives import Objective
 
 HORIZ_TOL = 1e-8
-FULL_RANK_TOL = 1e-10
 
 # embedded geometry of each matrix kind
 EMBEDDED = {"psd": "psd_embedded", "general": "gen_embedded"}
@@ -125,7 +124,7 @@ def _qf(a):
 # the factor checks, by kind: each matrix of a stack is checked on its own
 def _check_full_rank(a, name):
     s = np.linalg.svd(a, compute_uv=False)
-    if (s[..., -1] <= FULL_RANK_TOL * np.maximum(s[..., 0], 1e-300)).any():
+    if (s[..., -1] <= RANK_TOL * np.maximum(s[..., 0], 1e-300)).any():
         raise ValueError(f"factor {name} is numerically rank deficient")
 
 
@@ -137,7 +136,7 @@ def _check_spd(b, name):
     if (frobenius(b - b.mT) > 1e-10 * np.maximum(1.0, frobenius(b))).any():
         raise ValueError(f"factor {name} is not symmetric")
     w = np.linalg.eigvalsh(sym(b))
-    if (w[..., 0] <= FULL_RANK_TOL * np.maximum(w[..., -1], 0.0)).any():
+    if (w[..., 0] <= RANK_TOL * np.maximum(w[..., -1], 0.0)).any():
         raise ValueError(f"factor {name} is not positive definite")
 
 
@@ -382,7 +381,7 @@ def vertical_project(z: QuotientPoint, parts, metric: Optional[MetricFamily] = N
     parts = tuple(np.asarray(a, dtype=float) for a in parts)
     tangent = project_total_tangent(z, parts)
     off = _norm(tuple(a - b for a, b in zip(parts, tangent)))
-    if np.any(off > HORIZ_TOL * np.maximum(_norm(parts), 1e-300)):
+    if not np.all(off <= HORIZ_TOL * np.maximum(_norm(parts), 1e-300)):
         raise ValueError("input is not tangent to the total space")
     return _vertical(z, tangent, metric)
 
@@ -414,7 +413,7 @@ def horizontal_vector(
     off = tuple(a - b for a, b in zip(parts, tangent))
     defect = np.max(_norm(off + _vertical(z, tangent, metric))
                     / np.maximum(_norm(parts), 1e-300))
-    if defect > HORIZ_TOL:
+    if not defect <= HORIZ_TOL:
         raise ValueError(
             f"components are not horizontal (relative defect {defect:.3e})"
         )

@@ -206,7 +206,7 @@ def test_criterion_05_sandwich_spectra():
         for geo, met in geometry_metric_combos(geos):
             for pt in fosps:
                 rep = verify_sandwich(lift_point(pt, geo), obj, met,
-                                      embedded_spectrum(pt, obj), margin_tol=1e-8)
+                                      embedded_spectrum(pt, obj))
                 ok &= all(e["ok"] for e in rep["per_index"])
                 if rep["matched_coefficients"]:
                     worst_gap = max(worst_gap, rep["matched_spectra_rel_gap"])

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from georank import cli
+from georank import cli, landscape
 from georank.linalg import sym
 
 from util import run_cli
@@ -154,25 +154,31 @@ class TestErrorPaths:
                                      "details": {"starts": 3, "converged": 0}}]
         assert len(starts) == 3
 
-    def test_failed_check_exits_1_with_report(self, tmp_path):
-        # an impossible tolerance forces a failing check
-        cfg = write_config(
-            tmp_path, "c.json",
-            {
-                "problem": {"case": "psd", "p1": 4, "r": 2},
-                "trials": 1,
-                "tolerances": {"grad_fd_rtol": 1e-30},
-            },
-        )
-        out = tmp_path / "report.json"
-        proc = run_cli(["check-gradients", "--config", str(cfg), "--out",
-                        str(out), "--no-timestamp"], tmp_path)
-        report = read_report(proc, out, status=1)
-        assert not report["passed"]
+    def test_failed_check_exits_1_with_report(self, tmp_path, monkeypatch):
+        # the embedded Hessian with its curvature coupling's sign flipped fails
+        # every sandwich row of the general 6x5 problem; a config sets no
+        # tolerance (see the tolerances-key case below), so none can turn
+        # those rows into passes
+        real = landscape.riem_hess_matrix_embedded
 
+        def flipped(pt, obj, tangents):
+            h, grad = real(pt, obj, tangents)
+            c = ((tangents.Up.mT @ obj.egrad(pt.X)).reshape(len(h), -1)
+                 @ np.linalg.solve(pt.Sigma, tangents.Vp.mT).reshape(len(h), -1).T)
+            return h - 2.0 * (c + c.T), grad
+
+        monkeypatch.setattr(landscape, "riem_hess_matrix_embedded", flipped)
+        cfg = write_config(tmp_path, "c.json", {
+            "problem": {"case": "general", "p1": 6, "p2": 5, "r": 2}, "max_fosp_points": 1})
+        out = tmp_path / "report.json"
+        assert cli.main(["verify-sandwich", "--config", str(cfg), "--seed", "3",
+                         "--out", str(out), "--no-timestamp"]) == 1
+        report = json.loads(out.read_text())
+        assert not report["passed"]
+        assert [c["passed"] for c in report["checks"]] == [False] * 6
 
     # each is read before any command runs: wrong types, out-of-range
-    # counts and tolerances, strings where lists belong; the message names
+    # counts and flow numbers, strings where lists belong; the message names
     # the field
     @pytest.mark.parametrize("command,cfg,field", [
         pytest.param("bijection-roundtrip", {"problem": {"p1": "5"}}, "p1",
@@ -183,18 +189,6 @@ class TestErrorPaths:
                      id="r-zero"),
         pytest.param("dims", {"problem": {"kind": "completion", "mask_density": "x"}},
                      "mask_density", id="mask-density-string"),
-        pytest.param("check-gradients", {"tolerances": {"grad_fd_rtol": "x"}},
-                     "grad_fd_rtol", id="tolerance-string"),
-        pytest.param("bijection-roundtrip", {"tolerances": {"grad_fd_rtol": "x"}},
-                     "grad_fd_rtol", id="unread-tolerance-string"),
-        pytest.param("check-gradients", {"tolerances": {"grad_fd_rtol": 0}},
-                     "grad_fd_rtol", id="tolerance-zero"),
-        pytest.param("check-gradients",
-                     {"tolerances": {"grad_fd_rtol": float("inf")}},
-                     "grad_fd_rtol", id="tolerance-infinite"),
-        pytest.param("bijection-roundtrip",
-                     {"tolerances": {"grad_fd_rtol": float("inf")}},
-                     "grad_fd_rtol", id="unread-tolerance-infinite"),
         pytest.param("dims", {"metrics": {"psd_q1": "flat"}}, "'metrics'",
                      id="metrics-string"),
         pytest.param("dims", {"metrics": {"psd_q1": []}}, "'metrics'",
@@ -243,9 +237,11 @@ class TestErrorPaths:
         # round(T / dt) = 0 RK4 steps: a flow check over one state compares nothing
         pytest.param("flow-compare", {"flow": {"T": 0.004, "dt": 0.01}}, "flow.T",
                      id="flow-no-steps"),
-        # a key the runner does not read is an error, not a silent default
-        pytest.param("check-gradients", {"tolerances": {"grad_fd_tol": 1e-30}},
-                     "'grad_fd_tol'", id="tolerance-key-misspelled"),
+        # a key the runner does not read is an error, not a silent default;
+        # each tolerance is a constant of the code, which no config sets
+        pytest.param("verify-sandwich",
+                     {"tolerances": {"identity_rtol": 10, "sandwich_margin": 10}},
+                     "'tolerances'", id="tolerances-key"),
         pytest.param("check-gradients", {"trails": 1}, "'trails'",
                      id="top-level-key-misspelled"),
         pytest.param("dims", {"problem": {"rank": 3}}, "'rank'",
@@ -349,6 +345,49 @@ class TestErrorPaths:
                         "--no-timestamp"], tmp_path)
         report = read_report(proc, out)
         assert len(report["checks"]) == 1 and report["passed"]
+
+
+# each tolerance a report echoes: the module that owns it, the constant its
+# check reads, the command that runs that check and the check's name prefix,
+# or None for verify_sandwich's FOSP precondition, which raises
+OWNERS = {
+    "grad_fd_rtol": (cli, "GRAD_FD_RTOL", "check-gradients", "gradient-fd/"),
+    "roundtrip_rtol": (cli, "ROUNDTRIP_RTOL", "bijection-roundtrip", "bijection/"),
+    "bound_slack": (cli, "BOUND_SLACK", "bijection-roundtrip", "bijection/"),
+    "sandwich_margin": (landscape, "SANDWICH_MARGIN", "verify-sandwich", "sandwich/"),
+    "identity_rtol": (landscape, "IDENTITY_RTOL", "verify-sandwich", "sandwich/"),
+    "fosp_tol": (landscape, "FOSP_TOL", "verify-sandwich", None),
+    "flow_identical_tol": (cli, "FLOW_IDENTICAL_TOL", "flow-compare", "flow-identical/"),
+    "flow_difference_tol": (cli, "FLOW_DIFFERENCE_TOL", "flow-compare",
+                            "flow-difference/"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(OWNERS))
+def test_each_echoed_tolerance_is_the_constant_its_check_reads(key, tmp_path, monkeypatch):
+    # the echo is the constant itself, and the check reads that constant: its
+    # rows pass as the code stands and fail when the constant is NaN
+    module, name, command, prefix = OWNERS[key]
+    assert set(cli.TOLERANCES) == set(OWNERS)
+    assert cli.TOLERANCES[key] is getattr(module, name)
+    config = {"problem": {"case": "psd", "p1": 4, "r": 2}, "trials": 1,
+              "directions": 4, "max_fosp_points": 1, "flow": {"T": 0.1, "dt": 0.05}}
+
+    def rows():
+        report, _ = cli.run(command, config, out_path=tmp_path / "r.json",
+                            no_timestamp=True)
+        assert report["tolerances"] is cli.TOLERANCES
+        return [c["passed"] for c in report["checks"]
+                if prefix and c["name"].startswith(prefix)]
+
+    assert all(rows())
+    monkeypatch.setattr(module, name, float("nan"))
+    if prefix is None:
+        with pytest.raises(ValueError, match="not a FOSP"):
+            rows()
+    else:
+        passed = rows()
+        assert passed and not any(passed)
 
 
 class TestOtherCommands:

@@ -1,9 +1,15 @@
-"""Degenerate shapes (r = p, rank 1, wide matrices) and objectives with
-non-identity Euclidean Hessians."""
+"""Degenerate shapes (r = p, rank 1, wide matrices), objectives with
+non-identity Euclidean Hessians, and NaN operands at the validation gates."""
+
+import dataclasses
 
 import numpy as np
+import pytest
 
-from georank.landscape import find_fosp, hessian_spectrum, verify_sandwich
+from georank import landscape
+from georank.landscape import analytic_fosps, find_fosp, hessian_spectrum, verify_sandwich
+from georank.linalg import (SymmetricSylvester, _check_separation, check_orthonormal,
+                            spd_functions)
 from georank.objectives import (
     make_masked_completion,
     make_matrix_approx,
@@ -12,12 +18,15 @@ from georank.objectives import (
 from georank.quotient import (
     EMBEDDED,
     horizontal_basis,
+    horizontal_vector,
     lift_point,
+    metric_family,
     metric_inner,
     quotient_dim,
     random_horizontal,
     riem_grad_quotient,
     riem_hess_quad_quotient,
+    vertical_project,
 )
 from georank.transport import forward_map, inverse_map, spectrum_bounds
 
@@ -195,3 +204,43 @@ def test_approx_spectrum_structure_general():
         reverse=True,
     )
     np.testing.assert_allclose(rep.eigenvalues, expected, atol=1e-12)
+
+
+def _nan_components(gate):
+    """A psd_q2 point (5 x 5, r = 2) and all-NaN components there, through
+    ``gate`` under the polar family."""
+    z = random_point("psd_q2", 5, 5, 2, np.random.default_rng(0))
+    parts = tuple(np.full_like(a, np.nan) for a in z.factors)
+    return gate(z, parts, metric_family("psd_q2", "polar"))
+
+
+def _sandwich_at_nan_gradient(monkeypatch):
+    """verify_sandwich at an analytic FOSP whose quotient gradient norm reads NaN."""
+    obj = random_approx_objective("psd", 5, 5, np.random.default_rng(0))
+    pt = next(analytic_fosps(obj, 2))
+    spectrum = hessian_spectrum(pt, obj)
+    real = landscape.hessian_spectrum
+    monkeypatch.setattr(landscape, "hessian_spectrum", lambda *args: dataclasses.replace(
+        real(*args), grad_norm=np.nan))
+    verify_sandwich(lift_point(pt, "psd_q2"), obj, metric_family("psd_q2", "polar"),
+                    spectrum)
+
+
+# each gate's rule reads "value <= tol" as a pass, so a NaN value fails it
+@pytest.mark.parametrize("gate", [
+    pytest.param(lambda mp: _nan_components(
+        lambda z, parts, metric: horizontal_vector(z, *parts, metric=metric)),
+        id="horizontal_vector"),
+    pytest.param(lambda mp: _nan_components(vertical_project), id="vertical_project"),
+    pytest.param(lambda mp: spd_functions([[np.nan, 0.0], [0.0, 1.0]]), id="spd_functions"),
+    pytest.param(lambda mp: check_orthonormal(np.full((4, 2), np.nan), "not orthonormal"),
+                 id="check_orthonormal"),
+    pytest.param(lambda mp: SymmetricSylvester(np.array([[np.nan, 0.0], [0.0, 1.0]]),
+                                               np.eye(2)),
+                 id="SymmetricSylvester"),
+    pytest.param(lambda mp: _check_separation(np.nan, 1.0), id="sylvester-separation"),
+    pytest.param(_sandwich_at_nan_gradient, id="verify_sandwich-fosp"),
+])
+def test_nan_fails_the_gate(gate, monkeypatch):
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        gate(monkeypatch)

@@ -12,7 +12,7 @@ import numpy as np
 
 import georank
 from georank import make_masked_completion, make_matrix_approx, make_matrix_sensing
-from georank.cli import _check, _worst
+from georank.cli import TOLERANCES, _check, _worst
 from georank.embedded import (_point_from_factors, project_rank_r, tangent_project,
                                truncate_sum)
 from georank.flows import flow_field
@@ -627,7 +627,6 @@ def bijection_per_direction(plan, obj, rng):
     metric inner product per direction, the oracle of its stacked blocks."""
     trials = plan.counts.get("trials", 3)
     n_vec = plan.counts.get("directions", 200)
-    tols = plan.tolerances
     checks = []
     for geometry, mname, metric in plan.quotient_rows:
         roundtrip, slack = [], []
@@ -647,8 +646,8 @@ def bijection_per_direction(plan, obj, rng):
                 slack += [(coeffs.alpha * q - nrm2) / ref, (nrm2 - coeffs.beta * q) / ref]
         worst_rt, worst_slack = _worst(roundtrip), _worst(slack)
         checks.append(_check(f"bijection/{geometry}/{mname}",
-                             (worst_rt <= tols["roundtrip_rtol"]
-                              and worst_slack <= tols["bound_slack"]),
+                             (worst_rt <= TOLERANCES["roundtrip_rtol"]
+                              and worst_slack <= TOLERANCES["bound_slack"]),
                              max_roundtrip_rel_err=worst_rt,
                              max_bound_violation=worst_slack,
                              vectors=n_vec * trials))
