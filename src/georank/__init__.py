@@ -56,7 +56,6 @@ from .transport import (
 )
 from .landscape import (
     SpectrumReport,
-    StationaryClassification,
     hessian_spectrum,
     verify_sandwich,
     classify_point,

@@ -390,10 +390,9 @@ def cmd_verify_sandwich(plan, obj, rng):
 def cmd_classify(plan, obj, rng):
     fosps, checks = _fosp_points(plan, obj, rng)
     for i, pt in enumerate(fosps):
-        labels = {EMBEDDED[plan.problem["case"]]: classify_point(pt, obj).to_dict()}
+        labels = {EMBEDDED[plan.problem["case"]]: classify_point(pt, obj)}
         for geometry, mname, metric in plan.quotient_rows:
-            cls = classify_point(lift_point(pt, geometry), obj, metric)
-            labels[f"{geometry}/{mname}"] = cls.to_dict()
+            labels[f"{geometry}/{mname}"] = classify_point(lift_point(pt, geometry), obj, metric)
         agreement = len({v["label"] for v in labels.values()}) == 1
         checks.append(_check(f"classify/fosp{i}", agreement,
                              labels=labels, agreement=agreement))

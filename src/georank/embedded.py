@@ -31,8 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import (RANK_TOL, RankError, finite, frobenius, orth_complement, sym,
-                     sym_basis)
+from .linalg import (RANK_TOL, RankError, below_floor, finite, is_symmetric,
+                     orth_complement, sym, sym_basis)
 from .objectives import Objective
 
 
@@ -182,7 +182,7 @@ def _top_factors(x, r, kind, left=None, right=None):
     if psd:
         if x.shape[-2] != x.shape[-1]:
             raise ValueError(f"psd kind needs a square matrix, got {x.shape}")
-        if (frobenius(x - x.mT) > 1e-10 * np.maximum(1.0, frobenius(x))).any():
+        if not is_symmetric(x):
             raise ValueError("psd kind requires a symmetric matrix")
         w, q = np.linalg.eigh(finite(sym(x)))  # sym(x) itself may overflow
         # descending; the top r by an index array, whose copy the lift multiplies
@@ -193,8 +193,8 @@ def _top_factors(x, r, kind, left=None, right=None):
         scale = s.T[0]
     else:
         raise ValueError(f"unknown manifold kind {kind!r}")
-    top = s.T[r - 1]  # against max(scale, 1e-300); through s.T, floats for one matrix
-    low = (top <= RANK_TOL * scale) | (top <= RANK_TOL * 1e-300)
+    top = s.T[r - 1]  # through s.T, floats for one matrix
+    low = below_floor(top, scale, RANK_TOL)
     if any(low.flat):
         what = " with positive spectrum (eigenvalue" if psd else " (singular value"
         raise RankError(f"matrix is not numerically rank {r}{what} {r} is "
@@ -218,10 +218,9 @@ def embed_point(x, r, kind) -> EmbeddedPoint:
     u, sigma, v = _top_factors(x, r, kind)
     pt = _point_from_factors(kind, u, sigma, v)
     resid = np.linalg.norm(pt.X - x) / max(np.linalg.norm(x), 1e-300)
-    if resid > 1e-10:
-        raise RankError(
-            f"input is not rank {r}: truncation residual {resid:.3e} exceeds 1e-10"
-        )
+    if not resid <= RANK_TOL:
+        raise RankError(f"input is not rank {r}: truncation residual {resid:.3e} "
+                        f"exceeds RANK_TOL {RANK_TOL:.0e}")
     return pt
 
 
@@ -338,7 +337,8 @@ def riem_hess_matrix_embedded(pt: EmbeddedPoint, obj: Objective,
     C_ij = <Up_i^T nabla f, Sigma^-1 Vp_j^T>, one product of flattened stacks."""
     tangents.check_base(pt)
     sig = pt.Sigma
-    if np.linalg.svd(sig, compute_uv=False)[-1] <= RANK_TOL * np.linalg.norm(sig, 2):
+    s = np.linalg.svd(sig, compute_uv=False)
+    if below_floor(s[-1], s[0], RANK_TOL):
         raise RankError("core factor is numerically singular")
     egrad = obj.egrad(pt.X)
     h = obj.ehess_matrix(pt.X, tangents.ambient())

@@ -10,7 +10,7 @@ stationarity-dependent checks).
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,8 +26,11 @@ from .embedded import (
     tangent_project,
 )
 from .linalg import (
+    RANK_TOL,
     ConditioningError,
     RankError,
+    below_floor,
+    finite,
     gen_sym_eig,
     sym,
 )
@@ -45,7 +48,6 @@ from .quotient import (
 )
 from .transport import forward_map, spectrum_bounds
 
-GRAM_COND_LIMIT = 1e10  # largest basis Gram condition a spectrum accepts
 FOSP_TOL = 1e-8  # gradient norm relative to 1 + ||egrad||_2 at a FOSP
 SANDWICH_MARGIN = 1e-8  # a sandwich bound's slack, relative to the spectrum scale
 # relative entry error of the Hessian congruence H_q = M^T H_f M at a FOSP
@@ -53,6 +55,9 @@ IDENTITY_RTOL = 5e-10
 FOSP_BACKTRACKS = 60  # step halvings per line search in find_fosp
 FOSP_ARMIJO = 1e-4  # sufficient-decrease constant of that line search
 SPECTRUM_GAP_TOL = 1e-8  # relative gap that keeps analytic FOSPs isolated
+ANALYTIC_FOSP_TOL = 1e-10  # an analytic FOSP's |grad|, relative to 1 + ||M||_2
+MATCHED_RTOL = 1e-10  # beta - alpha, relative to max(1, beta), of matched coefficients
+FLAT_HESSIAN = 1e-12  # a Hessian norm estimate at most this is 0: a unit first step
 # classify_point: the smallest eigenvalue relative to the spectrum scale
 CLASSIFY_TOL_HESS = 1e-6  # lam_min >= -tol * scale is second-order stationary
 CLASSIFY_TOL_SADDLE = 1e-6  # lam_min <= -tol * scale is a strict saddle
@@ -150,10 +155,10 @@ def hessian_spectrum(
             raise ValueError("quotient geometries need a metric family")
         geometry, mname = point.geometry, metric.name
         basis, gram = horizontal_basis(point, metric)
-        cond = float(np.linalg.cond(gram))
-        if cond > GRAM_COND_LIMIT:
-            raise ConditioningError(f"basis Gram condition {cond:.3e} exceeds "
-                                    f"{GRAM_COND_LIMIT:.1e}")
+        w = np.linalg.eigvalsh(finite(gram))  # its condition is w[-1] / w[0]
+        if below_floor(w[0], w[-1], RANK_TOL):
+            raise ConditioningError(f"basis Gram condition exceeds 1 / RANK_TOL "
+                                    f"(eigenvalues {w[0]:.3e}..{w[-1]:.3e})")
         h, grad = riem_hess_matrix_quotient(point, obj, metric, basis)
         gnorm = metric_norm(point, grad, metric)
     eig, _ = gen_sym_eig(h, gram)
@@ -218,7 +223,7 @@ def verify_sandwich(
     max_rel = float(np.max(err))
     identity_ok = max_rel <= identity_tol
 
-    matched = (coeffs.beta - coeffs.alpha) <= 1e-10 * max(1.0, coeffs.beta)
+    matched = (coeffs.beta - coeffs.alpha) <= MATCHED_RTOL * max(1.0, coeffs.beta)
     spectra_rel_gap = float(
         np.max(np.abs(0.5 * (coeffs.alpha + coeffs.beta) * lam_f - lam_h)) / scale
     ) if matched else None
@@ -246,54 +251,26 @@ def verify_sandwich(
 # classification
 
 
-@dataclass(frozen=True, eq=False)
-class StationaryClassification:
-    is_fosp: bool
-    is_sosp: bool
-    is_strict_saddle: bool
-    min_eigenvalue: float
-    grad_norm: float
-    tolerances: dict = field(default_factory=dict)
-
-    def label(self) -> str:
-        if not self.is_fosp:
-            return "non-stationary"
-        if self.is_sosp:
-            return "sosp"
-        if self.is_strict_saddle:
-            return "strict-saddle"
-        return "fosp"
-
-    def to_dict(self) -> dict:
-        return {
-            "is_fosp": self.is_fosp,
-            "is_sosp": self.is_sosp,
-            "is_strict_saddle": self.is_strict_saddle,
-            "min_eigenvalue": self.min_eigenvalue,
-            "grad_norm": self.grad_norm,
-            "label": self.label(),
-            "tolerances": dict(self.tolerances),
-        }
-
-
 def classify_point(
     point,
     obj: Objective,
     metric: Optional[MetricFamily] = None,
-) -> StationaryClassification:
+) -> dict:
     """FOSP / SOSP / strict-saddle classification under the point's geometry,
-    with the metric rules of ``hessian_spectrum``."""
+    with the metric rules of ``hessian_spectrum``: the flags, the smallest
+    eigenvalue, the gradient norm, the label and the tolerances."""
     report = hessian_spectrum(point, obj, metric)
     sscale = max(1.0, float(np.max(np.abs(report.eigenvalues))))
     lam_min = report.min_eigenvalue
-    is_fosp = report.grad_norm <= fosp_threshold(obj, point.X)
+    is_fosp = bool(report.grad_norm <= fosp_threshold(obj, point.X))
     is_sosp = bool(is_fosp and lam_min >= -CLASSIFY_TOL_HESS * sscale)
     is_saddle = bool(is_fosp and lam_min <= -CLASSIFY_TOL_SADDLE * sscale)
-    return StationaryClassification(
-        bool(is_fosp), is_sosp, is_saddle, float(lam_min), float(report.grad_norm),
-        {"tol_grad": FOSP_TOL, "tol_hess": CLASSIFY_TOL_HESS,
-         "tol_saddle": CLASSIFY_TOL_SADDLE},
-    )
+    label = ("non-stationary" if not is_fosp else "sosp" if is_sosp
+             else "strict-saddle" if is_saddle else "fosp")
+    return {"is_fosp": is_fosp, "is_sosp": is_sosp, "is_strict_saddle": is_saddle,
+            "min_eigenvalue": float(lam_min), "grad_norm": float(report.grad_norm),
+            "label": label, "tolerances": {"tol_grad": FOSP_TOL, "tol_hess": CLASSIFY_TOL_HESS,
+                                           "tol_saddle": CLASSIFY_TOL_SADDLE}}
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +295,7 @@ def _lipschitz_estimate(obj: Objective, x, iters: int = 20, seed: int = 0) -> fl
     for _ in range(iters):
         w = obj.ehess_vec(x, v)
         lam = np.linalg.norm(w)
-        if lam < 1e-14:
+        if not lam > FLAT_HESSIAN:
             return 0.0
         v = w / lam
     return float(lam)
@@ -339,7 +316,7 @@ def find_fosp(
     """
     pt = init
     lip = _lipschitz_estimate(obj, pt.X)
-    t0 = 1.0 / lip if lip > 1e-12 else 1.0
+    t0 = 1.0 / lip if lip else 1.0
     fval = obj.value(pt.X)
     grad = riem_grad_embedded(pt, obj)
     gnorm = grad.norm()
@@ -393,28 +370,29 @@ def analytic_fosps(obj: Objective, r: int):
     relevant spectrum values to be pairwise distinct, otherwise the subset
     stationary points are not isolated. The objective, the rank and the gaps
     are checked at the call; each point is built and certified as it is
-    drawn, since their number grows as C(p, r).
+    drawn, since their number grows as C(p, r). A point whose gradient norm
+    exceeds ANALYTIC_FOSP_TOL (1 + ||M||_2) raises ``ValueError``.
     """
     if obj.kind != "approx":
         raise ValueError("analytic stationary points require the matrix-approx objective")
     m = obj.target
-    scale = max(np.linalg.norm(m, 2), 1e-300)
+    scale = np.linalg.norm(m, 2)
     if obj.symmetric:
         w, q = np.linalg.eigh(sym(m))
         order = np.argsort(w)[::-1]
         w, q = w[order], q[:, order]
-        keep = np.where(w > 1e-10 * scale)[0]
+        keep = np.flatnonzero(~below_floor(w, scale, RANK_TOL))
         vals = w[keep]
         kind = "psd"
     else:
         u_all, s_all, vt_all = np.linalg.svd(m)
-        keep = np.where(s_all > 1e-10 * scale)[0]
+        keep = np.flatnonzero(~below_floor(s_all, scale, RANK_TOL))
         vals = s_all[keep]
         kind = "general"
     if len(vals) < r:
         raise RankError(f"target has numerical rank {len(vals)} < r = {r}")
     gaps = np.abs(vals[:, None] - vals[None, :]) + np.eye(len(vals)) * scale
-    if np.min(gaps) <= SPECTRUM_GAP_TOL * scale:
+    if below_floor(np.min(gaps), scale, SPECTRUM_GAP_TOL):
         raise ValueError(
             "spectrum values are repeated within tolerance; subset stationary "
             "points are not isolated"
@@ -428,10 +406,10 @@ def analytic_fosps(obj: Objective, r: int):
             x = (u_all[:, idx] * s_all[idx]) @ vt_all[idx, :]
         pt = embed_point(x, r, kind)
         gnorm = riem_grad_embedded(pt, obj).norm()
-        if gnorm > 1e-10 * (1.0 + scale):
-            raise AssertionError(
-                f"analytic stationary point failed certification: |grad| = {gnorm:.3e}"
-            )
+        bound = ANALYTIC_FOSP_TOL * (1.0 + scale)
+        if not gnorm <= bound:  # a spectrum too ill-separated to solve to this bound
+            raise ValueError(f"analytic stationary point failed certification: |grad| = "
+                             f"{gnorm:.3e} > {bound:.3e} = ANALYTIC_FOSP_TOL (1 + ||M||_2)")
         return pt
 
     return map(certified, itertools.combinations(range(len(vals)), r))

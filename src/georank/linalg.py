@@ -13,6 +13,20 @@ kept in the point's ``quotient.Weights`` record for the metric, and each
 solve is then a few r x r products. ``solve_sylvester`` is the
 general Kronecker-vectorized solver, which no geometry calls; the tests
 hold the factored solver to it.
+
+Each numerical acceptance rule of the library is one constant and one
+owner, here unless named otherwise:
+
+- symmetry: ``is_symmetric``, relative asymmetry within ``SPD_TOL``;
+- rank floor: ``below_floor`` with ``RANK_TOL``, for a truncation's rank gap,
+  a point's factors and core, and a basis Gram's conditioning;
+- SPD weight floor: ``spd_functions`` and ``gen_sym_eig``, ``below_floor``
+  with ``SPD_TOL``;
+- orthonormality: ``check_orthonormal``, ``ORTHONORMAL_TOL``;
+- Sylvester separation: ``below_floor`` with ``SYLVESTER_SEP_TOL``;
+- horizontality: ``quotient.horizontal_vector``, ``quotient.HORIZ_TOL``.
+
+A NaN fails every rule, and an eigenvalue floor reads finite input only.
 """
 
 from typing import NamedTuple
@@ -97,11 +111,17 @@ def solve_sylvester(a, b, c) -> np.ndarray:
     return x.reshape((m, n), order="F")
 
 
+def below_floor(low, high, tol):
+    """Whether low <= tol max(high, 1e-300), elementwise: the one floor rule,
+    under which a NaN is below every floor."""
+    return ~np.greater(low, tol * np.maximum(high, 1e-300))
+
+
 def _check_separation(gap, scale):
     """Refuse a Sylvester equation whose spectra of A and -B come within
     SYLVESTER_SEP_TOL of each other relative to the scale, and say by how much."""
-    gap = gap / max(scale, 1e-300)
-    if not gap > SYLVESTER_SEP_TOL:
+    if below_floor(gap, scale, SYLVESTER_SEP_TOL):
+        gap = gap / max(scale, 1e-300)
         raise ConditioningError(
             f"spectra of A and -B overlap (relative separation {gap:.3e} <= "
             f"SYLVESTER_SEP_TOL {SYLVESTER_SEP_TOL:.0e}); Sylvester equation has "
@@ -148,9 +168,9 @@ class SymmetricSylvester:
 
 
 def is_symmetric(x) -> bool:
-    """Whether a square matrix is symmetric within SPD_TOL, relative to
-    max(1, ||X||_F); one with a NaN is not."""
-    return bool(np.linalg.norm(x - x.T) <= SPD_TOL * max(1.0, np.linalg.norm(x)))
+    """Whether a square matrix, or each of a stack, is symmetric within
+    SPD_TOL, relative to max(1, ||X||_F); one with a NaN is not."""
+    return bool((frobenius(x - x.mT) <= SPD_TOL * np.maximum(1.0, frobenius(x))).all())
 
 
 def _symmetric(x, name) -> np.ndarray:
@@ -202,7 +222,7 @@ def spd_functions(b) -> SpdFunctions:
     """Square root, inverse and inverse square root of an SPD matrix, else
     RankError; a non-finite entry raises ``np.linalg.LinAlgError``."""
     w, v = np.linalg.eigh(_symmetric(b, "matrix"))
-    if not w[0] > SPD_TOL * max(w[-1], 0.0):
+    if below_floor(w[0], w[-1], SPD_TOL):
         raise RankError("matrix is not positive definite")
     sq = (v * np.sqrt(w)) @ v.T
     inv = (v / w) @ v.T
@@ -221,8 +241,8 @@ def gen_sym_eig(h, g):
     g = _as_matrix(g)
     if h.shape != g.shape or h.shape[0] != h.shape[1]:
         raise ValueError(f"H {h.shape} and G {g.shape} must be square and equal")
-    wg = np.linalg.eigvalsh(sym(g))
-    if not wg[0] > SPD_TOL * max(wg[-1], 0.0):
+    wg = np.linalg.eigvalsh(sym(finite(g)))
+    if below_floor(wg[0], wg[-1], SPD_TOL):
         raise ConditioningError(
             f"Gram matrix is not safely positive definite (eigs {wg[0]:.3e}..{wg[-1]:.3e})"
         )

@@ -62,11 +62,12 @@ from .embedded import (
     project_rank_r,
     tangent_basis,
 )
-from .linalg import (RANK_TOL, ConditioningError, SymmetricSylvester,
-                     check_orthonormal, frobenius, skew, spd_functions, sym)
+from .linalg import (RANK_TOL, ConditioningError, SymmetricSylvester, below_floor,
+                     check_orthonormal, is_symmetric, skew, spd_functions, sym)
 from .objectives import Objective
 
 HORIZ_TOL = 1e-8
+DIAGONAL_RTOL = 1e-12  # a core's off-diagonal norm, relative to its own, read as 0
 
 # embedded geometry of each matrix kind
 EMBEDDED = {"psd": "psd_embedded", "general": "gen_embedded"}
@@ -124,7 +125,7 @@ def _qf(a):
 # the factor checks, by kind: each matrix of a stack is checked on its own
 def _check_full_rank(a, name):
     s = np.linalg.svd(a, compute_uv=False)
-    if (s[..., -1] <= RANK_TOL * np.maximum(s[..., 0], 1e-300)).any():
+    if below_floor(s[..., -1], s[..., 0], RANK_TOL).any():
         raise ValueError(f"factor {name} is numerically rank deficient")
 
 
@@ -133,10 +134,10 @@ def _check_stiefel(u, name):
 
 
 def _check_spd(b, name):
-    if (frobenius(b - b.mT) > 1e-10 * np.maximum(1.0, frobenius(b))).any():
+    if not is_symmetric(b):
         raise ValueError(f"factor {name} is not symmetric")
     w = np.linalg.eigvalsh(sym(b))
-    if (w[..., 0] <= RANK_TOL * np.maximum(w[..., -1], 0.0)).any():
+    if below_floor(w[..., 0], w[..., -1], RANK_TOL).any():
         raise ValueError(f"factor {name} is not positive definite")
 
 
@@ -170,7 +171,7 @@ def lift_point(x_pt: EmbeddedPoint, geometry: str) -> QuotientPoint:
         raise ValueError(f"{geometry} cannot represent a {x_pt.kind} point")
 
     sig = x_pt.Sigma
-    if np.linalg.norm(sig - np.diag(np.diag(sig))) > 1e-12 * np.linalg.norm(sig):
+    if np.linalg.norm(sig - np.diag(np.diag(sig))) > DIAGONAL_RTOL * np.linalg.norm(sig):
         # canonical lifts need a spectral frame; rebuild one from X
         x_pt = embed_point(x_pt.X, x_pt.r, x_pt.kind)
     return QuotientPoint(geometry, geo.lift(x_pt), x_pt)

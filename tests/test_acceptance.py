@@ -250,10 +250,10 @@ def test_criterion_07_stationary_equivalence():
         fosps = analytic_fosps(obj, 1)
         labels = []
         for pt in fosps:
-            per_point = {classify_point(pt, obj).label()}
+            per_point = {classify_point(pt, obj)["label"]}
             for geo, met in geometry_metric_combos(geos):
                 per_point.add(
-                    classify_point(lift_point(pt, geo), obj, met).label()
+                    classify_point(lift_point(pt, geo), obj, met)["label"]
                 )
             ok &= len(per_point) == 1
             labels.append(per_point.pop())

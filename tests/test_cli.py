@@ -154,6 +154,26 @@ class TestErrorPaths:
                                      "details": {"starts": 3, "converged": 0}}]
         assert len(starts) == 3
 
+    @pytest.mark.parametrize("small", [1e-7, 1e-8])
+    @pytest.mark.parametrize("command", ["verify-sandwich", "classify"])
+    def test_uncertifiable_target_exits_2(self, tmp_path, command, small):
+        # spectrum (1, small, -0.5, -0.25): the stationary point that keeps
+        # the small eigenvalue is built to |grad| 2.7e-10 (2.5e-9 at 1e-8),
+        # above the certification bound 2e-10, so the target is refused as
+        # input, with one message line and no report
+        q = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))[0]
+        target = tmp_path / "m.csv"
+        np.savetxt(target, sym(q @ np.diag([1.0, small, -0.5, -0.25]) @ q.T), delimiter=",")
+        cfg = write_config(tmp_path, "c.json", {"problem": {
+            "case": "psd", "p1": 4, "r": 2, "target_csv": str(target)}})
+        out = tmp_path / "report.json"
+        proc = run_cli([command, "--config", str(cfg), "--out", str(out),
+                        "--no-timestamp"], tmp_path)
+        assert_input_error(proc)
+        [line] = proc.stderr.splitlines()
+        assert "failed certification: |grad| = " in line and "> 2.000e-10" in line, line
+        assert not out.exists()
+
     def test_failed_check_exits_1_with_report(self, tmp_path, monkeypatch):
         # the embedded Hessian with its curvature coupling's sign flipped fails
         # every sandwich row of the general 6x5 problem; a config sets no

@@ -9,7 +9,7 @@ import pytest
 from georank import landscape
 from georank.landscape import analytic_fosps, find_fosp, hessian_spectrum, verify_sandwich
 from georank.linalg import (SymmetricSylvester, _check_separation, check_orthonormal,
-                            spd_functions)
+                            gen_sym_eig, spd_functions)
 from georank.objectives import (
     make_masked_completion,
     make_matrix_approx,
@@ -33,6 +33,7 @@ from georank.transport import forward_map, inverse_map, spectrum_bounds
 from util import (
     GEN_QUOTIENTS,
     PSD_QUOTIENTS,
+    counting,
     embedded_spectrum,
     geometry_metric_combos,
     hv_gap,
@@ -226,21 +227,44 @@ def _sandwich_at_nan_gradient(monkeypatch):
                     spectrum)
 
 
-# each gate's rule reads "value <= tol" as a pass, so a NaN value fails it
-@pytest.mark.parametrize("gate", [
+def _spectrum_at_nan_gram(monkeypatch):
+    """hessian_spectrum at a psd_q2 point whose basis Gram reads NaN; the
+    gate refuses it before the objective is evaluated."""
+    obj, calls = counting(random_approx_objective("psd", 5, 5, np.random.default_rng(0)))
+    z = random_point("psd_q2", 5, 5, 2, np.random.default_rng(0))
+    real = landscape.horizontal_basis
+
+    def nan_gram(*args):
+        basis, gram = real(*args)
+        return basis, np.where(np.eye(len(gram)) == 1, np.nan, gram)
+
+    monkeypatch.setattr(landscape, "horizontal_basis", nan_gram)
+    try:
+        hessian_spectrum(z, obj, metric_family("psd_q2", "polar"))
+    finally:
+        assert calls == {"egrad": 0, "ehess_vec": 0}, calls
+
+
+# each gate's rule reads "value <= tol" as a pass, or refuses a non-finite
+# operand first (then saying so), so a NaN value fails it
+@pytest.mark.parametrize("gate, match", [
     pytest.param(lambda mp: _nan_components(
-        lambda z, parts, metric: horizontal_vector(z, *parts, metric=metric)),
+        lambda z, parts, metric: horizontal_vector(z, *parts, metric=metric)), None,
         id="horizontal_vector"),
-    pytest.param(lambda mp: _nan_components(vertical_project), id="vertical_project"),
-    pytest.param(lambda mp: spd_functions([[np.nan, 0.0], [0.0, 1.0]]), id="spd_functions"),
+    pytest.param(lambda mp: _nan_components(vertical_project), None, id="vertical_project"),
+    pytest.param(lambda mp: spd_functions([[np.nan, 0.0], [0.0, 1.0]]), None,
+                 id="spd_functions"),
     pytest.param(lambda mp: check_orthonormal(np.full((4, 2), np.nan), "not orthonormal"),
-                 id="check_orthonormal"),
+                 None, id="check_orthonormal"),
     pytest.param(lambda mp: SymmetricSylvester(np.array([[np.nan, 0.0], [0.0, 1.0]]),
                                                np.eye(2)),
-                 id="SymmetricSylvester"),
-    pytest.param(lambda mp: _check_separation(np.nan, 1.0), id="sylvester-separation"),
-    pytest.param(_sandwich_at_nan_gradient, id="verify_sandwich-fosp"),
+                 None, id="SymmetricSylvester"),
+    pytest.param(lambda mp: _check_separation(np.nan, 1.0), None, id="sylvester-separation"),
+    pytest.param(_sandwich_at_nan_gradient, None, id="verify_sandwich-fosp"),
+    pytest.param(lambda mp: gen_sym_eig(np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]),
+                 "non-finite", id="gen_sym_eig"),
+    pytest.param(_spectrum_at_nan_gram, "non-finite", id="hessian_spectrum-gram"),
 ])
-def test_nan_fails_the_gate(gate, monkeypatch):
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+def test_nan_fails_the_gate(gate, match, monkeypatch):
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=match):
         gate(monkeypatch)

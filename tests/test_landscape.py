@@ -158,7 +158,7 @@ class TestHessianSpectrum:
         assert calls == {"egrad": 0, "ehess_vec": 0}, calls
 
     def test_gram_condition_is_the_metrics(self):
-        # at beta/alpha = 6.2e8 the point is within GRAM_COND_LIMIT, and the
+        # at beta/alpha = 6.2e8 the point is within 1 / RANK_TOL, and the
         # pulled-back basis's Gram has the metric's condition, not more
         obj, z, met = self._nearly_parallel(1e-4)
         rep = hessian_spectrum(z, obj, met)
@@ -301,27 +301,27 @@ class TestClassify:
     def test_rank1_truncations_of_diag321(self):
         obj = make_matrix_approx(PSD_M3, symmetric=True)
         fosps = analytic_fosps(obj, 1)
-        labels = [classify_point(pt, obj).label() for pt in fosps]
+        labels = [classify_point(pt, obj)["label"] for pt in fosps]
         assert labels == ["sosp", "strict-saddle", "strict-saddle"]
 
     def test_agreement_across_geometries(self):
         obj = make_matrix_approx(PSD_M3, symmetric=True)
         for pt in analytic_fosps(obj, 1):
-            ref = classify_point(pt, obj).label()
+            ref = classify_point(pt, obj)["label"]
             for geo, met in geometry_metric_combos(("psd_q1", "psd_q2")):
-                got = classify_point(lift_point(pt, geo), obj, met).label()
+                got = classify_point(lift_point(pt, geo), obj, met)["label"]
                 assert got == ref, f"{geo}/{met.name}"
 
     def test_general_case_agreement(self):
         obj = make_matrix_approx(GEN_M43)
         labels = []
         for pt in analytic_fosps(obj, 1):
-            ref = classify_point(pt, obj).label()
+            ref = classify_point(pt, obj)["label"]
             labels.append(ref)
             for geo, met in geometry_metric_combos(
                 ("gen_q1", "gen_q2", "gen_q3")
             ):
-                got = classify_point(lift_point(pt, geo), obj, met).label()
+                got = classify_point(lift_point(pt, geo), obj, met)["label"]
                 assert got == ref, f"{geo}/{met.name}"
         assert labels == ["sosp", "strict-saddle", "strict-saddle"]
 
@@ -330,8 +330,8 @@ class TestClassify:
         obj = random_approx_objective("psd", 6, 6, rng)
         pt = random_point("psd_embedded", 6, 6, R, rng)
         cls = classify_point(pt, obj)
-        assert cls.label() == "non-stationary"
-        assert not (cls.is_sosp or cls.is_strict_saddle)
+        assert cls["label"] == "non-stationary"
+        assert not (cls["is_sosp"] or cls["is_strict_saddle"])
 
 
 class TestFindFosp:
@@ -435,7 +435,7 @@ class TestAnalyticFosps:
     def test_each_point_classifies_as_fosp(self):
         obj = make_matrix_approx(np.diag([3.0, 2.0, 1.0, 0.5]), symmetric=True)
         for pt in analytic_fosps(obj, 2):
-            assert classify_point(pt, obj).is_fosp
+            assert classify_point(pt, obj)["is_fosp"]
 
     def test_points_are_certified_as_drawn(self, monkeypatch):
         # C(14, 3) = 364 stationary points; drawing the first certifies one
