@@ -21,9 +21,9 @@ once. ``quotient.HorizontalVector`` is the other ``Stack``.
 
 ``project_rank_r`` (and with it ``embed_point`` and ``retract``) truncates
 an ambient matrix by a dense p x p eigendecomposition or SVD.
-``truncate_sum`` truncates X plus a combination of tangents, or of stacks of
-them, from their factors, decomposing only a core of size at most r(1 + 2m)
-for m tangents; the gradient flows and the CLI's gradient check use it.
+``truncate_sum`` truncates X plus a combination of tangents from their
+factors, decomposing only a core of size at most r(1 + 2m) for m tangents;
+the gradient flows use it.
 """
 
 from dataclasses import dataclass
@@ -39,9 +39,7 @@ from .objectives import Objective
 @dataclass(frozen=True, eq=False)
 class EmbeddedPoint:
     """Rank-r point X = U Sigma V^T with cached orthonormal frames and
-    invertible r x r core; V is U itself for the PSD kind. ``truncate_sum``
-    of stacked terms returns a stack of points, whose arrays carry the
-    stack's leading axes."""
+    invertible r x r core; V is U itself for the PSD kind."""
 
     kind: str  # "psd" | "general"
     X: np.ndarray
@@ -55,7 +53,7 @@ class EmbeddedPoint:
 
     @property
     def r(self) -> int:
-        return self.U.shape[-1]
+        return self.U.shape[1]
 
     @property
     def shape(self) -> tuple:
@@ -158,19 +156,18 @@ class EmbeddedTangent(Stack):
 
 
 def _column_signs(u):
-    """Signs, shaped (..., 1, r), making the largest-magnitude entry of each column
-    of U (of each U of a stack) positive, the first on a tie; V flips by them too."""
-    cols = u.mT.copy()  # U's columns as rows, so the reductions run along memory
-    flips = np.sign(cols.max(axis=-1) + cols.min(axis=-1))[..., None, :]
-    if not all(flips.flat):  # a tie of magnitudes: the first of max and min wins
-        first = (cols.argmax(axis=-1) <= cols.argmin(axis=-1))[..., None, :]
+    """Signs making the largest-magnitude entry of each column of U positive,
+    the first on a tie; V flips by them too."""
+    flips = np.sign(u.max(axis=0) + u.min(axis=0))
+    if not flips.all():  # a tie of magnitudes: the first of max and min wins
+        first = u.argmax(axis=0) <= u.argmin(axis=0)
         flips = np.where(flips == 0, np.where(first, 1.0, -1.0), flips)
     return flips
 
 
 def _top_factors(x, r, kind, left=None, right=None):
-    """Top-r factors (U, Sigma, V) of an ambient matrix, or of each in a stack
-    (each checked on its own), with sign-fixed frames; V is U for the PSD kind.
+    """Top-r factors (U, Sigma, V) of an ambient matrix, with sign-fixed
+    frames; V is U for the PSD kind.
 
     Given orthonormal ``left`` and ``right`` (the same for the PSD kind), x
     is the core of the matrix left @ x @ right^T: the core's frames are
@@ -180,35 +177,33 @@ def _top_factors(x, r, kind, left=None, right=None):
     x = finite(np.asarray(x, dtype=float))
     psd = kind == "psd"
     if psd:
-        if x.shape[-2] != x.shape[-1]:
+        if x.shape[0] != x.shape[1]:
             raise ValueError(f"psd kind needs a square matrix, got {x.shape}")
         if not is_symmetric(x):
             raise ValueError("psd kind requires a symmetric matrix")
         w, q = np.linalg.eigh(finite(sym(x)))  # sym(x) itself may overflow
         # descending; the top r by an index array, whose copy the lift multiplies
-        s, u = w[..., ::-1], q[..., np.arange(-1, -r - 1, -1)]
-        scale = np.maximum(s.T[0], -s.T[-1])  # the largest magnitude
+        s, u = w[::-1], q[:, np.arange(-1, -r - 1, -1)]
+        scale = max(s[0], -s[-1])  # the largest magnitude
     elif kind == "general":
         u, s, vt = np.linalg.svd(x, full_matrices=False)
-        scale = s.T[0]
+        scale = s[0]
     else:
         raise ValueError(f"unknown manifold kind {kind!r}")
-    top = s.T[r - 1]  # through s.T, floats for one matrix
-    low = below_floor(top, scale, RANK_TOL)
-    if any(low.flat):
+    if below_floor(s[r - 1], scale, RANK_TOL):
         what = " with positive spectrum (eigenvalue" if psd else " (singular value"
         raise RankError(f"matrix is not numerically rank {r}{what} {r} is "
-                        f"{np.extract(low, top)[0]:.3e})")
-    u = u[..., :r] if left is None else left @ u[..., :r]
+                        f"{s[r - 1]:.3e})")
+    u = u[:, :r] if left is None else left @ u[:, :r]
     flips = _column_signs(u)
     if not psd:
-        v = vt[..., :r, :].mT if right is None else right @ vt[..., :r, :].mT
+        v = vt[:r].T if right is None else right @ vt[:r].T
     u = u * flips
-    return u, s[..., :r, None] * np.eye(r), u if psd else v * flips
+    return u, np.diag(s[:r]), u if psd else v * flips
 
 
 def _point_from_factors(kind, u, sigma, v):
-    x = u @ sigma @ v.mT
+    x = u @ sigma @ v.T
     return EmbeddedPoint(kind, sym(x) if kind == "psd" else x, u, sigma, v)
 
 
@@ -231,20 +226,10 @@ def project_rank_r(x, r, kind) -> EmbeddedPoint:
     return _point_from_factors(kind, u, sigma, v)
 
 
-def _side_by_side(blocks):
-    """The blocks' columns side by side, a stacked block's leading axes
-    broadcast over the others."""
-    lead = np.broadcast_shapes(*(b.shape[:-2] for b in blocks))
-    if lead:
-        blocks = [np.broadcast_to(b, lead + b.shape[-2:]) for b in blocks]
-    return np.concatenate(blocks, axis=-1)
-
-
 def truncate_sum(pt: EmbeddedPoint, terms) -> EmbeddedPoint:
     """Rank-r truncation of X + sum_i c_i xi_i from (c_i, xi_i) pairs,
-    without forming the sum. Each xi_i is a tangent, or a stack of them, at
-    pt or at a point of its own, and c_i anything ``c_i * xi_i`` takes; a
-    stacked term gives a stack of points, with the broadcast leading axes.
+    without forming the sum. Each xi_i is a tangent at pt or at a point of
+    its own, and c_i a number.
 
     The sum is L C R^T. X contributes (U, Sigma, V). A tangent at pt shares
     its frames: it adds Up to L and Vp to R, c S to Sigma's block, and c I
@@ -253,12 +238,10 @@ def truncate_sum(pt: EmbeddedPoint, terms) -> EmbeddedPoint:
     and R = Q_R R_R leave the core R_L C R_R^T, k = r (1 + a + 2b) square for
     a tangents at pt and b elsewhere, whose top-r factors lifted through Q_L
     and Q_R are those of the sum (Absil & Oseledets, "Low-rank retractions:
-    a survey and new results", Comput. Optim. Appl. 2015). The QRs do not
-    read the coefficients, so an array c shares them; for the PSD kind L is
-    R and one QR serves. Householder QR returns an orthonormal Q for a
-    rank-deficient or wide stack, so k >= p needs no other path. The rank
-    test, sign convention and finiteness refusal are ``_top_factors``',
-    applied to each core of a stack.
+    a survey and new results", Comput. Optim. Appl. 2015). For the PSD kind
+    L is R and one QR serves. Householder QR returns an orthonormal Q for a
+    rank-deficient or wide L, so k >= p needs no other path. The rank test,
+    sign convention and finiteness refusal are ``_top_factors``'.
     """
     r = pt.r
     eye = np.eye(r)
@@ -273,25 +256,25 @@ def truncate_sum(pt: EmbeddedPoint, terms) -> EmbeddedPoint:
         lefts.append(xi.Up)
         rights.append(xi.Vp)
         blocks.append((base is pt, c * xi.S, c * eye))
-    left = _side_by_side(lefts)
-    k = left.shape[-1]
-    core = np.zeros(np.broadcast_shapes(*(cs.shape[:-2] for _, cs, _ in blocks)) + (k, k))
-    core[..., :r, :r] = pt.Sigma
+    left = np.hstack(lefts)
+    k = left.shape[1]
+    core = np.zeros((k, k))
+    core[:r, :r] = pt.Sigma
     i = r
     for own, cs, ci in blocks:
         if own:  # the frame is X's: c S joins Sigma's block
             j = 0
-            core[..., :r, :r] += cs
+            core[:r, :r] += cs
         else:  # the frame takes r rows and columns of its own
             j, i = i, i + r
-            core[..., j:i, j:i] = cs
-        core[..., j:j + r, i:i + r] = ci
-        core[..., i:i + r, j:j + r] = ci
+            core[j:i, j:i] = cs
+        core[j:j + r, i:i + r] = ci
+        core[i:i + r, j:j + r] = ci
         i += r
     q_left, r_left = np.linalg.qr(left)
     q_right, r_right = ((q_left, r_left) if pt.kind == "psd"
-                        else np.linalg.qr(_side_by_side(rights)))
-    u, sigma, v = _top_factors(r_left @ core @ r_right.mT, r, pt.kind,
+                        else np.linalg.qr(np.hstack(rights)))
+    u, sigma, v = _top_factors(r_left @ core @ r_right.T, r, pt.kind,
                                left=q_left, right=q_right)
     return _point_from_factors(pt.kind, u, sigma, v)
 

@@ -22,6 +22,9 @@ class Objective:
     A(X)_i = <A_i, X>. ``target`` is b: the p1 x p2 matrix M of the first
     two, the m observations of sensing.
 
+    ``value`` and ``egrad`` take a complex X, with no conjugation, so
+    Im f(X + i h V) / h is the derivative along V (the complex step).
+
     ``ehess_vec(X, Z)`` applies the Euclidean Hessian at X to the direction Z;
     it is linear in Z and self-adjoint in the Frobenius inner product, so
     ``ehess_matrix``, the Euclidean term of both Hessian matrix builders,
@@ -38,7 +41,8 @@ class Objective:
     op: np.ndarray | None = field(default=None, repr=False)
 
     def _check(self, x, stack=False) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x)
+        x = x if np.iscomplexobj(x) else x.astype(float, copy=False)
         if (x.shape[-2:] if stack else x.shape) != self.shape:
             raise ValueError(f"objective expects shape {self.shape}, got {x.shape}")
         return x
@@ -46,20 +50,33 @@ class Objective:
     def _residual(self, x) -> np.ndarray:
         """A(X) - b for X or a stack of them; sensing's on the leading axis."""
         if self.kind == "sensing":
-            return (np.tensordot(self.op, x, axes=([1, 2], [-2, -1]))
-                    - self.target.reshape((-1,) + (1,) * (x.ndim - 2)))
+            return self._measure(x) - self.target.reshape((-1,) + (1,) * (x.ndim - 2))
         return x - self.target if self.op is None else self.op * (x - self.target)
 
+    def _measure(self, x) -> np.ndarray:
+        """The m sensing measurements A(X) of X, or of a stack of them. A
+        complex X goes through one real contraction as its real and imaginary
+        parts stacked, so the operator is read once and never copied to complex."""
+        if np.iscomplexobj(x):
+            out = self._measure(np.stack([x.real, x.imag]))
+            return out[:, 0] + 1j * out[:, 1]
+        return np.tensordot(self.op, x, axes=([1, 2], [-2, -1]))
+
     def _adjoint(self, y) -> np.ndarray:
-        """A^T y for m sensing measurements y, symmetric for a symmetric objective."""
+        """A^T y for m sensing measurements y, symmetric for a symmetric
+        objective; a complex y as in ``_measure``."""
+        if np.iscomplexobj(y):
+            out = self._adjoint(np.stack([y.real, y.imag], axis=1))
+            return out[0] + 1j * out[1]
         out = np.tensordot(y, self.op, axes=(0, 0))
         return sym(out) if self.symmetric else out
 
     def value(self, x):
-        """f(X): a float, or one per matrix of a stack on leading axes."""
+        """f(X): a float (complex for a complex X), or one per matrix of a
+        stack on leading axes."""
         res = self._residual(x := self._check(x, stack=True))
         out = 0.5 * np.sum(res**2, axis=0 if self.kind == "sensing" else (-2, -1))
-        return out if x.ndim > 2 else float(out)
+        return out if x.ndim > 2 else out.item()
 
     def egrad(self, x) -> np.ndarray:
         # A^T (A(X) - b); the mask is 0/1, so the completion residual is its own image
@@ -70,7 +87,7 @@ class Objective:
         self._check(x)
         z = self._check(z)
         if self.kind == "sensing":
-            return self._adjoint(np.tensordot(self.op, z, axes=([1, 2], [0, 1])))
+            return self._adjoint(self._measure(z))
         return z if self.op is None else self.op * z
 
     def ehess_matrix(self, x, z) -> np.ndarray:

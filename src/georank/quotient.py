@@ -115,17 +115,17 @@ def _read_only(a):
 
 
 def _qf(a):
-    """QR orthonormal factor with positive diagonal R, of each matrix of a stack."""
+    """QR orthonormal factor with positive diagonal R."""
     q, r = np.linalg.qr(a)
-    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
-    return q * signs[..., None, :]
+    return q * signs
 
 
-# the factor checks, by kind: each matrix of a stack is checked on its own
+# the factor checks, by kind
 def _check_full_rank(a, name):
     s = np.linalg.svd(a, compute_uv=False)
-    if below_floor(s[..., -1], s[..., 0], RANK_TOL).any():
+    if below_floor(s[-1], s[0], RANK_TOL):
         raise ValueError(f"factor {name} is numerically rank deficient")
 
 
@@ -137,7 +137,7 @@ def _check_spd(b, name):
     if not is_symmetric(b):
         raise ValueError(f"factor {name} is not symmetric")
     w = np.linalg.eigvalsh(sym(b))
-    if below_floor(w[..., 0], w[..., -1], RANK_TOL).any():
+    if below_floor(w[0], w[-1], RANK_TOL):
         raise ValueError(f"factor {name} is not positive definite")
 
 
@@ -800,14 +800,6 @@ class QuotientGeometry:
         return tuple(a - base @ sym(base.T @ a) if f.kind == "stiefel"
                      else sym(a) if f.kind == "spd" else a
                      for f, base, a in zip(self.factors, z.factors, parts))
-
-    def curve(self, z, parts, t):
-        """The factors moved from z by t along ``parts``: straight lines, QR
-        retraction on Stiefel factors; a stack of ``parts`` and an array ``t``
-        that broadcasts against it move as one stack."""
-        moved = [base + t * a for base, a in zip(z.factors, parts)]
-        return tuple(_qf(m) if f.kind == "stiefel" else sym(m) if f.kind == "spd" else m
-                     for f, m in zip(self.factors, moved))
 
     def vertical(self, z, parts, wt):
         """Vertical part under O(r) with a Stiefel factor: F Omega on the

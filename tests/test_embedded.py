@@ -6,9 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from georank import cli, linalg
+from georank import linalg
 from georank.embedded import (
     EmbeddedPoint,
+    _column_signs,
     EmbeddedTangent,
     embed_point,
     project_rank_r,
@@ -377,29 +378,19 @@ class TestTruncateSum:
         terms = self._terms(pt, n_terms, rng)
         self._close_to_dense(truncate_sum(pt, terms), self._dense(pt, terms))
 
-    @pytest.mark.parametrize("kind,p1,p2,r", GRID)
-    def test_stack_at_the_point_is_each_truncation(self, kind, p1, p2, r):
-        # X + c xi for a stack of tangents at pt and an array coefficient
-        # c = (+a, -a), as check-gradients takes its points: each point is
-        # the dense truncation, and the one-tangent truncation bit for bit
-        rng = np.random.default_rng(100 * p1 + 10 * p2 + r)
-        pt = random_point(EMBEDDED[kind], p1, p2, r, rng)
-        units = [xi * (1.0 / xi.norm()) for xi in (
-            tangent_project(pt, rng.standard_normal((p1, p2))) for _ in range(3))]
-        a = 0.05 * np.min(np.abs(np.diag(pt.Sigma)))
-        steps = np.array([a, -a]).reshape(2, 1, 1, 1)
-        got = truncate_sum(pt, [(steps, stacked(*units))])
-        assert got.X.shape == (2, 3, p1, p2)
-        for j, c in enumerate((a, -a)):
-            for i, xi in enumerate(units):
-                one = truncate_sum(pt, [(c, xi)])
-                for mine, ref in zip((got.X, got.U, got.Sigma, got.V),
-                                     (one.X, one.U, one.Sigma, one.V)):
-                    assert np.array_equal(mine[j, i], ref)
-                u = got.U[j, i]
-                point = EmbeddedPoint(kind, got.X[j, i], u, got.Sigma[j, i],
-                                      got.V[j, i] if kind == "general" else u)
-                self._close_to_dense(point, self._dense(pt, [(c, xi)]))
+    @pytest.mark.parametrize("kind,p1,p2", [("psd", 8, 8), ("general", 8, 6)])
+    def test_first_order_agreement(self, kind, p1, p2):
+        # the retraction R(t xi) = truncate_sum(pt, [(t, xi)]) agrees with its
+        # velocity to first order: ||R(t xi) - (X + t xi)|| = O(t^2) over
+        # t = 1e-2 ... 1e-4, for a unit tangent at pt
+        rng = np.random.default_rng(41)
+        pt = random_point(EMBEDDED[kind], p1, p2, 2, rng)
+        xi = tangent_project(pt, rng.standard_normal((p1, p2)))
+        xi = xi * (1.0 / xi.norm())
+        errs = [np.linalg.norm(truncate_sum(pt, [(t, xi)]).X - pt.X - t * xi.ambient())
+                for t in (1e-2, 1e-3, 1e-4)]
+        slopes = np.log10(np.divide(errs[:-1], errs[1:]))
+        assert min(slopes) >= 1.9, slopes
 
     @pytest.mark.parametrize("kind,p1,p2", [("psd", 5, 5), ("general", 5, 4)])
     def test_rank_deficient_sum_raises_in_both_paths(self, kind, p1, p2):
@@ -430,35 +421,6 @@ class TestTruncateSum:
         truncate_sum(pt, terms)
         assert len(shapes) == qrs
 
-    @pytest.mark.parametrize("kind,p1,p2,qrs", [("psd", 30, 30, 1), ("general", 24, 18, 2)])
-    def test_gradient_check_decomposes_no_ambient_matrix(self, monkeypatch, kind, p1, p2, qrs):
-        # check-gradients' embedded points X +- h b at the pointwise workload's
-        # sizes (r = 3): per stack of n basis vectors, qrs QRs of the p x 2r
-        # factors and one eigh or SVD of the (2, n) cores, each 2r x 2r
-        r = 3
-        rng = np.random.default_rng(40)
-        pt = random_point(EMBEDDED[kind], p1, p2, r, rng)
-        obj = random_approx_objective(kind, p1, p2, rng)
-        d = len(tangent_basis(pt))  # builds the complements, kept on pt
-        n = min(cli.DIRECTION_BLOCK, cli.STACK_BYTES // (16 * p1 * p2))
-        stacks = -(-d // n)
-        seen = {}
-        for name in ("eigh", "svd", "qr"):
-            original, shapes = getattr(np.linalg, name), seen.setdefault(name, [])
-
-            def recorded(a, *args, original=original, shapes=shapes, **kwargs):
-                shapes.append(np.shape(a))
-                return original(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, recorded)
-        cli._grad_fd_maxrel(pt, obj, None)
-        cores = seen["eigh"] + seen["svd"]
-        assert len(cores) == stacks
-        assert all(shape[-2:] == (2 * r, 2 * r) for shape in cores)
-        assert sum(shape[1] for shape in cores) == d
-        assert len(seen["qr"]) == qrs * stacks
-        assert all(shape[-1] == 2 * r and shape[-2] in (p1, p2) for shape in seen["qr"])
-
     def test_tangent_of_another_manifold_rejected(self):
         rng = np.random.default_rng(33)
         pt = random_point("gen_embedded", 5, 4, 2, rng)
@@ -466,6 +428,24 @@ class TestTruncateSum:
         xi = tangent_project(other, rng.standard_normal((5, 3)))
         with pytest.raises(ValueError):
             truncate_sum(pt, [(1.0, xi)])
+
+
+class TestTopFactors:
+    def test_column_signs_first_entry_wins_a_tie(self):
+        # the largest magnitude is made positive; on a tie the first entry
+        # of that magnitude decides, and a zero column gets +1
+        u = np.array([[0.5, -0.5, 0.0, 0.2],
+                      [-0.5, 0.5, 0.0, -0.3],
+                      [0.1, 0.1, 0.0, 0.1]])
+        assert np.array_equal(_column_signs(u), [1.0, -1.0, 1.0, -1.0])
+        assert np.array_equal(_column_signs(-u), [-1.0, 1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("kind,what", [("psd", "eigenvalue 2"),
+                                           ("general", "singular value 2")])
+    def test_rank_refusal_names_the_value(self, kind, what):
+        a = np.random.default_rng(9).standard_normal(6)
+        with pytest.raises(RankError, match=f"not numerically rank 2.*{what}"):
+            project_rank_r(np.outer(a, a), 2, kind)
 
 
 class TestNonFinite:

@@ -1,11 +1,13 @@
-"""check-gradients evaluates its finite-difference points in stacks.
+"""check-gradients compares each gradient with complex-step derivatives.
 
-``cli._grad_fd_maxrel`` takes the 2 d points X(+-h b_i) of a row in stacks of
-basis vectors: one stacked truncation from factors (``embedded.truncate_sum``)
-for an embedded row, one stacked move of the factors, checked by the factor
-rules, for a quotient row, and one objective call per stack. These tests hold
-the stacks to the per-curve oracle, check that faults still fail their rows,
-that the stack size does not change a report, and pin the work per row.
+``cli._grad_fd_maxrel`` takes Im f(. + i h b) / h, h = 1e-30, along the
+straight line through the point for each basis vector b: X + i h b for an
+embedded row, the factor map of the factors z + i h theta for a quotient row,
+in stacks of basis vectors with one objective call per stack. These tests
+check that faults far below the old central-difference noise fail their
+rows, that a sample that cannot be measured fails, that no decomposition or
+factor check sees a complex matrix, and that the stack size does not change
+a report.
 """
 
 import inspect
@@ -16,12 +18,8 @@ import numpy as np
 import pytest
 
 import test_golden as golden
-from georank import cli, embedded, objectives, quotient
-from georank.embedded import _top_factors, retract, tangent_basis, truncate_sum
-from georank.linalg import RankError
-from georank.quotient import REGISTRY, _CHECKS, _qf, horizontal_basis, random_point
-
-from util import count_calls, geometry_metric_combos, random_approx_objective, total_curve
+from georank import cli, objectives, quotient
+from georank.quotient import REGISTRY
 
 GEOMETRIES = [g for case in ("psd", "general") for g in quotient.geometries(case)]
 
@@ -33,85 +31,49 @@ def _golden_run(case, **config):
     return report
 
 
-def _recorded_values(monkeypatch):
-    """Record every matrix or stack that ``Objective.value`` is called on."""
-    seen = []
-    original = objectives.Objective.value
-
-    def value(self, x):
-        seen.append(np.array(x))
-        return original(self, x)
-
-    monkeypatch.setattr(objectives.Objective, "value", value)
-    return seen
-
-
-class TestStacksMatchThePerCurveOracle:
-    H = 1e-5
-
-    @pytest.mark.parametrize("kind", ["psd", "general"])
-    def test_embedded_points_are_the_one_tangent_truncation_bit_for_bit(self, kind,
-                                                                        monkeypatch):
-        # the factored truncation of one X + t b, bit for bit, and the dense
-        # projection retraction within rounding
-        rng = np.random.default_rng(5)
-        obj = random_approx_objective(kind, 7, 7 if kind == "psd" else 5, rng)
-        pt = random_point(quotient.EMBEDDED[kind], 7, 7 if kind == "psd" else 5, 2, rng)
-        seen = _recorded_values(monkeypatch)
-        cli._grad_fd_maxrel(pt, obj, None, h=self.H)
-        (stack,) = seen
-        basis = tangent_basis(pt)
-        for i, b in enumerate(basis):
-            for j, t in enumerate((self.H, -self.H)):
-                assert np.array_equal(stack[j, i], truncate_sum(pt, [(t, b)]).X)
-                ref = retract(pt, b, t).X
-                assert np.linalg.norm(stack[j, i] - ref) <= 1e-12 * np.linalg.norm(ref)
-
-    @pytest.mark.parametrize("geo", sorted(REGISTRY))
-    def test_quotient_points_are_the_total_curves(self, geo, monkeypatch):
-        rng = np.random.default_rng(6)
-        kind = REGISTRY[geo].kind
-        p1, p2 = (7, 7) if kind == "psd" else (7, 5)
-        obj = random_approx_objective(kind, p1, p2, rng)
-        for _, met in geometry_metric_combos([geo]):
-            z = random_point(geo, p1, p2, 2, rng)
-            seen = _recorded_values(monkeypatch)
-            cli._grad_fd_maxrel(z, obj, met, h=self.H)
-            (stack,) = seen
-            for i, b in enumerate(horizontal_basis(z, met)[0]):
-                curve = total_curve(z, b)
-                for j, t in enumerate((self.H, -self.H)):
-                    ref = curve(t).X
-                    err = np.linalg.norm(stack[j, i] - ref) / np.linalg.norm(ref)
-                    assert err <= 1e-14, f"{geo}/{met.name} vector {i}: {err:.2e}"
+def _scale_gradient(monkeypatch, geometry, factor):
+    """Scale the gradient of one geometry by ``factor``: the embedded
+    gradient, or a quotient geometry's gradient lift."""
+    if geometry in REGISTRY:
+        geo = REGISTRY[geometry]
+        lift = geo.grad_lift
+        monkeypatch.setattr(geo, "grad_lift", lambda z, wt, nabla: tuple(
+            factor * a for a in lift(z, wt, nabla)))
+    else:
+        grad = cli.riem_grad_embedded
+        monkeypatch.setattr(cli, "riem_grad_embedded",
+                            lambda pt, obj: factor * grad(pt, obj))
 
 
 class TestFaultsStillFail:
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     def test_scaled_gradient_fails_its_rows(self, geometry, monkeypatch):
-        # a gradient off by 1e-3 relative, against a tolerance of 1e-6
-        if geometry in REGISTRY:
-            geo = REGISTRY[geometry]
-            lift = geo.grad_lift
-            monkeypatch.setattr(geo, "grad_lift", lambda z, wt, nabla: tuple(
-                (1 + 1e-3) * a for a in lift(z, wt, nabla)))
-        else:
-            grad = cli.riem_grad_embedded
-            monkeypatch.setattr(cli, "riem_grad_embedded",
-                                lambda pt, obj: (1 + 1e-3) * grad(pt, obj))
+        # a gradient off by 1e-3 relative
+        _scale_gradient(monkeypatch, geometry, 1 + 1e-3)
         case = quotient.GEOMETRY_KIND[geometry]
         checks = _golden_run(case)["checks"]
         for check in checks:
             row = check["name"].split("/")[1]
             assert check["passed"] == (row != geometry), check["name"]
 
+    @pytest.mark.parametrize("case,geometry", [("psd", "psd_q2"), ("general", "gen_q3")])
+    def test_gradient_off_by_1e_8_fails_exactly_its_rows(self, case, geometry, monkeypatch):
+        # 1e-8 relative passed central differences' tolerance of 1e-6; the
+        # complex step's noise is about 1e-15
+        faulty = {quotient.EMBEDDED[case], geometry}
+        for g in faulty:
+            _scale_gradient(monkeypatch, g, 1 + 1e-8)
+        for check in _golden_run(case)["checks"]:
+            row = check["name"].split("/")[1]
+            assert check["passed"] == (row not in faulty), check["name"]
+
     def test_nan_value_fails_its_row(self, monkeypatch):
         original = objectives.Objective.value
 
-        def value(self, x):  # one curve point of every stack is not measured
+        def value(self, x):  # one point of every stack is not measured
             out = original(self, x)
             if np.ndim(out) > 0:
-                out[1, 0] = np.nan
+                out[0] = complex(np.nan, np.nan)
             return out
 
         monkeypatch.setattr(objectives.Objective, "value", value)
@@ -126,6 +88,46 @@ class TestFaultsStillFail:
         assert params[:3] == ["point", "obj", "metric"]
 
 
+@pytest.mark.parametrize("kind", ["approx", "completion", "sensing"])
+@pytest.mark.parametrize("case", ["psd", "general"])
+def test_every_objective_passes_far_inside(kind, case):
+    # sensing takes A(Re X) and A(Im X) as two real contractions
+    report, _ = cli.run("check-gradients",
+                        {"problem": {**golden.PROBLEMS[case], "kind": kind}, "trials": 1},
+                        seed=4, out_path=os.devnull, no_timestamp=True)
+    for check in report["checks"]:
+        assert check["details"]["max_rel_err"] <= 1e-13, check["name"]
+
+
+def _real_only(fn):
+    """fn, refusing a complex first argument."""
+    def wrapped(a, *args, **kwargs):
+        assert not np.iscomplexobj(a), fn.__name__
+        return fn(a, *args, **kwargs)
+
+    return wrapped
+
+
+def test_no_decomposition_or_factor_check_sees_a_complex_matrix(monkeypatch):
+    # the complex path is products and sums only: each value call takes one
+    # complex stack of at most DIRECTION_BLOCK points
+    for name in ("qr", "svd", "eigh", "eigvalsh", "cholesky", "solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, _real_only(getattr(np.linalg, name)))
+    for kind, rule in quotient._CHECKS.items():
+        monkeypatch.setitem(quotient._CHECKS, kind, _real_only(rule))
+    seen, value = [], objectives.Objective.value
+
+    def recorded(self, x):
+        seen.append(np.shape(x))
+        return value(self, x)
+
+    monkeypatch.setattr(objectives.Objective, "value", recorded)
+    for case in ("psd", "general"):
+        assert _golden_run(case)["passed"]
+    assert seen and all(len(shape) == 3 and shape[0] <= cli.DIRECTION_BLOCK
+                        for shape in seen)
+
+
 class TestStackSize:
     # psd 30 x 30, r=3 (d = 87) and general 24 x 18, r=3 (d = 117): more
     # vectors than one stack holds
@@ -135,7 +137,7 @@ class TestStackSize:
     }
 
     @pytest.mark.parametrize("case", sorted(PROBLEMS))
-    @pytest.mark.parametrize("name,value", [("DIRECTION_BLOCK", 5), ("STACK_BYTES", 1)])
+    @pytest.mark.parametrize("name,value", [("DIRECTION_BLOCK", 5)])
     def test_report_is_byte_identical(self, case, name, value, monkeypatch):
         def text():
             report, _ = cli.run("check-gradients",
@@ -148,103 +150,9 @@ class TestStackSize:
         assert text() == whole
         assert json.loads(whole)["passed"]
 
-    @pytest.mark.parametrize("case", ["psd", "general"])
-    @pytest.mark.parametrize("block", [cli.DIRECTION_BLOCK, 5])
-    def test_work_per_row_and_trial(self, case, block, monkeypatch):
-        # golden sizes: d = 11 (psd 6 x 6, r=2) and 16 (general 6 x 5, r=2);
-        # one quotient_point per quotient row and trial (its point) and one
-        # objective call per stack, where each curve point was one of each
-        monkeypatch.setattr(cli, "DIRECTION_BLOCK", block)
-        points = count_calls(monkeypatch, quotient.quotient_point)
-        retracts = count_calls(monkeypatch, embedded.retract)
-        values = _recorded_values(monkeypatch)
-        checked = []  # the factor checks see each stack, as quotient_point does
-        for kind, rule in _CHECKS.items():
-            monkeypatch.setitem(_CHECKS, kind, lambda a, name, rule=rule: (
-                checked.append(a.shape[:-2]), rule(a, name)))
-        report = _golden_run(case)
-        assert report["passed"]
-        trials = golden.COMMON["trials"]
-        d = quotient.quotient_dim(quotient.EMBEDDED[case], 6,
-                                  golden.PROBLEMS[case].get("p2", 6), 2)
-        rows, stacks = len(report["checks"]), -(-d // block)
-        assert len(points) == (rows - 1) * trials
-        assert len(values) == rows * trials * stacks
-        assert not retracts
-        factors = sum(len(REGISTRY[c["name"].split("/")[1]].factors)
-                      for c in report["checks"][1:])
-        stacked = [lead for lead in checked if lead]  # the rest check the points
-        assert len(checked) - len(stacked) == factors * trials
-        assert len(stacked) == factors * trials * stacks
-        assert all(lead[0] == 2 and lead[1] <= block for lead in stacked)
-        assert sum(lead[1] for lead in stacked) == factors * trials * d
-
-
-class TestStackAwareHelpers:
-    def test_top_factors_of_a_stack_are_each_matrix_s(self):
-        rng = np.random.default_rng(8)
-        a = rng.standard_normal((2, 3, 6, 2))
-        stacks = {"psd": a @ a.mT, "general": a @ rng.standard_normal((2, 3, 2, 5))}
-        for kind, xs in stacks.items():
-            out = _top_factors(xs, 2, kind)
-            for i in np.ndindex(xs.shape[:2]):
-                for got, ref in zip(out, _top_factors(xs[i], 2, kind)):
-                    assert np.array_equal(got[i], ref), kind
-            assert (out[2] is out[0]) == (kind == "psd")  # V is U for psd
-
-    def test_top_factors_checks_each_matrix(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((4, 6, 2))
-        good = a @ a.mT
-        low = good.copy()
-        low[2] = np.outer(a[2, :, 0], a[2, :, 0])  # rank 1
-        with pytest.raises(RankError, match="eigenvalue 2"):
-            _top_factors(low, 2, "psd")
-        with pytest.raises(RankError, match="singular value 2"):
-            _top_factors(low, 2, "general")
-        skewed = good.copy()
-        skewed[1, 0, 1] += 1.0
-        with pytest.raises(ValueError, match="symmetric"):
-            _top_factors(skewed, 2, "psd")
-        skewed[3, 2, 2] = np.inf
-        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
-            _top_factors(skewed, 2, "general")
-
-    def test_column_signs_first_entry_wins_a_tie(self):
-        # the largest magnitude is made positive; on a tie the first entry
-        # of that magnitude decides, and a zero column gets +1
-        u = np.array([[0.5, -0.5, 0.0, 0.2],
-                      [-0.5, 0.5, 0.0, -0.3],
-                      [0.1, 0.1, 0.0, 0.1]])
-        expected = np.array([[1.0, -1.0, 1.0, -1.0]])
-        assert np.array_equal(embedded._column_signs(u), expected)
-        flipped = np.array([[-1.0, 1.0, 1.0, 1.0]])
-        assert np.array_equal(embedded._column_signs(np.stack([u, -u])),
-                              np.stack([expected, flipped]))
-
-    def test_qf_of_a_stack_is_each_matrix_s(self):
-        a = np.random.default_rng(10).standard_normal((2, 3, 7, 3))
-        q = _qf(a)
-        for i in np.ndindex(a.shape[:2]):
-            assert np.array_equal(q[i], _qf(a[i]))
-
-    def test_factor_checks_give_each_matrix_its_verdict(self):
-        rng = np.random.default_rng(11)
-        free = rng.standard_normal((3, 6, 2))
-        stiefel = _qf(free)
-        c = rng.standard_normal((3, 2, 2))
-        spd = c @ c.mT + 0.5 * np.eye(2)
-        bad = {"free": free.copy(), "stiefel": stiefel.copy(), "spd": spd.copy()}
-        bad["free"][1, :, 1] = bad["free"][1, :, 0]
-        bad["stiefel"][2] *= 1.001
-        bad["spd"][0] = -bad["spd"][0]
-        for kind, good in (("free", free), ("stiefel", stiefel), ("spd", spd)):
-            _CHECKS[kind](good, "F")
-            with pytest.raises(ValueError, match="factor F"):
-                _CHECKS[kind](bad[kind], "F")
-
 
 def test_no_per_curve_loop_in_the_library():
-    # the per-curve oracle lives in tests/util.py alone
+    # the total-space curve and its per-curve oracle live in tests/util.py alone
     assert not hasattr(quotient, "total_curve")
-    assert "retract" not in vars(cli)
+    assert not hasattr(quotient.QuotientGeometry, "curve")
+    assert "retract" not in vars(cli) and "truncate_sum" not in vars(cli)

@@ -1,5 +1,5 @@
-"""Shared builders for randomized test instances, finite-difference oracles,
-and the CLI runner."""
+"""Shared builders for randomized test instances, derivative oracles (complex
+step and finite differences), and the CLI runner."""
 
 import ctypes
 import os
@@ -146,6 +146,17 @@ def geometry_metric_combos(geometries):
             yield geo, metric_family(geo, name)
 
 
+COMPLEX_STEP = 1e-30  # the step's h^2 truncation term lies far below rounding
+
+
+def complex_step(fn, x, v, h=COMPLEX_STEP):
+    """Im fn(X + i h V) / h: the derivative of a real-analytic fn along V,
+    exact to rounding, as no difference cancels (Squire & Trapp, SIAM Review
+    1998). fn must take a complex argument without conjugating it; its
+    result may be a number or an array."""
+    return np.imag(fn(np.asarray(x) + 1j * h * np.asarray(v))) / h
+
+
 def finite_diff_directional(fn, x, v, order, h):
     """Central finite difference of a scalar matrix function along V.
 
@@ -171,28 +182,37 @@ def finite_diff_directional(fn, x, v, order, h):
 
 
 def total_curve(z, theta):
-    """Curve t -> quotient point through z with initial velocity theta, one
-    ``quotient_point`` (checks, frame and X) per evaluation: the per-curve
-    oracle for the gradient check's stacked curve points, and the curve of
-    the finite-difference tests (any t for gradients, stationary points for
-    Hessians, where curve-independence holds)."""
+    """Curve t -> quotient point through z with initial velocity theta: the
+    factors moved by t along theta, on straight lines with a QR retraction on
+    Stiefel factors, and one ``quotient_point`` (checks, frame and X) per
+    evaluation. The curve of the finite-difference tests (any t for
+    gradients, stationary points for Hessians, where curve-independence
+    holds)."""
     theta.check_base(z)
-    geo = REGISTRY[z.geometry]
+    kinds = [f.kind for f in REGISTRY[z.geometry].factors]
 
     def curve(t):
-        return quotient_point(z.geometry, *geo.curve(z, theta.parts, t))
+        moved = [base + t * a for base, a in zip(z.factors, theta.parts)]
+        return quotient_point(z.geometry, *(qf(m) if k == "stiefel" else sym(m) if k == "spd"
+                                            else m for k, m in zip(kinds, moved)))
 
     return curve
 
 
-def metric_derivative_fd(metric, key, z, parts, h=1e-6):
-    """Central difference of one weight at z, key "w", "v", "w_inv" or
-    "v_inv", moving the factors along the total-space curve with velocity
-    ``parts``."""
-    curve = total_curve(z, HorizontalVector(z, tuple(np.asarray(p) for p in parts)))
-    plus = getattr(curve(h).weights(metric), key)
-    minus = getattr(curve(-h).weights(metric), key)
-    return (plus - minus) / (2.0 * h)
+def metric_derivative_cs(metric, key, z, parts):
+    """Complex step of one weight at z, key "w", "v", "w_inv" or "v_inv",
+    along the straight line z + i h ``parts`` in the total space: the weight's
+    form (``Weight._form``) of the complex factors, inverted by
+    ``np.linalg.inv`` for an inverse weight or an inverse key, so no
+    eigendecomposition runs on the complex path."""
+    spec = metric.weights[key.removesuffix("_inv")]
+
+    def weight(t):  # the weight at the factors z + t parts
+        factors = tuple(f + t * a for f, a in zip(z.factors, parts))
+        form = spec._form(QuotientPoint(z.geometry, factors, z.point), None)
+        return np.linalg.inv(form) if spec.inverse != key.endswith("_inv") else form
+
+    return complex_step(weight, 0.0, 1.0)
 
 
 def gauge_act(geometry, parts, g):
