@@ -362,25 +362,40 @@ def cmd_bijection(plan, obj, rng):
     return checks
 
 
+# find_fosp's budget of outer trust-region iterations. Over classify's sweep
+# (tests/fosp_sweep.py: completion general 10x8 and psd 10x10, r=2, embedded
+# geometry, problem seeds 0-39, 2 starts each) at a budget of 1000, the 146
+# converged starts took 7-31 outer iterations and none converged later, while
+# the 14 that ran away (sigma_1 past 1,000) cost 1.6-4.4 ms per outer
+# iteration on a 2-core Xeon. 100 is three times the slowest converged start
+FOSP_BUDGET = 100
+FOSP_GRAD_TOL = 1e-10  # find_fosp's absolute bound on |grad|
+
+
 def _fosp_points(plan, obj, rng):
-    """The FOSPs to check, and the checks that start the report: none, or a
-    failed ``fosp-search`` when no ``find_fosp`` start converges."""
+    """The FOSPs to check, and the checks that start the report: none for the
+    analytic FOSPs of an approx problem; for solver FOSPs one ``fosp-search``
+    check, passed when a ``find_fosp`` start converged, that lists each
+    start's outcome, outer iterations and Hessian-vector products."""
     prob = plan.problem
     max_points = plan.counts.get("max_fosp_points", 4)
     if prob["kind"] == "approx":
         return list(itertools.islice(analytic_fosps(obj, prob["r"]), max_points)), []
     kind_tag = EMBEDDED[prob["case"]]
-    pts = []
+    pts, starts = [], []
     for _ in range(max_points):
-        res = find_fosp(obj, plan.point(kind_tag, rng), max_iter=20000, tol=1e-10)
+        res = find_fosp(obj, plan.point(kind_tag, rng), max_iter=FOSP_BUDGET,
+                        tol=FOSP_GRAD_TOL)
+        starts.append({"outcome": res.outcome, "iterations": res.iterations,
+                       "hess_vecs": res.hess_vecs})
         if res.converged:
             pts.append(res.point)
-    if pts:
-        return pts, []
-    return [], [_check("fosp-search", False, starts=max_points, converged=0)]
+    return pts, [_check("fosp-search", bool(pts), starts=starts, converged=len(pts))]
 
 
 def cmd_verify_sandwich(plan, obj, rng):
+    if not plan.quotient_rows:  # no row to check: no search either
+        return []
     fosps, checks = _fosp_points(plan, obj, rng)
     # every (geometry, metric) row at a FOSP shares its embedded spectrum
     spectra = [hessian_spectrum(pt, obj) for pt in fosps]

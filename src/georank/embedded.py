@@ -154,6 +154,11 @@ class EmbeddedTangent(Stack):
         """The Frobenius norm: a float, or one per tangent of a stack."""
         return np.sqrt(sum((a * a).sum(axis=(-2, -1)) for a in (self.S, self.Up, self.Vp)))
 
+    def inner(self, other) -> float:
+        """The Frobenius inner product of two tangents' ambient matrices."""
+        other.check_base(self.base)
+        return float(self.flat() @ other.flat())
+
 
 def _column_signs(u):
     """Signs making the largest-magnitude entry of each column of U positive,
@@ -319,10 +324,7 @@ def riem_hess_matrix_embedded(pt: EmbeddedPoint, obj: Objective,
     on the ambient matrices (d p1 p2 doubles), the correction C + C^T with
     C_ij = <Up_i^T nabla f, Sigma^-1 Vp_j^T>, one product of flattened stacks."""
     tangents.check_base(pt)
-    sig = pt.Sigma
-    s = np.linalg.svd(sig, compute_uv=False)
-    if below_floor(s[-1], s[0], RANK_TOL):
-        raise RankError("core factor is numerically singular")
+    sig = _invertible_core(pt)
     egrad = obj.egrad(pt.X)
     h = obj.ehess_matrix(pt.X, tangents.ambient())
     c = ((tangents.Up.mT @ egrad).reshape(len(h), -1)
@@ -331,10 +333,49 @@ def riem_hess_matrix_embedded(pt: EmbeddedPoint, obj: Objective,
     return h, tangent_project(pt, egrad)
 
 
+def _invertible_core(pt: EmbeddedPoint) -> np.ndarray:
+    """pt.Sigma, refused when numerically singular: the Hessian's curvature
+    term solves with it."""
+    s = np.linalg.svd(pt.Sigma, compute_uv=False)
+    if below_floor(s[-1], s[0], RANK_TOL):
+        raise RankError("core factor is numerically singular")
+    return pt.Sigma
+
+
+def riem_hess_vec_embedded(pt: EmbeddedPoint, obj: Objective, xi: EmbeddedTangent,
+                           egrad=None) -> EmbeddedTangent:
+    """Hess f(X)[xi], the Riemannian Hessian at pt applied to one tangent
+    (Vandereycken 2013, Prop. 2.3): the tangent projection of the Euclidean
+    Hessian image of xi, plus the curvature term that
+    ``riem_hess_matrix_embedded`` polarizes, in factored form with
+    Z = nabla f and P_perp = I - U U^T (or I - V V^T), so no complement is
+    formed:
+
+        Up += P_perp Z Vp Sigma^-T,   Vp += P_perp Z^T Up Sigma^-1.
+
+    For the PSD kind Vp is Up and Sigma is symmetric, the ambient matrix
+    counts Up twice, and the two terms are one: Up += P_perp sym(Z) Up
+    Sigma^-1. ``egrad`` is Z when the caller has it, so that a solver
+    evaluates it once per point."""
+    xi.check_base(pt)
+    sig = _invertible_core(pt)
+    z = obj.egrad(pt.X) if egrad is None else egrad
+    h = tangent_project(pt, obj.ehess_vec(pt.X, xi.ambient()))
+    u = pt.U
+    if pt.kind == "psd":
+        a = np.linalg.solve(sig, (sym(z) @ xi.Up).T).T
+        return EmbeddedTangent(pt, (h.S, h.Up + a - u @ (u.T @ a)))
+    v = pt.V
+    a = np.linalg.solve(sig, (z @ xi.Vp).T).T
+    b = np.linalg.solve(sig.T, (z.T @ xi.Up).T).T
+    return EmbeddedTangent(pt, (h.S, h.Up + a - u @ (u.T @ a), h.Vp + b - v @ (v.T @ b)))
+
+
 def riem_hess_quad_embedded(pt: EmbeddedPoint, obj: Objective,
                             xi: EmbeddedTangent) -> float:
-    """Quadratic form of the Riemannian Hessian at pt along xi."""
-    return float(riem_hess_matrix_embedded(pt, obj, xi[None])[0][0, 0])
+    """Quadratic form of the Riemannian Hessian at pt along xi,
+    <xi, Hess f[xi]>."""
+    return xi.inner(riem_hess_vec_embedded(pt, obj, xi))
 
 
 def retract(pt: EmbeddedPoint, xi: EmbeddedTangent, t: float) -> EmbeddedPoint:

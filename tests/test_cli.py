@@ -99,8 +99,15 @@ class TestVerifySandwich:
                         str(out), "--no-timestamp"], tmp_path)
         report = read_report(proc, out)
         assert report["passed"]
-        # stationary points came from the solver, not the analytic oracle
-        assert all(c["details"]["grad_norm"] < 1e-8 for c in report["checks"])
+        # stationary points came from the solver, not the analytic oracle: the
+        # report opens with the search, which names each start's outcome
+        search, *rows = report["checks"]
+        assert search["name"] == "fosp-search" and search["passed"]
+        [start] = search["details"]["starts"]
+        assert start["outcome"] == "converged" and search["details"]["converged"] == 1
+        assert 0 < start["iterations"] <= cli.FOSP_BUDGET
+        assert start["hess_vecs"] >= start["iterations"]
+        assert rows and all(c["details"]["grad_norm"] < 1e-8 for c in rows)
 
 
 class TestErrorPaths:
@@ -136,7 +143,8 @@ class TestErrorPaths:
 
         def no_fosp(obj, init, max_iter, tol):
             starts.append(init)
-            return types.SimpleNamespace(converged=False, point=init, iterations=max_iter)
+            return types.SimpleNamespace(converged=False, point=init, iterations=max_iter,
+                                         outcome="budget spent", hess_vecs=7)
 
         monkeypatch.setattr(cli, "find_fosp", no_fosp)
         cfg = write_config(tmp_path, "c.json", {
@@ -150,8 +158,9 @@ class TestErrorPaths:
         assert status == 1
         report = json.loads(out.read_text())
         assert not report["passed"]
+        start = {"outcome": "budget spent", "iterations": cli.FOSP_BUDGET, "hess_vecs": 7}
         assert report["checks"] == [{"name": "fosp-search", "passed": False,
-                                     "details": {"starts": 3, "converged": 0}}]
+                                     "details": {"starts": [start] * 3, "converged": 0}}]
         assert len(starts) == 3
 
     @pytest.mark.parametrize("small", [1e-7, 1e-8])

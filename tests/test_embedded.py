@@ -17,6 +17,7 @@ from georank.embedded import (
     riem_grad_embedded,
     riem_hess_matrix_embedded,
     riem_hess_quad_embedded,
+    riem_hess_vec_embedded,
     tangent_basis,
     tangent_project,
     truncate_sum,
@@ -37,6 +38,7 @@ from util import (
     kind_of,
     polarize,
     random_approx_objective,
+    random_objective,
     random_point,
     stacked,
 )
@@ -273,6 +275,28 @@ class TestRiemHess:
                 assert abs(value - swapped) <= 1e-12 * scale
                 assert abs(value - polarize(quad, a, b)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("name", ["approx", "completion", "sensing"])
+    @pytest.mark.parametrize("kind", ["psd", "general"])
+    def test_hessian_vector_product_matches_the_matrix(self, kind, name):
+        # <b_j, Hess f[b_i]> on the orthonormal tangent basis is the builder's
+        # matrix, at random points, where the curvature term is live; with the
+        # Euclidean gradient passed in or evaluated, bit for bit
+        rng = np.random.default_rng(15)
+        for p1, p2, r in [(6, 5, 2), (5, 4, 1), (7, 3, 3)]:
+            p2 = p1 if kind == "psd" else p2
+            pt = random_point(EMBEDDED[kind], p1, p2, r, rng)
+            obj = random_objective(kind, p1, p2, name, rng)
+            basis = tangent_basis(pt)
+            h, grad = riem_hess_matrix_embedded(pt, obj, basis)
+            assert grad.norm() > 1e-2
+            egrad = obj.egrad(pt.X)
+            images = [riem_hess_vec_embedded(pt, obj, basis[i], egrad)
+                      for i in range(len(basis))]
+            got = basis.flat() @ np.stack([v.flat() for v in images]).T
+            assert np.max(np.abs(got - h)) <= 1e-12 * np.max(np.abs(h))
+            own = riem_hess_vec_embedded(pt, obj, basis[0])
+            assert all(np.array_equal(a, b) for a, b in zip(own.parts, images[0].parts))
+
     @pytest.mark.parametrize("kind", ["psd", "general"])
     def test_tangent_at_another_point_rejected(self, kind):
         # alone or among tangents at pt, before the objective is evaluated;
@@ -290,6 +314,8 @@ class TestRiemHess:
                     riem_hess_matrix_embedded(pt, obj, tangents)
             with pytest.raises(ValueError, match="not based"):
                 riem_hess_quad_embedded(pt, obj, there)
+            with pytest.raises(ValueError, match="not based"):
+                riem_hess_vec_embedded(pt, obj, there)
         assert calls == {"egrad": 0, "ehess_vec": 0}
 
 

@@ -133,6 +133,12 @@ def test_benchmark_gate_reads_every_golden_report(name):
         assert np.isfinite(gate.margin_dec(observed, tolerance)), label
 
 
+def _named(report):
+    """The report with its checks keyed by name, so that a check added or
+    dropped does not shift the paths of the checks after it."""
+    return {**report, "checks": {f"[{c['name']}]": c for c in report["checks"]}}
+
+
 def _leaves(value, path=""):
     """(JSON path, value) of every scalar in a parsed report, in order."""
     if isinstance(value, dict):
@@ -154,7 +160,7 @@ SPECTRAL_RTOL = 1e-12  # largest relative move of a spectral value the rule allo
 # a noise check stays this many decades inside its tolerance unless it was
 # closer before; the summary names each check that falls below it
 NOISE_FLOOR_DEC = 5.0
-SPECTRAL = re.compile(r"^/checks\[(\d+)\]/.*/(eig_embedded\[\d+\]|eig_quotient\[\d+\]"
+SPECTRAL = re.compile(r"^/checks/\[([^\]]+)\]/.*/(eig_embedded\[\d+\]|eig_quotient\[\d+\]"
                       r"|lam_f|lam_h|lo|hi|min_eigenvalue)$")
 
 
@@ -169,7 +175,7 @@ def _spectrum_scale(report, check, label, seen):
     """Largest |eigenvalue| of the spectrum behind a spectral value: a
     sandwich row's two spectra, or, for a classify label, the largest that
     ``hessian_spectrum`` returned for its geometry and metric in this case."""
-    det = report["checks"][check]["details"]
+    det = next(c["details"] for c in report["checks"] if c["name"] == check)
     if "eig_embedded" in det:
         return max(abs(v) for v in det["eig_embedded"] + det["eig_quotient"])
     return seen.get(label, float("nan"))
@@ -205,7 +211,7 @@ def compare(tmp_dir):
     for case in sorted(CASES):
         old = json.loads((GOLDEN / f"{case}.json").read_text())
         new, seen = _regenerate(case, tmp_dir)
-        before, after = dict(_leaves(old)), dict(_leaves(new))
+        before, after = dict(_leaves(_named(old))), dict(_leaves(_named(new)))
         moved, worst = 0, 0.0
         worst_value, worst_scale = 0.0, 0.0
         print(f"== {case}")
@@ -221,7 +227,7 @@ def compare(tmp_dir):
                 match = SPECTRAL.match(key)
                 if match:
                     label = key.split("/labels/")[-1].rsplit("/", 1)[0]
-                    scale = _spectrum_scale(new, int(match.group(1)), label, seen)
+                    scale = _spectrum_scale(new, match.group(1), label, seen)
                     worst_value = max(worst_value, rel)
                     worst_scale = max(worst_scale, abs(b - a) / scale)
             else:
@@ -229,8 +235,10 @@ def compare(tmp_dir):
         print(f"  {moved} values moved, largest relative change {worst:.2e}")
         if any(SPECTRAL.match(key) for key in after):
             spectral[case] = (worst_value, worst_scale)
-        pairs = list(zip(gate.margin_pairs(old), gate.margin_pairs(new)))
-        for (label, obs0, tol0), (_, obs1, tol1) in pairs:
+        regenerated = {label: (obs, tol) for label, obs, tol in gate.margin_pairs(new)}
+        pairs = [(label, obs, tol, *regenerated[label])
+                 for label, obs, tol in gate.margin_pairs(old) if label in regenerated]
+        for label, obs0, tol0, obs1, tol1 in pairs:
             m0, m1 = gate.margin_dec(obs0, tol0), gate.margin_dec(obs1, tol1)
             margins.append((f"{case} {label}", m0, m1))
             print(f"  margin {label}: {m0:.2f} -> {m1:.2f} dec ({m1 - m0:+.2f})")

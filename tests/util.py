@@ -13,8 +13,8 @@ import numpy as np
 import georank
 from georank import make_masked_completion, make_matrix_approx, make_matrix_sensing
 from georank.cli import TOLERANCES, _check, _worst
-from georank.embedded import (_point_from_factors, project_rank_r, tangent_project,
-                               truncate_sum)
+from georank.embedded import (_point_from_factors, project_rank_r, retract,
+                               riem_grad_embedded, tangent_project, truncate_sum)
 from georank.flows import flow_field
 from georank.objectives import Objective
 from georank.landscape import hessian_spectrum
@@ -137,6 +137,60 @@ def symmetrized_sensing(ops, obs):
         return 0.5 * (raw_ehess(x, z) + raw_ehess(x.T, z.T).T)
 
     return value, egrad, ehess_vec
+
+
+# the gradient-descent FOSP search that preceded the trust region, kept as
+# its oracle: Riemannian gradient descent with Armijo backtracking and the
+# projection retraction, from a first step of 1 / (power-iteration estimate of
+# the Euclidean Hessian's norm)
+GD_BACKTRACKS = 60  # step halvings per line search
+GD_ARMIJO = 1e-4  # sufficient-decrease constant of that line search
+GD_FLAT_HESSIAN = 1e-12  # a Hessian norm estimate at most this is 0: a unit first step
+
+
+def _hessian_norm_estimate(obj, x, iters=20, seed=0):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(x.shape)
+    v /= np.linalg.norm(v)
+    lam = 1.0
+    for _ in range(iters):
+        w = obj.ehess_vec(x, v)
+        lam = np.linalg.norm(w)
+        if not lam > GD_FLAT_HESSIAN:
+            return 0.0
+        v = w / lam
+    return float(lam)
+
+
+def gradient_descent_fosp(obj, init, max_iter, tol):
+    """Oracle: (point, converged) of gradient descent from ``init`` until
+    |grad| <= tol, within ``max_iter`` iterations."""
+    pt = init
+    lip = _hessian_norm_estimate(obj, pt.X)
+    t0 = 1.0 / lip if lip else 1.0
+    fval = obj.value(pt.X)
+    grad = riem_grad_embedded(pt, obj)
+    gnorm = grad.norm()
+    for _ in range(max_iter):
+        if gnorm <= tol:
+            break
+        step = t0
+        for _ in range(GD_BACKTRACKS):
+            try:
+                cand = retract(pt, grad, -step)
+            except (RankError, np.linalg.LinAlgError):
+                step *= 0.5
+                continue
+            fnew = obj.value(cand.X)
+            if fnew <= fval - GD_ARMIJO * step * gnorm**2:
+                break
+            step *= 0.5
+        else:
+            return pt, False
+        pt, fval = cand, fnew
+        grad = riem_grad_embedded(pt, obj)
+        gnorm = grad.norm()
+    return pt, bool(gnorm <= tol)
 
 
 def geometry_metric_combos(geometries):
