@@ -7,7 +7,10 @@ vector is an r x r core S with p x r factors orthogonal to the frames,
     U S V^T + Up V^T + U Vp^T,   U^T Up = 0,   V^T Vp = 0.
 
 The PSD kind is the symmetric case: a point's V is its U, the same array;
-a tangent holds (S, Up) with S symmetric, and its Vp is its Up. The
+its X is the one symmetric product W W^T with W = U chol(Sigma), so X is
+exactly symmetric, and so is a symmetric objective's gradient at X, which
+the gradients project with no p x p symmetrizing pass. A tangent holds
+(S, Up) with S symmetric, and its Vp is its Up. The
 manifold dimension is p*r - r(r-1)/2 in the PSD case and (p1 + p2 - r)*r
 in the general case. The ambient metric is Frobenius. Projection, norms,
 the Hessian matrix and the retraction need only U and V; the orthogonal
@@ -208,8 +211,18 @@ def _top_factors(x, r, kind, left=None, right=None):
 
 
 def _point_from_factors(kind, u, sigma, v):
-    x = u @ sigma @ v.T
-    return EmbeddedPoint(kind, sym(x) if kind == "psd" else x, u, sigma, v)
+    """The point with factors (U, Sigma, V). A PSD point's X is W W^T with
+    W = U chol(Sigma): numpy forms a product with its own transpose as one
+    symmetric rank-k update, so X is exactly symmetric. Sigma is positive
+    diagonal from a truncation and SPD from a quotient frame; one that
+    Cholesky refuses raises RankError."""
+    if kind != "psd":
+        return EmbeddedPoint(kind, u @ sigma @ v.T, u, sigma, v)
+    try:
+        w = u @ np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError as exc:
+        raise RankError("core of a psd point is not positive definite") from exc
+    return EmbeddedPoint(kind, w @ w.T, u, sigma, v)
 
 
 def embed_point(x, r, kind) -> EmbeddedPoint:
@@ -289,9 +302,24 @@ def tangent_project(pt: EmbeddedPoint, z) -> EmbeddedTangent:
     z = np.asarray(z, dtype=float)
     if z.shape != pt.X.shape:
         raise ValueError(f"expected shape {pt.X.shape}, got {z.shape}")
+    return _project(pt, sym(z) if pt.kind == "psd" else z)
+
+
+def _project(pt: EmbeddedPoint, z) -> EmbeddedTangent:
+    """The tangent projection of an ambient Z, symmetric for the PSD kind."""
     if pt.kind == "psd":
-        return _tangent_from_products(pt, sym(z) @ pt.U, None)
+        return _tangent_from_products(pt, z @ pt.U, None)
     return _tangent_from_products(pt, z @ pt.V, z.T @ pt.U)
+
+
+def _egrad(pt: EmbeddedPoint, obj: Objective) -> np.ndarray:
+    """nabla f(X) as the point's geometries read it. The PSD geometries see
+    the symmetrized objective, whose gradient at a symmetric X is the
+    symmetric part. A symmetric objective's gradient at a PSD point's
+    exactly symmetric X is exactly symmetric already (see ``Objective``), so
+    only another objective's gradient is symmetrized."""
+    g = obj.egrad(pt.X)
+    return sym(g) if pt.kind == "psd" and not obj.symmetric else g
 
 
 def _tangent_from_products(pt: EmbeddedPoint, zv, ztu) -> EmbeddedTangent:
@@ -307,7 +335,7 @@ def _tangent_from_products(pt: EmbeddedPoint, zv, ztu) -> EmbeddedTangent:
 
 def riem_grad_embedded(pt: EmbeddedPoint, obj: Objective) -> EmbeddedTangent:
     """Riemannian gradient: the tangent projection of the Euclidean gradient."""
-    return tangent_project(pt, obj.egrad(pt.X))
+    return _project(pt, _egrad(pt, obj))
 
 
 def riem_hess_matrix_embedded(pt: EmbeddedPoint, obj: Objective,
@@ -325,12 +353,12 @@ def riem_hess_matrix_embedded(pt: EmbeddedPoint, obj: Objective,
     C_ij = <Up_i^T nabla f, Sigma^-1 Vp_j^T>, one product of flattened stacks."""
     tangents.check_base(pt)
     sig = _invertible_core(pt)
-    egrad = obj.egrad(pt.X)
+    egrad = _egrad(pt, obj)
     h = obj.ehess_matrix(pt.X, tangents.ambient())
     c = ((tangents.Up.mT @ egrad).reshape(len(h), -1)
          @ np.linalg.solve(sig, tangents.Vp.mT).reshape(len(h), -1).T)
     h += c + c.T
-    return h, tangent_project(pt, egrad)
+    return h, _project(pt, egrad)
 
 
 def _invertible_core(pt: EmbeddedPoint) -> np.ndarray:

@@ -19,7 +19,9 @@ combination of the stages' fields, each a tangent at its own stage point.
 ``embedded.truncate_sum`` takes that truncation from the stacked factors, so
 no p x p matrix is decomposed. The first stage's field is a tangent at X
 itself and shares its frames, so the second stage point's core is 2r square
-and the step's end point's 8r.
+and the step's end point's 8r. A PSD point's X is formed as one symmetric
+product W W^T, W = U chol(Sigma), exactly symmetric, and so is a symmetric
+objective's gradient there, so a PSD step makes no p x p symmetrizing pass.
 
 One loop steps every flow, one or several together, and holds only each
 flow's current state. A ``FlowTrace`` keeps the start point as given and

@@ -31,7 +31,11 @@ class Objective:
     takes one image per vector of a stack. When
     ``symmetric`` is set the objective satisfies f(X) = f(X^T), which the PSD
     geometries rely on: symmetric sensing holds symmetrized operators and
-    returns the symmetric part of its gradient and Hessian images.
+    returns the symmetric part of its gradient and Hessian images, and the
+    other kinds hold an exactly symmetric target (and mask). So ``egrad``
+    at an exactly symmetric X is exactly symmetric, entrywise for approx
+    and completion and through the adjoint for sensing, and the PSD
+    geometries read it with no symmetrizing pass of their own.
     """
 
     kind: str
@@ -132,6 +136,8 @@ def _objective(kind, target, op, symmetric) -> Objective:
             raise ValueError("symmetric objective requires a symmetric target")
         elif op is not None and np.any(op != op.T):
             raise ValueError("symmetric objective requires a symmetric mask")
+        else:
+            target = sym(target)
     return Objective(kind, shape, symmetric, target, op)
 
 

@@ -56,6 +56,7 @@ import numpy as np
 from .embedded import (
     EmbeddedPoint,
     Stack,
+    _egrad,
     _point_from_factors,
     _tangent_from_products,
     embed_point,
@@ -63,7 +64,7 @@ from .embedded import (
     tangent_basis,
 )
 from .linalg import (RANK_TOL, ConditioningError, SymmetricSylvester, below_floor,
-                     check_orthonormal, is_symmetric, skew, spd_functions, sym)
+                     check_orthonormal, is_symmetric, skew, spd_functions, spd_inverse, sym)
 from .objectives import Objective
 
 HORIZ_TOL = 1e-8
@@ -226,13 +227,18 @@ class Weight:
     inverse: bool = False
 
     def values(self, z: QuotientPoint) -> tuple:
-        """The weight and its inverse at z, from one inversion of the form:
-        none for the identity, and the form itself is an inverse weight's
-        inverse."""
+        """The weight and its inverse at z, from one inversion: none for the
+        identity, and the form itself is an inverse weight's inverse. The
+        "B2" form inverts B, and (c B^2)^-1 = B^-1 B^-1 / c, so its SPD floor
+        reads B's condition, not its square."""
         f = self._form(z, None)
         if self.form == "I":
             return f, f
-        f_inv = spd_functions(f).inv
+        if self.form == "B2":
+            b_inv = spd_inverse(z.factor(self.factor))
+            f_inv = sym(b_inv @ b_inv) / self.c
+        else:
+            f_inv = spd_inverse(f)
         return (f_inv, f) if self.inverse else (f, f_inv)
 
     def deriv(self, z: QuotientPoint, w: np.ndarray, parts) -> np.ndarray:
@@ -481,8 +487,13 @@ def gradient_lift_from_ambient(
     of h; applied to the ambient form of the embedded Riemannian gradient it
     realizes the quotient side of the gradient-conversion identities.
     """
-    wt = z.weights(metric)
-    parts = REGISTRY[z.geometry].grad_lift(z, wt, _ambient_gradient(z, nabla))
+    return _gradient_lift(z, metric, _ambient_gradient(z, nabla))
+
+
+def _gradient_lift(z: QuotientPoint, metric: MetricFamily, nabla) -> HorizontalVector:
+    """The horizontal lift of an ambient gradient that the geometry reads as
+    it is: symmetric for the PSD kind."""
+    parts = REGISTRY[z.geometry].grad_lift(z, z.weights(metric), nabla)
     return HorizontalVector(z, parts, _space(z, metric))
 
 
@@ -495,7 +506,7 @@ def riem_grad_quotient(
     Derived from the factor map's chain; the defining property
     g(grad, theta) = D h(Z)[theta] holds for every horizontal theta.
     """
-    return gradient_lift_from_ambient(z, metric, obj.egrad(z.X))
+    return _gradient_lift(z, metric, _egrad(z.point, obj))
 
 
 def riem_hess_matrix_quotient(z: QuotientPoint, obj: Objective, metric: MetricFamily,
@@ -559,7 +570,7 @@ def _b_inverse(z, wt):
     ``Weights.at`` has inverted already."""
     if wt.metric.weights["w"] == B_INVERSE:
         return wt.w
-    return _read_only(spd_functions(z.factor("B")).inv)
+    return _read_only(spd_inverse(z.factor("B")))
 
 
 def _extremes(m):
@@ -746,7 +757,7 @@ class QuotientGeometry:
         partials and DW[G] are computed once, the stack's differentials
         (d p1 p2 doubles) and DWs in one call each, the first term by
         ``Objective.ehess_matrix`` and the others in a pair loop."""
-        nabla = _ambient_gradient(z, obj.egrad(z.X))
+        nabla = _egrad(z.point, obj)
         grad = self.grad_lift(z, wt, nabla)
         stiefel = [(i, base, self.partial(z, nabla, i))
                    for i, (f, base) in enumerate(zip(self.factors, z.factors))

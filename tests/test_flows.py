@@ -162,7 +162,8 @@ class TestIntegrateFlow:
     def test_rank_collapse_returns_partial_trace(self, source):
         # flowing toward a rank-1 target drives sigma_2 to zero exponentially
         # while sigma_1 stays near 1, so the rank-gap tolerance must trip; the
-        # matched metric's weights refuse the core B as not positive definite
+        # matched flow is the embedded one and trips it at the same step, in
+        # truncate_sum's rank test, at t = 4.6
         obj = make_matrix_approx(np.diag([1.0, 0.0, 0.0]), symmetric=True)
         x0 = project_rank_r(np.diag([1.0, 1e-8, 0.0]), 2, "psd")
         trace = integrate_flow(x0, obj, source, 50.0, 0.05)
@@ -171,6 +172,18 @@ class TestIntegrateFlow:
         assert trace.message.startswith("rank collapse at t = ")
         out = compare_flows(x0, obj, ("psd_embedded", None), source, 50.0, 0.05)
         assert out["degenerate"]
+
+    def test_matched_flow_runs_as_far_as_the_embedded_one(self):
+        # V_B = 2 B^2 squares the core's condition; its inverse is taken from
+        # B^-1, so the SPD floor reads B's sigma_2 / sigma_1 = 1e-8 and the
+        # start point is no refusal
+        obj = make_matrix_approx(np.diag([1.0, 0.0, 0.0]), symmetric=True)
+        x0 = project_rank_r(np.diag([1.0, 1e-8, 0.0]), 2, "psd")
+        emb = integrate_flow(x0, obj, ("psd_embedded", None), 50.0, 0.05)
+        matched = integrate_flow(x0, obj, ("psd_q2", "matched"), 50.0, 0.05)
+        assert not matched.message.startswith("rank collapse at t = 0:")
+        assert len(matched) == len(emb) > 1
+        assert matched.message == emb.message
 
     def test_no_step_rejected(self):
         # round(T / dt) = 0 steps would return a one-state trace that

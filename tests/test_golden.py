@@ -6,6 +6,8 @@ six commands on a small PSD and a small general problem, with every geometry
 and every metric family, plus one completion `classify` so `find_fosp` runs,
 and `flow-compare` at the benchmark's `trajectory` sizes (psd 200x200, r=5
 and general 160x120, r=4, completion, seed 1), where its flows are timed.
+Those two are also written by a child process whose BLAS runs one thread,
+as the benchmark's runs do, and must match the same files.
 
 A refactor that keeps the floating-point operation order must leave these
 files unchanged. To see what a change moves, regenerate the reports into a
@@ -32,13 +34,16 @@ To regenerate the golden files on purpose (and say so in CHANGES.md):
 
 import importlib.util
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import georank
 from georank import landscape, linalg
 from georank.cli import COMMANDS, run
 
@@ -89,6 +94,34 @@ def test_report_matches_golden(name, tmp_path):
     expected = (GOLDEN / f"{name}.json").read_text()
     assert report_text(name, tmp_path) == expected, (
         f"running under OpenBLAS kernel {blas_core()}; goldens written under {GOLDEN_KERNEL}")
+
+
+# the workload-size cases, and the BLAS thread count that the benchmark
+# fixes for its runs (perfbench/run.py)
+TRAJECTORY_CASES = ("flow-compare.psd-200x200", "flow-compare.general-160x120")
+ONE_BLAS_THREAD = {var: "1" for var in
+                   ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+# argv: the tests directory, the output directory, then the case names
+CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_golden import report_text
+for name in sys.argv[3:]:
+    report_text(name, sys.argv[2])
+"""
+
+
+def test_workload_size_goldens_hold_under_one_blas_thread(tmp_path):
+    """The workload-size reports are byte-identical in a child process
+    whose BLAS runs one thread, as the benchmark's do."""
+    src = str(Path(georank.__file__).resolve().parent.parent)
+    env = {**os.environ, **ONE_BLAS_THREAD,
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    subprocess.run([sys.executable, "-c", CHILD, str(Path(__file__).resolve().parent),
+                    str(tmp_path), *TRAJECTORY_CASES], check=True, env=env, timeout=600)
+    for name in TRAJECTORY_CASES:
+        assert (tmp_path / f"{name}.json").read_text() == (GOLDEN / f"{name}.json").read_text(), (
+            f"{name} under one BLAS thread, OpenBLAS kernel {blas_core()}")
 
 
 # Sylvester operators factored by a bijection-roundtrip golden report: one
