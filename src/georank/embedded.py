@@ -302,24 +302,30 @@ def tangent_project(pt: EmbeddedPoint, z) -> EmbeddedTangent:
     z = np.asarray(z, dtype=float)
     if z.shape != pt.X.shape:
         raise ValueError(f"expected shape {pt.X.shape}, got {z.shape}")
-    return _project(pt, sym(z) if pt.kind == "psd" else z)
+    return _project(pt, _read_ambient(pt.kind, z))
 
 
 def _project(pt: EmbeddedPoint, z) -> EmbeddedTangent:
-    """The tangent projection of an ambient Z, symmetric for the PSD kind."""
+    """The tangent projection of an ambient Z as ``_read_ambient`` gives it."""
     if pt.kind == "psd":
         return _tangent_from_products(pt, z @ pt.U, None)
     return _tangent_from_products(pt, z @ pt.V, z.T @ pt.U)
 
 
+def _read_ambient(kind: str, z, symmetric: bool = False) -> np.ndarray:
+    """An ambient Z as the geometries of ``kind`` read it. A PSD tangent space
+    and the symmetrized objective that the PSD geometries see read only the
+    symmetric part of Z; ``symmetric`` says Z is exactly symmetric already
+    and skips that pass."""
+    return sym(z) if kind == "psd" and not symmetric else z
+
+
 def _egrad(pt: EmbeddedPoint, obj: Objective) -> np.ndarray:
-    """nabla f(X) as the point's geometries read it. The PSD geometries see
-    the symmetrized objective, whose gradient at a symmetric X is the
-    symmetric part. A symmetric objective's gradient at a PSD point's
-    exactly symmetric X is exactly symmetric already (see ``Objective``), so
-    only another objective's gradient is symmetrized."""
-    g = obj.egrad(pt.X)
-    return sym(g) if pt.kind == "psd" and not obj.symmetric else g
+    """nabla f(X) as the point's geometries read it. A symmetric objective's
+    gradient at a PSD point's exactly symmetric X is exactly symmetric
+    already (see ``Objective``), so only another objective's gradient is
+    symmetrized."""
+    return _read_ambient(pt.kind, obj.egrad(pt.X), obj.symmetric)
 
 
 def _tangent_from_products(pt: EmbeddedPoint, zv, ztu) -> EmbeddedTangent:
@@ -383,15 +389,15 @@ def riem_hess_vec_embedded(pt: EmbeddedPoint, obj: Objective, xi: EmbeddedTangen
 
     For the PSD kind Vp is Up and Sigma is symmetric, the ambient matrix
     counts Up twice, and the two terms are one: Up += P_perp sym(Z) Up
-    Sigma^-1. ``egrad`` is Z when the caller has it, so that a solver
-    evaluates it once per point."""
+    Sigma^-1, where Z as ``_egrad`` gives it is symmetric. ``egrad`` is that
+    Z when the caller has it, so that a solver evaluates it once per point."""
     xi.check_base(pt)
     sig = _invertible_core(pt)
-    z = obj.egrad(pt.X) if egrad is None else egrad
+    z = _egrad(pt, obj) if egrad is None else egrad
     h = tangent_project(pt, obj.ehess_vec(pt.X, xi.ambient()))
     u = pt.U
     if pt.kind == "psd":
-        a = np.linalg.solve(sig, (sym(z) @ xi.Up).T).T
+        a = np.linalg.solve(sig, (z @ xi.Up).T).T
         return EmbeddedTangent(pt, (h.S, h.Up + a - u @ (u.T @ a)))
     v = pt.V
     a = np.linalg.solve(sig, (z @ xi.Vp).T).T

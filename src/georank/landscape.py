@@ -20,6 +20,8 @@ import numpy as np
 from .embedded import (
     EmbeddedPoint,
     EmbeddedTangent,
+    _egrad,
+    _project,
     embed_point,
     retract,
     riem_grad_embedded,
@@ -368,8 +370,8 @@ def find_fosp(
     max_inner = quotient_dim(EMBEDDED[pt.kind], p1, p2, pt.r)  # CG ends in d steps
     radius = radius0 = TR_RADIUS * float(np.linalg.norm(pt.X))
     fval = obj.value(pt.X)
-    egrad = obj.egrad(pt.X)
-    grad = tangent_project(pt, egrad)
+    egrad = _egrad(pt, obj)
+    grad = _project(pt, egrad)
     gnorm = grad.norm()
     trace = [(0, fval, gnorm)]
     it = hess_vecs = 0
@@ -396,8 +398,8 @@ def find_fosp(
             radius = min(2.0 * radius, TR_RADIUS_CAP * radius0)
         if rho > TR_ACCEPT:
             pt, fval = cand, fnew
-            egrad = obj.egrad(pt.X)
-            grad = tangent_project(pt, egrad)
+            egrad = _egrad(pt, obj)
+            grad = _project(pt, egrad)
             gnorm = grad.norm()
         trace.append((it, fval, gnorm))
         if gnorm <= tol:

@@ -20,8 +20,8 @@ owner, here unless named otherwise:
 - symmetry: ``is_symmetric``, relative asymmetry within ``SPD_TOL``;
 - rank floor: ``below_floor`` with ``RANK_TOL``, for a truncation's rank gap,
   a point's factors and core, and a basis Gram's conditioning;
-- SPD weight floor: ``spd_inverse``, ``spd_functions`` and ``gen_sym_eig``,
-  ``below_floor`` with ``SPD_TOL``;
+- SPD weight floor: ``spd_functions`` and ``gen_sym_eig``, ``below_floor``
+  with ``SPD_TOL``;
 - orthonormality: ``check_orthonormal``, ``ORTHONORMAL_TOL``;
 - Sylvester separation: ``below_floor`` with ``SYLVESTER_SEP_TOL``;
 - horizontality: ``quotient.horizontal_vector``, ``quotient.HORIZ_TOL``.
@@ -218,27 +218,12 @@ class SpdFunctions(NamedTuple):
     inv_sqrt: np.ndarray
 
 
-def _spd_eigh(b):
-    """The eigendecomposition of an SPD matrix, else RankError when its
-    smallest eigenvalue is below SPD_TOL of its largest; a non-finite entry
-    raises ``np.linalg.LinAlgError``."""
+def spd_functions(b) -> SpdFunctions:
+    """Square root, inverse and inverse square root of an SPD matrix, else
+    RankError; a non-finite entry raises ``np.linalg.LinAlgError``."""
     w, v = np.linalg.eigh(_symmetric(b, "matrix"))
     if below_floor(w[0], w[-1], SPD_TOL):
         raise RankError("matrix is not positive definite")
-    return w, v
-
-
-def spd_inverse(b) -> np.ndarray:
-    """The inverse of an SPD matrix, bit for bit ``spd_functions(b).inv``,
-    without the two square roots."""
-    w, v = _spd_eigh(b)
-    return sym((v / w) @ v.T)
-
-
-def spd_functions(b) -> SpdFunctions:
-    """Square root, inverse and inverse square root of an SPD matrix, under
-    the floor of ``spd_inverse``."""
-    w, v = _spd_eigh(b)
     sq = (v * np.sqrt(w)) @ v.T
     inv = (v / w) @ v.T
     inv_sq = (v / np.sqrt(w)) @ v.T

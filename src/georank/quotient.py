@@ -58,13 +58,14 @@ from .embedded import (
     Stack,
     _egrad,
     _point_from_factors,
+    _read_ambient,
     _tangent_from_products,
     embed_point,
     project_rank_r,
     tangent_basis,
 )
 from .linalg import (RANK_TOL, ConditioningError, SymmetricSylvester, below_floor,
-                     check_orthonormal, is_symmetric, skew, spd_functions, spd_inverse, sym)
+                     check_orthonormal, is_symmetric, skew, spd_functions, sym)
 from .objectives import Objective
 
 HORIZ_TOL = 1e-8
@@ -235,10 +236,10 @@ class Weight:
         if self.form == "I":
             return f, f
         if self.form == "B2":
-            b_inv = spd_inverse(z.factor(self.factor))
+            b_inv = spd_functions(z.factor(self.factor)).inv
             f_inv = sym(b_inv @ b_inv) / self.c
         else:
-            f_inv = spd_inverse(f)
+            f_inv = spd_functions(f).inv
         return (f_inv, f) if self.inverse else (f, f_inv)
 
     def deriv(self, z: QuotientPoint, w: np.ndarray, parts) -> np.ndarray:
@@ -472,10 +473,8 @@ def metric_norm(z, t, metric):
 
 
 def _ambient_gradient(z: QuotientPoint, nabla) -> np.ndarray:
-    nabla = np.asarray(nabla, dtype=float)
-    # the PSD problem only sees the symmetrized objective, whose gradient at
-    # a symmetric point is the symmetric part
-    return sym(nabla) if GEOMETRY_KIND[z.geometry] == "psd" else nabla
+    """An ambient gradient as z's geometry reads it (``_read_ambient``)."""
+    return _read_ambient(GEOMETRY_KIND[z.geometry], np.asarray(nabla, dtype=float))
 
 
 def gradient_lift_from_ambient(
@@ -491,8 +490,8 @@ def gradient_lift_from_ambient(
 
 
 def _gradient_lift(z: QuotientPoint, metric: MetricFamily, nabla) -> HorizontalVector:
-    """The horizontal lift of an ambient gradient that the geometry reads as
-    it is: symmetric for the PSD kind."""
+    """The horizontal lift of an ambient gradient as ``_read_ambient`` gives
+    it: symmetric for the PSD kind."""
     parts = REGISTRY[z.geometry].grad_lift(z, z.weights(metric), nabla)
     return HorizontalVector(z, parts, _space(z, metric))
 
@@ -570,7 +569,7 @@ def _b_inverse(z, wt):
     ``Weights.at`` has inverted already."""
     if wt.metric.weights["w"] == B_INVERSE:
         return wt.w
-    return _read_only(spd_inverse(z.factor("B")))
+    return _read_only(spd_functions(z.factor("B")).inv)
 
 
 def _extremes(m):

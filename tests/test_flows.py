@@ -7,14 +7,14 @@ import pytest
 
 from georank.cli import FLOW_PAIRS
 
-from georank import embedded
+from georank import embedded, quotient
 from georank.embedded import project_rank_r
 from georank.flows import (
     compare_flows,
     flow_field,
     integrate_flow,
 )
-from georank.linalg import sym
+from georank.linalg import RankError, sym
 from georank.objectives import make_masked_completion, make_matrix_approx
 from georank.quotient import EMBEDDED, lift_point, metric_inner, riem_grad_quotient
 
@@ -171,6 +171,29 @@ class TestIntegrateFlow:
         assert len(trace.states) >= 1
         assert trace.message.startswith("rank collapse at t = ")
         out = compare_flows(x0, obj, ("psd_embedded", None), source, 50.0, 0.05)
+        assert out["degenerate"]
+
+    def test_a_refused_weight_inversion_ends_the_flow_as_rank_collapse(self, monkeypatch):
+        # a matched step inverts B once per stage; refusing the first
+        # inversion of the third step ends the flow there, as far as it got,
+        # with the refusal as its cause, not as an exception
+        rng = np.random.default_rng(8)
+        obj, x0 = _psd_setup(rng)
+        inverted, spd_functions = [], quotient.spd_functions
+
+        def refusing_from_the_third_step(b):
+            inverted.append(b)
+            if len(inverted) > 8:
+                raise RankError("matrix is not positive definite")
+            return spd_functions(b)
+
+        monkeypatch.setattr(quotient, "spd_functions", refusing_from_the_third_step)
+        source = ("psd_q2", "matched")
+        trace = integrate_flow(x0, obj, source, 0.5, 0.05)
+        assert trace.degenerate and len(trace) == 3
+        assert trace.message == "rank collapse at t = 0.1: matrix is not positive definite"
+        inverted.clear()
+        out = compare_flows(x0, obj, ("psd_embedded", None), source, 0.5, 0.05)
         assert out["degenerate"]
 
     def test_matched_flow_runs_as_far_as_the_embedded_one(self):

@@ -11,7 +11,6 @@ import scipy.linalg
 
 from georank.linalg import (
     ConditioningError,
-    RankError,
     SymmetricSylvester,
     check_orthonormal,
     gen_sym_eig,
@@ -19,7 +18,6 @@ from georank.linalg import (
     skew,
     solve_sylvester,
     spd_functions,
-    spd_inverse,
     sym,
 )
 from georank.quotient import quotient_point
@@ -250,24 +248,6 @@ class TestSpdFunctions:
             spd_functions(np.diag([1.0, -1.0]))
         with pytest.raises(ValueError):
             spd_functions(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_inverse_is_the_functions_inverse_bit_for_bit(self):
-        rng = np.random.default_rng(7)
-        for r in (1, 3, 5):
-            c = rng.standard_normal((r, r))
-            b = c @ c.T + 0.5 * np.eye(r)
-            assert np.array_equal(spd_inverse(b), spd_functions(b).inv)
-
-    @pytest.mark.parametrize("b,error", [
-        (np.diag([1.0, 1e-13]), RankError),
-        (np.diag([1.0, -1.0]), RankError),
-        (np.array([[1.0, 2.0], [0.0, 1.0]]), ValueError),
-    ], ids=["below-floor", "indefinite", "asymmetric"])
-    def test_inverse_refuses_what_the_functions_refuse(self, b, error):
-        for f in (spd_inverse, spd_functions):
-            with pytest.raises(ValueError) as exc:
-                f(b)
-            assert exc.type is error, f
 
 
 class TestGenSymEig:

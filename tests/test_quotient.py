@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from georank.embedded import embed_point, tangent_basis
-from georank.linalg import ConditioningError, SymmetricSylvester, spd_inverse, sym
+from georank.linalg import ConditioningError, SymmetricSylvester, spd_functions, sym
 from georank.objectives import make_matrix_approx
 from georank.quotient import (
     REGISTRY,
@@ -254,7 +254,7 @@ class TestProjections:
             vertical_project(z, bad)
 
 
-# spd_inverse calls per Weights.at: one inversion per weight form other
+# spd_functions calls per Weights.at: one inversion per weight form other
 # than the identity, whose inverse is itself; an inverse weight's inverse is
 # its form, and the B2 form's is B^-1 B^-1 / c
 WEIGHT_INVERSIONS = {
@@ -270,7 +270,7 @@ class TestWeights:
     def test_one_inversion_per_non_identity_form(self, monkeypatch):
         assert set(WEIGHT_INVERSIONS) == {(geo, met.name) for geo, met
                                           in geometry_metric_combos(ALL_QUOTIENTS)}
-        calls = count_calls(monkeypatch, spd_inverse)
+        calls = count_calls(monkeypatch, spd_functions)
         rng = np.random.default_rng(40)
         for geo, met in geometry_metric_combos(ALL_QUOTIENTS):
             z = _instance(geo, rng)
@@ -813,12 +813,12 @@ class TestOperatorCache:
         # psd_q2/matched has W = I and inverts B for its constants
         rng = np.random.default_rng(35)
         z = _instance(geo, rng)
-        inverted = count_calls(monkeypatch, spd_inverse)
+        inverted = count_calls(monkeypatch, spd_functions)
         for name in REGISTRY[geo].families:
             wt = z.weights(metric_family(geo, name))
             before = len(inverted)
             binv = REGISTRY[geo].constants(z, wt)["binv"]
-            assert np.array_equal(binv, spd_inverse(z.factor("B")))
+            assert np.array_equal(binv, spd_functions(z.factor("B")).inv)
             assert (binv is wt.w) == (name == "polar")
             assert len(inverted) - before == (name != "polar")
 
