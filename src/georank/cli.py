@@ -362,16 +362,6 @@ def cmd_bijection(plan, obj, rng):
     return checks
 
 
-# find_fosp's budget of outer trust-region iterations. Over classify's sweep
-# (tests/fosp_sweep.py: completion general 10x8 and psd 10x10, r=2, embedded
-# geometry, problem seeds 0-39, 2 starts each) at a budget of 1000, the 146
-# converged starts took 7-31 outer iterations and none converged later, while
-# the 14 that ran away (sigma_1 past 1,000) cost 1.6-4.4 ms per outer
-# iteration on a 2-core Xeon. 100 is three times the slowest converged start
-FOSP_BUDGET = 100
-FOSP_GRAD_TOL = 1e-10  # find_fosp's absolute bound on |grad|
-
-
 def _fosp_points(plan, obj, rng):
     """The FOSPs to check, and the checks that start the report: none for the
     analytic FOSPs of an approx problem; for solver FOSPs one ``fosp-search``
@@ -384,8 +374,7 @@ def _fosp_points(plan, obj, rng):
     kind_tag = EMBEDDED[prob["case"]]
     pts, starts = [], []
     for _ in range(max_points):
-        res = find_fosp(obj, plan.point(kind_tag, rng), max_iter=FOSP_BUDGET,
-                        tol=FOSP_GRAD_TOL)
+        res = find_fosp(obj, plan.point(kind_tag, rng))
         starts.append({"outcome": res.outcome, "iterations": res.iterations,
                        "hess_vecs": res.hess_vecs})
         if res.converged:

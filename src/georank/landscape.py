@@ -58,6 +58,14 @@ FOSP_TOL = 1e-8  # gradient norm relative to 1 + ||egrad||_2 at a FOSP
 SANDWICH_MARGIN = 1e-8  # a sandwich bound's slack, relative to the spectrum scale
 # relative entry error of the Hessian congruence H_q = M^T H_f M at a FOSP
 IDENTITY_RTOL = 5e-10
+# find_fosp's budget of outer trust-region iterations. Over classify's sweep
+# (tests/fosp_sweep.py: completion general 10x8 and psd 10x10, r=2, embedded
+# geometry, problem seeds 0-39, 2 starts each) at a budget of 1000, the 146
+# converged starts took 7-31 outer iterations and none converged later, while
+# the 14 that ran away (sigma_1 past 1,000) cost 1.6-4.4 ms per outer
+# iteration on a 2-core Xeon. 100 is three times the slowest converged start
+FOSP_BUDGET = 100
+FOSP_GRAD_TOL = 1e-10  # find_fosp's absolute bound on |grad|
 SPECTRUM_GAP_TOL = 1e-8  # relative gap that keeps analytic FOSPs isolated
 ANALYTIC_FOSP_TOL = 1e-10  # an analytic FOSP's |grad|, relative to 1 + ||M||_2
 MATCHED_RTOL = 1e-10  # beta - alpha, relative to max(1, beta), of matched coefficients
@@ -346,8 +354,8 @@ def _tcg(pt, obj, egrad, grad, radius, max_inner):
 def find_fosp(
     obj: Objective,
     init: EmbeddedPoint,
-    max_iter: int = 5000,
-    tol: float = 1e-8,
+    max_iter: int = FOSP_BUDGET,
+    tol: float = FOSP_GRAD_TOL,
 ) -> FospResult:
     """Riemannian trust region with Steihaug-Toint truncated CG (Absil, Baker
     & Gallivan, FoCM 2007) and the projection retraction, on the embedded

@@ -20,16 +20,14 @@ owner, here unless named otherwise:
 - symmetry: ``is_symmetric``, relative asymmetry within ``SPD_TOL``;
 - rank floor: ``below_floor`` with ``RANK_TOL``, for a truncation's rank gap,
   a point's factors and core, and a basis Gram's conditioning;
-- SPD weight floor: ``spd_functions`` and ``gen_sym_eig``, ``below_floor``
-  with ``SPD_TOL``;
+- SPD weight floor: ``spd_functions``, the one inversion of every metric
+  weight, and ``gen_sym_eig``, ``below_floor`` with ``SPD_TOL``;
 - orthonormality: ``check_orthonormal``, ``ORTHONORMAL_TOL``;
 - Sylvester separation: ``below_floor`` with ``SYLVESTER_SEP_TOL``;
 - horizontality: ``quotient.horizontal_vector``, ``quotient.HORIZ_TOL``.
 
 A NaN fails every rule, and an eigenvalue floor reads finite input only.
 """
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -212,22 +210,14 @@ def orth_complement(u) -> np.ndarray:
     return vt[r:].T
 
 
-class SpdFunctions(NamedTuple):
-    sqrt: np.ndarray
-    inv: np.ndarray
-    inv_sqrt: np.ndarray
-
-
-def spd_functions(b) -> SpdFunctions:
-    """Square root, inverse and inverse square root of an SPD matrix, else
-    RankError; a non-finite entry raises ``np.linalg.LinAlgError``."""
+def spd_functions(b) -> np.ndarray:
+    """The inverse of an SPD matrix, by one eigendecomposition, else
+    RankError; a non-finite entry raises ``np.linalg.LinAlgError``. Every
+    metric weight is inverted here, so its floor is the SPD weight floor."""
     w, v = np.linalg.eigh(_symmetric(b, "matrix"))
     if below_floor(w[0], w[-1], SPD_TOL):
         raise RankError("matrix is not positive definite")
-    sq = (v * np.sqrt(w)) @ v.T
-    inv = (v / w) @ v.T
-    inv_sq = (v / np.sqrt(w)) @ v.T
-    return SpdFunctions(sym(sq), sym(inv), sym(inv_sq))
+    return sym((v / w) @ v.T)
 
 
 def gen_sym_eig(h, g):

@@ -40,10 +40,12 @@ Horizontal vectors are stored in ambient total-space coordinates, one
 component per factor, as an ``embedded.Stack``, whose arithmetic, indexing
 and base-point check they share with the embedded tangents. Those the
 library makes (projections, bases, gradient lifts, ``transport.inverse_map``)
-are horizontal by construction and record their horizontal space. A vector
-built by the caller has no record and is checked once, by
-``horizontal_vector``, where a function needs it horizontal: a relative
-defect above 1e-8 is an error. Nothing is silently re-projected.
+are horizontal by construction and record the metric family they were made
+under, like every other quotient quantity keyed by (point, family). A vector
+built by the caller has no record, and one made under another family is
+checked as if it had none: once, by ``horizontal_vector``, where a function
+needs it horizontal, and a relative defect above 1e-8 is an error. Nothing
+is silently re-projected.
 """
 
 from dataclasses import dataclass, field
@@ -236,10 +238,10 @@ class Weight:
         if self.form == "I":
             return f, f
         if self.form == "B2":
-            b_inv = spd_functions(z.factor(self.factor)).inv
+            b_inv = spd_functions(z.factor(self.factor))
             f_inv = sym(b_inv @ b_inv) / self.c
         else:
-            f_inv = spd_functions(f).inv
+            f_inv = spd_functions(f)
         return (f_inv, f) if self.inverse else (f, f_inv)
 
     def deriv(self, z: QuotientPoint, w: np.ndarray, parts) -> np.ndarray:
@@ -328,12 +330,12 @@ class HorizontalVector(Stack):
     """Ambient-coordinate tangent components in the horizontal space at the
     base point.
 
-    ``space`` records the horizontal space that holds the components by
-    construction: the metric family for the geometries whose horizontal
-    space depends on the metric, else the geometry. The library functions
-    that make horizontal vectors set it, and ``+``, ``-`` and ``*`` keep it
-    when both operands share it. A vector built by the caller has none; the
-    functions that need a horizontal input check such a vector once.
+    ``space`` records the metric family whose horizontal space holds the
+    components by construction. The library functions that make horizontal
+    vectors set it, and ``+``, ``-`` and ``*`` keep it when both operands
+    share it. A vector built by the caller has none; the functions that
+    need a horizontal input under a family check any vector that does not
+    record that family, once.
     """
 
     space: object = field(default=None, repr=False)
@@ -351,12 +353,6 @@ def _norm(parts):
     return np.sqrt(sum((a * a).sum(axis=(-2, -1)) for a in parts))
 
 
-def _space(z: QuotientPoint, metric: Optional[MetricFamily]):
-    """The record of the horizontal space at z under ``metric``."""
-    geo = REGISTRY[z.geometry]
-    return metric if geo.metric_horizontal else geo
-
-
 def project_total_tangent(z: QuotientPoint, parts) -> tuple:
     """Project raw matrices onto the total-space tangent space at z.
 
@@ -367,16 +363,11 @@ def project_total_tangent(z: QuotientPoint, parts) -> tuple:
     return REGISTRY[z.geometry].project_tangent(z, parts)
 
 
-def _vertical(z: QuotientPoint, tangent, metric: Optional[MetricFamily]):
-    geo = REGISTRY[z.geometry]
-    if not geo.metric_horizontal:
-        return geo.vertical(z, tangent, None)
-    if metric is None:
-        raise ValueError(f"{z.geometry} projections require a metric family")
-    return geo.vertical(z, tangent, z.weights(metric))
+def _vertical(z: QuotientPoint, tangent, metric: MetricFamily):
+    return REGISTRY[z.geometry].vertical(z, tangent, z.weights(metric))
 
 
-def vertical_project(z: QuotientPoint, parts, metric: Optional[MetricFamily] = None):
+def vertical_project(z: QuotientPoint, parts, metric: MetricFamily):
     """Vertical component of a total-space tangent vector, or of each in a
     stack; each must be within 1e-8 (relative) of the tangent space.
 
@@ -394,19 +385,15 @@ def vertical_project(z: QuotientPoint, parts, metric: Optional[MetricFamily] = N
     return _vertical(z, tangent, metric)
 
 
-def horizontal_project(
-    z: QuotientPoint, parts, metric: Optional[MetricFamily] = None
-) -> HorizontalVector:
+def horizontal_project(z: QuotientPoint, parts, metric: MetricFamily) -> HorizontalVector:
     """Horizontal component of a total-space tangent vector (see
     ``vertical_project`` for the decomposition convention)."""
     parts = project_total_tangent(z, parts)
     hor = tuple(a - b for a, b in zip(parts, _vertical(z, parts, metric)))
-    return HorizontalVector(z, hor, _space(z, metric))
+    return HorizontalVector(z, hor, metric)
 
 
-def horizontal_vector(
-    z: QuotientPoint, *parts, metric: Optional[MetricFamily] = None
-) -> HorizontalVector:
+def horizontal_vector(z: QuotientPoint, *parts, metric: MetricFamily) -> HorizontalVector:
     """The horizontality gate: wrap components as a horizontal vector.
 
     Components within 1e-8 (relative) of the horizontal space are accepted
@@ -425,20 +412,20 @@ def horizontal_vector(
         raise ValueError(
             f"components are not horizontal (relative defect {defect:.3e})"
         )
-    return HorizontalVector(z, parts, _space(z, metric))
+    return HorizontalVector(z, parts, metric)
 
 
 def _as_horizontal(z: QuotientPoint, theta: HorizontalVector, metric):
-    """theta itself if a library function made it in the horizontal space of
-    ``metric`` at z, else the gate's verdict on its components."""
+    """theta itself if a library function made it under ``metric`` at z, else
+    the gate's verdict on its components."""
     theta.check_base(z)
-    if theta.space is _space(z, metric):
+    if theta.space is metric:
         return theta
     return horizontal_vector(z, *theta.parts, metric=metric)
 
 
 def random_horizontal(
-    z: QuotientPoint, metric: Optional[MetricFamily], rng: np.random.Generator,
+    z: QuotientPoint, metric: MetricFamily, rng: np.random.Generator,
     n: Optional[int] = None,
 ) -> HorizontalVector:
     """Gaussian tangent draw projected onto the horizontal space; with ``n``,
@@ -493,7 +480,7 @@ def _gradient_lift(z: QuotientPoint, metric: MetricFamily, nabla) -> HorizontalV
     """The horizontal lift of an ambient gradient as ``_read_ambient`` gives
     it: symmetric for the PSD kind."""
     parts = REGISTRY[z.geometry].grad_lift(z, z.weights(metric), nabla)
-    return HorizontalVector(z, parts, _space(z, metric))
+    return HorizontalVector(z, parts, metric)
 
 
 def riem_grad_quotient(
@@ -516,7 +503,7 @@ def riem_hess_matrix_quotient(z: QuotientPoint, obj: Objective, metric: MetricFa
     ``QuotientGeometry.hess_matrix``)."""
     parts = _as_horizontal(z, vectors, metric).parts
     h, grad = REGISTRY[z.geometry].hess_matrix(z, obj, z.weights(metric), parts)
-    return h, HorizontalVector(z, grad, _space(z, metric))
+    return h, HorizontalVector(z, grad, metric)
 
 
 def riem_hess_quad_quotient(
@@ -537,7 +524,7 @@ def horizontal_basis(z: QuotientPoint, metric: MetricFamily):
     wt = z.weights(metric)
     geo = REGISTRY[z.geometry]
     parts = geo.inverse(z, tangent_basis(z.point), wt)
-    return HorizontalVector(z, parts, _space(z, metric)), geo.gram(wt, parts)
+    return HorizontalVector(z, parts, metric), geo.gram(wt, parts)
 
 
 def geometries(kind: str) -> tuple:
@@ -569,7 +556,7 @@ def _b_inverse(z, wt):
     ``Weights.at`` has inverted already."""
     if wt.metric.weights["w"] == B_INVERSE:
         return wt.w
-    return _read_only(spd_functions(z.factor("B")).inv)
+    return _read_only(spd_functions(z.factor("B")))
 
 
 def _extremes(m):
@@ -590,8 +577,7 @@ class QuotientGeometry:
     A subclass sets ``name``, ``kind`` ("psd" or "general"), ``factors``,
     ``chain`` (the factor map as a product of factor names, "F^T" for a
     transposed link, e.g. ("U", "B", "U^T") for X = U B U^T) and ``metrics``
-    (family name -> (description, {weight key: Weight})), and
-    ``metric_horizontal`` when its horizontal space depends on the metric.
+    (family name -> (description, {weight key: Weight})).
 
     From the chain, the factor kinds and the weights, the base class derives
     the matched frame, the canonical lift, the metric and its Gram matrix,
@@ -607,11 +593,10 @@ class QuotientGeometry:
       at z under the metric, a dict of read-only values, which
       ``constants`` keeps in ``wt``;
     - ``inverse(z, xi, wt)``: the inverse of L on the embedded tangent space;
-    - ``bounds(z, wt)``: (alpha, beta) with alpha g <= ||L||^2 <= beta g;
+    - ``bounds(z, wt)``: (alpha, beta) with alpha g <= ||L||^2 <= beta g,
+      read from the factors and the weights record alone;
     - ``grad_embedded(z, wt, grad)``: ambient embedded gradient from a lift.
     """
-
-    metric_horizontal = False
 
     def __init__(self):
         self.families = {
@@ -847,7 +832,6 @@ class PsdQ1(QuotientGeometry):
         "inverse-gram": ("W_Y = (Y^T Y)^-1",
                          {"w": Weight("FtF", "Y", inverse=True)}),
     }
-    metric_horizontal = True
 
     def build_constants(self, z, wt):
         """P = U_frame^T Y (invertible r x r), P^-1 and M X + X M factored,
@@ -902,9 +886,10 @@ class PsdQ2(QuotientGeometry):
         return (xi.Up @ self.constants(z, wt)["binv"], sym(xi.S))
 
     def bounds(self, z, wt):
-        b = z.factor("B")
+        """sigma(V^-1/2 B) as sigma(C^T B), C C^T = V^-1 by Cholesky: under
+        matched, V^-1 = B^-1 B^-1 / 2, so the floor reads B, not 2 B^2."""
         lo_w, hi_w = _extremes(wt.w_inv)
-        lo_vb, hi_vb = _extremes(spd_functions(wt.v).inv_sqrt @ b)
+        lo_vb, hi_vb = _extremes(np.linalg.cholesky(wt.v_inv).T @ z.factor("B"))
         return min(lo_w**2, 2.0 * lo_vb**2), max(hi_w**2, 2.0 * hi_vb**2)
 
     def grad_embedded(self, z, wt, grad):
@@ -925,7 +910,6 @@ class GenQ1(QuotientGeometry):
         "crossed-gram": ("W = R^T R, V = L^T L",
                          {"w": Weight("FtF", "R"), "v": Weight("FtF", "L")}),
     }
-    metric_horizontal = True
 
     def build_constants(self, z, wt):
         """P1 = U^T L, P2 = V^T R, their inverses and M2 X + X M1 factored,
@@ -1005,11 +989,11 @@ class GenQ2(QuotientGeometry):
         return (tu, sym(xi.S), tv)
 
     def bounds(self, z, wt):
-        """(sigma_r^2, 2 sigma_1^2) of X: derived for polar's weights only."""
+        """(sigma_r^2, 2 sigma_1^2) of X: derived for polar's weights only,
+        whose W^-1 is B, and sigma(X) = lambda(B)."""
         if wt.metric.weights != self.families["polar"].weights:
             raise ValueError(f"gen_q2 has bounds for polar only, not {wt.metric.name!r}")
-        s = np.linalg.svd(z.X, compute_uv=False)
-        lo, hi = float(s[z.r - 1]), float(s[0])  # r-th/top singular value of X
+        lo, hi = _extremes(wt.w_inv)
         return lo**2, 2.0 * hi**2
 
     def grad_embedded(self, z, wt, grad):
@@ -1047,8 +1031,9 @@ class GenQ3(QuotientGeometry):
         return (tu, ty)
 
     def bounds(self, z, wt):
+        """sigma(Y V^-1/2) as sigma(Y C), C C^T = V^-1 by Cholesky."""
         lo_w, hi_w = _extremes(wt.w_inv)
-        lo_y, hi_y = _extremes(z.factor("Y") @ spd_functions(wt.v).inv_sqrt)
+        lo_y, hi_y = _extremes(z.factor("Y") @ np.linalg.cholesky(wt.v_inv))
         return min(lo_w, lo_y**2), max(hi_w, hi_y**2)
 
     def grad_embedded(self, z, wt, grad):

@@ -20,7 +20,8 @@ or B^-1, in the point's ``Weights`` record for that metric
 (``QuotientGeometry.constants``), and each solve is a few r x r products.
 The squared Frobenius norm of L is bounded above and below by
 metric-dependent coefficients (alpha, beta), which are the gap coefficients
-of the Hessian-spectrum sandwich inequalities.
+of the Hessian-spectrum sandwich inequalities. They are read from the
+factors and the same ``Weights`` record: no weight is decomposed again.
 
 L is defined only between Z and the embedded point cached inside Z (the
 matched-pair convention), which removes any eigenbasis rotation ambiguity.
@@ -49,8 +50,6 @@ from .quotient import (
     MetricFamily,
     QuotientPoint,
     _as_horizontal,
-    _check_metric,
-    _space,
 )
 
 
@@ -73,7 +72,6 @@ def forward_map(
 ) -> EmbeddedTangent:
     """L(theta): the embedded tangent induced by a horizontal vector, or the
     stack of tangents of a stack of them."""
-    _check_metric(z, metric)
     theta = _as_horizontal(z, theta, metric)
     return REGISTRY[z.geometry].forward(z, theta.parts)
 
@@ -82,11 +80,11 @@ def inverse_map(
     z: QuotientPoint, xi: EmbeddedTangent, metric: MetricFamily
 ) -> HorizontalVector:
     """L^-1(xi): the unique horizontal preimage of an embedded tangent, or
-    the stack of preimages of a stack of them."""
+    the stack of preimages of a stack of them, recording ``metric``."""
     wt = z.weights(metric)
     xi.check_base(z.point)
     parts = REGISTRY[z.geometry].inverse(z, xi, wt)
-    return HorizontalVector(z, parts, _space(z, metric))
+    return HorizontalVector(z, parts, metric)
 
 
 def spectrum_bounds(z: QuotientPoint, metric: MetricFamily) -> SandwichCoefficients:

@@ -105,7 +105,7 @@ class TestVerifySandwich:
         assert search["name"] == "fosp-search" and search["passed"]
         [start] = search["details"]["starts"]
         assert start["outcome"] == "converged" and search["details"]["converged"] == 1
-        assert 0 < start["iterations"] <= cli.FOSP_BUDGET
+        assert 0 < start["iterations"] <= landscape.FOSP_BUDGET
         assert start["hess_vecs"] >= start["iterations"]
         assert rows and all(c["details"]["grad_norm"] < 1e-8 for c in rows)
 
@@ -141,7 +141,7 @@ class TestErrorPaths:
         # a solver that never converges is a failed search, not an input error
         starts = []
 
-        def no_fosp(obj, init, max_iter, tol):
+        def no_fosp(obj, init, max_iter=landscape.FOSP_BUDGET, tol=landscape.FOSP_GRAD_TOL):
             starts.append(init)
             return types.SimpleNamespace(converged=False, point=init, iterations=max_iter,
                                          outcome="budget spent", hess_vecs=7)
@@ -158,7 +158,7 @@ class TestErrorPaths:
         assert status == 1
         report = json.loads(out.read_text())
         assert not report["passed"]
-        start = {"outcome": "budget spent", "iterations": cli.FOSP_BUDGET, "hess_vecs": 7}
+        start = {"outcome": "budget spent", "iterations": landscape.FOSP_BUDGET, "hess_vecs": 7}
         assert report["checks"] == [{"name": "fosp-search", "passed": False,
                                      "details": {"starts": [start] * 3, "converged": 0}}]
         assert len(starts) == 3

@@ -1,10 +1,11 @@
 """Horizontal by construction.
 
-The library functions that make horizontal vectors record the horizontal
-space on the vector, and the functions that need a horizontal input trust
-that record. A vector built by the caller, or one whose record names another
-space, is checked once by ``quotient.horizontal_vector``, which rejects any
-relative defect above 1e-8 and never re-projects.
+The library functions that make horizontal vectors record the metric family
+they were made under on the vector, and the functions that need a horizontal
+input under that family trust that record. A vector built by the caller, or
+one whose record names another family, is checked once by
+``quotient.horizontal_vector``, which rejects any relative defect above 1e-8
+and never re-projects.
 """
 
 import numpy as np
@@ -14,7 +15,10 @@ from georank import landscape, quotient, transport
 from georank.embedded import tangent_project
 from georank.landscape import analytic_fosps, hessian_spectrum, verify_sandwich
 from georank.quotient import (
+    IDENTITY,
     HorizontalVector,
+    MetricFamily,
+    Weight,
     horizontal_vector,
     lift_point,
     metric_choices,
@@ -123,6 +127,43 @@ class TestRecordedSpace:
                     with pytest.raises(ValueError, match="not horizontal"):
                         horizontal_vector(z, *theta.parts, metric=met)
                     _rejected_by_both(z, obj, met, theta)
+
+    def test_vector_of_one_family_passes_the_gate_once_under_another(self, monkeypatch):
+        # the horizontal spaces of psd_q2, gen_q2 and gen_q3 do not depend
+        # on the metric family: a vector made under one is checked once
+        # under another, accepted and mapped to the same tangent. gen_q2 has
+        # one family, so a second is made here
+        rng = np.random.default_rng(56)
+        calls = _counted_gate(monkeypatch)
+        w_is_b = MetricFamily("gen_q2", "w-is-b", "V = I, W = B",
+                              {"v": IDENTITY, "w": Weight("B", "B")})
+        for geo in ("psd_q2", "gen_q2", "gen_q3"):
+            z = _instance(geo, rng)
+            families = [metric_family(geo, name) for name in metric_choices(geo)]
+            families += [w_is_b] if geo == "gen_q2" else []
+            for made_for in families:
+                theta = random_horizontal(z, made_for, rng)
+                want = forward_map(z, theta, made_for).ambient()
+                for used_with in families:
+                    if used_with is made_for:
+                        continue
+                    calls.clear()
+                    got = forward_map(z, theta, used_with).ambient()
+                    assert calls == [geo]
+                    np.testing.assert_array_equal(got, want)
+
+    def test_family_of_another_geometry_is_refused(self):
+        # a vector records only a family checked against its point, so a
+        # family of another geometry never matches it and reaches the check
+        rng = np.random.default_rng(57)
+        combos = list(geometry_metric_combos(ALL_QUOTIENTS))
+        for geo, met in combos:
+            z = _instance(geo, rng)
+            theta = random_horizontal(z, met, rng)
+            for other_geo, other in combos:
+                if other_geo != geo:
+                    with pytest.raises(ValueError, match=f"used with a {geo} point"):
+                        forward_map(z, theta, other)
 
     def test_inverse_map_output_is_horizontal(self):
         rng = np.random.default_rng(54)

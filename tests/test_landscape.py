@@ -501,7 +501,7 @@ class TestFindFosp:
         obj, x0 = ORACLE_PROBLEMS[name]
         gd_point, gd_converged = gradient_descent_fosp(obj, x0, max_iter=40000, tol=1e-12)
         assert gd_converged
-        res = find_fosp(obj, x0, max_iter=cli.FOSP_BUDGET, tol=1e-12)
+        res = find_fosp(obj, x0, max_iter=landscape.FOSP_BUDGET, tol=1e-12)
         assert res.converged
         assert np.linalg.norm(res.point.X - gd_point.X) <= 1e-8
 

@@ -6,7 +6,15 @@ kinds and weights, so no geometry class writes its own. The hand-written
 formulas they replaced are oracles in ``util``: the derived lifts equal them
 bit for bit, and so do the derived frames, except ``psd_q1``'s Sigma, which
 is (U^T Y)(U^T Y)^T rather than U^T (Y Y^T) U.
+
+Every quotient quantity is keyed by (point, metric family): no geometry
+flags whether its horizontal space depends on the family, and each
+``bounds`` reads the factors and the point's ``Weights`` record, with no
+weight decomposed again (``src/georank/quotient.py`` is parsed, not imported).
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +39,7 @@ from util import (
     kind_of,
 )
 
+QUOTIENT = Path(__file__).resolve().parent.parent / "src" / "georank" / "quotient.py"
 DERIVED = ("frame", "lift", "inner", "gram")
 # (p1, p2, r): r = p, p2 < p1 (with r = p2) and p1 < p2
 SHAPES = {"psd": [(6, 6, 2), (3, 3, 3), (5, 5, 1)],
@@ -54,6 +63,42 @@ def test_guard_sees_an_override():
 
 def test_no_geometry_restates_a_derived_method():
     assert _restated(REGISTRY.values()) == []
+
+
+def _name(node):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _unkeyed(tree):
+    """(line, what) of each ``metric_horizontal`` attribute a class sets and
+    each ``spd_functions`` call inside a ``bounds`` method."""
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for node in ast.walk(cls):
+            if (isinstance(getattr(node, "ctx", None), ast.Store)
+                    and _name(node) == "metric_horizontal"):
+                yield node.lineno, "metric_horizontal"
+            if isinstance(node, ast.FunctionDef) and node.name == "bounds":
+                yield from ((call.lineno, "spd_functions in bounds") for call in ast.walk(node)
+                            if isinstance(call, ast.Call) and _name(call.func) == "spd_functions")
+
+
+def test_guard_sees_an_unkeyed_geometry():
+    tree = ast.parse("class G:\n"
+                     "    metric_horizontal = True\n"
+                     "    def bounds(self, z, wt):\n"
+                     "        return linalg.spd_functions(wt.v)\n"
+                     "class H:\n"
+                     "    def __init__(self):\n"
+                     "        self.metric_horizontal = False\n"
+                     "    def bounds(self, z, wt):\n"
+                     "        return spd_functions(wt.w)\n")
+    assert sorted(_unkeyed(tree)) == [(2, "metric_horizontal"), (4, "spd_functions in bounds"),
+                                      (7, "metric_horizontal"), (9, "spd_functions in bounds")]
+
+
+def test_every_geometry_is_keyed_by_its_metric_family():
+    assert list(_unkeyed(ast.parse(QUOTIENT.read_text()))) == []
+    assert not any(hasattr(geo, "metric_horizontal") for geo in REGISTRY.values())
 
 
 @pytest.mark.parametrize("geo,shape", CASES)

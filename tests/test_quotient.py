@@ -251,7 +251,7 @@ class TestProjections:
         z = _instance("psd_q2", rng)
         bad = (rng.standard_normal((6, 2)), rng.standard_normal((2, 2)))
         with pytest.raises(ValueError):
-            vertical_project(z, bad)
+            vertical_project(z, bad, metric_family("psd_q2", "polar"))
 
 
 # spd_functions calls per Weights.at: one inversion per weight form other
@@ -818,7 +818,7 @@ class TestOperatorCache:
             wt = z.weights(metric_family(geo, name))
             before = len(inverted)
             binv = REGISTRY[geo].constants(z, wt)["binv"]
-            assert np.array_equal(binv, spd_functions(z.factor("B")).inv)
+            assert np.array_equal(binv, spd_functions(z.factor("B")))
             assert (binv is wt.w) == (name == "polar")
             assert len(inverted) - before == (name != "polar")
 

@@ -10,14 +10,15 @@ import numpy as np
 import pytest
 
 from georank import cli, quotient
-from georank.embedded import EmbeddedTangent, tangent_project
-from georank.linalg import skew, sym
+from georank.embedded import EmbeddedTangent, project_rank_r, tangent_project
+from georank.linalg import skew, spd_functions, sym
 from georank.quotient import (
     IDENTITY,
     HorizontalVector,
     MetricFamily,
     Weight,
     horizontal_basis,
+    lift_point,
     metric_family,
     metric_inner,
     metric_norm,
@@ -31,6 +32,7 @@ from georank.transport import forward_map, inverse_map, spectrum_bounds
 from util import (
     ALL_QUOTIENTS,
     bijection_per_direction,
+    count_calls,
     dense_forward,
     geometry_metric_combos,
     hv_gap,
@@ -262,6 +264,33 @@ class TestSpectrumBounds:
         co = spectrum_bounds(z, metric_family("gen_q3", "matched"))
         assert (co.alpha, co.beta) == (pytest.approx(1.0, rel=1e-9),
                                        pytest.approx(1.0, rel=1e-9))
+
+    @pytest.mark.parametrize("name,alpha,beta", [("matched", 1.0, 1.0),
+                                                  ("polar", 1e-16, 2.0)])
+    def test_psd_q2_floor_reads_b_not_its_square(self, name, alpha, beta):
+        # B = diag(1, 1e-8): matched's V_B = 2 B^2 has condition 1e16, past
+        # the SPD floor, while B and the weights record built from it pass
+        # it, so the bounds read V_B^-1 from the record and never 2 B^2.
+        # At non-diagonal cores with cond(B) = 1e4 either route errs by
+        # about cond(B)^2 machine epsilons, on the safe side: alpha - 1 =
+        # -1.8e-8 through spd_functions(2 B^2), beta - 1 = +2.3e-10 through
+        # the record; reading the record does not remove that loss.
+        z = lift_point(project_rank_r(np.diag([1.0, 1e-8, 0.0]), 2, "psd"), "psd_q2")
+        co = spectrum_bounds(z, metric_family("psd_q2", name))
+        assert (co.alpha, co.beta) == (pytest.approx(alpha, rel=1e-12, abs=0),
+                                       pytest.approx(beta, rel=1e-12, abs=0))
+
+    def test_bounds_read_only_the_weights_record(self, monkeypatch):
+        # every weight is inverted once, by Weights.at; the bounds decompose
+        # none again
+        calls = count_calls(monkeypatch, spd_functions)
+        rng = np.random.default_rng(12)
+        for geo, met in geometry_metric_combos(ALL_QUOTIENTS):
+            z = _instance(geo, rng)
+            z.weights(met)
+            calls.clear()
+            spectrum_bounds(z, met)
+            assert calls == [], (geo, met.name)
 
     def test_bounds_hold_on_samples(self):
         rng = np.random.default_rng(11)
