@@ -73,6 +73,11 @@ class EmbeddedPoint:
         Uperp itself when V is U."""
         return self.Uperp if self.V is self.U else orth_complement(self.V)
 
+    @cached_property
+    def core_singular_values(self) -> np.ndarray:
+        """Singular values of Sigma, which the Hessian's core refusal reads."""
+        return np.linalg.svd(self.Sigma, compute_uv=False)
+
 
 @dataclass(frozen=True, eq=False)
 class Stack:
@@ -152,6 +157,17 @@ class EmbeddedTangent(Stack):
         lead = self.S.shape[:-2]
         return np.concatenate([a.reshape(*lead, -1) for a in (self.S, self.Up, self.Vp)],
                               axis=-1)
+
+    @classmethod
+    def from_flat(cls, pt, f):
+        """The inverse of ``flat``: the tangent at pt whose parts are views of
+        f, reading the first of a PSD layout's two Up blocks."""
+        (p1, p2), r = pt.shape, pt.r
+        if f.shape[-1] != r * (r + p1 + p2):
+            raise ValueError(f"expected {r * (r + p1 + p2)} flat coordinates, got {f.shape[-1]}")
+        cuts = (0, r * r, r * (r + p1), None)[:3 if pt.kind == "psd" else 4]
+        return cls(pt, tuple(f[..., a:b].reshape(*f.shape[:-1], -1, r)
+                             for a, b in zip(cuts, cuts[1:])))
 
     def norm(self):
         """The Frobenius norm: a float, or one per tangent of a stack."""
@@ -370,7 +386,7 @@ def riem_hess_matrix_embedded(pt: EmbeddedPoint, obj: Objective,
 def _invertible_core(pt: EmbeddedPoint) -> np.ndarray:
     """pt.Sigma, refused when numerically singular: the Hessian's curvature
     term solves with it."""
-    s = np.linalg.svd(pt.Sigma, compute_uv=False)
+    s = pt.core_singular_values
     if below_floor(s[-1], s[0], RANK_TOL):
         raise RankError("core factor is numerically singular")
     return pt.Sigma

@@ -321,34 +321,38 @@ RHO_REGULARIZATION = 1e3
 
 
 def _tcg(pt, obj, egrad, grad, radius, max_inner):
-    """Steihaug-Toint truncated CG on the trust-region model
-    m(eta) = f + <grad, eta> + <eta, Hess f[eta]> / 2 over ||eta|| <= radius.
-    Returns eta, Hess f[eta], the Hessian-vector products taken, and whether
-    eta stopped on the boundary (by negative curvature or by leaving it)."""
-    eta = heta = 0.0 * grad
-    res, rr = grad, grad.inner(grad)
+    """Steihaug-Toint truncated CG on m(eta) = f + <grad, eta> + <eta, Hess f[eta]> / 2
+    over ||eta|| <= radius, in ``EmbeddedTangent.flat`` coordinates: dot products,
+    elementwise updates, ``riem_hess_vec_embedded`` of each ``from_flat`` direction.
+    Returns eta and Hess f[eta] as tangents, the Hessian-vector products taken, and
+    whether eta stopped on the boundary (by negative curvature or by leaving it)."""
+    g = grad.flat()
+    eta = heta = 0.0 * g
+    res, rr = g, float(g @ g)
     r0 = np.sqrt(rr)
     delta = -res
     e_e = e_d = 0.0  # <eta, eta>, <eta, delta>
     d_d = rr  # <delta, delta>
+    j, boundary = max_inner, False
     for j in range(1, max_inner + 1):
-        hd = riem_hess_vec_embedded(pt, obj, delta, egrad)
-        d_hd = delta.inner(hd)
+        hd = riem_hess_vec_embedded(pt, obj, EmbeddedTangent.from_flat(pt, delta), egrad).flat()
+        d_hd = float(delta @ hd)
         alpha = rr / d_hd if d_hd > 0 else np.inf  # a zero or NaN curvature stops here too
         e_e_next = e_e + 2.0 * alpha * e_d + alpha * alpha * d_d
         if not (d_hd > 0 and e_e_next < radius**2):
             tau = (-e_d + np.sqrt(e_d * e_d + d_d * (radius**2 - e_e))) / d_d
-            return eta + tau * delta, heta + tau * hd, j, True
+            eta, heta, boundary = eta + tau * delta, heta + tau * hd, True
+            break
         e_e = e_e_next
         eta, heta, res = eta + alpha * delta, heta + alpha * hd, res + alpha * hd
-        rr_next = res.inner(res)
+        rr_next = float(res @ res)
         if np.sqrt(rr_next) <= r0 * min(r0, TCG_KAPPA):
-            return eta, heta, j, False
+            break
         beta, rr = rr_next / rr, rr_next
         e_d = beta * (e_d + alpha * d_d)
         d_d = rr + beta * beta * d_d
         delta = beta * delta - res
-    return eta, heta, max_inner, False
+    return (*(EmbeddedTangent.from_flat(pt, a) for a in (eta, heta)), j, boundary)
 
 
 def find_fosp(

@@ -160,6 +160,42 @@ class TestTangentProject:
         np.testing.assert_allclose(amb, amb.T, atol=1e-13)
 
 
+class TestFromFlat:
+    @staticmethod
+    def _tangents(rng):
+        """One tangent and a stack of three at a point of each shape."""
+        for kind, p1, p2, r in SHAPES:
+            pt = random_point(EMBEDDED[kind], p1, p2, r, rng)
+            xis = [tangent_project(pt, rng.standard_normal((p1, p2))) for _ in range(3)]
+            yield xis[0], stacked(*xis)
+
+    def test_round_trip_is_bitwise(self):
+        rng = np.random.default_rng(70)
+        for one, stack in self._tangents(rng):
+            for xi in (one, stack):
+                back = EmbeddedTangent.from_flat(xi.base, xi.flat())
+                assert back.base is xi.base
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(back.parts, xi.parts, strict=True))
+                assert np.array_equal(back.flat(), xi.flat())
+
+    def test_psd_layout_reads_the_first_up_block(self):
+        rng = np.random.default_rng(71)
+        pt = random_point("psd_embedded", 5, 5, 2, rng)
+        f = tangent_project(pt, rng.standard_normal((5, 5))).flat()
+        f[14:] = np.nan  # past S (4 entries) and Up (10), the second copy of Up
+        xi = EmbeddedTangent.from_flat(pt, f)
+        assert np.array_equal(xi.Up, f[4:14].reshape(5, 2)) and xi.Vp is xi.Up
+
+    def test_wrong_length_is_refused(self):
+        rng = np.random.default_rng(72)
+        for one, stack in self._tangents(rng):
+            for f in (one.flat(), stack.flat()):
+                for bad in (f[..., :-1], np.concatenate([f, f[..., :1]], axis=-1)):
+                    with pytest.raises(ValueError, match="flat coordinates"):
+                        EmbeddedTangent.from_flat(one.base, bad)
+
+
 class TestRiemGrad:
     def test_zero_at_truncation(self):
         # Eckart-Young: the truncation of M is stationary for 0.5||X - M||^2

@@ -4,9 +4,10 @@ sandwich verification, classification, solver, analytic stationary points."""
 import numpy as np
 import pytest
 
-from georank import cli, landscape
+from georank import landscape
 from georank.cli import run
-from georank.embedded import embed_point, project_rank_r, retract, riem_grad_embedded
+from georank.embedded import (EmbeddedTangent, embed_point, project_rank_r, retract,
+                              riem_grad_embedded, riem_hess_vec_embedded)
 from georank.linalg import RankError, skew
 from georank.landscape import (
     analytic_fosps,
@@ -19,7 +20,6 @@ from georank.landscape import (
 )
 from georank.objectives import make_masked_completion, make_matrix_approx
 from georank.quotient import (
-    EMBEDDED,
     REGISTRY,
     HorizontalVector,
     lift_point,
@@ -32,6 +32,8 @@ from georank.transport import spectrum_bounds
 
 from util import (
     ALL_QUOTIENTS,
+    CLASSIFY_PANEL,
+    cli_starts,
     counting,
     embedded_spectrum,
     geometry_metric_combos,
@@ -39,6 +41,7 @@ from util import (
     hv_gap,
     kind_of,
     mixed_basis_spectrum,
+    object_tcg,
     random_approx_objective,
     random_point,
 )
@@ -356,15 +359,6 @@ def _masked_completion_start():
             random_point("gen_embedded", 5, 4, 2, rng))
 
 
-def _cli_starts(config, seed):
-    """The objective and the find_fosp starts of a solver-FOSP CLI report."""
-    plan = cli._plan(config)
-    rng = np.random.default_rng(seed)
-    obj = cli._build_objective(plan.problem, rng)
-    kind_tag = EMBEDDED[plan.problem["case"]]
-    return obj, [plan.point(kind_tag, rng) for _ in range(config["max_fosp_points"])]
-
-
 def _oracle_problems():
     """(name, objective, start) of every search compared with the
     gradient-descent oracle: TestFindFosp's problems, the benchmark's classify
@@ -378,13 +372,11 @@ def _oracle_problems():
         yield f"psd-m3-seed12-start{i}", obj, project_rank_r(a @ a.T, 1, "psd")
     yield ("general-approx", *_general_approx_start())
     yield ("masked-completion", *_masked_completion_start())
-    panel = {"problem": {"kind": "completion", "case": "general", "p1": 10, "p2": 8,
-                         "r": 2}, "geometries": ["gen_embedded"], "max_fosp_points": 2}
     golden = {"problem": {"kind": "completion", "case": "general", "p1": 6, "p2": 5,
                           "r": 2}, "max_fosp_points": 1}
-    for name, config, seed in (("panel", panel, 1), ("panel", panel, 2),
+    for name, config, seed in (("panel", CLASSIFY_PANEL, 1), ("panel", CLASSIFY_PANEL, 2),
                                ("golden-classify-completion", golden, 3)):
-        obj, starts = _cli_starts(config, seed)
+        obj, starts = cli_starts(config, seed)
         for i, x0 in enumerate(starts):
             yield f"{name}-seed{seed}-start{i}", obj, x0
 
@@ -395,6 +387,26 @@ def _oracle_problems():
 GD_MISSES = {"general-approx", "panel-seed2-start0"}
 ORACLE_PROBLEMS = {name: (obj, x0) for name, obj, x0 in _oracle_problems()
                    if name not in GD_MISSES}
+
+
+def _saddle_start(kind):
+    """The rank-1 search on PSD_M3 (or GEN_M43) from 1e-3 off the truncation
+    to its smallest spectrum value, a strict saddle."""
+    m = PSD_M3 if kind == "psd" else GEN_M43
+    obj = make_matrix_approx(m, symmetric=kind == "psd")
+    *_, saddle = analytic_fosps(obj, 1)
+    z = np.random.default_rng(0).standard_normal(m.shape)
+    return obj, project_rank_r(saddle.X + 1e-3 * (z + z.T if kind == "psd" else z), 1, kind)
+
+
+# every oracle problem, with the two gradient descent misses, and a saddle
+# start of each kind; each start named in TCG_EXITS ends at least one inner
+# solve on the boundary in the way named, and a saddle start its first
+TCG_PROBLEMS = {name: (obj, x0) for name, obj, x0 in _oracle_problems()}
+TCG_PROBLEMS.update({f"{kind}-saddle": _saddle_start(kind) for kind in ("psd", "general")})
+TCG_EXITS = {"psd-saddle": "negative curvature", "general-saddle": "negative curvature",
+             "psd-m3-seed12-start2": "left the region", "masked-completion": "left the region",
+             "panel-seed2-start0": "left the region"}
 
 
 class TestFindFosp:
@@ -504,6 +516,47 @@ class TestFindFosp:
         res = find_fosp(obj, x0, max_iter=landscape.FOSP_BUDGET, tol=1e-12)
         assert res.converged
         assert np.linalg.norm(res.point.X - gd_point.X) <= 1e-8
+
+    @pytest.mark.parametrize("name", TCG_PROBLEMS)
+    def test_flat_inner_solve_matches_the_object_oracle(self, name, monkeypatch):
+        # every inner solve of the search, repeated in tangent-object
+        # arithmetic from the same arguments, returns the same bits; a PSD
+        # solve's two copies of Up stay bit-equal in each direction it reads
+        flat, from_flat = landscape._tcg, EmbeddedTangent.from_flat
+        exits, curvatures = [], []
+
+        def checked_from_flat(pt, f):
+            if pt.kind == "psd":
+                p, r = pt.shape[0], pt.r
+                assert np.array_equal(f[r * r:r * (r + p)], f[r * (r + p):])
+            return from_flat(pt, f)
+
+        def recorded_hess_vec(pt, obj, xi, egrad):
+            hxi = riem_hess_vec_embedded(pt, obj, xi, egrad)
+            curvatures.append(xi.inner(hxi))
+            return hxi
+
+        def checked(pt, obj, egrad, grad, radius, max_inner):
+            got = flat(pt, obj, egrad, grad, radius, max_inner)
+            want = object_tcg(pt, obj, egrad, grad, radius, max_inner)
+            for a, b in zip(got[:2], want[:2]):
+                assert all(np.array_equal(x, y) for x, y in zip(a.parts, b.parts, strict=True))
+            assert got[2:] == want[2:]
+            exits.append("interior" if not got[3] else
+                         "negative curvature" if curvatures[-1] <= 0 else "left the region")
+            return got
+
+        monkeypatch.setattr(EmbeddedTangent, "from_flat", staticmethod(checked_from_flat))
+        monkeypatch.setattr(landscape, "riem_hess_vec_embedded", recorded_hess_vec)
+        monkeypatch.setattr(landscape, "_tcg", checked)
+        obj, x0 = TCG_PROBLEMS[name]
+        res = find_fosp(obj, x0, max_iter=landscape.FOSP_BUDGET, tol=1e-12)
+        assert res.hess_vecs == len(curvatures) > 0
+        if name in TCG_EXITS:
+            assert TCG_EXITS[name] in exits
+        if name.endswith("saddle"):
+            assert hessian_spectrum(x0, obj).min_eigenvalue < 0
+            assert exits[0] == "negative curvature"
 
 
 class TestAnalyticFosps:

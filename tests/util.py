@@ -12,14 +12,16 @@ import numpy as np
 
 import georank
 from georank import make_masked_completion, make_matrix_approx, make_matrix_sensing
-from georank.cli import TOLERANCES, _check, _worst
+from georank.cli import TOLERANCES, _build_objective, _check, _plan, _worst
 from georank.embedded import (_point_from_factors, project_rank_r, retract,
-                               riem_grad_embedded, tangent_project, truncate_sum)
+                               riem_grad_embedded, riem_hess_vec_embedded, tangent_project,
+                               truncate_sum)
 from georank.flows import flow_field
 from georank.objectives import Objective
-from georank.landscape import hessian_spectrum
+from georank.landscape import TCG_KAPPA, hessian_spectrum
 from georank.linalg import RankError, gen_sym_eig, skew, sym
 from georank.quotient import (
+    EMBEDDED,
     GEOMETRY_KIND,
     GenQ1,
     GenQ2,
@@ -191,6 +193,51 @@ def gradient_descent_fosp(obj, init, max_iter, tol):
         grad = riem_grad_embedded(pt, obj)
         gnorm = grad.norm()
     return pt, bool(gnorm <= tol)
+
+
+# the benchmark's classify panel, run at problem seeds 1 and 2
+CLASSIFY_PANEL = {"problem": {"kind": "completion", "case": "general", "p1": 10, "p2": 8,
+                              "r": 2}, "geometries": ["gen_embedded"], "max_fosp_points": 2}
+
+
+def cli_starts(config, seed):
+    """The objective and the find_fosp starts of a solver-FOSP CLI report."""
+    plan = _plan(config)
+    rng = np.random.default_rng(seed)
+    obj = _build_objective(plan.problem, rng)
+    kind_tag = EMBEDDED[plan.problem["case"]]
+    return obj, [plan.point(kind_tag, rng) for _ in range(config["max_fosp_points"])]
+
+
+def object_tcg(pt, obj, egrad, grad, radius, max_inner):
+    """Oracle of ``landscape._tcg``: the same Steihaug-Toint truncated CG in
+    tangent-object arithmetic, each update a ``Stack`` operation and each
+    inner product ``EmbeddedTangent.inner``. Returns eta, Hess f[eta], the
+    Hessian-vector products taken, and whether eta stopped on the boundary."""
+    eta = heta = 0.0 * grad
+    res, rr = grad, grad.inner(grad)
+    r0 = np.sqrt(rr)
+    delta = -res
+    e_e = e_d = 0.0  # <eta, eta>, <eta, delta>
+    d_d = rr  # <delta, delta>
+    for j in range(1, max_inner + 1):
+        hd = riem_hess_vec_embedded(pt, obj, delta, egrad)
+        d_hd = delta.inner(hd)
+        alpha = rr / d_hd if d_hd > 0 else np.inf  # a zero or NaN curvature stops here too
+        e_e_next = e_e + 2.0 * alpha * e_d + alpha * alpha * d_d
+        if not (d_hd > 0 and e_e_next < radius**2):
+            tau = (-e_d + np.sqrt(e_d * e_d + d_d * (radius**2 - e_e))) / d_d
+            return eta + tau * delta, heta + tau * hd, j, True
+        e_e = e_e_next
+        eta, heta, res = eta + alpha * delta, heta + alpha * hd, res + alpha * hd
+        rr_next = res.inner(res)
+        if np.sqrt(rr_next) <= r0 * min(r0, TCG_KAPPA):
+            return eta, heta, j, False
+        beta, rr = rr_next / rr, rr_next
+        e_d = beta * (e_d + alpha * d_d)
+        d_d = rr + beta * beta * d_d
+        delta = beta * delta - res
+    return eta, heta, max_inner, False
 
 
 def geometry_metric_combos(geometries):
