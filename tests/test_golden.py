@@ -4,9 +4,11 @@ Each case runs `georank.cli.run(..., no_timestamp=True)` in-process and
 compares the JSON text with `tests/golden/<case>.json`. The cases cover all
 six commands on a small PSD and a small general problem, with every geometry
 and every metric family, plus one completion `classify` so `find_fosp` runs,
-and `flow-compare` at the benchmark's `trajectory` sizes (psd 200x200, r=5
-and general 160x120, r=4, completion, seed 1), where its flows are timed.
-Those two are also written by a child process whose BLAS runs one thread,
+and every report of the benchmark's `trajectory` workload: `flow-compare` at
+its sizes (psd 200x200, r=5 and general 160x120, r=4, completion, seed 1),
+where its flows are timed, and its `classify` panel (completion general
+10x8, r=2, problem seeds 1 and 2), where its trust-region search is timed.
+Those four are also written by a child process whose BLAS runs one thread,
 as the benchmark's runs do, and must match the same files.
 
 A refactor that keeps the floating-point operation order must leave these
@@ -47,7 +49,7 @@ import georank
 from georank import landscape, linalg
 from georank.cli import COMMANDS, run
 
-from util import blas_core
+from util import CLASSIFY_PANEL, blas_core
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GATE = Path(__file__).resolve().parent.parent / "perfbench" / "gate.py"
@@ -73,6 +75,9 @@ CASES["classify.completion"] = (
      **COMMON},
     SEED,
 )
+# the benchmark's classify panel (perfbench/workloads.py), at each problem seed
+for panel_seed in (1, 2):
+    CASES[f"classify.panel-seed{panel_seed}"] = ("classify", CLASSIFY_PANEL, panel_seed)
 CASES["flow-compare.psd-200x200"] = (
     "flow-compare",
     {"problem": {"kind": "completion", "case": "psd", "p1": 200, "r": 5}}, 1)
@@ -98,7 +103,8 @@ def test_report_matches_golden(name, tmp_path):
 
 # the workload-size cases, and the BLAS thread count that the benchmark
 # fixes for its runs (perfbench/run.py)
-TRAJECTORY_CASES = ("flow-compare.psd-200x200", "flow-compare.general-160x120")
+TRAJECTORY_CASES = ("flow-compare.psd-200x200", "flow-compare.general-160x120",
+                    "classify.panel-seed1", "classify.panel-seed2")
 ONE_BLAS_THREAD = {var: "1" for var in
                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 # argv: the tests directory, the output directory, then the case names
