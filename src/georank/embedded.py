@@ -9,7 +9,10 @@ vector is an r x r core S with p x r factors orthogonal to the frames,
 The PSD kind is the symmetric case: a point's V is its U, the same array;
 its X is the one symmetric product W W^T with W = U chol(Sigma), so X is
 exactly symmetric, and so is a symmetric objective's gradient at X, which
-the gradients project with no p x p symmetrizing pass. A tangent holds
+the gradients project with no p x p symmetrizing pass. Every truncated
+point has a diagonal Sigma = diag(s) and forms W = U sqrt(s), or X =
+(U s) V^T for the general kind, columnwise with no Cholesky; a quotient
+frame's core takes the Cholesky route. A tangent holds
 (S, Up) with S symmetric, and its Vp is its Up. The
 manifold dimension is p*r - r(r-1)/2 in the PSD case and (p1 + p2 - r)*r
 in the general case. The ambient metric is Frobenius. Projection, norms,
@@ -21,6 +24,12 @@ A tangent is a ``Stack``, the one vector type of the package: component
 arrays at one base point, one vector or a stack of them on a leading axis,
 with the arithmetic, ``len``, indexing and the base-point check written
 once. ``quotient.HorizontalVector`` is the other ``Stack``.
+
+The Hessian applied to a tangent has one formula, ``_hess_vec_flat``, on
+the flat coordinates of ``EmbeddedTangent.flat`` in and out.
+``riem_hess_vec_embedded`` is its tangent-level entry; the trust region's
+inner solve (``landscape._tcg``) calls the formula itself, with no tangent
+object per product, and refuses a singular core once per solve.
 
 ``project_rank_r`` (and with it ``embed_point`` and ``retract``) truncates
 an ambient matrix by a dense p x p eigendecomposition or SVD.
@@ -106,9 +115,6 @@ class Stack:
         return self._new(tuple(sa * a + sb * b for a, b in zip(self.parts, other.parts)),
                          other)
 
-    def __add__(self, other):
-        return self._combine(other, 1.0, 1.0)
-
     def __sub__(self, other):
         return self._combine(other, 1.0, -1.0)
 
@@ -148,26 +154,18 @@ class EmbeddedTangent(Stack):
     Vp = property(lambda self: self.parts[-1])
 
     def ambient(self) -> np.ndarray:
-        pt = self.base
-        return pt.U @ self.S @ pt.V.T + self.Up @ pt.V.T + pt.U @ self.Vp.mT
+        return _ambient(self.base, self.S, self.Up, self.Vp)
 
     def flat(self) -> np.ndarray:
         """Coordinates (S, Up, Vp) whose dot product is the Frobenius inner
         product of the ambient matrices: one row per tangent of a stack."""
-        lead = self.S.shape[:-2]
-        return np.concatenate([a.reshape(*lead, -1) for a in (self.S, self.Up, self.Vp)],
-                              axis=-1)
+        return _flat(self.S, self.Up, self.Vp)
 
     @classmethod
     def from_flat(cls, pt, f):
         """The inverse of ``flat``: the tangent at pt whose parts are views of
         f, reading the first of a PSD layout's two Up blocks."""
-        (p1, p2), r = pt.shape, pt.r
-        if f.shape[-1] != r * (r + p1 + p2):
-            raise ValueError(f"expected {r * (r + p1 + p2)} flat coordinates, got {f.shape[-1]}")
-        cuts = (0, r * r, r * (r + p1), None)[:3 if pt.kind == "psd" else 4]
-        return cls(pt, tuple(f[..., a:b].reshape(*f.shape[:-1], -1, r)
-                             for a, b in zip(cuts, cuts[1:])))
+        return cls(pt, _flat_parts(pt, f))
 
     def norm(self):
         """The Frobenius norm: a float, or one per tangent of a stack."""
@@ -179,14 +177,34 @@ class EmbeddedTangent(Stack):
         return float(self.flat() @ other.flat())
 
 
+def _ambient(pt, s, up, vp) -> np.ndarray:
+    """U S V^T + Up V^T + U Vp^T, the ambient matrix of the tangent at pt with
+    parts (S, Up, Vp)."""
+    return pt.U @ s @ pt.V.T + up @ pt.V.T + pt.U @ vp.mT
+
+
+def _flat(s, up, vp) -> np.ndarray:
+    """``EmbeddedTangent.flat`` of the parts (S, Up, Vp)."""
+    lead = s.shape[:-2]
+    return np.concatenate([a.reshape(*lead, -1) for a in (s, up, vp)], axis=-1)
+
+
+def _flat_parts(pt, f) -> tuple:
+    """The parts of the tangent at pt whose flat coordinates are f, as views
+    of f: (S, Up) for the PSD kind, which reads the first Up block, and
+    (S, Up, Vp) for the general kind."""
+    (p1, p2), r = pt.shape, pt.r
+    if f.shape[-1] != r * (r + p1 + p2):
+        raise ValueError(f"expected {r * (r + p1 + p2)} flat coordinates, got {f.shape[-1]}")
+    cuts = (0, r * r, r * (r + p1), None)[:3 if pt.kind == "psd" else 4]
+    return tuple(f[..., a:b].reshape(*f.shape[:-1], -1, r) for a, b in zip(cuts, cuts[1:]))
+
+
 def _column_signs(u):
     """Signs making the largest-magnitude entry of each column of U positive,
-    the first on a tie; V flips by them too."""
-    flips = np.sign(u.max(axis=0) + u.min(axis=0))
-    if not flips.all():  # a tie of magnitudes: the first of max and min wins
-        first = u.argmax(axis=0) <= u.argmin(axis=0)
-        flips = np.where(flips == 0, np.where(first, 1.0, -1.0), flips)
-    return flips
+    the first on a tie, and a zero column's +1; V flips by them too."""
+    first = u[np.abs(u).argmax(axis=0), np.arange(u.shape[1])]
+    return np.where(first < 0, -1.0, 1.0)
 
 
 def _top_factors(x, r, kind, left=None, right=None):
@@ -197,6 +215,8 @@ def _top_factors(x, r, kind, left=None, right=None):
     is the core of the matrix left @ x @ right^T: the core's frames are
     lifted through them before their signs are fixed, and the rank test
     reads the core's spectrum, which is the matrix's own up to zeros.
+    Sigma is diagonal, so ``_point_from_factors`` forms the point
+    columnwise, with no Cholesky and no product with Sigma.
     """
     x = finite(np.asarray(x, dtype=float))
     psd = kind == "psd"
@@ -230,14 +250,24 @@ def _point_from_factors(kind, u, sigma, v):
     """The point with factors (U, Sigma, V). A PSD point's X is W W^T with
     W = U chol(Sigma): numpy forms a product with its own transpose as one
     symmetric rank-k update, so X is exactly symmetric. Sigma is positive
-    diagonal from a truncation and SPD from a quotient frame; one that
-    Cholesky refuses raises RankError."""
+    diagonal from a truncation and SPD from a quotient frame. A diagonal
+    Sigma = diag(s) takes its factor columnwise, W = U sqrt(s) and, for the
+    general kind, X = (U s) V^T, with no Cholesky and no product with a
+    diagonal matrix: the same bits, since the product's other terms are
+    exact zeros and the Cholesky factor of diag(s) is diag(sqrt(s)). Any
+    other PSD core goes to Cholesky, and one that it refuses, a diagonal
+    with a nonpositive entry among them, raises RankError."""
+    s = np.diagonal(sigma)
+    diagonal = np.count_nonzero(sigma) == np.count_nonzero(s)
     if kind != "psd":
-        return EmbeddedPoint(kind, u @ sigma @ v.T, u, sigma, v)
-    try:
-        w = u @ np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as exc:
-        raise RankError("core of a psd point is not positive definite") from exc
+        return EmbeddedPoint(kind, (u * s if diagonal else u @ sigma) @ v.T, u, sigma, v)
+    if diagonal and (s > 0).all():
+        w = u * np.sqrt(s)
+    else:
+        try:
+            w = u @ np.linalg.cholesky(sigma)
+        except np.linalg.LinAlgError as exc:
+            raise RankError("core of a psd point is not positive definite") from exc
     return EmbeddedPoint(kind, w @ w.T, u, sigma, v)
 
 
@@ -290,7 +320,7 @@ def truncate_sum(pt: EmbeddedPoint, terms) -> EmbeddedPoint:
         lefts.append(xi.Up)
         rights.append(xi.Vp)
         blocks.append((base is pt, c * xi.S, c * eye))
-    left = np.hstack(lefts)
+    left = np.concatenate(lefts, axis=1)
     k = left.shape[1]
     core = np.zeros((k, k))
     core[:r, :r] = pt.Sigma
@@ -307,7 +337,7 @@ def truncate_sum(pt: EmbeddedPoint, terms) -> EmbeddedPoint:
         i += r
     q_left, r_left = np.linalg.qr(left)
     q_right, r_right = ((q_left, r_left) if pt.kind == "psd"
-                        else np.linalg.qr(np.hstack(rights)))
+                        else np.linalg.qr(np.concatenate(rights, axis=1)))
     u, sigma, v = _top_factors(r_left @ core @ r_right.T, r, pt.kind,
                                left=q_left, right=q_right)
     return _point_from_factors(pt.kind, u, sigma, v)
@@ -323,9 +353,14 @@ def tangent_project(pt: EmbeddedPoint, z) -> EmbeddedTangent:
 
 def _project(pt: EmbeddedPoint, z) -> EmbeddedTangent:
     """The tangent projection of an ambient Z as ``_read_ambient`` gives it."""
+    return EmbeddedTangent(pt, _projected_parts(pt, z))
+
+
+def _projected_parts(pt: EmbeddedPoint, z) -> tuple:
+    """The parts of ``_project``'s tangent, with no tangent built."""
     if pt.kind == "psd":
-        return _tangent_from_products(pt, z @ pt.U, None)
-    return _tangent_from_products(pt, z @ pt.V, z.T @ pt.U)
+        return _parts_from_products(pt, z @ pt.U, None)
+    return _parts_from_products(pt, z @ pt.V, z.T @ pt.U)
 
 
 def _read_ambient(kind: str, z, symmetric: bool = False) -> np.ndarray:
@@ -344,15 +379,16 @@ def _egrad(pt: EmbeddedPoint, obj: Objective) -> np.ndarray:
     return _read_ambient(pt.kind, obj.egrad(pt.X), obj.symmetric)
 
 
-def _tangent_from_products(pt: EmbeddedPoint, zv, ztu) -> EmbeddedTangent:
-    """The tangent projection of an ambient Z from Z V and Z^T U, or stacks of
-    them (for the PSD kind, from sym(Z) U as ``zv``): Z itself need not exist."""
+def _parts_from_products(pt: EmbeddedPoint, zv, ztu) -> tuple:
+    """The parts of the tangent projection of an ambient Z from Z V and Z^T U,
+    or stacks of them (for the PSD kind, from sym(Z) U as ``zv``): Z itself
+    need not exist."""
     u = pt.U
     s = u.T @ zv
     up = zv - u @ s
     if pt.kind == "psd":
-        return EmbeddedTangent(pt, (sym(s), up))
-    return EmbeddedTangent(pt, (s, up, ztu - pt.V @ s.mT))
+        return sym(s), up
+    return s, up, ztu - pt.V @ s.mT
 
 
 def riem_grad_embedded(pt: EmbeddedPoint, obj: Objective) -> EmbeddedTangent:
@@ -395,30 +431,44 @@ def _invertible_core(pt: EmbeddedPoint) -> np.ndarray:
 def riem_hess_vec_embedded(pt: EmbeddedPoint, obj: Objective, xi: EmbeddedTangent,
                            egrad=None) -> EmbeddedTangent:
     """Hess f(X)[xi], the Riemannian Hessian at pt applied to one tangent
-    (Vandereycken 2013, Prop. 2.3): the tangent projection of the Euclidean
-    Hessian image of xi, plus the curvature term that
-    ``riem_hess_matrix_embedded`` polarizes, in factored form with
-    Z = nabla f and P_perp = I - U U^T (or I - V V^T), so no complement is
-    formed:
+    (Vandereycken 2013, Prop. 2.3): ``_hess_vec_flat`` on xi's flat
+    coordinates, after the singular-core refusal, which this entry applies on
+    every call. ``egrad`` is nabla f as ``_egrad`` gives it, when the caller
+    has it, so that a solver evaluates it once per point."""
+    xi.check_base(pt)
+    sig = _invertible_core(pt)
+    z = _egrad(pt, obj) if egrad is None else egrad
+    return EmbeddedTangent.from_flat(pt, _hess_vec_flat(pt, obj, sig, z, xi.flat()))
+
+
+def _hess_vec_flat(pt: EmbeddedPoint, obj: Objective, sig, egrad, f) -> np.ndarray:
+    """The one embedded Hessian-vector formula, on flat coordinates in and
+    out (``EmbeddedTangent.flat``), with no tangent object: the tangent
+    projection of the Euclidean Hessian image of xi, plus the curvature term
+    that ``riem_hess_matrix_embedded`` polarizes, in factored form with
+    Z = nabla f (``egrad``) and P_perp = I - U U^T (or I - V V^T), so no
+    complement is formed:
 
         Up += P_perp Z Vp Sigma^-T,   Vp += P_perp Z^T Up Sigma^-1.
 
     For the PSD kind Vp is Up and Sigma is symmetric, the ambient matrix
     counts Up twice, and the two terms are one: Up += P_perp sym(Z) Up
-    Sigma^-1, where Z as ``_egrad`` gives it is symmetric. ``egrad`` is that
-    Z when the caller has it, so that a solver evaluates it once per point."""
-    xi.check_base(pt)
-    sig = _invertible_core(pt)
-    z = _egrad(pt, obj) if egrad is None else egrad
-    h = tangent_project(pt, obj.ehess_vec(pt.X, xi.ambient()))
+    Sigma^-1, where Z as ``_egrad`` gives it is symmetric. ``sig`` is Sigma
+    as ``_invertible_core`` returned it: the caller refuses a singular core,
+    ``riem_hess_vec_embedded`` on every call and the trust region's inner
+    solve once per solve."""
+    parts = _flat_parts(pt, f)
+    s, up, vp = parts[0], parts[1], parts[-1]
+    h = _projected_parts(pt, _read_ambient(pt.kind, obj.ehess_vec(pt.X, _ambient(pt, s, up, vp))))
     u = pt.U
     if pt.kind == "psd":
-        a = np.linalg.solve(sig, (z @ xi.Up).T).T
-        return EmbeddedTangent(pt, (h.S, h.Up + a - u @ (u.T @ a)))
+        a = np.linalg.solve(sig, (egrad @ up).T).T
+        hup = h[1] + a - u @ (u.T @ a)
+        return _flat(h[0], hup, hup)
     v = pt.V
-    a = np.linalg.solve(sig, (z @ xi.Vp).T).T
-    b = np.linalg.solve(sig.T, (z.T @ xi.Up).T).T
-    return EmbeddedTangent(pt, (h.S, h.Up + a - u @ (u.T @ a), h.Vp + b - v @ (v.T @ b)))
+    a = np.linalg.solve(sig, (egrad @ vp).T).T
+    b = np.linalg.solve(sig.T, (egrad.T @ up).T).T
+    return _flat(h[0], h[1] + a - u @ (u.T @ a), h[2] + b - v @ (v.T @ b))
 
 
 def riem_hess_quad_embedded(pt: EmbeddedPoint, obj: Objective,

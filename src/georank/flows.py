@@ -20,7 +20,8 @@ combination of the stages' fields, each a tangent at its own stage point.
 no p x p matrix is decomposed. The first stage's field is a tangent at X
 itself and shares its frames, so the second stage point's core is 2r square
 and the step's end point's 8r. A PSD point's X is formed as one symmetric
-product W W^T, W = U chol(Sigma), exactly symmetric, and so is a symmetric
+product W W^T, W = U sqrt(s) from the truncation's diagonal core
+diag(s), with no Cholesky, exactly symmetric, and so is a symmetric
 objective's gradient there, so a PSD step makes no p x p symmetrizing pass.
 
 One loop steps every flow, one or several together, and holds only each
@@ -91,16 +92,6 @@ class FlowTrace:
         if i == 0:
             return self.start
         return _point_from_factors(self.start.kind, *self.factors[i - 1])
-
-    @property
-    def points(self) -> list:
-        """Every state as an ``EmbeddedPoint``, the start point first."""
-        return [self.point(i) for i in range(len(self))]
-
-    @property
-    def states(self) -> list:
-        """The ambient matrices X(t), rank r."""
-        return [pt.X for pt in self.points]
 
 
 def _grid(t_final: float, dt: float) -> np.ndarray:

@@ -21,12 +21,13 @@ from .embedded import (
     EmbeddedPoint,
     EmbeddedTangent,
     _egrad,
+    _hess_vec_flat,
+    _invertible_core,
     _project,
     embed_point,
     retract,
     riem_grad_embedded,
     riem_hess_matrix_embedded,
-    riem_hess_vec_embedded,
     tangent_basis,
     tangent_project,
 )
@@ -124,10 +125,6 @@ class SpectrumReport:
     gram: np.ndarray  # metric Gram matrix of the basis
     matrix: np.ndarray  # Hessian matrix on the basis
     grad_norm: float
-
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
 
     @property
     def min_eigenvalue(self) -> float:
@@ -323,9 +320,13 @@ RHO_REGULARIZATION = 1e3
 def _tcg(pt, obj, egrad, grad, radius, max_inner):
     """Steihaug-Toint truncated CG on m(eta) = f + <grad, eta> + <eta, Hess f[eta]> / 2
     over ||eta|| <= radius, in ``EmbeddedTangent.flat`` coordinates: dot products,
-    elementwise updates, ``riem_hess_vec_embedded`` of each ``from_flat`` direction.
-    Returns eta and Hess f[eta] as tangents, the Hessian-vector products taken, and
-    whether eta stopped on the boundary (by negative curvature or by leaving it)."""
+    elementwise updates, and each Hessian-vector product ``embedded._hess_vec_flat``,
+    the formula of ``riem_hess_vec_embedded``, from flat direction to flat image with
+    no tangent object. The singular-core refusal is read once, before the first
+    product. Returns eta and Hess f[eta] as tangents, the Hessian-vector products
+    taken, and whether eta stopped on the boundary (by negative curvature or by
+    leaving it)."""
+    sig = _invertible_core(pt)
     g = grad.flat()
     eta = heta = 0.0 * g
     res, rr = g, float(g @ g)
@@ -335,7 +336,7 @@ def _tcg(pt, obj, egrad, grad, radius, max_inner):
     d_d = rr  # <delta, delta>
     j, boundary = max_inner, False
     for j in range(1, max_inner + 1):
-        hd = riem_hess_vec_embedded(pt, obj, EmbeddedTangent.from_flat(pt, delta), egrad).flat()
+        hd = _hess_vec_flat(pt, obj, sig, egrad, delta)
         d_hd = float(delta @ hd)
         alpha = rr / d_hd if d_hd > 0 else np.inf  # a zero or NaN curvature stops here too
         e_e_next = e_e + 2.0 * alpha * e_d + alpha * alpha * d_d
@@ -364,11 +365,12 @@ def find_fosp(
     """Riemannian trust region with Steihaug-Toint truncated CG (Absil, Baker
     & Gallivan, FoCM 2007) and the projection retraction, on the embedded
     manifold of ``init``'s kind, until |grad| <= tol or ``max_iter`` outer
-    iterations. The model's Hessian is ``riem_hess_vec_embedded``, on
-    factored tangents with no basis. A candidate whose ``retract`` raises
-    (rank lost, or a non-finite entry) is refused like one whose ratio of
-    actual to model decrease is below TR_SHRINK: the radius falls to a
-    quarter of the refused step. The initial radius is TR_RADIUS ||X_0||_F.
+    iterations. The model's Hessian is the formula of
+    ``riem_hess_vec_embedded``, on flat factored coordinates with no basis
+    (``_tcg``). A candidate whose ``retract`` raises (rank lost, or a
+    non-finite entry) is refused like one whose ratio of actual to model
+    decrease is below TR_SHRINK: the radius falls to a quarter of the
+    refused step. The initial radius is TR_RADIUS ||X_0||_F.
     ``tol`` is absolute and ``max_iter`` counts outer iterations; the result
     names its outcome, one of FOSP_OUTCOMES, and counts the inner solves'
     Hessian-vector products.

@@ -57,11 +57,12 @@ import numpy as np
 
 from .embedded import (
     EmbeddedPoint,
+    EmbeddedTangent,
     Stack,
     _egrad,
+    _parts_from_products,
     _point_from_factors,
     _read_ambient,
-    _tangent_from_products,
     embed_point,
     project_rank_r,
     tangent_basis,
@@ -818,7 +819,7 @@ class QuotientGeometry:
             xtu = xtu + reduce(np.matmul, chain, pt.U.T).mT
         if self.kind == "psd":
             xv = (xv + xtu) / 2.0  # sym(X_theta) U, as V is U
-        return _tangent_from_products(pt, xv, xtu)
+        return EmbeddedTangent(pt, _parts_from_products(pt, xv, xtu))
 
 
 

@@ -50,6 +50,7 @@ from util import (
     random_point,
     run_cli,
     total_curve,
+    trace_states,
 )
 
 
@@ -289,7 +290,8 @@ def test_criterion_08_flow_identities():
         emb_tag = ("psd_embedded" if q1[0].startswith("psd") else "gen_embedded",
                    None)
         kind = "psd" if q1[0].startswith("psd") else "general"
-        for x in trace.states[:: max(1, len(trace.states) // 32)]:
+        states = trace_states(trace)
+        for x in states[:: max(1, len(states) // 32)]:
             pt = project_rank_r(x, 2, kind)
             diff = (flow_field(pt, obj, emb_tag).ambient()
                     - flow_field(pt, obj, q1).ambient())

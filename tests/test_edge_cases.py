@@ -40,6 +40,7 @@ from util import (
     kind_of,
     random_approx_objective,
     random_point,
+    spectrum_dim,
     total_curve,
 )
 
@@ -50,7 +51,7 @@ def _exercise(kind, p1, p2, r, rng):
     tag = EMBEDDED[kind]
     pt = random_point(tag, p1, p2, r, rng)
     rep = hessian_spectrum(pt, obj)
-    assert rep.dim == quotient_dim(tag, p1, p2, r)
+    assert spectrum_dim(rep) == quotient_dim(tag, p1, p2, r)
     geos = PSD_QUOTIENTS if kind == "psd" else GEN_QUOTIENTS
     for geo, met in geometry_metric_combos(geos):
         z = random_point(geo, p1, p2, r, rng)

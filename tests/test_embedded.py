@@ -36,6 +36,7 @@ from util import (
     counting,
     geometry_metric_combos,
     kind_of,
+    plus,
     polarize,
     random_approx_objective,
     random_objective,
@@ -305,7 +306,7 @@ class TestRiemHess:
             for _ in range(3):
                 a, b = (tangent_project(pt, rng.standard_normal((p1, p2)))
                         for _ in range(2))
-                scale = sum(abs(quad(v)) for v in (a, b, a + b, a - b))
+                scale = sum(abs(quad(v)) for v in (a, b, plus(a, b), a - b))
                 value = riem_hess_matrix_embedded(pt, obj, stacked(a, b))[0][0, 1]
                 swapped = riem_hess_matrix_embedded(pt, obj, stacked(b, a))[0][0, 1]
                 assert abs(value - swapped) <= 1e-12 * scale
@@ -502,6 +503,17 @@ class TestTopFactors:
         assert np.array_equal(_column_signs(u), [1.0, -1.0, 1.0, -1.0])
         assert np.array_equal(_column_signs(-u), [-1.0, 1.0, 1.0, 1.0])
 
+    def test_column_signs_match_the_max_min_rule(self):
+        # the rule as each column's max + min decides it, a tie by the first
+        # of argmax and argmin, on matrices full of ties and signed zeros
+        rng = np.random.default_rng(37)
+        for _ in range(200):
+            u = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=(4, 3))
+            flips = np.sign(u.max(axis=0) + u.min(axis=0))
+            first = u.argmax(axis=0) <= u.argmin(axis=0)
+            want = np.where(flips == 0, np.where(first, 1.0, -1.0), flips)
+            assert np.array_equal(_column_signs(u), want)
+
     @pytest.mark.parametrize("kind,what", [("psd", "eigenvalue 2"),
                                            ("general", "singular value 2")])
     def test_rank_refusal_names_the_value(self, kind, what):
@@ -551,7 +563,7 @@ class TestOneForm:
                 tangents.append(forward_map(z, random_horizontal(z, metric, rng),
                                             metric))
         a, b, c = tangents[0], tangents[1], tangents[-1]
-        tangents += [a + b, a - b, 0.5 * a, a * 2.0, -a]
+        tangents += [plus(a, b), a - b, 0.5 * a, a * 2.0, -a]
         points += [truncate_sum(pt, [(1e-3, a), (1e-3, c)]), retract(pt, b, 1e-3)]
         for q in points:
             assert q.V is q.U and q.Vperp is q.Uperp
@@ -564,7 +576,7 @@ class TestOneForm:
         zero = np.zeros((5, 2))
         core = EmbeddedTangent(pt, (rng.standard_normal((2, 2)), zero, zero))
         xi = tangent_project(pt, rng.standard_normal((5, 5)))
-        for got, want in [(core + xi, core.ambient() + xi.ambient()),
+        for got, want in [(plus(core, xi), core.ambient() + xi.ambient()),
                           (xi - core, xi.ambient() - core.ambient())]:
             np.testing.assert_allclose(got.ambient(), want, atol=1e-12)
 

@@ -1,9 +1,11 @@
-"""Every name the package exports has a caller inside the library.
+"""Every name the package exports, and every method a library class
+defines, has a caller inside the library.
 
 ``georank/__init__.py`` is parsed, not imported. A name it imports or
 defines counts as used when some other module under ``src/georank/`` reads
 it as a name or an attribute outside its own definition; docstrings and
-comments do not count. Dunder metadata such as ``__version__`` is exempt.
+comments do not count. Dunder metadata such as ``__version__`` is exempt,
+and so are dunder methods, which operators and protocols call.
 """
 
 import ast
@@ -49,3 +51,15 @@ def test_every_export_has_a_caller_in_the_library():
             used |= _used(ast.parse(path.read_text()))
     unused = [name for name in exported if name not in used]
     assert not unused, f"exported from georank but called nowhere in it: {unused}"
+
+
+def test_every_method_has_a_caller_in_the_library():
+    # a method or property that only tests read belongs in tests/util.py
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "__init__.py"]
+    used = set().union(*map(_used, trees))
+    unused = [f"{cls.name}.{fn.name}" for tree in trees for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) for fn in cls.body
+              if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__")
+              and fn.name not in used]
+    assert not unused, f"defined in georank but called nowhere in it: {unused}"

@@ -20,7 +20,7 @@ from georank.quotient import EMBEDDED, lift_point, metric_inner, riem_grad_quoti
 
 from util import (GEN_QUOTIENTS, PSD_QUOTIENTS, count_calls, dense_flow_states,
                   geometry_metric_combos, random_objective, random_point,
-                  sequential_compare)
+                  sequential_compare, trace_points, trace_states)
 
 PSD_M = np.diag([3.0, 2.0, 1.0, 0.5])
 GEN_M = np.vstack([np.diag([3.0, 2.0, 1.0]), np.zeros((1, 3))])
@@ -124,7 +124,7 @@ class TestIntegrateFlow:
         zero_obj = make_masked_completion(np.zeros((4, 4)), np.zeros((4, 4)),
                                           symmetric=True)
         trace = integrate_flow(pt, zero_obj, ("psd_embedded", None), 0.2, 0.01)
-        for x in trace.states:
+        for x in trace_states(trace):
             np.testing.assert_allclose(x, pt.X, atol=1e-12)
 
     def test_energy_decreases(self):
@@ -132,7 +132,7 @@ class TestIntegrateFlow:
         obj, pt = _psd_setup(rng)
         for source in (("psd_embedded", None), ("psd_q2", "polar")):
             trace = integrate_flow(pt, obj, source, 1.0, 1e-2)
-            energies = np.array([obj.value(x) for x in trace.states])
+            energies = np.array([obj.value(x) for x in trace_states(trace)])
             assert np.all(np.diff(energies) <= 1e-12), source
             assert energies[-1] < energies[0], source
 
@@ -140,7 +140,7 @@ class TestIntegrateFlow:
         rng = np.random.default_rng(7)
         obj, pt = _psd_setup(rng)
         trace = integrate_flow(pt, obj, ("psd_q1", "double-gram"), 0.5, 1e-2)
-        for x in trace.states[::10]:
+        for x in trace_states(trace)[::10]:
             s = np.linalg.svd(x, compute_uv=False)
             assert s[1] > 1e-10 * s[0]
             resid = np.linalg.norm(project_rank_r(x, 2, "psd").X - x)
@@ -154,7 +154,7 @@ class TestIntegrateFlow:
         e = []
         for dt in (0.02, 0.01):
             tr = integrate_flow(pt, obj, ("psd_embedded", None), 0.5, dt)
-            e.append(np.linalg.norm(tr.states[-1] - ref.states[-1]))
+            e.append(np.linalg.norm(trace_states(tr)[-1] - trace_states(ref)[-1]))
         assert e[0] / e[1] > 8.0
 
     @pytest.mark.parametrize("source", [("psd_embedded", None), ("psd_q2", "matched")],
@@ -168,7 +168,7 @@ class TestIntegrateFlow:
         x0 = project_rank_r(np.diag([1.0, 1e-8, 0.0]), 2, "psd")
         trace = integrate_flow(x0, obj, source, 50.0, 0.05)
         assert trace.degenerate
-        assert len(trace.states) >= 1
+        assert len(trace_states(trace)) >= 1
         assert trace.message.startswith("rank collapse at t = ")
         out = compare_flows(x0, obj, ("psd_embedded", None), source, 50.0, 0.05)
         assert out["degenerate"]
@@ -220,10 +220,10 @@ class TestIntegrateFlow:
         rng = np.random.default_rng(14)
         obj, pt = _gen_setup(rng)
         trace = integrate_flow(pt, obj, ("gen_q1", "crossed-gram"), 0.05, 0.01)
-        assert trace.points[0] is pt
-        assert len(trace) == len(trace.points) == len(trace.times) == 6
+        assert trace_points(trace)[0] is pt
+        assert len(trace) == len(trace_points(trace)) == len(trace.times) == 6
         assert len(trace.factors) == 5
-        for i, (point, x) in enumerate(zip(trace.points, trace.states)):
+        for i, (point, x) in enumerate(zip(trace_points(trace), trace_states(trace))):
             assert np.array_equal(point.X, x)
             assert np.array_equal(trace.point(i - 6).X, x)
 
@@ -242,7 +242,7 @@ def test_factored_rk4_matches_the_dense_oracle(kind, p1, p2):
     obj = random_objective(kind, p1, p2, "completion", rng)
     x0 = random_point(EMBEDDED[kind], p1, p2, 2, rng)
     for source in _sources(kind):
-        states = integrate_flow(x0, obj, source, 0.2, 0.02).states
+        states = trace_states(integrate_flow(x0, obj, source, 0.2, 0.02))
         oracle = dense_flow_states(x0, obj, source, 0.2, 0.02)
         assert len(states) == len(oracle) == 11
         for x, want in zip(states, oracle):
@@ -269,7 +269,7 @@ def test_flows_decompose_no_ambient_matrix(monkeypatch, kind, p1, p2, r):
     for source in _sources(kind):
         # steps small enough for the stiffest (gram-weighted) families
         trace = integrate_flow(x0, obj, source, 5e-4, 1e-4)
-        assert len(trace.states) == 6 and not trace.degenerate, source
+        assert len(trace_states(trace)) == 6 and not trace.degenerate, source
     assert len(calls) == 0
     assert sizes and max(sizes) < min(p1, p2)
 
@@ -295,7 +295,7 @@ class TestCompareFlows:
         out = compare_flows(pt, obj, ("psd_embedded", None),
                             ("psd_q1", "double-gram"), 1.0, 1e-2)
         assert out["max_deviation"] > 1e-4  # genuinely different trajectories
-        for x in out["trace_a"].states[::20]:
+        for x in trace_states(out["trace_a"])[::20]:
             p = project_rank_r(x, 2, "psd")
             d = flow_field(p, obj, ("psd_embedded", None)).ambient() - flow_field(
                 p, obj, ("psd_q1", "double-gram")

@@ -35,6 +35,7 @@ from util import (
     embedded_spectrum,
     geometry_metric_combos,
     kind_of,
+    plus,
     random_approx_objective,
     random_point,
 )
@@ -103,11 +104,11 @@ class TestCallerBuiltVectors:
             z, obj = _instance(geo, rng), _objective(geo, rng)
             theta = random_horizontal(z, met, rng)
             other = random_horizontal(z, met, rng)
-            assert (theta + other).space is theta.space
+            assert plus(theta, other).space is theta.space
             assert (theta - 2.0 * other).space is theta.space
             vert = _unit_vertical(z, met, rng)
             bad = HorizontalVector(z, tuple(0.1 * theta.raw_norm() * v for v in vert))
-            mixed = theta + bad
+            mixed = plus(theta, bad)
             assert mixed.space is None
             _rejected_by_both(z, obj, met, mixed)
 

@@ -6,8 +6,8 @@ import pytest
 
 from georank import landscape
 from georank.cli import run
-from georank.embedded import (EmbeddedTangent, embed_point, project_rank_r, retract,
-                              riem_grad_embedded, riem_hess_vec_embedded)
+from georank.embedded import (EmbeddedTangent, _hess_vec_flat, embed_point, project_rank_r,
+                              retract, riem_grad_embedded)
 from georank.linalg import RankError, skew
 from georank.landscape import (
     analytic_fosps,
@@ -44,6 +44,7 @@ from util import (
     object_tcg,
     random_approx_objective,
     random_point,
+    spectrum_dim,
 )
 
 SIZES = {"psd": (6, 6), "general": (5, 4)}
@@ -139,7 +140,7 @@ class TestHessianSpectrum:
         obj = random_approx_objective("psd", 6, 6, rng)
         z = random_point("psd_q1", 6, 6, R, rng)
         rep = hessian_spectrum(z, obj, metric_family("psd_q1", "flat"))
-        assert rep.dim == 6 * R - (R * R - R) // 2
+        assert spectrum_dim(rep) == 6 * R - (R * R - R) // 2
 
     @staticmethod
     def _nearly_parallel(eps):
@@ -227,7 +228,7 @@ class TestVerifySandwich:
         met = metric_family("psd_q1", "flat")
         other_geometry = hessian_spectrum(z, obj, met)
         other_dim = embedded_spectrum(list(analytic_fosps(obj, 1))[0], obj)
-        assert other_geometry.dim == embedded_spectrum(z.point, obj).dim
+        assert spectrum_dim(other_geometry) == spectrum_dim(embedded_spectrum(z.point, obj))
         for spectrum in (other_geometry, other_dim):
             with pytest.raises(ValueError, match="embedded spectrum"):
                 verify_sandwich(z, obj, met, spectrum)
@@ -476,8 +477,8 @@ class TestFindFosp:
     def test_zero_curvature_stops_the_inner_solve_on_the_boundary(self, monkeypatch):
         # a model with no curvature along the gradient has no minimizer inside
         # the region: the inner solve steps along -grad to the boundary
-        monkeypatch.setattr(landscape, "riem_hess_vec_embedded",
-                            lambda pt, obj, xi, egrad: 0.0 * xi)
+        monkeypatch.setattr(landscape, "_hess_vec_flat",
+                            lambda pt, obj, sig, egrad, f: 0.0 * f)
         obj, x0 = _psd_m3_start(11)
         grad = riem_grad_embedded(x0, obj)
         eta, heta, hess_vecs, boundary = landscape._tcg(x0, obj, obj.egrad(x0.X), grad,
@@ -522,19 +523,25 @@ class TestFindFosp:
         # every inner solve of the search, repeated in tangent-object
         # arithmetic from the same arguments, returns the same bits; a PSD
         # solve's two copies of Up stay bit-equal in each direction it reads
-        flat, from_flat = landscape._tcg, EmbeddedTangent.from_flat
+        # and in each image and result it returns
+        flat, from_flat, hess_vec = landscape._tcg, EmbeddedTangent.from_flat, _hess_vec_flat
         exits, curvatures = [], []
 
-        def checked_from_flat(pt, f):
+        def same_up_blocks(pt, f):
             if pt.kind == "psd":
                 p, r = pt.shape[0], pt.r
                 assert np.array_equal(f[r * r:r * (r + p)], f[r * (r + p):])
+
+        def checked_from_flat(pt, f):
+            same_up_blocks(pt, f)
             return from_flat(pt, f)
 
-        def recorded_hess_vec(pt, obj, xi, egrad):
-            hxi = riem_hess_vec_embedded(pt, obj, xi, egrad)
-            curvatures.append(xi.inner(hxi))
-            return hxi
+        def recorded_hess_vec(pt, obj, sig, egrad, f):
+            same_up_blocks(pt, f)
+            hf = hess_vec(pt, obj, sig, egrad, f)
+            same_up_blocks(pt, hf)
+            curvatures.append(float(f @ hf))
+            return hf
 
         def checked(pt, obj, egrad, grad, radius, max_inner):
             got = flat(pt, obj, egrad, grad, radius, max_inner)
@@ -547,7 +554,7 @@ class TestFindFosp:
             return got
 
         monkeypatch.setattr(EmbeddedTangent, "from_flat", staticmethod(checked_from_flat))
-        monkeypatch.setattr(landscape, "riem_hess_vec_embedded", recorded_hess_vec)
+        monkeypatch.setattr(landscape, "_hess_vec_flat", recorded_hess_vec)
         monkeypatch.setattr(landscape, "_tcg", checked)
         obj, x0 = TCG_PROBLEMS[name]
         res = find_fosp(obj, x0, max_iter=landscape.FOSP_BUDGET, tol=1e-12)

@@ -95,9 +95,9 @@ def test_embedded_builder_has_no_loop():
 
 def test_builders_reach_ehess_vec_only_through_ehess_matrix():
     # the one function that takes a Euclidean Hessian image itself is the
-    # embedded Hessian-vector product, which applies the Hessian to a single
-    # tangent and builds no matrix
-    vec_users = {"embedded.py": ["riem_hess_vec_embedded"], "quotient.py": []}
+    # embedded Hessian-vector formula, which applies the Hessian to a single
+    # tangent's flat coordinates and builds no matrix
+    vec_users = {"embedded.py": ["_hess_vec_flat"], "quotient.py": []}
     for path, allowed in vec_users.items():
         tree = ast.parse((SOURCE / path).read_text())
         names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}

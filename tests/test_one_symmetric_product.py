@@ -90,9 +90,12 @@ def test_nearly_symmetric_target_is_stored_symmetrized(make):
 
 
 def test_a_refused_core_is_a_rank_error():
+    # a diagonal core takes its factor columnwise, another core Cholesky's:
+    # either refusal is a RankError
     u = np.linalg.qr(np.random.default_rng(63).standard_normal((P, 2)))[0]
-    with pytest.raises(linalg.RankError):
-        _point_from_factors("psd", u, np.diag([1.0, -1.0]), u)
+    for core in (np.diag([1.0, -1.0]), np.diag([1.0, 0.0]), np.array([[1.0, 2.0], [2.0, 1.0]])):
+        with pytest.raises(linalg.RankError):
+            _point_from_factors("psd", u, core, u)
 
 
 # the PSD flows of the paper's identities: the embedded one, the matched one

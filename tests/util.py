@@ -227,9 +227,10 @@ def object_tcg(pt, obj, egrad, grad, radius, max_inner):
         e_e_next = e_e + 2.0 * alpha * e_d + alpha * alpha * d_d
         if not (d_hd > 0 and e_e_next < radius**2):
             tau = (-e_d + np.sqrt(e_d * e_d + d_d * (radius**2 - e_e))) / d_d
-            return eta + tau * delta, heta + tau * hd, j, True
+            return plus(eta, tau * delta), plus(heta, tau * hd), j, True
         e_e = e_e_next
-        eta, heta, res = eta + alpha * delta, heta + alpha * hd, res + alpha * hd
+        eta, heta = plus(eta, alpha * delta), plus(heta, alpha * hd)
+        res = plus(res, alpha * hd)
         rr_next = res.inner(res)
         if np.sqrt(rr_next) <= r0 * min(r0, TCG_KAPPA):
             return eta, heta, j, False
@@ -344,14 +345,27 @@ def embedded_spectrum(pt, obj):
     return hessian_spectrum(pt, obj)
 
 
+def spectrum_dim(report):
+    """The dimension of the space a ``SpectrumReport`` spans: its number of
+    eigenvalues."""
+    return len(report.eigenvalues)
+
+
+def plus(a, b):
+    """a + b, for ambient matrices and for ``Stack`` vectors, which have a
+    difference but no sum: a - (-b), whose rounding is the sum's."""
+    return a - (-b)
+
+
 def polarize(quad, a, b) -> float:
     """Bilinear form from a quadratic form: (Q(a+b) - Q(a-b)) / 4.
 
-    Works for any vector type supporting + and - (ambient matrices, embedded
-    tangents, horizontal vectors). The library evaluates its Hessian forms
-    bilinearly; this is the independent path the tests compare them with.
+    Works for any vector type supporting - and negation (ambient matrices,
+    embedded tangents, horizontal vectors). The library evaluates its Hessian
+    forms bilinearly; this is the independent path the tests compare them
+    with.
     """
-    return (quad(a + b) - quad(a - b)) / 4.0
+    return (quad(plus(a, b)) - quad(a - b)) / 4.0
 
 
 def stacked(*vectors):
@@ -657,6 +671,17 @@ def hand_hess_quad(z, obj, metric, theta):
     nabla = _ambient_gradient(z, obj.egrad(x))
     return float(HAND[z.geometry].hess_quad(z, obj, oracle_weights(z, metric),
                                             theta.parts, x, nabla))
+
+
+def trace_points(trace):
+    """Every state of a ``FlowTrace`` as an ``EmbeddedPoint``, the start
+    point first."""
+    return [trace.point(i) for i in range(len(trace))]
+
+
+def trace_states(trace):
+    """The ambient matrices X(t) of a ``FlowTrace``, rank r."""
+    return [pt.X for pt in trace_points(trace)]
 
 
 def dense_flow_states(x0, obj, source, t_final, dt):
