@@ -29,7 +29,9 @@ The Hessian applied to a tangent has one formula, ``_hess_vec_flat``, on
 the flat coordinates of ``EmbeddedTangent.flat`` in and out.
 ``riem_hess_vec_embedded`` is its tangent-level entry; the trust region's
 inner solve (``landscape._tcg``) calls the formula itself, with no tangent
-object per product, and refuses a singular core once per solve.
+object per product, and refuses a singular core once per solve; and
+``riem_hess_matrix_embedded`` applies it to a stack one row at a time, with
+no curvature term or ambient stack of its own.
 
 ``project_rank_r`` (and with it ``embed_point`` and ``retract``) truncates
 an ambient matrix by a dense p x p eigendecomposition or SVD.
@@ -400,23 +402,16 @@ def riem_hess_matrix_embedded(pt: EmbeddedPoint, obj: Objective,
                               tangents: EmbeddedTangent):
     """[Hess f[xi_i, xi_j]], the Riemannian Hessian at pt on a stack of
     tangents, and the Riemannian gradient, the tangent projection of the
-    Euclidean gradient that the matrix reads. Each entry is the Euclidean
-    Hessian form plus the curvature correction coupling the Euclidean
-    gradient with the off-frame factors through Sigma^-1,
-
-        Hess f[xi, eta] + <nabla f, Up_xi Sigma^-1 Vp_eta^T + Up_eta Sigma^-1 Vp_xi^T>.
-
-    The gradient is evaluated once; the first term is ``Objective.ehess_matrix``
-    on the ambient matrices (d p1 p2 doubles), the correction C + C^T with
-    C_ij = <Up_i^T nabla f, Sigma^-1 Vp_j^T>, one product of flattened stacks."""
+    Euclidean gradient that the matrix reads. After one singular-core
+    refusal and one gradient, ``_hess_vec_flat`` takes each row of the
+    stack's flat coordinates F to its image, a row of G, and the matrix is
+    sym(F G^T): one p1 x p2 Euclidean Hessian image is live at a time."""
     tangents.check_base(pt)
     sig = _invertible_core(pt)
     egrad = _egrad(pt, obj)
-    h = obj.ehess_matrix(pt.X, tangents.ambient())
-    c = ((tangents.Up.mT @ egrad).reshape(len(h), -1)
-         @ np.linalg.solve(sig, tangents.Vp.mT).reshape(len(h), -1).T)
-    h += c + c.T
-    return h, _project(pt, egrad)
+    f = tangents.flat()
+    images = np.array([_hess_vec_flat(pt, obj, sig, egrad, row) for row in f])
+    return sym(f @ images.T), _project(pt, egrad)
 
 
 def _invertible_core(pt: EmbeddedPoint) -> np.ndarray:
@@ -445,7 +440,7 @@ def _hess_vec_flat(pt: EmbeddedPoint, obj: Objective, sig, egrad, f) -> np.ndarr
     """The one embedded Hessian-vector formula, on flat coordinates in and
     out (``EmbeddedTangent.flat``), with no tangent object: the tangent
     projection of the Euclidean Hessian image of xi, plus the curvature term
-    that ``riem_hess_matrix_embedded`` polarizes, in factored form with
+    coupling nabla f with the off-frame factors, in factored form with
     Z = nabla f (``egrad``) and P_perp = I - U U^T (or I - V V^T), so no
     complement is formed:
 
@@ -455,8 +450,8 @@ def _hess_vec_flat(pt: EmbeddedPoint, obj: Objective, sig, egrad, f) -> np.ndarr
     counts Up twice, and the two terms are one: Up += P_perp sym(Z) Up
     Sigma^-1, where Z as ``_egrad`` gives it is symmetric. ``sig`` is Sigma
     as ``_invertible_core`` returned it: the caller refuses a singular core,
-    ``riem_hess_vec_embedded`` on every call and the trust region's inner
-    solve once per solve."""
+    ``riem_hess_vec_embedded`` on every call, the trust region's inner
+    solve once per solve and ``riem_hess_matrix_embedded`` once per matrix."""
     parts = _flat_parts(pt, f)
     s, up, vp = parts[0], parts[1], parts[-1]
     h = _projected_parts(pt, _read_ambient(pt.kind, obj.ehess_vec(pt.X, _ambient(pt, s, up, vp))))

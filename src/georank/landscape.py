@@ -142,11 +142,11 @@ def hessian_spectrum(
     metric; a ``QuotientPoint`` takes its geometry and needs a metric family.
     A horizontal basis's Gram condition is checked before the objective is
     evaluated. The Hessian matrix on an explicit tangent/horizontal basis,
-    one stack, comes from one matrix builder call, which takes the basis's
-    differentials in one call and its Euclidean term from one
-    ``Objective.ehess_matrix`` call, one Hessian image per row; the gradient
-    norm is that of the gradient the builder returns, so the gradient is
-    evaluated once. The eigenvalues are those of the pencil
+    one stack, comes from one matrix builder call, one Euclidean Hessian
+    image per basis vector: the one embedded Hessian-vector formula per
+    vector, or one ``Objective.ehess_matrix`` call on the differentials; the
+    gradient norm is that of the gradient the builder returns, so the
+    gradient is evaluated once. The eigenvalues are those of the pencil
     (H, Gram). The report keeps the basis, its Gram matrix and H, on which
     ``verify_sandwich`` checks the Hessian congruence.
     """

@@ -1,8 +1,8 @@
 """Least-squares objectives f(X) = 0.5 ||A(X) - b||^2, held as data.
 
-Every geometry module consumes objectives through the same four oracles:
-``value``, ``egrad``, ``ehess_vec`` and ``ehess_matrix``. Objectives are
-immutable after construction and evaluations are pure.
+Every geometry module consumes objectives through ``value``, ``egrad`` and
+``ehess_vec``, and the quotient Hessian matrix also through ``ehess_matrix``.
+Objectives are immutable after construction and evaluations are pure.
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +27,7 @@ class Objective:
 
     ``ehess_vec(X, Z)`` applies the Euclidean Hessian at X to the direction Z;
     it is linear in Z and self-adjoint in the Frobenius inner product, so
-    ``ehess_matrix``, the Euclidean term of both Hessian matrix builders,
+    ``ehess_matrix``, the Euclidean term of the quotient Hessian matrix,
     takes one image per vector of a stack. When
     ``symmetric`` is set the objective satisfies f(X) = f(X^T), which the PSD
     geometries rely on: symmetric sensing holds symmetrized operators and

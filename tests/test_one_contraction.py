@@ -1,23 +1,28 @@
-"""One Euclidean-Hessian contraction for both Hessian matrix builders.
+"""One Euclidean-Hessian contraction for the quotient Hessian matrix, and one
+Hessian-vector formula for the embedded one.
 
-The embedded and the quotient Hessian matrices share one term, the
-Euclidean Hessian form <nabla^2 f[xi_i], xi_j> on the stack's ambient
-matrices (the differentials on the quotient side).
-``Objective.ehess_matrix`` computes it, one image per row contracted with
-the stack in one product, and both builders read it from there. The
-embedded builder has no Python loop: its curvature coupling is one product
-of two flattened stacks. The per-entry loops they replaced are oracles in
-``util``. ``src/georank/`` is parsed, not imported, for the structural
-guards.
+The quotient Hessian matrix reads its Euclidean term, the Euclidean Hessian
+form <nabla^2 f[xi_i], xi_j> on the stack's differentials, from
+``Objective.ehess_matrix``, one image per row contracted with the stack in
+one product. The embedded Hessian matrix is the one embedded Hessian-vector
+formula, ``embedded._hess_vec_flat``, applied to the stack's flat
+coordinates one row at a time and contracted with them: it states no
+curvature term of its own and forms no stack of ambient matrices, so its
+memory stays below one such stack. The per-entry loops the builders
+replaced are oracles in ``util``. ``src/georank/`` is parsed, not imported,
+for the structural guards.
 """
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from georank.embedded import riem_hess_matrix_embedded, tangent_basis, tangent_project
+from georank.embedded import (riem_hess_matrix_embedded, riem_hess_vec_embedded,
+                              tangent_basis, tangent_project)
+from georank.linalg import sym
 from georank.quotient import (EMBEDDED, horizontal_basis, random_point,
                               riem_hess_matrix_quotient)
 
@@ -30,13 +35,6 @@ QUOTIENTS = {"psd": PSD_QUOTIENTS, "general": GEN_QUOTIENTS}
 # (p1, p2, r) per kind; the last has r = p (r = p2 for the general kind)
 SIZES = {"psd": [(5, 5, 2), (4, 4, 4)], "general": [(5, 4, 2), (4, 3, 3)]}
 OBJECTIVES = ("approx", "completion", "sensing")
-
-
-def _function(path, name):
-    """The AST of the function or method ``name`` in a module of the package."""
-    tree = ast.parse((SOURCE / path).read_text())
-    return next(node for node in ast.walk(tree)
-                if isinstance(node, ast.FunctionDef) and node.name == name)
 
 
 def _cases(kind, rng):
@@ -87,22 +85,54 @@ def test_quotient_builder_matches_the_pair_loop(kind):
             _close(h, pairwise_hess_matrix_quotient(z, obj, metric, basis))
 
 
-def test_embedded_builder_has_no_loop():
-    body = _function("embedded.py", "riem_hess_matrix_embedded")
-    loops = (ast.For, ast.While, ast.comprehension)
-    assert [node.lineno for node in ast.walk(body) if isinstance(node, loops)] == []
+@pytest.mark.parametrize("kind", ["psd", "general"])
+def test_embedded_builder_is_the_hessian_vector_product_on_the_basis(kind):
+    # bit for bit: the builder's rows are the tangent-level product's images
+    rng = np.random.default_rng(43)
+    for p1, p2, r, obj in _cases(kind, rng):
+        pt = random_point(EMBEDDED[kind], p1, p2, r, rng)
+        basis = tangent_basis(pt)
+        f = basis.flat()
+        g = np.array([riem_hess_vec_embedded(pt, obj, basis[i]).flat()
+                      for i in range(len(basis))])
+        h, _ = riem_hess_matrix_embedded(pt, obj, basis)
+        assert np.array_equal(h, sym(f @ g.T)), (p1, p2, r, obj.kind)
 
 
-def test_builders_reach_ehess_vec_only_through_ehess_matrix():
-    # the one function that takes a Euclidean Hessian image itself is the
-    # embedded Hessian-vector formula, which applies the Hessian to a single
-    # tangent's flat coordinates and builds no matrix
-    vec_users = {"embedded.py": ["_hess_vec_flat"], "quotient.py": []}
-    for path, allowed in vec_users.items():
+@pytest.mark.parametrize("kind, p1, p2", [("psd", 60, 60), ("general", 50, 40)])
+def test_embedded_builder_holds_no_ambient_stack(kind, p1, p2):
+    # a stack of d ambient matrices, which the builder never forms, would
+    # alone pass the limit
+    rng = np.random.default_rng(44)
+    obj = random_objective(kind, p1, p2, "completion", rng)
+    pt = random_point(EMBEDDED[kind], p1, p2, 3, rng)
+    basis = tangent_basis(pt)
+    tracemalloc.start()
+    try:
+        riem_hess_matrix_embedded(pt, obj, basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(basis) * p1 * p2 * 8
+
+
+def test_only_the_hessian_vector_formula_takes_a_hessian_image():
+    # in embedded.py one function applies the Euclidean Hessian and solves
+    # with the core, and none builds the Euclidean Hessian's matrix; the
+    # quotient builder takes its Euclidean term from ehess_matrix alone
+    def users(path, predicate):
         tree = ast.parse((SOURCE / path).read_text())
-        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        users = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-                 and any(isinstance(node, ast.Attribute) and node.attr == "ehess_vec"
-                         for node in ast.walk(fn))]
-        assert users == allowed, path
-        assert "ehess_matrix" in names, path
+        return [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                and any(predicate(node) for node in ast.walk(fn))]
+
+    def reads(attr):
+        return lambda node: isinstance(node, ast.Attribute) and node.attr == attr
+
+    def solves(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.solve"
+
+    assert users("embedded.py", reads("ehess_vec")) == ["_hess_vec_flat"]
+    assert users("embedded.py", solves) == ["_hess_vec_flat"]
+    assert users("embedded.py", reads("ehess_matrix")) == []
+    assert users("quotient.py", reads("ehess_vec")) == []
+    assert users("quotient.py", reads("ehess_matrix")) != []

@@ -387,7 +387,8 @@ def pairwise_hess_matrix_embedded(pt, obj, tangents):
     """The embedded Hessian matrix entry by entry: one Euclidean Hessian image
     per row, and per pair its contraction plus the curvature coupling
     <nabla f, Up_i Sigma^-1 Vp_j^T + Up_j Sigma^-1 Vp_i^T>. The oracle of
-    ``riem_hess_matrix_embedded``'s stacked products."""
+    ``riem_hess_matrix_embedded``, written from the polarized form rather
+    than from the Hessian-vector formula the builder applies."""
     egrad = obj.egrad(pt.X)
     ambs = tangents.ambient()
     ups, right = tangents.Up, np.linalg.solve(pt.Sigma, tangents.Vp.mT)
